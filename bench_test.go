@@ -20,6 +20,7 @@ import (
 	"htapxplain/internal/gateway"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/llm"
+	"htapxplain/internal/optimizer"
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/study"
 	"htapxplain/internal/treecnn"
@@ -34,11 +35,11 @@ var (
 	envErr  error
 )
 
-func benchEnv(b *testing.B) *eval.Env {
-	b.Helper()
+func benchEnv(tb testing.TB) *eval.Env {
+	tb.Helper()
 	envOnce.Do(func() { envVal, envErr = eval.NewEnv(eval.DefaultEnvConfig()) })
 	if envErr != nil {
-		b.Fatalf("NewEnv: %v", envErr)
+		tb.Fatalf("NewEnv: %v", envErr)
 	}
 	return envVal
 }
@@ -529,6 +530,87 @@ func TestVectorizedAllocReduction(t *testing.T) {
 	t.Logf("allocs/op: legacy-materialize %.0f, batch-stream %.0f → %.1fx reduction", legacy, batch, ratio)
 	if ratio < 5 {
 		t.Errorf("allocation reduction %.1fx, want ≥ 5x (legacy %.0f vs batch %.0f)", ratio, legacy, batch)
+	}
+}
+
+// hashKernelPlan plans sql for the AP engine and runs it twice, so the
+// plan's pooled runner tree is warm, returning the plan and the second
+// run's stats.
+func hashKernelPlan(tb testing.TB, env *eval.Env, sql string) (*optimizer.PhysPlan, exec.Stats) {
+	tb.Helper()
+	sel, err := sqlparser.Parse(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	phys, err := env.Sys.Planner.PlanAP(sel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ctx *exec.Context
+	for i := 0; i < 2; i++ {
+		ctx = exec.NewContext()
+		if _, err := phys.Execute(ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return phys, ctx.Stats
+}
+
+const (
+	// lineitem ⋈ orders on the order key, grouped by a build-side column
+	hashJoinGroupSQL = `SELECT o_orderpriority, COUNT(*), SUM(l_extendedprice) FROM lineitem, orders ` +
+		`WHERE l_orderkey = o_orderkey GROUP BY o_orderpriority`
+	// the same join under a global aggregate: nearly all of it is the probe
+	hashJoinProbeSQL = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey`
+	// two group columns keep the aggregate on the evaluator path (the
+	// encoded pushdown takes one), so every row goes through the group table
+	hashAggFoldSQL = `SELECT l_returnflag, l_linestatus, COUNT(*), SUM(l_quantity) FROM lineitem ` +
+		`GROUP BY l_returnflag, l_linestatus`
+)
+
+// TestHashKernelAllocs gates the typed-hash kernels' allocation shape: a
+// warm pooled plan for a 2-table hash join under a grouped aggregate
+// allocates per batch and per group, never per row — no key string, no
+// group row, no map entry for a row whose key has been seen. It is not
+// skipped under -race: there sync.Pool drops the pooled tree now and then,
+// which costs a re-clone (~15 allocations), nowhere near the bound.
+func TestHashKernelAllocs(t *testing.T) {
+	phys, stats := hashKernelPlan(t, benchEnv(t), hashJoinGroupSQL)
+	if stats.HashBuildRows == 0 || stats.HashProbeRows < 1000 || stats.GroupsCreated == 0 {
+		t.Fatalf("plan is not a hash join under a grouped aggregate: %+v", stats)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := phys.Execute(exec.NewContext()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op %.0f over %d build rows, %d probe rows, %d groups, %d batches",
+		allocs, stats.HashBuildRows, stats.HashProbeRows, stats.GroupsCreated, stats.BatchesProduced)
+	if allocs*16 >= float64(stats.HashProbeRows) {
+		t.Errorf("%.0f allocations for %d probe rows, want fewer than 1 per 16 rows", allocs, stats.HashProbeRows)
+	}
+}
+
+// BenchmarkHashJoin_Probe measures the hash-join kernel: build over
+// orders, one probe per lineitem row.
+func BenchmarkHashJoin_Probe(b *testing.B) {
+	benchHashKernel(b, hashJoinProbeSQL)
+}
+
+// BenchmarkHashAggregate_Fold measures the aggregate kernel: one group
+// table lookup per lineitem row.
+func BenchmarkHashAggregate_Fold(b *testing.B) {
+	benchHashKernel(b, hashAggFoldSQL)
+}
+
+func benchHashKernel(b *testing.B, sql string) {
+	phys, _ := hashKernelPlan(b, benchEnv(b), sql)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := phys.Execute(exec.NewContext()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"strings"
 	"sync"
 
 	"htapxplain/internal/colstore"
@@ -78,17 +77,6 @@ func (b *Batch) AppendRows(dst []value.Row) []value.Row {
 		dst = append(dst, value.Row(r))
 	}
 	return dst
-}
-
-// keyAt renders the hash key of the row at physical position pos over the
-// given columns, byte-compatible with value.Row.Key.
-func (b *Batch) keyAt(pos int, cols []int, sb *strings.Builder) string {
-	sb.Reset()
-	for _, c := range cols {
-		sb.WriteString(b.Cols[c][pos].Key())
-		sb.WriteByte('\x1f')
-	}
-	return sb.String()
 }
 
 // BatchOperator is a pull-based vectorized physical operator: Open prepares

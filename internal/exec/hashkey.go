@@ -1,0 +1,189 @@
+package exec
+
+import (
+	"hash/maphash"
+	"math"
+
+	"htapxplain/internal/value"
+)
+
+// Typed-hash kernel shared by HashJoin and HashAggregate (batch, pushdown
+// and parallel-merge paths). A key is a tuple of values; two keys are the
+// same key when every column has the same kind and the same payload:
+//
+//   - NULL equals NULL (NULL groups with NULL, and a NULL join key matches a
+//     NULL join key — the engine's historical hash semantics, which SQL
+//     predicates above the join refine);
+//   - ints and bools compare by I, and an int never equals a float (1 ≠ 1.0)
+//     or a bool;
+//   - floats compare by bit pattern with every NaN collapsed to one value,
+//     so -0.0 ≠ +0.0 and NaN = NaN;
+//   - strings compare by content.
+//
+// This is exactly the equality of the value.Row.Key rendering for rows
+// whose strings do not contain that rendering's own separators — and,
+// being per column, it does not alias ("a\x1f\x00sb","c") with
+// ("a","b\x1f\x00sc") the way the concatenated string did. Correctness
+// never rests on the hash: every probe confirms a candidate with keyEqual.
+
+// hashSeed keys string hashing for this process.
+var hashSeed = maphash.MakeSeed()
+
+// keyHashMask is ANDed into every key hash. It is all ones outside tests;
+// the forced-collision test clears it so every key lands in one chain.
+var keyHashMask = ^uint64(0)
+
+const (
+	hashInit = 0x9e3779b97f4a7c15
+	hashMul  = 0xff51afd7ed558ccd
+)
+
+// canonNaN is the one bit pattern every NaN hashes and compares as.
+var canonNaN = math.Float64bits(math.NaN())
+
+// hashValue folds one key column into the running hash h.
+func hashValue(h uint64, v value.Value) uint64 {
+	var p uint64
+	switch v.K {
+	case value.KindInt, value.KindBool:
+		p = uint64(v.I)
+	case value.KindFloat:
+		if v.F != v.F {
+			p = canonNaN
+		} else {
+			p = math.Float64bits(v.F)
+		}
+	case value.KindString:
+		p = maphash.String(hashSeed, v.S)
+	}
+	h = (h ^ p ^ uint64(v.K)<<56) * hashMul
+	return h ^ h>>32
+}
+
+// keyEqual reports whether a and b are the same key column value.
+func keyEqual(a, b value.Value) bool {
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case value.KindInt, value.KindBool:
+		return a.I == b.I
+	case value.KindFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F) || (a.F != a.F && b.F != b.F)
+	case value.KindString:
+		return a.S == b.S
+	default:
+		return true
+	}
+}
+
+// hashRowCols hashes the key columns cols of a materialized row.
+func hashRowCols(r value.Row, cols []int) uint64 {
+	h := uint64(hashInit)
+	for _, c := range cols {
+		h = hashValue(h, r[c])
+	}
+	return h & keyHashMask
+}
+
+// hashRow hashes every column of r (an evaluated group-key row).
+func hashRow(r value.Row) uint64 {
+	h := uint64(hashInit)
+	for _, v := range r {
+		h = hashValue(h, v)
+	}
+	return h & keyHashMask
+}
+
+// hashBatchCols hashes the key columns cols of the batch row at physical
+// position pos.
+func hashBatchCols(b *Batch, pos int, cols []int) uint64 {
+	h := uint64(hashInit)
+	for _, c := range cols {
+		h = hashValue(h, b.Cols[c][pos])
+	}
+	return h & keyHashMask
+}
+
+// rowKeyEqual reports whether two equal-length key rows are the same key.
+func rowKeyEqual(a, b value.Row) bool {
+	for i, v := range a {
+		if !keyEqual(v, b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashIndex is a chained hash index over entries 0..n-1 of an array its
+// owner keeps (build rows, aggregation states): hashes[i] is entry i's key
+// hash, buckets[h&mask] the first entry of h's chain and next[i] entry i's
+// successor, both stored +1 so the zero value means "none". Three flat
+// arrays, no per-entry allocation.
+type hashIndex struct {
+	hashes  []uint64
+	next    []int32
+	buckets []int32
+	mask    uint64
+}
+
+// bucketsFor returns the power-of-two bucket count for n entries (load
+// factor at most 1).
+func bucketsFor(n int) int {
+	nb := 16
+	for nb < n {
+		nb <<= 1
+	}
+	return nb
+}
+
+// build indexes entries whose hashes are given, linking each chain in
+// ascending entry order (entries are pushed in reverse), so a chain walk
+// visits equal keys in the order the owner stored them.
+func (x *hashIndex) build(hashes []uint64) {
+	x.hashes = hashes
+	x.next = make([]int32, len(hashes))
+	x.relink()
+}
+
+// relink sizes the bucket array for the current entries and rebuilds every
+// chain from the stored hashes.
+func (x *hashIndex) relink() {
+	nb := bucketsFor(len(x.hashes))
+	x.buckets = make([]int32, nb)
+	x.mask = uint64(nb - 1)
+	for i := len(x.hashes) - 1; i >= 0; i-- {
+		b := x.hashes[i] & x.mask
+		x.next[i] = x.buckets[b]
+		x.buckets[b] = int32(i + 1)
+	}
+}
+
+// first returns the head of h's chain, +1 (0 = empty chain). Walk with
+//
+//	for e := x.first(h); e != 0; e = x.next[e-1] { i := e-1; ... }
+//
+// and confirm each candidate by x.hashes[i] == h and a key comparison.
+func (x *hashIndex) first(h uint64) int32 {
+	if x.buckets == nil {
+		return 0
+	}
+	return x.buckets[h&x.mask]
+}
+
+// add appends a new entry with hash h, returning its position. Appended
+// entries go to the head of their chain; the aggregate tables that use add
+// hold one entry per key, so chain order is immaterial there.
+func (x *hashIndex) add(h uint64) int {
+	i := len(x.hashes)
+	x.hashes = append(x.hashes, h)
+	x.next = append(x.next, 0)
+	if len(x.hashes) > len(x.buckets) {
+		x.relink()
+		return i
+	}
+	b := h & x.mask
+	x.next[i] = x.buckets[b]
+	x.buckets[b] = int32(i + 1)
+	return i
+}

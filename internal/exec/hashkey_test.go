@@ -1,0 +1,574 @@
+package exec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"htapxplain/internal/catalog"
+	"htapxplain/internal/colstore"
+	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/value"
+)
+
+// The string-keyed scheme the typed-hash kernel replaced survives here as
+// the reference: rows group and join when their value.Row.Key renderings
+// are equal. Every differential below compares the operators against it.
+
+func allCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// ---------------------------------------------------------------- fuzz
+
+// fuzzRows decodes two rows of the same width from data. A column of the
+// second row may be a copy of the first row's, so equal keys are common.
+func fuzzRows(data []byte) (a, b value.Row) {
+	next := func(n int) []byte {
+		if len(data) < n {
+			pad := make([]byte, n)
+			copy(pad, data)
+			data = nil
+			return pad
+		}
+		out := data[:n]
+		data = data[n:]
+		return out
+	}
+	width := int(next(1)[0])%3 + 1
+	val := func(prev *value.Value) value.Value {
+		switch tag := next(1)[0] % 7; tag {
+		case 0:
+			return value.Null
+		case 1:
+			return value.NewInt(int64(binary.LittleEndian.Uint64(next(8))))
+		case 2:
+			return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(next(8))))
+		case 3:
+			return value.NewString(string(next(int(next(1)[0]) % 6)))
+		case 4:
+			return value.NewBool(next(1)[0]%2 == 1)
+		case 5:
+			// small numbers in both numeric kinds: 1 vs 1.0, 0 vs -0.0
+			n := int8(next(1)[0])
+			if n%2 == 0 {
+				return value.NewInt(int64(n / 2))
+			}
+			return value.NewFloat(float64(n/2) * math.Copysign(1, float64(n)))
+		default:
+			if prev != nil {
+				return *prev
+			}
+			return value.Null
+		}
+	}
+	a = make(value.Row, width)
+	for i := range a {
+		a[i] = val(nil)
+	}
+	b = make(value.Row, width)
+	for i := range b {
+		b[i] = val(&a[i])
+	}
+	return a, b
+}
+
+// FuzzKeyEqual: for rows whose strings are free of the old rendering's
+// separator alias, typed key equality is exactly Row.Key string equality,
+// and equal keys hash equally.
+func FuzzKeyEqual(f *testing.F) {
+	u64 := func(v uint64) string {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return string(b[:])
+	}
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	nan1, nan2 := uint64(0x7ff8000000000001), uint64(0xfff0000000000abc)
+	for _, seed := range []string{
+		"\x00\x00\x00",          // NULL vs NULL
+		"\x00\x00\x01" + u64(0), // NULL vs int 0
+		"\x00\x01" + u64(1) + "\x02" + u64(math.Float64bits(1)), // 1 vs 1.0
+		"\x00\x02" + u64(0) + "\x02" + u64(negZero),             // +0.0 vs -0.0
+		"\x00\x02" + u64(nan1) + "\x02" + u64(nan2),             // NaN payloads
+		"\x00\x02" + u64(nan1) + "\x06",                         // NaN vs itself
+		"\x00\x04\x01\x01" + u64(1),                             // true vs int 1
+		"\x00\x04\x01\x04\x00",                                  // true vs false
+		"\x00\x03\x02ab\x03\x02ab",                              // equal strings
+		"\x00\x03\x01a\x03\x00",                                 // "a" vs ""
+		"\x00\x03\x011\x01" + u64(1),                            // "1" vs 1
+		"\x01\x01" + u64(7) + "\x03\x01x\x06\x06",               // two columns, copied
+		"\x02\x00\x05\x02\x05\x03\x06\x05\x04\x06",              // three columns, mixed
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := fuzzRows(data)
+		for _, r := range []value.Row{a, b} {
+			for _, v := range r {
+				if v.K == value.KindString && strings.Contains(v.S, "\x1f\x00") {
+					t.Skip("string carries the old rendering's separators")
+				}
+			}
+		}
+		cols := allCols(len(a))
+		want := a.Key(cols) == b.Key(cols)
+		if got := rowKeyEqual(a, b); got != want {
+			t.Fatalf("rowKeyEqual(%v, %v) = %v, Row.Key equality = %v", a, b, got, want)
+		}
+		if want && hashRow(a) != hashRow(b) {
+			t.Fatalf("equal keys %v and %v hash differently", a, b)
+		}
+		if hashRow(a) != hashRowCols(a, cols) {
+			t.Fatalf("hashRow and hashRowCols disagree on %v", a)
+		}
+		if !rowKeyEqual(a, a) || !rowKeyEqual(b, b) {
+			t.Fatalf("a key must equal itself: %v / %v", a, b)
+		}
+	})
+}
+
+// ---------------------------------------------------------------- fixtures
+
+// trickyKeys is a small pool of key values chosen so that collisions of
+// every interesting sort occur: duplicates, NULLs, the same number in
+// three kinds, signed zeros, two NaN payloads, and strings that look like
+// numbers.
+var trickyKeys = []value.Value{
+	value.Null,
+	value.NewInt(0), value.NewInt(1), value.NewInt(2), value.NewInt(-7),
+	value.NewFloat(1), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+	value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0xfff8000000000123)), // one key: NaN
+	value.NewFloat(2.5),
+	value.NewBool(true), value.NewBool(false),
+	value.NewString("a"), value.NewString(""), value.NewString("1"),
+}
+
+// keyedRows makes n rows of (k1, k2, v, id): two key columns drawn from
+// trickyKeys, a small integer measure (so float sums are exact in any
+// order) that is NULL now and then, and a unique id.
+func keyedRows(rng *rand.Rand, n int) []value.Row {
+	rows := make([]value.Row, n)
+	for i := range rows {
+		v := value.NewInt(int64(rng.Intn(50) - 10))
+		if rng.Intn(11) == 0 {
+			v = value.Null
+		}
+		rows[i] = value.Row{
+			trickyKeys[rng.Intn(len(trickyKeys))],
+			trickyKeys[rng.Intn(len(trickyKeys))],
+			v,
+			value.NewInt(int64(i)),
+		}
+	}
+	return rows
+}
+
+// colTableOf loads rows (all of one width) into a fresh column store under
+// the default encoding policy and returns the table.
+func colTableOf(t testing.TB, name string, rows []value.Row) *colstore.Table {
+	t.Helper()
+	width := len(rows[0])
+	cols := make([]catalog.Column, width)
+	for i := range cols {
+		cols[i] = catalog.Column{Name: fmt.Sprintf("c%d", i), Type: catalog.TypeInt}
+	}
+	cat := catalog.New(1)
+	if err := cat.AddTable(&catalog.Table{Name: name, Columns: cols,
+		Rows: int64(len(rows)), AvgRowBytes: int64(8 * width)}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := colstore.NewStore(cat, map[string][]value.Row{name: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := s.Table(name)
+	return tbl
+}
+
+func fullScan(tbl *colstore.Table, name string) *ColTableScan {
+	return NewColTableScan(tbl, name, allCols(len(tbl.Meta.Columns)), nil, nil)
+}
+
+// rowStrings renders rows for comparison by kind and payload (Row.String
+// would print int 1 and float 1 alike).
+func rowStrings(rows []value.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.Key(allCols(len(r)))
+	}
+	return out
+}
+
+// assertRows compares got with want: in order when ordered, as multisets
+// otherwise.
+func assertRows(t *testing.T, label string, got, want []value.Row, ordered bool) {
+	t.Helper()
+	g, w := rowStrings(got), rowStrings(want)
+	if !ordered {
+		sort.Strings(g)
+		sort.Strings(w)
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d rows, reference has %d", label, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: row %d = %q, reference %q", label, i, g[i], w[i])
+		}
+	}
+}
+
+// ---------------------------------------------------------------- join
+
+// refHashJoin is the string-keyed hash join: build a map from Row.Key to
+// the build rows in build order, probe in probe order.
+func refHashJoin(t *testing.T, probe, build []value.Row, pk, bk []int, residual Evaluator) []value.Row {
+	t.Helper()
+	ht := map[string][]value.Row{}
+	for _, r := range build {
+		k := r.Key(bk)
+		ht[k] = append(ht[k], r)
+	}
+	var out []value.Row
+	for _, p := range probe {
+		for _, b := range ht[p.Key(pk)] {
+			row := append(p.Clone(), b...)
+			if residual != nil {
+				ok, err := Truthy(residual, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// joinDifferential runs HashJoin over column-store inputs at DOP 1 and 4
+// against refHashJoin: identical rows in identical order at DOP 1 (chains
+// keep build order), the same multiset at DOP 4 (the build is partitioned),
+// and the same build/probe counters.
+func joinDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	probeRows := keyedRows(rng, 400)
+	buildRows := keyedRows(rng, colstore.ChunkSize+77) // two morsels; duplicate build keys throughout
+	probeTbl, buildTbl := colTableOf(t, "p", probeRows), colTableOf(t, "b", buildRows)
+	concat := fullScan(probeTbl, "p").Schema().Concat(fullScan(buildTbl, "b").Schema())
+	// residual: p.c2 < b.c2 — NULL measures drop out, as in SQL
+	residual, err := Compile(&sqlparser.BinaryExpr{
+		Op:    sqlparser.OpLt,
+		Left:  &sqlparser.ColumnRef{Table: "p", Column: "c2"},
+		Right: &sqlparser.ColumnRef{Table: "b", Column: "c2"},
+	}, concat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		pk, bk   []int
+		residual Evaluator
+	}{
+		{"one key column", []int{0}, []int{0}, nil},
+		{"two key columns", []int{0, 1}, []int{0, 1}, nil},
+		{"crossed key columns", []int{0, 1}, []int{1, 0}, nil},
+		{"one key column with residual", []int{1}, []int{1}, residual},
+		{"two key columns with residual", []int{0, 1}, []int{0, 1}, residual},
+	}
+	for _, tc := range cases {
+		want := refHashJoin(t, probeRows, buildRows, tc.pk, tc.bk, tc.residual)
+		if len(want) == 0 {
+			t.Fatalf("%s: reference join is empty — fixture too sparse", tc.name)
+		}
+		for _, dop := range []int{1, 4} {
+			label := fmt.Sprintf("%s, DOP %d", tc.name, dop)
+			ctx := NewContext()
+			ctx.DOP = dop
+			hj := NewHashJoin(fullScan(probeTbl, "p"), fullScan(buildTbl, "b"), tc.pk, tc.bk, tc.residual)
+			got, err := Drain(hj, ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertRows(t, label, got, want, dop == 1)
+			if ctx.Stats.HashBuildRows != int64(len(buildRows)) || ctx.Stats.HashProbeRows != int64(len(probeRows)) {
+				t.Errorf("%s: HashBuildRows/HashProbeRows = %d/%d, want %d/%d", label,
+					ctx.Stats.HashBuildRows, ctx.Stats.HashProbeRows, len(buildRows), len(probeRows))
+			}
+			if dop == 4 && ctx.Stats.ParallelWorkers == 0 {
+				t.Errorf("%s: the build did not fork", label)
+			}
+		}
+	}
+}
+
+func TestHashJoinDifferential(t *testing.T) { joinDifferential(t) }
+
+// ---------------------------------------------------------------- aggregate
+
+// refGroups is the string-keyed grouping: member rows per Row.Key of the
+// group columns, groups in first-seen order.
+func refGroups(rows []value.Row, groupCols []int) (order []string, members map[string][]value.Row) {
+	members = map[string][]value.Row{}
+	for _, r := range rows {
+		k := r.Key(groupCols)
+		if _, ok := members[k]; !ok {
+			order = append(order, k)
+		}
+		members[k] = append(members[k], r)
+	}
+	return order, members
+}
+
+// refAggregate computes a grouped aggregate without any hash kernel: the
+// reference grouping above, then one *global* aggregate per group (a
+// global aggregate has a single empty key, so it exercises no key
+// hashing), prefixed with the group's values. sorted selects the parallel
+// paths' emit order — ascending Row.Key of the group.
+func refAggregate(t *testing.T, rows []value.Row, inWidth int, groupCols []int, aggs []AggSpec,
+	outWidth int, partial, merge, sorted bool) []value.Row {
+	t.Helper()
+	order, members := refGroups(rows, groupCols)
+	if sorted {
+		sort.Strings(order)
+	}
+	var out []value.Row
+	for _, k := range order {
+		ms := members[k]
+		global := &HashAggregate{
+			Child: &memOp{schema: make(Schema, inWidth), rows: ms},
+			Aggs:  aggs, Out: make(Schema, outWidth-len(groupCols)),
+			Partial: partial, Merge: merge,
+		}
+		got, err := Drain(global, NewContext())
+		if err != nil || len(got) != 1 {
+			t.Fatalf("reference global aggregate: %v rows, err %v", len(got), err)
+		}
+		row := value.Row{}
+		for _, c := range groupCols {
+			row = append(row, ms[0][c])
+		}
+		out = append(out, append(row, got[0]...))
+	}
+	return out
+}
+
+func evalsFor(cols []int) []Evaluator {
+	evs := make([]Evaluator, len(cols))
+	for i, c := range cols {
+		evs[i] = colEval(c)
+	}
+	return evs
+}
+
+// aggDifferential runs HashAggregate — evaluator path, encoded pushdown
+// path, and the Partial/Merge split — at DOP 1 and 4 against refAggregate.
+// The measure is small integers, so sums are exact and rows compare
+// exactly at every DOP; DOP 1 must keep first-seen group order and DOP 4
+// the sorted-key order, and GroupsCreated must be the distinct group count.
+func aggDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := keyedRows(rng, 3*colstore.ChunkSize+41)
+	tbl := colTableOf(t, "a", rows)
+	const measure = 2
+	aggs := []AggSpec{
+		{Func: sqlparser.AggCount, ArgCol: -1},
+		{Func: sqlparser.AggCount, Arg: colEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggSum, Arg: colEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggAvg, Arg: colEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggMin, Arg: colEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggMax, Arg: colEval(measure), ArgCol: measure},
+	}
+	inWidth := len(rows[0])
+
+	run := func(label string, mk func() *HashAggregate, input []value.Row, groupCols []int, dops []int) {
+		t.Helper()
+		for _, dop := range dops {
+			label := fmt.Sprintf("%s, DOP %d", label, dop)
+			agg := mk()
+			want := refAggregate(t, input, len(agg.Child.Schema()), groupCols, agg.Aggs,
+				len(agg.Out), agg.Partial, agg.Merge, dop > 1)
+			ctx := NewContext()
+			ctx.DOP = dop
+			got, err := Drain(agg, ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertRows(t, label, got, want, true)
+			if ctx.Stats.GroupsCreated != int64(len(want)) {
+				t.Errorf("%s: GroupsCreated = %d, reference has %d groups", label, ctx.Stats.GroupsCreated, len(want))
+			}
+			if dop > 1 && ctx.Stats.ParallelWorkers == 0 {
+				t.Errorf("%s: the aggregate did not fork", label)
+			}
+		}
+	}
+
+	// evaluator path: GroupCols nil, so pushdown never fires
+	for _, groupCols := range [][]int{{0}, {0, 1}, {1, 0}} {
+		groupCols := groupCols
+		run(fmt.Sprintf("evaluator, group by %v", groupCols), func() *HashAggregate {
+			return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor(groupCols), Aggs: aggs,
+				Out: make(Schema, len(groupCols)+len(aggs))}
+		}, rows, groupCols, []int{1, 4})
+	}
+
+	// pushdown path: one structural group column over the bare scan
+	for _, g := range []int{0, 1} {
+		g := g
+		agg := &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{g}), GroupCols: []int{g}, Aggs: aggs}
+		if _, ok := agg.pushdownScan(); !ok {
+			t.Fatalf("group by c%d is not pushdown-eligible", g)
+		}
+		run(fmt.Sprintf("pushdown, group by c%d", g), func() *HashAggregate {
+			return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{g}), GroupCols: []int{g},
+				Aggs: aggs, Out: make(Schema, 1+len(aggs))}
+		}, rows, []int{g}, []int{1, 4})
+	}
+
+	// Partial fragments (evaluator and pushdown), then Merge over their rows
+	groupCols := []int{0, 1}
+	partialWidth := len(groupCols) + 2*len(aggs)
+	mkPartial := func() *HashAggregate {
+		return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor(groupCols), Aggs: aggs,
+			Out: make(Schema, partialWidth), Partial: true}
+	}
+	run("partial", mkPartial, rows, groupCols, []int{1, 4})
+	run("partial pushdown", func() *HashAggregate {
+		return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{1}), GroupCols: []int{1},
+			Aggs: aggs, Out: make(Schema, 1+2*len(aggs)), Partial: true}
+	}, rows, []int{1}, []int{1, 4})
+
+	// three fragments' partial rows, concatenated as a Gather would
+	var partials []value.Row
+	for f := 0; f < 3; f++ {
+		var frag []value.Row
+		for i := f; i < len(rows); i += 3 {
+			frag = append(frag, rows[i])
+		}
+		p, err := Drain(&HashAggregate{Child: &memOp{schema: make(Schema, inWidth), rows: frag},
+			Groups: evalsFor(groupCols), Aggs: aggs, Out: make(Schema, partialWidth), Partial: true}, NewContext())
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p...)
+	}
+	mergeGroups := allCols(len(groupCols))
+	mkMerge := func() *HashAggregate {
+		return &HashAggregate{Child: &memOp{schema: make(Schema, partialWidth), rows: partials},
+			Groups: evalsFor(mergeGroups), Aggs: aggs, Out: make(Schema, len(groupCols)+len(aggs)), Merge: true}
+	}
+	run("merge", mkMerge, partials, mergeGroups, []int{1})
+	// ... and the merged result is the unsplit aggregate's
+	merged, err := Drain(mkMerge(), NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := refAggregate(t, rows, inWidth, groupCols, aggs, len(groupCols)+len(aggs), false, false, false)
+	assertRows(t, "merge vs unsplit", merged, whole, false)
+}
+
+func TestHashAggregateDifferential(t *testing.T) { aggDifferential(t) }
+
+// TestForcedHashCollisions reruns both differentials with every key hash
+// forced to one value: all keys share a chain, so only keyEqual separates
+// them. Correctness must not rest on the hash function.
+func TestForcedHashCollisions(t *testing.T) {
+	saved := keyHashMask
+	keyHashMask = 0
+	defer func() { keyHashMask = saved }()
+	if hashRow(value.Row{value.NewInt(1)}) != hashRow(value.Row{value.NewString("x")}) {
+		t.Fatal("the mask did not force a collision")
+	}
+	t.Run("join", joinDifferential)
+	t.Run("aggregate", aggDifferential)
+}
+
+// ---------------------------------------------------------------- alias
+
+// TestMultiColumnKeyAlias: ("a\x1f\x00sb","c") and ("a","b\x1f\x00sc")
+// render the same concatenated Row.Key, so the string-keyed tables joined
+// them to each other and folded them into one group. Per-column equality
+// keeps them apart.
+func TestMultiColumnKeyAlias(t *testing.T) {
+	x := value.Row{value.NewString("a\x1f\x00sb"), value.NewString("c")}
+	y := value.Row{value.NewString("a"), value.NewString("b\x1f\x00sc")}
+	if x.Key([]int{0, 1}) != y.Key([]int{0, 1}) {
+		t.Fatal("fixture no longer aliases under Row.Key")
+	}
+	if rowKeyEqual(x, y) {
+		t.Fatal("rowKeyEqual aliases the two keys")
+	}
+
+	schema := make(Schema, 3)
+	withID := func(r value.Row, id int64) value.Row { return append(r.Clone(), value.NewInt(id)) }
+
+	// join: each probe row must meet only its own build row
+	probe := &memOp{schema: schema, rows: []value.Row{withID(x, 1), withID(y, 2)}}
+	build := &memOp{schema: schema, rows: []value.Row{withID(y, 20), withID(x, 10)}}
+	joined, err := Drain(NewHashJoin(probe, build, []int{0, 1}, []int{0, 1}, nil), NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(joined) != 2 || joined[0][2].I != 1 || joined[0][5].I != 10 || joined[1][2].I != 2 || joined[1][5].I != 20 {
+		t.Errorf("join of aliasing keys = %v, want (1,10) and (2,20) only", joined)
+	}
+
+	// GROUP BY, serial and parallel: two groups, never one. The parallel
+	// emit order falls back to per-column renderings on the aliased key, so
+	// it is the same on every run: "a" sorts before "a\x1f...".
+	n := 2*colstore.ChunkSize + 10
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = withID(x, int64(i))
+		if i%3 == 0 {
+			rows[i] = withID(y, int64(i))
+		}
+	}
+	tbl := colTableOf(t, "g", rows)
+	wantY := int64((n + 2) / 3)
+	for _, dop := range []int{1, 4} {
+		ctx := NewContext()
+		ctx.DOP = dop
+		got, err := Drain(&HashAggregate{Child: fullScan(tbl, "g"), Groups: evalsFor([]int{0, 1}),
+			Aggs: []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}, Out: make(Schema, 3)}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("DOP %d: GROUP BY of aliasing keys made %d groups, want 2: %v", dop, len(got), got)
+		}
+		first, second := y, x // y occupies row 0, and sorts first too
+		if !rowKeyEqual(got[0][:2], first) || !rowKeyEqual(got[1][:2], second) ||
+			got[0][2].I != wantY || got[1][2].I != int64(n)-wantY {
+			t.Errorf("DOP %d: groups = %v, want %v×%d then %v×%d", dop, got, first, wantY, second, int64(n)-wantY)
+		}
+	}
+}
+
+// ---------------------------------------------------------------- lifetime
+
+// TestHashJoinReleasesTableAtClose: pooled Runner trees outlive a query, so
+// a closed join must not keep its build rows or index arrays reachable.
+func TestHashJoinReleasesTableAtClose(t *testing.T) {
+	left := &memOp{schema: Schema{intCol("l", "k")}, rows: rowsOf([]int64{1}, []int64{2})}
+	right := &memOp{schema: Schema{intCol("r", "k")}, rows: rowsOf([]int64{1}, []int64{1})}
+	hj := NewHashJoin(left, right, []int{0}, []int{0}, nil)
+	rows, err := drainOp(hj, NewContext())
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("join = %v, err %v", rows, err)
+	}
+	if hj.rows != nil || hj.index.hashes != nil || hj.index.next != nil || hj.index.buckets != nil {
+		t.Errorf("closed join still holds its table: %d rows, index %+v", len(hj.rows), hj.index)
+	}
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"htapxplain/internal/colstore"
@@ -919,15 +918,21 @@ func (j *IndexNLJoin) Close() error {
 // HashJoin builds a hash table on the Build child at Open and probes it a
 // batch at a time with the Probe child. Output schema is probe ++ build
 // (probe side listed first, matching the AP optimizer's plan rendering).
+//
+// The table is the materialized build rows plus a hashIndex over them (see
+// hashkey.go): no per-row key is rendered on either side. Chains run in
+// build order, so a probe row meets its matches in the order the build
+// child produced them. Close drops the table — a pooled Runner tree
+// outlives the query, and the table must not.
 type HashJoin struct {
 	Probe, Build         Operator
 	ProbeKeys, BuildKeys []int
 	Residual             Evaluator // over concat(probe, build); may be nil
 	out                  Schema
 
-	ht       map[string][]value.Row
+	rows     []value.Row // build rows, in build order
+	index    hashIndex   // over rows, keyed on BuildKeys
 	combined value.Row
-	keyBuf   strings.Builder
 	outBuf   outBuffer
 	closed   bool
 }
@@ -960,58 +965,78 @@ func (j *HashJoin) Open(ctx *Context) error {
 // build constructs the hash table from the Build child. When the query
 // has a degree of parallelism and the build side is a forkable per-morsel
 // pipeline, the build is partitioned: each worker drains disjoint morsels
-// into a private hash table, and a merge stage folds the partitions into
-// the probe-side table (bucket order for duplicate keys is then
-// worker-arrival order — a multiset-equivalent reordering).
+// and hashes their keys, and the partitions are concatenated in worker
+// order before the chains are linked (match order for duplicate keys is
+// then worker order, arrival order within a worker — a
+// multiset-equivalent reordering).
 func (j *HashJoin) build(ctx *Context) error {
 	if ctx.DOP > 1 {
 		if pipes, ok := forkPipeline(j.Build, ctx.DOP); ok {
 			return j.buildParallel(ctx, pipes)
 		}
 	}
-	buildRows, err := drainOp(j.Build, ctx)
+	rows, err := drainOp(j.Build, ctx)
 	if err != nil {
 		return err
 	}
-	j.ht = make(map[string][]value.Row, len(buildRows))
-	for _, r := range buildRows {
-		ctx.Stats.HashBuildRows++
-		k := r.Key(j.BuildKeys)
-		j.ht[k] = append(j.ht[k], r)
+	ctx.Stats.HashBuildRows += int64(len(rows))
+	hashes := make([]uint64, len(rows))
+	for i, r := range rows {
+		hashes[i] = hashRowCols(r, j.BuildKeys)
 	}
+	j.rows = rows
+	j.index.build(hashes)
 	return nil
 }
 
 func (j *HashJoin) buildParallel(ctx *Context, pipes []BatchOperator) error {
-	parts := make([]map[string][]value.Row, len(pipes))
+	type part struct {
+		rows   []value.Row
+		hashes []uint64
+	}
+	parts := make([]part, len(pipes))
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
-		ht := parts[w]
-		if ht == nil {
-			ht = make(map[string][]value.Row)
-			parts[w] = ht
-		}
-		for _, r := range b.AppendRows(nil) {
-			wctx.Stats.HashBuildRows++
-			k := r.Key(j.BuildKeys)
-			ht[k] = append(ht[k], r)
+		p := &parts[w]
+		from := len(p.rows)
+		p.rows = b.AppendRows(p.rows)
+		wctx.Stats.HashBuildRows += int64(len(p.rows) - from)
+		for _, r := range p.rows[from:] {
+			p.hashes = append(p.hashes, hashRowCols(r, j.BuildKeys))
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// merge stage: fold worker partitions into one probe-side table
-	j.ht = make(map[string][]value.Row)
-	for _, ht := range parts {
-		for k, rows := range ht {
-			j.ht[k] = append(j.ht[k], rows...)
+	n := 0
+	for i := range parts {
+		n += len(parts[i].rows)
+	}
+	rows := make([]value.Row, 0, n)
+	hashes := make([]uint64, 0, n)
+	for i := range parts {
+		rows = append(rows, parts[i].rows...)
+		hashes = append(hashes, parts[i].hashes...)
+	}
+	j.rows = rows
+	j.index.build(hashes)
+	return nil
+}
+
+// probeMatch reports whether build row r carries the same key as the probe
+// batch row at physical position pos.
+func (j *HashJoin) probeMatch(pb *Batch, pos int, r value.Row) bool {
+	for k, c := range j.ProbeKeys {
+		if !keyEqual(pb.Cols[c][pos], r[j.BuildKeys[k]]) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
 	probeWidth := len(j.Probe.Schema())
+	x := &j.index
 	for {
 		pb, err := j.Probe.Next(ctx)
 		if err != nil || pb == nil {
@@ -1019,34 +1044,39 @@ func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
 		}
 		j.outBuf.reset()
 		n := pb.NumActive()
+		ctx.Stats.HashProbeRows += int64(n)
 		for i := 0; i < n; i++ {
 			p := pb.PosAt(i)
-			ctx.Stats.HashProbeRows++
-			matches := j.ht[pb.keyAt(p, j.ProbeKeys, &j.keyBuf)]
-			if len(matches) == 0 {
-				continue
-			}
-			if j.Residual == nil {
-				// no residual to pre-check: write probe and build values
-				// straight into the output vectors, skipping the scratch row
-				for _, b := range matches {
-					j.outBuf.appendSplit(pb, p, probeWidth, b)
+			h := hashBatchCols(pb, p, j.ProbeKeys)
+			filled := false // j.combined holds this probe row's values
+			for e := x.first(h); e != 0; e = x.next[e-1] {
+				if x.hashes[e-1] != h {
+					continue
 				}
-				continue
-			}
-			for c := 0; c < probeWidth; c++ {
-				j.combined[c] = pb.Cols[c][p]
-			}
-			for _, b := range matches {
+				b := j.rows[e-1]
+				if !j.probeMatch(pb, p, b) {
+					continue
+				}
+				if j.Residual == nil {
+					// no residual to pre-check: write probe and build values
+					// straight into the output vectors, skipping the scratch row
+					j.outBuf.appendSplit(pb, p, probeWidth, b)
+					continue
+				}
+				if !filled {
+					for c := 0; c < probeWidth; c++ {
+						j.combined[c] = pb.Cols[c][p]
+					}
+					filled = true
+				}
 				copy(j.combined[probeWidth:], b)
 				ok, err := Truthy(j.Residual, j.combined)
 				if err != nil {
 					return nil, err
 				}
-				if !ok {
-					continue
+				if ok {
+					j.outBuf.appendRow(j.combined)
 				}
-				j.outBuf.appendRow(j.combined)
 			}
 		}
 		if j.outBuf.len() > 0 {
@@ -1060,7 +1090,7 @@ func (j *HashJoin) Close() error {
 		return nil
 	}
 	j.closed = true
-	j.ht = nil
+	j.rows, j.index = nil, hashIndex{}
 	return j.Probe.Close()
 }
 
@@ -1184,43 +1214,67 @@ func accumulateArg(st *aggState, i int, v value.Value) {
 	}
 }
 
-// aggTable is one (per-worker or global) aggregation hash table with its
-// first-seen group order and the scratch row batches are folded through.
+// aggTable is one (per-worker or global) aggregation hash table: the
+// group states in first-seen order, a hashIndex over their group rows (see
+// hashkey.go), and the scratch rows batches are folded through. A group's
+// values are evaluated into gkey and cloned only when the group is new.
 type aggTable struct {
-	groups  map[string]*aggState
-	order   []string
-	scratch value.Row
+	states  []*aggState // first-seen order
+	index   hashIndex   // over states, keyed on aggState.group
+	scratch value.Row   // child-schema row
+	gkey    value.Row   // evaluated group values of the current row
 }
 
 func (a *HashAggregate) newTable() *aggTable {
 	return &aggTable{
-		groups:  make(map[string]*aggState),
 		scratch: make(value.Row, len(a.Child.Schema())),
+		gkey:    make(value.Row, len(a.Groups)),
 	}
 }
 
+// find returns the state of the group whose key row is g (hash h), or nil.
+func (t *aggTable) find(h uint64, g value.Row) *aggState {
+	x := &t.index
+	for e := x.first(h); e != 0; e = x.next[e-1] {
+		if x.hashes[e-1] == h && rowKeyEqual(t.states[e-1].group, g) {
+			return t.states[e-1]
+		}
+	}
+	return nil
+}
+
+// insert adds st (hash h) as the newest group; the caller has checked with
+// find that its key is absent.
+func (t *aggTable) insert(h uint64, st *aggState) {
+	t.index.add(h)
+	t.states = append(t.states, st)
+}
+
+// stateFor resolves, creating on first sight, the state of the group whose
+// key row is g. g is caller scratch: it is cloned only for a new group.
+func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
+	h := hashRow(g)
+	st := t.find(h, g)
+	if st == nil {
+		st = a.newState(g.Clone())
+		t.insert(h, st)
+	}
+	return st
+}
+
 // foldBatch folds every active row of b into the table.
-func (a *HashAggregate) foldBatch(ctx *Context, t *aggTable, b *Batch) error {
+func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
 	n := b.NumActive()
 	for i := 0; i < n; i++ {
 		b.FillRow(i, t.scratch)
-		g := make(value.Row, len(a.Groups))
 		for gi, ev := range a.Groups {
 			v, err := ev(t.scratch)
 			if err != nil {
 				return err
 			}
-			g[gi] = v
+			t.gkey[gi] = v
 		}
-		key := g.Key(intRange(len(g)))
-		st, ok := t.groups[key]
-		if !ok {
-			st = a.newState(g)
-			t.groups[key] = st
-			t.order = append(t.order, key)
-			ctx.Stats.GroupsCreated++
-		}
-		if err := a.accumulate(st, t.scratch); err != nil {
+		if err := a.accumulate(a.stateFor(t, t.gkey), t.scratch); err != nil {
 			return err
 		}
 	}
@@ -1298,13 +1352,8 @@ func (a *HashAggregate) mergeAccumulate(st *aggState, row value.Row) error {
 // MIN/MAX: the extremum so far; COUNT: unused NULL) and the non-NULL input
 // count.
 func (a *HashAggregate) emitPartialRows(t *aggTable) ([]value.Row, error) {
-	if len(a.Groups) == 0 && len(t.order) == 0 {
-		t.groups[""] = a.newState(nil)
-		t.order = append(t.order, "")
-	}
-	out := make([]value.Row, 0, len(t.order))
-	for _, key := range t.order {
-		st := t.groups[key]
+	out := make([]value.Row, 0, len(t.states))
+	for _, st := range t.states {
 		row := make(value.Row, 0, len(a.Out))
 		row = append(row, st.group...)
 		for i, spec := range a.Aggs {
@@ -1333,17 +1382,15 @@ func (a *HashAggregate) emitPartialRows(t *aggTable) ([]value.Row, error) {
 // emitRows renders the output rows from the (merged) table — partial
 // states in Partial mode, final aggregate values otherwise.
 func (a *HashAggregate) emitRows(t *aggTable) ([]value.Row, error) {
+	// global aggregate over empty input still yields one row
+	if len(a.Groups) == 0 && len(t.states) == 0 {
+		a.stateFor(t, nil)
+	}
 	if a.Partial {
 		return a.emitPartialRows(t)
 	}
-	// global aggregate over empty input still yields one row
-	if len(a.Groups) == 0 && len(t.order) == 0 {
-		t.groups[""] = a.newState(nil)
-		t.order = append(t.order, "")
-	}
-	out := make([]value.Row, 0, len(t.order))
-	for _, key := range t.order {
-		st := t.groups[key]
+	out := make([]value.Row, 0, len(t.states))
+	for _, st := range t.states {
 		row := make(value.Row, 0, len(a.Out))
 		row = append(row, st.group...)
 		for i, spec := range a.Aggs {
@@ -1408,11 +1455,12 @@ func (a *HashAggregate) Open(ctx *Context) error {
 		if b == nil {
 			break
 		}
-		if err := a.foldBatch(ctx, t, b); err != nil {
+		if err := a.foldBatch(t, b); err != nil {
 			_ = a.Child.Close()
 			return err
 		}
 	}
+	ctx.Stats.GroupsCreated += int64(len(t.states))
 	out, err := a.emitRows(t)
 	if err != nil {
 		_ = a.Child.Close()
@@ -1433,17 +1481,22 @@ func (a *HashAggregate) openParallel(ctx *Context, pipes []BatchOperator) error 
 		if parts[w] == nil {
 			parts[w] = a.newTable()
 		}
-		return a.foldBatch(wctx, parts[w], b)
+		return a.foldBatch(parts[w], b)
 	})
 	if err != nil {
 		return err
 	}
-	merged, partGroups := a.mergeParts(parts)
-	// runForked folded each worker's per-partition group creations into
-	// ctx; rewrite the counter to the distinct merged count so the stat a
-	// query reports does not vary with the granted DOP
-	ctx.Stats.GroupsCreated += int64(len(merged.order)) - partGroups
-	sort.Strings(merged.order)
+	return a.emitMerged(ctx, parts)
+}
+
+// emitMerged is the merge stage of both parallel aggregate paths (batch
+// and pushdown): combine the per-worker tables, count the distinct groups
+// — so the stat a query reports does not vary with the granted DOP — and
+// emit in sorted-key order.
+func (a *HashAggregate) emitMerged(ctx *Context, parts []*aggTable) error {
+	merged := a.mergeParts(parts)
+	ctx.Stats.GroupsCreated += int64(len(merged.states))
+	sortStatesByKey(merged.states)
 	out, err := a.emitRows(merged)
 	if err != nil {
 		return err
@@ -1453,28 +1506,61 @@ func (a *HashAggregate) openParallel(ctx *Context, pipes []BatchOperator) error 
 }
 
 // mergeParts combines per-worker partial aggregation tables into one, in
-// worker order, returning the merged table and the total per-partition
-// group count (for the GroupsCreated rewrite).
-func (a *HashAggregate) mergeParts(parts []*aggTable) (*aggTable, int64) {
+// worker order, by (stored hash, keyEqual) — no key is re-hashed.
+func (a *HashAggregate) mergeParts(parts []*aggTable) *aggTable {
 	merged := a.newTable()
-	var partGroups int64
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		partGroups += int64(len(p.order))
-		for _, key := range p.order {
-			src := p.groups[key]
-			dst, ok := merged.groups[key]
-			if !ok {
-				merged.groups[key] = src
-				merged.order = append(merged.order, key)
-				continue
+		for i, src := range p.states {
+			h := p.index.hashes[i]
+			if dst := merged.find(h, src.group); dst != nil {
+				a.mergeState(dst, src)
+			} else {
+				merged.insert(h, src)
 			}
-			a.mergeState(dst, src)
 		}
 	}
-	return merged, partGroups
+	return merged
+}
+
+// sortStatesByKey puts merged groups into the parallel paths' emit order:
+// ascending value.Row.Key rendering of the group row, rendered once per
+// group. Distinct groups whose renderings alias (strings that contain the
+// rendering's separators) fall back to per-column renderings, so the order
+// is total and independent of worker arrival. After the sort the states no
+// longer line up with their table's index; the table is only emitted.
+func sortStatesByKey(states []*aggState) {
+	if len(states) < 2 {
+		return
+	}
+	cols := make([]int, len(states[0].group))
+	for i := range cols {
+		cols[i] = i
+	}
+	type keyed struct {
+		key string
+		st  *aggState
+	}
+	ks := make([]keyed, len(states))
+	for i, st := range states {
+		ks[i] = keyed{st.group.Key(cols), st}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].key != ks[j].key {
+			return ks[i].key < ks[j].key
+		}
+		for c, v := range ks[i].st.group {
+			if ki, kj := v.Key(), ks[j].st.group[c].Key(); ki != kj {
+				return ki < kj
+			}
+		}
+		return false
+	})
+	for i := range ks {
+		states[i] = ks[i].st
+	}
 }
 
 func (a *HashAggregate) Next(ctx *Context) (*Batch, error) {
@@ -1488,14 +1574,6 @@ func (a *HashAggregate) Close() error {
 	a.closed = true
 	a.emit.reset(nil, len(a.Out))
 	return a.Child.Close()
-}
-
-func intRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // ---------------------------------------------------------------- ordering
@@ -1624,6 +1702,22 @@ func (t *TopNOp) Open(ctx *Context) error {
 		ctx.Stats.RowsTopN += int64(n)
 		for i := 0; i < n; i++ {
 			row := b.FillRow(i, scratch)
+			if int64(len(top)) >= keep {
+				// boundary reject: a row that does not sort strictly before
+				// the current last keeper can never enter a full prefix (ties
+				// lose to earlier rows), so most rows cost one comparison
+				if keep == 0 {
+					continue
+				}
+				c, err := compareByKeys(t.Keys, row, top[len(top)-1])
+				if err != nil {
+					_ = t.Child.Close()
+					return err
+				}
+				if c >= 0 {
+					continue
+				}
+			}
 			pos := sort.Search(len(top), func(k int) bool {
 				c, err := compareByKeys(t.Keys, row, top[k])
 				if err != nil && insErr == nil {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"sync"
 
 	"htapxplain/internal/colstore"
@@ -80,7 +79,7 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 		if err := w.fold(ctx, src, t); err != nil {
 			return true, err
 		}
-		ctx.Stats.GroupsCreated += int64(len(t.order))
+		ctx.Stats.GroupsCreated += int64(len(t.states))
 		out, err := a.emitRows(t)
 		if err != nil {
 			return true, err
@@ -118,15 +117,7 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 			return true, err
 		}
 	}
-	merged, _ := a.mergeParts(parts)
-	ctx.Stats.GroupsCreated += int64(len(merged.order))
-	sort.Strings(merged.order)
-	out, err := a.emitRows(merged)
-	if err != nil {
-		return true, err
-	}
-	a.emit.reset(out, len(a.Out))
-	return true, nil
+	return true, a.emitMerged(ctx, parts)
 }
 
 // pushWorker is one worker's scratch state for the encoded aggregation
@@ -146,7 +137,7 @@ type pushWorker struct {
 	df      []float64       // per-dict-code AsFloat cache
 	dfok    []bool
 	scratch value.Row // scan-schema row (delta rows, predicate eval)
-	keyCols []int     // {0}: single-group key columns
+	gkey    value.Row // one-column group key scratch
 }
 
 func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *pushWorker {
@@ -162,7 +153,7 @@ func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *p
 		argv:    make([][]value.Value, len(a.Aggs)),
 		dec:     make([][]value.Value, len(a.Aggs)),
 		scratch: make(value.Row, len(scan.Cols)),
-		keyCols: []int{0},
+		gkey:    make(value.Row, 1),
 	}
 }
 
@@ -385,7 +376,7 @@ func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, s
 
 // foldGrouped folds one chunk of a single-column GROUP BY. Grouping by a
 // dictionary chunk resolves each row's state through a per-code cache —
-// one hash-key build per distinct code per chunk instead of one per row.
+// one table lookup per distinct code per chunk instead of one per row.
 // Other group encodings decode the group column like any other; argument
 // columns alias raw chunks and decode encoded ones (sparsely under a
 // selection). Reports whether any encoded column was fully decoded.
@@ -570,28 +561,18 @@ func (w *pushWorker) foldArgs(st *aggState, i int) {
 }
 
 // groupState resolves (creating on first sight) the state for a
-// single-column group value, with the same key construction as foldBatch.
+// single-column group value — the same key as foldBatch's.
 func (w *pushWorker) groupState(t *aggTable, gv value.Value) *aggState {
-	g := value.Row{gv}
-	key := g.Key(w.keyCols)
-	st, ok := t.groups[key]
-	if !ok {
-		st = w.a.newState(g)
-		t.groups[key] = st
-		t.order = append(t.order, key)
-	}
-	return st
+	w.gkey[0] = gv
+	return w.a.stateFor(t, w.gkey)
 }
 
 // globalState resolves the single global-aggregate state.
 func (w *pushWorker) globalState(t *aggTable) *aggState {
-	st, ok := t.groups[""]
-	if !ok {
-		st = w.a.newState(make(value.Row, 0))
-		t.groups[""] = st
-		t.order = append(t.order, "")
+	if len(t.states) == 0 {
+		return w.a.stateFor(t, nil)
 	}
-	return st
+	return t.states[0]
 }
 
 // applyMinMax folds v into slot i's min/max exactly as accumulateArg does,

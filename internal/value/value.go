@@ -161,7 +161,11 @@ func (v Value) Equal(o Value) bool {
 	return v.Compare(o) == 0
 }
 
-// Key returns a map-key-safe representation for hash joins and group-by.
+// Key renders kind and payload as a string: two values render alike exactly
+// when they have the same kind and payload (every NaN renders alike). The
+// executor's hash tables key on the values themselves (exec/hashkey.go);
+// this rendering fixes the emit order of parallel aggregates and
+// fingerprints rows in differentials.
 func (v Value) Key() string {
 	switch v.K {
 	case KindNull:
@@ -189,7 +193,9 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Key concatenates the keys of selected columns, for multi-column hashing.
+// Key concatenates the keys of selected columns. The concatenation is not
+// injective for strings that contain its separators ("\x1f\x00"), so it is
+// an ordering and fingerprinting aid, not an identity.
 func (r Row) Key(cols []int) string {
 	var b strings.Builder
 	for _, c := range cols {
