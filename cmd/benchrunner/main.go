@@ -7,13 +7,9 @@
 //	benchrunner                  # all experiments
 //	benchrunner -e e1            # just Example 1 / Tables II-III
 //	benchrunner -e e3,e5,a2      # a subset
-//	benchrunner -wal-bench       # durability microbenchmarks -> BENCH_wal.json
-//	benchrunner -parallel-bench  # morsel-parallelism microbenchmarks -> BENCH_parallel.json
-//	benchrunner -obs-bench       # tracing-overhead microbenchmarks -> BENCH_obs.json
-//	benchrunner -compress-bench  # column-encoding microbenchmarks -> BENCH_compress.json
-//	benchrunner -txn-bench       # multi-writer commit microbenchmarks -> BENCH_txn.json
-//	benchrunner -explain-bench   # /explain serving microbenchmarks -> BENCH_explain.json
-//	benchrunner -shard-bench     # sharded scale-out microbenchmarks -> BENCH_shard.json
+//
+// Performance is measured by the repository benchmark, not here: see
+// bench/README.md (`go run ./bench -out BENCH.json`).
 package main
 
 import (
@@ -28,71 +24,7 @@ import (
 
 func main() {
 	which := flag.String("e", "all", "comma-separated experiment ids (e1..e8, a1..a3) or 'all'")
-	walBench := flag.Bool("wal-bench", false, "run the durability microbenchmarks instead of the paper experiments")
-	walOut := flag.String("wal-out", "BENCH_wal.json", "wal-bench: output JSON path")
-	parBench := flag.Bool("parallel-bench", false, "run the morsel-parallelism microbenchmarks instead of the paper experiments")
-	parOut := flag.String("parallel-out", "BENCH_parallel.json", "parallel-bench: output JSON path")
-	obsBench := flag.Bool("obs-bench", false, "run the observability-overhead microbenchmarks instead of the paper experiments")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "obs-bench: output JSON path")
-	compBench := flag.Bool("compress-bench", false, "run the column-encoding microbenchmarks instead of the paper experiments")
-	compOut := flag.String("compress-out", "BENCH_compress.json", "compress-bench: output JSON path")
-	txnBench := flag.Bool("txn-bench", false, "run the multi-writer transaction microbenchmarks instead of the paper experiments")
-	txnOut := flag.String("txn-out", "BENCH_txn.json", "txn-bench: output JSON path")
-	expBench := flag.Bool("explain-bench", false, "run the explanation-serving microbenchmarks instead of the paper experiments")
-	expOut := flag.String("explain-out", "BENCH_explain.json", "explain-bench: output JSON path")
-	shardBench := flag.Bool("shard-bench", false, "run the sharded scale-out microbenchmarks instead of the paper experiments")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "shard-bench: output JSON path")
 	flag.Parse()
-
-	if *walBench {
-		fmt.Println("durability microbenchmarks: group-commit throughput + recovery time ...")
-		if err := runWALBench(*walOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *parBench {
-		fmt.Println("morsel-parallelism microbenchmarks: scan/aggregate throughput at DOP 1/2/4/8 + pruning hit-rate ...")
-		if err := runParallelBench(*parOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *obsBench {
-		fmt.Println("observability microbenchmarks: trace overhead at sample rates 0/0.1/1.0 + histogram observe cost ...")
-		if err := runObsBench(*obsOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *compBench {
-		fmt.Println("column-encoding microbenchmarks: resident bytes + scan/aggregate throughput at DOP 1/4 per policy ...")
-		if err := runCompressBench(*compOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *txnBench {
-		fmt.Println("transaction microbenchmarks: commit throughput at 1/4/16/64 writers x conflict rates + commits-per-fsync ...")
-		if err := runTxnBench(*txnOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *expBench {
-		fmt.Println("explanation microbenchmarks: /explain throughput at 1/4/16 clients, linear scan vs HNSW snapshot retrieval ...")
-		if err := runExplainBench(*expOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *shardBench {
-		fmt.Println("shard microbenchmarks: scatter scan/aggregate throughput + routed commit throughput at 1/2/4 shards ...")
-		if err := runShardBench(*shardOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	fmt.Println("building experimental environment (system, router, knowledge base) ...")
 	env, err := eval.NewEnv(eval.DefaultEnvConfig())

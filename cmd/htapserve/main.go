@@ -134,46 +134,39 @@ func main() {
 		SegmentBytes:       *segBytes,
 		CheckpointInterval: *ckptIvl,
 	}
+	if *dataDir != "" {
+		fmt.Printf("opening %d-shard HTAP fleet from %s (per-shard recovery) ...\n", *nShards, *dataDir)
+	} else {
+		fmt.Printf("building %d-shard HTAP fleet (hash-partitioned, both engines per shard) ...\n", *nShards)
+	}
+	// The server always holds a coordinator; only the on-disk layout tells
+	// a single system from a fleet. One shard keeps its WAL + checkpoints
+	// directly under dataDir; a fleet's coordinator owns the per-shard
+	// layout dataDir/shard-<i>.
 	var (
-		sys   *htap.System
 		coord *shard.Coordinator
 		err   error
 	)
 	if *nShards > 1 {
-		// the coordinator owns per-shard durability layout: each shard's
-		// WAL + checkpoints live under dataDir/shard-<i>
 		cfg.Durability.Dir = ""
-		if *dataDir != "" {
-			fmt.Printf("opening %d-shard HTAP fleet from %s (per-shard recovery) ...\n", *nShards, *dataDir)
-		} else {
-			fmt.Printf("building %d-shard HTAP fleet (hash-partitioned, both engines per shard) ...\n", *nShards)
-		}
 		coord, err = shard.New(*nShards, cfg, shard.Options{Dir: *dataDir})
-		if err != nil {
-			fatal(err)
-		}
-		defer coord.Close()
-		sys = coord.Shard(0)
-		if *dataDir != "" {
-			for i := 0; i < coord.NumShards(); i++ {
-				fmt.Printf("recovery shard %d: %v\n", i, coord.Shard(i).Recovery())
-			}
-		}
 	} else {
-		if *dataDir != "" {
-			fmt.Printf("opening HTAP system from %s (catalog, data, recovery) ...\n", *dataDir)
-		} else {
-			fmt.Println("building HTAP system (catalog, data, both engines) ...")
-		}
-		sys, err = htap.New(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		defer sys.Close()
-		if *dataDir != "" {
-			fmt.Println("recovery:", sys.Recovery())
+		var one *htap.System
+		if one, err = htap.New(cfg); err == nil {
+			coord = shard.Wrap(one)
 		}
 	}
+	if err != nil {
+		fatal(err)
+	}
+	defer coord.Close()
+	if *dataDir != "" {
+		for i := 0; i < coord.NumShards(); i++ {
+			fmt.Printf("recovery shard %d: %v\n", i, coord.Shard(i).Recovery())
+		}
+	}
+	// the explanation service and policy training still read one system
+	sys := coord.Shard(0)
 	// Bootstrap the explanation service's router + KB before the gateway
 	// so the learned routing policy can be backed by the same router the
 	// maintenance loop retrains and swaps.
@@ -232,12 +225,7 @@ func main() {
 		Tracer:        tracer,
 		ObservedEvery: *obsEvery,
 	}
-	var g *gateway.Gateway
-	if coord != nil {
-		g = gateway.NewSharded(coord, gcfg)
-	} else {
-		g = gateway.New(sys, gcfg)
-	}
+	g := gateway.NewSharded(coord, gcfg)
 	defer g.Stop()
 
 	var svc *explainsvc.Service
@@ -274,22 +262,15 @@ func main() {
 		rep := gateway.RunLoad(g, lc)
 		fmt.Println(rep)
 		if *writeFrac > 0 {
-			if coord != nil {
-				if err := coord.WaitFresh(5 * time.Second); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("replication: fleet watermark %d = commit LSN %d (fully fresh) across %d shards\n",
-					coord.Watermark(), coord.CommitLSN(), coord.NumShards())
-				return
-			}
-			if err := sys.WaitFresh(5 * time.Second); err != nil {
+			if err := coord.WaitFresh(5 * time.Second); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("replication: watermark %d = commit LSN %d (fully fresh), merges so far: %+v\n",
-				sys.Watermark(), sys.CommitLSN(), sys.Col.MergeStats())
-			if ds := sys.DurabilityStats(); ds.Enabled {
+			m := g.Metrics()
+			fmt.Printf("replication: fleet watermark %d = commit LSN %d (fully fresh) across %d shards, %d merges (%d rows) so far\n",
+				m.Watermark, m.CommitLSN, coord.NumShards(), m.Merges, m.RowsMerged)
+			if m.DurabilityOn {
 				fmt.Printf("durability: %d appends / %d fsyncs (max group %d), durable LSN %d, %d checkpoints\n",
-					ds.WAL.Appends, ds.WAL.Syncs, ds.WAL.MaxGroupCommit, ds.WAL.DurableLSN, ds.Ckpt.Checkpoints)
+					m.WALAppends, m.WALSyncs, m.WALMaxGroup, m.WALDurableLSN, m.Checkpoints)
 			}
 		}
 		return
@@ -329,11 +310,7 @@ func main() {
 			svc.Close() // stop the maintenance loop + persist router/KB state
 		}
 		g.Stop()
-		if coord != nil {
-			coord.Close() // per-shard WAL flush + clean-shutdown checkpoints
-		} else {
-			sys.Close() // flush WAL + clean-shutdown checkpoint (idempotent with the defer)
-		}
+		coord.Close() // per-shard WAL flush + clean-shutdown checkpoints (idempotent with the defer)
 		fmt.Println("htapserve: clean shutdown complete")
 	}
 }

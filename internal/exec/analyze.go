@@ -192,6 +192,8 @@ func opName(op BatchOperator) string {
 		return "Top N"
 	case *LimitOp:
 		return "Limit"
+	case *Gather:
+		return "Gather"
 	case *analyzeOp:
 		return x.prof.Name
 	}

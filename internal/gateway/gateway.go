@@ -24,6 +24,11 @@
 //     planning work, no routing work, and a full hit next time;
 //   - miss — both engines are planned, the policy routes, and the template
 //     entry is cached for the next query of the same shape.
+//
+// The gateway serves a shard.Coordinator, and a single system is the
+// one-shard fleet. Plans are built on the shard that owns the statement
+// and a bound plan records it; a statement no single shard owns
+// scatter-gathers and is never cached (it counts as a miss).
 package gateway
 
 import (
@@ -169,15 +174,13 @@ type request struct {
 	resp     chan *Response
 }
 
-// Gateway serves queries against one htap.System — or, when built with
-// NewSharded, against a fleet of hash-partitioned shards behind a
-// shard.Coordinator.
+// Gateway serves queries against a fleet of hash-partitioned shards
+// behind a shard.Coordinator. A single htap.System is the one-shard fleet
+// (see New): every statement kind has one handler whatever the fleet size.
+// DML and transactions go through the coordinator's key routing; a SELECT
+// is planned, cached and executed on the one shard that owns it when its
+// partition keys pin it there, and scatter-gathers otherwise.
 type Gateway struct {
-	sys *htap.System
-	// coord, when non-nil, makes the gateway a shard-aware router: DML and
-	// transactions go through the coordinator's key routing, SELECTs run on
-	// one shard when pinned and scatter-gather otherwise. sys is then
-	// shard 0 — the planner behind EXPLAIN and the calibrator's baseline.
 	coord   *shard.Coordinator
 	cfg     Config
 	cache   *PlanCache
@@ -264,8 +267,17 @@ func (s *workerSem) close() {
 	s.cond.Broadcast()
 }
 
-// New builds a gateway and starts its worker pool. Callers must Stop it.
+// New builds a gateway over one system — the one-shard fleet. Callers
+// must Stop it.
 func New(sys *htap.System, cfg Config) *Gateway {
+	return NewSharded(shard.Wrap(sys), cfg)
+}
+
+// NewSharded builds a gateway fronting a shard coordinator and starts its
+// worker pool. Callers must Stop it. A scatter SELECT admits the sum of
+// its fragments' DOPs against the same worker ledger a pinned parallel
+// query uses.
+func NewSharded(coord *shard.Coordinator, cfg Config) *Gateway {
 	def := DefaultConfig()
 	if cfg.Workers <= 0 {
 		cfg.Workers = def.Workers
@@ -283,7 +295,7 @@ func New(sys *htap.System, cfg Config) *Gateway {
 		cfg.Calibrator = &latency.Calibrator{}
 	}
 	g := &Gateway{
-		sys:   sys,
+		coord: coord,
 		cfg:   cfg,
 		cache: NewPlanCache(cfg.CacheShards, cfg.CacheCapacity),
 		cal:   cfg.Calibrator,
@@ -297,21 +309,6 @@ func New(sys *htap.System, cfg Config) *Gateway {
 	}
 	return g
 }
-
-// NewSharded builds a gateway fronting a shard coordinator: the serving
-// pipeline (admission, workers, metrics, tracing) is identical, but
-// statements route through the coordinator's partition-key analysis. A
-// scatter SELECT admits the sum of its fragments' DOPs against the same
-// worker ledger single-system parallel queries use.
-func NewSharded(coord *shard.Coordinator, cfg Config) *Gateway {
-	g := New(coord.Shard(0), cfg)
-	g.coord = coord
-	return g
-}
-
-// Coordinator returns the shard coordinator, nil for a single-system
-// gateway.
-func (g *Gateway) Coordinator() *shard.Coordinator { return g.coord }
 
 // Stop shuts the worker pool down and waits for in-flight queries to
 // finish. Queued-but-unstarted queries are abandoned; their Submit calls
@@ -377,6 +374,12 @@ func (g *Gateway) SubmitTask(task func()) error {
 // or planning at all, and a cold explain warms the cache for the serving
 // path. The returned entry is shared with concurrent serving; Pair,
 // TPTime, APTime and Route are immutable after publication.
+//
+// The pair is planned on the shard that owns the statement and the bound
+// plans are retained for that shard. A scatter statement has no owner: its
+// pair is planned on shard 0 (plan shape is the same on every shard) and
+// the template is published without a bound plan, so the serving path can
+// never execute a plan built over another shard's storage.
 func (g *Gateway) PlanPair(sql string) (entry *CachedPlan, cached bool, err error) {
 	fp, params, err := sqlparser.Fingerprint(sql)
 	if err != nil {
@@ -385,18 +388,30 @@ func (g *Gateway) PlanPair(sql string) (entry *CachedPlan, cached bool, err erro
 	if e, ok := g.cache.Get(fp); ok {
 		return e, true, nil
 	}
-	e, _, err := g.planBoth(g.sys, sql, fp, sqlparser.ParamKey(params))
+	target, _, err := g.coord.Route(sql)
+	if err != nil {
+		return nil, false, fmt.Errorf("gateway: route: %w", err)
+	}
+	e, bp, err := g.planBoth(max(target, 0), sql, fp, sqlparser.ParamKey(params))
 	if err != nil {
 		return nil, false, err
 	}
-	e.Route = g.cfg.Policy.Route(RouteInput{
+	if target >= 0 {
+		e.AddBind(bp)
+	}
+	e.Route = g.route(e)
+	g.cache.Put(e)
+	return e, false, nil
+}
+
+// route asks the policy which engine serves the entry's template.
+func (g *Gateway) route(e *CachedPlan) plan.Engine {
+	return g.cfg.Policy.Route(RouteInput{
 		Stmt:   e.stmt,
 		Pair:   &e.Pair,
 		TPTime: e.TPTime,
 		APTime: e.APTime,
 	})
-	g.cache.Put(e)
-	return e, false, nil
 }
 
 // InvalidatePlans empties the plan cache. Callers must invalidate after
@@ -437,38 +452,50 @@ func (g *Gateway) ObserveExplainLatency(d time.Duration) {
 	g.metrics.observeLatency("explain", d)
 }
 
-// Metrics returns a point-in-time snapshot of the serving counters,
-// including the TP→AP freshness gauge (commit LSN vs replication
-// watermark), the background merger's compaction counters, and the
-// durability subsystem's wal_*/checkpoint_* gauges.
+// Metrics returns a point-in-time snapshot of the serving counters plus
+// the fleet's storage gauges: the TP→AP freshness gauge (commit LSN vs
+// replication watermark), the background mergers' compaction counters,
+// the column stores' footprint and the durability subsystem's
+// wal_*/checkpoint_* gauges. Every storage gauge is the sum over the
+// shards — so a one-shard fleet reports exactly its system's numbers —
+// except wal_max_group_commit and checkpoint_last_ms, which are the
+// fleet's maximum.
 func (g *Gateway) Metrics() Snapshot {
 	s := g.metrics.Snapshot()
-	s.CommitLSN = g.sys.CommitLSN()
-	s.Watermark = g.sys.Watermark()
-	s.StalenessLSNs = g.sys.Staleness()
-	ms := g.sys.Col.MergeStats()
-	s.Merges = ms.Merges
-	s.RowsMerged = ms.RowsMerged
-	cs := g.sys.Col.MemStats()
-	s.ColstoreResidentBytes = cs.ResidentBytes
-	s.ColstoreRawBytes = cs.RawBytes
-	s.ColstoreCompression = cs.CompressionRatio()
-	s.ColstoreChunks = make(map[string]int64, len(cs.ChunksByEnc))
-	for e, n := range cs.ChunksByEnc {
-		s.ColstoreChunks[colstore.Encoding(e).String()] = n
-	}
-	if ds := g.sys.DurabilityStats(); ds.Enabled {
+	var mem colstore.MemStats
+	for i := 0; i < g.coord.NumShards(); i++ {
+		sys := g.coord.Shard(i)
+		ms := sys.Col.MergeStats()
+		s.Merges += ms.Merges
+		s.RowsMerged += ms.RowsMerged
+		cs := sys.Col.MemStats()
+		mem.ResidentBytes += cs.ResidentBytes
+		mem.RawBytes += cs.RawBytes
+		for e, n := range cs.ChunksByEnc {
+			mem.ChunksByEnc[e] += n
+		}
+		ds := sys.DurabilityStats()
+		if !ds.Enabled {
+			continue
+		}
 		s.DurabilityOn = true
-		s.WALAppends = ds.WAL.Appends
-		s.WALBytes = ds.WAL.AppendedBytes
-		s.WALSyncs = ds.WAL.Syncs
-		s.WALMaxGroup = ds.WAL.MaxGroupCommit
-		s.WALSegments = ds.WAL.Segments
-		s.WALDurableLSN = ds.WAL.DurableLSN
-		s.Checkpoints = ds.Ckpt.Checkpoints
-		s.CheckpointLSN = ds.Ckpt.LastLSN
-		s.CheckpointMS = ds.Ckpt.LastDurationMS
-		s.CheckpointFree = ds.Ckpt.SegmentsFreed
+		s.WALAppends += ds.WAL.Appends
+		s.WALBytes += ds.WAL.AppendedBytes
+		s.WALSyncs += ds.WAL.Syncs
+		s.WALMaxGroup = max(s.WALMaxGroup, ds.WAL.MaxGroupCommit)
+		s.WALSegments += ds.WAL.Segments
+		s.WALDurableLSN += ds.WAL.DurableLSN
+		s.Checkpoints += ds.Ckpt.Checkpoints
+		s.CheckpointLSN += ds.Ckpt.LastLSN
+		s.CheckpointMS = max(s.CheckpointMS, ds.Ckpt.LastDurationMS)
+		s.CheckpointFree += ds.Ckpt.SegmentsFreed
+	}
+	s.ColstoreResidentBytes = mem.ResidentBytes
+	s.ColstoreRawBytes = mem.RawBytes
+	s.ColstoreCompression = mem.CompressionRatio()
+	s.ColstoreChunks = make(map[string]int64, len(mem.ChunksByEnc))
+	for e, n := range mem.ChunksByEnc {
+		s.ColstoreChunks[colstore.Encoding(e).String()] = n
 	}
 	s.LatencyScaleTP = g.cal.Scale(plan.TP)
 	s.LatencyScaleAP = g.cal.Scale(plan.AP)
@@ -483,25 +510,19 @@ func (g *Gateway) Metrics() Snapshot {
 		s.KBExpired = es.KBExpired
 	}
 	s.TracesSampled = g.cfg.Tracer.Sampled()
-	ts := g.sys.TxnStats()
-	if g.coord != nil {
-		// a sharded gateway reports fleet-wide progress: the freshness
-		// gauges become sums across shards and the per-shard breakdown
-		// rides along
-		cs := g.coord.Stats()
-		s.Shards = cs.Shards
-		s.ShardRouted = cs.RoutedQueries
-		s.ShardScatter = cs.ScatterQueries
-		s.ShardScatterFan = cs.ScatterFanout
-		s.ShardExchBatches = cs.ExchangeBatches
-		s.ShardExchRows = cs.ExchangeRows
-		s.ShardCrossTxns = cs.CrossShardTxns
-		s.ShardCoordLSN = cs.CoordLSN
-		s.CommitLSN = g.coord.CommitLSN()
-		s.Watermark = g.coord.Watermark()
-		s.StalenessLSNs = g.coord.Staleness()
-		ts = g.coord.TxnStats()
-	}
+	cs := g.coord.Stats()
+	s.Shards = cs.Shards
+	s.ShardRouted = cs.RoutedQueries
+	s.ShardScatter = cs.ScatterQueries
+	s.ShardScatterFan = cs.ScatterFanout
+	s.ShardExchBatches = cs.ExchangeBatches
+	s.ShardExchRows = cs.ExchangeRows
+	s.ShardCrossTxns = cs.CrossShardTxns
+	s.ShardCoordLSN = cs.CoordLSN
+	s.CommitLSN = g.coord.CommitLSN()
+	s.Watermark = g.coord.Watermark()
+	s.StalenessLSNs = g.coord.Staleness()
+	ts := g.coord.TxnStats()
 	s.TxnBegun = ts.Begun
 	s.TxnCommits = ts.Committed
 	s.TxnAborts = ts.Aborted
@@ -600,18 +621,7 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	}
 	// classify on the leading keyword only (no tokenization): DML bypasses
 	// the read-only plan cache and goes straight to the write path
-	kind := sqlparser.StatementKind(sql)
-	if g.coord != nil {
-		switch kind {
-		case "insert", "update", "delete":
-			return g.processShardedDML(sql, kind, tr)
-		case "begin", "commit", "rollback":
-			return g.processShardedTxn(sql, tr)
-		default:
-			return g.processShardedSelect(sql, tr)
-		}
-	}
-	switch kind {
+	switch kind := sqlparser.StatementKind(sql); kind {
 	case "insert", "update", "delete":
 		return g.processDML(sql, kind, tr)
 	case "begin", "commit", "rollback":
@@ -630,26 +640,44 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	sp = tr.Begin("cache_lookup")
 	entry, found := g.cache.Get(fp)
 	sp.End()
-	switch {
-	case found:
+	if found {
+		// the literal vector fixes the owning shard, so a retained bound
+		// plan runs where it was planned with no routing at all
 		if bp, ok := entry.Bind(paramKey); ok {
 			resp.Cache = CacheHit
 			g.metrics.hits.Add(1)
 			resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
 			g.recordRoute(entry.Route, bp.TPTime, bp.APTime)
-			g.execute(resp, pickPlan(bp, entry.Route), entry.Route, tr, false)
+			g.execute(resp, bp.Shard, pickPlan(bp, entry.Route), entry.Route, tr)
 			return resp
 		}
+	}
+	sp = tr.Begin("route")
+	target, dec, err := g.coord.Route(sql)
+	sp.End()
+	if err != nil {
+		resp.Err = fmt.Errorf("gateway: route: %w", err)
+		return resp
+	}
+	switch {
+	case target < 0:
+		// no shard owns the statement. A scatter's exchange moves execute
+		// while it is prepared, so nothing of it can be retained: every
+		// scatter is a miss
+		resp.Cache = CacheMiss
+		g.metrics.misses.Add(1)
+		g.scatter(resp, sql, dec, tr)
+	case found:
 		resp.Cache = CacheTemplateHit
 		g.metrics.tmplHit.Add(1)
 		sp = tr.Begin("plan")
-		phys, err := g.planOne(g.sys, sql, entry.Route)
+		_, phys, err := g.planOne(target, sql, entry.Route)
 		sp.End()
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
-		bp := &BoundPlan{ParamKey: paramKey}
+		bp := &BoundPlan{ParamKey: paramKey, Shard: target}
 		if entry.Route == plan.TP {
 			bp.TP, bp.TPTime = phys, latency.Estimate(phys.Explain)
 		} else {
@@ -658,41 +686,40 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 		entry.AddBind(bp)
 		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
 		g.recordRoute(entry.Route, 0, 0)
-		g.execute(resp, phys, entry.Route, tr, false)
+		g.execute(resp, target, phys, entry.Route, tr)
 	default:
 		resp.Cache = CacheMiss
 		g.metrics.misses.Add(1)
 		sp = tr.Begin("plan")
-		entry, bp, err := g.planBoth(g.sys, sql, fp, paramKey)
+		entry, bp, err := g.planBoth(target, sql, fp, paramKey)
 		sp.End()
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
+		entry.AddBind(bp)
 		sp = tr.Begin("route")
-		entry.Route = g.cfg.Policy.Route(RouteInput{
-			Stmt:   entry.stmt,
-			Pair:   &entry.Pair,
-			TPTime: entry.TPTime,
-			APTime: entry.APTime,
-		})
+		entry.Route = g.route(entry)
 		sp.End()
 		g.cache.Put(entry)
 		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
 		g.recordRoute(entry.Route, bp.TPTime, bp.APTime)
-		g.execute(resp, pickPlan(bp, entry.Route), entry.Route, tr, false)
+		g.execute(resp, target, pickPlan(bp, entry.Route), entry.Route, tr)
 		g.maybeObserveDual(resp, bp, entry.Route)
 	}
 	return resp
 }
 
-// processExplain serves `EXPLAIN [ANALYZE] <select>`: both engines are
-// planned, the policy routes as it would for the bare statement, and the
-// routed plan is either rendered (EXPLAIN) or executed with per-operator
-// instrumentation and full DOP admission (EXPLAIN ANALYZE). The plan
-// cache is bypassed — an explain is a diagnostic, not workload.
+// processExplain serves `EXPLAIN [ANALYZE] <select>`, routed like the bare
+// statement. A statement one shard owns is planned there on both engines,
+// the policy routes as it would for the bare statement, and the routed
+// plan is either rendered (EXPLAIN) or executed with per-operator
+// instrumentation and full DOP admission (EXPLAIN ANALYZE). A scatter
+// statement renders its fragment plan under a gather naming the shard
+// count, or runs with every fragment and the final stage instrumented.
+// The plan cache is bypassed — an explain is a diagnostic, not workload.
 func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryTrace) *Response {
-	resp := &Response{SQL: orig, Kind: "explain"}
+	resp := &Response{SQL: orig, Kind: "explain", Cache: CacheMiss}
 	if analyze {
 		resp.Kind = "explain_analyze"
 	}
@@ -700,30 +727,35 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 		resp.Err = fmt.Errorf("gateway: EXPLAIN supports SELECT only")
 		return resp
 	}
-	resp.Cache = CacheMiss
-	sp := tr.Begin("plan")
-	entry, bp, err := g.planBoth(g.sys, body, "", "")
+	sp := tr.Begin("route")
+	target, dec, err := g.coord.Route(body)
 	sp.End()
 	if err != nil {
-		resp.Err = err
+		resp.Err = fmt.Errorf("gateway: route: %w", err)
 		return resp
 	}
-	sp = tr.Begin("route")
-	route := g.cfg.Policy.Route(RouteInput{
-		Stmt:   entry.stmt,
-		Pair:   &entry.Pair,
-		TPTime: entry.TPTime,
-		APTime: entry.APTime,
-	})
-	sp.End()
-	resp.Engine = route
-	resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-	phys := pickPlan(bp, route)
-	if !analyze {
-		resp.Explain = phys.Explain.ExplainIndentJSON()
-		return resp
+	if target < 0 {
+		g.scatter(resp, body, dec, tr)
+	} else {
+		sp = tr.Begin("plan")
+		entry, bp, err := g.planBoth(target, body, "", "")
+		sp.End()
+		if err != nil {
+			resp.Err = err
+			return resp
+		}
+		sp = tr.Begin("route")
+		route := g.route(entry)
+		sp.End()
+		resp.Engine = route
+		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
+		phys := pickPlan(bp, route)
+		if !analyze {
+			resp.Explain = phys.Explain.ExplainIndentJSON()
+			return resp
+		}
+		g.execute(resp, target, phys, route, tr)
 	}
-	g.execute(resp, phys, route, tr, true)
 	if resp.Err == nil && resp.Profile != nil {
 		resp.Explain = resp.Profile.String()
 	}
@@ -768,13 +800,16 @@ func (g *Gateway) maybeObserveDual(resp *Response, bp *BoundPlan, route plan.Eng
 	g.cal.Observe(plan.AP, apObs.Nanoseconds(), resp.APTime.Nanoseconds())
 }
 
-// processDML serves one write through the system's TP write path: the
-// statement commits on the row-store primary under the single-writer lock
-// and is queued for delta replication; the response reports the commit
-// LSN so callers can reason about AP visibility.
+// processDML serves one write through the coordinator's key routing:
+// inserts split their tuples by hashed partition key, updates and deletes
+// pin to one shard when the WHERE clause fixes the key, and a statement
+// that lands on several shards commits through the two-phase publish. On
+// each participant the statement commits on the row-store primary and is
+// queued for delta replication; the response reports the commit LSN so
+// callers can reason about AP visibility.
 func (g *Gateway) processDML(sql, kind string, tr *obs.QueryTrace) *Response {
 	resp := &Response{SQL: sql, Kind: kind}
-	res, err := g.sys.ExecTraced(sql, tr)
+	res, err := g.coord.ExecDMLTraced(sql, tr)
 	if err != nil {
 		resp.Err = fmt.Errorf("gateway: write: %w", err)
 		return resp
@@ -789,11 +824,13 @@ func (g *Gateway) processDML(sql, kind string, tr *obs.QueryTrace) *Response {
 // processTxn serves a BEGIN ... COMMIT/ROLLBACK block (a stray COMMIT or
 // ROLLBACK reaches the parser, which rejects it with a dedicated error):
 // the statements buffer in one snapshot-isolated transaction and publish
-// atomically through the multi-writer commit pipeline. Response.Kind
-// reports the outcome — "commit" (with the commit LSN and total rows
-// affected), "rollback" (explicit, or forced by a failed statement), or
-// "conflict" when the transaction lost a first-writer-wins race and the
-// client should retry the whole block on a fresh snapshot.
+// atomically through the multi-writer commit pipeline — the single-shard
+// fast path when every statement lands on one shard, the coordinator's
+// two-phase publish otherwise. Response.Kind reports the outcome —
+// "commit" (with the commit LSN and total rows affected), "rollback"
+// (explicit, or forced by a failed statement), or "conflict" when the
+// transaction lost a first-writer-wins race and the client should retry
+// the whole block on a fresh snapshot.
 func (g *Gateway) processTxn(sql string, tr *obs.QueryTrace) *Response {
 	resp := &Response{SQL: sql, Kind: "txn"}
 	sp := tr.Begin("parse")
@@ -803,7 +840,7 @@ func (g *Gateway) processTxn(sql string, tr *obs.QueryTrace) *Response {
 		resp.Err = fmt.Errorf("gateway: txn: %w", err)
 		return resp
 	}
-	tx := g.sys.Begin()
+	tx := g.coord.Begin()
 	results := make([]*htap.DMLResult, 0, len(script.Stmts))
 	for _, stmt := range script.Stmts {
 		res, err := tx.ExecStmt(stmt)
@@ -837,127 +874,22 @@ func (g *Gateway) processTxn(sql string, tr *obs.QueryTrace) *Response {
 	return resp
 }
 
-// processShardedDML serves one write through the coordinator's key
-// routing: inserts split their tuples by hashed partition key, updates
-// and deletes pin to one shard when the WHERE clause fixes the key, and a
-// statement that lands on several shards commits through the two-phase
-// publish.
-func (g *Gateway) processShardedDML(sql, kind string, tr *obs.QueryTrace) *Response {
-	resp := &Response{SQL: sql, Kind: kind}
-	sp := tr.Begin("execute")
-	res, err := g.coord.ExecDML(sql)
-	sp.End()
-	if err != nil {
-		resp.Err = fmt.Errorf("gateway: write: %w", err)
-		return resp
-	}
-	resp.Kind = res.Kind
-	resp.RowsAffected = res.RowsAffected
-	resp.LSN = res.LSN
-	g.metrics.observeWrite(res.Kind, res.RowsAffected)
-	return resp
-}
-
-// processShardedTxn serves a BEGIN ... COMMIT/ROLLBACK block against the
-// shard fleet. The distributed transaction keeps the single-shard fast
-// path when every statement lands on one shard and upgrades to the
-// coordinator's two-phase publish otherwise; conflict semantics are
-// identical to the single-system path ("conflict" asks the client to
-// retry the block on a fresh snapshot).
-func (g *Gateway) processShardedTxn(sql string, tr *obs.QueryTrace) *Response {
-	resp := &Response{SQL: sql, Kind: "txn"}
-	sp := tr.Begin("parse")
-	script, err := sqlparser.ParseScript(sql)
-	sp.End()
-	if err != nil {
-		resp.Err = fmt.Errorf("gateway: txn: %w", err)
-		return resp
-	}
-	tx := g.coord.Begin()
-	results := make([]*htap.DMLResult, 0, len(script.Stmts))
-	for _, stmt := range script.Stmts {
-		res, err := tx.ExecStmt(stmt)
-		if err != nil {
-			tx.Rollback()
-			resp.Kind = "rollback"
-			resp.Err = fmt.Errorf("gateway: txn: %w", err)
-			return resp
-		}
-		results = append(results, res)
-	}
-	if !script.Commit {
-		tx.Rollback()
-		resp.Kind = "rollback"
-		return resp
-	}
-	sp = tr.Begin("commit")
-	txr, err := tx.Commit()
-	sp.End()
-	if err != nil {
-		if errors.Is(err, htap.ErrConflict) {
-			resp.Kind = "conflict"
-		}
-		resp.Err = fmt.Errorf("gateway: txn: %w", err)
-		return resp
-	}
-	resp.Kind = "commit"
-	resp.RowsAffected = txr.RowsAffected
-	resp.LSN = txr.LSN
-	for _, r := range results {
-		g.metrics.observeWrite(r.Kind, r.RowsAffected)
-	}
-	return resp
-}
-
-// processShardedSelect serves a read against the shard fleet. A SELECT
-// whose partitioned tables all pin to one shard plans on that shard and
-// runs through the ordinary engine picker (TP vs AP, calibrator feedback
-// included); anything else scatters as per-shard AP fragments meeting at
-// a Gather exchange, with the total fragment worker demand admitted
-// against the same DOP ledger single-system parallel queries use. The
-// plan cache is bypassed in both paths — its entries are not
-// shard-qualified, so a template cached for shard 2's literals must not
-// serve shard 0's.
-func (g *Gateway) processShardedSelect(sql string, tr *obs.QueryTrace) *Response {
-	resp := &Response{SQL: sql, Kind: "select", Cache: CacheMiss}
-	g.metrics.misses.Add(1)
-	sp := tr.Begin("route")
-	target, dec, err := g.coord.Route(sql)
-	sp.End()
-	if err != nil {
-		resp.Err = fmt.Errorf("gateway: route: %w", err)
-		return resp
-	}
-	if target >= 0 {
-		sys := g.coord.Shard(target)
-		sp = tr.Begin("plan")
-		entry, bp, err := g.planBoth(sys, sql, "", "")
-		sp.End()
-		if err != nil {
-			resp.Err = err
-			return resp
-		}
-		route := g.cfg.Policy.Route(RouteInput{
-			Stmt:   entry.stmt,
-			Pair:   &entry.Pair,
-			TPTime: entry.TPTime,
-			APTime: entry.APTime,
-		})
-		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		g.recordRoute(route, bp.TPTime, bp.APTime)
-		g.execute(resp, pickPlan(bp, route), route, tr, false)
-		if resp.Err == nil {
-			g.coord.NoteRouted(target)
-		}
-		return resp
-	}
-
-	sp = tr.Begin("plan")
+// scatter serves a SELECT (or its EXPLAIN [ANALYZE], told apart by
+// resp.Kind) that no single shard can answer: per-shard AP fragments meet
+// at a Gather exchange, with the total fragment worker demand admitted
+// against the same DOP ledger pinned parallel queries use.
+func (g *Gateway) scatter(resp *Response, sql string, dec *optimizer.DistDecision, tr *obs.QueryTrace) {
+	sp := tr.Begin("plan")
 	sc, err := g.coord.PrepareScatter(sql, dec)
 	sp.End()
 	if err != nil {
 		resp.Err = fmt.Errorf("gateway: scatter: %w", err)
-		return resp
+		return
+	}
+	resp.Engine = plan.AP
+	if resp.Kind == "explain" {
+		resp.Explain = sc.Explain().ExplainIndentJSON()
+		return
 	}
 	// admit the scatter's total fragment demand: this worker's slot covers
 	// one fragment worker; the rest come from the shared ledger, degrading
@@ -969,16 +901,21 @@ func (g *Gateway) processShardedSelect(sql string, tr *obs.QueryTrace) *Response
 		}
 		sc.LimitWorkers(1 + extra)
 	}
-	resp.Engine = plan.AP
 	g.metrics.routedAP.Add(1)
 	sp = tr.Begin("execute")
 	start := time.Now()
-	rows, stats, err := sc.Run()
+	var rows []value.Row
+	var stats exec.Stats
+	if resp.Kind == "explain_analyze" {
+		rows, stats, resp.Profile, err = sc.RunAnalyzed()
+	} else {
+		rows, stats, err = sc.Run()
+	}
 	resp.ExecTime = time.Since(start)
 	sp.End()
 	if err != nil {
 		resp.Err = fmt.Errorf("gateway: scatter execution: %w", err)
-		return resp
+		return
 	}
 	resp.Rows = rows
 	resp.Stats = stats
@@ -986,7 +923,6 @@ func (g *Gateway) processShardedSelect(sql string, tr *obs.QueryTrace) *Response
 		g.metrics.parallelQueries.Add(1)
 	}
 	g.metrics.observeExec(plan.AP, &stats)
-	return resp
 }
 
 // recordRoute updates routing metrics. Ground truth (the modeled winner)
@@ -1012,7 +948,9 @@ func (g *Gateway) recordRoute(route plan.Engine, tpTime, apTime time.Duration) {
 	}
 }
 
-func (g *Gateway) execute(resp *Response, phys *optimizer.PhysPlan, eng plan.Engine, tr *obs.QueryTrace, analyzed bool) {
+// execute runs a plan built on shard owner (its operators read that
+// shard's storage), instrumented when resp is an EXPLAIN ANALYZE.
+func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, eng plan.Engine, tr *obs.QueryTrace) {
 	resp.Engine = eng
 	ctx := exec.NewContext()
 	// DOP-aware admission: a plan that wants intra-query parallelism
@@ -1034,7 +972,7 @@ func (g *Gateway) execute(resp *Response, phys *optimizer.PhysPlan, eng plan.Eng
 	start := time.Now()
 	var rows []value.Row
 	var err error
-	if analyzed {
+	if resp.Kind == "explain_analyze" {
 		rows, resp.Profile, err = phys.ExecuteAnalyzed(ctx)
 	} else {
 		rows, err = phys.Execute(ctx)
@@ -1047,6 +985,7 @@ func (g *Gateway) execute(resp *Response, phys *optimizer.PhysPlan, eng plan.Eng
 	}
 	resp.Rows = rows
 	resp.Stats = ctx.Stats
+	g.coord.NoteRouted(owner)
 	if ctx.Stats.ParallelWorkers > 0 {
 		g.metrics.parallelQueries.Add(1)
 	}
@@ -1060,50 +999,41 @@ func (g *Gateway) execute(resp *Response, phys *optimizer.PhysPlan, eng plan.Eng
 	g.cal.Observe(eng, resp.ExecTime.Nanoseconds(), modeled.Nanoseconds())
 }
 
-// planOne parses the query and plans only the given engine on sys — the
-// template-hit path (sys is the owning shard for routed sharded queries,
-// g.sys otherwise).
-func (g *Gateway) planOne(sys *htap.System, sql string, eng plan.Engine) (*optimizer.PhysPlan, error) {
+// planOne parses the query and plans the given engine on the owning shard
+// — all the planning a template hit needs. It returns the statement it
+// bound too: binding mutates the tree, so every plan takes a fresh parse.
+func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Select, *optimizer.PhysPlan, error) {
 	sel, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: parse: %w", err)
+		return nil, nil, fmt.Errorf("gateway: parse: %w", err)
 	}
+	planner := g.coord.Shard(owner).Planner
+	planEngine := planner.PlanAP
 	if eng == plan.TP {
-		phys, err := sys.Planner.PlanTP(sel)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: TP planning: %w", err)
-		}
-		return phys, nil
+		planEngine = planner.PlanTP
 	}
-	phys, err := sys.Planner.PlanAP(sel)
+	phys, err := planEngine(sel)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: AP planning: %w", err)
+		return nil, nil, fmt.Errorf("gateway: %v planning: %w", eng, err)
 	}
-	return phys, nil
+	return sel, phys, nil
 }
 
-// planBoth parses and plans the query on both of sys's engines — the
-// miss path. Each engine binds its own fresh AST, since binding mutates
-// the tree. The returned entry already retains the first bound plans.
-func (g *Gateway) planBoth(sys *htap.System, sql, fp, paramKey string) (*CachedPlan, *BoundPlan, error) {
-	selTP, err := sqlparser.Parse(sql)
+// planBoth plans the query on both engines of the owning shard — the miss
+// path. The entry is returned without the bound plans retained: a caller
+// that caches it adds them.
+func (g *Gateway) planBoth(owner int, sql, fp, paramKey string) (*CachedPlan, *BoundPlan, error) {
+	selTP, tpPlan, err := g.planOne(owner, sql, plan.TP)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: parse: %w", err)
+		return nil, nil, err
 	}
-	selAP, err := sqlparser.Parse(sql)
+	_, apPlan, err := g.planOne(owner, sql, plan.AP)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: parse: %w", err)
-	}
-	tpPlan, err := sys.Planner.PlanTP(selTP)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: TP planning: %w", err)
-	}
-	apPlan, err := sys.Planner.PlanAP(selAP)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: AP planning: %w", err)
+		return nil, nil, err
 	}
 	bp := &BoundPlan{
 		ParamKey: paramKey,
+		Shard:    owner,
 		TP:       tpPlan,
 		AP:       apPlan,
 		TPTime:   latency.Estimate(tpPlan.Explain),
@@ -1116,7 +1046,6 @@ func (g *Gateway) planBoth(sys *htap.System, sql, fp, paramKey string) (*CachedP
 		APTime:      bp.APTime,
 		stmt:        selTP,
 	}
-	entry.AddBind(bp)
 	return entry, bp, nil
 }
 

@@ -34,20 +34,27 @@ func testSystem(t testing.TB) *htap.System {
 	return sysVal
 }
 
+// rowKey renders a row for comparison, floats rounded to 4 decimals (a
+// scatter's partial aggregates accumulate in a different order than a
+// serial aggregation).
+func rowKey(r value.Row) string {
+	var b bytes.Buffer
+	for _, v := range r {
+		if v.K == value.KindFloat {
+			fmt.Fprintf(&b, "f%.4f|", v.F)
+			continue
+		}
+		b.WriteString(v.Key())
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
 // rowMultiset renders rows for order-insensitive comparison.
 func rowMultiset(rows []value.Row) map[string]int {
 	m := make(map[string]int, len(rows))
 	for _, r := range rows {
-		var b bytes.Buffer
-		for _, v := range r {
-			if v.K == value.KindFloat {
-				fmt.Fprintf(&b, "f%.4f|", v.F)
-				continue
-			}
-			b.WriteString(v.Key())
-			b.WriteByte('|')
-		}
-		m[b.String()]++
+		m[rowKey(r)]++
 	}
 	return m
 }

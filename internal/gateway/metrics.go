@@ -233,12 +233,12 @@ type Snapshot struct {
 	TxnAborts    int64 `json:"txn_aborts"`
 	TxnConflicts int64 `json:"txn_conflicts"`
 
-	// Sharding gauges, filled by Gateway.Metrics from the coordinator when
-	// the gateway fronts a shard fleet (Shards nil otherwise). Routed
-	// queries pin to one shard; scatter queries fan out to every shard
-	// through the exchange operators, whose batch/row traffic is counted
-	// here. For a sharded gateway the freshness gauges below are
-	// fleet-wide sums.
+	// Sharding gauges, filled by Gateway.Metrics from the coordinator (a
+	// single system reports one shard). Routed queries pin to one shard;
+	// scatter queries fan out to every shard through the exchange
+	// operators, whose batch/row traffic is counted here. The freshness,
+	// merge, durability and footprint gauges below are fleet-wide sums,
+	// except WALMaxGroup and CheckpointMS, which are the fleet's maximum.
 	Shards           []shard.ShardStatus `json:"shards,omitempty"`
 	ShardRouted      int64               `json:"shard_routed_queries,omitempty"`
 	ShardScatter     int64               `json:"shard_scatter_queries,omitempty"`

@@ -17,9 +17,13 @@ const maxBindsPerTemplate = 32
 // BoundPlan holds executable plans for one (template, literal-vector)
 // combination. On the entry's first binding both engines are planned (the
 // routing policy needs the pair); later bindings plan only the routed
-// engine, so the other side may be nil with a zero estimate.
+// engine, so the other side may be nil with a zero estimate. Shard is the
+// shard the plans were built on — their operators read that shard's
+// storage, and the literal vector fixes the owner, so a retained plan is
+// only ever executed there.
 type BoundPlan struct {
 	ParamKey string
+	Shard    int
 	TP, AP   *optimizer.PhysPlan
 	TPTime   time.Duration
 	APTime   time.Duration

@@ -82,22 +82,20 @@ func (g *Gateway) PromText() string {
 		w.Counter("htap_checkpoint_wal_segments_freed_total", "WAL segments truncated by checkpoints.", nil, s.CheckpointFree)
 	}
 
-	if s.Shards != nil {
-		for i, sh := range s.Shards {
-			lbl := map[string]string{"shard": strconv.Itoa(i)}
-			w.Counter("htap_shard_queries_total", "Statements executed per shard.", lbl, sh.Queries)
-			w.Gauge("htap_shard_commit_lsn", "Per-shard primary commit LSN.", lbl, float64(sh.CommitLSN))
-			w.Gauge("htap_shard_replication_watermark", "Per-shard column-store watermark LSN.", lbl, float64(sh.Watermark))
-			w.Gauge("htap_shard_staleness_lsns", "Per-shard commit LSN minus watermark.", lbl, float64(sh.Staleness))
-		}
-		w.Counter("htap_shard_routed_queries_total", "SELECTs pinned to exactly one shard.", nil, s.ShardRouted)
-		w.Counter("htap_shard_scatter_queries_total", "SELECTs executed scatter-gather across shards.", nil, s.ShardScatter)
-		w.Counter("htap_shard_scatter_fanout_total", "Total shards touched by SELECTs (1 per routed query, n per scatter).", nil, s.ShardScatterFan)
-		w.Counter("htap_exchange_batches_total", "Row batches moved through exchange operators.", nil, s.ShardExchBatches)
-		w.Counter("htap_exchange_rows_total", "Rows moved through exchange operators.", nil, s.ShardExchRows)
-		w.Counter("htap_cross_shard_txns_total", "Transactions committed through the two-phase publish.", nil, s.ShardCrossTxns)
-		w.Gauge("htap_shard_coordinator_lsn", "Coordinator commit sequence for cross-shard transactions.", nil, float64(s.ShardCoordLSN))
+	for i, sh := range s.Shards {
+		lbl := map[string]string{"shard": strconv.Itoa(i)}
+		w.Counter("htap_shard_queries_total", "Statements executed per shard.", lbl, sh.Queries)
+		w.Gauge("htap_shard_commit_lsn", "Per-shard primary commit LSN.", lbl, float64(sh.CommitLSN))
+		w.Gauge("htap_shard_replication_watermark", "Per-shard column-store watermark LSN.", lbl, float64(sh.Watermark))
+		w.Gauge("htap_shard_staleness_lsns", "Per-shard commit LSN minus watermark.", lbl, float64(sh.Staleness))
 	}
+	w.Counter("htap_shard_routed_queries_total", "SELECTs pinned to exactly one shard.", nil, s.ShardRouted)
+	w.Counter("htap_shard_scatter_queries_total", "SELECTs executed scatter-gather across shards.", nil, s.ShardScatter)
+	w.Counter("htap_shard_scatter_fanout_total", "Total shards touched by SELECTs (1 per routed query, n per scatter).", nil, s.ShardScatterFan)
+	w.Counter("htap_exchange_batches_total", "Row batches moved through exchange operators.", nil, s.ShardExchBatches)
+	w.Counter("htap_exchange_rows_total", "Rows moved through exchange operators.", nil, s.ShardExchRows)
+	w.Counter("htap_cross_shard_txns_total", "Transactions committed through the two-phase publish.", nil, s.ShardCrossTxns)
+	w.Gauge("htap_shard_coordinator_lsn", "Coordinator commit sequence for cross-shard transactions.", nil, float64(s.ShardCoordLSN))
 
 	w.Counter("htap_parallel_queries_total", "Queries that forked morsel workers.", nil, s.ParallelQueries)
 	w.Counter("htap_morsels_dispatched_total", "Chunk-aligned morsels dispatched to workers.", nil, s.MorselsDispatched)

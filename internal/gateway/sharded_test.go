@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"htapxplain/internal/htap"
 	"htapxplain/internal/shard"
-	"htapxplain/internal/value"
 )
 
 func testCoordinator(t testing.TB, n int) *shard.Coordinator {
@@ -23,117 +21,49 @@ func testCoordinator(t testing.TB, n int) *shard.Coordinator {
 	return c
 }
 
-// TestShardedGatewayServes drives every statement class through a sharded
-// gateway: a pinned point lookup must execute on exactly one shard, a full
-// scan must scatter across all of them and agree with the fleet's live row
-// counts, and DML — autocommit and an explicit transaction block — must
-// route by partition key.
-func TestShardedGatewayServes(t *testing.T) {
-	coord := testCoordinator(t, 2)
-	g := NewSharded(coord, Config{Workers: 2, CacheCapacity: 16})
-	defer g.Stop()
-
-	if g.Coordinator() != coord {
-		t.Fatal("Coordinator() does not expose the fleet")
+// durableCoordinator builds a private fleet whose shards each keep a WAL
+// under a test directory.
+func durableCoordinator(t testing.TB, n int) *shard.Coordinator {
+	t.Helper()
+	cfg := htap.DefaultConfig()
+	cfg.Durability.DisableCheckpointer = true
+	c, err := shard.New(n, cfg, shard.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("shard.New (durable): %v", err)
 	}
-
-	// point lookup: pinned to one shard, fanout 1
-	before := coord.Stats()
-	resp := g.Serve(`SELECT c_name FROM customer WHERE c_custkey = 7`)
-	if resp.Err != nil {
-		t.Fatalf("point lookup: %v", resp.Err)
-	}
-	if len(resp.Rows) != 1 {
-		t.Fatalf("point lookup returned %d rows", len(resp.Rows))
-	}
-	after := coord.Stats()
-	if d := after.RoutedQueries - before.RoutedQueries; d != 1 {
-		t.Errorf("routed queries advanced by %d, want 1", d)
-	}
-	var touched int64
-	for i := range after.Shards {
-		touched += after.Shards[i].Queries - before.Shards[i].Queries
-	}
-	if touched != 1 {
-		t.Errorf("point lookup touched %d shard queries, want exactly 1", touched)
-	}
-
-	// scatter: the COUNT(*) must equal the fleet's live row total
-	var want int
-	for i := 0; i < coord.NumShards(); i++ {
-		tbl, ok := coord.Shard(i).Row.Table("customer")
-		if !ok {
-			t.Fatal("no customer table")
-		}
-		want += len(tbl.Scan())
-	}
-	resp = g.Serve(`SELECT COUNT(*) FROM customer`)
-	if resp.Err != nil {
-		t.Fatalf("scatter: %v", resp.Err)
-	}
-	if len(resp.Rows) != 1 || resp.Rows[0][0].K != value.KindInt || int(resp.Rows[0][0].I) != want {
-		t.Fatalf("scatter COUNT(*) = %v, want %d", resp.Rows, want)
-	}
-	after = coord.Stats()
-	if after.ScatterQueries == 0 {
-		t.Error("scatter query not counted")
-	}
-	if after.ExchangeRows == 0 {
-		t.Error("no rows crossed the gather exchange")
-	}
-
-	// autocommit DML routes by partition key
-	resp = g.Serve(`INSERT INTO customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_mktsegment, c_comment) VALUES (4000000001, 'gw', 'a', 1, '11-000', 1.0, 'building', 'x')`)
-	if resp.Err != nil {
-		t.Fatalf("insert: %v", resp.Err)
-	}
-	if resp.RowsAffected != 1 || resp.Kind != "insert" {
-		t.Fatalf("insert response: %+v", resp)
-	}
-
-	// an explicit transaction block commits through the distributed path
-	script := `BEGIN;
-UPDATE customer SET c_acctbal = 2.0 WHERE c_custkey = 4000000001;
-INSERT INTO customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_mktsegment, c_comment) VALUES (4000000002, 'gw2', 'a', 1, '11-000', 1.0, 'building', 'x');
-COMMIT;`
-	resp = g.Serve(script)
-	if resp.Err != nil {
-		t.Fatalf("txn: %v", resp.Err)
-	}
-	if resp.Kind != "commit" || resp.RowsAffected != 2 {
-		t.Fatalf("txn response: kind=%q rows=%d", resp.Kind, resp.RowsAffected)
-	}
-
-	// both writes are readable back through their pinned routes
-	for _, k := range []int64{4000000001, 4000000002} {
-		resp = g.Serve(fmt.Sprintf(`SELECT c_name FROM customer WHERE c_custkey = %d`, k))
-		if resp.Err != nil || len(resp.Rows) != 1 {
-			t.Fatalf("readback of %d: rows=%d err=%v", k, len(resp.Rows), resp.Err)
-		}
-	}
-
-	m := g.Metrics()
-	if len(m.Shards) != 2 {
-		t.Fatalf("snapshot has %d shards, want 2", len(m.Shards))
-	}
-	if m.ShardRouted == 0 || m.ShardScatter == 0 {
-		t.Errorf("routing counters empty: routed=%d scatter=%d", m.ShardRouted, m.ShardScatter)
-	}
-	if m.WritesInsert != 2 || m.WritesUpdate != 1 {
-		t.Errorf("write counters: insert=%d update=%d, want 2/1", m.WritesInsert, m.WritesUpdate)
-	}
-	if m.TxnCommits == 0 {
-		t.Error("fleet txn commits not surfaced")
-	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 // TestShardedMetricsExported extends the exposition tests to the per-shard
 // gauges: the JSON snapshot carries the shards array and the Prometheus
-// text carries the shard-labeled series.
+// text carries the shard-labeled series. The storage and durability
+// gauges are fleet-wide: wal_appends on a durable fleet is the sum over
+// its shards, not shard 0's.
 func TestShardedMetricsExported(t *testing.T) {
-	coord := testCoordinator(t, 2)
+	coord := durableCoordinator(t, 2)
 	g := NewSharded(coord, Config{Workers: 2, CacheCapacity: 16})
 	defer g.Stop()
+	for k := int64(4000000001); k <= 4000000008; k++ {
+		if resp := g.Serve(insertCustomers(k)); resp.Err != nil {
+			t.Fatalf("insert %d: %v", k, resp.Err)
+		}
+	}
+	var appends, bytes, resident int64
+	for i := 0; i < coord.NumShards(); i++ {
+		ds := coord.Shard(i).DurabilityStats()
+		if ds.WAL.Appends == 0 {
+			t.Fatalf("shard %d logged nothing: the inserts did not spread", i)
+		}
+		appends += ds.WAL.Appends
+		bytes += ds.WAL.AppendedBytes
+		resident += coord.Shard(i).Col.MemStats().ResidentBytes
+	}
+	if m := g.Metrics(); !m.DurabilityOn || m.WALAppends != appends || m.WALBytes != bytes ||
+		m.ColstoreResidentBytes != resident || m.WALDurableLSN != m.CommitLSN {
+		t.Errorf("fleet gauges: wal_appends %d (shards sum %d), wal_appended_bytes %d (%d), colstore_resident_bytes %d (%d), durable LSN %d vs commit LSN %d",
+			m.WALAppends, appends, m.WALBytes, bytes, m.ColstoreResidentBytes, resident, m.WALDurableLSN, m.CommitLSN)
+	}
 	if resp := g.Serve(`SELECT COUNT(*) FROM orders`); resp.Err != nil {
 		t.Fatalf("serve: %v", resp.Err)
 	}

@@ -96,12 +96,16 @@ type Txn struct {
 	done         bool
 }
 
-// Begin starts a transaction reading at the current commit LSN.
+// Begin starts a transaction reading at the current commit LSN. The
+// snapshot is pinned before the transaction is counted, so an observer
+// that sees TxnStats().Begun advance knows the snapshot predates anything
+// it publishes afterwards.
 func (s *System) Begin() *Txn {
+	snap := s.CommitLSN()
 	s.txnBegun.Add(1)
 	return &Txn{
 		sys:    s,
-		snap:   s.CommitLSN(),
+		snap:   snap,
 		writes: make(map[string]*tableWrites),
 	}
 }

@@ -127,6 +127,16 @@ func New(n int, cfg htap.Config, opt Options) (*Coordinator, error) {
 	return c, nil
 }
 
+// Wrap presents an already-built htap.System as a one-shard fleet, so a
+// single system is served by the same code as N shards. The coordinator
+// does not own the system's on-disk layout (it stays <data-dir>/, not
+// <data-dir>/shard-0/); Close closes the system.
+func Wrap(sys *htap.System) *Coordinator {
+	c := &Coordinator{shards: []*htap.System{sys}, scheme: TPCHScheme(), cat: sys.Cat}
+	c.met.shardQueries = make([]atomic.Int64, 1)
+	return c
+}
+
 // ShardDirName is the on-disk directory for shard i under a durable
 // coordinator's data directory.
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%d", i) }
@@ -171,12 +181,9 @@ func partitionDataset(full *tpch.Dataset, cat *catalog.Catalog, scheme Scheme, i
 // NumShards returns the shard count.
 func (c *Coordinator) NumShards() int { return len(c.shards) }
 
-// Shard exposes one shard's htap.System (shard 0 backs single-system
-// paths like EXPLAIN and the gateway's calibrator).
+// Shard exposes one shard's htap.System: the gateway plans and executes
+// pinned statements on the owning shard itself.
 func (c *Coordinator) Shard(i int) *htap.System { return c.shards[i] }
-
-// Scheme returns the partitioning layout.
-func (c *Coordinator) Scheme() Scheme { return c.scheme }
 
 // Catalog returns the shared (per-shard identical) catalog.
 func (c *Coordinator) Catalog() *catalog.Catalog { return c.cat }
@@ -250,8 +257,14 @@ func (c *Coordinator) TxnStats() htap.TxnStats {
 // Route analyzes a SELECT and decides where it runs: a shard number when
 // every partitioned table it touches pins (via an equality predicate on
 // its partition key) to the same shard, or -1 when the statement must
-// scatter. The DistDecision is returned so a scatter can reuse it.
+// scatter. The DistDecision is returned so a scatter can reuse it. A
+// one-shard fleet pins every statement to shard 0 without parsing it (and
+// returns no decision): the single-system hot path pays nothing for
+// routing.
 func (c *Coordinator) Route(sql string) (int, *optimizer.DistDecision, error) {
+	if len(c.shards) == 1 {
+		return 0, nil, nil
+	}
 	sel, err := sqlparser.Parse(sql)
 	if err != nil {
 		return 0, nil, err
@@ -287,20 +300,18 @@ func (c *Coordinator) RunOn(i int, sql string) (*htap.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.met.shardQueries[i].Add(1)
-	c.met.routedQueries.Add(1)
-	c.met.scatterFanout.Add(1) // routed queries touch exactly one shard
+	c.NoteRouted(i)
 	return res, nil
 }
 
 // NoteRouted records the routing counters for a single-shard SELECT whose
-// execution ran outside the coordinator (the gateway plans and executes
-// routed queries itself so they flow through its engine picker and
-// calibrator; only the bookkeeping lands here).
+// execution ran outside the coordinator (the gateway plans, caches and
+// executes pinned queries itself so they flow through its plan cache,
+// engine picker and calibrator; only the bookkeeping lands here).
 func (c *Coordinator) NoteRouted(i int) {
 	c.met.shardQueries[i].Add(1)
 	c.met.routedQueries.Add(1)
-	c.met.scatterFanout.Add(1)
+	c.met.scatterFanout.Add(1) // routed queries touch exactly one shard
 }
 
 // QueryResult is the outcome of a coordinator-routed SELECT.
@@ -464,12 +475,38 @@ func (sc *Scatter) LimitWorkers(granted int) {
 	}
 }
 
+// Explain renders the prepared scatter for a plain EXPLAIN: a gather leaf
+// naming the shard count over the fragment every shard runs (fragment
+// plans differ across shards only in their cardinalities; shard 0's is
+// shown).
+func (sc *Scatter) Explain() *plan.Node {
+	frag := sc.frags[0].Frag.Explain
+	return &plan.Node{Op: plan.OpTableScan, Engine: plan.AP, Cost: frag.Cost, Rows: frag.Rows,
+		Relation: fmt.Sprintf("gather (%d shards)", len(sc.frags)), Children: []*plan.Node{frag}}
+}
+
 // Run executes the scatter: one goroutine per shard drains its fragment
 // and feeds a Gather exchange; the coordinator drains the final stage
 // (merge aggregate, global sort/limit, projection) on top of the gather.
 func (sc *Scatter) Run() ([]value.Row, exec.Stats, error) {
+	rows, stats, _, err := sc.run(false)
+	return rows, stats, err
+}
+
+// RunAnalyzed is Run under EXPLAIN ANALYZE instrumentation: the returned
+// profile is the final stage's operator tree down to its Gather leaf,
+// whose children are the measured fragment trees, one per shard.
+func (sc *Scatter) RunAnalyzed() ([]value.Row, exec.Stats, *exec.OpStats, error) {
+	return sc.run(true)
+}
+
+func (sc *Scatter) run(analyze bool) ([]value.Row, exec.Stats, *exec.OpStats, error) {
 	n := len(sc.frags)
 	total := sc.moveStats
+	var fragProfs []*exec.OpStats
+	if analyze {
+		fragProfs = make([]*exec.OpStats, n)
+	}
 
 	g := exec.NewGather(sc.frags[0].FragSchema, n)
 	prods := g.Producers()
@@ -481,7 +518,13 @@ func (sc *Scatter) Run() ([]value.Row, exec.Stats, error) {
 			defer wg.Done()
 			ctx := exec.NewContext()
 			ctx.DOP = sc.frags[i].Frag.DOP
-			rows, err := sc.frags[i].Frag.Execute(ctx)
+			var rows []value.Row
+			var err error
+			if analyze {
+				rows, fragProfs[i], err = sc.frags[i].Frag.ExecuteAnalyzed(ctx)
+			} else {
+				rows, err = sc.frags[i].Frag.Execute(ctx)
+			}
 			mu.Lock()
 			total.Add(ctx.Stats)
 			mu.Unlock()
@@ -507,7 +550,11 @@ func (sc *Scatter) Run() ([]value.Row, exec.Stats, error) {
 	if err != nil {
 		_ = g.Close() // unblocks any producers still sending
 		wg.Wait()
-		return nil, total, err
+		return nil, total, nil, err
+	}
+	var finalProf *exec.OpProfile
+	if analyze {
+		final, finalProf = exec.Instrument(final)
 	}
 	fctx := exec.NewContext()
 	rows, err := exec.DrainOnce(final, fctx)
@@ -525,7 +572,21 @@ func (sc *Scatter) Run() ([]value.Row, exec.Stats, error) {
 	c.met.exchangeBatches.Add(total.ExchangeBatches)
 	c.met.exchangeRows.Add(total.ExchangeRows)
 	if err != nil {
-		return nil, total, err
+		return nil, total, nil, err
 	}
-	return rows, total, nil
+	if !analyze {
+		return rows, total, nil, nil
+	}
+	// the final stage is a chain (every operator has one input) ending at
+	// the Gather: hang the per-shard fragment trees under that leaf
+	prof := finalProf.Snapshot()
+	gather := prof
+	for len(gather.Children) > 0 {
+		gather = gather.Children[0]
+	}
+	for i, fp := range fragProfs {
+		fp.Name = fmt.Sprintf("shard %d: %s", i, fp.Name)
+		gather.Children = append(gather.Children, fp)
+	}
+	return rows, total, prof, nil
 }

@@ -150,25 +150,43 @@ func TestShardDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, q := range diffQueries {
+						want := referenceRows(t, ref, q.sql)
+						check := func(path string, got []value.Row) {
+							t.Helper()
+							if q.ordered {
+								g, w := renderRows(got), renderRows(want)
+								if len(g) != len(w) {
+									t.Fatalf("round %d %s %q: %d rows, want %d", round, path, q.sql, len(g), len(w))
+								}
+								for i := range g {
+									if g[i] != w[i] {
+										t.Fatalf("round %d %s %q: row %d = %s, want %s", round, path, q.sql, i, g[i], w[i])
+									}
+								}
+							} else if !sameMultiset(got, want) {
+								t.Fatalf("round %d %s %q: sharded result diverges (%d vs %d rows)",
+									round, path, q.sql, len(got), len(want))
+							}
+						}
 						got, err := c.Query(q.sql)
 						if err != nil {
 							t.Fatalf("round %d Query(%q): %v", round, q.sql, err)
 						}
-						want := referenceRows(t, ref, q.sql)
-						if q.ordered {
-							g, w := renderRows(got.Rows), renderRows(want)
-							if len(g) != len(w) {
-								t.Fatalf("round %d %q: %d rows, want %d", round, q.sql, len(g), len(w))
-							}
-							for i := range g {
-								if g[i] != w[i] {
-									t.Fatalf("round %d %q: row %d = %s, want %s", round, q.sql, i, g[i], w[i])
-								}
-							}
-						} else if !sameMultiset(got.Rows, want) {
-							t.Fatalf("round %d %q: sharded result diverges (%d vs %d rows)",
-								round, q.sql, len(got.Rows), len(want))
+						check("Query", got.Rows)
+						if shards > 1 {
+							continue
 						}
+						// Route pins everything on a one-shard fleet, so the
+						// one-fragment scatter is driven directly
+						sc, err := c.PrepareScatter(q.sql, nil)
+						if err != nil {
+							t.Fatalf("round %d PrepareScatter(%q): %v", round, q.sql, err)
+						}
+						rows, _, err := sc.Run()
+						if err != nil {
+							t.Fatalf("round %d scatter Run(%q): %v", round, q.sql, err)
+						}
+						check("scatter", rows)
 					}
 				}
 			})

@@ -8,6 +8,7 @@ import (
 
 	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
+	"htapxplain/internal/obs"
 	"htapxplain/internal/optimizer"
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/value"
@@ -59,6 +60,11 @@ func (tx *Txn) Exec(sql string) (*htap.DMLResult, error) {
 func (tx *Txn) ExecStmt(stmt sqlparser.Statement) (*htap.DMLResult, error) {
 	if tx.done {
 		return nil, errTxnDone
+	}
+	if len(tx.c.shards) == 1 {
+		// nothing to route: the one shard owns every key, so the statement
+		// runs (and fails) exactly as it would on the bare system
+		return tx.shardTxn(0).ExecStmt(stmt)
 	}
 	switch x := stmt.(type) {
 	case *sqlparser.Insert:
@@ -231,9 +237,13 @@ func (tx *Txn) Rollback() {
 	}
 }
 
-// Commit finishes the transaction. A single participant commits through
-// its shard's ordinary pipeline — the PR 8 fast path, untouched by
-// sharding. Multiple participants commit in two phases under the
+// Commit finishes the transaction. See CommitTraced.
+func (tx *Txn) Commit() (*TxnResult, error) { return tx.CommitTraced(nil) }
+
+// CommitTraced finishes the transaction, recording every participant's
+// apply, wal_append and wal_fsync_wait spans into t (a nil trace records
+// nothing). A single participant commits through its shard's ordinary
+// pipeline — the PR 8 fast path, untouched by sharding. Multiple participants commit in two phases under the
 // coordinator's commit lock: every shard Prepares (conflict check, shard
 // write lock acquired) in ascending shard order, then — once all have
 // prepared — a coordinator LSN is drawn and every shard Publishes
@@ -241,7 +251,7 @@ func (tx *Txn) Rollback() {
 // every participant before any effect becomes visible, so cross-shard
 // atomicity holds with respect to conflicts; durability waits run after
 // the lock is released, exactly like the single-shard group commit.
-func (tx *Txn) Commit() (*TxnResult, error) {
+func (tx *Txn) CommitTraced(t *obs.QueryTrace) (*TxnResult, error) {
 	if tx.done {
 		return nil, errTxnDone
 	}
@@ -257,7 +267,7 @@ func (tx *Txn) Commit() (*TxnResult, error) {
 		return &TxnResult{}, nil
 	case 1:
 		s := parts[0]
-		r, err := tx.txs[s].Commit()
+		r, err := tx.txs[s].CommitTraced(t)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +277,7 @@ func (tx *Txn) Commit() (*TxnResult, error) {
 	c.commitMu.Lock()
 	prepared := make([]*htap.Prepared, 0, len(parts))
 	for _, s := range parts {
-		p, err := tx.txs[s].Prepare(nil)
+		p, err := tx.txs[s].Prepare(t)
 		if err != nil {
 			for _, pp := range prepared {
 				pp.Abort()
@@ -319,7 +329,15 @@ func (tx *Txn) Commit() (*TxnResult, error) {
 // ExecDML runs one DML statement as an autocommit distributed
 // transaction and records per-shard query counters.
 func (c *Coordinator) ExecDML(sql string) (*htap.DMLResult, error) {
+	return c.ExecDMLTraced(sql, nil)
+}
+
+// ExecDMLTraced is ExecDML with the parse and commit-pipeline spans
+// recorded into t.
+func (c *Coordinator) ExecDMLTraced(sql string, t *obs.QueryTrace) (*htap.DMLResult, error) {
+	sp := t.Begin("parse")
 	stmt, err := sqlparser.ParseStatement(sql)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +347,7 @@ func (c *Coordinator) ExecDML(sql string) (*htap.DMLResult, error) {
 		tx.Rollback()
 		return nil, err
 	}
-	txr, err := tx.Commit()
+	txr, err := tx.CommitTraced(t)
 	if err != nil {
 		return nil, err
 	}
