@@ -365,22 +365,6 @@ func BenchmarkGateway_PlanPerQuery(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkGateway_ClosedLoop measures end-to-end closed-loop serving
-// (8 clients through queue + worker pool) with the learned router.
-func BenchmarkGateway_ClosedLoop(b *testing.B) {
-	env := benchEnv(b)
-	g := gateway.New(env.Sys, gateway.Config{
-		Workers: 4, QueueDepth: 64, CacheCapacity: 256,
-		Policy: gateway.LearnedPolicy{Router: env.Router},
-	})
-	defer g.Stop()
-	b.ResetTimer()
-	rep := gateway.RunLoad(g, gateway.LoadConfig{Clients: 8, Queries: b.N, Distinct: 24, Seed: 42})
-	b.ReportMetric(rep.Throughput, "queries/s")
-	b.ReportMetric(100*rep.Gateway.CacheHitRate, "cache-hit-%")
-	b.ReportMetric(100*rep.Gateway.RouteAccuracy, "route-acc-%")
-}
-
 // gatewayPointJoinPool generates the plan-dominated point-join slice of
 // the seeded workload (customer ⋈ their orders by random customer key) —
 // the same pool internal/gateway's TestWarmCacheSpeedup enforces the

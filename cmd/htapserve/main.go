@@ -15,12 +15,12 @@
 //	htapserve -shards 4 -data-dir d        # per-shard WAL + checkpoints under
 //	                                         d/shard-0 .. d/shard-3
 //	htapserve -data-dir d -fsync-interval 5ms -checkpoint-interval 10s
-//	htapserve -addr :9090 -policy learned  # train the tree-CNN router first
+//	htapserve -addr :9090 -policy learned  # route with the tree-CNN router
 //	htapserve -policy rule -workers 16 -queue 256
-//	htapserve -load -clients 16 -queries 2000 -distinct 50
-//	htapserve -load -write-frac 0.2          # mixed read/write HTAP load
-//	htapserve -load -write-frac 0.4 -txn-frac 0.5   # + BEGIN..COMMIT blocks
-//	htapserve -load -explain-frac 0.1        # 10% of reads ask for explanations
+//
+// The server generates no load of its own; `go run ./bench --workload
+// htap_mixed --seed 7 --seconds 16 --trace 0` drives the same stack over a
+// socket and checks every reply.
 //
 // Endpoints:
 //
@@ -41,21 +41,19 @@
 //	                                         -slow-query-ms)
 //	GET  /healthz                          → liveness
 //
-// With -explain (default on) the server bootstraps the explanation
-// service: a tree-CNN router and a curated RAG knowledge base (restored
-// from -data-dir when present), served lock-free through an HNSW
-// snapshot index. A background loop watches a sliding window of served
+// With -explain (default on) the server serves the explanation service:
+// a tree-CNN router and a curated RAG knowledge base (restored from
+// -data-dir when present), served lock-free through an HNSW snapshot
+// index. A background loop watches a sliding window of served
 // explanations for router/calibration drift and, past -drift-threshold,
 // retrains the router online, atomically swaps it into the routing
-// policy, and re-curates + expires the knowledge base.
+// policy, and re-curates + expires the knowledge base. -policy learned
+// routes through that same router, bootstrapped the same way when
+// -explain is off.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: stop admitting,
 // drain in-flight queries, flush the WAL and write a clean-shutdown
 // checkpoint, so the next start replays nothing.
-//
-// With -load the binary skips HTTP entirely and drives its own gateway
-// with the closed-loop generator, printing the load report — a one-shot
-// benchmark of the serving stack.
 package main
 
 import (
@@ -63,6 +61,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -78,78 +78,123 @@ import (
 	"htapxplain/internal/obs"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/treecnn"
-	"htapxplain/internal/workload"
 )
 
+const (
+	// seed drives router training, KB curation and index construction.
+	seed = 7
+	// drainTimeout bounds the wait for in-flight HTTP requests on shutdown.
+	drainTimeout = 10 * time.Second
+	// driftCheckInterval is the explanation service's maintenance period.
+	driftCheckInterval = 2 * time.Second
+)
+
+// errUsage marks a command line the flag package rejected; it has already
+// printed the reason and the usage.
+var errUsage = errors.New("usage")
+
+// options holds the parsed command line.
+type options struct {
+	addr               string
+	workers, queue     int
+	policy             string
+	shards             int
+	dataDir            string
+	fsyncInterval      time.Duration
+	fsyncBytes         int
+	walSegmentBytes    int64
+	checkpointInterval time.Duration
+	traceSample        float64
+	slowQueryMS        int
+	observedEvery      int
+	explain            bool
+	driftThreshold     float64
+}
+
+// newFlagSet registers every flag htapserve has; README's flag table
+// lists the same set (TestFlagSurface).
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("htapserve", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 8x workers)")
+	fs.StringVar(&o.policy, "policy", "cost", "routing policy: rule, cost or learned")
+	fs.IntVar(&o.shards, "shards", 1, "hash-partitioned in-process shards (1 = single system; >1 serves distributed reads and routed writes)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "data directory for the WAL + checkpoints (empty = volatile; sharded fleets keep per-shard subdirectories)")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 0, "group-commit fsync window (0 = default 2ms)")
+	fs.IntVar(&o.fsyncBytes, "fsync-bytes", 0, "force an fsync once this many bytes are buffered (0 = default 256KiB)")
+	fs.Int64Var(&o.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 4MiB)")
+	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 0, "background checkpoint period (0 = default 30s)")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of queries traced into span trees (0 disables, 1 traces all)")
+	fs.IntVar(&o.slowQueryMS, "slow-query-ms", 0, "log the span tree of queries at least this slow (0 disables; forces trace-sample 1)")
+	fs.IntVar(&o.observedEvery, "observed-every", 0, "dual-execute every Nth cache-miss SELECT for router_observed_accuracy (0 disables)")
+	fs.BoolVar(&o.explain, "explain", true, "enable the online explanation service (/explain, /whyslow, drift-driven retraining)")
+	fs.Float64Var(&o.driftThreshold, "drift-threshold", 0.85, "explanation service: router agreement below this triggers an online retrain")
+	return fs
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "admission queue depth (0 = 8x workers)")
-		cacheCap  = flag.Int("cache-capacity", 1024, "plan cache capacity in templates (0 disables)")
-		shards    = flag.Int("cache-shards", 8, "plan cache shard count")
-		policy    = flag.String("policy", "cost", "routing policy: rule, cost or learned")
-		trainN    = flag.Int("train-queries", 160, "learned policy: training workload size")
-		epochs    = flag.Int("train-epochs", 60, "learned policy: training epochs")
-		load      = flag.Bool("load", false, "run the closed-loop load generator instead of serving HTTP")
-		clients   = flag.Int("clients", 8, "load mode: concurrent closed-loop clients")
-		queries   = flag.Int("queries", 1000, "load mode: total queries to issue")
-		distinct  = flag.Int("distinct", 50, "load mode: distinct query pool size")
-		testMix   = flag.Bool("test-mix", false, "load mode: include rare out-of-KB query shapes")
-		writeFrac = flag.Float64("write-frac", 0, "load mode: fraction of submissions that are DML (0..1)")
-		txnFrac   = flag.Float64("txn-frac", 0, "load mode: fraction of the DML submissions that are multi-statement BEGIN blocks (0..1)")
-		seed      = flag.Int64("seed", 7, "workload / training seed")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	switch {
+	case err == nil:
+		fmt.Println("htapserve: clean shutdown complete")
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "htapserve:", err)
+		os.Exit(1)
+	}
+}
 
-		traceRate   = flag.Float64("trace-sample", 0, "fraction of queries traced into span trees (0 disables, 1 traces all)")
-		traceRing   = flag.Int("trace-ring", 256, "trace ring-buffer capacity served at /debug/traces")
-		slowQueryMS = flag.Int("slow-query-ms", 0, "log the span tree of queries at least this slow (0 disables; forces trace-sample 1)")
-		obsEvery    = flag.Int("observed-every", 0, "dual-execute every Nth cache-miss SELECT for router_observed_accuracy (0 disables)")
-
-		explainOn  = flag.Bool("explain", true, "enable the online explanation service (/explain, /whyslow, drift-driven retraining)")
-		explainFr  = flag.Float64("explain-frac", 0, "load mode: fraction of read submissions served as explanations (0..1)")
-		explainTrN = flag.Int("explain-train", 80, "explanation service: bootstrap training workload size")
-		explainEp  = flag.Int("explain-epochs", 40, "explanation service: bootstrap + online retrain epochs")
-		explainKB  = flag.Int("explain-kb", 20, "explanation service: curated knowledge-base target size")
-		explainK   = flag.Int("explain-k", 2, "explanation service: retrieved similar plan pairs per explanation")
-		driftWin   = flag.Int("drift-window", 128, "explanation service: sliding drift window capacity")
-		driftThr   = flag.Float64("drift-threshold", 0.85, "explanation service: router agreement below this triggers an online retrain")
-		driftIvl   = flag.Duration("drift-interval", 2*time.Second, "explanation service: background drift-check period (0 disables the loop)")
-
-		nShards = flag.Int("shards", 1, "hash-partitioned in-process shards (1 = single system; >1 serves distributed reads and routed writes)")
-
-		dataDir   = flag.String("data-dir", "", "data directory for the WAL + checkpoints (empty = volatile; sharded fleets keep per-shard subdirectories)")
-		fsyncIvl  = flag.Duration("fsync-interval", 0, "group-commit fsync window (0 = default 2ms)")
-		fsyncKB   = flag.Int("fsync-bytes", 0, "force an fsync once this many bytes are buffered (0 = default 256KiB)")
-		segBytes  = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 4MiB)")
-		ckptIvl   = flag.Duration("checkpoint-interval", 0, "background checkpoint period (0 = default 30s)")
-		drainWait = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: max wait for in-flight HTTP requests")
-	)
-	flag.Parse()
+// run serves until ctx is cancelled, then shuts down gracefully: it stops
+// admitting, drains in-flight requests, persists the router and knowledge
+// base, and closes the fleet (per-shard WAL flush + clean-shutdown
+// checkpoint). Progress lines go to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
+	var o options
+	if perr := newFlagSet(&o).Parse(args); perr != nil {
+		return fmt.Errorf("%w: %w", errUsage, perr)
+	}
+	// liveRouter is the router the learned policy routes through and the
+	// explanation service swaps on a retrain.
+	var liveRouter atomic.Pointer[treecnn.Router]
+	gcfg := gateway.DefaultConfig()
+	gcfg.Workers, gcfg.QueueDepth, gcfg.ObservedEvery = o.workers, o.queue, o.observedEvery
+	switch o.policy {
+	case "rule":
+		gcfg.Policy = gateway.RulePolicy{}
+	case "cost":
+		gcfg.Policy = gateway.CostPolicy{}
+	case "learned":
+		gcfg.Policy = gateway.LearnedPolicy{Source: liveRouter.Load}
+	default:
+		return fmt.Errorf("unknown policy %q (want rule, cost or learned)", o.policy)
+	}
 
 	cfg := htap.DefaultConfig()
 	cfg.Durability = htap.DurabilityConfig{
-		Dir:                *dataDir,
-		SyncInterval:       *fsyncIvl,
-		SyncBytes:          *fsyncKB,
-		SegmentBytes:       *segBytes,
-		CheckpointInterval: *ckptIvl,
+		Dir:                o.dataDir,
+		SyncInterval:       o.fsyncInterval,
+		SyncBytes:          o.fsyncBytes,
+		SegmentBytes:       o.walSegmentBytes,
+		CheckpointInterval: o.checkpointInterval,
 	}
-	if *dataDir != "" {
-		fmt.Printf("opening %d-shard HTAP fleet from %s (per-shard recovery) ...\n", *nShards, *dataDir)
+	if o.dataDir != "" {
+		fmt.Fprintf(stdout, "opening %d-shard HTAP fleet from %s (per-shard recovery) ...\n", o.shards, o.dataDir)
 	} else {
-		fmt.Printf("building %d-shard HTAP fleet (hash-partitioned, both engines per shard) ...\n", *nShards)
+		fmt.Fprintf(stdout, "building %d-shard HTAP fleet (hash-partitioned, both engines per shard) ...\n", o.shards)
 	}
 	// The server always holds a coordinator; only the on-disk layout tells
 	// a single system from a fleet. One shard keeps its WAL + checkpoints
 	// directly under dataDir; a fleet's coordinator owns the per-shard
 	// layout dataDir/shard-<i>.
-	var (
-		coord *shard.Coordinator
-		err   error
-	)
-	if *nShards > 1 {
+	var coord *shard.Coordinator
+	if o.shards > 1 {
 		cfg.Durability.Dir = ""
-		coord, err = shard.New(*nShards, cfg, shard.Options{Dir: *dataDir})
+		coord, err = shard.New(o.shards, cfg, shard.Options{Dir: o.dataDir})
 	} else {
 		var one *htap.System
 		if one, err = htap.New(cfg); err == nil {
@@ -157,192 +202,89 @@ func main() {
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer coord.Close()
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		for i := 0; i < coord.NumShards(); i++ {
-			fmt.Printf("recovery shard %d: %v\n", i, coord.Shard(i).Recovery())
+			fmt.Fprintf(stdout, "recovery shard %d: %v\n", i, coord.Shard(i).Recovery())
 		}
 	}
-	// the explanation service and policy training still read one system
+	// the explanation service and router training still read one system
 	sys := coord.Shard(0)
-	// Bootstrap the explanation service's router + KB before the gateway
-	// so the learned routing policy can be backed by the same router the
+
+	// One way a serving router is trained: explainsvc.Bootstrap, before the
+	// gateway, so the learned policy is backed by the router the
 	// maintenance loop retrains and swaps.
-	var (
-		expRouter  *treecnn.Router
-		expKB      *knowledge.Base
-		expDir     string
-		liveRouter atomic.Pointer[treecnn.Router]
-	)
-	if *explainOn {
-		if *dataDir != "" {
-			expDir = filepath.Join(*dataDir, "explain")
-		}
-		r, kb, restored, err := explainsvc.Bootstrap(sys, explainsvc.BootstrapConfig{
-			TrainQueries: *explainTrN, Epochs: *explainEp, KBSize: *explainKB,
-			Seed: *seed, Dir: expDir,
-		})
+	var expDir string
+	if o.dataDir != "" {
+		expDir = filepath.Join(o.dataDir, "explain")
+	}
+	var bootRouter *treecnn.Router
+	var bootKB *knowledge.Base
+	if o.explain || o.policy == "learned" {
+		var restored bool
+		bootRouter, bootKB, restored, err = explainsvc.Bootstrap(sys, explainsvc.BootstrapConfig{Seed: seed, Dir: expDir})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if restored {
-			fmt.Printf("explanation service: restored router + %d KB entries from %s\n", kb.Len(), expDir)
+			fmt.Fprintf(stdout, "restored router + %d KB entries from %s\n", bootKB.Len(), expDir)
 		} else {
-			fmt.Printf("explanation service: trained router on %d queries, curated %d KB entries\n", *explainTrN, kb.Len())
+			fmt.Fprintf(stdout, "trained router, curated %d KB entries\n", bootKB.Len())
 		}
-		expRouter, expKB = r, kb
-		liveRouter.Store(r)
+		liveRouter.Store(bootRouter)
 	}
 
-	var pol gateway.RoutingPolicy
-	if *policy == "learned" && expRouter != nil {
-		// the explanation service owns the router lifecycle: route every
-		// query through whatever it most recently swapped in
-		fmt.Println("learned routing backed by the explanation service's live router")
-		pol = gateway.DynamicLearnedPolicy{Source: liveRouter.Load}
-	} else {
-		pol, err = buildPolicy(sys, *policy, *trainN, *epochs, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	tracer := obs.NewTracer(obs.TracerConfig{
-		SampleRate: *traceRate,
-		RingSize:   *traceRing,
-		SlowQuery:  time.Duration(*slowQueryMS) * time.Millisecond,
+	gcfg.Tracer = obs.NewTracer(obs.TracerConfig{
+		SampleRate: o.traceSample,
+		SlowQuery:  time.Duration(o.slowQueryMS) * time.Millisecond,
 		SlowLogf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "htapserve: "+format+"\n", args...)
 		},
 	})
-	gcfg := gateway.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheCapacity: *cacheCap,
-		CacheShards:   *shards,
-		Policy:        pol,
-		Tracer:        tracer,
-		ObservedEvery: *obsEvery,
-	}
 	g := gateway.NewSharded(coord, gcfg)
 	defer g.Stop()
-
-	var svc *explainsvc.Service
-	if *explainOn {
-		svc, err = explainsvc.New(sys, g, expRouter, expKB, explainsvc.Config{
-			K: *explainK, Seed: *seed,
-			Window: *driftWin, DriftThreshold: *driftThr,
-			RetrainEpochs: *explainEp, CheckInterval: *driftIvl,
-			Dir:    expDir,
-			OnSwap: func(r *treecnn.Router) { liveRouter.Store(r) },
+	mux := gateway.NewServeMux(g)
+	if o.explain {
+		var svc *explainsvc.Service
+		svc, err = explainsvc.New(sys, g, bootRouter, bootKB, explainsvc.Config{
+			Seed:           seed,
+			DriftThreshold: o.driftThreshold,
+			CheckInterval:  driftCheckInterval,
+			Dir:            expDir,
+			OnSwap:         liveRouter.Store,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer svc.Close()
-	}
-
-	if *load {
-		fmt.Printf("closed-loop load: %d clients, %d queries over %d distinct templates (write fraction %.2f, txn fraction %.2f, explain fraction %.2f)\n",
-			*clients, *queries, *distinct, *writeFrac, *txnFrac, *explainFr)
-		lc := gateway.LoadConfig{
-			Clients:       *clients,
-			Queries:       *queries,
-			Distinct:      *distinct,
-			Seed:          *seed,
-			TestMix:       *testMix,
-			WriteFraction: *writeFrac,
-			TxnFraction:   *txnFrac,
-		}
-		if svc != nil && *explainFr > 0 {
-			lc.ExplainFraction = *explainFr
-			lc.Explain = func(sql string) error { _, err := svc.Explain(sql); return err }
-		}
-		rep := gateway.RunLoad(g, lc)
-		fmt.Println(rep)
-		if *writeFrac > 0 {
-			if err := coord.WaitFresh(5 * time.Second); err != nil {
-				fatal(err)
+		// stops the maintenance loop and persists router + KB state
+		defer func() {
+			if cerr := svc.Close(); err == nil {
+				err = cerr
 			}
-			m := g.Metrics()
-			fmt.Printf("replication: fleet watermark %d = commit LSN %d (fully fresh) across %d shards, %d merges (%d rows) so far\n",
-				m.Watermark, m.CommitLSN, coord.NumShards(), m.Merges, m.RowsMerged)
-			if m.DurabilityOn {
-				fmt.Printf("durability: %d appends / %d fsyncs (max group %d), durable LSN %d, %d checkpoints\n",
-					m.WALAppends, m.WALSyncs, m.WALMaxGroup, m.WALDurableLSN, m.Checkpoints)
-			}
-		}
-		return
-	}
-
-	fmt.Printf("htapserve: %s routing, listening on %s\n", pol.Name(), *addr)
-	mux := gateway.NewServeMux(g)
-	if svc != nil {
+		}()
 		explainsvc.Register(mux, svc)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
 
-	// graceful shutdown: SIGINT/SIGTERM stops admission, drains in-flight
-	// requests, and Close (deferred) flushes the WAL and writes the
-	// clean-shutdown checkpoint
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "htapserve: %s routing, listening on %s\n", gcfg.Policy.Name(), ln.Addr())
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
-	case <-sigCtx.Done():
-		fmt.Println("\nhtapserve: signal received, draining ...")
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "htapserve: drain:", err)
-		}
-		if svc != nil {
-			svc.Close() // stop the maintenance loop + persist router/KB state
-		}
-		g.Stop()
-		coord.Close() // per-shard WAL flush + clean-shutdown checkpoints (idempotent with the defer)
-		fmt.Println("htapserve: clean shutdown complete")
+		return err
+	case <-ctx.Done():
 	}
-}
-
-// buildPolicy resolves the -policy flag; "learned" labels a seeded
-// workload with the modeled winner and trains the tree-CNN router first.
-func buildPolicy(sys *htap.System, name string, trainN, epochs int, seed int64) (gateway.RoutingPolicy, error) {
-	switch name {
-	case "rule":
-		return gateway.RulePolicy{}, nil
-	case "cost":
-		return gateway.CostPolicy{}, nil
-	case "learned":
-		fmt.Printf("labeling %d queries and training the smart router ...\n", trainN)
-		var samples []treecnn.Sample
-		for _, q := range workload.NewGenerator(seed).Batch(trainN) {
-			res, err := sys.Run(q.SQL)
-			if err != nil {
-				return nil, fmt.Errorf("labeling %q: %w", q.SQL, err)
-			}
-			samples = append(samples, treecnn.Sample{Pair: &res.Pair, Label: res.Winner})
-		}
-		r := treecnn.New(seed)
-		rep := r.Train(samples, epochs, seed+1)
-		fmt.Printf("router trained: %.0f%% train accuracy (%d params)\n", 100*rep.TrainAcc, r.NumParams())
-		return gateway.LearnedPolicy{Router: r}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want rule, cost or learned)", name)
+	fmt.Fprintln(stdout, "\nhtapserve: signal received, draining ...")
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		fmt.Fprintln(os.Stderr, "htapserve: drain:", err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "htapserve:", err)
-	os.Exit(1)
+	return nil
 }

@@ -111,6 +111,9 @@ type WhySlowResponse struct {
 	Text        string   `json:"text"`
 }
 
+// maxBodyBytes bounds a request body, as the gateway bounds /query's.
+const maxBodyBytes = 1 << 20
+
 func readSQL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -119,7 +122,7 @@ func readSQL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req struct {
 		SQL string `json:"sql"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.SQL == "" {
 		http.Error(w, `body must be {"sql": "..."}`, http.StatusBadRequest)
 		return "", false
 	}

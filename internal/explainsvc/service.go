@@ -76,7 +76,7 @@ type Config struct {
 	// restarted server resumes with its learned state.
 	Dir string
 	// OnSwap, when non-nil, observes every router swap — the hook a
-	// DynamicLearnedPolicy source is kept current through.
+	// gateway.LearnedPolicy source is kept current through.
 	OnSwap func(*treecnn.Router)
 }
 

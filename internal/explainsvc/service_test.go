@@ -3,6 +3,7 @@ package explainsvc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -208,30 +209,71 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-func TestLoadGeneratorExplainMix(t *testing.T) {
+// TestOversizedBodyCostsOne4xx: a request body past the limit is refused
+// without being read to the end — a well-formed one, so only its size can
+// be the reason — and the next request on the same server is served.
+func TestOversizedBodyCostsOne4xx(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := newGateway(t, sys, 2)
+	svc := newService(t, sys, g, r, kb, Config{Seed: 1})
+	mux := gateway.NewServeMux(g)
+	Register(mux, svc)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	small := `{"sql": "SELECT COUNT(*) FROM region"}`
+	big := strings.TrimSuffix(small, "}") + strings.Repeat(" ", 2*maxBodyBytes) + "}"
+	for _, path := range []string{"/query", "/explain", "/whyslow"} {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{{big, http.StatusBadRequest}, {small, http.StatusOK}} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s with a %d-byte body: status %d, want %d", path, len(tc.body), resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
+// TestExplainFeedsRouteHistogram: explanations served beside ordinary
+// reads all succeed, and each one adds a sample to the gateway's
+// route="explain" latency histogram.
+func TestExplainFeedsRouteHistogram(t *testing.T) {
 	sys, r, kb := testEnv(t)
 	g := newGateway(t, sys, 4)
 	svc := newService(t, sys, g, r, kb, Config{Seed: 1})
 
-	rep := gateway.RunLoad(g, gateway.LoadConfig{
-		Clients: 4, Queries: 60, Distinct: 12, Seed: 5,
-		ExplainFraction: 0.25,
-		Explain: func(sql string) error {
-			_, err := svc.Explain(sql)
-			return err
-		},
-	})
-	if rep.Explains == 0 {
-		t.Fatalf("load run served no explains: %+v", rep)
+	pool := workload.NewGenerator(5).Batch(12)
+	const clients, perClient = 4, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				sql := pool[(c*perClient+i)%len(pool)].SQL
+				resp, err := g.Submit(sql)
+				if err == nil {
+					err = resp.Err
+				}
+				if err != nil {
+					t.Errorf("Submit: %v", err)
+				}
+				if _, err := svc.Explain(sql); err != nil {
+					t.Errorf("Explain: %v", err)
+				}
+			}
+		}(c)
 	}
-	if rl, ok := rep.PerRoute["explain"]; !ok || rl.Count != rep.Explains {
-		t.Errorf("explain route latency %+v, want count %d", rl, rep.Explains)
-	}
-	if rep.Failed > 0 {
-		t.Errorf("%d failed submissions", rep.Failed)
-	}
-	if !strings.Contains(rep.String(), "explain") {
-		t.Error("report string omits the explain route")
+	wg.Wait()
+	want := fmt.Sprintf(`htap_query_latency_seconds_count{route="explain"} %d`, clients*perClient)
+	if !strings.Contains(g.PromText(), want+"\n") {
+		t.Errorf("after %d explanations the exposition lacks %q", clients*perClient, want)
 	}
 }
 

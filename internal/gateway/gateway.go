@@ -533,9 +533,6 @@ func (g *Gateway) Metrics() Snapshot {
 // CacheLen returns the number of cached plan templates.
 func (g *Gateway) CacheLen() int { return g.cache.Len() }
 
-// Policy returns the active routing policy.
-func (g *Gateway) Policy() RoutingPolicy { return g.cfg.Policy }
-
 // Tracer returns the gateway's query tracer (nil when tracing is off).
 func (g *Gateway) Tracer() *obs.Tracer { return g.cfg.Tracer }
 

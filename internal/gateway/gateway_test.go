@@ -400,26 +400,3 @@ func TestServeMux(t *testing.T) {
 		t.Errorf("empty body status = %d, want 400", bad.StatusCode)
 	}
 }
-
-// TestRunLoad drives the closed-loop generator and sanity-checks the
-// report's accounting.
-func TestRunLoad(t *testing.T) {
-	sys := testSystem(t)
-	g := New(sys, Config{Workers: 4, QueueDepth: 64, CacheCapacity: 128})
-	defer g.Stop()
-
-	rep := RunLoad(g, LoadConfig{Clients: 8, Queries: 96, Distinct: 12, Seed: 3})
-	if rep.Completed+rep.Shed+rep.Failed != rep.Issued {
-		t.Errorf("accounting mismatch: %+v", rep)
-	}
-	if rep.Failed != 0 {
-		t.Errorf("failed = %d, want 0", rep.Failed)
-	}
-	if rep.Completed == 0 || rep.Throughput <= 0 {
-		t.Errorf("no progress: %+v", rep)
-	}
-	// 12 distinct templates × 96 queries: warm serving must dominate.
-	if rep.Gateway.CacheHitRate < 0.5 {
-		t.Errorf("hit rate %.2f, want ≥ 0.5", rep.Gateway.CacheHitRate)
-	}
-}

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -87,6 +85,19 @@ func (m *Metrics) routeHist(route string) *obs.Histogram {
 	default:
 		return &m.latDML
 	}
+}
+
+// routeOf classifies a served response into its route class. Explains
+// follow the engine the policy routed them to.
+func routeOf(resp *Response) string {
+	switch resp.Kind {
+	case "select", "explain", "explain_analyze":
+		if resp.Engine == plan.TP {
+			return "tp"
+		}
+		return "ap"
+	}
+	return "dml"
 }
 
 // execCounters aggregates the batch pipeline's work counters per route.
@@ -349,37 +360,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.P99 = lat.Quantile(0.99)
 	}
 	return s
-}
-
-// String renders the snapshot as a compact one-line summary for logs.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "served=%d shed=%d errs=%d", s.Total, s.Shed, s.Errors)
-	fmt.Fprintf(&b, " cache=%.0f%% (%d/%d/%d hit/tmpl/miss)",
-		100*s.CacheHitRate, s.CacheHits, s.CacheTemplateHits, s.CacheMisses)
-	fmt.Fprintf(&b, " routes=TP:%d,AP:%d acc=%.0f%%", s.RoutedTP, s.RoutedAP, 100*s.RouteAccuracy)
-	if w := s.WritesInsert + s.WritesUpdate + s.WritesDelete; w > 0 {
-		fmt.Fprintf(&b, " writes=%d (%d/%d/%d ins/upd/del, %d rows) staleness=%d lsns merges=%d",
-			w, s.WritesInsert, s.WritesUpdate, s.WritesDelete, s.RowsWritten,
-			s.StalenessLSNs, s.Merges)
-	}
-	if s.TxnBegun > 0 {
-		fmt.Fprintf(&b, " txns=%d (%d/%d/%d commit/abort/conflict)",
-			s.TxnBegun, s.TxnCommits, s.TxnAborts, s.TxnConflicts)
-	}
-	if s.DurabilityOn {
-		group := float64(0)
-		if s.WALSyncs > 0 {
-			group = float64(s.WALAppends) / float64(s.WALSyncs)
-		}
-		fmt.Fprintf(&b, " wal=%d appends/%d fsyncs (%.1f per fsync, max %d) durable_lsn=%d ckpts=%d@%d",
-			s.WALAppends, s.WALSyncs, group, s.WALMaxGroup, s.WALDurableLSN, s.Checkpoints, s.CheckpointLSN)
-	}
-	fmt.Fprintf(&b, " exec=TP(rows:%d,batches:%d),AP(rows:%d,batches:%d)",
-		s.ExecTP.RowsScanned, s.ExecTP.BatchesProduced,
-		s.ExecAP.RowsScanned, s.ExecAP.BatchesProduced)
-	fmt.Fprintf(&b, " morsels=%d zonemap=%d/%d pruned/scanned parallel=%d",
-		s.MorselsDispatched, s.ZonemapPruned, s.ZonemapScanned, s.ParallelQueries)
-	fmt.Fprintf(&b, " lat mean=%v p50=%v p95=%v p99=%v", s.MeanLatency, s.P50, s.P95, s.P99)
-	return b.String()
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"htapxplain/internal/plan"
@@ -82,15 +81,5 @@ func TestExecCountersExportedOverHTTP(t *testing.T) {
 	}
 	if snap.ExecTP.RowsScanned+snap.ExecAP.RowsScanned == 0 {
 		t.Errorf("no rows_scanned in exported metrics: %+v", snap)
-	}
-}
-
-// TestSnapshotStringMentionsExecWork: the one-line log rendering includes
-// the new counters.
-func TestSnapshotStringMentionsExecWork(t *testing.T) {
-	s := Snapshot{ExecAP: ExecSnapshot{RowsScanned: 5, ChunksSkipped: 2, BatchesProduced: 3}}
-	out := s.String()
-	if !strings.Contains(out, "exec=") {
-		t.Errorf("String() missing exec section: %q", out)
 	}
 }

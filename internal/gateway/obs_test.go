@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -511,5 +512,48 @@ func BenchmarkServeTraceOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadmeListsEveryMetricFamily: every family the Prometheus exposition
+// carries — on a durable, traced gateway that has served a read and a
+// write, so the conditional families are present — has a row in README's
+// Observability table.
+func TestReadmeListsEveryMetricFamily(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| metric | type | labels | meaning |")
+	if !ok {
+		t.Fatal("README has no exported-metrics table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+
+	g := New(durableSystem(t), Config{Workers: 1, CacheCapacity: 16,
+		Tracer: obs.NewTracer(obs.TracerConfig{SampleRate: 1})})
+	defer g.Stop()
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM orders`,
+		`INSERT INTO nation (n_nationkey, n_name, n_regionkey, n_comment) VALUES (92, 'listed', 0, 'row')`,
+	} {
+		if resp := g.Serve(sql); resp.Err != nil {
+			t.Fatalf("serve %q: %v", sql, resp.Err)
+		}
+	}
+	text := g.PromText()
+	for _, conditional := range []string{"htap_wal_appends_total", "htap_stage_latency_seconds", "htap_query_latency_quantile_seconds"} {
+		if !strings.Contains(text, "# HELP "+conditional+" ") {
+			t.Errorf("the exposition under test lacks the conditional family %s", conditional)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, "# HELP ")
+		if !ok {
+			continue
+		}
+		if name, _, _ := strings.Cut(rest, " "); !strings.Contains(table, "`"+name+"`") {
+			t.Errorf("README's Observability table has no row for %s", name)
+		}
 	}
 }

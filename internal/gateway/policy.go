@@ -75,11 +75,17 @@ func (RulePolicy) Route(in RouteInput) plan.Engine {
 
 // ---------------------------------------------------------------- learned
 
-// LearnedPolicy wraps the tree-CNN smart router: the trained classifier
-// over plan-pair embeddings predicts the faster engine. Router inference
-// is read-only over the model weights, so concurrent Route calls are safe.
+// LearnedPolicy routes with the tree-CNN smart router Source currently
+// returns: the trained classifier over plan-pair embeddings predicts the
+// faster engine. Source is the retrain-swap hook: the explanation
+// service's online maintenance loop atomically swaps in a freshly trained
+// router, and every subsequent route sees it — no gateway restart, no
+// lock; a fixed router is a closure returning it. Source must be safe for
+// concurrent use (typically an atomic pointer load) and must never return
+// nil. Router inference is read-only over the model weights, so
+// concurrent Route calls are safe.
 type LearnedPolicy struct {
-	Router *treecnn.Router
+	Source func() *treecnn.Router
 }
 
 // Name implements RoutingPolicy.
@@ -87,25 +93,6 @@ func (LearnedPolicy) Name() string { return "learned" }
 
 // Route implements RoutingPolicy.
 func (p LearnedPolicy) Route(in RouteInput) plan.Engine {
-	eng, _ := p.Router.Predict(in.Pair)
-	return eng
-}
-
-// DynamicLearnedPolicy routes with whatever router Source currently
-// returns. It is the retrain-swap hook: the explanation service's online
-// maintenance loop atomically swaps in a freshly trained router, and
-// every subsequent route sees it — no gateway restart, no lock. Source
-// must be safe for concurrent use (typically an atomic pointer load) and
-// must never return nil.
-type DynamicLearnedPolicy struct {
-	Source func() *treecnn.Router
-}
-
-// Name implements RoutingPolicy.
-func (DynamicLearnedPolicy) Name() string { return "learned" }
-
-// Route implements RoutingPolicy.
-func (p DynamicLearnedPolicy) Route(in RouteInput) plan.Engine {
 	eng, _ := p.Source().Predict(in.Pair)
 	return eng
 }

@@ -73,7 +73,7 @@ func TestRoutingPolicyAccuracy(t *testing.T) {
 	test := labelQueries(t, sys, workload.NewTestGenerator(999).Batch(80))
 	cost := accuracy(CostPolicy{}, test)
 	rule := accuracy(RulePolicy{}, test)
-	learned := accuracy(LearnedPolicy{Router: router}, test)
+	learned := accuracy(LearnedPolicy{Source: func() *treecnn.Router { return router }}, test)
 	t.Logf("route accuracy on 80 held-out queries: cost=%.2f rule=%.2f learned=%.2f", cost, rule, learned)
 
 	// Cost routing IS the ground-truth definition: exact by construction.

@@ -37,6 +37,10 @@ type QueryResponse struct {
 	Truncated    bool       `json:"truncated,omitempty"`
 }
 
+// maxBodyBytes bounds a request body: a statement is a few hundred bytes,
+// and an unbounded decode lets one client hold a server's memory.
+const maxBodyBytes = 1 << 20
+
 // maxRowsInReply bounds the rows echoed over HTTP; the full count is
 // always reported in row_count.
 const maxRowsInReply = 100
@@ -63,7 +67,7 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 			return
 		}
 		var req QueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.SQL == "" {
 			http.Error(w, `body must be {"sql": "..."}`, http.StatusBadRequest)
 			return
 		}

@@ -105,37 +105,3 @@ func TestGatewayTxnCountersExported(t *testing.T) {
 		t.Errorf("TxnCommits = %d, want 1", snap.TxnCommits)
 	}
 }
-
-// TestRunLoadWithTxnFraction drives a mixed read/write/transaction load:
-// concurrent clients submit BEGIN blocks (some of which conflict on hot
-// rows and retry) alongside autocommit DML and reads, and the run must
-// finish with no failures and a consistent outcome ledger.
-func TestRunLoadWithTxnFraction(t *testing.T) {
-	sys := writeSystem(t)
-	g := New(sys, Config{Workers: 4, QueueDepth: 64, CacheCapacity: 128})
-	defer g.Stop()
-	rep := RunLoad(g, LoadConfig{
-		Clients: 4, Queries: 120, Distinct: 12, Seed: 11,
-		WriteFraction: 0.4, TxnFraction: 0.5,
-	})
-	if rep.Failed != 0 {
-		t.Fatalf("txn load failed %d submissions:\n%v", rep.Failed, rep)
-	}
-	if rep.Writes == 0 {
-		t.Fatalf("no writes completed: %v", rep)
-	}
-	m := rep.Gateway
-	if m.TxnCommits == 0 {
-		t.Fatalf("no transactions committed: %+v", m)
-	}
-	if m.TxnBegun != m.TxnCommits+m.TxnAborts+m.TxnConflicts {
-		t.Errorf("outcome ledger inconsistent after quiesce: begun %d != %d+%d+%d",
-			m.TxnBegun, m.TxnCommits, m.TxnAborts, m.TxnConflicts)
-	}
-	if err := sys.WaitFresh(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Metrics().StalenessLSNs; got != 0 {
-		t.Errorf("staleness = %d after quiesce", got)
-	}
-}

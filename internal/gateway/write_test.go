@@ -3,13 +3,18 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"htapxplain/internal/htap"
+	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/workload"
 )
 
 // writeSystem builds a private system: gateways that serve DML must not
@@ -141,76 +146,134 @@ func TestWriteSurfaceOverHTTP(t *testing.T) {
 	}
 }
 
-func TestRunLoadMixedReadWrite(t *testing.T) {
-	sys := writeSystem(t)
-	g := New(sys, Config{Workers: 4, QueueDepth: 64, CacheCapacity: 128})
-	defer g.Stop()
-	rep := RunLoad(g, LoadConfig{
-		Clients: 4, Queries: 80, Distinct: 12, Seed: 11, WriteFraction: 0.25,
-	})
-	if rep.Failed != 0 {
-		t.Fatalf("mixed load failed %d submissions:\n%v", rep.Failed, rep)
+// mixedLoad submits n statements from 4 goroutines, each taking the next
+// unclaimed one. Statement i is a write when the running share i*dml
+// crosses an integer (so any fraction is met exactly), and a write is a
+// BEGIN block when its index crosses txn the same way; the rest cycle
+// over 12 generated reads. A statement that loses a first-writer-wins race
+// is resubmitted, as a transactional client would. It returns the
+// statements served without error, how many of them were writes, and the
+// DML statements those writes acknowledged (a committed block
+// acknowledges each of its statements, a rolled-back one none).
+func mixedLoad(t *testing.T, g *Gateway, n int, dml, txn float64) (served, writes, acked int64) {
+	t.Helper()
+	reads := workload.NewGenerator(11).Batch(12)
+	single, blocks := workload.NewDMLGenerator(11), workload.NewTxnGenerator(11)
+	stmts := make([]string, n)
+	w := 0
+	for i := range stmts {
+		if int(float64(i+1)*dml) == int(float64(i)*dml) {
+			stmts[i] = reads[i%len(reads)].SQL
+			continue
+		}
+		if int(float64(w+1)*txn) > int(float64(w)*txn) {
+			stmts[i] = blocks.Next().SQL
+		} else {
+			stmts[i] = single.Next().SQL
+		}
+		w++
 	}
-	if rep.Writes == 0 {
-		t.Fatalf("no writes completed: %v", rep)
+	var next, nServed, nWrites, nAcked atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				resp, err := g.Submit(stmts[i])
+				for try := 0; err == nil && errors.Is(resp.Err, htap.ErrConflict) && try < 50; try++ {
+					resp, err = g.Submit(stmts[i])
+				}
+				if err == nil {
+					err = resp.Err
+				}
+				if err != nil {
+					t.Errorf("statement %d (%s): %v", i, stmts[i], err)
+					continue
+				}
+				nServed.Add(1)
+				if resp.Kind != "select" {
+					nWrites.Add(1)
+				}
+				switch resp.Kind {
+				case "insert", "update", "delete":
+					nAcked.Add(1)
+				case "commit":
+					if script, err := sqlparser.ParseScript(stmts[i]); err == nil {
+						nAcked.Add(int64(len(script.Stmts)))
+					}
+				}
+			}
+		}()
 	}
-	if rep.Completed+rep.Shed != rep.Issued {
-		t.Errorf("accounting: completed %d + shed %d != issued %d",
-			rep.Completed, rep.Shed, rep.Issued)
-	}
-	m := rep.Gateway
-	if m.WritesInsert+m.WritesUpdate+m.WritesDelete != rep.Writes {
-		t.Errorf("metrics writes %d+%d+%d != report writes %d",
-			m.WritesInsert, m.WritesUpdate, m.WritesDelete, rep.Writes)
-	}
-	if err := sys.WaitFresh(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Metrics().StalenessLSNs; got != 0 {
-		t.Errorf("staleness = %d after quiesce", got)
-	}
+	wg.Wait()
+	return nServed.Load(), nWrites.Load(), nAcked.Load()
 }
 
-// TestRunLoadPerRouteLatency: the load report must break serve latency
-// down by route (TP / AP / DML) with sane quantiles, so DOP and admission
-// changes are observable from `htapserve -load`.
-func TestRunLoadPerRouteLatency(t *testing.T) {
-	sys := writeSystem(t)
-	g := New(sys, Config{Workers: 4, QueueDepth: 64, CacheCapacity: 128})
-	defer g.Stop()
-	rep := RunLoad(g, LoadConfig{
-		Clients: 4, Queries: 80, Distinct: 12, Seed: 11, WriteFraction: 0.25,
-	})
-	if rep.Failed != 0 {
-		t.Fatalf("load failed %d submissions:\n%v", rep.Failed, rep)
-	}
-	var total int64
-	for route, rl := range rep.PerRoute {
-		if rl.Count <= 0 {
-			t.Errorf("route %q has zero samples", route)
-		}
-		if rl.P50 <= 0 || rl.P99 < rl.P50 {
-			t.Errorf("route %q quantiles implausible: p50=%v p99=%v", route, rl.P50, rl.P99)
-		}
-		total += rl.Count
-	}
-	if total != rep.Completed {
-		t.Errorf("per-route samples %d != completed %d", total, rep.Completed)
-	}
-	if rl, ok := rep.PerRoute["dml"]; !ok || rl.Count != rep.Writes {
-		t.Errorf("dml route count = %+v, want %d writes", rl, rep.Writes)
-	}
-	// the seeded mix routes both engines; the report must show them apart
-	if _, ok := rep.PerRoute["tp"]; !ok {
-		t.Error("no TP route latency in report")
-	}
-	if _, ok := rep.PerRoute["ap"]; !ok {
-		t.Error("no AP route latency in report")
-	}
-	out := rep.String()
-	for _, want := range []string{"tp ", "ap ", "dml", "p50", "p99"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report rendering missing %q:\n%s", want, out)
-		}
+// TestMixedLoadLedger: under concurrent mixed traffic every statement is
+// served, and each of the gateway's ledgers — writes, transaction
+// outcomes, freshness, plan cache, per-route latency — adds up to what the
+// clients saw.
+func TestMixedLoadLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n        int
+		dml, txn float64
+	}{
+		{"read-only", 96, 0, 0},
+		{"25% DML", 80, 0.25, 0},
+		{"40% DML, half in blocks", 120, 0.4, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := testSystem(t)
+			if tc.dml > 0 {
+				sys = writeSystem(t)
+			}
+			g := New(sys, Config{Workers: 4, QueueDepth: 64, CacheCapacity: 128})
+			defer g.Stop()
+			served, writes, acked := mixedLoad(t, g, tc.n, tc.dml, tc.txn)
+			if served != int64(tc.n) {
+				t.Fatalf("served %d of %d statements", served, tc.n)
+			}
+			if (acked > 0) != (tc.dml > 0) {
+				t.Errorf("%d DML statements acknowledged at write fraction %.2f", acked, tc.dml)
+			}
+			m := g.Metrics()
+			if got := m.WritesInsert + m.WritesUpdate + m.WritesDelete; got != acked {
+				t.Errorf("writes_insert+update+delete = %d, clients had %d DML statements acknowledged", got, acked)
+			}
+			if m.TxnBegun != m.TxnCommits+m.TxnAborts+m.TxnConflicts {
+				t.Errorf("txn_begun %d != commits %d + aborts %d + conflicts %d after quiesce",
+					m.TxnBegun, m.TxnCommits, m.TxnAborts, m.TxnConflicts)
+			}
+			if tc.txn > 0 && m.TxnCommits == 0 {
+				t.Error("no transaction committed")
+			}
+			if tc.dml == 0 && m.CacheHitRate < 0.5 {
+				t.Errorf("cache_hit_rate %.2f over 12 templates, want >= 0.5", m.CacheHitRate)
+			}
+			// every successful serve lands in exactly one route histogram
+			// (a conflicted attempt in none), and the seeded reads use both
+			// engines
+			tp := g.metrics.latTP.Snapshot().Count
+			ap := g.metrics.latAP.Snapshot().Count
+			dmlServes := g.metrics.latDML.Snapshot().Count
+			if tp+ap+dmlServes != served || m.Total-m.Errors != served {
+				t.Errorf("route histograms tp %d + ap %d + dml %d, queries_total-errors %d; clients saw %d serves",
+					tp, ap, dmlServes, m.Total-m.Errors, served)
+			}
+			if dmlServes != writes {
+				t.Errorf("dml route has %d samples, clients had %d writes served", dmlServes, writes)
+			}
+			if tp == 0 || ap == 0 {
+				t.Errorf("route histograms tp %d, ap %d: the seeded reads route to both engines", tp, ap)
+			}
+			if err := sys.WaitFresh(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Metrics().StalenessLSNs; got != 0 {
+				t.Errorf("staleness_lsns = %d after WaitFresh", got)
+			}
+		})
 	}
 }
