@@ -1,7 +1,8 @@
 // Command htapserve runs the concurrent query-serving gateway over the
 // HTAP system as an HTTP service: SQL in, routed dual-engine execution
-// out, with a sharded plan cache, bounded worker pool, admission control
-// and live metrics. With -data-dir the system is durable: every commit is
+// out, with a sharded plan cache, admission control on one worker ledger
+// (a request is served on its connection's goroutine while it holds a
+// slot) and live metrics. With -data-dir the system is durable: every commit is
 // group-committed to a segmented WAL before it is acknowledged, periodic
 // checkpoints bound recovery replay, and a restart (clean or kill -9)
 // reopens to the last committed state.
@@ -116,8 +117,8 @@ type options struct {
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("htapserve", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 8x workers)")
+	fs.IntVar(&o.workers, "workers", 0, "worker ledger slots: concurrent serves + the extra workers of parallel plans (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 0, "callers allowed to wait for a slot before the next is shed (0 = 8x workers)")
 	fs.StringVar(&o.policy, "policy", "cost", "routing policy: rule, cost or learned")
 	fs.IntVar(&o.shards, "shards", 1, "hash-partitioned in-process shards (1 = single system; >1 serves distributed reads and routed writes)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "data directory for the WAL + checkpoints (empty = volatile; sharded fleets keep per-shard subdirectories)")

@@ -303,9 +303,13 @@ func (o *outBuffer) appendSplit(b *Batch, pos, leftWidth int, tail value.Row) {
 		cols[c] = cols[c][:n+1]
 		cols[c][n] = b.Cols[c][pos]
 	}
-	for c, v := range tail {
+	// indexed, not `for c, v := range tail`: the range copy goes through a
+	// 40-byte stack temporary, and when that straddles a cache line — which
+	// depends on how deep the caller's stack is — the probe loop runs a
+	// third slower
+	for c := range tail {
 		cols[leftWidth+c] = cols[leftWidth+c][:n+1]
-		cols[leftWidth+c][n] = v
+		cols[leftWidth+c][n] = tail[c]
 	}
 	o.batch.Len = n + 1
 }

@@ -19,7 +19,7 @@ import (
 // and non-SELECT statements get 400.
 func Register(mux *http.ServeMux, svc *Service) {
 	mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
-		sql, ok := readSQL(w, r)
+		sql, ok := gateway.ReadSQL(w, r)
 		if !ok {
 			return
 		}
@@ -54,7 +54,7 @@ func Register(mux *http.ServeMux, svc *Service) {
 		})
 	})
 	mux.HandleFunc("/whyslow", func(w http.ResponseWriter, r *http.Request) {
-		sql, ok := readSQL(w, r)
+		sql, ok := gateway.ReadSQL(w, r)
 		if !ok {
 			return
 		}
@@ -109,24 +109,6 @@ type WhySlowResponse struct {
 	Bottlenecks []string `json:"bottlenecks"`
 	Advice      []string `json:"advice"`
 	Text        string   `json:"text"`
-}
-
-// maxBodyBytes bounds a request body, as the gateway bounds /query's.
-const maxBodyBytes = 1 << 20
-
-func readSQL(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return "", false
-	}
-	var req struct {
-		SQL string `json:"sql"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.SQL == "" {
-		http.Error(w, `body must be {"sql": "..."}`, http.StatusBadRequest)
-		return "", false
-	}
-	return req.SQL, true
 }
 
 func writeError(w http.ResponseWriter, err error) {

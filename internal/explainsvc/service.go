@@ -5,8 +5,9 @@
 //   - Serving: /explain and /whyslow answer from the gateway's cached
 //     plan pairs and the latency model's calibrated estimates — no query
 //     execution — with RAG retrieval going through the knowledge base's
-//     lock-free copy-on-write HNSW snapshot. Requests are admitted
-//     through the gateway's worker pool like any other route.
+//     lock-free copy-on-write HNSW snapshot. A request takes a slot of
+//     the gateway's worker ledger like any other route and is served on
+//     its caller's goroutine.
 //   - Feedback: every explanation records the live router's pick and the
 //     modeled latencies into a sliding window; the gateway's calibrator
 //     feeds observed serve latencies back so modeled costs track reality.
@@ -185,27 +186,19 @@ type Explanation struct {
 	// RouterPick is the live router's engine prediction for the pair,
 	// recorded into the drift window.
 	RouterPick plan.Engine
-	// ServeTime is the wall time inside the admitted task.
+	// ServeTime is the wall time of the serve, once admitted.
 	ServeTime time.Duration
 }
 
 // Explain answers "why did this query run the way it did" for a SELECT,
-// grounded in retrieved knowledge-base entries. The work runs admission-
-// controlled on a gateway worker slot; under overload it sheds with
-// gateway.ErrOverloaded like any other route.
+// grounded in retrieved knowledge-base entries. The work runs on the
+// caller's goroutine holding a slot of the gateway's worker ledger; under
+// overload it sheds with gateway.ErrOverloaded like any other route.
 func (s *Service) Explain(sql string) (*Explanation, error) {
-	var (
-		out *Explanation
-		err error
-	)
-	if serr := s.gw.SubmitTask(func() { out, err = s.explainServe(sql) }); serr != nil {
-		return nil, serr
+	if err := s.gw.Admit(); err != nil {
+		return nil, err
 	}
-	return out, err
-}
-
-// explainServe is the admitted body of Explain.
-func (s *Service) explainServe(sql string) (*Explanation, error) {
+	defer s.gw.Release()
 	start := time.Now()
 	res, entry, cached, err := s.modeledResult(sql)
 	if err != nil {
@@ -235,19 +228,13 @@ func (s *Service) explainServe(sql string) (*Explanation, error) {
 }
 
 // WhySlow diagnoses the slower engine's bottlenecks for a SELECT, from
-// cached plans and modeled latencies — the query is not executed.
+// cached plans and modeled latencies — the query is not executed. It is
+// admitted as Explain is.
 func (s *Service) WhySlow(sql string) (*explain.SlowReport, error) {
-	var (
-		out *explain.SlowReport
-		err error
-	)
-	if serr := s.gw.SubmitTask(func() { out, err = s.whySlowServe(sql) }); serr != nil {
-		return nil, serr
+	if err := s.gw.Admit(); err != nil {
+		return nil, err
 	}
-	return out, err
-}
-
-func (s *Service) whySlowServe(sql string) (*explain.SlowReport, error) {
+	defer s.gw.Release()
 	start := time.Now()
 	res, _, _, err := s.modeledResult(sql)
 	if err != nil {

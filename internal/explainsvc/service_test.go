@@ -3,6 +3,7 @@ package explainsvc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -222,7 +223,8 @@ func TestOversizedBodyCostsOne4xx(t *testing.T) {
 	defer srv.Close()
 
 	small := `{"sql": "SELECT COUNT(*) FROM region"}`
-	big := strings.TrimSuffix(small, "}") + strings.Repeat(" ", 2*maxBodyBytes) + "}"
+	// twice the 1 MiB the gateway's ReadSQL accepts
+	big := strings.TrimSuffix(small, "}") + strings.Repeat(" ", 2<<20) + "}"
 	for _, path := range []string{"/query", "/explain", "/whyslow"} {
 		for _, tc := range []struct {
 			body string
@@ -237,6 +239,38 @@ func TestOversizedBodyCostsOne4xx(t *testing.T) {
 				t.Errorf("POST %s with a %d-byte body: status %d, want %d", path, len(tc.body), resp.StatusCode, tc.want)
 			}
 		}
+	}
+}
+
+// TestExplainSharesTheLedger: /explain and /whyslow pass the admission
+// control /query does. With the only slot held and room for one waiter, of
+// two explanation requests one waits and one is shed; when the slot comes
+// back the waiter is served, and gives the slot back in turn.
+func TestExplainSharesTheLedger(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := gateway.New(sys, gateway.Config{Workers: 1, QueueDepth: 1, CacheCapacity: 16})
+	t.Cleanup(g.Stop)
+	svc := newService(t, sys, g, r, kb, Config{Seed: 1})
+
+	if err := g.Admit(); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT COUNT(*) FROM region`
+	errs := make(chan error, 2)
+	go func() { _, err := svc.Explain(sql); errs <- err }()
+	go func() { _, err := svc.WhySlow(sql); errs <- err }()
+	if err := <-errs; !errors.Is(err, gateway.ErrOverloaded) {
+		t.Fatalf("with the slot held and one waiter allowed, the first reply is %v, want ErrOverloaded", err)
+	}
+	if got := g.Metrics().Shed; got != 1 {
+		t.Errorf("queries_shed = %d, want 1", got)
+	}
+	g.Release()
+	if err := <-errs; err != nil {
+		t.Fatalf("the waiting request: %v", err)
+	}
+	if _, err := svc.Explain(sql); err != nil {
+		t.Fatalf("after the waiter was served the slot did not come back: %v", err)
 	}
 }
 

@@ -3,9 +3,11 @@
 // service. Incoming SQL is fingerprinted (literals stripped), looked up in
 // a sharded LRU plan cache holding both engines' physical plans, routed to
 // one engine by a pluggable policy (rule-based, cost-model, or the
-// tree-CNN smart router), and executed on a bounded worker pool with
-// admission control: when the queue is full new queries are shed
-// immediately rather than queued without bound. Per-query metrics (latency
+// tree-CNN smart router), and executed on the caller's own goroutine
+// while it holds a slot of the worker ledger — the one admission
+// mechanism: at most Workers slots are out at a time, at most QueueDepth
+// callers wait for one, and the next caller is shed immediately rather
+// than queued without bound. Per-query metrics (latency
 // histogram, cache hit rate, route accuracy against the modeled winner)
 // are exported for the HTTP endpoint in cmd/htapserve.
 //
@@ -51,19 +53,24 @@ import (
 	"htapxplain/internal/value"
 )
 
-// ErrOverloaded is returned by Submit when admission control sheds the
-// query because the queue is at capacity.
+// ErrOverloaded is returned by Admit (and so Submit) when admission
+// control sheds the caller: every slot is held and QueueDepth callers
+// already wait.
 var ErrOverloaded = errors.New("gateway: overloaded, query shed")
 
-// ErrStopped is returned by Submit once the gateway has been stopped.
+// ErrStopped is returned by Admit (and so Submit) once the gateway has
+// been stopped.
 var ErrStopped = errors.New("gateway: stopped")
 
 // Config controls gateway construction.
 type Config struct {
-	// Workers is the execution pool size (default: GOMAXPROCS).
+	// Workers is the worker ledger's size: the serves that run at once
+	// plus the extra workers parallel plans are granted (default:
+	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; a Submit that finds the
-	// queue full is shed with ErrOverloaded (default: 8× workers).
+	// QueueDepth bounds the callers waiting for a slot; one that finds
+	// that many already waiting is shed with ErrOverloaded (default: 8×
+	// workers).
 	QueueDepth int
 	// CacheCapacity is the total plan-cache entry budget across shards;
 	// 0 disables caching — every query is planned from scratch.
@@ -88,9 +95,10 @@ type Config struct {
 	// disables the sampling.
 	ObservedEvery int
 
-	// testServeStart, when set, is invoked at the top of every Serve
-	// call. It exists so package tests can park a worker mid-serve and
-	// exercise admission control deterministically on single-CPU runners.
+	// testServeStart, when set, is invoked by every Serve call before its
+	// clock starts. It exists so package tests can park a serve while it holds its
+	// slot and exercise admission control deterministically on single-CPU
+	// runners.
 	testServeStart func()
 }
 
@@ -150,9 +158,9 @@ type Response struct {
 	// template hit only the routed engine was planned, so the other is 0.
 	TPTime, APTime time.Duration
 	// ServeTime is the wall time spent serving (fingerprint → rows),
-	// excluding queue wait.
+	// excluding the wait for admission.
 	ServeTime time.Duration
-	// QueueWait is the time the query sat in the admission queue.
+	// QueueWait is the time the query waited to be admitted.
 	QueueWait time.Duration
 	// ExecTime is the wall time of plan execution alone (inside ServeTime).
 	ExecTime time.Duration
@@ -162,16 +170,6 @@ type Response struct {
 	Explain string
 	Profile *exec.OpStats
 	Err     error
-}
-
-type request struct {
-	sql string
-	// task, when set, is an admitted unit of non-query work (an /explain
-	// or /whyslow serve) run on a worker slot in place of the SQL pipeline;
-	// sql is ignored.
-	task     func()
-	enqueued time.Time
-	resp     chan *Response
 }
 
 // Gateway serves queries against a fleet of hash-partitioned shards
@@ -190,81 +188,96 @@ type Gateway struct {
 	// explainStats, when registered, supplies the explanation service's
 	// counters for the metric surfaces (see SetExplainStats).
 	explainStats atomic.Pointer[func() ExplainStats]
-	queue        chan *request
 	slots        *workerSem
-	stop         chan struct{}
-	stopOnce     sync.Once
-	wg           sync.WaitGroup
 }
 
-// workerSem is the DOP-aware admission ledger: a counting semaphore sized
-// to the worker pool that every execution worker is charged against. A
-// pool goroutine holds one slot for the query it serves; a query whose
-// plan asks for intra-query parallelism tries to acquire its extra
-// workers from the same ledger, so a DOP-4 query admits 4 workers against
-// the pool, not 1 — when parallel queries hold slots, pool goroutines
-// block acquiring theirs, the queue drains slower, and admission control
-// sheds honestly instead of oversubscribing the machine.
+// workerSem is the admission ledger, and the only admission mechanism: a
+// counting semaphore of Workers slots. A caller holds one slot for the
+// request it serves on its own goroutine; a query whose plan asks for
+// intra-query parallelism tries to acquire its extra workers from the same
+// ledger, so a DOP-4 query admits 4 workers, not 1 — while parallel
+// queries hold slots, callers wait for theirs, and once maxWaiters of them
+// do, admission control sheds honestly instead of oversubscribing the
+// machine.
 type workerSem struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	free   int
-	closed bool
+	mu         sync.Mutex
+	cond       *sync.Cond
+	size, free int
+	// waiters counts callers blocked in acquire, at most maxWaiters.
+	waiters, maxWaiters int
+	closed              bool
 }
 
-func newWorkerSem(n int) *workerSem {
-	s := &workerSem{free: n}
+func newWorkerSem(size, maxWaiters int) *workerSem {
+	s := &workerSem{size: size, free: size, maxWaiters: maxWaiters}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// acquire blocks until one slot is free and takes it. It returns false
-// once the semaphore is closed (gateway shutdown).
-func (s *workerSem) acquire() bool {
+// acquire takes one slot, waiting for one when none is free. It returns
+// ErrOverloaded without waiting when maxWaiters callers already wait, and
+// ErrStopped once the ledger is closed. A caller that finds a slot free
+// takes it at once; callers that wait are woken oldest first.
+func (s *workerSem) acquire() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.free < 1 && !s.closed {
-		s.cond.Wait()
+	if s.free < 1 && !s.closed {
+		if s.waiters >= s.maxWaiters {
+			return ErrOverloaded
+		}
+		s.waiters++
+		for s.free < 1 && !s.closed {
+			s.cond.Wait()
+		}
+		s.waiters--
 	}
 	if s.closed {
-		return false
+		return ErrStopped
 	}
 	s.free--
-	return true
+	return nil
 }
 
 // tryAcquire takes up to n slots without blocking and returns how many it
 // got — the degraded-DOP path: a parallel plan runs with whatever workers
-// the pool can spare right now, down to serial.
+// the ledger can spare right now, down to serial.
 func (s *workerSem) tryAcquire(n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.free < 1 || n < 1 {
 		return 0
 	}
-	got := n
-	if got > s.free {
-		got = s.free
-	}
+	got := min(n, s.free)
 	s.free -= got
 	return got
 }
 
+// release returns n slots and wakes one waiter per slot, not all of them:
+// up to maxWaiters callers can be waiting, and each freed slot admits
+// exactly one. Once closed, the only waiters left are close calls.
 func (s *workerSem) release(n int) {
-	if n < 1 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.free += n
+	if s.closed {
+		s.cond.Broadcast()
 		return
 	}
-	s.mu.Lock()
-	s.free += n
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	for ; n > 0; n-- {
+		s.cond.Signal()
+	}
 }
 
+// close fails every waiting and later acquire with ErrStopped, then blocks
+// until every slot held at the time is back.
 func (s *workerSem) close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	s.mu.Unlock()
 	s.cond.Broadcast()
+	for s.free < s.size {
+		s.cond.Wait()
+	}
 }
 
 // New builds a gateway over one system — the one-shard fleet. Callers
@@ -273,10 +286,10 @@ func New(sys *htap.System, cfg Config) *Gateway {
 	return NewSharded(shard.Wrap(sys), cfg)
 }
 
-// NewSharded builds a gateway fronting a shard coordinator and starts its
-// worker pool. Callers must Stop it. A scatter SELECT admits the sum of
-// its fragments' DOPs against the same worker ledger a pinned parallel
-// query uses.
+// NewSharded builds a gateway fronting a shard coordinator. It starts no
+// goroutine: requests are served on their callers'. Callers must Stop it.
+// A scatter SELECT admits the sum of its fragments' DOPs against the same
+// worker ledger a pinned parallel query uses.
 func NewSharded(coord *shard.Coordinator, cfg Config) *Gateway {
 	def := DefaultConfig()
 	if cfg.Workers <= 0 {
@@ -294,77 +307,51 @@ func NewSharded(coord *shard.Coordinator, cfg Config) *Gateway {
 	if cfg.Calibrator == nil {
 		cfg.Calibrator = &latency.Calibrator{}
 	}
-	g := &Gateway{
+	return &Gateway{
 		coord: coord,
 		cfg:   cfg,
 		cache: NewPlanCache(cfg.CacheShards, cfg.CacheCapacity),
 		cal:   cfg.Calibrator,
-		queue: make(chan *request, cfg.QueueDepth),
-		slots: newWorkerSem(cfg.Workers),
-		stop:  make(chan struct{}),
+		slots: newWorkerSem(cfg.Workers, cfg.QueueDepth),
 	}
-	g.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go g.worker()
-	}
-	return g
 }
 
-// Stop shuts the worker pool down and waits for in-flight queries to
-// finish. Queued-but-unstarted queries are abandoned; their Submit calls
-// return ErrStopped. Idempotent — a signal handler and a deferred Stop may
-// both call it.
-func (g *Gateway) Stop() {
-	g.stopOnce.Do(func() {
-		close(g.stop)
-		g.slots.close() // wake workers blocked on slot acquisition
-		g.wg.Wait()
-	})
+// Stop closes the worker ledger and waits until every slot is back, that
+// is for the admitted requests to finish. Callers still waiting for a
+// slot, and every later one, get ErrStopped. Idempotent — a signal handler
+// and a deferred Stop may both call it.
+func (g *Gateway) Stop() { g.slots.close() }
+
+// Admit takes the calling goroutine's slot in the worker ledger, the
+// admission control every route shares: it waits while all Workers slots
+// are held, returns ErrOverloaded (counted as shed) when QueueDepth
+// callers already wait, and ErrStopped once the gateway is stopped. A
+// caller that gets nil runs its work on its own goroutine and must
+// Release, deferred, so that a panic returns the slot too. Submit admits
+// queries; the explanation service admits /explain and /whyslow serves so
+// explanation load competes honestly with query load for the slots.
+func (g *Gateway) Admit() error {
+	err := g.slots.acquire()
+	if err == ErrOverloaded {
+		g.metrics.shed.Add(1)
+	}
+	return err
 }
 
-// Submit enqueues the query and blocks until it is served. It returns
-// ErrOverloaded immediately when admission control sheds the query, and
-// ErrStopped if the gateway shuts down first. Errors from serving the
-// query itself (parse, plan, execution) are reported in Response.Err.
+// Release returns the slot Admit took.
+func (g *Gateway) Release() { g.slots.release(1) }
+
+// Submit admits the query and serves it on the calling goroutine. It
+// returns ErrOverloaded immediately when admission control sheds the
+// query, and ErrStopped if the gateway stops first. Errors from serving
+// the query itself (parse, plan, execution) are reported in Response.Err.
 func (g *Gateway) Submit(sql string) (*Response, error) {
-	r := &request{sql: sql, enqueued: time.Now(), resp: make(chan *Response, 1)}
-	select {
-	case <-g.stop:
-		return nil, ErrStopped
-	case g.queue <- r:
-	default:
-		g.metrics.shed.Add(1)
-		return nil, ErrOverloaded
+	arrived := time.Now()
+	if err := g.Admit(); err != nil {
+		return nil, err
 	}
-	select {
-	case resp := <-r.resp:
-		return resp, nil
-	case <-g.stop:
-		return nil, ErrStopped
-	}
-}
-
-// SubmitTask enqueues a unit of non-query work behind the same admission
-// control as queries: it waits in the bounded queue, runs on a worker
-// slot, and is shed with ErrOverloaded when the queue is full. The
-// explanation service routes /explain and /whyslow serves through it so
-// explanation load competes honestly with query load for the pool.
-func (g *Gateway) SubmitTask(task func()) error {
-	r := &request{task: task, enqueued: time.Now(), resp: make(chan *Response, 1)}
-	select {
-	case <-g.stop:
-		return ErrStopped
-	case g.queue <- r:
-	default:
-		g.metrics.shed.Add(1)
-		return ErrOverloaded
-	}
-	select {
-	case <-r.resp:
-		return nil
-	case <-g.stop:
-		return ErrStopped
-	}
+	defer g.Release()
+	return g.serve(sql, arrived), nil
 }
 
 // PlanPair returns the plan-cache entry for a SELECT — the fingerprinted
@@ -375,11 +362,8 @@ func (g *Gateway) SubmitTask(task func()) error {
 // path. The returned entry is shared with concurrent serving; Pair,
 // TPTime, APTime and Route are immutable after publication.
 //
-// The pair is planned on the shard that owns the statement and the bound
-// plans are retained for that shard. A scatter statement has no owner: its
-// pair is planned on shard 0 (plan shape is the same on every shard) and
-// the template is published without a bound plan, so the serving path can
-// never execute a plan built over another shard's storage.
+// The pair is planned and published as a served miss would be (see
+// planMiss), scatter statements included.
 func (g *Gateway) PlanPair(sql string) (entry *CachedPlan, cached bool, err error) {
 	fp, params, err := sqlparser.Fingerprint(sql)
 	if err != nil {
@@ -392,16 +376,8 @@ func (g *Gateway) PlanPair(sql string) (entry *CachedPlan, cached bool, err erro
 	if err != nil {
 		return nil, false, fmt.Errorf("gateway: route: %w", err)
 	}
-	e, bp, err := g.planBoth(max(target, 0), sql, fp, sqlparser.ParamKey(params))
-	if err != nil {
-		return nil, false, err
-	}
-	if target >= 0 {
-		e.AddBind(bp)
-	}
-	e.Route = g.route(e)
-	g.cache.Put(e)
-	return e, false, nil
+	e, _, err := g.planMiss(target, sql, fp, sqlparser.ParamKey(params), nil)
+	return e, false, err
 }
 
 // route asks the policy which engine serves the entry's template.
@@ -539,58 +515,34 @@ func (g *Gateway) Tracer() *obs.Tracer { return g.cfg.Tracer }
 // Calibrator returns the latency calibrator fed by observed executions.
 func (g *Gateway) Calibrator() *latency.Calibrator { return g.cal }
 
-func (g *Gateway) worker() {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case r := <-g.queue:
-			// charge this query's base worker against the DOP ledger; a
-			// false return means the gateway is stopping (the submitter is
-			// released by its own g.stop select)
-			if !g.slots.acquire() {
-				return
-			}
-			var resp *Response
-			if r.task != nil {
-				start := time.Now()
-				r.task()
-				resp = &Response{Kind: "task", ServeTime: time.Since(start)}
-			} else {
-				resp = g.serve(r.sql, r.enqueued)
-			}
-			g.slots.release(1)
-			resp.QueueWait = time.Since(r.enqueued) - resp.ServeTime
-			r.resp <- resp
-		}
-	}
-}
-
-// Serve runs the full serving pipeline synchronously, bypassing the queue
-// and admission control. It is safe to call concurrently and is what the
-// workers run per query; benchmarks call it directly to measure the
-// pipeline without queue overhead.
+// Serve runs the full serving pipeline synchronously, bypassing admission
+// control: it holds no slot of the worker ledger. It is safe to call
+// concurrently and is what Submit runs once admitted; benchmarks call it
+// directly to measure the pipeline without admission overhead.
 func (g *Gateway) Serve(sql string) *Response {
 	return g.serve(sql, time.Time{})
 }
 
-// serve wraps process with timing, metrics, and the trace lifecycle. A
-// sampled-out query carries a nil trace, making every span site a single
-// branch — the hot path allocates nothing for observability.
-func (g *Gateway) serve(sql string, enqueued time.Time) *Response {
+// serve wraps process with timing, metrics, and the trace lifecycle; a
+// non-zero arrived is when the caller asked to be admitted. A sampled-out
+// query carries a nil trace, making every span site a single branch — the
+// hot path allocates nothing for observability.
+func (g *Gateway) serve(sql string, arrived time.Time) *Response {
 	g.metrics.inFlight.Add(1)
 	defer g.metrics.inFlight.Add(-1)
+	tr := g.cfg.Tracer.Start(sql, "")
+	var wait time.Duration
+	if !arrived.IsZero() {
+		wait = time.Since(arrived)
+		tr.AddSpan("queue_wait", arrived, wait)
+	}
 	if g.cfg.testServeStart != nil {
 		g.cfg.testServeStart()
-	}
-	tr := g.cfg.Tracer.Start(sql, "")
-	if tr != nil && !enqueued.IsZero() {
-		tr.AddSpan("queue_wait", enqueued, time.Since(enqueued))
 	}
 	start := time.Now()
 	resp := g.process(sql, tr)
 	resp.ServeTime = time.Since(start)
+	resp.QueueWait = wait
 	g.metrics.total.Add(1)
 	if resp.Err != nil {
 		g.metrics.errs.Add(1)
@@ -687,18 +639,11 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	default:
 		resp.Cache = CacheMiss
 		g.metrics.misses.Add(1)
-		sp = tr.Begin("plan")
-		entry, bp, err := g.planBoth(target, sql, fp, paramKey)
-		sp.End()
+		entry, bp, err := g.planMiss(target, sql, fp, paramKey, tr)
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
-		entry.AddBind(bp)
-		sp = tr.Begin("route")
-		entry.Route = g.route(entry)
-		sp.End()
-		g.cache.Put(entry)
 		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
 		g.recordRoute(entry.Route, bp.TPTime, bp.APTime)
 		g.execute(resp, target, pickPlan(bp, entry.Route), entry.Route, tr)
@@ -734,24 +679,19 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 	if target < 0 {
 		g.scatter(resp, body, dec, tr)
 	} else {
-		sp = tr.Begin("plan")
-		entry, bp, err := g.planBoth(target, body, "", "")
-		sp.End()
+		entry, bp, err := g.planMiss(target, body, "", "", tr)
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
-		sp = tr.Begin("route")
-		route := g.route(entry)
-		sp.End()
-		resp.Engine = route
+		resp.Engine = entry.Route
 		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		phys := pickPlan(bp, route)
+		phys := pickPlan(bp, entry.Route)
 		if !analyze {
 			resp.Explain = phys.Explain.ExplainIndentJSON()
 			return resp
 		}
-		g.execute(resp, target, phys, route, tr)
+		g.execute(resp, target, phys, entry.Route, tr)
 	}
 	if resp.Err == nil && resp.Profile != nil {
 		resp.Explain = resp.Profile.String()
@@ -760,7 +700,7 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 }
 
 // maybeObserveDual closes the paper's loop on a sampled cache miss: the
-// non-routed engine's plan is executed too (serially, on this worker's
+// non-routed engine's plan is executed too (serially, on this serve's
 // slot), the measured winner is compared against the routing decision,
 // and both engines' (observed, modeled) pairs feed the latency
 // calibrator. Deterministic every-Nth sampling keeps the overhead
@@ -888,7 +828,7 @@ func (g *Gateway) scatter(resp *Response, sql string, dec *optimizer.DistDecisio
 		resp.Explain = sc.Explain().ExplainIndentJSON()
 		return
 	}
-	// admit the scatter's total fragment demand: this worker's slot covers
+	// admit the scatter's total fragment demand: this serve's slot covers
 	// one fragment worker; the rest come from the shared ledger, degrading
 	// per-fragment DOP under load so shedding stays honest
 	if want := sc.Workers(); want > 1 {
@@ -951,8 +891,8 @@ func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, e
 	resp.Engine = eng
 	ctx := exec.NewContext()
 	// DOP-aware admission: a plan that wants intra-query parallelism
-	// claims its extra workers from the same ledger the pool goroutines
-	// are charged against — never more than the pool can spare, degrading
+	// claims its extra workers from the same ledger every serve's slot is
+	// charged against — never more than the ledger can spare, degrading
 	// to serial under load so shedding stays honest.
 	if phys.DOP > 1 {
 		extra := g.slots.tryAcquire(phys.DOP - 1)
@@ -1016,16 +956,24 @@ func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Se
 	return sel, phys, nil
 }
 
-// planBoth plans the query on both engines of the owning shard — the miss
-// path. The entry is returned without the bound plans retained: a caller
-// that caches it adds them.
-func (g *Gateway) planBoth(owner int, sql, fp, paramKey string) (*CachedPlan, *BoundPlan, error) {
+// planMiss is the one miss path, shared by a served miss, PlanPair and
+// EXPLAIN: it plans the query on both engines of the shard that owns it,
+// asks the policy for the template's route and, given a fingerprint,
+// publishes the template with the bound plans retained for that shard. A
+// statement no shard owns (target < 0) is planned on shard 0 — plan shape
+// is the same on every shard — and published without a bound plan, so the
+// serving path can never execute a plan built over another shard's
+// storage. With no fingerprint nothing is published.
+func (g *Gateway) planMiss(target int, sql, fp, paramKey string, tr *obs.QueryTrace) (*CachedPlan, *BoundPlan, error) {
+	owner := max(target, 0)
+	sp := tr.Begin("plan")
 	selTP, tpPlan, err := g.planOne(owner, sql, plan.TP)
-	if err != nil {
-		return nil, nil, err
+	var apPlan *optimizer.PhysPlan
+	if err == nil {
+		_, apPlan, err = g.planOne(owner, sql, plan.AP)
 	}
-	_, apPlan, err := g.planOne(owner, sql, plan.AP)
 	if err != nil {
+		sp.End()
 		return nil, nil, err
 	}
 	bp := &BoundPlan{
@@ -1042,6 +990,16 @@ func (g *Gateway) planBoth(owner int, sql, fp, paramKey string) (*CachedPlan, *B
 		TPTime:      bp.TPTime,
 		APTime:      bp.APTime,
 		stmt:        selTP,
+	}
+	sp.End()
+	sp = tr.Begin("route")
+	entry.Route = g.route(entry)
+	sp.End()
+	if fp != "" {
+		if target >= 0 {
+			entry.AddBind(bp)
+		}
+		g.cache.Put(entry)
 	}
 	return entry, bp, nil
 }

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"htapxplain/internal/htap"
+	"htapxplain/internal/obs"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/value"
 	"htapxplain/internal/workload"
@@ -145,8 +147,8 @@ func TestGatewayCacheTiers(t *testing.T) {
 	}
 }
 
-// TestGatewayConcurrentServing keeps ≥ 64 queries in flight across the
-// worker pool and checks every one is served correctly. Run with -race.
+// TestGatewayConcurrentServing keeps ≥ 64 callers in flight over 8
+// ledger slots and checks every one is served correctly. Run with -race.
 func TestGatewayConcurrentServing(t *testing.T) {
 	sys := testSystem(t)
 	g := New(sys, Config{Workers: 8, QueueDepth: 256, CacheCapacity: 128})
@@ -206,9 +208,9 @@ func TestGatewayConcurrentServing(t *testing.T) {
 // TestGatewayLoadShedding saturates a deliberately tiny gateway and
 // checks admission control sheds instead of queueing without bound. To be
 // scheduler-independent (this must pass on a single-CPU runner), the lone
-// worker is parked inside a serve via the test hook; the flood then races
-// only against the bounded queue, so the outcome is exact: one query
-// occupies the queue slot, every other one sheds.
+// slot is parked inside a serve via the test hook; the flood then races
+// only for the one place among the waiters, so the outcome is exact: one
+// query waits, every other one sheds.
 func TestGatewayLoadShedding(t *testing.T) {
 	sys := testSystem(t)
 	started := make(chan struct{}, 1)
@@ -231,7 +233,7 @@ func TestGatewayLoadShedding(t *testing.T) {
 		_, err := g.Submit(sql)
 		plugDone <- err
 	}()
-	<-started // the worker is now parked inside Serve; the queue is empty
+	<-started // the slot's holder is now parked inside Serve; nobody waits
 
 	const clients = 63
 	var wg sync.WaitGroup
@@ -257,13 +259,13 @@ func TestGatewayLoadShedding(t *testing.T) {
 		}()
 	}
 	// Wait until every flood submit has been decided: shed goroutines
-	// have counted themselves, and the one winner occupies the queue.
+	// have counted themselves, and the one winner waits for the slot.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
 		decided := shed
 		mu.Unlock()
-		if decided+len(g.queue) >= clients {
+		if decided+g.slots.waiting() >= clients {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -271,7 +273,7 @@ func TestGatewayLoadShedding(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	close(release) // unpark the worker; it serves the plug then the winner
+	close(release) // unpark the plug; its release admits the winner
 	wg.Wait()
 	if err := <-plugDone; err != nil {
 		t.Fatalf("plug query: %v", err)
@@ -319,15 +321,188 @@ func TestGatewaySortDoesNotCorruptHeap(t *testing.T) {
 	}
 }
 
-// TestGatewayStopUnblocksSubmitters checks queued-but-unstarted queries
-// get ErrStopped instead of hanging when the gateway shuts down.
+// TestGatewayStopUnblocksSubmitters: Stop with one serve parked on the
+// only slot and one caller waiting for it. The waiter gets ErrStopped
+// promptly instead of hanging, Stop returns only once the parked serve has
+// given its slot back, and a later Submit gets ErrStopped.
 func TestGatewayStopUnblocksSubmitters(t *testing.T) {
 	sys := testSystem(t)
-	g := New(sys, Config{Workers: 1, QueueDepth: 4})
-
-	g.Stop()
-	if _, err := g.Submit(`SELECT COUNT(*) FROM orders`); err != ErrStopped {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	g := New(sys, Config{Workers: 1, QueueDepth: 4, testServeStart: func() {
+		close(started)
+		<-release
+	}})
+	sql := `SELECT COUNT(*) FROM orders`
+	parked := make(chan error, 1)
+	go func() {
+		resp, err := g.Submit(sql)
+		if err == nil {
+			err = resp.Err
+		}
+		parked <- err
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := g.Submit(sql)
+		waiter <- err
+	}()
+	for g.slots.waiting() < 1 {
+		runtime.Gosched()
+	}
+	stopped := make(chan struct{})
+	go func() {
+		g.Stop()
+		close(stopped)
+	}()
+	select {
+	case err := <-waiter:
+		if err != ErrStopped {
+			t.Errorf("waiting Submit = %v, want ErrStopped", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not unblock the waiting Submit")
+	}
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a serve still held its slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Errorf("the admitted serve did not finish across Stop: %v", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return after the last slot came back")
+	}
+	if _, err := g.Submit(sql); err != ErrStopped {
 		t.Errorf("Submit after Stop = %v, want ErrStopped", err)
+	}
+	g.Stop() // idempotent
+}
+
+// TestWaitersAdmittedInArrivalOrder: with the single slot parked, callers
+// that arrive one after another are admitted in that order once it frees,
+// and each reports the time it waited — in Response.QueueWait and, when
+// traced, as a queue_wait span.
+func TestWaitersAdmittedInArrivalOrder(t *testing.T) {
+	sys := testSystem(t)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, RingSize: 16})
+	g := New(sys, Config{Workers: 1, QueueDepth: 8, Tracer: tracer, testServeStart: func() {
+		select {
+		case started <- struct{}{}:
+			<-release // the plug parks; the waiters run straight through
+		default:
+		}
+	}})
+	defer g.Stop()
+
+	const park = 30 * time.Millisecond
+	const waiters = 6
+	var wg sync.WaitGroup
+	sqlFor := func(key int) string {
+		return fmt.Sprintf(`SELECT c_name FROM customer WHERE c_custkey = %d`, key)
+	}
+	submit := func(key int) {
+		defer wg.Done()
+		resp, err := g.Submit(sqlFor(key))
+		if err != nil || resp.Err != nil {
+			t.Errorf("submit %d: %v / %v", key, err, resp.Err)
+			return
+		}
+		if key > 0 && resp.QueueWait < park {
+			t.Errorf("waiter %d reports QueueWait %v, parked %v", key, resp.QueueWait, park)
+		}
+	}
+	wg.Add(1 + waiters)
+	go submit(0)
+	<-started
+	for i := 1; i <= waiters; i++ {
+		go submit(i)
+		for g.slots.waiting() < i { // i is in line before i+1 arrives
+			runtime.Gosched()
+		}
+	}
+	time.Sleep(park)
+	close(release)
+	wg.Wait()
+	// a trace opens and closes while its serve holds the one slot, so the
+	// ring (newest first) is the admission order
+	traces := tracer.Traces()
+	if len(traces) != 1+waiters {
+		t.Fatalf("%d traces, want %d", len(traces), 1+waiters)
+	}
+	var spans int
+	for i, tr := range traces {
+		if key := waiters - i; tr.SQL != sqlFor(key) {
+			t.Errorf("admission %d served %q, want arrival order (key %d)", key, tr.SQL, key)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name == "queue_wait" && sp.DurUS >= park.Microseconds() {
+				spans++
+			}
+		}
+	}
+	if spans != waiters {
+		t.Errorf("%d traces carry a queue_wait span of at least %v, want %d", spans, park, waiters)
+	}
+}
+
+// TestPanicCostsOneRequest: a serve that panics on the handler goroutine
+// is recovered by net/http and costs that one request — its slot and its
+// in_flight count come back, so the next request on a one-slot gateway is
+// served.
+func TestPanicCostsOneRequest(t *testing.T) {
+	sys := testSystem(t)
+	var once sync.Once
+	g := New(sys, Config{Workers: 1, QueueDepth: 1, testServeStart: func() {
+		once.Do(func() { panic(http.ErrAbortHandler) }) // the panic net/http does not log
+	}})
+	defer g.Stop()
+	srv := httptest.NewServer(NewServeMux(g))
+	defer srv.Close()
+
+	post := func() (*http.Response, error) {
+		return http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql": "SELECT COUNT(*) FROM region"}`))
+	}
+	if resp, err := post(); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the panicking request got status %d, want a dropped connection", resp.StatusCode)
+	}
+	resp, err := post()
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the panic: status %d, want 200", resp.StatusCode)
+	}
+	if m := g.Metrics(); m.InFlight != 0 || m.Total != 1 {
+		t.Errorf("in_flight %d, queries_total %d after one panic and one serve, want 0 and 1", m.InFlight, m.Total)
+	}
+	if got := g.slots.tryAcquire(1); got != 1 {
+		t.Errorf("the slot did not come back: tryAcquire(1) = %d", got)
+	}
+	g.slots.release(1)
+}
+
+// TestIdleGatewayStartsNoGoroutines: there is no pool — New and Stop on a
+// gateway nobody calls start nothing.
+func TestIdleGatewayStartsNoGoroutines(t *testing.T) {
+	sys := testSystem(t)
+	before := runtime.NumGoroutine()
+	g := New(sys, Config{Workers: 8, QueueDepth: 64})
+	if during := runtime.NumGoroutine(); during != before {
+		t.Errorf("New started %d goroutines", during-before)
+	}
+	g.Stop()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before New, %d after Stop", before, after)
 	}
 }
 
@@ -399,4 +574,11 @@ func TestServeMux(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body status = %d, want 400", bad.StatusCode)
 	}
+}
+
+// waiting reads the ledger's count of callers blocked in acquire.
+func (s *workerSem) waiting() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiters
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -436,22 +437,15 @@ func TestTraceOverheadSampledOut(t *testing.T) {
 	sys := testSystem(t)
 	pool := joinPool(12)
 
-	mkWarm := func(tracer *obs.Tracer) *Gateway {
-		g := New(sys, Config{Workers: 1, CacheCapacity: 256, Tracer: tracer})
-		for _, q := range pool {
-			if resp := g.Serve(q.SQL); resp.Err != nil {
-				t.Fatal(resp.Err)
-			}
-		}
-		return g
-	}
-	base := mkWarm(nil)
-	defer base.Stop()
-	traced := mkWarm(obs.NewTracer(obs.TracerConfig{SampleRate: 0}))
-	defer traced.Stop()
+	// one gateway serves both sides, so they share one plan cache and one
+	// set of pooled operator trees: the tracer is the only difference
+	g := New(sys, Config{Workers: 1, CacheCapacity: 256})
+	defer g.Stop()
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 0})
 
-	const rounds = 2000
-	timeServing := func(g *Gateway) time.Duration {
+	const rounds = 100
+	timeServing := func(tr *obs.Tracer) time.Duration {
+		g.cfg.Tracer = tr
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
 			if resp := g.Serve(pool[i%len(pool)].SQL); resp.Err != nil {
@@ -460,26 +454,33 @@ func TestTraceOverheadSampledOut(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	timeServing(base) // warm both paths before timing
-	timeServing(traced)
-	baseDur, tracedDur := time.Duration(1<<62), time.Duration(1<<62)
-	for pass := 0; pass < 5; pass++ {
-		runtime.GC()
-		if d := timeServing(base); d < baseDur {
-			baseDur = d
+	timeServing(nil) // warm the cache and both paths before timing
+	timeServing(tracer)
+	// many short passes in adjacent pairs (A B, B A, A B …), and the
+	// median of the per-pair ratios: slow drift and long bursts of
+	// scheduler or neighbour noise land on both halves of a pair and
+	// cancel, a short burst or a GC cycle spoils one pair, and the median
+	// ignores it
+	runtime.GC()
+	var ratios []float64
+	for pair := 0; pair < 201; pair++ {
+		var baseDur, tracedDur time.Duration
+		if pair%2 == 0 {
+			baseDur, tracedDur = timeServing(nil), timeServing(tracer)
+		} else {
+			tracedDur, baseDur = timeServing(tracer), timeServing(nil)
 		}
-		runtime.GC()
-		if d := timeServing(traced); d < tracedDur {
-			tracedDur = d
-		}
+		ratios = append(ratios, float64(tracedDur)/float64(baseDur))
 	}
-	overhead := 100 * (float64(tracedDur) - float64(baseDur)) / float64(baseDur)
-	t.Logf("warm serving: baseline %v, sampled-out tracer %v (%+.2f%%)", baseDur, tracedDur, overhead)
+	sort.Float64s(ratios)
+	overhead := 100 * (ratios[len(ratios)/2] - 1)
+	t.Logf("warm serving: sampled-out tracer against none, median of %d paired passes %+.2f%% (range %+.2f%% .. %+.2f%%)",
+		len(ratios), overhead, 100*(ratios[0]-1), 100*(ratios[len(ratios)-1]-1))
 	if overhead >= 5 {
 		t.Errorf("sampled-out tracing overhead %.2f%%, want < 5%%", overhead)
 	}
-	if traced.Tracer().Sampled() != 0 {
-		t.Errorf("sample rate 0 traced %d queries, want 0", traced.Tracer().Sampled())
+	if tracer.Sampled() != 0 {
+		t.Errorf("sample rate 0 traced %d queries, want 0", tracer.Sampled())
 	}
 }
 

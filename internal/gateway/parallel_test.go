@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,11 +94,12 @@ func TestDOPAdmissionGrantsAndDegrades(t *testing.T) {
 }
 
 // TestWorkerSem exercises the admission ledger directly: blocking
-// acquisition, non-blocking degradation, and shutdown wakeups.
+// acquisition, the waiter bound, non-blocking degradation, one wake-up per
+// released slot, and shutdown.
 func TestWorkerSem(t *testing.T) {
-	s := newWorkerSem(3)
-	if !s.acquire() {
-		t.Fatal("acquire on fresh sem failed")
+	s := newWorkerSem(3, 2)
+	if err := s.acquire(); err != nil {
+		t.Fatalf("acquire on fresh sem: %v", err)
 	}
 	if got := s.tryAcquire(5); got != 2 {
 		t.Fatalf("tryAcquire(5) = %d, want 2 (degraded grant)", got)
@@ -108,38 +108,62 @@ func TestWorkerSem(t *testing.T) {
 		t.Fatalf("tryAcquire(1) on empty sem = %d, want 0", got)
 	}
 
-	// a blocked acquire must wake when slots free up
-	acquired := make(chan bool, 1)
-	go func() { acquired <- s.acquire() }()
+	// two callers may wait; the third is shed without waiting
+	acquired := make(chan error, 2)
+	for i := 1; i <= 2; i++ {
+		go func() { acquired <- s.acquire() }()
+		for s.waiting() < i {
+			runtime.Gosched()
+		}
+	}
+	if err := s.acquire(); err != ErrOverloaded {
+		t.Fatalf("acquire with the waiter bound reached = %v, want ErrOverloaded", err)
+	}
 	select {
 	case <-acquired:
 		t.Fatal("acquire returned with no free slot")
 	case <-time.After(10 * time.Millisecond):
 	}
+
+	// one released slot admits exactly one waiter
 	s.release(1)
 	select {
-	case ok := <-acquired:
-		if !ok {
-			t.Fatal("woken acquire reported closed")
+	case err := <-acquired:
+		if err != nil {
+			t.Fatalf("woken acquire: %v", err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("release did not wake the blocked acquire")
+		t.Fatal("release did not wake a blocked acquire")
+	}
+	select {
+	case <-acquired:
+		t.Fatal("one released slot admitted two waiters")
+	case <-time.After(10 * time.Millisecond):
 	}
 
-	// close must wake all blocked acquirers with false
-	var wg sync.WaitGroup
-	results := make(chan bool, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); results <- s.acquire() }()
+	// close fails the waiter left and every later caller, and returns
+	// only when all three slots are back
+	closed := make(chan struct{})
+	go func() {
+		s.close()
+		close(closed)
+	}()
+	if err := <-acquired; err != ErrStopped {
+		t.Errorf("acquire across close = %v, want ErrStopped", err)
 	}
-	time.Sleep(10 * time.Millisecond)
-	s.close()
-	wg.Wait()
-	close(results)
-	for ok := range results {
-		if ok {
-			t.Error("acquire after close returned true")
-		}
+	if err := s.acquire(); err != ErrStopped {
+		t.Errorf("acquire after close = %v, want ErrStopped", err)
+	}
+	s.release(2)
+	select {
+	case <-closed:
+		t.Fatal("close returned with a slot still out")
+	case <-time.After(10 * time.Millisecond):
+	}
+	s.release(1)
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("close did not return once every slot was back")
 	}
 }

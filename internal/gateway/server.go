@@ -10,7 +10,7 @@ import (
 	"htapxplain/internal/value"
 )
 
-// QueryRequest is the JSON body of POST /query.
+// QueryRequest is the JSON body of POST /query, /explain and /whyslow.
 type QueryRequest struct {
 	SQL string `json:"sql"`
 }
@@ -41,6 +41,23 @@ type QueryResponse struct {
 // and an unbounded decode lets one client hold a server's memory.
 const maxBodyBytes = 1 << 20
 
+// ReadSQL decodes the {"sql": "..."} body every statement endpoint takes
+// (POST /query here, /explain and /whyslow in explainsvc). On a request
+// that is not a POST of a non-empty statement within maxBodyBytes it
+// writes the 4xx reply itself and returns false.
+func ReadSQL(w http.ResponseWriter, r *http.Request) (string, bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return "", false
+	}
+	var req QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.SQL == "" {
+		http.Error(w, `body must be {"sql": "..."}`, http.StatusBadRequest)
+		return "", false
+	}
+	return req.SQL, true
+}
+
 // maxRowsInReply bounds the rows echoed over HTTP; the full count is
 // always reported in row_count.
 const maxRowsInReply = 100
@@ -62,21 +79,13 @@ const maxRowsInReply = 100
 func NewServeMux(g *Gateway) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		sql, ok := ReadSQL(w, r)
+		if !ok {
 			return
 		}
-		var req QueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil || req.SQL == "" {
-			http.Error(w, `body must be {"sql": "..."}`, http.StatusBadRequest)
-			return
-		}
-		resp, err := g.Submit(req.SQL)
+		resp, err := g.Submit(sql)
 		switch {
-		case errors.Is(err, ErrOverloaded):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case errors.Is(err, ErrStopped):
+		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrStopped):
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		case err != nil:

@@ -292,33 +292,32 @@ func joinSelectivity(a *analysis, jp joinPred) float64 {
 
 // --------------------------------------------------------- sargability
 
-// sargable describes an index-usable single-table predicate.
+// sargable describes a single-table predicate an access path can use in
+// place of a row-by-row test: a bare column compared to literals.
 type sargable struct {
 	column string
 	keys   []sqlparser.Expr // equality / IN keys (literals)
 	lo, hi sqlparser.Expr   // range bounds (literals); nil = open
-	// loStrict/hiStrict mark exclusive bounds (> / <). Index range scans
-	// and zone-map pruning ignore them (conservative); the AP zone pruner
-	// propagates them so its chunk-level RangeSel can stand in for the
-	// compiled predicate exactly.
+	// loStrict/hiStrict mark exclusive bounds (> / <). An index range scan
+	// is inclusive, so TP keeps such a predicate in its residual filter;
+	// the AP zone pruner propagates them so its chunk-level RangeSel can
+	// stand in for the compiled predicate exactly.
 	loStrict, hiStrict bool
 	sel                float64
 	pred               sqlparser.Expr
 }
 
-// extractSargable finds the best index-usable predicate on the binding:
-// a bare (not function-wrapped) column compared to literals, where the
-// column has an index. This is where SUBSTRING(c_phone,1,2) IN (...)
-// fails to qualify — the paper's central example of index-unusable
-// predicates.
-func extractSargable(a *analysis, t boundTable) *sargable {
+// extractSargable finds the most selective predicate on the binding that
+// is sargable — a bare (not function-wrapped) column compared to literals
+// — and that the access path accepts. This is where
+// SUBSTRING(c_phone,1,2) IN (...) fails to qualify — the paper's central
+// example of index-unusable predicates.
+func extractSargable(a *analysis, t boundTable, accept func(*sargable) bool) *sargable {
 	var best *sargable
-	consider := func(s *sargable) {
-		if _, ok := t.meta.IndexOn(s.column); !ok {
-			return
-		}
-		if best == nil || s.sel < best.sel {
-			best = s
+	consider := func(p sqlparser.Expr, s sargable) {
+		s.sel, s.pred = selectivity(a, p), p
+		if accept(&s) && (best == nil || s.sel < best.sel) {
+			best = &s
 		}
 	}
 	for _, p := range a.tablePreds[t.binding] {
@@ -330,12 +329,11 @@ func extractSargable(a *analysis, t boundTable) *sargable {
 			}
 			switch x.Op {
 			case sqlparser.OpEq:
-				consider(&sargable{column: ref.Column, keys: []sqlparser.Expr{x.Right},
-					sel: selectivity(a, p), pred: p})
+				consider(p, sargable{column: ref.Column, keys: []sqlparser.Expr{x.Right}})
 			case sqlparser.OpGt, sqlparser.OpGe:
-				consider(&sargable{column: ref.Column, lo: x.Right, sel: selectivity(a, p), pred: p})
+				consider(p, sargable{column: ref.Column, lo: x.Right, loStrict: x.Op == sqlparser.OpGt})
 			case sqlparser.OpLt, sqlparser.OpLe:
-				consider(&sargable{column: ref.Column, hi: x.Right, sel: selectivity(a, p), pred: p})
+				consider(p, sargable{column: ref.Column, hi: x.Right, hiStrict: x.Op == sqlparser.OpLt})
 			}
 		case *sqlparser.InExpr:
 			ref, ok := x.Expr.(*sqlparser.ColumnRef)
@@ -352,16 +350,24 @@ func extractSargable(a *analysis, t boundTable) *sargable {
 			if !allLit {
 				continue
 			}
-			consider(&sargable{column: ref.Column, keys: x.List, sel: selectivity(a, p), pred: p})
+			consider(p, sargable{column: ref.Column, keys: x.List})
 		case *sqlparser.BetweenExpr:
 			ref, ok := x.Expr.(*sqlparser.ColumnRef)
 			if !ok || !isLiteral(x.Lo) || !isLiteral(x.Hi) {
 				continue
 			}
-			consider(&sargable{column: ref.Column, lo: x.Lo, hi: x.Hi, sel: selectivity(a, p), pred: p})
+			consider(p, sargable{column: ref.Column, lo: x.Lo, hi: x.Hi})
 		}
 	}
 	return best
+}
+
+// indexSargable is the row store's acceptance: the column has an index.
+func indexSargable(a *analysis, t boundTable) *sargable {
+	return extractSargable(a, t, func(s *sargable) bool {
+		_, ok := t.meta.IndexOn(s.column)
+		return ok
+	})
 }
 
 func isLiteral(e sqlparser.Expr) bool {

@@ -473,9 +473,10 @@ func neededColumns(a *analysis, t boundTable) []int {
 
 // zonePruner derives a zone-map pruner from the binding's sargable
 // predicate when its column is among the scanned columns. Works without
-// any index — zone maps are a column-store feature.
+// any index — zone maps are a column-store feature — but a range has one
+// pair of bounds, so an IN list of several keys is not accepted.
 func zonePruner(a *analysis, t boundTable, cols []int) *colstore.RangePruner {
-	s := extractSargable2(a, t)
+	s := extractSargable(a, t, func(s *sargable) bool { return len(s.keys) <= 1 })
 	if s == nil {
 		return nil
 	}
@@ -526,41 +527,4 @@ func zonePruner(a *analysis, t boundTable, cols []int) *colstore.RangePruner {
 	// row membership and the compiled predicate never runs on base chunks
 	pr.Exact = len(a.tablePreds[t.binding]) == 1
 	return pr
-}
-
-// extractSargable2 is extractSargable without the index requirement
-// (zone-map pruning applies to unindexed columns too).
-func extractSargable2(a *analysis, t boundTable) *sargable {
-	var best *sargable
-	consider := func(s *sargable) {
-		if best == nil || s.sel < best.sel {
-			best = s
-		}
-	}
-	for _, p := range a.tablePreds[t.binding] {
-		switch x := p.(type) {
-		case *sqlparser.BinaryExpr:
-			ref, lok := x.Left.(*sqlparser.ColumnRef)
-			if !lok || !isLiteral(x.Right) {
-				continue
-			}
-			switch x.Op {
-			case sqlparser.OpEq:
-				consider(&sargable{column: ref.Column, keys: []sqlparser.Expr{x.Right}, sel: selectivity(a, p), pred: p})
-			case sqlparser.OpGt, sqlparser.OpGe:
-				consider(&sargable{column: ref.Column, lo: x.Right, loStrict: x.Op == sqlparser.OpGt,
-					sel: selectivity(a, p), pred: p})
-			case sqlparser.OpLt, sqlparser.OpLe:
-				consider(&sargable{column: ref.Column, hi: x.Right, hiStrict: x.Op == sqlparser.OpLt,
-					sel: selectivity(a, p), pred: p})
-			}
-		case *sqlparser.BetweenExpr:
-			ref, ok := x.Expr.(*sqlparser.ColumnRef)
-			if !ok || !isLiteral(x.Lo) || !isLiteral(x.Hi) {
-				continue
-			}
-			consider(&sargable{column: ref.Column, lo: x.Lo, hi: x.Hi, sel: selectivity(a, p), pred: p})
-		}
-	}
-	return best
 }

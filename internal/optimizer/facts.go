@@ -73,7 +73,7 @@ func Facts(cat *catalog.Catalog, sql string) (*QueryFacts, error) {
 		for _, p := range a.tablePreds[t.binding] {
 			tf.Predicates = append(tf.Predicates, p.String())
 		}
-		if s := extractSargable(a, t); s != nil {
+		if s := indexSargable(a, t); s != nil {
 			tf.SargableIndexColumn = s.column
 		}
 		if col, ok := hasFunctionWrappedIndexedColumn(a, t); ok {

@@ -308,3 +308,36 @@ func TestExplainConditionStringsPresent(t *testing.T) {
 		t.Errorf("filter condition missing from explain: %s", js)
 	}
 }
+
+// TestSargableBoundsAgreeAcrossEngines: a sargable predicate is served by
+// an inclusive index range on TP and by a zone pruner that can stand in
+// for the predicate on AP; exclusive bounds and a one-key IN must count
+// the same rows on both as the inclusive spelling of the same set.
+func TestSargableBoundsAgreeAcrossEngines(t *testing.T) {
+	p := testPlanner(t)
+	count := func(sql string, planFn func(*sqlparser.Select) (*PhysPlan, error)) int64 {
+		t.Helper()
+		pp, err := planFn(parse(t, sql))
+		if err != nil {
+			t.Fatalf("plan %q: %v", sql, err)
+		}
+		rows, err := exec.Drain(pp.Root, exec.NewContext())
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("run %q: %d rows, err %v", sql, len(rows), err)
+		}
+		return rows[0][0].I
+	}
+	for _, tc := range []struct {
+		sql  string
+		want int64
+	}{
+		{"SELECT COUNT(*) FROM customer WHERE c_custkey > 5 AND c_custkey < 8", 2},
+		{"SELECT COUNT(*) FROM customer WHERE c_custkey >= 5 AND c_custkey <= 8", 4},
+		{"SELECT COUNT(*) FROM customer WHERE c_custkey < 3", 2},
+		{"SELECT COUNT(*) FROM customer WHERE c_custkey IN (7)", 1},
+	} {
+		if tp, ap := count(tc.sql, p.PlanTP), count(tc.sql, p.PlanAP); tp != tc.want || ap != tc.want {
+			t.Errorf("%s: TP %d, AP %d, want %d", tc.sql, tp, ap, tc.want)
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 const minChunksPerWorker = 2
 
 // maxPlannedDOP caps the planner's ask regardless of plan size, so one
-// huge scan cannot monopolize the gateway's worker pool.
+// huge scan cannot monopolize the gateway's worker ledger.
 const maxPlannedDOP = 8
 
 // chooseDOP picks the degree of parallelism for a plan whose largest

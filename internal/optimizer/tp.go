@@ -93,7 +93,7 @@ func (p *Planner) tpAccess(a *analysis, t boundTable) (built, error) {
 	fullRows := float64(t.meta.Rows)
 	filtered := estRows(a, t)
 
-	sarg := extractSargable(a, t)
+	sarg := indexSargable(a, t)
 	var scan built
 	if sarg != nil {
 		ix, _ := rt.IndexOn(sarg.column)
@@ -124,10 +124,11 @@ func (p *Planner) tpAccess(a *analysis, t boundTable) (built, error) {
 				Condition: sarg.pred.String(), UsesIndex: true},
 			rows: matched,
 		}
-		// residual = all table preds except the sargable one
+		// residual = all table preds except the sargable one, which stays
+		// when a bound is exclusive: the index range is inclusive
 		var residual []sqlparser.Expr
 		for _, pr := range preds {
-			if pr != sarg.pred {
+			if pr != sarg.pred || sarg.loStrict || sarg.hiStrict {
 				residual = append(residual, pr)
 			}
 		}

@@ -448,7 +448,7 @@ func (c *Coordinator) PrepareScatter(sql string, dec *optimizer.DistDecision) (*
 }
 
 // Workers is the total worker demand: the sum of every fragment's DOP.
-// The gateway admits this against its worker pool.
+// The gateway admits this against its worker ledger.
 func (sc *Scatter) Workers() int {
 	total := 0
 	for _, f := range sc.frags {

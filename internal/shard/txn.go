@@ -243,7 +243,7 @@ func (tx *Txn) Commit() (*TxnResult, error) { return tx.CommitTraced(nil) }
 // CommitTraced finishes the transaction, recording every participant's
 // apply, wal_append and wal_fsync_wait spans into t (a nil trace records
 // nothing). A single participant commits through its shard's ordinary
-// pipeline — the PR 8 fast path, untouched by sharding. Multiple participants commit in two phases under the
+// pipeline. Multiple participants commit in two phases under the
 // coordinator's commit lock: every shard Prepares (conflict check, shard
 // write lock acquired) in ascending shard order, then — once all have
 // prepared — a coordinator LSN is drawn and every shard Publishes
