@@ -24,7 +24,6 @@ import (
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/study"
 	"htapxplain/internal/treecnn"
-	"htapxplain/internal/value"
 	"htapxplain/internal/vectordb"
 	"htapxplain/internal/workload"
 )
@@ -377,14 +376,14 @@ func gatewayPointJoinPool(n int) []workload.Query {
 
 // selectiveScanParts builds a selective columnar scan over lineitem
 // (l_quantity = 1, ~2% of rows) — the shape where batch execution with
-// selection vectors beats materialization hardest, because the legacy path
-// allocated a boxed row per match and re-read every column in Materialize.
-func selectiveScanParts(b *testing.B) (*colstore.Table, []int, exec.Evaluator) {
-	b.Helper()
-	env := benchEnv(b)
+// selection vectors pays most: nothing is boxed per match and no column is
+// read twice.
+func selectiveScanParts(tb testing.TB) (*colstore.Table, []int, exec.Evaluator) {
+	tb.Helper()
+	env := benchEnv(tb)
 	ct, ok := env.Sys.Col.Table("lineitem")
 	if !ok {
-		b.Fatal("no lineitem column table")
+		tb.Fatal("no lineitem column table")
 	}
 	cols := []int{4, 5} // l_quantity, l_extendedprice
 	full := exec.TableSchema(ct.Meta, "lineitem")
@@ -394,32 +393,9 @@ func selectiveScanParts(b *testing.B) (*colstore.Table, []int, exec.Evaluator) {
 		Left: &sqlparser.ColumnRef{Table: "lineitem", Column: "l_quantity"}, Right: &sqlparser.IntLit{V: 1},
 	}, subset)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ct, cols, pred
-}
-
-// legacySelectiveScan reproduces the pre-vectorization ColTableScan.Run:
-// a scratch row filled per visited id, matching ids collected, then
-// Materialize re-reading every column to box one row per match.
-func legacySelectiveScan(ct *colstore.Table, cols []int, pred exec.Evaluator) ([]value.Row, error) {
-	row := make(value.Row, len(cols))
-	var evalErr error
-	ids, _ := ct.Scan(cols, nil, func(id int) bool {
-		for j, c := range cols {
-			row[j] = ct.Column(c).Value(id)
-		}
-		ok, err := exec.Truthy(pred, row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return ok
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return ct.Materialize(ids, cols), nil
 }
 
 // batchSelectiveScan streams the same scan through the vectorized engine
@@ -444,76 +420,41 @@ func batchSelectiveScan(ct *colstore.Table, cols []int, pred exec.Evaluator) (in
 	return matched, op.Close()
 }
 
-// BenchmarkVectorized_SelectiveAPScan is the tentpole's before/after pair:
-// sub-benchmark "legacy-materialize" is the removed engine's double
-// materialization, "batch-stream" the shipped batch pipeline. The ≥5x
-// allocation reduction is enforced by TestVectorizedAllocReduction.
+// BenchmarkVectorized_SelectiveAPScan measures the batch pipeline on the
+// selective AP scan; its allocation ceiling is enforced by
+// TestVectorizedAllocReduction.
 func BenchmarkVectorized_SelectiveAPScan(b *testing.B) {
 	ct, cols, pred := selectiveScanParts(b)
-	b.Run("legacy-materialize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := legacySelectiveScan(ct, cols, pred)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) == 0 {
-				b.Fatal("no matches")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, err := batchSelectiveScan(ct, cols, pred)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("batch-stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n, err := batchSelectiveScan(ct, cols, pred)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				b.Fatal("no matches")
-			}
+		if n == 0 {
+			b.Fatal("no matches")
 		}
-	})
+	}
 }
 
-// TestVectorizedAllocReduction enforces the tentpole's headline number: the
-// batch pipeline must allocate ≥5x less than legacy materialization on the
-// selective AP scan.
+// TestVectorizedAllocReduction gates the batch scan's allocation shape: a
+// selective scan allocates for its operator clone, its context and its
+// decode buffers — per scan, never per row matched (a materializing scan
+// boxes a row per match, so it cannot come under one allocation per eight).
 func TestVectorizedAllocReduction(t *testing.T) {
-	env, err := eval.NewEnv(eval.DefaultEnvConfig())
-	if err != nil {
-		t.Fatal(err)
+	ct, cols, pred := selectiveScanParts(t)
+	matched, err := batchSelectiveScan(ct, cols, pred)
+	if err != nil || matched == 0 {
+		t.Fatalf("selective scan matched %d rows (%v)", matched, err)
 	}
-	ct, ok := env.Sys.Col.Table("lineitem")
-	if !ok {
-		t.Fatal("no lineitem column table")
-	}
-	cols := []int{4, 5}
-	full := exec.TableSchema(ct.Meta, "lineitem")
-	pred, err := exec.Compile(&sqlparser.BinaryExpr{
-		Op:   sqlparser.OpEq,
-		Left: &sqlparser.ColumnRef{Table: "lineitem", Column: "l_quantity"}, Right: &sqlparser.IntLit{V: 1},
-	}, exec.Schema{full[4], full[5]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := testing.AllocsPerRun(20, func() {
-		if _, err := legacySelectiveScan(ct, cols, pred); err != nil {
-			t.Fatal(err)
-		}
-	})
-	batch := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := batchSelectiveScan(ct, cols, pred); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if batch <= 0 {
-		batch = 1
-	}
-	ratio := legacy / batch
-	t.Logf("allocs/op: legacy-materialize %.0f, batch-stream %.0f → %.1fx reduction", legacy, batch, ratio)
-	if ratio < 5 {
-		t.Errorf("allocation reduction %.1fx, want ≥ 5x (legacy %.0f vs batch %.0f)", ratio, legacy, batch)
+	t.Logf("allocs/op %.0f over %d chunks, %d matches", allocs, ct.NumChunks(), matched)
+	if allocs*8 >= float64(matched) {
+		t.Errorf("%.0f allocations for a scan matching %d rows, want fewer than 1 per 8 matches", allocs, matched)
 	}
 }
 

@@ -11,14 +11,20 @@
 // never lock per value: Table.View pins an immutable snapshot (base column
 // vectors + copy-on-write delete set + delta rows) that stays valid across
 // concurrent replication and merges.
+//
+// There is one of each: one constructor (NewStoreFromHeap — a bulk load is
+// the heap at LSN 0 with no tombstones), one writer (Store.Apply) and one
+// reader, the morsel cursor over a pinned view (NewMorsels / Morsels.Next),
+// which is what every query scans through and where zone-map pruning
+// happens.
 package colstore
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
 	"htapxplain/internal/catalog"
+	"htapxplain/internal/rowstore"
 	"htapxplain/internal/value"
 )
 
@@ -87,22 +93,6 @@ func (c *Column) Value(id int) value.Value {
 	return c.chunks[id/ChunkSize].ValueAt(id % ChunkSize)
 }
 
-// Slice returns the values of rows [lo, hi). For an all-raw column this
-// aliases the stored vector (capacity-clamped, never to be modified); for
-// a column with encoded chunks it materializes a fresh decoded copy —
-// the "alias or decode" halves of the batch contract. Hot paths use
-// Chunk + EncodedChunk decode-into-buffer instead.
-func (c *Column) Slice(lo, hi int) []value.Value {
-	if c.vals != nil {
-		return c.vals[lo:hi:hi]
-	}
-	out := make([]value.Value, hi-lo)
-	for i := range out {
-		out[i] = c.Value(lo + i)
-	}
-	return out
-}
-
 // Chunk returns the encoded chunk k — the accessor scans use to operate
 // on encoded data directly. The chunk is immutable.
 func (c *Column) Chunk(k int) *EncodedChunk { return c.chunks[k] }
@@ -158,30 +148,15 @@ func WithEncoding(p EncodingPolicy) Option {
 	return func(s *Store) { s.policy = p }
 }
 
-// NewStore builds a column store over the given physical data. Base
-// positions are aligned with the row store's heap (RID i ↔ position i).
+// NewStore bulk-loads a column store: the heap at LSN 0 in which every
+// row is live, base positions aligned with the row store's heap (RID i ↔
+// position i). See NewStoreFromHeap.
 func NewStore(cat *catalog.Catalog, data map[string][]value.Row, opts ...Option) (*Store, error) {
-	s := &Store{tables: make(map[string]*Table, len(data))}
-	s.repl.init()
-	for _, o := range opts {
-		o(s)
+	heaps := make(map[string]rowstore.HeapSnapshot, len(data))
+	for name, rows := range data {
+		heaps[name] = rowstore.HeapSnapshot{Rows: rows}
 	}
-	for _, meta := range cat.Tables() {
-		rows, ok := data[strings.ToLower(meta.Name)]
-		if !ok {
-			return nil, fmt.Errorf("colstore: no data for table %q", meta.Name)
-		}
-		t := &Table{Meta: meta, numRows: len(rows), policy: s.policy}
-		for ci, colMeta := range meta.Columns {
-			vals := make([]value.Value, len(rows))
-			for ri, r := range rows {
-				vals[ri] = r[ci]
-			}
-			t.columns = append(t.columns, newColumn(strings.ToLower(colMeta.Name), vals, s.policy))
-		}
-		s.tables[strings.ToLower(meta.Name)] = t
-	}
-	return s, nil
+	return NewStoreFromHeap(cat, heaps, 0, opts...)
 }
 
 // MemStats is a snapshot of the column store's base-chunk footprint under
@@ -290,8 +265,9 @@ func (t *Table) ColumnByName(name string) *Column {
 // allocation-free until delta rows are tombstoned (then the live delta is
 // copied out); everything it references is copy-on-write or append-only,
 // so it stays consistent while replication and merges continue. Scans
-// read base chunks (skipping BaseDead positions) and then the delta rows
-// — together the table as of the replication watermark at snapshot time.
+// draw morsels over it (see Morsels): base chunks, skipping BaseDead
+// positions, then the delta rows — together the table as of the
+// replication watermark at snapshot time.
 type View struct {
 	Cols    []*Column
 	NumRows int // base rows
@@ -318,22 +294,12 @@ func (t *Table) View() View {
 func (v *View) NumLive() int { return v.NumRows - len(v.BaseDead) + len(v.Delta) }
 
 // ValueAt reads column col of logical row id, where ids < NumRows address
-// base positions and ids >= NumRows address delta rows — the id space Scan
-// reports.
+// base positions and ids >= NumRows address delta rows.
 func (v *View) ValueAt(id, col int) value.Value {
 	if id < v.NumRows {
 		return v.Cols[col].Value(id)
 	}
 	return v.Delta[id-v.NumRows][col]
-}
-
-// ScanStats reports the work a columnar scan performed, feeding the latency
-// model.
-type ScanStats struct {
-	RowsVisited   int // rows actually evaluated (after chunk skipping)
-	ChunksSkipped int
-	ChunksTotal   int
-	ColumnsRead   int
 }
 
 // RangePruner describes an optional single-column range the scan can use
@@ -351,94 +317,4 @@ type RangePruner struct {
 	// chunks, and the compiled row predicate only needs to run on delta
 	// rows. The optimizer sets it; scans may never assume it otherwise.
 	Exact bool
-}
-
-// Scan evaluates pred over the table, reading only cols, and returns the
-// matching row ids in the view's id space (base positions, then delta ids
-// starting at NumRows). pred receives the row id; resolve values with
-// View.ValueAt on the same view. If pruner is non-nil, base chunks whose
-// zone map falls entirely outside [Lo,Hi] are skipped without visiting
-// rows; delta rows have no zone maps and are always visited.
-func (v *View) Scan(cols []int, pruner *RangePruner, pred func(id int) bool) ([]int, ScanStats) {
-	stats := ScanStats{ColumnsRead: len(cols)}
-	var match []int
-	n := v.NumRows
-	var zc *Column
-	if pruner != nil {
-		zc = v.Cols[pruner.Col]
-	}
-	for start := 0; start < n; start += ChunkSize {
-		end := start + ChunkSize
-		if end > n {
-			end = n
-		}
-		stats.ChunksTotal++
-		if zc != nil {
-			k := start / ChunkSize
-			mn, mx := zc.ChunkRange(k)
-			if pruner.Lo != nil && mx.Compare(*pruner.Lo) < 0 {
-				stats.ChunksSkipped++
-				continue
-			}
-			if pruner.Hi != nil && mn.Compare(*pruner.Hi) > 0 {
-				stats.ChunksSkipped++
-				continue
-			}
-		}
-		for id := start; id < end; id++ {
-			if v.BaseDead[int32(id)] {
-				continue
-			}
-			stats.RowsVisited++
-			if pred == nil || pred(id) {
-				match = append(match, id)
-			}
-		}
-	}
-	for i := range v.Delta {
-		stats.RowsVisited++
-		id := n + i
-		if pred == nil || pred(id) {
-			match = append(match, id)
-		}
-	}
-	return match, stats
-}
-
-// Scan evaluates pred over a fresh view of the table. See View.Scan.
-//
-// Legacy-pair caveat: Table.Scan and Table.Materialize each pin their own
-// view, and scan ids are only meaningful within the view that produced
-// them — a replication apply or merge between the two calls remaps the id
-// space. Callers racing the write path must take one explicit View and
-// use View.Scan + View.Materialize (as exec.ColTableScan does); the
-// Table-level pair is retained for quiesced/read-only use (benchmarks,
-// tests). pred implementations that read values through Column.Value only
-// see base rows correctly — use View.ValueAt when deltas may exist.
-func (t *Table) Scan(cols []int, pruner *RangePruner, pred func(id int) bool) ([]int, ScanStats) {
-	v := t.View()
-	return v.Scan(cols, pruner, pred)
-}
-
-// Materialize assembles value rows for the given ids over the given column
-// positions (late materialization) against a fresh view. The ids must
-// come from a Scan with no replication or merge in between — see the
-// legacy-pair caveat on Table.Scan; concurrent callers use View.
-// Materialize with the view that produced the ids.
-func (t *Table) Materialize(ids []int, cols []int) []value.Row {
-	v := t.View()
-	return v.Materialize(ids, cols)
-}
-
-// Materialize assembles value rows for the given view-space ids.
-func (v *View) Materialize(ids []int, cols []int) []value.Row {
-	out := make([]value.Row, len(ids))
-	for i, id := range ids {
-		r := make(value.Row, len(cols))
-		for j, c := range cols {
-			r[j] = v.ValueAt(id, c)
-		}
-		out[i] = r
-	}
-	return out
 }

@@ -41,17 +41,44 @@ func buildStore(t testing.TB, n int, keyOf func(i int) int64) *Table {
 	return tb
 }
 
+// drain enumerates a view through the morsel cursor — the reader every
+// query uses — and returns the ids pred accepts in the view's id space
+// (base positions, then NumRows + delta index), the rows it visited and
+// the chunks the cursor pruned by zone map.
+func drain(v View, pruner *RangePruner, pred func(id int) bool) (ids []int, visited int, pruned int64) {
+	src := NewMorsels(v, pruner)
+	for {
+		m, p, ok := src.Next()
+		pruned += p
+		if !ok {
+			return ids, visited, pruned
+		}
+		for i := m.Lo; i < m.Hi; i++ {
+			id := i
+			if !m.Base {
+				id = v.NumRows + i
+			} else if v.BaseDead[int32(i)] {
+				continue
+			}
+			visited++
+			if pred == nil || pred(id) {
+				ids = append(ids, id)
+			}
+		}
+	}
+}
+
 func TestScanAllRowsNoPruner(t *testing.T) {
 	tb := buildStore(t, 2500, func(i int) int64 { return int64(i) })
-	ids, stats := tb.Scan([]int{0}, nil, nil)
+	ids, visited, pruned := drain(tb.View(), nil, nil)
 	if len(ids) != 2500 {
 		t.Fatalf("scan matched %d rows, want 2500", len(ids))
 	}
-	if stats.RowsVisited != 2500 || stats.ChunksSkipped != 0 {
-		t.Errorf("stats = %+v", stats)
+	if visited != 2500 || pruned != 0 {
+		t.Errorf("visited %d rows, pruned %d chunks", visited, pruned)
 	}
-	if stats.ChunksTotal != 3 { // ceil(2500/1024)
-		t.Errorf("chunks = %d, want 3", stats.ChunksTotal)
+	if n := NewMorsels(tb.View(), nil).NumMorsels(); n != 3 { // ceil(2500/1024)
+		t.Errorf("morsels = %d, want 3", n)
 	}
 }
 
@@ -61,18 +88,19 @@ func TestZoneMapPruningSkipsChunks(t *testing.T) {
 	tb := buildStore(t, 4096, func(i int) int64 { return int64(i) })
 	lo, hi := value.NewInt(3000), value.NewInt(3010)
 	pruner := &RangePruner{Col: 0, Lo: &lo, Hi: &hi}
-	ids, stats := tb.Scan([]int{0}, pruner, func(id int) bool {
-		v := tb.Column(0).Value(id)
-		return v.I >= 3000 && v.I <= 3010
+	v := tb.View()
+	ids, visited, pruned := drain(v, pruner, func(id int) bool {
+		k := v.ValueAt(id, 0)
+		return k.I >= 3000 && k.I <= 3010
 	})
 	if len(ids) != 11 {
 		t.Fatalf("matched %d rows, want 11", len(ids))
 	}
-	if stats.ChunksSkipped != 3 {
-		t.Errorf("skipped %d chunks, want 3 of 4", stats.ChunksSkipped)
+	if pruned != 3 {
+		t.Errorf("pruned %d chunks, want 3 of 4", pruned)
 	}
-	if stats.RowsVisited >= 4096 {
-		t.Errorf("visited %d rows — pruning had no effect", stats.RowsVisited)
+	if visited != ChunkSize {
+		t.Errorf("visited %d rows, want the one surviving chunk", visited)
 	}
 }
 
@@ -88,12 +116,13 @@ func TestPruningNeverChangesResultsProperty(t *testing.T) {
 			lo64, hi64 = hi64, lo64
 		}
 		lo, hi := value.NewInt(lo64), value.NewInt(hi64)
+		v := tb.View()
 		pred := func(id int) bool {
-			v := tb.Column(0).Value(id)
-			return v.I >= lo64 && v.I <= hi64
+			k := v.ValueAt(id, 0)
+			return k.I >= lo64 && k.I <= hi64
 		}
-		withPruner, _ := tb.Scan([]int{0}, &RangePruner{Col: 0, Lo: &lo, Hi: &hi}, pred)
-		without, _ := tb.Scan([]int{0}, nil, pred)
+		withPruner, _, _ := drain(v, &RangePruner{Col: 0, Lo: &lo, Hi: &hi}, pred)
+		without, _, _ := drain(v, nil, pred)
 		if len(withPruner) != len(without) {
 			return false
 		}
@@ -111,15 +140,17 @@ func TestPruningNeverChangesResultsProperty(t *testing.T) {
 
 func TestMaterializeSelectsColumns(t *testing.T) {
 	tb := buildStore(t, 10, func(i int) int64 { return int64(i * 10) })
-	rows := tb.Materialize([]int{2, 5}, []int{0, 2})
-	if len(rows) != 2 || len(rows[0]) != 2 {
-		t.Fatalf("materialize shape: %v", rows)
+	// late materialization: ids from a drain resolve to any column's value
+	v := tb.View()
+	ids, _, _ := drain(v, nil, func(id int) bool { return id == 2 || id == 5 })
+	if len(ids) != 2 {
+		t.Fatalf("drain selected %v, want [2 5]", ids)
 	}
-	if rows[0][0].I != 20 || rows[1][0].I != 50 {
-		t.Errorf("materialized keys: %v", rows)
+	if a, b := v.ValueAt(ids[0], 0), v.ValueAt(ids[1], 0); a.I != 20 || b.I != 50 {
+		t.Errorf("materialized keys: %v %v", a, b)
 	}
-	if rows[0][1].K != value.KindFloat {
-		t.Errorf("second column should be the float column, got %v", rows[0][1].K)
+	if f := v.ValueAt(ids[0], 2); f.K != value.KindFloat || f.F != 1 {
+		t.Errorf("column 2 of row 2 should be the float 1.0, got %v", f)
 	}
 }
 
@@ -149,14 +180,6 @@ func TestZoneMapBoundsAreTight(t *testing.T) {
 	}
 }
 
-func TestScanStatsColumnsRead(t *testing.T) {
-	tb := buildStore(t, 100, func(i int) int64 { return int64(i) })
-	_, stats := tb.Scan([]int{0, 2}, nil, nil)
-	if stats.ColumnsRead != 2 {
-		t.Errorf("ColumnsRead = %d", stats.ColumnsRead)
-	}
-}
-
 func TestNewStoreRequiresAllTables(t *testing.T) {
 	if _, err := NewStore(tinyCatalog(1), map[string][]value.Row{}); err == nil {
 		t.Error("missing table data should error")
@@ -169,8 +192,8 @@ func TestEmptyTableScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, _ := s.Table("t")
-	ids, stats := tb.Scan([]int{0}, nil, nil)
-	if len(ids) != 0 || stats.RowsVisited != 0 {
-		t.Errorf("empty scan: ids=%v stats=%+v", ids, stats)
+	ids, visited, _ := drain(tb.View(), nil, nil)
+	if len(ids) != 0 || visited != 0 {
+		t.Errorf("empty scan: ids=%v visited=%d", ids, visited)
 	}
 }

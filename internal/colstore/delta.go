@@ -47,7 +47,6 @@ func (d *tableDelta) numLive() int { return len(d.rows) - d.deadCount }
 // replState is the store-global replication bookkeeping.
 type replState struct {
 	watermark atomic.Uint64 // last applied LSN
-	applied   atomic.Int64  // mutations applied
 	pending   atomic.Int64  // delta slots + tombstones awaiting merge, across tables
 	notify    chan struct{} // pokes the background merger on threshold
 }
@@ -59,9 +58,6 @@ func (r *replState) init() {
 // Watermark returns the LSN of the last mutation folded into the delta
 // layer — the freshness bound AP reads are guaranteed to reflect.
 func (s *Store) Watermark() uint64 { return s.repl.watermark.Load() }
-
-// MutationsApplied returns the number of replicated mutations applied.
-func (s *Store) MutationsApplied() int64 { return s.repl.applied.Load() }
 
 // PendingDelta returns the number of un-merged delta operations across all
 // tables (delta slots plus base tombstones).
@@ -83,7 +79,6 @@ func (s *Store) Apply(mut *repl.Mutation) error {
 		return err
 	}
 	s.repl.watermark.Store(mut.LSN)
-	s.repl.applied.Add(1)
 	if s.repl.pending.Add(int64(ops)) >= int64(s.mergeThreshold()) {
 		select {
 		case s.repl.notify <- struct{}{}:

@@ -53,7 +53,7 @@ func TestApplyInsertVisibleInView(t *testing.T) {
 	if got := v.ValueAt(10, 0); got.I != 100 {
 		t.Errorf("delta row key = %v, want 100", got)
 	}
-	ids, _ := v.Scan([]int{0}, nil, nil)
+	ids, _, _ := drain(v, nil, nil)
 	if len(ids) != 11 {
 		t.Errorf("scan saw %d rows, want 11", len(ids))
 	}
@@ -72,7 +72,7 @@ func TestApplyDeleteBaseAndDelta(t *testing.T) {
 	if v.NumLive() != 9 {
 		t.Errorf("live = %d, want 9", v.NumLive())
 	}
-	ids, _ := v.Scan([]int{0}, nil, nil)
+	ids, _, _ := drain(v, nil, nil)
 	for _, id := range ids {
 		if id == 3 {
 			t.Error("deleted base row still scanned")

@@ -5,31 +5,26 @@ import (
 	"strings"
 
 	"htapxplain/internal/catalog"
+	"htapxplain/internal/rowstore"
 	"htapxplain/internal/value"
 )
 
-// HeapSnapshot mirrors the row store's recovered version heap for the
-// column store's recovery constructor: the full heap (live and tombstoned
-// slots, indexable by RID) plus the parallel tombstone flags.
-type HeapSnapshot struct {
-	Rows []value.Row
-	Dead []bool
-}
-
-// NewStoreFromHeap rebuilds the replication secondary from the recovered
-// row-store heap: base columns are laid out over the *full* heap so the
-// identity RID mapping (position == RID) that the replication protocol
-// assumes still holds, and tombstoned slots are seeded into the
-// copy-on-write delete set that scans already filter. Zone maps cover dead
-// slots too — they can only widen a chunk's range, which keeps pruning
-// conservative and correct. Chunk encodings are re-chosen here from the
-// recovered values under the store's policy — checkpoints stay
+// NewStoreFromHeap is the store's one constructor: it builds the
+// replication secondary from the row store's heap snapshots — the bulk
+// image at watermark 0, or a recovered checkpoint; the same map the row
+// store's constructor takes. Base columns are laid out over the *full*
+// heap (live and tombstoned slots) so the identity RID mapping (position
+// == RID) that the replication protocol assumes holds, and tombstoned
+// slots are seeded into the copy-on-write delete set that scans already
+// filter. Zone maps cover dead slots too — they can only widen a chunk's
+// range, which keeps pruning conservative and correct. Chunk encodings are
+// chosen here from the values under the store's policy — checkpoints stay
 // encoding-agnostic (they snapshot plain row heaps), so an encoding
 // change never invalidates a checkpoint. watermark seats the replication
-// watermark at the recovered commit point, so the freshness gauge does
-// not report a phantom lag after restart; WAL tail replay continues
-// through Apply.
-func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]HeapSnapshot, watermark uint64, opts ...Option) (*Store, error) {
+// watermark at the heap's commit point, so the freshness gauge does not
+// report a phantom lag after restart; WAL tail replay continues through
+// Apply.
+func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]rowstore.HeapSnapshot, watermark uint64, opts ...Option) (*Store, error) {
 	s := &Store{tables: make(map[string]*Table, len(heaps))}
 	s.repl.init()
 	for _, o := range opts {
@@ -38,15 +33,15 @@ func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]HeapSnapshot, water
 	for _, meta := range cat.Tables() {
 		snap, ok := heaps[strings.ToLower(meta.Name)]
 		if !ok {
-			return nil, fmt.Errorf("colstore: recovered heap has no table %q", meta.Name)
+			return nil, fmt.Errorf("colstore: heap has no table %q", meta.Name)
 		}
-		if len(snap.Dead) != len(snap.Rows) {
-			return nil, fmt.Errorf("colstore: recovered table %q has %d rows but %d tombstone flags",
-				meta.Name, len(snap.Rows), len(snap.Dead))
+		if snap.Versions != nil && len(snap.Versions) != len(snap.Rows) {
+			return nil, fmt.Errorf("colstore: table %q has %d rows but %d versions",
+				meta.Name, len(snap.Rows), len(snap.Versions))
 		}
 		for ri, r := range snap.Rows {
 			if len(r) != len(meta.Columns) {
-				return nil, fmt.Errorf("colstore: recovered table %q row %d has %d columns, want %d",
+				return nil, fmt.Errorf("colstore: table %q row %d has %d columns, want %d",
 					meta.Name, ri, len(r), len(meta.Columns))
 			}
 		}
@@ -58,8 +53,8 @@ func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]HeapSnapshot, water
 			}
 			t.columns = append(t.columns, newColumn(strings.ToLower(meta.Columns[ci].Name), vals, s.policy))
 		}
-		for pos, dead := range snap.Dead {
-			if !dead {
+		for pos, vm := range snap.Versions {
+			if vm.DeleteLSN == 0 {
 				continue
 			}
 			if t.baseDead == nil {

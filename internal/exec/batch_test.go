@@ -125,8 +125,7 @@ func TestColTableScanAliasesChunks(t *testing.T) {
 		if b == nil {
 			break
 		}
-		start := batches * colstore.ChunkSize
-		stored := tb.Column(0).Slice(start, start+1)
+		stored := tb.Column(0).Chunk(batches).Raw
 		if &b.Cols[0][0] != &stored[0] {
 			t.Errorf("batch %d does not alias the stored chunk", batches)
 		}

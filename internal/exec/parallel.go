@@ -14,11 +14,30 @@
 package exec
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"htapxplain/internal/value"
 )
+
+// PanicError is a panic recovered on a query-scoped goroutine — a forked
+// morsel worker, a parallel aggregate worker, a scatter fragment — and
+// sent down the error path that goroutine already had: siblings are
+// cancelled, the query fails with this error, and the process (with every
+// other query in it) lives. Stack is the panicking goroutine's, taken at
+// the recover.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("exec: panic in a query worker: %v", e.Value) }
+
+// Recovered wraps a non-nil recover() result. Call it from the deferred
+// function itself, so Stack still holds the panicking frames.
+func Recovered(r any) *PanicError { return &PanicError{Value: r, Stack: debug.Stack()} }
 
 // ParallelSource is a leaf operator whose scan can be split into
 // chunk-aligned morsels drawn from a shared cursor. ForkShared pins the
@@ -176,7 +195,8 @@ func forkOne(op BatchOperator, leaf BatchOperator, budget **atomic.Int64) BatchO
 // returns, so consume must copy what it keeps). Worker contexts share one
 // cancellation scope nested under ctx's: the first error (or a drained
 // limit budget) cancels the scope and the remaining workers stop at their
-// next morsel. Worker stats are merged into ctx strictly after the
+// next morsel; a worker that panics fails the same way, with a
+// *PanicError. Worker stats are merged into ctx strictly after the
 // wg.Wait barrier — including on cancellation and error paths — which is
 // the invariant that makes plain (non-atomic) reads of ctx.Stats safe the
 // moment Drain/Execute returns; callers must not read ctx.Stats while a
@@ -197,6 +217,11 @@ func runForked(ctx *Context, pipes []BatchOperator, consume func(w int, wctx *Co
 		go func(w int) {
 			defer wg.Done()
 			p, wctx := pipes[w], wctxs[w]
+			defer func() {
+				if r := recover(); r != nil {
+					fail(wctx, Recovered(r))
+				}
+			}()
 			if err := p.Open(wctx); err != nil {
 				_ = p.Close()
 				fail(wctx, err)

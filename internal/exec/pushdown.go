@@ -99,6 +99,12 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[wi] = Recovered(r)
+					wctxs[wi].Cancel()
+				}
+			}()
 			w := a.newPushWorker(scan, view)
 			parts[wi] = a.newTable()
 			if err := w.fold(wctxs[wi], src, parts[wi]); err != nil {

@@ -6,12 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"htapxplain/internal/catalog"
 	"htapxplain/internal/colstore"
 	"htapxplain/internal/recovery"
 	"htapxplain/internal/repl"
 	"htapxplain/internal/rowstore"
-	"htapxplain/internal/tpch"
 	"htapxplain/internal/wal"
 )
 
@@ -135,15 +133,12 @@ func (s *System) Checkpoint() (uint64, error) {
 	return s.ckpt.CheckpointNow()
 }
 
-// openDurable builds the storage engines from the data directory: restore
-// the latest checkpoint if one exists (else bulk-load fresh data), replay
-// the WAL tail through both stores, and leave the WAL positioned for
-// appends. It returns the stores seated at the recovered commit LSN with
-// the replication watermark equal to it (an AP read right after recovery
-// is fully fresh).
-func openDurable(cat *catalog.Catalog, data *tpch.Dataset, dcfg DurabilityConfig, enc colstore.EncodingPolicy) (
-	row *rowstore.Store, col *colstore.Store, w *wal.WAL, info RecoveryInfo, err error) {
-	w, err = wal.Open(wal.Options{
+// openDurable is boot's first durable step: open the log (cutting a torn
+// tail off it) and choose the image to boot from — the newest checkpoint
+// that decodes, else (a first boot, or every checkpoint destroyed) the
+// deterministic bulk image, which is then what the log replays onto.
+func openDurable(dcfg DurabilityConfig, bulk *recovery.Checkpoint) (*wal.WAL, *recovery.Checkpoint, RecoveryInfo, error) {
+	w, err := wal.Open(wal.Options{
 		Dir:                  dcfg.walDir(),
 		SegmentBytes:         dcfg.SegmentBytes,
 		SyncInterval:         dcfg.SyncInterval,
@@ -151,56 +146,29 @@ func openDurable(cat *catalog.Catalog, data *tpch.Dataset, dcfg DurabilityConfig
 		SimulatedSyncLatency: dcfg.SimulatedSyncLatency,
 	})
 	if err != nil {
-		return nil, nil, nil, info, err
+		return nil, nil, RecoveryInfo{}, err
 	}
-	fail := func(e error) (*rowstore.Store, *colstore.Store, *wal.WAL, RecoveryInfo, error) {
-		w.Close()
-		return nil, nil, nil, info, e
-	}
-	info.TornBytesDropped = w.Info().TruncatedBytes
-
 	ck, err := recovery.LoadLatest(dcfg.ckptDir())
 	if err != nil {
-		return fail(err)
+		w.Close()
+		return nil, nil, RecoveryInfo{}, err
 	}
+	info := RecoveryInfo{TornBytesDropped: w.Info().TruncatedBytes}
 	if ck == nil {
-		// first boot (or every checkpoint destroyed): bulk-load, then
-		// replay any surviving log over the deterministic base
-		row, err = rowstore.NewStore(cat, data.Tables)
-		if err != nil {
-			return fail(fmt.Errorf("htap: loading row store: %w", err))
-		}
-		col, err = colstore.NewStore(cat, data.Tables, colstore.WithEncoding(enc))
-		if err != nil {
-			return fail(fmt.Errorf("htap: loading column store: %w", err))
-		}
-	} else {
-		info.Recovered = true
-		info.CheckpointLSN = ck.LSN
-		row, err = rowstore.NewStoreFromSnapshot(cat, ck.Tables, ck.LSN)
-		if err != nil {
-			return fail(fmt.Errorf("htap: restoring row store: %w", err))
-		}
-		colHeaps := make(map[string]colstore.HeapSnapshot, len(ck.Tables))
-		for name, snap := range ck.Tables {
-			dead := make([]bool, len(snap.Versions))
-			for i, vm := range snap.Versions {
-				dead[i] = vm.DeleteLSN != 0
-			}
-			colHeaps[name] = colstore.HeapSnapshot{Rows: snap.Rows, Dead: dead}
-		}
-		col, err = colstore.NewStoreFromHeap(cat, colHeaps, ck.LSN, colstore.WithEncoding(enc))
-		if err != nil {
-			return fail(fmt.Errorf("htap: restoring column store: %w", err))
-		}
+		return w, bulk, info, nil
 	}
+	info.Recovered, info.CheckpointLSN = true, ck.LSN
+	return w, ck, info, nil
+}
 
-	// replay the WAL tail through both stores — the row store rebuilds the
-	// heap (validating logged RIDs against heap positions) and the column
-	// store rebuilds its delta layer, advancing the replication watermark
-	// to the recovered commit LSN
-	replayFrom := info.CheckpointLSN + 1
-	err = w.Replay(replayFrom, func(rec wal.Record) error {
+// replayTail is boot's last durable step and the system's one replay loop:
+// every logged commit beyond the image the stores were built from goes
+// through the row store (which refuses a log that does not resume at the
+// very next LSN, or whose RIDs are not the next heap slots) and then the
+// column store's delta layer, advancing the replication watermark to the
+// recovered commit LSN.
+func replayTail(w *wal.WAL, row *rowstore.Store, col *colstore.Store, info *RecoveryInfo) error {
+	err := w.Replay(info.CheckpointLSN+1, func(rec wal.Record) error {
 		var muts []*repl.Mutation
 		switch rec.Kind {
 		case wal.KindMutation:
@@ -233,11 +201,11 @@ func openDurable(cat *catalog.Catalog, data *tpch.Dataset, dcfg DurabilityConfig
 		return nil
 	})
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	info.RecoveredLSN = row.CommitLSN()
 	info.CleanShutdown = info.TornBytesDropped == 0 &&
 		w.Info().LastKind == wal.KindShutdown &&
 		w.Info().LastLSN == info.RecoveredLSN
-	return row, col, w, info, nil
+	return nil
 }

@@ -145,15 +145,19 @@ func (s *System) TxnStats() TxnStats {
 	}
 }
 
-// New builds the catalog, generates data, loads both storage engines,
+// New builds the catalog, generates data, boots both storage engines,
 // wires the planners, and starts the replication pipeline (applier
-// goroutine + background delta merger). When Config.Durability names a
-// data directory, storage state is instead recovered from the latest
-// checkpoint + WAL tail (see Open), every commit is logged and group-
-// committed before it is acknowledged, and a background checkpointer
-// bounds replay length. Callers that mutate the system should Close it to
-// stop the pipeline (and, when durable, flush the log and write the
-// clean-shutdown checkpoint).
+// goroutine + background delta merger). Boot is one sequence, and a fresh
+// boot is the recovery whose image is the bulk load: the base image is the
+// generated data at LSN 0 with nothing tombstoned; when Config.Durability
+// names a data directory the newest loadable checkpoint replaces it, if
+// there is one; both stores are built from that image by their one
+// constructor; and, when durable, the WAL tail beyond the image is
+// replayed through the one writer. A durable system then logs and
+// group-commits every commit before acknowledging it, and a background
+// checkpointer bounds replay length. Callers that mutate the system should
+// Close it to stop the pipeline (and, when durable, flush the log and
+// write the clean-shutdown checkpoint).
 func New(cfg Config) (*System, error) {
 	if cfg.ModeledSF <= 0 {
 		return nil, fmt.Errorf("htap: ModeledSF must be positive, got %g", cfg.ModeledSF)
@@ -161,9 +165,9 @@ func New(cfg Config) (*System, error) {
 	cat := catalog.TPCH(cfg.ModeledSF)
 	// Data is generated even when a checkpoint will supersede it: the
 	// generator is deterministic, so s.Data stays exactly the LSN-0 bulk
-	// base its consumers expect, and the no-checkpoint recovery fallback
-	// (checkpoints destroyed, WAL intact) needs it to replay onto. A
-	// preloaded dataset (a shard's partition) takes the same role.
+	// base its consumers expect, and a reopen whose checkpoints were
+	// destroyed (WAL intact) replays onto it. A preloaded dataset (a
+	// shard's partition) takes the same role.
 	data := cfg.Preloaded
 	if data == nil {
 		var err error
@@ -172,27 +176,37 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("htap: generating data: %w", err)
 		}
 	}
+	base := &recovery.Checkpoint{Tables: make(map[string]rowstore.HeapSnapshot, len(data.Tables))}
+	for name, rows := range data.Tables {
+		base.Tables[name] = rowstore.HeapSnapshot{Rows: rows}
+	}
 	var (
-		row  *rowstore.Store
-		col  *colstore.Store
 		w    *wal.WAL
 		info RecoveryInfo
-		err  error
 	)
 	if cfg.Durability.Enabled() {
-		row, col, w, info, err = openDurable(cat, data, cfg.Durability, cfg.Encoding)
-		if err != nil {
+		var err error
+		if w, base, info, err = openDurable(cfg.Durability, base); err != nil {
 			return nil, err
 		}
-	} else {
-		row, err = rowstore.NewStore(cat, data.Tables)
-		if err != nil {
-			return nil, fmt.Errorf("htap: loading row store: %w", err)
+	}
+	// the one place the two engines are constructed: both from the same
+	// image, the row store seated at its commit LSN and the column store's
+	// replication watermark equal to it (an AP read right after boot is
+	// fully fresh)
+	row, err := rowstore.NewStoreFromSnapshot(cat, base.Tables, base.LSN)
+	var col *colstore.Store
+	if err == nil {
+		col, err = colstore.NewStoreFromHeap(cat, base.Tables, base.LSN, colstore.WithEncoding(cfg.Encoding))
+	}
+	if err == nil && w != nil {
+		err = replayTail(w, row, col, &info)
+	}
+	if err != nil {
+		if w != nil {
+			w.Close()
 		}
-		col, err = colstore.NewStore(cat, data.Tables, colstore.WithEncoding(cfg.Encoding))
-		if err != nil {
-			return nil, fmt.Errorf("htap: loading column store: %w", err)
-		}
+		return nil, fmt.Errorf("htap: booting from the image at LSN %d: %w", base.LSN, err)
 	}
 	depth := cfg.Repl.QueueDepth
 	if depth <= 0 {

@@ -46,7 +46,9 @@ func snapshotStorage(t *testing.T, s *System) *storageSnapshot {
 		for c := range meta.Columns {
 			col := ct.Column(c)
 			vec := make([]value.Value, col.Len())
-			copy(vec, col.Slice(0, col.Len()))
+			for i := range vec {
+				vec[i] = col.Value(i)
+			}
 			vecs[c] = vec
 		}
 		snap.cols[meta.Name] = vecs
@@ -80,8 +82,8 @@ func (snap *storageSnapshot) diffStorage(t *testing.T, s *System) string {
 			if col.Len() != len(want) {
 				return "colstore " + meta.Name + ": column " + itoa(c) + " length changed"
 			}
-			for i, v := range col.Slice(0, col.Len()) {
-				if v != want[i] {
+			for i := range want {
+				if v := col.Value(i); v != want[i] {
 					return "colstore " + meta.Name + ": col " + itoa(c) + " row " + itoa(i) +
 						" mutated: " + want[i].String() + " → " + v.String()
 				}

@@ -1,10 +1,13 @@
 package htap
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,7 +175,8 @@ func TestReopenAfterHardKill(t *testing.T) {
 // volatile reference system that executed exactly the first K statements —
 // where K is the number of complete records the truncated log holds. The
 // committed prefix property: durability never resurrects a torn suffix and
-// never loses a complete one.
+// never loses a complete one. At the full log the three boots — volatile,
+// durable first boot, reopen — are compared heap slot by heap slot.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	const statements = 60
 	dir := t.TempDir()
@@ -268,6 +272,16 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Fatalf("offset %d: staleness %d after recovery", off, rec.Staleness())
 		}
 		assertStoresEqual(t, rec)
+		if k == statements {
+			// boot is one sequence: the volatile boot, the durable first
+			// boot (closed, still readable) and this reopen ran the same
+			// history through it and must hold byte-identical storage
+			if err := ref.WaitFresh(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			assertSameStorage(t, "volatile boot vs durable first boot", ref, s)
+			assertSameStorage(t, "durable first boot vs reopen", s, rec)
+		}
 
 		// the recovered log must accept new commits at K+1
 		res, err := rec.Exec("INSERT INTO customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_mktsegment, c_comment) VALUES (1888888888, 'probe', 'p', 0, '10-0', 0.5, 'building', 'post-crash')")
@@ -279,6 +293,33 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		}
 		rec.Close()
 	}
+}
+
+// assertSameStorage requires two systems to hold byte-identical storage:
+// every table's version heap slot for slot (row values and insert/delete
+// LSNs) and, through assertStoresEqual on each, the same column values.
+func assertSameStorage(t *testing.T, what string, a, b *System) {
+	t.Helper()
+	for _, meta := range a.Cat.Tables() {
+		at, _ := a.Row.Table(meta.Name)
+		bt, _ := b.Row.Table(meta.Name)
+		ah, bh := at.SnapshotHeap(), bt.SnapshotHeap()
+		if len(ah.Rows) != len(bh.Rows) {
+			t.Fatalf("%s: %s heaps hold %d vs %d versions", what, meta.Name, len(ah.Rows), len(bh.Rows))
+		}
+		for i := range ah.Rows {
+			if ah.Versions[i] != bh.Versions[i] {
+				t.Fatalf("%s: %s slot %d versions %+v vs %+v", what, meta.Name, i, ah.Versions[i], bh.Versions[i])
+			}
+			for c := range ah.Rows[i] {
+				if ah.Rows[i][c] != bh.Rows[i][c] {
+					t.Fatalf("%s: %s slot %d col %d: %v vs %v", what, meta.Name, i, c, ah.Rows[i][c], bh.Rows[i][c])
+				}
+			}
+		}
+	}
+	assertStoresEqual(t, a)
+	assertStoresEqual(t, b)
 }
 
 // TestCrashDuringConcurrentLoad commits from many goroutines (group commit
@@ -494,6 +535,114 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 				len(got), len(want), sql)
 		}
 	}
+}
+
+// gapScenario commits six single-row deletes on nation, checkpoints, and
+// commits two more, on 64-byte WAL segments so every retirement decision
+// moves a file. It returns a kill -9 image of the data directory whose
+// newest checkpoint (LSN 6) is corrupted, leaving the boot checkpoint
+// (LSN 0) as LoadLatest's fallback, and the 17 nation rows that were
+// committed.
+func gapScenario(t *testing.T) (image string, cfg Config, want []string) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg = durableCfg(dir)
+	cfg.Durability.SegmentBytes = 64
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := 0; k < 8; k++ {
+		if k == 6 {
+			if lsn, err := s.Checkpoint(); err != nil || lsn != 6 {
+				t.Fatalf("Checkpoint = %d, %v; want LSN 6", lsn, err)
+			}
+		}
+		res, err := s.Exec(fmt.Sprintf("DELETE FROM nation WHERE n_nationkey = %d", k))
+		if err != nil || res.RowsAffected != 1 || res.LSN != uint64(k+1) {
+			t.Fatalf("delete %d: %+v, %v", k, res, err)
+		}
+	}
+	want = liveTableRows(t, s, "nation")
+	if len(want) != 17 {
+		t.Fatalf("%d nation rows live after 8 deletes, want 17", len(want))
+	}
+	image = t.TempDir()
+	copyTree(t, dir, image)
+	newest := filepath.Join(image, "checkpoint", fmt.Sprintf("ckpt-%020d.snap", 6))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return image, cfg, want
+}
+
+// TestRecoveryRefusesLogGap: a data directory whose log was retired up to
+// a checkpoint that no longer loads (what every checkpoint did before the
+// retirement floor was the oldest kept one) has a hole between the
+// fallback image and the surviving tail. Replaying LSNs 7 and 8 onto the
+// LSN-0 image would serve 23 nation rows where 17 were committed — six
+// deleted rows resurrected — so the reopen must fail instead.
+func TestRecoveryRefusesLogGap(t *testing.T) {
+	image, cfg, want := gapScenario(t)
+	// retire the log up to LSN 6, by the rule wal.TruncateBefore applies
+	segs, err := filepath.Glob(filepath.Join(image, "wal", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	first := func(seg string) uint64 {
+		lsn, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(seg), ".seg"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	for len(segs) > 1 && first(segs[1]) <= 7 {
+		if err := os.Remove(segs[0]); err != nil {
+			t.Fatal(err)
+		}
+		segs = segs[1:]
+	}
+
+	rec, err := Open(image, cfg)
+	if err == nil {
+		defer rec.Close()
+		t.Fatalf("reopened across a log gap at LSN %d with %d live nation rows; %d were committed (%s)",
+			rec.CommitLSN(), len(liveTableRows(t, rec, "nation")), len(want), rec.Recovery())
+	}
+	if !strings.Contains(err.Error(), "image at LSN 0") || !strings.Contains(err.Error(), "log resumes at LSN 7") {
+		t.Fatalf("Open = %v, want a refusal naming the image at LSN 0 and the log resuming at LSN 7", err)
+	}
+}
+
+// TestRecoveryFallsBackToOlderCheckpoint is the gap test's positive twin:
+// the same damaged newest checkpoint, but the log as the checkpointer left
+// it — retired only up to the oldest checkpoint it kept — so the fallback
+// image has its whole tail and the reopen is exactly the committed state.
+func TestRecoveryFallsBackToOlderCheckpoint(t *testing.T) {
+	image, cfg, want := gapScenario(t)
+	rec, err := Open(image, cfg)
+	if err != nil {
+		t.Fatalf("Open with the newest checkpoint damaged: %v", err)
+	}
+	defer rec.Close()
+	info := rec.Recovery()
+	if !info.Recovered || info.CheckpointLSN != 0 || info.ReplayedMutations != 8 || info.RecoveredLSN != 8 {
+		t.Fatalf("RecoveryInfo = %+v, want checkpoint 0 + 8 replayed -> LSN 8", info)
+	}
+	if got := liveTableRows(t, rec, "nation"); !equalStrings(got, want) {
+		t.Fatalf("recovered nation has %d rows, want the %d committed", len(got), len(want))
+	}
+	if rec.Staleness() != 0 {
+		t.Fatalf("staleness = %d, want 0", rec.Staleness())
+	}
+	assertStoresEqual(t, rec)
 }
 
 func equalStrings(a, b []string) bool {

@@ -47,7 +47,8 @@ const (
 	ckptSuffix = ".snap"
 
 	// KeepCheckpoints is how many recent checkpoints survive pruning: the
-	// latest plus one fallback in case the latest is damaged.
+	// latest plus one fallback in case the latest is damaged. The log is
+	// kept back to the oldest of them, so the fallback can be replayed from.
 	KeepCheckpoints = 2
 )
 
@@ -276,14 +277,17 @@ func LoadLatest(dir string) (*Checkpoint, error) {
 	return nil, nil
 }
 
-// Prune deletes all but the keep newest checkpoint files.
-func Prune(dir string, keep int) error {
+// Prune deletes all but the keep newest checkpoint files and returns the
+// LSN of the oldest one it kept (0 when the directory holds none) — the
+// floor below which the log is no longer needed, since LoadLatest may have
+// to fall back that far.
+func Prune(dir string, keep int) (oldestKept uint64, err error) {
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("recovery: reading %s: %w", dir, err)
+		return 0, fmt.Errorf("recovery: reading %s: %w", dir, err)
 	}
 	var names []string
 	for _, e := range ents {
@@ -294,8 +298,11 @@ func Prune(dir string, keep int) error {
 	sort.Strings(names) // zero-padded LSNs: lexicographic == numeric
 	for i := 0; i < len(names)-keep; i++ {
 		if err := os.Remove(filepath.Join(dir, names[i])); err != nil {
-			return fmt.Errorf("recovery: pruning checkpoint: %w", err)
+			return 0, fmt.Errorf("recovery: pruning checkpoint: %w", err)
 		}
 	}
-	return nil
+	if kept := names[max(len(names)-keep, 0):]; len(kept) > 0 {
+		oldestKept, _ = parseCkptName(kept[0])
+	}
+	return oldestKept, nil
 }

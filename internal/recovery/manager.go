@@ -56,8 +56,11 @@ func NewManager(dir string, src Source, log *wal.WAL) *Manager {
 }
 
 // CheckpointNow takes a snapshot, persists it, prunes old checkpoints and
-// retires covered WAL segments. Safe to call concurrently with the
-// background loop (checkpoints serialize on the manager lock).
+// retires the WAL segments no kept checkpoint needs: the log survives back
+// to the oldest checkpoint Prune kept, not the one just written, so when
+// the newest file turns out damaged LoadLatest's fallback still has its
+// whole tail. Safe to call concurrently with the background loop
+// (checkpoints serialize on the manager lock).
 func (m *Manager) CheckpointNow() (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -77,7 +80,8 @@ func (m *Manager) CheckpointNow() (uint64, error) {
 		m.setErr(err)
 		return 0, err
 	}
-	if err := Prune(m.dir, KeepCheckpoints); err != nil {
+	floor, err := Prune(m.dir, KeepCheckpoints)
+	if err != nil {
 		m.setErr(err)
 		return 0, err
 	}
@@ -85,7 +89,7 @@ func (m *Manager) CheckpointNow() (uint64, error) {
 		// the marker makes the checkpoint visible in the log stream, and
 		// retirement drops segments recovery can no longer need
 		_ = m.log.Append(wal.Record{LSN: ck.LSN, Kind: wal.KindCheckpoint})
-		freed, err := m.log.TruncateBefore(ck.LSN)
+		freed, err := m.log.TruncateBefore(floor)
 		if err != nil {
 			m.setErr(err)
 			return 0, err

@@ -115,8 +115,9 @@ func TestPruneKeepsNewest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Prune(dir, KeepCheckpoints); err != nil {
-		t.Fatal(err)
+	// the oldest survivor is the log's retirement floor
+	if floor, err := Prune(dir, KeepCheckpoints); err != nil || floor != 15 {
+		t.Fatalf("Prune = %d, %v; want oldest kept LSN 15", floor, err)
 	}
 	ents, _ := os.ReadDir(dir)
 	var kept []string

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"htapxplain/internal/catalog"
+	"htapxplain/internal/repl"
 	"htapxplain/internal/value"
 )
 
@@ -40,15 +41,25 @@ func mutStore(t *testing.T) *Store {
 	return s
 }
 
+// commit drives the store's one writer the way a committer does: apply
+// the write set at the next LSN, then publish it.
+func commit(t *testing.T, s *Store, deletes []int64, inserts []value.Row) *repl.Mutation {
+	t.Helper()
+	lsn := s.CommitLSN() + 1
+	mut, err := s.ApplyAt("t", deletes, inserts, lsn)
+	if err != nil {
+		t.Fatalf("ApplyAt(LSN %d): %v", lsn, err)
+	}
+	s.PublishCommit(lsn)
+	return mut
+}
+
 func TestInsertAssignsLSNAndRIDs(t *testing.T) {
 	s := mutStore(t)
-	mut, err := s.Insert("t", []value.Row{
+	mut := commit(t, s, nil, []value.Row{
 		{value.NewInt(50), value.NewString("e")},
 		{value.NewInt(60), value.NewString("f")},
 	})
-	if err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
 	if mut.LSN != 1 || s.CommitLSN() != 1 {
 		t.Errorf("LSN = %d (store %d), want 1", mut.LSN, s.CommitLSN())
 	}
@@ -67,12 +78,9 @@ func TestInsertAssignsLSNAndRIDs(t *testing.T) {
 
 func TestDeleteTombstonesAndUnindexes(t *testing.T) {
 	s := mutStore(t)
-	mut, err := s.Delete("t", []int64{1})
-	if err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if len(mut.Deletes) != 1 || mut.Deletes[0] != 1 {
-		t.Errorf("deletes = %v", mut.Deletes)
+	mut := commit(t, s, []int64{1}, nil)
+	if len(mut.Deletes) != 1 || mut.Deletes[0] != 1 || len(mut.Inserts) != 0 || mut.Table != "t" {
+		t.Errorf("mutation = %+v, want one delete of RID 1 on t", mut)
 	}
 	tb, _ := s.Table("t")
 	if tb.NumLive() != 3 || tb.NumRows() != 4 {
@@ -85,12 +93,16 @@ func TestDeleteTombstonesAndUnindexes(t *testing.T) {
 	if rows := tb.Scan(); len(rows) != 3 {
 		t.Errorf("Scan returned %d rows, want 3", len(rows))
 	}
-	// deleting a dead RID is rejected and consumes no LSN
-	if _, err := s.Delete("t", []int64{1}); err == nil {
-		t.Error("double delete succeeded")
+	// a dead or out-of-range RID rejects the whole write set: nothing is
+	// tombstoned, nothing appended, no LSN published
+	for _, bad := range [][]int64{{1}, {0, 1}, {4}, {-1}} {
+		if _, err := s.ApplyAt("t", bad, []value.Row{{value.NewInt(70), value.NewString("g")}}, 2); err == nil {
+			t.Errorf("ApplyAt(deletes %v) succeeded", bad)
+		}
 	}
-	if s.CommitLSN() != 1 {
-		t.Errorf("failed delete advanced LSN to %d", s.CommitLSN())
+	if tb.NumLive() != 3 || tb.NumRows() != 4 || s.CommitLSN() != 1 {
+		t.Errorf("rejected write sets left live=%d physical=%d LSN=%d, want 3/4/1",
+			tb.NumLive(), tb.NumRows(), s.CommitLSN())
 	}
 }
 
@@ -98,10 +110,7 @@ func TestUpdateIsDeletePlusInsert(t *testing.T) {
 	s := mutStore(t)
 	tb0, _ := s.Table("t")
 	oldRow := tb0.Row(2)
-	mut, err := s.Update("t", []int64{2}, []value.Row{{value.NewInt(35), value.NewString("c2")}})
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
+	mut := commit(t, s, []int64{2}, []value.Row{{value.NewInt(35), value.NewString("c2")}})
 	if len(mut.Deletes) != 1 || mut.Deletes[0] != 2 {
 		t.Errorf("deletes = %v, want [2]", mut.Deletes)
 	}
@@ -126,17 +135,23 @@ func TestUpdateIsDeletePlusInsert(t *testing.T) {
 	if tb.NumLive() != 4 {
 		t.Errorf("live = %d, want 4", tb.NumLive())
 	}
+	// a row of the wrong arity rejects the write set before the delete
+	// beside it is applied
+	if _, err := s.ApplyAt("t", []int64{0}, []value.Row{{value.NewInt(1)}}, 2); err == nil {
+		t.Error("short row accepted")
+	}
+	if ids := ix.Lookup(value.NewInt(10)); len(ids) != 1 || tb.NumLive() != 4 {
+		t.Errorf("rejected update still deleted RID 0: lookup %v, live %d", ids, tb.NumLive())
+	}
 }
 
 func TestScanLiveParallelSlices(t *testing.T) {
 	s := mutStore(t)
-	if _, err := s.Delete("t", []int64{0, 3}); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, s, []int64{0, 3}, nil)
 	tb, _ := s.Table("t")
-	rids, rows := tb.ScanLive()
+	rids, rows := tb.ScanLiveAt(s.CommitLSN())
 	if len(rids) != 2 || len(rows) != 2 {
-		t.Fatalf("ScanLive = %v / %d rows, want 2/2", rids, len(rows))
+		t.Fatalf("ScanLiveAt = %v / %d rows, want 2/2", rids, len(rows))
 	}
 	if rids[0] != 1 || rids[1] != 2 {
 		t.Errorf("rids = %v, want [1 2]", rids)
@@ -148,12 +163,8 @@ func TestScanLiveParallelSlices(t *testing.T) {
 
 func TestIndexRangeAfterMutations(t *testing.T) {
 	s := mutStore(t)
-	if _, err := s.Insert("t", []value.Row{{value.NewInt(25), value.NewString("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Delete("t", []int64{0}); err != nil { // k=10
-		t.Fatal(err)
-	}
+	commit(t, s, nil, []value.Row{{value.NewInt(25), value.NewString("x")}})
+	commit(t, s, []int64{0}, nil) // k=10
 	tb, _ := s.Table("t")
 	ix, _ := tb.IndexOn("k")
 	lo, hi := value.NewInt(0), value.NewInt(30)

@@ -32,10 +32,10 @@ func (v version) visibleAt(snap uint64) bool {
 }
 
 // ScanLiveAt returns parallel snapshots of the RIDs and rows visible at
-// the given snapshot LSN — the access path transactional DML uses to
-// evaluate WHERE clauses. Unlike ScanLive it ignores versions committed
-// after the snapshot, so repeated statements of one transaction read a
-// stable state no matter what commits concurrently.
+// the given snapshot LSN — the access path DML uses to evaluate WHERE
+// clauses. It ignores versions committed after the snapshot, so repeated
+// statements of one transaction read a stable state no matter what
+// commits concurrently.
 func (t *Table) ScanLiveAt(snap uint64) (rids []int64, rows []value.Row) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -75,16 +75,17 @@ func (s *Store) FirstConflict(table string, rids []int64) (int64, bool, error) {
 	return 0, false, nil
 }
 
-// ApplyAt applies one transaction's buffered write set for one table at
-// the given commit LSN: every delete is tombstoned, then every insert
-// appended as a new live version — the same delete-then-insert shape
-// Update produces, so replication and WAL replay treat transactional
-// commits identically to legacy single-statement ones. The store's
-// published commit LSN is NOT advanced; the caller calls PublishCommit
-// once after the transaction's last table, keeping multi-table commits
-// atomic for snapshot readers. Callers hold the commit critical section
-// and have validated deletes via FirstConflict, so a checkLive failure
-// here is an invariant violation, not a user error.
+// ApplyAt is the store's one writer: it applies a write set for one table
+// at the given commit LSN — every delete is tombstoned, then every insert
+// appended as a new live version (an UPDATE is both) — and returns the
+// mutation record the WAL logs and the column store replays. Live commits
+// and recovery's Replay both come through here. The store's published
+// commit LSN is NOT advanced; the caller calls PublishCommit once after
+// the transaction's last table, keeping multi-table commits atomic for
+// snapshot readers. Nothing is applied unless the whole set validates
+// (row arity, every delete a live RID). Callers hold the commit critical
+// section and have validated deletes via FirstConflict, so a checkLive
+// failure here is an invariant violation, not a user error.
 func (s *Store) ApplyAt(table string, deletes []int64, inserts []value.Row, lsn uint64) (*repl.Mutation, error) {
 	t, ok := s.Table(table)
 	if !ok {

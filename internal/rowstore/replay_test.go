@@ -37,18 +37,9 @@ func TestReplayMatchesLiveWritePath(t *testing.T) {
 	// the invariant recovery rests on: replaying the mutations the live
 	// path emitted reproduces the same heap, LSNs, indexes and live set
 	_, live := replayFixture(t)
-	m1, err := live.Insert("t", []value.Row{{value.NewInt(3), value.NewString("c")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := live.Update("t", []int64{0}, []value.Row{{value.NewInt(1), value.NewString("a2")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3, err := live.Delete("t", []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := commit(t, live, nil, []value.Row{{value.NewInt(3), value.NewString("c")}})
+	m2 := commit(t, live, []int64{0}, []value.Row{{value.NewInt(1), value.NewString("a2")}})
+	m3 := commit(t, live, []int64{1}, nil)
 
 	_, rec := replayFixture(t)
 	for _, m := range []*repl.Mutation{m1, m2, m3} {
@@ -87,7 +78,8 @@ func TestReplayRejectsDivergence(t *testing.T) {
 		want string
 	}{
 		{"unknown table", &repl.Mutation{LSN: 1, Table: "ghost"}, "unknown table"},
-		{"stale LSN", &repl.Mutation{LSN: 0, Table: "t"}, "not beyond"},
+		{"stale LSN", &repl.Mutation{LSN: 0, Table: "t"}, "log resumes at LSN 0"},
+		{"LSN gap", &repl.Mutation{LSN: 2, Table: "t", Deletes: []int64{0}}, "log resumes at LSN 2"},
 		{"rid gap", &repl.Mutation{LSN: 1, Table: "t",
 			Inserts: []repl.RowVersion{{RID: 99, Row: value.Row{value.NewInt(9), value.NewString("x")}}}},
 			"divergence"},
@@ -103,9 +95,9 @@ func TestReplayRejectsDivergence(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Replay = %v, want error containing %q", err, tc.want)
 			}
-			// a rejected replay must not have consumed the LSN
-			if s.CommitLSN() != 0 {
-				t.Fatalf("failed replay advanced commit LSN to %d", s.CommitLSN())
+			// a rejected replay must not have consumed the LSN or touched the heap
+			if tb, _ := s.Table("t"); s.CommitLSN() != 0 || tb.NumLive() != 2 || tb.NumRows() != 2 {
+				t.Fatalf("failed replay left LSN %d, %d live of %d rows", s.CommitLSN(), tb.NumLive(), tb.NumRows())
 			}
 		})
 	}

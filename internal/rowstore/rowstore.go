@@ -10,12 +10,17 @@
 // append-only and versioned: every INSERT appends a new row version, an
 // UPDATE appends the new version and tombstones the old one, and a DELETE
 // only tombstones — stored rows are never mutated in place, which is what
-// lets execution batches alias heap rows without copying. Each committed
-// mutation is stamped with a monotonic commit LSN and returned as a
-// repl.Mutation for the column store's delta layer to replay. A row
-// version's RID is its heap position (stable forever, since the heap never
+// lets execution batches alias heap rows without copying. A row version's
+// RID is its heap position (stable forever, since the heap never
 // compacts). Secondary indexes are maintained synchronously under the
 // table lock, so index lookups only ever see live versions.
+//
+// There is one of each: one constructor (NewStoreFromSnapshot — a bulk
+// load is the snapshot at LSN 0 with no tombstones), one writer (ApplyAt:
+// tombstone the deletes, append the inserts, all stamped with one commit
+// LSN, returned as the repl.Mutation the WAL logs and the column store
+// replays; live commits and recovery's Replay both go through it) and one
+// snapshot reader for writers (ScanLiveAt).
 package rowstore
 
 import (
@@ -26,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"htapxplain/internal/catalog"
-	"htapxplain/internal/repl"
 	"htapxplain/internal/value"
 )
 
@@ -75,32 +79,14 @@ type Store struct {
 	commitLSN atomic.Uint64
 }
 
-// NewStore builds a row store over the given physical data, creating every
-// index the catalog declares. Bulk-loaded rows carry insert LSN 0.
+// NewStore bulk-loads a row store: the snapshot at LSN 0 in which every
+// row is live. See NewStoreFromSnapshot.
 func NewStore(cat *catalog.Catalog, data map[string][]value.Row) (*Store, error) {
-	s := &Store{tables: make(map[string]*Table, len(data))}
-	for _, meta := range cat.Tables() {
-		rows, ok := data[strings.ToLower(meta.Name)]
-		if !ok {
-			return nil, fmt.Errorf("rowstore: no data for table %q", meta.Name)
-		}
-		t := &Table{
-			Meta:     meta,
-			rows:     rows,
-			versions: make([]version, len(rows)),
-			live:     len(rows),
-			indexes:  make(map[string]*Index),
-		}
-		for _, ixMeta := range meta.Indexes {
-			ix, err := buildIndex(t, ixMeta.Column)
-			if err != nil {
-				return nil, err
-			}
-			t.indexes[strings.ToLower(ixMeta.Column)] = ix
-		}
-		s.tables[strings.ToLower(meta.Name)] = t
+	heaps := make(map[string]HeapSnapshot, len(data))
+	for name, rows := range data {
+		heaps[name] = HeapSnapshot{Rows: rows}
 	}
-	return s, nil
+	return NewStoreFromSnapshot(cat, heaps, 0)
 }
 
 // Table returns the named table.
@@ -181,86 +167,6 @@ func buildIndex(t *Table, column string) (*Index, error) {
 }
 
 // ---------------------------------------------------------------- writes
-
-// Insert appends the rows as new live versions, maintains every index, and
-// commits at a fresh LSN. The returned mutation is the replication-log
-// record for the column store.
-func (s *Store) Insert(table string, rows []value.Row) (*repl.Mutation, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("rowstore: no such table %q", table)
-	}
-	for _, r := range rows {
-		if len(r) != len(t.Meta.Columns) {
-			return nil, fmt.Errorf("rowstore: %s expects %d columns, got %d",
-				t.Meta.Name, len(t.Meta.Columns), len(r))
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lsn := s.commitLSN.Add(1)
-	mut := &repl.Mutation{LSN: lsn, Table: strings.ToLower(t.Meta.Name)}
-	for _, r := range rows {
-		rid := t.appendVersion(r, lsn)
-		mut.Inserts = append(mut.Inserts, repl.RowVersion{RID: rid, Row: r})
-	}
-	return mut, nil
-}
-
-// Delete tombstones the given live row versions (RIDs) and unlinks them
-// from every index. Already-dead or out-of-range RIDs are rejected.
-func (s *Store) Delete(table string, rids []int64) (*repl.Mutation, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("rowstore: no such table %q", table)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkLive(rids); err != nil {
-		return nil, err
-	}
-	lsn := s.commitLSN.Add(1)
-	mut := &repl.Mutation{LSN: lsn, Table: strings.ToLower(t.Meta.Name)}
-	for _, rid := range rids {
-		t.tombstone(rid, lsn)
-		mut.Deletes = append(mut.Deletes, rid)
-	}
-	return mut, nil
-}
-
-// Update replaces the given live versions with newRows (parallel slices):
-// the old version is tombstoned and the new image appended as a fresh
-// version, so heap slots are never rewritten and aliased batches stay
-// valid. Replicated as delete-old + insert-new in one mutation.
-func (s *Store) Update(table string, rids []int64, newRows []value.Row) (*repl.Mutation, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("rowstore: no such table %q", table)
-	}
-	if len(rids) != len(newRows) {
-		return nil, fmt.Errorf("rowstore: update arity mismatch: %d rids, %d rows", len(rids), len(newRows))
-	}
-	for _, r := range newRows {
-		if len(r) != len(t.Meta.Columns) {
-			return nil, fmt.Errorf("rowstore: %s expects %d columns, got %d",
-				t.Meta.Name, len(t.Meta.Columns), len(r))
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkLive(rids); err != nil {
-		return nil, err
-	}
-	lsn := s.commitLSN.Add(1)
-	mut := &repl.Mutation{LSN: lsn, Table: strings.ToLower(t.Meta.Name)}
-	for i, rid := range rids {
-		t.tombstone(rid, lsn)
-		mut.Deletes = append(mut.Deletes, rid)
-		newRID := t.appendVersion(newRows[i], lsn)
-		mut.Inserts = append(mut.Inserts, repl.RowVersion{RID: newRID, Row: newRows[i]})
-	}
-	return mut, nil
-}
 
 // appendVersion appends one live version and indexes it. Caller holds
 // t.mu.
@@ -393,23 +299,6 @@ func (t *Table) Scan() []value.Row {
 		}
 	}
 	return out
-}
-
-// ScanLive returns parallel snapshots of the live RIDs and their rows —
-// the access path DML statements use to evaluate their WHERE clause before
-// mutating.
-func (t *Table) ScanLive() (rids []int64, rows []value.Row) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rids = make([]int64, 0, t.live)
-	rows = make([]value.Row, 0, t.live)
-	for i, r := range t.rows {
-		if t.versions[i].deleteLSN == 0 {
-			rids = append(rids, int64(i))
-			rows = append(rows, r)
-		}
-	}
-	return rids, rows
 }
 
 // IndexOn returns the index on the column, if one exists.

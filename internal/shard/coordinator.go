@@ -516,6 +516,12 @@ func (sc *Scatter) run(analyze bool) ([]value.Row, exec.Stats, *exec.OpStats, er
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// a fragment that panics fails the gather like one that errors
+			defer func() {
+				if r := recover(); r != nil {
+					prods[i].Close(exec.Recovered(r))
+				}
+			}()
 			ctx := exec.NewContext()
 			ctx.DOP = sc.frags[i].Frag.DOP
 			var rows []value.Row
