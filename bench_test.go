@@ -269,11 +269,14 @@ func BenchmarkE8_RouterInference(b *testing.B) {
 func BenchmarkAblation_KBSize(b *testing.B) {
 	env := benchEnv(b)
 	queries := env.TestQueries(60)
-	candidates := workload.NewGenerator(env.Cfg.WorkloadSeed).Batch(60)
+	candidates, err := explain.Label(env.Sys, workload.NewGenerator(env.Cfg.WorkloadSeed).Batch(60))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, size := range []int{5, 20, 40} {
 		size := size
 		b.Run(benchName("size", size), func(b *testing.B) {
-			kb, err := explain.CurateKB(env.Sys, env.Router, env.Oracle, candidates, size)
+			kb, err := explain.CurateKB(env.Router, env.Oracle, candidates, size)
 			if err != nil {
 				b.Fatal(err)
 			}

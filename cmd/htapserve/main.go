@@ -78,6 +78,7 @@ import (
 	"htapxplain/internal/knowledge"
 	"htapxplain/internal/obs"
 	"htapxplain/internal/shard"
+	"htapxplain/internal/task"
 	"htapxplain/internal/treecnn"
 )
 
@@ -274,8 +275,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	}
 	fmt.Fprintf(stdout, "htapserve: %s routing, listening on %s\n", gcfg.Policy.Name(), ln.Addr())
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
+	errCh := make(chan error, 1) // one send: the listener's exit
+	var listener task.Group
+	listener.Go(func() error {
+		errCh <- srv.Serve(ln)
+		return nil
+	})
+	defer listener.Wait()
 	select {
 	case err := <-errCh:
 		return err

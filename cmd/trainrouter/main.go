@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"htapxplain/internal/explain"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/treecnn"
 	"htapxplain/internal/workload"
@@ -34,15 +35,8 @@ func main() {
 		fatal(err)
 	}
 	label := func(gen *workload.Generator, n int) ([]treecnn.Sample, error) {
-		var samples []treecnn.Sample
-		for _, q := range gen.Batch(n) {
-			res, err := sys.Run(q.SQL)
-			if err != nil {
-				return nil, fmt.Errorf("labeling %q: %w", q.SQL, err)
-			}
-			samples = append(samples, treecnn.Sample{Pair: &res.Pair, Label: res.Winner})
-		}
-		return samples, nil
+		labelled, err := explain.Label(sys, gen.Batch(n))
+		return explain.Samples(labelled), err
 	}
 	fmt.Printf("labeling %d training + %d test queries on both engines ...\n", *nQueries, *nTest)
 	train, err := label(workload.NewGenerator(101), *nQueries)

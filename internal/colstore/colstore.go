@@ -7,8 +7,10 @@
 // The column store is the replication secondary of the TP write path: it
 // consumes the row store's mutation log in LSN order (Store.Apply) into a
 // per-table in-memory delta layer, and a background merger compacts deltas
-// into fresh immutable base chunks (see delta.go and merger.go). Readers
-// never lock per value: Table.View pins an immutable snapshot (base column
+// into fresh immutable base chunks (see delta.go and merger.go; the merger
+// is a task.Loop, so a merge pass that panics is skipped, kept in the
+// loop's Err and tried again on the next tick). Readers never lock per
+// value: Table.View pins an immutable snapshot (base column
 // vectors + copy-on-write delete set + delta rows) that stays valid across
 // concurrent replication and merges.
 //

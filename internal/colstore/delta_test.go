@@ -1,10 +1,13 @@
 package colstore
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"htapxplain/internal/repl"
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -191,4 +194,35 @@ func TestBackgroundMergerCompacts(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("background merger did not compact: pending=%d base=%d", s.PendingDelta(), tb.NumRows())
+}
+
+// TestBackgroundMergerPanicCostsOnePass: a published chunk torn so that
+// decoding it indexes past its packed words (the fault
+// gateway.TestWorkerPanicCostsOneRequest serves queries over) makes every
+// background MergeAll panic. Each such pass is lost and counted, the first
+// stays readable in the loop's Err, the delta it could not compact stays
+// queryable, and StopMerger returns.
+func TestBackgroundMergerPanicCostsOnePass(t *testing.T) {
+	s, tb := deltaStore(t, 4)
+	*tb.ColumnByName("k").Chunk(0) = EncodedChunk{Enc: EncFoR, N: 4, Width: 8}
+	if err := s.Apply(insMut(1, 4, 40)); err != nil {
+		t.Fatal(err)
+	}
+	before := task.Panics()
+	s.StartMerger(time.Millisecond, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for task.Panics() < before+2 { // a second pass ran after the first panicked
+		if time.Now().After(deadline) {
+			t.Fatal("the background merger never reached the torn chunk twice")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.StopMerger()
+	var pe *task.PanicError
+	if err := s.merger.loop.Err(); !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "(*Table).merge") {
+		t.Fatalf("merger loop Err() = %v, want the *task.PanicError raised in merge", err)
+	}
+	if v := tb.View(); v.NumLive() != 5 || s.PendingDelta() != 1 {
+		t.Errorf("after the failed merges: %d live rows, %d pending, want 5 and 1", v.NumLive(), s.PendingDelta())
+	}
 }

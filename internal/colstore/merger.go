@@ -2,10 +2,10 @@ package colstore
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -19,21 +19,16 @@ const DefaultMergeInterval = 50 * time.Millisecond
 
 // mergerState is the background compaction bookkeeping.
 type mergerState struct {
-	mu        sync.Mutex
-	running   bool
-	stop      chan struct{}
-	done      chan struct{}
-	threshold int
+	loop      task.Loop    // a pass is one MergeAll; a pass that panics is in loop.Err()
+	threshold atomic.Int64 // pending-delta size that wakes a pass; <= 0 = default
 
 	merges     atomic.Int64 // tables compacted
 	rowsMerged atomic.Int64 // rows written into fresh base chunks
 }
 
 func (s *Store) mergeThreshold() int {
-	s.merger.mu.Lock()
-	defer s.merger.mu.Unlock()
-	if s.merger.threshold > 0 {
-		return s.merger.threshold
+	if t := s.merger.threshold.Load(); t > 0 {
+		return int(t)
 	}
 	return DefaultMergeThreshold
 }
@@ -52,55 +47,24 @@ func (s *Store) MergeStats() MergeStats {
 	}
 }
 
-// StartMerger launches the background merger goroutine: it compacts every
-// table's delta into fresh base chunks each interval, and immediately when
-// the pending delta reaches threshold (<=0 uses the defaults). Callers
-// must StopMerger before discarding the store.
+// StartMerger launches the background merger: it compacts every table's
+// delta into fresh base chunks each interval, and immediately when the
+// pending delta reaches threshold (<=0 uses the defaults). Callers must
+// StopMerger before discarding the store.
 func (s *Store) StartMerger(interval time.Duration, threshold int) {
-	s.merger.mu.Lock()
-	defer s.merger.mu.Unlock()
-	if s.merger.running {
-		return
-	}
 	if interval <= 0 {
 		interval = DefaultMergeInterval
 	}
-	s.merger.threshold = threshold
-	s.merger.running = true
-	s.merger.stop = make(chan struct{})
-	s.merger.done = make(chan struct{})
-	go s.mergeLoop(interval, s.merger.stop, s.merger.done)
+	s.merger.threshold.Store(int64(threshold))
+	s.merger.loop.Start(interval, s.repl.notify, func() error {
+		s.MergeAll()
+		return nil
+	})
 }
 
 // StopMerger stops the background merger and waits for it to exit. The
 // final pending delta (if any) is left for explicit MergeAll calls.
-func (s *Store) StopMerger() {
-	s.merger.mu.Lock()
-	if !s.merger.running {
-		s.merger.mu.Unlock()
-		return
-	}
-	stop, done := s.merger.stop, s.merger.done
-	s.merger.running = false
-	s.merger.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-func (s *Store) mergeLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		case <-s.repl.notify:
-		}
-		s.MergeAll()
-	}
-}
+func (s *Store) StopMerger() { s.merger.loop.Stop() }
 
 // MergeAll synchronously compacts every table with a pending delta,
 // in deterministic (sorted-name) order. Safe to call concurrently with

@@ -65,21 +65,16 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 	oracle := expert.NewOracle(sys)
 
-	gen := workload.NewGenerator(cfg.WorkloadSeed)
-	trainQueries := gen.Batch(cfg.RouterTrainQueries)
-	var samples []treecnn.Sample
-	for _, q := range trainQueries {
-		res, err := sys.Run(q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("eval: training query %q: %w", q.SQL, err)
-		}
-		samples = append(samples, treecnn.Sample{Pair: &res.Pair, Label: res.Winner})
+	labelled, err := explain.Label(sys, workload.NewGenerator(cfg.WorkloadSeed).Batch(cfg.RouterTrainQueries))
+	if err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
 	}
+	samples := explain.Samples(labelled)
 	router := treecnn.New(cfg.RouterSeed)
 	router.Train(samples, cfg.RouterEpochs, cfg.RouterSeed+1)
 
 	// KB candidates come from the training set (paper §IV)
-	kb, err := explain.CurateKB(sys, router, oracle, trainQueries[:minInt(60, len(trainQueries))], cfg.KBSize)
+	kb, err := explain.CurateKB(router, oracle, labelled[:minInt(60, len(labelled))], cfg.KBSize)
 	if err != nil {
 		return nil, err
 	}

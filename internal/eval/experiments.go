@@ -287,13 +287,15 @@ func E8Router(env *Env) (string, error) {
 // representative entries suffice).
 func AblationKBSize(env *Env, model llm.Model) (string, error) {
 	queries := env.TestQueries(120)
-	gen := workload.NewGenerator(env.Cfg.WorkloadSeed)
-	candidates := gen.Batch(60)
+	candidates, err := explain.Label(env.Sys, workload.NewGenerator(env.Cfg.WorkloadSeed).Batch(60))
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "A1 — KB size ablation (paper hypothesis: 20 entries suffice)\n")
 	fmt.Fprintf(&b, "%-10s %-12s %-10s\n", "KB size", "accurate", "None")
 	for _, size := range []int{5, 10, 20, 40} {
-		kb, err := explain.CurateKB(env.Sys, env.Router, env.Oracle, candidates, size)
+		kb, err := explain.CurateKB(env.Router, env.Oracle, candidates, size)
 		if err != nil {
 			return "", err
 		}

@@ -5,7 +5,9 @@
 // every clone draws disjoint chunk-aligned morsels from one shared cursor
 // over one pinned snapshot, and a gather/merge stage recombines the
 // workers' results (concatenation for drains, partition merges for
-// hash aggregation and hash-join builds).
+// hash aggregation and hash-join builds). Workers are a task.Group
+// (forkWorkers): the first one to fail, or panic, cancels its siblings
+// and fails the query with that error.
 //
 // The aliasing contract survives unchanged: morsels alias immutable base
 // chunks, the delta snapshot is pinned exactly once per query (inside the
@@ -14,30 +16,11 @@
 package exec
 
 import (
-	"fmt"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
-
-// PanicError is a panic recovered on a query-scoped goroutine — a forked
-// morsel worker, a parallel aggregate worker, a scatter fragment — and
-// sent down the error path that goroutine already had: siblings are
-// cancelled, the query fails with this error, and the process (with every
-// other query in it) lives. Stack is the panicking goroutine's, taken at
-// the recover.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string { return fmt.Sprintf("exec: panic in a query worker: %v", e.Value) }
-
-// Recovered wraps a non-nil recover() result. Call it from the deferred
-// function itself, so Stack still holds the panicking frames.
-func Recovered(r any) *PanicError { return &PanicError{Value: r, Stack: debug.Stack()} }
 
 // ParallelSource is a leaf operator whose scan can be split into
 // chunk-aligned morsels drawn from a shared cursor. ForkShared pins the
@@ -188,70 +171,63 @@ func forkOne(op BatchOperator, leaf BatchOperator, budget **atomic.Int64) BatchO
 	}
 }
 
+// forkWorkers runs work on n goroutines and returns once all of them have:
+// worker w gets the w-th of n contexts that share one cancellation scope
+// nested under ctx's. The first error (a panic included, as a
+// *task.PanicError) fails the call and cancels the scope, so the sibling
+// workers stop at their next morsel. Worker stats are merged into ctx
+// strictly after the Wait barrier — including on cancellation and error
+// paths — which is the invariant that makes plain (non-atomic) reads of
+// ctx.Stats safe the moment Drain/Execute returns; callers must not read
+// ctx.Stats while a drain is still in flight.
+func forkWorkers(ctx *Context, n int, work func(w int, wctx *Context) error) error {
+	wctxs := ctx.forkScope(n)
+	var g task.Group
+	for i := range wctxs {
+		w, wctx := i, wctxs[i]
+		g.Go(func() error {
+			err := task.Do(func() error { return work(w, wctx) })
+			if err != nil {
+				wctx.Cancel() // stop the sibling workers
+			}
+			return err
+		})
+	}
+	err := g.Wait()
+	for _, wctx := range wctxs {
+		ctx.Stats.Add(wctx.Stats)
+	}
+	ctx.Stats.ParallelWorkers += int64(n)
+	return err
+}
+
 // runForked executes the forked worker pipelines to completion, invoking
 // consume for every batch on the worker's own goroutine — consume receives
 // the worker index and the worker's context, and must only touch
 // worker-indexed state (the batch is reused by the worker after consume
-// returns, so consume must copy what it keeps). Worker contexts share one
-// cancellation scope nested under ctx's: the first error (or a drained
-// limit budget) cancels the scope and the remaining workers stop at their
-// next morsel; a worker that panics fails the same way, with a
-// *PanicError. Worker stats are merged into ctx strictly after the
-// wg.Wait barrier — including on cancellation and error paths — which is
-// the invariant that makes plain (non-atomic) reads of ctx.Stats safe the
-// moment Drain/Execute returns; callers must not read ctx.Stats while a
-// drain is still in flight.
+// returns, so consume must copy what it keeps). A drained limit budget
+// cancels the workers' scope like an error does, without failing the call.
 func runForked(ctx *Context, pipes []BatchOperator, consume func(w int, wctx *Context, b *Batch) error) error {
-	wctxs := ctx.forkScope(len(pipes))
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	fail := func(wctx *Context, err error) {
-		errOnce.Do(func() { firstEr = err })
-		wctx.Cancel() // stop the sibling workers
-	}
-	for i := range pipes {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p, wctx := pipes[w], wctxs[w]
-			defer func() {
-				if r := recover(); r != nil {
-					fail(wctx, Recovered(r))
-				}
-			}()
-			if err := p.Open(wctx); err != nil {
+	return forkWorkers(ctx, len(pipes), func(w int, wctx *Context) error {
+		p := pipes[w]
+		if err := p.Open(wctx); err != nil {
+			_ = p.Close()
+			return err
+		}
+		for {
+			b, err := p.Next(wctx)
+			if err == nil && b != nil {
+				err = consume(w, wctx, b)
+			}
+			if err != nil {
 				_ = p.Close()
-				fail(wctx, err)
-				return
+				return err
 			}
-			for {
-				b, err := p.Next(wctx)
-				if err != nil {
-					fail(wctx, err)
-					break
-				}
-				if b == nil {
-					break
-				}
-				if err := consume(w, wctx, b); err != nil {
-					fail(wctx, err)
-					break
-				}
+			if b == nil {
+				return p.Close()
 			}
-			if err := p.Close(); err != nil {
-				fail(wctx, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, w := range wctxs {
-		ctx.Stats.Add(w.Stats)
-	}
-	ctx.Stats.ParallelWorkers += int64(len(pipes))
-	return firstEr
+		}
+	})
 }
 
 // drainForked is the gather stage for materializing drains: every worker

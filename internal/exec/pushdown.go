@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"htapxplain/internal/colstore"
 	"htapxplain/internal/value"
 )
@@ -91,37 +89,13 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 	// parallel: per-worker tables folded from the shared morsel cursor,
 	// merged like openParallel, emitted in sorted-key order for run-to-run
 	// determinism
-	wctxs := ctx.forkScope(dop)
 	parts := make([]*aggTable, dop)
-	errs := make([]error, dop)
-	var wg sync.WaitGroup
-	for i := 0; i < dop; i++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[wi] = Recovered(r)
-					wctxs[wi].Cancel()
-				}
-			}()
-			w := a.newPushWorker(scan, view)
-			parts[wi] = a.newTable()
-			if err := w.fold(wctxs[wi], src, parts[wi]); err != nil {
-				errs[wi] = err
-				wctxs[wi].Cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, wctx := range wctxs {
-		ctx.Stats.Add(wctx.Stats)
-	}
-	ctx.Stats.ParallelWorkers += int64(dop)
-	for _, err := range errs {
-		if err != nil {
-			return true, err
-		}
+	err := forkWorkers(ctx, dop, func(wi int, wctx *Context) error {
+		parts[wi] = a.newTable()
+		return a.newPushWorker(scan, view).fold(wctx, src, parts[wi])
+	})
+	if err != nil {
+		return true, err
 	}
 	return true, a.emitMerged(ctx, parts)
 }

@@ -11,31 +11,51 @@ import (
 	"htapxplain/internal/workload"
 )
 
+// Label executes every query on both engines. The results are the labelled
+// set the whole set-up reads — Samples for router training, CurateKB for
+// the knowledge base — so no query is executed twice.
+func Label(sys *htap.System, queries []workload.Query) ([]*htap.Result, error) {
+	out := make([]*htap.Result, 0, len(queries))
+	for _, q := range queries {
+		res, err := sys.Run(q.SQL)
+		if err != nil {
+			return nil, fmt.Errorf("explain: labeling %q: %w", q.SQL, err)
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// Samples are the router's training pairs for labelled executions: the
+// plan pair, labelled with the modeled winner.
+func Samples(labelled []*htap.Result) []treecnn.Sample {
+	out := make([]treecnn.Sample, len(labelled))
+	for i, res := range labelled {
+		out[i] = treecnn.Sample{Pair: &res.Pair, Label: res.Winner}
+	}
+	return out
+}
+
 // CurateKB builds the paper's small curated knowledge base (§IV: "we
-// selectively include only 20 representative queries"): it executes
-// candidate queries, judges them with the expert oracle, and selects a
+// selectively include only 20 representative queries"): it judges the
+// labelled candidate executions with the expert oracle and selects a
 // target-sized subset that covers the (winner, primary factor) space as
 // evenly as possible — the "representative queries" selection the paper
 // performs manually.
-func CurateKB(sys *htap.System, router *treecnn.Router, oracle *expert.Oracle,
-	candidates []workload.Query, target int) (*knowledge.Base, error) {
+func CurateKB(router *treecnn.Router, oracle *expert.Oracle,
+	candidates []*htap.Result, target int) (*knowledge.Base, error) {
 	kb := knowledge.New(treecnn.PairDim)
 	type judged struct {
-		q     workload.Query
 		res   *htap.Result
 		truth expert.Truth
 	}
 	var pool []judged
-	for _, q := range candidates {
-		res, err := sys.Run(q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("curate: running %q: %w", q.SQL, err)
-		}
+	for _, res := range candidates {
 		truth, err := oracle.Judge(res)
 		if err != nil {
-			return nil, fmt.Errorf("curate: judging %q: %w", q.SQL, err)
+			return nil, fmt.Errorf("curate: judging %q: %w", res.SQL, err)
 		}
-		pool = append(pool, judged{q: q, res: res, truth: truth})
+		pool = append(pool, judged{res: res, truth: truth})
 	}
 	// round-robin over (winner, primary) classes for coverage
 	type class struct {
@@ -63,7 +83,7 @@ func CurateKB(sys *htap.System, router *treecnn.Router, oracle *expert.Oracle,
 				continue
 			}
 			j := items[round]
-			if err := addEntry(kb, router, oracle, j.res, j.truth, j.q.SQL); err != nil {
+			if err := addEntry(kb, router, oracle, j.res, j.truth); err != nil {
 				return nil, err
 			}
 			added++
@@ -78,10 +98,10 @@ func CurateKB(sys *htap.System, router *treecnn.Router, oracle *expert.Oracle,
 
 // addEntry encodes and stores one expert-explained execution.
 func addEntry(kb *knowledge.Base, router *treecnn.Router, oracle *expert.Oracle,
-	res *htap.Result, truth expert.Truth, sql string) error {
+	res *htap.Result, truth expert.Truth) error {
 	enc := router.EmbedPair(&res.Pair)
 	_, err := kb.Add(knowledge.Entry{
-		SQL:         sql,
+		SQL:         res.SQL,
 		Encoding:    enc,
 		TPPlanJSON:  res.Pair.TP.ExplainJSON(),
 		APPlanJSON:  res.Pair.AP.ExplainJSON(),

@@ -31,19 +31,14 @@ func fixture(t *testing.T) (*htap.System, *treecnn.Router, *expert.Oracle, *know
 			return
 		}
 		fixOracle = expert.NewOracle(fixSys)
-		queries := workload.NewGenerator(55).Batch(60)
-		var samples []treecnn.Sample
-		for _, q := range queries {
-			res, err := fixSys.Run(q.SQL)
-			if err != nil {
-				fixErr = err
-				return
-			}
-			samples = append(samples, treecnn.Sample{Pair: &res.Pair, Label: res.Winner})
+		var labelled []*htap.Result
+		labelled, fixErr = Label(fixSys, workload.NewGenerator(55).Batch(60))
+		if fixErr != nil {
+			return
 		}
 		fixRouter = treecnn.New(1)
-		fixRouter.Train(samples, 40, 2)
-		fixKB, fixErr = CurateKB(fixSys, fixRouter, fixOracle, queries[:40], 20)
+		fixRouter.Train(Samples(labelled), 40, 2)
+		fixKB, fixErr = CurateKB(fixRouter, fixOracle, labelled[:40], 20)
 	})
 	if fixErr != nil {
 		t.Fatalf("fixture: %v", fixErr)

@@ -88,21 +88,6 @@ func windowAccuracy(samples []sample, cal *latency.Calibrator) (float64, int) {
 	return float64(agree) / float64(len(samples)), len(samples)
 }
 
-// loop is the background maintenance job.
-func (s *Service) loop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.CheckInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.CheckNow()
-		}
-	}
-}
-
 // CheckNow runs one drift check, retraining if the window shows the live
 // router disagreeing with the calibrated model beyond threshold. Returns
 // whether a retrain fired. Safe to call concurrently with serving and

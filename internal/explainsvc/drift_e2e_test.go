@@ -2,6 +2,7 @@ package explainsvc
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,8 @@ import (
 
 	"htapxplain/internal/gateway"
 	"htapxplain/internal/plan"
+	"htapxplain/internal/task"
+	"htapxplain/internal/treecnn"
 	"htapxplain/internal/workload"
 )
 
@@ -151,4 +154,50 @@ func TestDriftTriggersRetrainEndToEnd(t *testing.T) {
 	}
 	t.Logf("retrains=%d accuracy=%.2f kb_entries=%d kb_expired=%d",
 		st.Retrains, st.RouterAccuracy, st.KBEntries, st.KBExpired)
+}
+
+// TestDriftMonitorPanicCostsOnePass: a router-swap observer that panics
+// inside a background retrain fails that maintenance pass and nothing
+// else. The panic is in the drift loop's Err() with its stack and in
+// panics_total, the maintenance lock is released, /explain and gateway
+// reads keep being served, the loop keeps checking, and Close returns.
+func TestDriftMonitorPanicCostsOnePass(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := newGateway(t, sys, 2)
+	before := g.Metrics().Panics
+	svc := newService(t, sys, g, r, kb, Config{
+		Seed: 5, Window: 32, MinSamples: 8, RetrainEpochs: 1, CheckInterval: time.Millisecond,
+		DriftThreshold: 2, // no accuracy reaches it: every check of a full-enough window retrains
+		OnSwap: func(swapped *treecnn.Router) {
+			if swapped != r {
+				panic("observer of a retrained router")
+			}
+		},
+	})
+	pool := workload.NewGenerator(23).Batch(8)
+	for _, q := range pool {
+		if _, err := svc.Explain(q.SQL); err != nil {
+			t.Fatalf("Explain %q: %v", q.SQL, err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for g.Metrics().Panics < before+2 { // a second check ran after the first panicked
+		if time.Now().After(deadline) {
+			t.Fatalf("the drift monitor did not retrain twice; stats %+v", svc.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var pe *task.PanicError
+	if err := svc.drift.Err(); !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "(*Service).retrain") {
+		t.Fatalf("drift loop Err() = %v, want the *task.PanicError raised in retrain", err)
+	}
+	if _, err := svc.Explain(pool[0].SQL); err != nil {
+		t.Errorf("Explain after the panic: %v", err)
+	}
+	if resp, err := g.Submit("SELECT COUNT(*) FROM orders"); err != nil || resp.Err != nil || len(resp.Rows) != 1 {
+		t.Errorf("read after the panic: %v / %+v", err, resp)
+	}
+	if err := svc.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
 }

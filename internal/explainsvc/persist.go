@@ -114,18 +114,13 @@ func Bootstrap(sys *htap.System, cfg BootstrapConfig) (r *treecnn.Router, kb *kn
 			return r, kb, true, nil
 		}
 	}
-	queries := workload.NewGenerator(cfg.Seed).Batch(cfg.TrainQueries)
-	var samples []treecnn.Sample
-	for _, q := range queries {
-		res, rerr := sys.Run(q.SQL)
-		if rerr != nil {
-			return nil, nil, false, fmt.Errorf("explainsvc: bootstrap run: %w", rerr)
-		}
-		samples = append(samples, treecnn.Sample{Pair: &res.Pair, Label: res.Winner})
+	labelled, err := explain.Label(sys, workload.NewGenerator(cfg.Seed).Batch(cfg.TrainQueries))
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("explainsvc: bootstrap: %w", err)
 	}
 	r = treecnn.New(cfg.Seed)
-	r.Train(samples, cfg.Epochs, cfg.Seed+1)
-	kb, err = explain.CurateKB(sys, r, expert.NewOracle(sys), queries, cfg.KBSize)
+	r.Train(explain.Samples(labelled), cfg.Epochs, cfg.Seed+1)
+	kb, err = explain.CurateKB(r, expert.NewOracle(sys), labelled, cfg.KBSize)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("explainsvc: bootstrap kb: %w", err)
 	}

@@ -11,7 +11,9 @@
 //   - Feedback: every explanation records the live router's pick and the
 //     modeled latencies into a sliding window; the gateway's calibrator
 //     feeds observed serve latencies back so modeled costs track reality.
-//   - Maintenance: a background job replays the window against the
+//   - Maintenance: the drift monitor (a task.Loop: a check or retrain
+//     that panics is abandoned and kept in the loop's Err, and serving
+//     goes on with the live router) replays the window against the
 //     current calibration; when the router's agreement with the
 //     calibrated winner drops below threshold it retrains the tree-CNN
 //     on a snapshot of the window, atomically swaps the live router,
@@ -35,6 +37,7 @@ import (
 	"htapxplain/internal/llm"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/treecnn"
 )
 
@@ -127,10 +130,10 @@ type Service struct {
 
 	// maintMu serializes maintenance (drift check / retrain / persist) so
 	// overlapping triggers cannot double-retrain on the same window.
-	maintMu  sync.Mutex
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	maintMu sync.Mutex
+	// drift is the background drift monitor: a pass is one CheckNow; a
+	// pass that panics (a retrain, an OnSwap observer) is in drift.Err().
+	drift task.Loop
 }
 
 // New assembles the service over an already-built system, gateway,
@@ -150,7 +153,6 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 		oracle: expert.NewOracle(sys),
 		cfg:    cfg,
 		win:    newWindow(cfg.Window),
-		stop:   make(chan struct{}),
 	}
 	s.router.Store(router)
 	if cfg.OnSwap != nil {
@@ -161,8 +163,10 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 	}
 	gw.SetExplainStats(s.Stats)
 	if cfg.CheckInterval > 0 {
-		s.wg.Add(1)
-		go s.loop()
+		s.drift.Start(cfg.CheckInterval, nil, func() error {
+			s.CheckNow()
+			return nil
+		})
 	}
 	return s, nil
 }
@@ -288,8 +292,7 @@ func (s *Service) Stats() gateway.ExplainStats {
 // Close stops the maintenance loop and, when a state directory is
 // configured, persists the live router and knowledge base.
 func (s *Service) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	s.drift.Stop()
 	if s.cfg.Dir == "" {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"htapxplain/internal/obs"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/shard"
+	"htapxplain/internal/task"
 )
 
 // Serving stages with their own latency histogram, fed from sampled query
@@ -195,6 +196,9 @@ type Snapshot struct {
 	Shed     int64 `json:"shed"`
 	Errors   int64 `json:"errors"`
 	InFlight int64 `json:"in_flight"`
+	// Panics is every panic recovered in this process since it started,
+	// on a query's goroutines or a background loop's (task.Panics).
+	Panics int64 `json:"panics_total"`
 
 	CacheHits         int64   `json:"cache_hits"`
 	CacheTemplateHits int64   `json:"cache_template_hits"`
@@ -325,6 +329,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Shed:              m.shed.Load(),
 		Errors:            m.errs.Load(),
 		InFlight:          m.inFlight.Load(),
+		Panics:            task.Panics(),
 		CacheHits:         m.hits.Load(),
 		CacheTemplateHits: m.tmplHit.Load(),
 		CacheMisses:       m.misses.Load(),

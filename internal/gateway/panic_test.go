@@ -2,14 +2,16 @@ package gateway
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"htapxplain/internal/colstore"
-	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/shard"
+	"htapxplain/internal/task"
 )
 
 // tearChunk is the fault: it overwrites one published base chunk of
@@ -30,7 +32,7 @@ func tearChunk(t *testing.T, sys *htap.System, table, column string) {
 // TestWorkerPanicCostsOneRequest: a panic on a goroutine the query itself
 // spawned — a forked morsel worker, a parallel encoded-aggregate worker, a
 // scatter fragment — is an error reply for that one request. Nothing but
-// the recover at the spawn site stands between such a panic and the end
+// task.Group's recover stands between such a panic and the end
 // of the process (and of this test binary); the request's serve slot, its
 // DOP extras and its in_flight count come back through the same defers a
 // failed query uses, and the next query is served.
@@ -42,11 +44,11 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 		shards  int
 		workers int
 		sql     string
-		site    string // the spawn site whose recover must have caught it
+		site    string // the worker function the recovered stack must name
 	}{
 		// root drain of a forkable scan pipeline at DOP 4
 		{"forked morsel worker", 1, 4,
-			"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 3", "exec.runForked"},
+			"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 3", "runForked.func"},
 		// aggregate folded over encoded chunks by 4 workers
 		{"parallel encoded-aggregate worker", 1, 4,
 			"SELECT SUM(l_quantity) FROM lineitem", "openPushdown"},
@@ -78,12 +80,13 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
-			var pe *exec.PanicError
+			var pe *task.PanicError
 			if !errors.As(resp.Err, &pe) {
-				t.Fatalf("reply error = %v, want an *exec.PanicError", resp.Err)
+				t.Fatalf("reply error = %v, want a *task.PanicError", resp.Err)
 			}
-			if !strings.Contains(string(pe.Stack), tc.site) {
-				t.Errorf("panic was not recovered at %s:\n%s", tc.site, pe.Stack)
+			// it panicked in that site's worker, on a goroutine the Group started
+			if !strings.Contains(string(pe.Stack), tc.site) || !strings.Contains(string(pe.Stack), "task.(*Group).Go") {
+				t.Errorf("panic was not recovered on a Group goroutine running %s:\n%s", tc.site, pe.Stack)
 			}
 
 			m := g.Metrics()
@@ -101,5 +104,54 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 				t.Fatalf("query after the panic: %v / %+v", err, next)
 			}
 		})
+	}
+}
+
+// TestBackgroundPanicCostsOnePass: a panic on a goroutine no query owns —
+// here the delta merger, which meets the torn chunk when it goes to
+// compact a write to that table — costs that merge pass and is counted in
+// panics_total; the durable server around it keeps committing writes and
+// serving reads, and closes cleanly. (The checkpointer, the group
+// committer, the applier and the drift monitor are proven the same way
+// next to their owners: recovery, wal, htap and explainsvc.)
+func TestBackgroundPanicCostsOnePass(t *testing.T) {
+	cfg := htap.DefaultConfig()
+	cfg.Durability = htap.DurabilityConfig{Dir: t.TempDir()}
+	cfg.Repl.MergeInterval = time.Millisecond
+	sys, err := htap.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(sys, Config{Workers: 2, CacheCapacity: 16})
+	defer g.Stop()
+	before := g.Metrics().Panics
+
+	tearChunk(t, sys, "nation", "n_regionkey")
+	insert := `INSERT INTO nation (n_nationkey, n_name, n_regionkey, n_comment) VALUES (%d, 'merged', 0, 'row')`
+	if resp, err := g.Submit(fmt.Sprintf(insert, 93)); err != nil || resp.Err != nil {
+		t.Fatalf("insert: %v / %+v", err, resp)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Metrics().Panics < before+2 { // the merger came back for a second pass
+		if time.Now().After(deadline) {
+			t.Fatal("the background merger never reached the torn chunk twice")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(g.PromText(), "\nhtap_panics_total ") {
+		t.Error("the Prometheus exposition has no htap_panics_total sample")
+	}
+	if resp, err := g.Submit(fmt.Sprintf(insert, 94)); err != nil || resp.Err != nil {
+		t.Errorf("write after the panics: %v / %+v", err, resp)
+	}
+	if resp, err := g.Submit("SELECT COUNT(*) FROM orders"); err != nil || resp.Err != nil || len(resp.Rows) != 1 {
+		t.Errorf("read after the panics: %v / %+v", err, resp)
+	}
+	if m := g.Metrics(); m.InFlight != 0 || m.Errors != 0 {
+		t.Errorf("in_flight %d, errors %d, want 0 and 0: no request paid for the merger's panics", m.InFlight, m.Errors)
+	}
+	sys.Close() // stops the panicking merger, writes the final checkpoint
+	if err := sys.ReplicationErr(); err != nil {
+		t.Errorf("replication halted: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ func (g *Gateway) PromText() string {
 	w.Counter("htap_queries_shed_total", "Queries rejected by admission control.", nil, s.Shed)
 	w.Counter("htap_query_errors_total", "Queries that failed in parse, plan, or execution.", nil, s.Errors)
 	w.Gauge("htap_in_flight", "Queries currently being served by workers.", nil, float64(s.InFlight))
+	w.Counter("htap_panics_total", "Panics recovered on query workers and background loops.", nil, s.Panics)
 
 	w.Counter("htap_cache_hits_total", "Plan-cache hits by kind.",
 		map[string]string{"kind": "full"}, s.CacheHits)

@@ -22,6 +22,7 @@ import (
 	"htapxplain/internal/repl"
 	"htapxplain/internal/rowstore"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/tpch"
 	"htapxplain/internal/value"
 	"htapxplain/internal/wal"
@@ -100,9 +101,8 @@ type System struct {
 	// write path state
 	writeMu   sync.Mutex // serializes DML commits and orders the log
 	replCh    chan *repl.Mutation
-	replDone  chan struct{}
-	replErrMu sync.Mutex
-	replErr   error // first replication-apply failure, if any
+	applier   task.Group            // the replication applier (see replicate)
+	replErr   atomic.Pointer[error] // first replication-apply failure, if any
 	closed    bool
 	closeOnce sync.Once
 
@@ -216,11 +216,10 @@ func New(cfg Config) (*System, error) {
 		Cat: cat, Data: data, Row: row, Col: col,
 		Planner:  optimizer.NewPlanner(cat, row, col),
 		replCh:   make(chan *repl.Mutation, depth),
-		replDone: make(chan struct{}),
 		wal:      w,
 		recovery: info,
 	}
-	go s.replicate()
+	s.applier.Go(s.replicate)
 	if !cfg.Repl.DisableMerger {
 		col.StartMerger(cfg.Repl.MergeInterval, cfg.Repl.MergeThreshold)
 	}
@@ -261,30 +260,42 @@ func Open(dir string, cfg Config) (*System, error) {
 
 // replicate is the replication applier: it drains the mutation channel in
 // commit order into the column store's delta layer, advancing the
-// watermark one LSN at a time. On the first Apply failure replication
-// halts — later mutations are discarded (keeping writers from blocking on
-// a full channel) and the watermark stops, so the growing staleness gauge
-// reports the divergence instead of silently skipping a lost mutation.
-func (s *System) replicate() {
-	defer close(s.replDone)
+// watermark one LSN at a time, until Close closes the channel. On the
+// first Apply failure — an error or a panic — replication halts: the
+// applier goes on draining but discards (so no committer ever blocks on a
+// full channel while holding the commit lock) and the watermark stops, so
+// the growing staleness gauge reports the divergence instead of silently
+// skipping a lost mutation.
+func (s *System) replicate() error {
+	for {
+		err := task.Do(s.applyQueued)
+		if err == nil {
+			return nil
+		}
+		s.replErr.CompareAndSwap(nil, &err)
+	}
+}
+
+// applyQueued applies mutations until one fails or the channel is closed.
+func (s *System) applyQueued() error {
 	for mut := range s.replCh {
 		if s.ReplicationErr() != nil {
 			continue // halted: drain without applying
 		}
 		if err := s.Col.Apply(mut); err != nil {
-			s.replErrMu.Lock()
-			s.replErr = err
-			s.replErrMu.Unlock()
+			return err
 		}
 	}
+	return nil
 }
 
 // ReplicationErr reports the error that halted replication, if any. While
 // non-nil the watermark no longer advances and Staleness grows.
 func (s *System) ReplicationErr() error {
-	s.replErrMu.Lock()
-	defer s.replErrMu.Unlock()
-	return s.replErr
+	if p := s.replErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Close stops the replication applier and the background merger, waiting
@@ -302,7 +313,7 @@ func (s *System) Close() {
 		s.closed = true
 		close(s.replCh)
 		s.writeMu.Unlock()
-		<-s.replDone
+		_ = s.applier.Wait() // a failure is in ReplicationErr
 		s.Col.StopMerger()
 		if s.wal != nil {
 			// final checkpoint first (it appends its own marker), then the

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"htapxplain/internal/exec"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -528,5 +530,70 @@ waitWriters:
 		if !sameCardinality(runAPAt(t, s, q, 1), runAPAt(t, s, q, 4)) {
 			t.Fatalf("DOP 1 and DOP 4 disagree on %q after quiesce", q)
 		}
+	}
+}
+
+// TestApplierPanicHaltsReplicationNotCommitters: a mutation the column
+// store panics on (nil stands in for one malformed past Apply's checks)
+// halts replication the way an Apply error does — ReplicationErr is set,
+// the watermark stops, staleness grows — and costs nothing else: the
+// applier goes on draining, so many more commits than the queue holds all
+// finish (each sends while holding the commit lock; one blocked send
+// would stop every writer), reads answer, and Close returns.
+func TestApplierPanicHaltsReplicationNotCommitters(t *testing.T) {
+	const depth = 8
+	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
+		Repl: ReplConfig{QueueDepth: depth, DisableMerger: true}})
+	before := task.Panics()
+	s.replCh <- nil
+	deadline := time.Now().Add(5 * time.Second)
+	for s.ReplicationErr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the applier's panic never reached ReplicationErr")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var pe *task.PanicError
+	if err := s.ReplicationErr(); !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "applyQueued") {
+		t.Fatalf("ReplicationErr() = %v, want the *task.PanicError raised under applyQueued", err)
+	}
+	if got := task.Panics() - before; got != 1 {
+		t.Errorf("panics counted: %d, want 1", got)
+	}
+
+	const commits = 8 * depth
+	var writers task.Group
+	writers.Go(func() error {
+		for i := int64(0); i < commits; i++ {
+			if _, err := s.Exec(nationInsert(1000+i, "halted")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	done := make(chan error, 1)
+	var watch task.Group
+	watch.Go(func() error {
+		done <- writers.Wait()
+		return nil
+	})
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("commit after replication halted: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a committer is blocked on the replication queue of a halted applier")
+	}
+	if s.Watermark() != 0 || s.Staleness() != commits {
+		t.Errorf("watermark %d, staleness %d after %d commits on halted replication, want 0 and %d",
+			s.Watermark(), s.Staleness(), commits, commits)
+	}
+	res, err := s.Run("SELECT COUNT(*) FROM nation WHERE n_name = 'halted'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TPRows[0][0].I != commits || res.APRows[0][0].I != 0 {
+		t.Errorf("TP sees %v, AP sees %v, want every commit on the primary and none replicated", res.TPRows, res.APRows)
 	}
 }

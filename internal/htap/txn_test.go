@@ -3,6 +3,7 @@ package htap
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 // atomically across tables, first-writer-wins conflicts abort the later
 // committer (no lost updates), and the replication + recovery pipelines
 // treat transactional commits exactly like the single-statement ones they
-// generalize. CI runs `-run 'TestTxn|TestConflict'` under -race at
-// GOMAXPROCS 2 and 8 (see .github/workflows/ci.yml).
+// generalize. The suite runs under -race in CI's one `go test -race ./...`
+// leg; the multi-writer gauntlet sets its own two scheduler widths.
 
 // txnCommitRetry runs the statements in a fresh transaction, retrying a
 // bounded number of times when the commit loses a first-writer-wins race.
@@ -271,8 +272,20 @@ func TestConflictFirstWriterWins(t *testing.T) {
 // private inserts and hot-row increments, retrying conflicts. First-
 // writer-wins must prevent every lost update — at quiesce the hot rows'
 // balance sum equals exactly the number of increments that committed —
-// and the differential harness must still hold.
+// and the differential harness must still hold. It runs at two scheduler
+// widths: a starved 2-proc schedule surfaces lock-ordering stalls, a wide
+// 8-proc schedule surfaces real data races between committers.
 func TestTxnConcurrentWriters(t *testing.T) {
+	for _, procs := range []int{2, 8} {
+		procs := procs
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			concurrentWriters(t)
+		})
+	}
+}
+
+func concurrentWriters(t *testing.T) {
 	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
 		Repl: ReplConfig{MergeInterval: time.Millisecond, MergeThreshold: 8}})
 	const (

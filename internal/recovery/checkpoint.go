@@ -5,7 +5,10 @@
 // latest valid checkpoint and replays the WAL tail (LSNs beyond the
 // checkpoint) to reach the last durable commit; the periodic Manager keeps
 // checkpoints fresh so that replay stays short and retired WAL segments
-// can be deleted.
+// can be deleted. Its background loop is a task.Loop: a periodic
+// checkpoint that fails at any step, or panics, leaves the previous
+// checkpoint and the log in place, is reported by Manager.Err, and is
+// attempted again on the next tick.
 //
 // Checkpoint files are written atomically: encode to a temp file, fsync,
 // rename into place, fsync the directory. A crash mid-checkpoint therefore

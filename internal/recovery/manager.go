@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"htapxplain/internal/task"
 	"htapxplain/internal/wal"
 )
 
@@ -36,17 +37,13 @@ type Manager struct {
 	src Source
 	log *wal.WAL // may be nil (checkpoint-only operation)
 
-	mu      sync.Mutex
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu   sync.Mutex // serializes checkpoints
+	loop task.Loop  // the periodic checkpointer; its first failed pass is Err()
 
 	checkpoints atomic.Int64
 	lastLSN     atomic.Uint64
 	lastMS      atomic.Int64
 	freed       atomic.Int64
-	lastErrMu   sync.Mutex
-	lastErr     error
 }
 
 // NewManager builds a manager writing checkpoints into dir. log may be nil
@@ -77,12 +74,10 @@ func (m *Manager) CheckpointNow() (uint64, error) {
 		}
 	}
 	if _, err := Write(m.dir, ck); err != nil {
-		m.setErr(err)
 		return 0, err
 	}
 	floor, err := Prune(m.dir, KeepCheckpoints)
 	if err != nil {
-		m.setErr(err)
 		return 0, err
 	}
 	if m.log != nil {
@@ -91,7 +86,6 @@ func (m *Manager) CheckpointNow() (uint64, error) {
 		_ = m.log.Append(wal.Record{LSN: ck.LSN, Kind: wal.KindCheckpoint})
 		freed, err := m.log.TruncateBefore(floor)
 		if err != nil {
-			m.setErr(err)
 			return 0, err
 		}
 		m.freed.Add(int64(freed))
@@ -109,69 +103,30 @@ func (m *Manager) CheckpointNow() (uint64, error) {
 // right place.
 func (m *Manager) Prime(lsn uint64) { m.lastLSN.Store(lsn) }
 
-func (m *Manager) setErr(err error) {
-	m.lastErrMu.Lock()
-	m.lastErr = err
-	m.lastErrMu.Unlock()
-}
-
-// Err returns the most recent background checkpoint failure, if any.
-func (m *Manager) Err() error {
-	m.lastErrMu.Lock()
-	defer m.lastErrMu.Unlock()
-	return m.lastErr
-}
+// Err returns the first background checkpoint failure, if any: whatever
+// step of a periodic checkpoint failed (or panicked) is recorded once,
+// where the loop receives it. The loop keeps ticking afterwards.
+func (m *Manager) Err() error { return m.loop.Err() }
 
 // Start launches the periodic checkpoint loop (<=0 uses DefaultInterval).
 func (m *Manager) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.running {
-		return
-	}
-	m.running = true
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go m.loop(interval, m.stop, m.done)
+	m.loop.Start(interval, nil, func() error {
+		// skip no-op checkpoints: nothing committed since the last one
+		if m.log != nil && m.log.LastLSN() <= m.lastLSN.Load() {
+			return nil
+		}
+		_, err := m.CheckpointNow()
+		return err
+	})
 }
 
 // Stop halts the periodic loop and waits for an in-flight checkpoint to
 // finish. CheckpointNow stays callable afterwards (Close uses it for the
 // final clean-shutdown checkpoint).
-func (m *Manager) Stop() {
-	m.mu.Lock()
-	if !m.running {
-		m.mu.Unlock()
-		return
-	}
-	stop, done := m.stop, m.done
-	m.running = false
-	m.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-func (m *Manager) loop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			lastLSN := m.lastLSN.Load()
-			// skip no-op checkpoints: nothing committed since the last one
-			if m.log != nil && m.log.LastLSN() <= lastLSN {
-				continue
-			}
-			_, _ = m.CheckpointNow() // failure is sticky in Err()
-		}
-	}
-}
+func (m *Manager) Stop() { m.loop.Stop() }
 
 // Stats returns the manager's counters.
 func (m *Manager) Stats() Stats {

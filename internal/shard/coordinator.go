@@ -14,6 +14,7 @@ import (
 	"htapxplain/internal/optimizer"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/tpch"
 	"htapxplain/internal/value"
 )
@@ -511,51 +512,45 @@ func (sc *Scatter) run(analyze bool) ([]value.Row, exec.Stats, *exec.OpStats, er
 	g := exec.NewGather(sc.frags[0].FragSchema, n)
 	prods := g.Producers()
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var frags task.Group
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		i := i
+		frags.Go(func() error {
 			// a fragment that panics fails the gather like one that errors
-			defer func() {
-				if r := recover(); r != nil {
-					prods[i].Close(exec.Recovered(r))
+			err := task.Do(func() error {
+				ctx := exec.NewContext()
+				ctx.DOP = sc.frags[i].Frag.DOP
+				var rows []value.Row
+				var err error
+				if analyze {
+					rows, fragProfs[i], err = sc.frags[i].Frag.ExecuteAnalyzed(ctx)
+				} else {
+					rows, err = sc.frags[i].Frag.Execute(ctx)
 				}
-			}()
-			ctx := exec.NewContext()
-			ctx.DOP = sc.frags[i].Frag.DOP
-			var rows []value.Row
-			var err error
-			if analyze {
-				rows, fragProfs[i], err = sc.frags[i].Frag.ExecuteAnalyzed(ctx)
-			} else {
-				rows, err = sc.frags[i].Frag.Execute(ctx)
-			}
-			mu.Lock()
-			total.Add(ctx.Stats)
-			mu.Unlock()
-			if err != nil {
-				prods[i].Close(err)
-				return
-			}
-			for len(rows) > 0 {
-				nn := exec.BatchSize
-				if nn > len(rows) {
-					nn = len(rows)
+				mu.Lock()
+				total.Add(ctx.Stats)
+				mu.Unlock()
+				for err == nil && len(rows) > 0 {
+					nn := exec.BatchSize
+					if nn > len(rows) {
+						nn = len(rows)
+					}
+					if !prods[i].Send(rows[:nn]) {
+						break
+					}
+					rows = rows[nn:]
 				}
-				if !prods[i].Send(rows[:nn]) {
-					break
-				}
-				rows = rows[nn:]
-			}
-			prods[i].Close(nil)
-		}(i)
+				return err
+			})
+			prods[i].Close(err)
+			return nil // the gather reports it to the final stage's drain
+		})
 	}
 
 	final, err := sc.frags[0].MakeFinal(g)
 	if err != nil {
 		_ = g.Close() // unblocks any producers still sending
-		wg.Wait()
+		_ = frags.Wait()
 		return nil, total, nil, err
 	}
 	var finalProf *exec.OpProfile
@@ -564,7 +559,7 @@ func (sc *Scatter) run(analyze bool) ([]value.Row, exec.Stats, *exec.OpStats, er
 	}
 	fctx := exec.NewContext()
 	rows, err := exec.DrainOnce(final, fctx)
-	wg.Wait()
+	_ = frags.Wait()
 	mu.Lock()
 	total.Add(fctx.Stats)
 	mu.Unlock()

@@ -1,9 +1,11 @@
 // Package wal implements the durability subsystem's write-ahead log: a
 // segmented, append-only log of CRC32-framed, length-prefixed records with
 // group commit. Committers append a record and then wait for durability;
-// a single sync goroutine batches every record appended since the last
-// fsync into one fsync (one disk flush per *group* of commits, not per
-// commit), bounded by a configurable interval and byte threshold.
+// the group committer (a task.Loop woken by the interval, a byte threshold
+// or a waiting committer) batches every record appended since the last
+// fsync into one fsync: one disk flush per *group* of commits, not per
+// commit. A sync pass that fails — or panics — poisons the log with a
+// sticky error that every waiting and later committer receives.
 //
 // The log is the system's source of truth across restarts: recovery
 // restores the latest checkpoint and replays the WAL tail (Replay), and a
@@ -27,6 +29,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"htapxplain/internal/task"
 )
 
 // Default tuning; all overridable through Options.
@@ -164,8 +168,7 @@ type WAL struct {
 	closeErr  error
 
 	notify chan struct{}
-	stopCh chan struct{}
-	doneCh chan struct{}
+	syncer task.Loop // the group committer: a pass is one syncOnce
 
 	appends   atomic.Int64
 	bytes     atomic.Int64
@@ -186,12 +189,7 @@ func Open(opts Options) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", opts.Dir, err)
 	}
-	w := &WAL{
-		opts:   opts,
-		notify: make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}
+	w := &WAL{opts: opts, notify: make(chan struct{}, 1)}
 	w.syncCond = sync.NewCond(&w.syncMu)
 
 	segs, err := listSegments(opts.Dir)
@@ -236,7 +234,7 @@ func Open(opts Options) (*WAL, error) {
 		w.f = f
 		w.bw = bufio.NewWriter(f)
 	}
-	go w.syncLoop()
+	w.syncer.Start(opts.SyncInterval, w.notify, w.syncOnce)
 	return w, nil
 }
 
@@ -420,81 +418,37 @@ func (w *WAL) LastLSN() uint64 {
 	return w.appended
 }
 
-// syncLoop is the group committer: one fsync per wakeup covers every
-// record appended since the previous fsync. While an fsync is in flight,
-// new committers append and queue up on the next one — that is what turns
-// N concurrent commits into O(1) fsyncs.
-func (w *WAL) syncLoop() {
-	defer close(w.doneCh)
-	ticker := time.NewTicker(w.opts.SyncInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stopCh:
-			return
-		case <-ticker.C:
-		case <-w.notify:
-		}
-		w.syncOnce()
-	}
-}
-
-// syncOnce flushes everything appended so far to the OS (under the append
-// lock — cheap), fsyncs it (with the append lock released — committers
-// keep appending into the next batch), then publishes the new durable LSN
-// to waiters.
-func (w *WAL) syncOnce() {
+// syncOnce is one pass of the group committer — the sync loop runs one per
+// wakeup, Sync one on its caller's goroutine. One fsync covers every record
+// appended since the previous pass, and it runs with the append lock
+// released: committers keep appending and queue up on the next pass, which
+// is what turns N concurrent commits into O(1) fsyncs. The outcome is then
+// published to the waiters — a new durable LSN, or the sticky error. A pass
+// that panics is a pass that failed, so a dead committer fails WaitDurable
+// instead of hanging it.
+func (w *WAL) syncOnce() error {
 	w.syncRunMu.Lock()
 	defer w.syncRunMu.Unlock()
-	w.mu.Lock()
-	if w.f == nil || w.closed {
-		w.mu.Unlock()
-		return
-	}
-	target := w.appended
-	recs := w.pendRecs
 	var (
-		err error
-		f   *os.File
+		target uint64
+		recs   int64
 	)
-	if recs > 0 {
-		err = w.bw.Flush()
-		f = w.f
-		w.pending = 0
-		w.pendRecs = 0
-	}
-	w.mu.Unlock()
-	if recs == 0 {
-		return
-	}
-	if err == nil {
+	err := task.Do(func() (err error) {
+		var f *os.File
+		if f, target, recs, err = w.flushBuffered(); err != nil || recs == 0 {
+			return err
+		}
 		if w.opts.SimulatedSyncLatency > 0 {
 			time.Sleep(w.opts.SimulatedSyncLatency)
 		}
-		err = f.Sync()
+		return f.Sync()
+	})
+	if err == nil && recs == 0 {
+		return nil
 	}
-	// close segments rotated out before or during this pass; their bytes
-	// were fsynced by rotateLocked, and no other fsync can be in flight on
-	// them (sync passes serialize on syncRunMu)
-	w.mu.Lock()
-	retired := w.retired
-	w.retired = nil
-	w.mu.Unlock()
-	for _, rf := range retired {
-		rf.Close()
-	}
-
-	w.syncMu.Lock()
-	if err != nil {
-		if w.syncErr == nil {
-			w.syncErr = fmt.Errorf("wal: fsync: %w", err)
-		}
-	} else if target > w.durable {
-		w.durable = target
-	}
-	w.syncMu.Unlock()
-	w.syncCond.Broadcast()
 	if err == nil {
+		// counted before the waiters wake, so a committer that reads the
+		// stats right after WaitDurable sees its own fsync in them
 		w.syncs.Add(1)
 		for {
 			cur := w.maxGroup.Load()
@@ -503,11 +457,44 @@ func (w *WAL) syncOnce() {
 			}
 		}
 	}
+	w.syncMu.Lock()
+	if err != nil {
+		if w.syncErr == nil {
+			w.syncErr = fmt.Errorf("wal: fsync: %w", err)
+		}
+		err = w.syncErr
+	} else if target > w.durable {
+		w.durable = target
+	}
+	w.syncMu.Unlock()
+	w.syncCond.Broadcast()
+	return err
+}
+
+// flushBuffered hands everything appended so far to the OS (under the
+// append lock — cheap) and returns the file to fsync, the LSN that fsync
+// will cover and how many records it makes durable (0: nothing to do).
+func (w *WAL) flushBuffered() (f *os.File, target uint64, recs int64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// close the segments rotated out since the last pass: rotateLocked
+	// fsynced their bytes, and no other fsync can be in flight on them
+	// (sync passes serialize on syncRunMu)
+	for _, rf := range w.retired {
+		rf.Close()
+	}
+	w.retired = nil
+	if w.f == nil || w.closed || w.pendRecs == 0 {
+		return nil, 0, 0, nil
+	}
+	target, recs = w.appended, w.pendRecs
+	w.pending, w.pendRecs = 0, 0
+	return w.f, target, recs, w.bw.Flush()
 }
 
 // Sync flushes and fsyncs synchronously (used by Close and checkpoints).
 func (w *WAL) Sync() error {
-	w.syncOnce()
+	_ = w.syncOnce() // a failure is sticky in syncErr
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	return w.syncErr
@@ -592,8 +579,7 @@ func (w *WAL) Stats() Stats {
 // the active segment. Idempotent and safe for concurrent callers.
 func (w *WAL) Close() error {
 	w.closeOnce.Do(func() {
-		close(w.stopCh)
-		<-w.doneCh
+		w.syncer.Stop()
 		err := w.Sync()
 
 		w.mu.Lock()
