@@ -40,13 +40,18 @@ func DefaultOptions() Options {
 	return Options{K: 2, UseRAG: true, IncludeGuardrail: true}
 }
 
-// Explainer is the assembled pipeline.
+// Explainer is the assembled pipeline. It is immutable once built and safe
+// for concurrent use.
 type Explainer struct {
 	Sys    *htap.System
 	Router *treecnn.Router
 	KB     *knowledge.Base
 	Model  llm.Model
 	Opts   Options
+
+	// prompts carries the options and the catalog's schema summary as
+	// rendered when the explainer was built.
+	prompts *prompt.Builder
 }
 
 // New wires the pipeline.
@@ -54,7 +59,11 @@ func New(sys *htap.System, router *treecnn.Router, kb *knowledge.Base, model llm
 	if opts.K <= 0 {
 		opts.K = 2
 	}
-	return &Explainer{Sys: sys, Router: router, KB: kb, Model: model, Opts: opts}
+	b := prompt.NewBuilder(sys.Cat.SchemaSummary())
+	b.IncludeGuardrail = opts.IncludeGuardrail
+	b.IncludeRAG = opts.UseRAG
+	b.UserContext = opts.UserContext
+	return &Explainer{Sys: sys, Router: router, KB: kb, Model: model, Opts: opts, prompts: b}
 }
 
 // Explanation is the full output of one pipeline run, including the
@@ -109,11 +118,7 @@ func (e *Explainer) ExplainResult(res *htap.Result) (*Explanation, error) {
 		out.Retrieved = hits
 	}
 
-	b := prompt.NewBuilder(e.Sys.Cat.SchemaSummary())
-	b.IncludeGuardrail = e.Opts.IncludeGuardrail
-	b.IncludeRAG = e.Opts.UseRAG
-	b.UserContext = e.Opts.UserContext
-	out.Prompt = b.Build(out.Retrieved, prompt.Question{
+	out.Prompt = e.prompts.Build(out.Retrieved, prompt.Question{
 		SQL:        res.SQL,
 		TPPlanJSON: res.Pair.TP.ExplainJSON(),
 		APPlanJSON: res.Pair.AP.ExplainJSON(),

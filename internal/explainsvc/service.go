@@ -51,10 +51,6 @@ type Config struct {
 	// UserContext is the optional third prompt part.
 	UserContext string
 
-	// LinearScan disables the HNSW index: retrieval falls back to the
-	// exact mutex-guarded linear scan. The slow baseline, kept for
-	// benchmarking the snapshot path against.
-	LinearScan bool
 	// HNSWM / HNSWEf are the index's degree and construction beam
 	// (defaults 8 / 32).
 	HNSWM, HNSWEf int
@@ -123,8 +119,11 @@ type Service struct {
 	oracle *expert.Oracle
 	cfg    Config
 
-	router atomic.Pointer[treecnn.Router]
-	win    *window
+	// ex is the live explainer: the router a retrain swaps and the pipeline
+	// assembled around it (options, rendered schema summary), published as
+	// one so a request never pairs a router with another router's pipeline.
+	ex  atomic.Pointer[explain.Explainer]
+	win *window
 
 	served, kbHits, retrains, kbExpired atomic.Int64
 
@@ -138,8 +137,8 @@ type Service struct {
 
 // New assembles the service over an already-built system, gateway,
 // router and knowledge base (see Bootstrap for building the latter two).
-// Unless cfg.LinearScan is set, the KB's HNSW index is built here — bulk
-// entries should already be loaded. If cfg.CheckInterval > 0 the
+// The KB's HNSW index is built here — bulk entries should already be
+// loaded. If cfg.CheckInterval > 0 the
 // maintenance loop starts immediately; Close stops it.
 func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *knowledge.Base, cfg Config) (*Service, error) {
 	if sys == nil || gw == nil || router == nil || kb == nil {
@@ -154,13 +153,8 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 		cfg:    cfg,
 		win:    newWindow(cfg.Window),
 	}
-	s.router.Store(router)
-	if cfg.OnSwap != nil {
-		cfg.OnSwap(router)
-	}
-	if !cfg.LinearScan {
-		kb.EnableHNSW(cfg.HNSWM, cfg.HNSWEf, cfg.Seed)
-	}
+	s.swapRouter(router)
+	kb.EnableHNSW(cfg.HNSWM, cfg.HNSWEf, cfg.Seed)
 	gw.SetExplainStats(s.Stats)
 	if cfg.CheckInterval > 0 {
 		s.drift.Start(cfg.CheckInterval, nil, func() error {
@@ -172,10 +166,14 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 }
 
 // Router returns the live router (atomically swapped by retrains).
-func (s *Service) Router() *treecnn.Router { return s.router.Load() }
+func (s *Service) Router() *treecnn.Router { return s.ex.Load().Router }
 
+// swapRouter publishes r with an explainer built around it. The schema
+// summary in its prompts is rendered here, once per router, not per request.
 func (s *Service) swapRouter(r *treecnn.Router) {
-	s.router.Store(r)
+	s.ex.Store(explain.New(s.sys, r, s.kb, s.cfg.Model, explain.Options{
+		K: s.cfg.K, UseRAG: true, IncludeGuardrail: true, UserContext: s.cfg.UserContext,
+	}))
 	if s.cfg.OnSwap != nil {
 		s.cfg.OnSwap(r)
 	}
@@ -208,15 +206,14 @@ func (s *Service) Explain(sql string) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := s.Router()
-	ex := explain.New(s.sys, rt, s.kb, s.cfg.Model, explain.Options{
-		K: s.cfg.K, UseRAG: true, IncludeGuardrail: true, UserContext: s.cfg.UserContext,
-	})
+	ex := s.ex.Load()
 	inner, err := ex.ExplainResult(res)
 	if err != nil {
 		return nil, err
 	}
-	pick, _ := rt.Predict(&entry.Pair)
+	// the router's pick, from the encoding just computed: Predict would
+	// embed the same pair again only to apply the same head
+	pick, _ := ex.Router.Classify(inner.Encoding)
 	s.win.add(sample{
 		sql: sql, fp: entry.Fingerprint, pair: &entry.Pair,
 		tpNS: entry.TPTime.Nanoseconds(), apNS: entry.APTime.Nanoseconds(),

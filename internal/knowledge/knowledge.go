@@ -235,19 +235,22 @@ func (b *Base) Correct(encoding []float64, sql, tpPlan, apPlan string,
 func (b *Base) ExpireOlderThan(maxSeq int64) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := 0
+	var ids []int
 	for id, e := range b.entries {
 		if e.Seq <= maxSeq {
-			if err := b.store.Delete(id); err == nil {
-				delete(b.entries, id)
-				n++
-			}
+			ids = append(ids, id)
 		}
 	}
-	if n > 0 {
-		b.publishLocked()
+	// one batch: the store clones its tombstones and publishes once, not
+	// once per entry. Every id is a live entry's, so the batch cannot fail.
+	if len(ids) == 0 || b.store.DeleteMany(ids) != nil {
+		return 0
 	}
-	return n
+	for _, id := range ids {
+		delete(b.entries, id)
+	}
+	b.publishLocked()
+	return len(ids)
 }
 
 // Entries returns all live entries ordered by ID (deterministic).

@@ -2,6 +2,8 @@ package knowledge
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"htapxplain/internal/expert"
@@ -96,6 +98,54 @@ func TestExpireOlderThan(t *testing.T) {
 		if h.Entry.Seq <= 3 {
 			t.Errorf("expired entry retrieved: %+v", h.Entry)
 		}
+	}
+}
+
+// TestMassExpiryIsOneBatch: a retrain expires most of the base at once,
+// under the base's lock. That must cost one tombstone-set clone and one
+// published vector view — not one of each per entry, which is quadratic
+// and stalls /metrics and every writer for seconds at serving scale.
+// Measured in allocations, which count the same on any machine: a view is
+// an allocation, and a set cloned per entry is bytes that grow with n².
+func TestMassExpiryIsOneBatch(t *testing.T) {
+	expire := func(n int) (mallocs, bytes uint64) {
+		rng := rand.New(rand.NewSource(3))
+		b := New(4)
+		for i := 0; i < n+10; i++ {
+			enc := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+			if _, err := b.Add(entry(enc, "q", plan.TP)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.EnableHNSW(8, 32, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		expired := b.ExpireOlderThan(int64(n))
+		runtime.ReadMemStats(&after)
+		if expired != n || b.Len() != 10 {
+			t.Fatalf("expired %d of %d, %d left, want 10 left", expired, n, b.Len())
+		}
+		hits, err := b.TopK([]float64{0.5, 0.5, 0.5, 0.5}, 3)
+		if err != nil || len(hits) != 3 {
+			t.Fatalf("TopK after expiring %d: %d hits, err %v", n, len(hits), err)
+		}
+		for _, h := range hits {
+			if h.Entry.Seq <= int64(n) {
+				t.Fatalf("expired entry retrieved: seq %d", h.Entry.Seq)
+			}
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	smallN, largeN := 1000, 4000
+	smallMallocs, smallBytes := expire(smallN)
+	largeMallocs, largeBytes := expire(largeN)
+	t.Logf("expiring %d: %d allocations, %d bytes; expiring %d: %d allocations, %d bytes",
+		smallN, smallMallocs, smallBytes, largeN, largeMallocs, largeBytes)
+	if largeMallocs > uint64(largeN/4) {
+		t.Errorf("expiring %d entries made %d allocations: a view was published per entry, want one per expiry", largeN, largeMallocs)
+	}
+	if largeBytes > 8*smallBytes {
+		t.Errorf("4x the entries allocated %.1fx the bytes (%d -> %d): expiry is not linear", float64(largeBytes)/float64(smallBytes), smallBytes, largeBytes)
 	}
 }
 

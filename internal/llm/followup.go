@@ -28,7 +28,7 @@ func followUpQuestion(text string) string {
 // indexed columns disable index usage.
 func (m *Sim) answerFollowUp(p parsedPrompt, question string) string {
 	q := strings.ToLower(question)
-	sql := strings.ToLower(p.question.sql)
+	sql := p.question.lowerSQL
 	switch {
 	case strings.Contains(q, "index") && (hasFunctionWrappedPredicate(sql) ||
 		strings.Contains(q, "substring") || strings.Contains(q, "function")):

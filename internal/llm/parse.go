@@ -17,11 +17,15 @@ type parsedKnowledge struct {
 	explanation string
 }
 
-// parsedQuestion is the QUESTION section.
+// parsedQuestion is the QUESTION section. The lower-cased forms are what
+// the surface-feature checks match against, folded once per prompt.
 type parsedQuestion struct {
 	sql       string
 	tpPlan    string
 	apPlan    string
+	lowerSQL  string
+	lowerTP   string
+	lowerAP   string
 	winner    plan.Engine
 	hasWinner bool
 	speedup   float64
@@ -86,6 +90,9 @@ func parsePrompt(text string) parsedPrompt {
 			tpPlan: fieldValue(section, "tp_plan:"),
 			apPlan: fieldValue(section, "ap_plan:"),
 		}
+		p.question.lowerSQL = strings.ToLower(p.question.sql)
+		p.question.lowerTP = strings.ToLower(p.question.tpPlan)
+		p.question.lowerAP = strings.ToLower(p.question.apPlan)
 		if w, ok := parseResult(fieldValue(section, "result:")); ok {
 			p.question.winner, p.question.hasWinner = w, true
 		}

@@ -177,7 +177,7 @@ func (m *Sim) grounded(p parsedPrompt) (string, bool) {
 	// experts omitted — add that bonus observation when the plan shows a
 	// grouped aggregation the retrieved knowledge also touched on
 	if p.question.winner == plan.AP &&
-		strings.Contains(strings.ToLower(p.question.sql), "group by") &&
+		strings.Contains(p.question.lowerSQL, "group by") &&
 		scores[expert.FactorAggregationPushdown] > 0 &&
 		primary != expert.FactorAggregationPushdown &&
 		!hasFactor(secondary, expert.FactorAggregationPushdown) && len(secondary) < 3 {
@@ -220,9 +220,7 @@ func containsFactor(lowerText string, f expert.Factor) bool {
 // features — the model will not assert a hash-join advantage for a plan
 // pair with no joins, etc.
 func factorApplies(f expert.Factor, q parsedQuestion, userCtx string) bool {
-	tp := strings.ToLower(q.tpPlan)
-	ap := strings.ToLower(q.apPlan)
-	sql := strings.ToLower(q.sql)
+	tp, ap, sql := q.lowerTP, q.lowerAP, q.lowerSQL
 	switch f {
 	case expert.FactorHashJoinAdvantage:
 		return q.winner == plan.AP && strings.Contains(tp, "nested loop") && strings.Contains(ap, "hash join")
@@ -298,7 +296,7 @@ func fluent(f expert.Factor, q parsedQuestion) string {
 	case expert.FactorHashJoinAdvantage:
 		return "its use of hash joins, which are highly efficient for handling large datasets, whereas TP's nested loop joins process the inner side once per outer row and scale poorly."
 	case expert.FactorNoUsableIndex:
-		if hasFunctionWrappedPredicate(strings.ToLower(q.sql)) {
+		if hasFunctionWrappedPredicate(q.lowerSQL) {
 			return "the selective predicate applies a function to the column, which disables index usage — there is no index the TP engine can use, forcing full scans."
 		}
 		return "there is no index available for the selective predicate, so the TP engine cannot use an index and must scan the table."
@@ -330,9 +328,7 @@ func fluent(f expert.Factor, q parsedQuestion) string {
 // §VI-D comparison (and the guardrail ablation) exercises.
 func (m *Sim) ungrounded(p parsedPrompt) string {
 	q := p.question
-	sql := strings.ToLower(q.sql)
-	tp := strings.ToLower(q.tpPlan)
-	ap := strings.ToLower(q.apPlan)
+	sql, tp, ap := q.lowerSQL, q.lowerTP, q.lowerAP
 
 	// winner: use the stated result if present, otherwise guess with a
 	// columnar-storage bias (the overemphasis failure mode)
@@ -396,5 +392,5 @@ func mentionsIndexContext(p parsedPrompt) bool {
 	if strings.Contains(strings.ToLower(p.userCtx), "index") {
 		return true
 	}
-	return strings.Contains(strings.ToLower(p.question.tpPlan), "index")
+	return strings.Contains(p.question.lowerTP, "index")
 }

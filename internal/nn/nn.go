@@ -30,19 +30,26 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // MulVec computes m · x.
 func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("nn: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	m.MulVecAdd(out, x)
+	return out
+}
+
+// MulVecAdd accumulates m · x into dst, allocating nothing. Each row's
+// product is summed on its own and then added, so a MulVecAdd into a zero
+// dst equals MulVec, and a chain of them equals MulVec plus VecAdd.
+func (m *Matrix) MulVecAdd(dst, x []float64) {
+	if len(x) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("nn: MulVecAdd dimension mismatch: %dx%d matrix, %d vec, %d dst", m.Rows, m.Cols, len(x), len(dst)))
+	}
+	for i := range dst {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] += s
 	}
-	return out
 }
 
 // MulVecT computes mᵀ · g (used for gradient backflow).

@@ -6,6 +6,17 @@
 // activations yield an 8-dim embedding per plan, concatenated into the
 // 16-dim plan-pair encoding the knowledge base keys on. The model is tiny
 // (well under 1 MB) and inference is sub-millisecond.
+//
+// Two passes compute the one network. Inference (embed, behind Embed,
+// EmbedPair and Predict) walks the plan once, keeps a node's features and
+// activations on the stack only until its parent has used them, folds the
+// max pool into the walk and allocates nothing per node. Training
+// (forwardPlan) does the same arithmetic over the flattened tree and keeps
+// every activation, because backwardPlan needs them. Both skip the kernels
+// of a child that is absent, and they agree to the last bit
+// (TestInferenceMatchesTrainingForward). The classifier head works on the
+// pair encoding alone: Classify applies it to an encoding the caller
+// already holds, Predict is EmbedPair then Classify.
 package treecnn
 
 import (
@@ -122,6 +133,12 @@ type flatNode struct {
 // Featurize converts a plan node into its feature vector.
 func Featurize(n *plan.Node) []float64 {
 	x := make([]float64, FeatDim)
+	featurize(x, n)
+	return x
+}
+
+// featurize fills x, zero and FeatDim long, with n's features.
+func featurize(x []float64, n *plan.Node) {
 	x[int(n.Op)] = 1
 	base := plan.NumOps
 	x[base+0] = math.Log1p(n.Rows) / 25.0
@@ -133,7 +150,6 @@ func Featurize(n *plan.Node) []float64 {
 		x[base+3] = 1
 	}
 	x[base+4] = float64(len(n.Children)) / 2.0
-	return x
 }
 
 // flatten binarizes the tree into a post-ordered slice (children precede
@@ -168,27 +184,31 @@ type planActs struct {
 	emb    []float64
 }
 
+// forwardPlan is the training pass: embed's arithmetic over the flattened
+// tree, with every activation kept for backwardPlan.
 func (r *Router) forwardPlan(n *plan.Node) *planActs {
 	nodes := flatten(n)
 	a := &planActs{nodes: nodes,
 		h1: make([][]float64, len(nodes)), h2: make([][]float64, len(nodes))}
-	childOf := func(h [][]float64, idx int, dim int) []float64 {
-		if idx < 0 {
-			return make([]float64, dim)
-		}
-		return h[idx]
-	}
 	for i, nd := range nodes {
 		pre := r.w1t.MulVec(nd.feat)
-		nn.VecAdd(pre, r.w1l.MulVec(childFeat(nodes, nd.left)))
-		nn.VecAdd(pre, r.w1r.MulVec(childFeat(nodes, nd.right)))
+		if nd.left >= 0 {
+			r.w1l.MulVecAdd(pre, nodes[nd.left].feat)
+		}
+		if nd.right >= 0 {
+			r.w1r.MulVecAdd(pre, nodes[nd.right].feat)
+		}
 		nn.VecAdd(pre, r.b1)
 		a.h1[i] = nn.ReLU(pre)
 	}
 	for i, nd := range nodes {
 		pre := r.w2t.MulVec(a.h1[i])
-		nn.VecAdd(pre, r.w2l.MulVec(childOf(a.h1, nd.left, h1Dim)))
-		nn.VecAdd(pre, r.w2r.MulVec(childOf(a.h1, nd.right, h1Dim)))
+		if nd.left >= 0 {
+			r.w2l.MulVecAdd(pre, a.h1[nd.left])
+		}
+		if nd.right >= 0 {
+			r.w2r.MulVecAdd(pre, a.h1[nd.right])
+		}
 		nn.VecAdd(pre, r.b2)
 		a.h2[i] = nn.ReLU(pre)
 	}
@@ -210,44 +230,102 @@ func (r *Router) forwardPlan(n *plan.Node) *planActs {
 	return a
 }
 
-func childFeat(nodes []flatNode, idx int) []float64 {
-	if idx < 0 {
-		return make([]float64, FeatDim)
+// -------------------------------------------------------- inference
+
+// embed is the inference pass: it writes n's embedding into dst (EmbedDim
+// long) and allocates nothing. It visits the nodes in the order flatten
+// lays them out and does forwardPlan's arithmetic operation for operation,
+// so the two agree to the last bit — but a node's features and first-layer
+// activation live on the stack only until its parent has used them, the
+// second layer is folded into the running max pool (activations are never
+// negative, so the pool may start at zero), and an absent child's kernel
+// is skipped where the training pass of old multiplied it by zeros.
+func (r *Router) embed(dst []float64, n *plan.Node) {
+	var pool [h2Dim]float64
+	r.convolve(n, &pool)
+	var pre [EmbedDim]float64
+	r.we.MulVecAdd(pre[:], pool[:])
+	for i, v := range pre {
+		dst[i] = math.Tanh(v + r.be[i])
 	}
-	return nodes[idx].feat
+}
+
+// convolve runs both tree-convolution layers over the subtree under n,
+// pooling the second into pool, and returns n's features and first-layer
+// activation for its parent.
+func (r *Router) convolve(n *plan.Node, pool *[h2Dim]float64) (feat [FeatDim]float64, h1 [h1Dim]float64) {
+	var lFeat, rFeat [FeatDim]float64
+	var lH1, rH1 [h1Dim]float64
+	left, right := len(n.Children) >= 1, len(n.Children) >= 2
+	if left {
+		lFeat, lH1 = r.convolve(n.Children[0], pool)
+	}
+	if right {
+		rFeat, rH1 = r.convolve(n.Children[1], pool)
+	}
+	featurize(feat[:], n)
+	r.w1t.MulVecAdd(h1[:], feat[:])
+	if left {
+		r.w1l.MulVecAdd(h1[:], lFeat[:])
+	}
+	if right {
+		r.w1r.MulVecAdd(h1[:], rFeat[:])
+	}
+	for i, v := range h1 {
+		h1[i] = max(v+r.b1[i], 0)
+	}
+	var h2 [h2Dim]float64
+	r.w2t.MulVecAdd(h2[:], h1[:])
+	if left {
+		r.w2l.MulVecAdd(h2[:], lH1[:])
+	}
+	if right {
+		r.w2r.MulVecAdd(h2[:], rH1[:])
+	}
+	for d, v := range h2 {
+		pool[d] = max(pool[d], v+r.b2[d])
+	}
+	return feat, h1
 }
 
 // Embed returns the 8-dim embedding of a single plan.
 func (r *Router) Embed(n *plan.Node) []float64 {
-	emb := r.forwardPlan(n).emb
 	out := make([]float64, EmbedDim)
-	copy(out, emb)
+	r.embed(out, n)
 	return out
 }
 
 // EmbedPair returns the 16-dim plan-pair encoding: concat(TP embedding,
 // AP embedding). This is the knowledge-base key.
 func (r *Router) EmbedPair(p *plan.Pair) []float64 {
-	out := make([]float64, 0, PairDim)
-	out = append(out, r.Embed(p.TP)...)
-	out = append(out, r.Embed(p.AP)...)
+	out := make([]float64, PairDim)
+	r.embed(out[:EmbedDim], p.TP)
+	r.embed(out[EmbedDim:], p.AP)
 	return out
 }
 
 // Predict classifies the pair, returning the predicted faster engine and
 // the class probabilities [P(TP), P(AP)].
 func (r *Router) Predict(p *plan.Pair) (plan.Engine, [2]float64) {
-	tp := r.forwardPlan(p.TP)
-	ap := r.forwardPlan(p.AP)
-	pair := append(append([]float64{}, tp.emb...), ap.emb...)
-	z := r.wc.MulVec(pair)
-	nn.VecAdd(z, r.bc)
-	probs := nn.Softmax(z)
+	return r.Classify(r.EmbedPair(p))
+}
+
+// Classify applies the classifier head to a plan-pair encoding (what
+// EmbedPair returns): Predict for a caller that already holds the encoding.
+func (r *Router) Classify(encoding []float64) (plan.Engine, [2]float64) {
+	probs := r.classProbs(encoding)
 	eng := plan.TP
 	if probs[1] > probs[0] {
 		eng = plan.AP
 	}
 	return eng, [2]float64{probs[0], probs[1]}
+}
+
+// classProbs is the classifier head: softmax(wc · encoding + bc).
+func (r *Router) classProbs(encoding []float64) []float64 {
+	z := r.wc.MulVec(encoding)
+	nn.VecAdd(z, r.bc)
+	return nn.Softmax(z)
 }
 
 // -------------------------------------------------------- training
@@ -311,9 +389,7 @@ func (r *Router) backward(s Sample) float64 {
 	tp := r.forwardPlan(s.Pair.TP)
 	ap := r.forwardPlan(s.Pair.AP)
 	pair := append(append([]float64{}, tp.emb...), ap.emb...)
-	z := r.wc.MulVec(pair)
-	nn.VecAdd(z, r.bc)
-	probs := nn.Softmax(z)
+	probs := r.classProbs(pair)
 	y := 0
 	if s.Label == plan.AP {
 		y = 1
@@ -349,58 +425,44 @@ func (r *Router) backwardPlan(a *planActs, demb []float64) {
 	}
 	dh1 := make([][]float64, len(a.nodes))
 	addH1 := func(idx int, g []float64) {
-		if idx < 0 {
-			return
-		}
 		if dh1[idx] == nil {
 			dh1[idx] = make([]float64, h1Dim)
 		}
 		nn.VecAdd(dh1[idx], g)
 	}
-	zeroH1 := make([]float64, h1Dim)
+	// an absent child contributed nothing forward and gets no gradient
 	for i := len(a.nodes) - 1; i >= 0; i-- {
 		if dh2[i] == nil {
 			continue
 		}
 		g := nn.ReLUGrad(dh2[i], a.h2[i])
 		nd := a.nodes[i]
-		left, right := zeroH1, zeroH1
-		if nd.left >= 0 {
-			left = a.h1[nd.left]
-		}
-		if nd.right >= 0 {
-			right = a.h1[nd.right]
-		}
 		r.gw2t.AddOuter(g, a.h1[i])
-		r.gw2l.AddOuter(g, left)
-		r.gw2r.AddOuter(g, right)
 		nn.VecAdd(r.gb2, g)
 		addH1(i, r.w2t.MulVecT(g))
 		if nd.left >= 0 {
+			r.gw2l.AddOuter(g, a.h1[nd.left])
 			addH1(nd.left, r.w2l.MulVecT(g))
 		}
 		if nd.right >= 0 {
+			r.gw2r.AddOuter(g, a.h1[nd.right])
 			addH1(nd.right, r.w2r.MulVecT(g))
 		}
 	}
-	zeroF := make([]float64, FeatDim)
 	for i := len(a.nodes) - 1; i >= 0; i-- {
 		if dh1[i] == nil {
 			continue
 		}
 		g := nn.ReLUGrad(dh1[i], a.h1[i])
 		nd := a.nodes[i]
-		left, right := zeroF, zeroF
+		r.gw1t.AddOuter(g, nd.feat)
+		nn.VecAdd(r.gb1, g)
 		if nd.left >= 0 {
-			left = a.nodes[nd.left].feat
+			r.gw1l.AddOuter(g, a.nodes[nd.left].feat)
 		}
 		if nd.right >= 0 {
-			right = a.nodes[nd.right].feat
+			r.gw1r.AddOuter(g, a.nodes[nd.right].feat)
 		}
-		r.gw1t.AddOuter(g, nd.feat)
-		r.gw1l.AddOuter(g, left)
-		r.gw1r.AddOuter(g, right)
-		nn.VecAdd(r.gb1, g)
 	}
 }
 

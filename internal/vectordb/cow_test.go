@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -137,5 +138,92 @@ func TestConcurrentSearchAndWrite(t *testing.T) {
 	}
 	if s.Snapshot().Len() != s.Len() {
 		t.Errorf("view Len %d != store Len %d after quiesce", s.Snapshot().Len(), s.Len())
+	}
+}
+
+// TestSearchRacesEveryWriter races lock-free searches against all three
+// writers — Add, DeleteMany and a BuildHNSW rebuild — each of which
+// publishes views while searchers hold older ones. A view is a point in
+// time: whatever is published after it, a search of it must return only
+// its own live rows, nearest first, and return the same hits when asked
+// again. A torn view (adjacency, rows or tombstones mutated under a
+// reader) or a scratch shared by two searches breaks one of these, or is
+// reported by the race detector (run with -race).
+func TestSearchRacesEveryWriter(t *testing.T) {
+	s, queries := clusteredStore(t, Cosine, 8, 300, 6)
+	s.BuildHNSW(8, 32, 2)
+
+	stop := make(chan struct{})
+	var searchers, writer sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		searchers.Add(1)
+		go func(r int) {
+			defer searchers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := s.Snapshot()
+				q := queries[(r+i)%len(queries)]
+				first, err := v.SearchHNSW(q, 5)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, h := range first {
+					if h.ID >= v.n || v.dead.has(h.ID) {
+						t.Errorf("hit %d is not a live row of its view (%d rows): %+v", j, v.n, h)
+						return
+					}
+					if j > 0 && h.Distance < first[j-1].Distance {
+						t.Errorf("hits out of order: %+v", first)
+						return
+					}
+				}
+				exact, err := v.Search(q, 5)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				again, _ := v.SearchHNSW(q, 5)
+				exactAgain, _ := v.Search(q, 5)
+				if !slices.Equal(first, again) || !slices.Equal(exact, exactAgain) {
+					t.Errorf("a held view changed its answer:\n hnsw %+v\n then %+v\nexact %+v\n then %+v", first, again, exact, exactAgain)
+					return
+				}
+			}
+		}(r)
+	}
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		defer close(stop)
+		wrng := rand.New(rand.NewSource(77))
+		var fresh []int
+		for i := 0; i < 240; i++ {
+			id, err := s.Add(randVec(wrng, 8))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fresh = append(fresh, id)
+			if len(fresh) == 8 {
+				if err := s.DeleteMany(fresh[:5]); err != nil {
+					t.Error(err)
+					return
+				}
+				fresh = fresh[:0]
+			}
+			if i%60 == 59 {
+				s.BuildHNSW(8, 32, int64(i))
+			}
+		}
+	}()
+	writer.Wait()
+	searchers.Wait()
+	if s.Snapshot().Len() != s.Len() || s.Len() != 300+240-150 {
+		t.Errorf("after quiesce: view Len %d, store Len %d, want %d", s.Snapshot().Len(), s.Len(), 300+240-150)
 	}
 }

@@ -2,27 +2,41 @@
 // key-value store whose keys are plan-pair embeddings. Search supports
 // exact (linear) k-nearest-neighbour and an HNSW index (Malkov &
 // Yashunin, cited by the paper for KB scaling). Distances are cosine or
-// Euclidean. Entries carry opaque payload IDs; the knowledge package maps
-// them to full entries.
+// Euclidean. A vector's ID is its insertion index; the knowledge package
+// maps IDs to full entries.
 //
-// Concurrency model: the store's authoritative state is guarded by a
-// mutex, which is all the exact linear path ever needs. Once BuildHNSW
-// has been called the store additionally publishes an immutable View —
-// vectors, IDs, tombstones and the HNSW graph as of one point in time —
-// through an atomic pointer. Writers (Add/Delete, serialized by the
-// mutex) never mutate a published view: they clone the affected
-// structures, apply the change, and publish a fresh view, so index
-// searches are wait-free reads with no lock at all. The vector and ID
-// slices are append-only and shared across views (an older view's
-// shorter length never reaches the newer elements); tombstone maps and
-// HNSW adjacency are cloned on write.
+// Representation: every vector is one row of a single contiguous
+// []float64, and under Cosine a row is unit-normalised when it is added
+// (a zero vector stays zero, which puts it at distance 1 from everything).
+// No API returns a stored vector, so only the normalised form is kept.
+// Tombstones are a bitset indexed by ID. The HNSW graph (hnsw.go) keeps
+// its level-0 adjacency as a slice indexed by node.
+//
+// One kernel: Metric.rowDistance — 1 − dot over unit rows, Σ(a−b)² for L2
+// — is the only distance formula. Graph construction, graph search and
+// the exact scan all call it, on a query that Metric.toRow brought into
+// row form once per search.
+//
+// Scratch ownership: a search borrows one scratch (the query row, the
+// visited stamps, both heaps and the beam buffers) from a sync.Pool for
+// its duration and returns it; no two searches ever share one, and the
+// writer borrows its own for an insert. Nothing in a scratch outlives the
+// call that borrowed it.
+//
+// Concurrency model: writers (Add/Delete/DeleteMany/BuildHNSW) serialize
+// on the store's mutex and never mutate anything a reader can reach: rows
+// are append-only (a reader's shorter length never reaches a newer row),
+// the tombstone bitset and the adjacency tables are cloned before a write
+// changes them, and neighbour lists are replaced, never edited. The exact
+// path copies the current state under a read lock and scans outside it.
+// Once BuildHNSW has been called every write also publishes the state as
+// an immutable View through an atomic pointer, so index searches are
+// wait-free reads with no lock at all.
 package vectordb
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -44,28 +58,52 @@ func (m Metric) String() string {
 	return "l2"
 }
 
+// toRow writes src into dst in the form rows are stored in: scaled to
+// unit length under Cosine (a zero vector stays zero), unchanged under L2.
+func (m Metric) toRow(dst, src []float64) {
+	scale := 1.0
+	if m == Cosine {
+		var nn float64
+		for _, v := range src {
+			nn += v * v
+		}
+		if nn > 0 {
+			scale = 1 / math.Sqrt(nn)
+		}
+	}
+	for i, v := range src {
+		dst[i] = v * scale
+	}
+}
+
+// rowDistance is the distance kernel, over two vectors in row form.
+// Rounding can leave the dot of two equal unit rows a hair above 1; a
+// distance is never negative.
+func (m Metric) rowDistance(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	if m == Cosine {
+		for i, v := range a {
+			s += v * b[i]
+		}
+		if s > 1 {
+			return 0
+		}
+		return 1 - s
+	}
+	for i, v := range a {
+		d := v - b[i]
+		s += d * d
+	}
+	return s
+}
+
 // Distance computes the metric between two vectors.
 func (m Metric) Distance(a, b []float64) float64 {
-	switch m {
-	case Cosine:
-		var dot, na, nb float64
-		for i := range a {
-			dot += a[i] * b[i]
-			na += a[i] * a[i]
-			nb += b[i] * b[i]
-		}
-		if na == 0 || nb == 0 {
-			return 1
-		}
-		return 1 - dot/math.Sqrt(na*nb)
-	default:
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return s
-	}
+	ra, rb := make([]float64, len(a)), make([]float64, len(b))
+	m.toRow(ra, a)
+	m.toRow(rb, b)
+	return m.rowDistance(ra, rb)
 }
 
 // Hit is one search result.
@@ -74,87 +112,112 @@ type Hit struct {
 	Distance float64
 }
 
+// rows is the vector table: n rows of dim floats, contiguous, in row form.
+// n is kept beside data because dim may be 0.
+type rows struct {
+	dim, n int
+	metric Metric
+	data   []float64
+}
+
+func (r rows) row(i int) []float64 { return r.data[i*r.dim : (i+1)*r.dim] }
+
+// bitset is the tombstone set, indexed by ID. A published one is never
+// mutated: a writer sets bits in a clone.
+type bitset []uint64
+
+func (b bitset) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
+}
+
+func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// clone returns a copy with room for IDs below n.
+func (b bitset) clone(n int) bitset {
+	nb := make(bitset, max(len(b), (n+63)>>6))
+	copy(nb, b)
+	return nb
+}
+
 // Store is the vector store. It is safe for concurrent use.
 type Store struct {
-	mu     sync.RWMutex
-	dim    int
-	metric Metric
-	vecs   [][]float64
-	ids    []int
-	dead   map[int]bool // tombstoned IDs (expired knowledge); replaced, never mutated, once a view is live
-	nextID int
+	mu  sync.RWMutex
+	cur View // the authoritative state; cur.hnsw is nil until BuildHNSW
 
-	view atomic.Pointer[View] // nil until BuildHNSW
+	view      atomic.Pointer[View] // nil until BuildHNSW
+	publishes int                  // views published so far; read by tests
 }
 
 // New creates a store for vectors of the given dimension.
 func New(dim int, metric Metric) *Store {
-	return &Store{dim: dim, metric: metric, dead: map[int]bool{}}
+	return &Store{cur: View{rows: rows{dim: dim, metric: metric}}}
 }
 
 // Dim returns the vector dimension.
-func (s *Store) Dim() int { return s.dim }
+func (s *Store) Dim() int { return s.cur.dim }
 
 // Len returns the number of live vectors.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ids) - len(s.dead)
+	return s.cur.Len()
 }
 
 // Add inserts a vector and returns its ID.
 func (s *Store) Add(vec []float64) (int, error) {
-	if len(vec) != s.dim {
-		return 0, fmt.Errorf("vectordb: dimension mismatch: got %d, want %d", len(vec), s.dim)
+	if len(vec) != s.cur.dim {
+		return 0, fmt.Errorf("vectordb: dimension mismatch: got %d, want %d", len(vec), s.cur.dim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextID
-	s.nextID++
-	cp := make([]float64, len(vec))
-	copy(cp, vec)
-	s.vecs = append(s.vecs, cp)
-	s.ids = append(s.ids, id)
-	if v := s.view.Load(); v != nil {
-		// copy-on-write index maintenance: clone the adjacency maps, insert
-		// into the clone against the grown vector slice, publish. Concurrent
+	id := s.cur.n
+	s.cur.data = append(s.cur.data, vec...)
+	s.cur.n++
+	s.cur.metric.toRow(s.cur.row(id), vec)
+	if s.cur.hnsw != nil {
+		// copy-on-write index maintenance: insert into a clone of the
+		// adjacency tables against the grown rows, publish. Concurrent
 		// searches keep using the old view untouched.
-		h := v.hnsw.clone()
-		h.vecs = s.vecs
-		h.insert(len(s.vecs) - 1)
-		s.publishLocked(h)
+		h := s.cur.hnsw.clone()
+		sc := getScratch(id + 1)
+		h.insert(s.cur.rows, sc, id)
+		putScratch(sc)
+		s.cur.hnsw = h
+		s.publishLocked()
 	}
 	return id, nil
 }
 
 // Delete tombstones an ID (used for knowledge expiry).
-func (s *Store) Delete(id int) error {
+func (s *Store) Delete(id int) error { return s.DeleteMany([]int{id}) }
+
+// DeleteMany tombstones a batch of IDs with one clone of the tombstone
+// set and one published view. It is all or nothing: an unknown, repeated
+// or already deleted ID fails the batch.
+func (s *Store) DeleteMany(ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id < 0 || id >= s.nextID || s.dead[id] {
-		return fmt.Errorf("vectordb: no such id %d", id)
+	dead := s.cur.dead.clone(s.cur.n)
+	for _, id := range ids {
+		if id < 0 || id >= s.cur.n || dead.has(id) {
+			return fmt.Errorf("vectordb: no such id %d", id)
+		}
+		dead.set(id)
 	}
-	// replace rather than mutate: a published view shares this map
-	nd := make(map[int]bool, len(s.dead)+1)
-	for k := range s.dead {
-		nd[k] = true
-	}
-	nd[id] = true
-	s.dead = nd
-	if v := s.view.Load(); v != nil {
-		s.publishLocked(v.hnsw)
+	s.cur.dead, s.cur.nDead = dead, s.cur.nDead+len(ids)
+	if s.cur.hnsw != nil {
+		s.publishLocked()
 	}
 	return nil
 }
 
 // Search returns the k nearest live vectors to q (exact linear scan).
 func (s *Store) Search(q []float64, k int) ([]Hit, error) {
-	if len(q) != s.dim {
-		return nil, fmt.Errorf("vectordb: dimension mismatch: got %d, want %d", len(q), s.dim)
-	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return linearSearch(s.metric, s.vecs, s.ids, s.dead, q, k), nil
+	v := s.cur
+	s.mu.RUnlock()
+	return v.Search(q, k)
 }
 
 // SearchHNSW returns approximate k nearest neighbours through the HNSW
@@ -175,12 +238,14 @@ func (s *Store) SearchHNSW(q []float64, k int) ([]Hit, error) {
 func (s *Store) BuildHNSW(m, efConstruction int, seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := newHNSW(s.metric, m, efConstruction, seed)
-	h.vecs = s.vecs
-	for i := range s.vecs {
-		h.insert(i)
+	h := newHNSW(m, efConstruction, seed)
+	sc := getScratch(s.cur.n)
+	for i := 0; i < s.cur.n; i++ {
+		h.insert(s.cur.rows, sc, i)
 	}
-	s.publishLocked(h)
+	putScratch(sc)
+	s.cur.hnsw = h
+	s.publishLocked()
 }
 
 // Snapshot returns the current immutable view, or nil when BuildHNSW has
@@ -190,44 +255,61 @@ func (s *Store) Snapshot() *View {
 	return s.view.Load()
 }
 
-// publishLocked publishes a view of the current state with the given
-// graph. Caller holds s.mu.
-func (s *Store) publishLocked(h *hnswIndex) {
-	s.view.Store(&View{
-		dim:    s.dim,
-		metric: s.metric,
-		vecs:   s.vecs,
-		ids:    s.ids,
-		dead:   s.dead,
-		hnsw:   h,
-	})
+// publishLocked publishes the current state. Caller holds s.mu.
+func (s *Store) publishLocked() {
+	v := s.cur
+	s.view.Store(&v)
+	s.publishes++
 }
 
 // ---------------------------------------------------------------- views
 
-// View is an immutable point-in-time snapshot of the store: its vectors,
-// IDs, tombstones and HNSW graph. All methods are safe for unlimited
+// View is an immutable point-in-time snapshot of the store: its rows,
+// tombstones and HNSW graph. All methods are safe for unlimited
 // concurrent use with no synchronization — nothing a view references is
 // ever mutated after publication.
 type View struct {
-	dim    int
-	metric Metric
-	vecs   [][]float64
-	ids    []int
-	dead   map[int]bool
-	hnsw   *hnswIndex
+	rows
+	dead  bitset
+	nDead int
+	hnsw  *hnswIndex
 }
 
 // Len returns the number of live vectors in the view.
-func (v *View) Len() int { return len(v.ids) - len(v.dead) }
+func (v *View) Len() int { return v.n - v.nDead }
 
 // Search returns the k nearest live vectors to q (exact linear scan over
-// the snapshot).
+// the snapshot), nearest first, ties by ascending ID.
 func (v *View) Search(q []float64, k int) ([]Hit, error) {
 	if len(q) != v.dim {
 		return nil, fmt.Errorf("vectordb: dimension mismatch: got %d, want %d", len(q), v.dim)
 	}
-	return linearSearch(v.metric, v.vecs, v.ids, v.dead, q, k), nil
+	sc := getScratch(0)
+	defer putScratch(sc)
+	qr := sc.queryRow(v.metric, q)
+	// a running top-k in ascending (distance, ID) order: rows arrive in ID
+	// order and only a strictly nearer one moves an earlier one down
+	top := make([]Hit, 0, max(0, min(k, v.Len())))
+	if cap(top) == 0 {
+		return top, nil
+	}
+	for i := 0; i < v.n; i++ {
+		if v.dead.has(i) {
+			continue
+		}
+		d := v.metric.rowDistance(qr, v.row(i))
+		if len(top) < cap(top) {
+			top = append(top, Hit{})
+		} else if d >= top[len(top)-1].Distance {
+			continue
+		}
+		j := len(top) - 1
+		for ; j > 0 && top[j-1].Distance > d; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = Hit{ID: i, Distance: d}
+	}
+	return top, nil
 }
 
 // SearchHNSW returns approximate k nearest live neighbours through the
@@ -238,294 +320,21 @@ func (v *View) SearchHNSW(q []float64, k int) ([]Hit, error) {
 	if len(q) != v.dim {
 		return nil, fmt.Errorf("vectordb: dimension mismatch: got %d, want %d", len(q), v.dim)
 	}
-	idxHits := v.hnsw.search(q, k)
-	out := make([]Hit, 0, k)
-	for _, h := range idxHits {
-		id := v.ids[h.idx]
-		if v.dead[id] {
-			continue
-		}
-		out = append(out, Hit{ID: id, Distance: h.dist})
+	sc := getScratch(v.n)
+	defer putScratch(sc)
+	return v.searchHNSW(sc, q, k), nil
+}
+
+// searchHNSW is SearchHNSW over a scratch the caller owns.
+func (v *View) searchHNSW(sc *scratch, q []float64, k int) []Hit {
+	out := make([]Hit, 0, max(0, k))
+	for _, c := range v.hnsw.search(v.rows, sc, sc.queryRow(v.metric, q), k) {
 		if len(out) == k {
 			break
 		}
-	}
-	return out, nil
-}
-
-// linearSearch is the exact scan shared by Store.Search and View.Search.
-func linearSearch(metric Metric, vecs [][]float64, ids []int, dead map[int]bool, q []float64, k int) []Hit {
-	hits := make([]Hit, 0, len(vecs))
-	for i, v := range vecs {
-		id := ids[i]
-		if dead[id] {
-			continue
-		}
-		hits = append(hits, Hit{ID: id, Distance: metric.Distance(q, v)})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Distance != hits[j].Distance {
-			return hits[i].Distance < hits[j].Distance
-		}
-		return hits[i].ID < hits[j].ID
-	})
-	if k < len(hits) {
-		hits = hits[:k]
-	}
-	return hits
-}
-
-// ---------------------------------------------------------------- HNSW
-
-type idxHit struct {
-	idx  int
-	dist float64
-}
-
-// hnswIndex is a hierarchical navigable small-world graph over a vector
-// slice (indices, not IDs). A published index is immutable; writers work
-// on clones. The copy-on-write contract: adjacency maps are cloned per
-// write, and the neighbor slices inside them are treated as immutable —
-// every update builds a fresh slice (see insert/prune) so a clone can
-// share them with the index it was cloned from.
-type hnswIndex struct {
-	vecs     [][]float64
-	metric   Metric
-	m        int // max neighbours per layer
-	efCons   int
-	levelMul float64
-	rng      *rand.Rand // shared across clones; only ever used by the (mutex-serialized) writer
-	// neighbors[level][idx] → neighbor indices
-	neighbors []map[int][]int
-	entry     int
-	maxLevel  int
-	size      int
-}
-
-func newHNSW(metric Metric, m, efConstruction int, seed int64) *hnswIndex {
-	if m < 2 {
-		m = 8
-	}
-	if efConstruction < m {
-		efConstruction = 4 * m
-	}
-	return &hnswIndex{
-		metric: metric, m: m, efCons: efConstruction,
-		levelMul: 1.0 / math.Log(float64(m)),
-		rng:      rand.New(rand.NewSource(seed)),
-		entry:    -1,
-	}
-}
-
-// clone shallow-copies the index for a copy-on-write insert: fresh
-// adjacency maps per level, shared (immutable) neighbor slices.
-func (h *hnswIndex) clone() *hnswIndex {
-	cp := *h
-	cp.neighbors = make([]map[int][]int, len(h.neighbors))
-	for l, mp := range h.neighbors {
-		nm := make(map[int][]int, len(mp)+1)
-		for idx, nbs := range mp {
-			nm[idx] = nbs
-		}
-		cp.neighbors[l] = nm
-	}
-	return &cp
-}
-
-func (h *hnswIndex) dist(q []float64, idx int) float64 {
-	return h.metric.Distance(q, h.vecs[idx])
-}
-
-func (h *hnswIndex) randomLevel() int {
-	return int(-math.Log(math.Max(h.rng.Float64(), 1e-12)) * h.levelMul)
-}
-
-func (h *hnswIndex) insert(idx int) {
-	level := h.randomLevel()
-	for len(h.neighbors) <= level {
-		h.neighbors = append(h.neighbors, map[int][]int{})
-	}
-	if h.entry < 0 {
-		h.entry = idx
-		h.maxLevel = level
-		for l := 0; l <= level; l++ {
-			h.neighbors[l][idx] = nil
-		}
-		h.size++
-		return
-	}
-	q := h.vecs[idx]
-	cur := h.entry
-	// greedy descent on upper layers
-	for l := h.maxLevel; l > level; l-- {
-		cur = h.greedy(q, cur, l)
-	}
-	// connect on layers min(level, maxLevel) .. 0
-	top := level
-	if top > h.maxLevel {
-		top = h.maxLevel
-	}
-	for l := top; l >= 0; l-- {
-		cands := h.searchLayer(q, cur, h.efCons, l)
-		sel := h.selectNearest(cands, h.m)
-		h.neighbors[l][idx] = append([]int{}, sel...)
-		for _, nb := range sel {
-			// copy-append: the old slice may be shared with a published view
-			old := h.neighbors[l][nb]
-			nbrs := make([]int, len(old), len(old)+1)
-			copy(nbrs, old)
-			nbrs = append(nbrs, idx)
-			if len(nbrs) > h.m*3 {
-				nbrs = h.prune(h.vecs[nb], nbrs, h.m*2)
-			}
-			h.neighbors[l][nb] = nbrs
-		}
-		if len(cands) > 0 {
-			cur = cands[0].idx
-		}
-	}
-	if level > h.maxLevel {
-		h.maxLevel = level
-		h.entry = idx
-	}
-	h.size++
-}
-
-func (h *hnswIndex) greedy(q []float64, start, level int) int {
-	cur := start
-	curD := h.dist(q, cur)
-	for {
-		improved := false
-		for _, nb := range h.neighbors[level][cur] {
-			if d := h.dist(q, nb); d < curD {
-				cur, curD = nb, d
-				improved = true
-			}
-		}
-		if !improved {
-			return cur
-		}
-	}
-}
-
-// searchLayer is best-first search with a bounded candidate set.
-func (h *hnswIndex) searchLayer(q []float64, entry, ef, level int) []idxHit {
-	visited := map[int]bool{entry: true}
-	entryHit := idxHit{idx: entry, dist: h.dist(q, entry)}
-	candidates := []idxHit{entryHit}
-	results := []idxHit{entryHit}
-	for len(candidates) > 0 {
-		// pop nearest candidate
-		best := 0
-		for i := 1; i < len(candidates); i++ {
-			if candidates[i].dist < candidates[best].dist {
-				best = i
-			}
-		}
-		c := candidates[best]
-		candidates = append(candidates[:best], candidates[best+1:]...)
-		// farthest current result
-		worst := 0
-		for i := 1; i < len(results); i++ {
-			if results[i].dist > results[worst].dist {
-				worst = i
-			}
-		}
-		if len(results) >= ef && c.dist > results[worst].dist {
-			break
-		}
-		for _, nb := range h.neighbors[level][c.idx] {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			d := h.dist(q, nb)
-			if len(results) < ef {
-				results = append(results, idxHit{nb, d})
-				candidates = append(candidates, idxHit{nb, d})
-			} else {
-				worst = 0
-				for i := 1; i < len(results); i++ {
-					if results[i].dist > results[worst].dist {
-						worst = i
-					}
-				}
-				if d < results[worst].dist {
-					results[worst] = idxHit{nb, d}
-					candidates = append(candidates, idxHit{nb, d})
-				}
-			}
-		}
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].dist < results[j].dist })
-	return results
-}
-
-func (h *hnswIndex) selectNearest(cands []idxHit, m int) []int {
-	out := make([]int, 0, m)
-	for _, c := range cands {
-		out = append(out, c.idx)
-		if len(out) == m {
-			break
+		if !v.dead.has(int(c.idx)) {
+			out = append(out, Hit{ID: int(c.idx), Distance: c.dist})
 		}
 	}
 	return out
-}
-
-// mergeHits unions two hit lists, dedups by index, and keeps the best ef.
-func mergeHits(a, b []idxHit, ef int) []idxHit {
-	seen := map[int]bool{}
-	out := make([]idxHit, 0, len(a)+len(b))
-	for _, h := range append(a, b...) {
-		if seen[h.idx] {
-			continue
-		}
-		seen[h.idx] = true
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].dist < out[j].dist })
-	if len(out) > ef {
-		out = out[:ef]
-	}
-	return out
-}
-
-func (h *hnswIndex) prune(vec []float64, nbs []int, m int) []int {
-	hits := make([]idxHit, len(nbs))
-	for i, nb := range nbs {
-		hits[i] = idxHit{nb, h.metric.Distance(vec, h.vecs[nb])}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].dist < hits[j].dist })
-	if len(hits) > m {
-		hits = hits[:m]
-	}
-	out := make([]int, len(hits))
-	for i, ht := range hits {
-		out[i] = ht.idx
-	}
-	return out
-}
-
-func (h *hnswIndex) search(q []float64, k int) []idxHit {
-	if h.entry < 0 {
-		return nil
-	}
-	cur := h.entry
-	for l := h.maxLevel; l > 0; l-- {
-		cur = h.greedy(q, cur, l)
-	}
-	ef := k * 10
-	if ef < 40 {
-		ef = 40
-	}
-	res := h.searchLayer(q, cur, ef, 0)
-	// second deterministic seed guards against descending into the wrong
-	// cluster on multi-modal data
-	if h.size > 1 && cur != 0 {
-		alt := h.searchLayer(q, 0, ef, 0)
-		res = mergeHits(res, alt, ef)
-	}
-	// return the full beam (up to ef), not just k: callers filter
-	// tombstones before truncating
-	return res
 }
