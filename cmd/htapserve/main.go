@@ -40,6 +40,8 @@
 //	GET  /debug/traces                     → sampled query span traces,
 //	                                         newest first (-trace-sample,
 //	                                         -slow-query-ms)
+//	GET  /debug/pprof/                     → net/http/pprof: CPU profile,
+//	                                         heap, goroutines, trace
 //	GET  /healthz                          → liveness
 //
 // With -explain (default on) the server serves the explanation service:

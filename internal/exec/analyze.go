@@ -143,6 +143,14 @@ func Instrument(op BatchOperator) (BatchOperator, *OpProfile) {
 	case *HashJoin:
 		x.Probe = instrumentChild(x.Probe, prof)
 		x.Build = instrumentChild(x.Build, prof)
+	case *Gather:
+		// the fragments are the gather's children in the profile; the move
+		// scans that feed them are not shown
+		for i := range x.Frags {
+			x.Frags[i].Root = instrumentChild(x.Frags[i].Root, prof)
+			frag := prof.Children[i]
+			frag.Name = fmt.Sprintf("shard %d: %s", i, frag.Name)
+		}
 	}
 	_, leaf := op.(ParallelSource)
 	return &analyzeOp{child: op, prof: prof, leafScan: leaf || isScan(op)}, prof

@@ -4,16 +4,19 @@
 // cross a shard boundary are always freshly materialized via
 // Batch.AppendRows, so no pipeline ever aliases another shard's chunks.
 //
-//   - Gather is the consumer side: a BatchOperator fed by N producer
-//     handles (one per shard fragment, each driven on its own goroutine)
-//     that streams the union of their rows to the coordinator's final
-//     stage.
+//   - Gather is the consumer side and the owner of a scatter's inputs: an
+//     ordinary BatchOperator whose children are the per-shard fragment
+//     trees and the move scans. Open runs the moves, then the fragments
+//     (forkWorkers, one worker per fragment), and Next streams the union
+//     of the fragments' rows to the coordinator's final stage.
 //   - Shuffle is the repartitioning sender: it drains a shard-local
 //     pipeline and routes every row to one of N destinations by a
 //     caller-supplied partition function (hash of the join key), so a
 //     non-co-partitioned join side can be re-aligned to the owning shards.
 //   - Broadcast is the replicating sender: every row goes to all N
 //     destinations (the small side of a join with no usable partitioning).
+//   - MemScan is the receiving leaf inside a fragment: it reads the
+//     rows a move delivered to its shard from the execution's Context.
 //
 // Exchange work counters are recorded where rows enter their destination:
 // Gather counts on receive, Shuffle/Broadcast count on send — so summing
@@ -21,6 +24,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"htapxplain/internal/value"
 )
 
@@ -35,7 +40,7 @@ type RowSink interface {
 
 // RowBuffer is the materializing RowSink: it accumulates every slab into
 // Rows. Used for exchange destinations that must be complete before the
-// consumer plans against them (shuffle/broadcast overrides).
+// consumer runs against them (a move's per-shard deliveries).
 type RowBuffer struct {
 	Rows []value.Row
 }
@@ -45,143 +50,135 @@ func (b *RowBuffer) Send(rows []value.Row) bool {
 	return true
 }
 
-type gatherMsg struct {
-	rows []value.Row
-	err  error
-	done bool
+// Fragment is one shard's input to a Gather: the shard-local operator tree
+// and the planner-chosen degree of parallelism it is worth.
+type Fragment struct {
+	Root BatchOperator
+	DOP  int
 }
 
-// Gather is the gather exchange: a single-use BatchOperator source fed by
-// a fixed set of producers. Producers run on their own goroutines and push
-// materialized row slabs through a bounded channel; Next re-chunks them
-// into batches for the coordinator's final stage. The first producer error
-// fails the stream. A Gather is never pooled: it is built per query and
-// driven with DrainOnce, not through a Runner.
+// Move re-aligns one table for a scatter's fragments: Scans[s] is the
+// sending scan on shard s, and every row it yields is delivered to the
+// fragment Route names — to every fragment when Route is nil (broadcast) —
+// where the MemScan with the same Key reads it. Scans are templates: each
+// execution drains a clone of its own and drops it, so a pooled gather
+// does not keep a full-width decode buffer per shard between runs.
+type Move struct {
+	Key   string
+	Scans []BatchOperator
+	Route func(value.Row) (int, error)
+}
+
+// Gather is the gather exchange. It owns its inputs, so a plan rooted
+// above one clones, pools and re-runs like any other: nothing a run
+// produced lives in the operator between runs. Open is the whole
+// execution — moves first, sequentially on the caller's context, then
+// every fragment on its own worker at min(its DOP, an equal share of
+// ctx.DOP); Next only re-chunks the fragments' row sets. The first
+// fragment to fail or panic fails the query and cancels its siblings.
 type Gather struct {
-	out   Schema
-	ch    chan gatherMsg
-	quit  chan struct{}
-	prods []*GatherProducer
+	Frags []Fragment
+	Moves []Move
 
-	pending []value.Row
-	pos     int
-	rw      rowWindow
-	done    int
-	err     error
-	closed  bool
+	parts [][]value.Row
+	part  int
+	emit  rowEmitter
 }
 
-// NewGather builds a gather exchange with the given output schema and
-// producer count. Every producer handle must eventually be closed or the
-// stream never terminates.
-func NewGather(out Schema, producers int) *Gather {
-	g := &Gather{
-		out:  out,
-		ch:   make(chan gatherMsg, 2*producers),
-		quit: make(chan struct{}),
+func (g *Gather) Schema() Schema { return g.Frags[0].Root.Schema() }
+
+func (g *Gather) Clone() BatchOperator {
+	c := &Gather{Frags: make([]Fragment, len(g.Frags)), Moves: g.Moves}
+	for i, f := range g.Frags {
+		c.Frags[i] = Fragment{Root: f.Root.Clone(), DOP: f.DOP}
 	}
-	g.rw.init(len(out))
-	g.prods = make([]*GatherProducer, producers)
-	for i := range g.prods {
-		g.prods[i] = &GatherProducer{g: g}
-	}
-	return g
+	return c
 }
-
-// Producers returns the producer handles, one per sending fragment.
-func (g *Gather) Producers() []*GatherProducer { return g.prods }
-
-func (g *Gather) Schema() Schema { return g.out }
-
-// Clone returns the receiver: a live exchange stream cannot be re-driven,
-// so a Gather-rooted tree is single-use by construction (drive it with
-// DrainOnce, never through a pooling Runner).
-func (g *Gather) Clone() BatchOperator { return g }
 
 func (g *Gather) Open(ctx *Context) error {
-	g.closed = false
+	n := len(g.Frags)
+	var inbox []map[string][]value.Row
+	if len(g.Moves) > 0 {
+		var err error
+		if inbox, err = g.runMoves(ctx); err != nil {
+			return err
+		}
+	}
+	share := max(1, ctx.DOP/n)
+	if len(g.parts) != n {
+		g.parts = make([][]value.Row, n)
+	}
+	err := forkWorkers(ctx, n, func(w int, wctx *Context) error {
+		wctx.DOP = min(g.Frags[w].DOP, share)
+		if inbox != nil {
+			wctx.exchange = inbox[w]
+		}
+		rows, err := drainOp(g.Frags[w].Root, wctx)
+		g.parts[w] = rows
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for _, rows := range g.parts {
+		ctx.Stats.ExchangeRows += int64(len(rows))
+		ctx.Stats.ExchangeBatches += int64((len(rows) + BatchSize - 1) / BatchSize)
+	}
+	g.part = 0
+	g.emit.reset(g.parts[0], len(g.Schema()))
 	return nil
+}
+
+// runMoves drains every move's scans into per-fragment deliveries:
+// inbox[f][key] is what fragment f's MemScan for key reads.
+func (g *Gather) runMoves(ctx *Context) ([]map[string][]value.Row, error) {
+	n := len(g.Frags)
+	inbox := make([]map[string][]value.Row, n)
+	for i := range inbox {
+		inbox[i] = make(map[string][]value.Row, len(g.Moves))
+	}
+	for _, m := range g.Moves {
+		bufs := make([]RowBuffer, n)
+		sinks := make([]RowSink, n)
+		for i := range bufs {
+			sinks[i] = &bufs[i]
+		}
+		for s, scan := range m.Scans {
+			var err error
+			if m.Route == nil {
+				err = (&Broadcast{Dests: sinks}).Run(ctx, scan.Clone())
+			} else {
+				err = (&Shuffle{Route: m.Route, Dests: sinks}).Run(ctx, scan.Clone())
+			}
+			if err != nil {
+				return nil, fmt.Errorf("exec: moving %s from shard %d: %w", m.Key, s, err)
+			}
+		}
+		for i := range bufs {
+			inbox[i][m.Key] = bufs[i].Rows
+		}
+	}
+	return inbox, nil
 }
 
 func (g *Gather) Next(ctx *Context) (*Batch, error) {
 	for {
-		if g.pos < len(g.pending) {
-			end := g.pos + BatchSize
-			if end > len(g.pending) {
-				end = len(g.pending)
-			}
-			b := g.rw.fill(g.pending[g.pos:end])
-			g.pos = end
-			ctx.Stats.BatchesProduced++
+		if b := g.emit.next(ctx); b != nil {
 			return b, nil
 		}
-		if g.err != nil {
-			return nil, g.err
-		}
-		if g.done == len(g.prods) {
+		if g.part+1 >= len(g.parts) {
 			return nil, nil
 		}
-		msg := <-g.ch
-		switch {
-		case msg.err != nil:
-			g.err = msg.err
-			g.done++
-			return nil, g.err
-		case msg.done:
-			g.done++
-		default:
-			g.pending, g.pos = msg.rows, 0
-			ctx.Stats.ExchangeBatches++
-			ctx.Stats.ExchangeRows += int64(len(msg.rows))
-		}
+		g.parts[g.part] = nil
+		g.part++
+		g.emit.reset(g.parts[g.part], len(g.Schema()))
 	}
 }
 
-// Close releases the stream without waiting for the producers: the quit
-// channel unblocks any producer still sending, so an abandoned scatter
-// (error or LIMIT satisfied early) cannot deadlock its fragments.
 func (g *Gather) Close() error {
-	if g.closed {
-		return nil
-	}
-	g.closed = true
-	close(g.quit)
-	g.pending, g.pos = nil, 0
+	clear(g.parts)
+	g.emit.rows = nil
 	return nil
-}
-
-// GatherProducer is one fragment's sending handle on a Gather.
-type GatherProducer struct {
-	g      *Gather
-	closed bool
-}
-
-// Send pushes one materialized row slab to the consumer. The slab must not
-// be mutated after Send. It reports false when the consumer has closed the
-// stream — the producer should stop.
-func (p *GatherProducer) Send(rows []value.Row) bool {
-	if len(rows) == 0 {
-		return true
-	}
-	select {
-	case p.g.ch <- gatherMsg{rows: rows}:
-		return true
-	case <-p.g.quit:
-		return false
-	}
-}
-
-// Close marks the producer finished; a non-nil err fails the whole gather
-// stream. Every producer must be closed exactly once.
-func (p *GatherProducer) Close(err error) {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	select {
-	case p.g.ch <- gatherMsg{err: err, done: true}:
-	case <-p.g.quit:
-	}
 }
 
 // Shuffle is the repartitioning exchange sender: Run drains a shard-local
@@ -279,28 +276,28 @@ func sendRows(ctx *Context, op BatchOperator, emit func([]value.Row) bool) error
 }
 
 // MemScan streams a materialized row set as batches — the leaf a fragment
-// plan uses for a table whose rows arrived through a shuffle or broadcast
-// exchange instead of local storage. Rows are already materialized (never
-// storage-aliased), so clones may share them.
+// plan uses for a table whose rows arrive through a shuffle or broadcast
+// exchange instead of local storage: at Open it takes the rows the
+// enclosing Gather's move delivered to this fragment under Key. Rows are
+// already materialized (never storage-aliased) and read-only, so a
+// fragment's workers may share them.
 type MemScan struct {
-	Out  Schema
-	Rows []value.Row
+	Out Schema
+	Key string
 
-	emit   rowEmitter
-	closed bool
-}
-
-func NewMemScan(out Schema, rows []value.Row) *MemScan {
-	return &MemScan{Out: out, Rows: rows}
+	emit rowEmitter
 }
 
 func (m *MemScan) Schema() Schema       { return m.Out }
-func (m *MemScan) Clone() BatchOperator { return &MemScan{Out: m.Out, Rows: m.Rows} }
+func (m *MemScan) Clone() BatchOperator { return &MemScan{Out: m.Out, Key: m.Key} }
 
 func (m *MemScan) Open(ctx *Context) error {
-	m.closed = false
-	m.emit.reset(m.Rows, len(m.Out))
-	ctx.Stats.RowsScanned += int64(len(m.Rows))
+	rows, ok := ctx.exchange[m.Key]
+	if !ok {
+		return fmt.Errorf("exec: no exchange delivery for %q: a fragment runs under its Gather", m.Key)
+	}
+	m.emit.reset(rows, len(m.Out))
+	ctx.Stats.RowsScanned += int64(len(rows))
 	return nil
 }
 
@@ -309,18 +306,6 @@ func (m *MemScan) Next(ctx *Context) (*Batch, error) {
 }
 
 func (m *MemScan) Close() error {
-	if m.closed {
-		return nil
-	}
-	m.closed = true
 	m.emit.reset(nil, len(m.Out))
 	return nil
-}
-
-// DrainOnce materializes an operator tree's output without cloning it
-// first — the drive entry point for single-use trees rooted at an
-// exchange, which cannot be re-executed (Drain clones for pooling; a
-// Gather's Clone is itself).
-func DrainOnce(op BatchOperator, ctx *Context) ([]value.Row, error) {
-	return drainOp(op, ctx)
 }

@@ -3,13 +3,15 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"htapxplain/internal/catalog"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -37,93 +39,149 @@ func multiset(rows []value.Row) map[string]int {
 	return out
 }
 
-// TestGatherStreamsAllProducers: a gather fed by concurrent producers must
-// deliver exactly the union of their rows and count the exchange traffic.
-func TestGatherStreamsAllProducers(t *testing.T) {
-	const producers, perProducer = 4, 2500
-	g := NewGather(exchangeSchema(), producers)
+// rowsSource is a re-runnable leaf over a fixed row slice: unlike
+// memSource it clones and re-opens, so it can sit under a pooled Gather.
+// fail, when set, is what Open returns; boom makes Open panic instead;
+// a sibling does not return from Open until its scope is canceled.
+type rowsSource struct {
+	rows    []value.Row
+	out     Schema
+	fail    error
+	boom    bool
+	sibling bool
+	emit    rowEmitter
+}
+
+func (r *rowsSource) Schema() Schema { return r.out }
+func (r *rowsSource) Clone() BatchOperator {
+	return &rowsSource{rows: r.rows, out: r.out, fail: r.fail, boom: r.boom, sibling: r.sibling}
+}
+func (r *rowsSource) Open(ctx *Context) error {
+	if r.boom {
+		panic("fragment operator bug")
+	}
+	for deadline := time.Now().Add(10 * time.Second); r.sibling && !ctx.Canceled(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return errors.New("the failed fragment's sibling was never canceled")
+		}
+	}
+	r.emit.reset(r.rows, len(r.out))
+	return r.fail
+}
+func (r *rowsSource) Next(ctx *Context) (*Batch, error) { return r.emit.next(ctx), nil }
+func (r *rowsSource) Close() error                      { return nil }
+
+// TestGatherIsAnOrdinaryOperator: a gather over its fragments is driven
+// by a pooling Runner like any other tree — twice, so the second run
+// reuses the first run's tree — and each run delivers exactly the union of
+// the fragments' rows, counts one exchange hand-off of ⌈rows/BatchSize⌉
+// batches per fragment, and does not count the fan-out as morsel workers.
+func TestGatherIsAnOrdinaryOperator(t *testing.T) {
+	sizes := []int{2500, 0, BatchSize, 1}
+	g := &Gather{}
 	var want []value.Row
-	for p := 0; p < producers; p++ {
-		for i := 0; i < perProducer; i++ {
-			want = append(want, kvRow(int64(p*perProducer+i), float64(i)))
+	var wantBatches int64
+	for p, n := range sizes {
+		var rows []value.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, kvRow(int64(p*10000+i), float64(i)))
+		}
+		want = append(want, rows...)
+		wantBatches += int64((n + BatchSize - 1) / BatchSize)
+		g.Frags = append(g.Frags, Fragment{Root: &rowsSource{rows: rows, out: exchangeSchema()}, DOP: 1})
+	}
+	r := NewRunner(g)
+	for run := 0; run < 2; run++ {
+		ctx := NewContext()
+		ctx.DOP = 8
+		got, err := r.Drain(ctx)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d gathered %d rows, want %d", run, len(got), len(want))
+		}
+		wm, gm := multiset(want), multiset(got)
+		for k, n := range wm {
+			if gm[k] != n {
+				t.Fatalf("run %d multiset mismatch at %q: got %d want %d", run, k, gm[k], n)
+			}
+		}
+		if ctx.Stats.ExchangeRows != int64(len(want)) || ctx.Stats.ExchangeBatches != wantBatches {
+			t.Errorf("run %d exchange rows/batches = %d/%d, want %d/%d", run,
+				ctx.Stats.ExchangeRows, ctx.Stats.ExchangeBatches, len(want), wantBatches)
+		}
+		if ctx.Stats.ParallelWorkers != 0 {
+			t.Errorf("run %d counted %d parallel workers for the fragment fan-out", run, ctx.Stats.ParallelWorkers)
 		}
 	}
-	var wg sync.WaitGroup
-	for p, prod := range g.Producers() {
-		wg.Add(1)
-		go func(p int, prod *GatherProducer) {
-			defer wg.Done()
-			rows := want[p*perProducer : (p+1)*perProducer]
-			// uneven slabs exercise the re-chunking path
-			for len(rows) > 0 {
-				n := 700
-				if n > len(rows) {
-					n = len(rows)
-				}
-				if !prod.Send(rows[:n]) {
-					t.Error("Send reported closed stream")
-					return
-				}
-				rows = rows[n:]
-			}
-			prod.Close(nil)
-		}(p, prod)
+	if c, ok := g.Clone().(*Gather); !ok || c == g || c.Frags[0].Root == g.Frags[0].Root {
+		t.Error("Gather.Clone must clone the gather and its fragments")
 	}
+}
+
+// TestGatherRunsMovesBeforeFragments: a shuffle move's rows reach each
+// fragment's MemScan through the execution's context — every
+// fragment sees exactly the rows routed to it, from every sending shard —
+// and a fragment run outside a gather fails instead of reading nothing.
+func TestGatherRunsMovesBeforeFragments(t *testing.T) {
+	const shards, perShard = 3, 2000
+	mv := Move{Key: "t", Route: func(r value.Row) (int, error) { return int(r[0].I % shards), nil }}
+	g := &Gather{}
+	for s := 0; s < shards; s++ {
+		var rows []value.Row
+		for i := 0; i < perShard; i++ {
+			rows = append(rows, kvRow(int64(s*perShard+i), float64(s)))
+		}
+		mv.Scans = append(mv.Scans, &rowsSource{rows: rows, out: exchangeSchema()})
+		g.Frags = append(g.Frags, Fragment{Root: &MemScan{Out: exchangeSchema(), Key: "t"}, DOP: 1})
+	}
+	g.Moves = []Move{mv}
 	ctx := NewContext()
-	got, err := DrainOnce(g, ctx)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("DrainOnce: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("gathered %d rows, want %d", len(got), len(want))
-	}
-	wm, gm := multiset(want), multiset(got)
-	for k, n := range wm {
-		if gm[k] != n {
-			t.Fatalf("multiset mismatch at %q: got %d want %d", k, gm[k], n)
-		}
-	}
-	if ctx.Stats.ExchangeRows != int64(len(want)) {
-		t.Errorf("ExchangeRows = %d, want %d", ctx.Stats.ExchangeRows, len(want))
-	}
-	if ctx.Stats.ExchangeBatches == 0 {
-		t.Error("ExchangeBatches not counted")
-	}
-}
-
-// TestGatherPropagatesProducerError: the first producer error must fail
-// the stream.
-func TestGatherPropagatesProducerError(t *testing.T) {
-	g := NewGather(exchangeSchema(), 2)
-	boom := errors.New("fragment failed")
-	prods := g.Producers()
-	prods[0].Send([]value.Row{kvRow(1, 1)})
-	prods[0].Close(nil)
-	prods[1].Close(boom)
-	if _, err := DrainOnce(g, NewContext()); !errors.Is(err, boom) {
-		t.Fatalf("DrainOnce err = %v, want %v", err, boom)
-	}
-}
-
-// TestGatherCloseUnblocksProducers: closing an abandoned gather must
-// unblock producers stuck on a full channel (no scatter deadlock).
-func TestGatherCloseUnblocksProducers(t *testing.T) {
-	g := NewGather(exchangeSchema(), 1)
-	prod := g.Producers()[0]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			if !prod.Send([]value.Row{kvRow(int64(i), 0)}) {
-				return // consumer went away — expected
-			}
-		}
-	}()
-	if err := g.Close(); err != nil {
+	if err := g.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	for s, part := range g.parts {
+		if len(part) != perShard {
+			t.Errorf("fragment %d received %d rows, want %d", s, len(part), perShard)
+		}
+		for _, r := range part {
+			if int(r[0].I%shards) != s {
+				t.Fatalf("row k=%d delivered to fragment %d", r[0].I, s)
+			}
+		}
+	}
+	// a move scan is a template: the run drained a clone and dropped it, so
+	// a pooled gather keeps no scan buffers between executions
+	if tmpl := mv.Scans[0].(*rowsSource); tmpl.emit.rows != nil {
+		t.Error("the move drained its template scan in place")
+	}
+	// shuffled once on send, gathered once on receive
+	if want := int64(2 * shards * perShard); ctx.Stats.ExchangeRows != want {
+		t.Errorf("ExchangeRows = %d, want %d", ctx.Stats.ExchangeRows, want)
+	}
+	if err := (&MemScan{Out: exchangeSchema(), Key: "t"}).Open(NewContext()); err == nil {
+		t.Error("a MemScan opened outside a gather read nothing and said nothing")
+	}
+}
+
+// TestGatherFragmentFailureFailsTheQuery: the first fragment to return an
+// error, or to panic, fails the drain with that error and cancels the
+// scope its siblings run in.
+func TestGatherFragmentFailureFailsTheQuery(t *testing.T) {
+	boom := errors.New("fragment failed")
+	sibling := &rowsSource{rows: []value.Row{kvRow(1, 1)}, out: exchangeSchema(), sibling: true}
+	g := &Gather{Frags: []Fragment{{Root: sibling, DOP: 1},
+		{Root: &rowsSource{out: exchangeSchema(), fail: boom}, DOP: 1}}}
+	if _, err := Drain(g, NewContext()); !errors.Is(err, boom) {
+		t.Fatalf("Drain err = %v, want %v", err, boom)
+	}
+	g.Frags[1].Root = &rowsSource{out: exchangeSchema(), boom: true}
+	_, err := Drain(g, NewContext())
+	var pe *task.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "(*Gather).Open") {
+		t.Fatalf("Drain err = %v, want a *task.PanicError recovered under (*Gather).Open", err)
+	}
 }
 
 // TestShuffleRoutesByKey: every row must land on exactly the destination
@@ -255,7 +313,7 @@ func TestPartialMergeAgreesWithSerial(t *testing.T) {
 			Child: &memSource{emit: &em, out: in}, Groups: groups, Aggs: aggs,
 			Out: out, Partial: partial, Merge: merge,
 		}
-		got, err := DrainOnce(ha, NewContext())
+		got, err := Drain(ha, NewContext())
 		if err != nil {
 			t.Fatalf("aggregate: %v", err)
 		}

@@ -179,7 +179,9 @@ func forkOne(op BatchOperator, leaf BatchOperator, budget **atomic.Int64) BatchO
 // strictly after the Wait barrier — including on cancellation and error
 // paths — which is the invariant that makes plain (non-atomic) reads of
 // ctx.Stats safe the moment Drain/Execute returns; callers must not read
-// ctx.Stats while a drain is still in flight.
+// ctx.Stats while a drain is still in flight. Morsel forks count their
+// workers in Stats.ParallelWorkers themselves: a Gather's fan-out over
+// shard fragments is not intra-query parallelism and does not.
 func forkWorkers(ctx *Context, n int, work func(w int, wctx *Context) error) error {
 	wctxs := ctx.forkScope(n)
 	var g task.Group
@@ -197,7 +199,6 @@ func forkWorkers(ctx *Context, n int, work func(w int, wctx *Context) error) err
 	for _, wctx := range wctxs {
 		ctx.Stats.Add(wctx.Stats)
 	}
-	ctx.Stats.ParallelWorkers += int64(n)
 	return err
 }
 
@@ -208,6 +209,7 @@ func forkWorkers(ctx *Context, n int, work func(w int, wctx *Context) error) err
 // returns, so consume must copy what it keeps). A drained limit budget
 // cancels the workers' scope like an error does, without failing the call.
 func runForked(ctx *Context, pipes []BatchOperator, consume func(w int, wctx *Context, b *Batch) error) error {
+	ctx.Stats.ParallelWorkers += int64(len(pipes))
 	return forkWorkers(ctx, len(pipes), func(w int, wctx *Context) error {
 		p := pipes[w]
 		if err := p.Open(wctx); err != nil {

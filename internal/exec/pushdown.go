@@ -90,6 +90,7 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 	// merged like openParallel, emitted in sorted-key order for run-to-run
 	// determinism
 	parts := make([]*aggTable, dop)
+	ctx.Stats.ParallelWorkers += int64(dop)
 	err := forkWorkers(ctx, dop, func(wi int, wctx *Context) error {
 		parts[wi] = a.newTable()
 		return a.newPushWorker(scan, view).fold(wctx, src, parts[wi])

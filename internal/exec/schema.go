@@ -15,6 +15,7 @@ import (
 
 	"htapxplain/internal/catalog"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/value"
 )
 
 // Col describes one column of an intermediate result: the binding (table
@@ -125,6 +126,11 @@ type Context struct {
 	// (htap.Run, tests) leave it at the serial default.
 	DOP int
 
+	// exchange holds the rows a scatter's moves delivered to the fragment
+	// this context executes, by MemScan key. A Gather sets it on each
+	// fragment's context; forked workers inherit it.
+	exchange map[string][]value.Row
+
 	cancel *cancelScope
 }
 
@@ -184,7 +190,7 @@ func (c *Context) forkScope(n int) []*Context {
 	scope := &cancelScope{parent: c.cancel}
 	out := make([]*Context, n)
 	for i := range out {
-		out[i] = &Context{DOP: 1, cancel: scope}
+		out[i] = &Context{DOP: 1, exchange: c.exchange, cancel: scope}
 	}
 	return out
 }

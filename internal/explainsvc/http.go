@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"htapxplain/internal/gateway"
+	"htapxplain/internal/task"
 )
 
 // Register mounts the service's HTTP endpoints on the mux, alongside the
@@ -16,7 +17,7 @@ import (
 //	POST /whyslow  {"sql": "..."}  → WhySlowResponse
 //
 // Overload sheds with 503 (same contract as /query); malformed requests
-// and non-SELECT statements get 400.
+// and non-SELECT statements get 400; a serve that panicked gets 500.
 func Register(mux *http.ServeMux, svc *Service) {
 	mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
 		sql, ok := gateway.ReadSQL(w, r)
@@ -113,8 +114,12 @@ type WhySlowResponse struct {
 
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	if errors.Is(err, gateway.ErrOverloaded) || errors.Is(err, gateway.ErrStopped) {
+	var pe *task.PanicError
+	switch {
+	case errors.Is(err, gateway.ErrOverloaded), errors.Is(err, gateway.ErrStopped):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, &pe):
+		code = http.StatusInternalServerError
 	}
 	http.Error(w, err.Error(), code)
 }

@@ -192,15 +192,27 @@ type Explanation struct {
 	ServeTime time.Duration
 }
 
-// Explain answers "why did this query run the way it did" for a SELECT,
-// grounded in retrieved knowledge-base entries. The work runs on the
-// caller's goroutine holding a slot of the gateway's worker ledger; under
-// overload it sheds with gateway.ErrOverloaded like any other route.
-func (s *Service) Explain(sql string) (*Explanation, error) {
-	if err := s.gw.Admit(); err != nil {
-		return nil, err
+// admitted runs serve on the caller's goroutine holding a slot of the
+// gateway's worker ledger; under overload it sheds with
+// gateway.ErrOverloaded like any other route. A panic in serve is that
+// request's error, a *task.PanicError, and the slot comes back.
+func admitted[T any](gw *gateway.Gateway, serve func() (T, error)) (out T, err error) {
+	if err = gw.Admit(); err != nil {
+		return out, err
 	}
-	defer s.gw.Release()
+	defer gw.Release()
+	err = task.Do(func() (err error) { out, err = serve(); return err })
+	return out, err
+}
+
+// Explain answers "why did this query run the way it did" for a SELECT,
+// grounded in retrieved knowledge-base entries. It is admitted like a
+// query (see admitted).
+func (s *Service) Explain(sql string) (*Explanation, error) {
+	return admitted(s.gw, func() (*Explanation, error) { return s.explain(sql) })
+}
+
+func (s *Service) explain(sql string) (*Explanation, error) {
 	start := time.Now()
 	res, entry, cached, err := s.modeledResult(sql)
 	if err != nil {
@@ -232,10 +244,10 @@ func (s *Service) Explain(sql string) (*Explanation, error) {
 // cached plans and modeled latencies — the query is not executed. It is
 // admitted as Explain is.
 func (s *Service) WhySlow(sql string) (*explain.SlowReport, error) {
-	if err := s.gw.Admit(); err != nil {
-		return nil, err
-	}
-	defer s.gw.Release()
+	return admitted(s.gw, func() (*explain.SlowReport, error) { return s.whySlow(sql) })
+}
+
+func (s *Service) whySlow(sql string) (*explain.SlowReport, error) {
 	start := time.Now()
 	res, _, _, err := s.modeledResult(sql)
 	if err != nil {

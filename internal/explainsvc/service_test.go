@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -272,6 +273,44 @@ func TestExplainSharesTheLedger(t *testing.T) {
 	if _, err := svc.Explain(sql); err != nil {
 		t.Fatalf("after the waiter was served the slot did not come back: %v", err)
 	}
+}
+
+// TestExplainPanicIsA500: /explain and /whyslow admit on their own, so
+// they recover on their own — a serve that panics (here: a service whose
+// explainer and oracle are gone) answers 500 rather than dropping the
+// connection or blaming the request with a 400, is counted in
+// panics_total, and gives its slot back.
+func TestExplainPanicIsA500(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := gateway.New(sys, gateway.Config{Workers: 1, QueueDepth: 1, CacheCapacity: 16})
+	t.Cleanup(g.Stop)
+	svc := newService(t, sys, g, r, kb, Config{Seed: 1})
+	mux := gateway.NewServeMux(g)
+	Register(mux, svc)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	svc.ex.Store(nil)
+	svc.oracle = nil
+	before := g.Metrics().Panics
+	for _, path := range []string{"/explain", "/whyslow"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"sql": "SELECT COUNT(*) FROM region"}`))
+		if err != nil {
+			t.Fatalf("POST %s: %v (a panic must be a reply, not a dropped connection)", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panic: ") {
+			t.Errorf("%s answered %d %q, want 500 naming the panic", path, resp.StatusCode, body)
+		}
+	}
+	if got := g.Metrics().Panics - before; got != 2 {
+		t.Errorf("panics_total advanced by %d, want 2", got)
+	}
+	if err := g.Admit(); err != nil {
+		t.Fatalf("the slot did not come back: %v", err)
+	}
+	g.Release()
 }
 
 // TestExplainFeedsRouteHistogram: explanations served beside ordinary

@@ -29,8 +29,14 @@
 //
 // The gateway serves a shard.Coordinator, and a single system is the
 // one-shard fleet. Plans are built on the shard that owns the statement
-// and a bound plan records it; a statement no single shard owns
-// scatter-gathers and is never cached (it counts as a miss).
+// and a bound plan records it. A statement no single shard owns is a plan
+// too — the coordinator's PlanScatter builds it, one gather over a
+// fragment per shard — and execute, the package's one executor, admits and
+// runs it like any other. It is not cached, by policy rather than by
+// necessity: a retained plan keeps its pooled operator trees' buffers, and
+// one per scatter template roughly doubled the sharded benchmark's
+// resident set, so every scatter is planned per request and counts as a
+// miss.
 package gateway
 
 import (
@@ -50,6 +56,7 @@ import (
 	"htapxplain/internal/plan"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -344,7 +351,8 @@ func (g *Gateway) Release() { g.slots.release(1) }
 // Submit admits the query and serves it on the calling goroutine. It
 // returns ErrOverloaded immediately when admission control sheds the
 // query, and ErrStopped if the gateway stops first. Errors from serving
-// the query itself (parse, plan, execution) are reported in Response.Err.
+// the query itself (parse, plan, execution — a panic included, as a
+// *task.PanicError) are reported in Response.Err.
 func (g *Gateway) Submit(sql string) (*Response, error) {
 	arrived := time.Now()
 	if err := g.Admit(); err != nil {
@@ -540,7 +548,13 @@ func (g *Gateway) serve(sql string, arrived time.Time) *Response {
 		g.cfg.testServeStart()
 	}
 	start := time.Now()
-	resp := g.process(sql, tr)
+	var resp *Response
+	// a panic on this goroutine is this request's error reply, like one on
+	// a worker it forked; the slot and in_flight come back through the
+	// callers' defers either way
+	if err := task.Do(func() error { resp = g.process(sql, tr); return nil }); err != nil {
+		resp = &Response{SQL: sql, Kind: sqlparser.StatementKind(sql), Err: err}
+	}
 	resp.ServeTime = time.Since(start)
 	resp.QueueWait = wait
 	g.metrics.total.Add(1)
@@ -557,6 +571,10 @@ func (g *Gateway) serve(sql string, arrived time.Time) *Response {
 			tr.AttachStats(resp.Stats)
 		case "explain", "explain_analyze":
 			tr.Annotate(resp.Engine.String(), "")
+		}
+		var pe *task.PanicError
+		if errors.As(resp.Err, &pe) {
+			tr.Stack = string(pe.Stack)
 		}
 		g.cfg.Tracer.Finish(tr, resp.Err)
 		g.metrics.observeStages(tr)
@@ -610,12 +628,17 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	}
 	switch {
 	case target < 0:
-		// no shard owns the statement. A scatter's exchange moves execute
-		// while it is prepared, so nothing of it can be retained: every
-		// scatter is a miss
+		// no shard owns the statement: it scatters, and is not retained
+		// (see the package comment), so every scatter is a miss
 		resp.Cache = CacheMiss
 		g.metrics.misses.Add(1)
-		g.scatter(resp, sql, dec, tr)
+		phys, err := g.planScatter(sql, dec, tr)
+		if err != nil {
+			resp.Err = err
+			return resp
+		}
+		g.recordRoute(plan.AP, 0, 0)
+		g.execute(resp, -1, phys, plan.AP, tr)
 	case found:
 		resp.Cache = CacheTemplateHit
 		g.metrics.tmplHit.Add(1)
@@ -653,13 +676,13 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 }
 
 // processExplain serves `EXPLAIN [ANALYZE] <select>`, routed like the bare
-// statement. A statement one shard owns is planned there on both engines,
-// the policy routes as it would for the bare statement, and the routed
-// plan is either rendered (EXPLAIN) or executed with per-operator
-// instrumentation and full DOP admission (EXPLAIN ANALYZE). A scatter
-// statement renders its fragment plan under a gather naming the shard
-// count, or runs with every fragment and the final stage instrumented.
-// The plan cache is bypassed — an explain is a diagnostic, not workload.
+// statement. A statement one shard owns is planned there on both engines
+// and the policy routes as it would for the bare statement; a scatter
+// statement is planned by PlanScatter, whose EXPLAIN tree is shard 0's
+// fragment under a gather naming the shard count. The plan is either
+// rendered (EXPLAIN) or executed with per-operator instrumentation and
+// full DOP admission (EXPLAIN ANALYZE). The plan cache is bypassed — an
+// explain is a diagnostic, not workload.
 func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryTrace) *Response {
 	resp := &Response{SQL: orig, Kind: "explain", Cache: CacheMiss}
 	if analyze {
@@ -676,8 +699,13 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 		resp.Err = fmt.Errorf("gateway: route: %w", err)
 		return resp
 	}
+	var phys *optimizer.PhysPlan
 	if target < 0 {
-		g.scatter(resp, body, dec, tr)
+		if phys, err = g.planScatter(body, dec, tr); err != nil {
+			resp.Err = err
+			return resp
+		}
+		resp.Engine = plan.AP
 	} else {
 		entry, bp, err := g.planMiss(target, body, "", "", tr)
 		if err != nil {
@@ -686,24 +714,24 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 		}
 		resp.Engine = entry.Route
 		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		phys := pickPlan(bp, entry.Route)
-		if !analyze {
-			resp.Explain = phys.Explain.ExplainIndentJSON()
-			return resp
-		}
-		g.execute(resp, target, phys, entry.Route, tr)
+		phys = pickPlan(bp, entry.Route)
 	}
-	if resp.Err == nil && resp.Profile != nil {
+	if !analyze {
+		resp.Explain = phys.Explain.ExplainIndentJSON()
+		return resp
+	}
+	g.execute(resp, target, phys, resp.Engine, tr)
+	if resp.Err == nil {
 		resp.Explain = resp.Profile.String()
 	}
 	return resp
 }
 
 // maybeObserveDual closes the paper's loop on a sampled cache miss: the
-// non-routed engine's plan is executed too (serially, on this serve's
-// slot), the measured winner is compared against the routing decision,
-// and both engines' (observed, modeled) pairs feed the latency
-// calibrator. Deterministic every-Nth sampling keeps the overhead
+// non-routed engine's plan is executed too — a second execute on this
+// serve's slot, which also hands the calibrator that engine's (observed,
+// modeled) pair — and the measured winner is compared against the routing
+// decision. Deterministic every-Nth sampling keeps the overhead
 // proportional and predictable.
 func (g *Gateway) maybeObserveDual(resp *Response, bp *BoundPlan, route plan.Engine) {
 	every := g.cfg.ObservedEvery
@@ -717,24 +745,15 @@ func (g *Gateway) maybeObserveDual(resp *Response, bp *BoundPlan, route plan.Eng
 	if route == plan.AP {
 		other = plan.TP
 	}
-	ctx := exec.NewContext()
-	start := time.Now()
-	_, err := pickPlan(bp, other).Execute(ctx)
-	otherTime := time.Since(start)
-	if err != nil {
+	dual := &Response{Kind: resp.Kind, TPTime: resp.TPTime, APTime: resp.APTime}
+	g.execute(dual, bp.Shard, pickPlan(bp, other), other, nil)
+	if dual.Err != nil {
 		return
 	}
-	chosen := resp.ExecTime
 	g.metrics.observedKnown.Add(1)
-	if chosen <= otherTime {
+	if resp.ExecTime <= dual.ExecTime {
 		g.metrics.observedCorrect.Add(1)
 	}
-	tpObs, apObs := chosen, otherTime
-	if route == plan.AP {
-		tpObs, apObs = otherTime, chosen
-	}
-	g.cal.Observe(plan.TP, tpObs.Nanoseconds(), resp.TPTime.Nanoseconds())
-	g.cal.Observe(plan.AP, apObs.Nanoseconds(), resp.APTime.Nanoseconds())
 }
 
 // processDML serves one write through the coordinator's key routing:
@@ -811,57 +830,6 @@ func (g *Gateway) processTxn(sql string, tr *obs.QueryTrace) *Response {
 	return resp
 }
 
-// scatter serves a SELECT (or its EXPLAIN [ANALYZE], told apart by
-// resp.Kind) that no single shard can answer: per-shard AP fragments meet
-// at a Gather exchange, with the total fragment worker demand admitted
-// against the same DOP ledger pinned parallel queries use.
-func (g *Gateway) scatter(resp *Response, sql string, dec *optimizer.DistDecision, tr *obs.QueryTrace) {
-	sp := tr.Begin("plan")
-	sc, err := g.coord.PrepareScatter(sql, dec)
-	sp.End()
-	if err != nil {
-		resp.Err = fmt.Errorf("gateway: scatter: %w", err)
-		return
-	}
-	resp.Engine = plan.AP
-	if resp.Kind == "explain" {
-		resp.Explain = sc.Explain().ExplainIndentJSON()
-		return
-	}
-	// admit the scatter's total fragment demand: this serve's slot covers
-	// one fragment worker; the rest come from the shared ledger, degrading
-	// per-fragment DOP under load so shedding stays honest
-	if want := sc.Workers(); want > 1 {
-		extra := g.slots.tryAcquire(want - 1)
-		if extra > 0 {
-			defer g.slots.release(extra)
-		}
-		sc.LimitWorkers(1 + extra)
-	}
-	g.metrics.routedAP.Add(1)
-	sp = tr.Begin("execute")
-	start := time.Now()
-	var rows []value.Row
-	var stats exec.Stats
-	if resp.Kind == "explain_analyze" {
-		rows, stats, resp.Profile, err = sc.RunAnalyzed()
-	} else {
-		rows, stats, err = sc.Run()
-	}
-	resp.ExecTime = time.Since(start)
-	sp.End()
-	if err != nil {
-		resp.Err = fmt.Errorf("gateway: scatter execution: %w", err)
-		return
-	}
-	resp.Rows = rows
-	resp.Stats = stats
-	if stats.ParallelWorkers > 0 {
-		g.metrics.parallelQueries.Add(1)
-	}
-	g.metrics.observeExec(plan.AP, &stats)
-}
-
 // recordRoute updates routing metrics. Ground truth (the modeled winner)
 // is only known when both engines were planned; half-planned bindings
 // (template hits and their retained plans) count toward routed totals
@@ -885,15 +853,17 @@ func (g *Gateway) recordRoute(route plan.Engine, tpTime, apTime time.Duration) {
 	}
 }
 
-// execute runs a plan built on shard owner (its operators read that
-// shard's storage), instrumented when resp is an EXPLAIN ANALYZE.
+// execute is the one executor: it runs a plan built on shard owner (its
+// operators read that shard's storage) or, for owner < 0, a PlanScatter
+// plan over every shard — instrumented when resp is an EXPLAIN ANALYZE.
 func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, eng plan.Engine, tr *obs.QueryTrace) {
 	resp.Engine = eng
 	ctx := exec.NewContext()
-	// DOP-aware admission: a plan that wants intra-query parallelism
-	// claims its extra workers from the same ledger every serve's slot is
-	// charged against — never more than the ledger can spare, degrading
-	// to serial under load so shedding stays honest.
+	// DOP-aware admission: a plan that wants intra-query parallelism — a
+	// scatter asks for the sum of its fragments' — claims its extra
+	// workers from the same ledger every serve's slot is charged against,
+	// never more than the ledger can spare, degrading to serial under load
+	// so shedding stays honest.
 	if phys.DOP > 1 {
 		extra := g.slots.tryAcquire(phys.DOP - 1)
 		if extra > 0 {
@@ -922,18 +892,35 @@ func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, e
 	}
 	resp.Rows = rows
 	resp.Stats = ctx.Stats
-	g.coord.NoteRouted(owner)
+	if owner < 0 {
+		g.coord.NoteScatter(&ctx.Stats)
+	} else {
+		g.coord.NoteRouted(owner)
+	}
 	if ctx.Stats.ParallelWorkers > 0 {
 		g.metrics.parallelQueries.Add(1)
 	}
 	g.metrics.observeExec(eng, &ctx.Stats)
 	// feed the latency calibrator when the modeled time for this engine is
-	// known (misses and full hits; template hits planned one engine only)
+	// known (misses and full hits; template hits planned one engine only,
+	// and a scatter has no modeled time)
 	modeled := resp.TPTime
 	if eng == plan.AP {
 		modeled = resp.APTime
 	}
 	g.cal.Observe(eng, resp.ExecTime.Nanoseconds(), modeled.Nanoseconds())
+}
+
+// planScatter plans a statement no shard owns: one plan over every shard,
+// served by the AP engine.
+func (g *Gateway) planScatter(sql string, dec *optimizer.DistDecision, tr *obs.QueryTrace) (*optimizer.PhysPlan, error) {
+	sp := tr.Begin("plan")
+	phys, err := g.coord.PlanScatter(sql, dec)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("gateway: scatter: %w", err)
+	}
+	return phys, nil
 }
 
 // planOne parses the query and plans the given engine on the owning shard

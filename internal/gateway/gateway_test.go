@@ -453,10 +453,11 @@ func TestWaitersAdmittedInArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestPanicCostsOneRequest: a serve that panics on the handler goroutine
-// is recovered by net/http and costs that one request — its slot and its
-// in_flight count come back, so the next request on a one-slot gateway is
-// served.
+// TestPanicCostsOneRequest: a panic outside the part of a serve that
+// task.Do recovers (TestServePanicIsAnErrorReply) still costs only that
+// request — net/http recovers it, the slot and the in_flight count come
+// back through their defers, and the next request on a one-slot gateway
+// is served.
 func TestPanicCostsOneRequest(t *testing.T) {
 	sys := testSystem(t)
 	var once sync.Once
@@ -573,6 +574,16 @@ func TestServeMux(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body status = %d, want 400", bad.StatusCode)
+	}
+
+	// the profiler is on the served mux, next to /debug/traces
+	prof, err := http.Get(srv.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Body.Close()
+	if prof.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/pprof/cmdline status = %d, want 200", prof.StatusCode)
 	}
 }
 

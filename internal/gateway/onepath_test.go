@@ -3,6 +3,11 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -399,5 +404,55 @@ func TestFleetWriteSpans(t *testing.T) {
 	}
 	if spans["apply"] != 2 || spans["wal_append"] != 2 || spans["wal_fsync_wait"] != 2 {
 		t.Errorf("cross-shard commit spans = %v, want two of each commit stage", spans)
+	}
+}
+
+// TestOneExecutor holds the package to its one execution path: outside
+// tests, execute is the only function that takes extra workers from the
+// ledger (tryAcquire) or runs a physical plan (Execute, ExecuteAnalyzed) —
+// a scatter, an EXPLAIN ANALYZE and the sampled dual run included — and
+// nothing in the module drives a tree through exec.DrainOnce, the entry
+// point that existed for trees that could not be cloned.
+func TestOneExecutor(t *testing.T) {
+	guarded := map[string]bool{"tryAcquire": true, "Execute": true, "ExecuteAnalyzed": true}
+	calls := 0
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ours := filepath.Dir(path) == "../../internal/gateway" && !strings.HasSuffix(path, "_test.go")
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.Ident:
+					if x.Name == "DrainOnce" {
+						t.Errorf("%s: DrainOnce is back; a Gather clones, so drive it through Drain or a Runner", fset.Position(x.Pos()))
+					}
+				case *ast.CallExpr:
+					sel, ok := x.Fun.(*ast.SelectorExpr)
+					if !ours || !ok || !guarded[sel.Sel.Name] {
+						break
+					}
+					calls++
+					if fn == nil || fn.Name.Name != "execute" {
+						t.Errorf("%s: %s called outside Gateway.execute", fset.Position(x.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 {
+		t.Errorf("found %d guarded calls in the package, want execute's 3 (is the walk looking at the right tree?)", calls)
 	}
 }

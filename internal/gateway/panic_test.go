@@ -1,8 +1,11 @@
 package gateway
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +13,7 @@ import (
 
 	"htapxplain/internal/colstore"
 	"htapxplain/internal/htap"
+	"htapxplain/internal/obs"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/task"
 )
@@ -54,7 +58,7 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 			"SELECT SUM(l_quantity) FROM lineitem", "openPushdown"},
 		// one serve slot: each fragment runs serially on its own goroutine
 		{"scatter fragment", 2, 1,
-			"SELECT SUM(l_quantity) FROM lineitem", "(*Scatter).run"},
+			"SELECT SUM(l_quantity) FROM lineitem", "(*Gather).Open"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +109,72 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServePanicIsAnErrorReply: a panic on the un-forked serving path —
+// one shard, one ledger slot, so the aggregate folds the torn chunk on the
+// connection's own goroutine — is that request's 500 with the error in the
+// body, not a dropped connection: Response.Err is the *task.PanicError,
+// the sampled trace carries its stack, panics_total counts it, and the
+// slot and in_flight come back for the next request.
+func TestServePanicIsAnErrorReply(t *testing.T) {
+	sys, err := htap.New(htap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1})
+	g := New(sys, Config{Workers: 1, QueueDepth: 1, CacheCapacity: 16, Tracer: tracer})
+	defer g.Stop()
+	srv := httptest.NewServer(NewServeMux(g))
+	defer srv.Close()
+	post := func(sql string) (int, QueryResponse) {
+		t.Helper()
+		hr, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, sql)))
+		if err != nil {
+			t.Fatalf("POST /query %q: %v (a panic must be a reply, not a dropped connection)", sql, err)
+		}
+		defer hr.Body.Close()
+		var qr QueryResponse
+		if err := json.NewDecoder(hr.Body).Decode(&qr); err != nil {
+			t.Fatalf("decode reply to %q: %v", sql, err)
+		}
+		return hr.StatusCode, qr
+	}
+
+	const sql = "SELECT SUM(l_quantity) FROM lineitem"
+	if code, qr := post(sql); code != http.StatusOK || qr.Error != "" {
+		t.Fatalf("healthy run: status %d, error %q", code, qr.Error)
+	}
+	before := g.Metrics().Panics
+	tearChunk(t, sys, "lineitem", "l_quantity")
+	code, qr := post(sql)
+	if code != http.StatusInternalServerError || !strings.Contains(qr.Error, "panic: ") {
+		t.Fatalf("panicking serve answered %d with error %q, want 500 naming the panic", code, qr.Error)
+	}
+	resp, err := g.Submit(sql)
+	var pe *task.PanicError
+	if err != nil || !errors.As(resp.Err, &pe) {
+		t.Fatalf("Submit = %v / %v, want a reply whose Err is a *task.PanicError", err, resp.Err)
+	}
+	if strings.Contains(string(pe.Stack), "task.(*Group).Go") {
+		t.Errorf("the panic was meant for the serving goroutine, and landed on a forked one:\n%s", pe.Stack)
+	}
+	m := g.Metrics()
+	if m.Panics != before+2 || m.InFlight != 0 || m.Errors != 2 {
+		t.Errorf("panics_total +%d, in_flight %d, errors %d after two panicking serves, want +2, 0 and 2",
+			m.Panics-before, m.InFlight, m.Errors)
+	}
+	if tr := tracer.Traces()[0]; !strings.Contains(tr.Error, "panic: ") || !strings.Contains(tr.Stack, "(*Gateway).execute") {
+		t.Errorf("newest trace: error %q, stack %q, want the panic and the stack it unwound", tr.Error, tr.Stack)
+	}
+	if code, qr := post("SELECT COUNT(*) FROM orders"); code != http.StatusOK || qr.Error != "" || qr.RowCount != 1 {
+		t.Errorf("request after the panics: status %d, %+v", code, qr)
+	}
+	if got := g.slots.tryAcquire(1); got != 1 {
+		t.Errorf("the slot did not come back: tryAcquire(1) = %d", got)
+	}
+	g.slots.release(1)
 }
 
 // TestBackgroundPanicCostsOnePass: a panic on a goroutine no query owns —

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"htapxplain/internal/obs"
+	"htapxplain/internal/task"
 	"htapxplain/internal/value"
 )
 
@@ -75,6 +77,8 @@ const maxRowsInReply = 100
 //	                              format 0.0.4 instead
 //	GET  /debug/traces          → retained sampled query traces, newest
 //	                              first, as JSON
+//	GET  /debug/pprof/          → net/http/pprof: CPU profile, heap,
+//	                              goroutines, execution trace
 //	GET  /healthz               → 200 ok
 func NewServeMux(g *Gateway) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -91,6 +95,13 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
+		}
+		var pe *task.PanicError
+		if errors.As(resp.Err, &pe) {
+			// any other serving error is the client's statement: 200 with
+			// the error in the body
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
 		}
 		writeJSON(w, toQueryResponse(resp))
 	})
@@ -109,6 +120,11 @@ func NewServeMux(g *Gateway) *http.ServeMux {
 		}
 		writeJSON(w, traces)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))

@@ -2,12 +2,16 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
+	"htapxplain/internal/plan"
 	"htapxplain/internal/shard"
 )
 
@@ -114,5 +118,63 @@ func TestShardedMetricsExported(t *testing.T) {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition missing %s", series)
 		}
+	}
+}
+
+// TestExplainAnalyzeScatter: a scatter is instrumented like any plan — the
+// one Instrument walk, not a profile spliced together after the run. The
+// profile's root emits the bare statement's rows, its Gather node has one
+// "shard i: ..." child per shard, and with workers to spare the fragments'
+// own morsel forks show up under those children.
+func TestExplainAnalyzeScatter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // let each fragment ask for DOP > 1
+	const shards = 2
+	coord := testCoordinator(t, shards)
+	g := NewSharded(coord, Config{Workers: 8, CacheCapacity: 16})
+	defer g.Stop()
+
+	const sql = `SELECT l_returnflag, COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag`
+	bare := g.Serve(sql)
+	resp := g.Serve(`EXPLAIN ANALYZE ` + sql)
+	if bare.Err != nil || resp.Err != nil {
+		t.Fatalf("serve: %v / %v", bare.Err, resp.Err)
+	}
+	if resp.Kind != "explain_analyze" || resp.Engine != plan.AP || resp.Cache != CacheMiss {
+		t.Errorf("kind %q engine %v cache %v, want explain_analyze on AP, a miss", resp.Kind, resp.Engine, resp.Cache)
+	}
+	if !sameRows(resp.Rows, bare.Rows) || resp.Profile.Rows != int64(len(bare.Rows)) {
+		t.Errorf("EXPLAIN ANALYZE returned %d rows (profile root %d), the bare statement %d",
+			len(resp.Rows), resp.Profile.Rows, len(bare.Rows))
+	}
+	gather := resp.Profile
+	for gather.Name != "Gather" {
+		if len(gather.Children) != 1 {
+			t.Fatalf("no Gather under the final stage:\n%s", resp.Profile)
+		}
+		gather = gather.Children[0]
+	}
+	if len(gather.Children) != shards {
+		t.Fatalf("Gather has %d children, want one per shard:\n%s", len(gather.Children), resp.Profile)
+	}
+	var forked int64
+	var walk func(n *exec.OpStats)
+	walk = func(n *exec.OpStats) {
+		forked = max(forked, n.Workers)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for i, frag := range gather.Children {
+		if want := fmt.Sprintf("shard %d: Aggregate", i); frag.Name != want {
+			t.Errorf("fragment %d is named %q, want %q", i, frag.Name, want)
+		}
+		walk(frag)
+	}
+	if forked < 2 || resp.Stats.ParallelWorkers < 2 {
+		t.Errorf("no fragment forked morsel workers (max workers %d, ParallelWorkers %d) with 8 slots free:\n%s",
+			forked, resp.Stats.ParallelWorkers, resp.Profile)
+	}
+	if !strings.Contains(resp.Explain, "shard 1: Aggregate") {
+		t.Errorf("rendered tree does not show the fragments:\n%s", resp.Explain)
 	}
 }

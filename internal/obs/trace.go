@@ -31,7 +31,10 @@ type QueryTrace struct {
 	Cache   string    `json:"cache,omitempty"`
 	TotalUS int64     `json:"total_us"`
 	Error   string    `json:"error,omitempty"`
-	Spans   []Span    `json:"spans"`
+	// Stack is the panicking goroutine's stack when Error is a recovered
+	// panic.
+	Stack string `json:"stack,omitempty"`
+	Spans []Span `json:"spans"`
 	// Stats carries the query's execution work counters (exec.Stats for
 	// reads); typed as any so this leaf package stays dependency-free.
 	Stats any `json:"stats,omitempty"`

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"htapxplain/internal/exec"
 	"htapxplain/internal/plan"
@@ -78,18 +77,17 @@ func (p *Planner) PlanAP(sel *sqlparser.Select) (*PhysPlan, error) {
 // zone-map pruner is attached when a range/equality predicate allows
 // chunk skipping.
 func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
-	if a.overrides != nil {
-		if rows, ok := a.overrides[strings.ToLower(t.binding)]; ok {
-			// Exchange-delivered rows replace the local scan: full table
-			// schema, pre-filtered at their source shard, so neither the
-			// table predicates nor the zone pruner apply again.
-			out := exec.TableSchema(t.meta, t.binding)
-			node := &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
-				Cost: float64(len(rows)) * apScanPerRow,
-				Rows: math.Max(1, float64(len(rows))), Relation: t.meta.Name + " (exchange)"}
-			return built{op: exec.NewMemScan(out, rows), node: node,
-				rows: math.Max(1, float64(len(rows)))}, nil
-		}
+	if a.moved[t.binding] {
+		// Exchange-delivered rows replace the local scan: full table
+		// schema, pre-filtered at their source shard, so neither the
+		// table predicates nor the zone pruner apply again. How many
+		// arrive is known only when the moves run, so the leaf is costed
+		// from the same filtered estimate a local scan would be.
+		rows := estRows(a, t)
+		node := &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
+			Cost: rows * apScanPerRow, Rows: rows, Relation: t.meta.Name + " (exchange)"}
+		return built{op: &exec.MemScan{Out: exec.TableSchema(t.meta, t.binding), Key: t.binding},
+			node: node, rows: rows}, nil
 	}
 	ct, ok := p.Col.Table(t.meta.Name)
 	if !ok {

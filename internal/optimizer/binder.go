@@ -13,7 +13,6 @@ import (
 
 	"htapxplain/internal/catalog"
 	"htapxplain/internal/sqlparser"
-	"htapxplain/internal/value"
 )
 
 // boundTable is one FROM entry resolved against the catalog.
@@ -38,11 +37,11 @@ type analysis struct {
 	joinPreds  []joinPred
 	otherPreds []sqlparser.Expr // multi-table non-equi conjuncts
 
-	// overrides substitutes materialized rows for a binding's base-table
-	// scan — the hook distributed fragments use to read shuffled/broadcast
-	// exchange output instead of local storage. Override rows carry the
-	// full table schema and are already filtered at their source.
-	overrides map[string][]value.Row
+	// moved names the bindings whose base-table scan is replaced by an
+	// exchange leaf — the hook distributed fragments use to read
+	// shuffled/broadcast rows instead of local storage. Moved rows carry
+	// the full table schema and are already filtered at their source.
+	moved map[string]bool
 }
 
 func (a *analysis) table(binding string) (boundTable, bool) {

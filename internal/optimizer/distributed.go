@@ -6,11 +6,11 @@
 // stage.
 //
 // The split reuses the single-node planner wholesale: a fragment is just
-// PlanAP with (a) exchange-delivered row overrides standing in for
-// non-local tables and (b) the aggregate flipped into Partial mode (or a
-// Top-N/limit pre-reduction for plain selects). The final stage is the
-// same finish() tail — merge aggregate, ordering, limit, projection —
-// applied on top of the gather stream.
+// PlanAP with (a) exchange leaves standing in for non-local tables and
+// (b) the aggregate flipped into Partial mode (or a Top-N/limit
+// pre-reduction for plain selects). The final stage is the same finish()
+// tail — merge aggregate, ordering, limit, projection — applied on top of
+// the gather that owns the fragments.
 package optimizer
 
 import (
@@ -215,38 +215,30 @@ func MoveScanSelect(m TableMove) *sqlparser.Select {
 	}
 }
 
-// FragmentPlan is one shard's half of a scatter query plus the recipe for
-// the coordinator's final stage. Frag runs on the shard (partial
-// aggregate, or Top-N/limit pre-reduction) and its rows cross the gather
-// exchange with schema FragSchema; MakeFinal wraps the gather source with
-// the merge aggregate / ordering / limit / projection tail. MakeFinal is
-// identical across shards — the coordinator calls it once, on any
-// fragment's plan.
-type FragmentPlan struct {
-	Frag       *PhysPlan
-	FragSchema exec.Schema
-	MakeFinal  func(src exec.BatchOperator) (exec.BatchOperator, error)
-}
-
-// PlanFragment plans the shard-local fragment of a scatter SELECT.
-// overrides maps (lowercased) bindings of moved tables to their
-// exchange-delivered rows. Like every planner entry point it binds the
+// PlanFragment plans one shard's half of a scatter SELECT — a partial
+// aggregate, or a Top-N/limit pre-reduction of the join tree — and adds it
+// to the gather g its rows feed, returning its EXPLAIN tree. moved names
+// the (lowercased) bindings whose rows reach the fragment through an
+// exchange rather than from local storage. For the first fragment added it
+// also returns the coordinator's half over g (merge aggregate / ordering /
+// limit / projection), which is the same whichever shard's plan builds it;
+// for the others final is nil. Like every planner entry point it binds the
 // statement in place, so each shard plans from its own parse.
-func (p *Planner) PlanFragment(sel *sqlparser.Select, overrides map[string][]value.Row) (*FragmentPlan, error) {
+func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *exec.Gather) (explain *plan.Node, final exec.Operator, err error) {
 	a, err := bind(p.Cat, sel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a.overrides = overrides
+	a.moved = moved
 	shape := apShape()
 	b, err := p.apJoinTree(a)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(a.otherPreds) > 0 {
 		pred, err := exec.Compile(sqlparser.AndAll(a.otherPreds), b.op.Schema())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		b = built{
 			op: &exec.FilterOp{Child: b.op, Pred: pred},
@@ -259,23 +251,35 @@ func (p *Planner) PlanFragment(sel *sqlparser.Select, overrides map[string][]val
 		}
 	}
 	if sel.HasAggregate() || len(sel.GroupBy) > 0 {
-		return fragmentAgg(a, shape, b)
+		return fragmentAgg(a, shape, b, g)
 	}
-	return fragmentPlain(a, shape, b)
+	return fragmentPlain(a, shape, b, g)
+}
+
+// addFragment hands a fragment's built tree to its gather with the usual
+// DOP choice — each shard picks parallelism from its own chunk supply —
+// and reports whether it is the gather's first.
+func addFragment(g *exec.Gather, b built) (first bool) {
+	dop := chooseDOP(b.parChunks)
+	if dop > 1 && !exec.CanParallelize(b.op) {
+		dop = 1
+	}
+	g.Frags = append(g.Frags, exec.Fragment{Root: b.op, DOP: dop})
+	return len(g.Frags) == 1
 }
 
 // fragmentAgg splits an aggregation: the shard half is the planner's own
 // HashAggregate flipped into Partial mode (so encoded pushdown and
 // morsel parallelism keep working), the final half a Merge-mode aggregate
 // over the gathered partial states followed by the usual tail.
-func fragmentAgg(a *analysis, shape engineShape, b built) (*FragmentPlan, error) {
+func fragmentAgg(a *analysis, shape engineShape, b built, g *exec.Gather) (*plan.Node, exec.Operator, error) {
 	ab, err := buildAggregate(a, shape, b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ha, ok := ab.op.(*exec.HashAggregate)
 	if !ok {
-		return nil, fmt.Errorf("optimizer: aggregate fragment root is %T, want *exec.HashAggregate", ab.op)
+		return nil, nil, fmt.Errorf("optimizer: aggregate fragment root is %T, want *exec.HashAggregate", ab.op)
 	}
 	finalOut := ha.Out
 	nGroups := len(finalOut) - len(ha.Aggs)
@@ -292,31 +296,29 @@ func fragmentAgg(a *analysis, shape engineShape, b built) (*FragmentPlan, error)
 	ha.Partial = true
 	ha.Out = partial
 
-	aggs := ha.Aggs
-	rows := ab.rows
-	makeFinal := func(src exec.BatchOperator) (exec.BatchOperator, error) {
-		groups := make([]exec.Evaluator, nGroups)
-		for i := range groups {
-			i := i
-			groups[i] = func(r value.Row) (value.Value, error) { return r[i], nil }
-		}
-		fb := built{
-			op: &exec.HashAggregate{Child: src, Groups: groups, Aggs: aggs,
-				Out: finalOut, Merge: true},
-			node: &plan.Node{Op: plan.OpHashAggregate, Engine: plan.AP,
-				Cost: shape.costAgg(rows), Rows: rows},
-			rows: rows,
-		}
-		return finalTail(a, shape, fb, true)
+	if !addFragment(g, ab) {
+		return ab.node, nil, nil
 	}
-	return &FragmentPlan{Frag: fragPhys(ab), FragSchema: partial, MakeFinal: makeFinal}, nil
+	groups := make([]exec.Evaluator, nGroups)
+	for i := range groups {
+		i := i
+		groups[i] = func(r value.Row) (value.Value, error) { return r[i], nil }
+	}
+	final, err := finalTail(a, shape, built{
+		op: &exec.HashAggregate{Child: g, Groups: groups, Aggs: ha.Aggs,
+			Out: finalOut, Merge: true},
+		node: &plan.Node{Op: plan.OpHashAggregate, Engine: plan.AP,
+			Cost: shape.costAgg(ab.rows), Rows: ab.rows},
+		rows: ab.rows,
+	}, true)
+	return ab.node, final, err
 }
 
 // fragmentPlain handles scatter selects with no aggregation: the fragment
 // ships join-tree rows (pre-reduced to the first Limit+Offset rows in the
 // final order when a bound exists) and the final stage re-orders, limits
 // and projects.
-func fragmentPlain(a *analysis, shape engineShape, b built) (*FragmentPlan, error) {
+func fragmentPlain(a *analysis, shape engineShape, b built, g *exec.Gather) (*plan.Node, exec.Operator, error) {
 	sel := a.sel
 	fb := b
 	if sel.Limit >= 0 {
@@ -324,7 +326,7 @@ func fragmentPlain(a *analysis, shape engineShape, b built) (*FragmentPlan, erro
 		if len(sel.OrderBy) > 0 {
 			keys, err := orderKeys(a, b.op.Schema(), false)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			fb = built{
 				op: &exec.TopNOp{Child: b.op, Keys: keys, N: n},
@@ -343,14 +345,13 @@ func fragmentPlain(a *analysis, shape engineShape, b built) (*FragmentPlan, erro
 			}
 		}
 	}
-	rows := fb.rows
-	makeFinal := func(src exec.BatchOperator) (exec.BatchOperator, error) {
-		gb := built{op: src, rows: rows,
-			node: &plan.Node{Op: plan.OpTableScan, Engine: plan.AP, Rows: rows,
-				Relation: "gather"}}
-		return finalTail(a, shape, gb, false)
+	if !addFragment(g, fb) {
+		return fb.node, nil, nil
 	}
-	return &FragmentPlan{Frag: fragPhys(fb), FragSchema: fb.op.Schema(), MakeFinal: makeFinal}, nil
+	final, err := finalTail(a, shape, built{op: g, rows: fb.rows,
+		node: &plan.Node{Op: plan.OpTableScan, Engine: plan.AP, Rows: fb.rows,
+			Relation: "gather"}}, false)
+	return fb.node, final, err
 }
 
 // finalTail applies the coordinator-side ordering/limit/projection, the
@@ -375,16 +376,6 @@ func finalTail(a *analysis, shape engineShape, fb built, agged bool) (exec.Batch
 		return nil, err
 	}
 	return fb.op, nil
-}
-
-// fragPhys wraps a fragment's built tree into a PhysPlan with the usual
-// DOP choice — each shard picks parallelism from its own chunk supply.
-func fragPhys(b built) *PhysPlan {
-	dop := chooseDOP(b.parChunks)
-	if dop > 1 && !exec.CanParallelize(b.op) {
-		dop = 1
-	}
-	return &PhysPlan{Engine: plan.AP, Root: b.op, Explain: b.node, DOP: dop}
 }
 
 func mathMax1(v float64) float64 {

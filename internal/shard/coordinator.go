@@ -14,7 +14,6 @@ import (
 	"htapxplain/internal/optimizer"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/sqlparser"
-	"htapxplain/internal/task"
 	"htapxplain/internal/tpch"
 	"htapxplain/internal/value"
 )
@@ -293,82 +292,38 @@ func (c *Coordinator) Route(sql string) (int, *optimizer.DistDecision, error) {
 	return -1, dec, nil
 }
 
-// RunOn executes a SELECT entirely on one shard through its dual-engine
-// pipeline (both plans race and cross-check, exactly like a single-node
-// run).
-func (c *Coordinator) RunOn(i int, sql string) (*htap.Result, error) {
-	res, err := c.shards[i].Run(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.NoteRouted(i)
-	return res, nil
-}
-
-// NoteRouted records the routing counters for a single-shard SELECT whose
-// execution ran outside the coordinator (the gateway plans, caches and
-// executes pinned queries itself so they flow through its plan cache,
-// engine picker and calibrator; only the bookkeeping lands here).
+// NoteRouted records the routing counters for a single-shard SELECT. The
+// coordinator executes no read itself: the gateway plans, caches and
+// executes queries so they flow through its plan cache, engine picker,
+// admission ledger and calibrator; only the bookkeeping lands here.
 func (c *Coordinator) NoteRouted(i int) {
 	c.met.shardQueries[i].Add(1)
 	c.met.routedQueries.Add(1)
 	c.met.scatterFanout.Add(1) // routed queries touch exactly one shard
 }
 
-// QueryResult is the outcome of a coordinator-routed SELECT.
-type QueryResult struct {
-	Rows  []value.Row
-	Stats exec.Stats
-	// Shard is the executing shard for a routed query, -1 for a scatter.
-	Shard int
-	// Fanout is the number of shards the query touched.
-	Fanout int
+// NoteScatter is NoteRouted for an executed PlanScatter plan: it touched
+// every shard and moved st's exchange traffic.
+func (c *Coordinator) NoteScatter(st *exec.Stats) {
+	c.met.scatterQueries.Add(1)
+	c.met.scatterFanout.Add(int64(len(c.shards)))
+	for i := range c.met.shardQueries {
+		c.met.shardQueries[i].Add(1)
+	}
+	c.met.exchangeBatches.Add(st.ExchangeBatches)
+	c.met.exchangeRows.Add(st.ExchangeRows)
 }
 
-// Query routes and executes one SELECT: single-shard when the routing
-// analysis pins it, scatter-gather otherwise.
-func (c *Coordinator) Query(sql string) (*QueryResult, error) {
-	target, dec, err := c.Route(sql)
-	if err != nil {
-		return nil, err
-	}
-	if target >= 0 {
-		res, err := c.RunOn(target, sql)
-		if err != nil {
-			return nil, err
-		}
-		rows := res.TPRows
-		if res.Winner == plan.AP {
-			rows = res.APRows
-		}
-		return &QueryResult{Rows: rows, Shard: target, Fanout: 1}, nil
-	}
-	sc, err := c.PrepareScatter(sql, dec)
-	if err != nil {
-		return nil, err
-	}
-	rows, stats, err := sc.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{Rows: rows, Stats: stats, Shard: -1, Fanout: len(c.shards)}, nil
-}
-
-// Scatter is one prepared scatter-gather execution: exchange moves have
-// already run (their rows sit in per-shard overrides inside the
-// fragments) and every shard's fragment is planned. The gateway admits
-// Workers() against its pool, optionally LimitWorkers() down to the
-// grant, then Run()s once.
-type Scatter struct {
-	c         *Coordinator
-	frags     []*optimizer.FragmentPlan
-	moveStats exec.Stats
-}
-
-// PrepareScatter resolves a SELECT's exchange moves and plans one
-// fragment per shard. dec may be nil (it is re-derived) or the decision
-// Route returned for the same sql.
-func (c *Coordinator) PrepareScatter(sql string, dec *optimizer.DistDecision) (*Scatter, error) {
+// PlanScatter plans a SELECT no single shard owns as one ordinary plan:
+// the coordinator's final stage (merge aggregate / sort / limit / project)
+// over an exec.Gather that owns one fragment per shard, each planned by
+// its shard against local storage, and the scans that move tables the
+// fragments cannot join locally. Planning reads no storage and runs
+// nothing — the moves are the first step of every execution. dec may be
+// nil (it is re-derived) or the decision Route returned for the same sql.
+// The plan's DOP is the fragments' total worker demand; executed with
+// less, the fragments share what the context grants.
+func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*optimizer.PhysPlan, error) {
 	if dec == nil {
 		sel, err := sqlparser.Parse(sql)
 		if err != nil {
@@ -380,214 +335,84 @@ func (c *Coordinator) PrepareScatter(sql string, dec *optimizer.DistDecision) (*
 		}
 	}
 	n := len(c.shards)
-	overrides := make([]map[string][]value.Row, n)
-	var moveStats exec.Stats
+	g := &exec.Gather{}
+	moved := make(map[string]bool, len(dec.Moves))
 
-	// Resolve each move: scan the table on every shard (with its filter
-	// conjuncts pushed into the scan) and shuffle/broadcast the rows into
-	// per-destination buffers. Move scans across shards share predicate
-	// AST nodes (binding mutates them), so they run sequentially.
+	// Each move is a scan of the table on every shard, with its filter
+	// conjuncts pushed into the scan. Move scans across shards share
+	// predicate AST nodes (binding mutates them), so they are planned
+	// sequentially.
 	for _, m := range dec.Moves {
 		meta, ok := c.cat.Table(m.Table)
 		if !ok {
 			return nil, fmt.Errorf("shard: no such table %q", m.Table)
 		}
-		bufs := make([]*exec.RowBuffer, n)
-		sinks := make([]exec.RowSink, n)
-		for i := range bufs {
-			bufs[i] = &exec.RowBuffer{}
-			sinks[i] = bufs[i]
-		}
-		var route func(value.Row) (int, error)
+		mv := exec.Move{Key: strings.ToLower(m.Binding), Scans: make([]exec.BatchOperator, n)}
 		if !m.Broadcast {
 			ci := meta.ColumnIndex(m.ShuffleCol)
 			if ci < 0 {
 				return nil, fmt.Errorf("shard: table %q has no column %q to shuffle on", m.Table, m.ShuffleCol)
 			}
-			route = func(r value.Row) (int, error) { return ShardOf(r[ci], n), nil }
+			mv.Route = func(r value.Row) (int, error) { return ShardOf(r[ci], n), nil }
 		}
-		for s := 0; s < n; s++ {
+		for s := range mv.Scans {
 			phys, err := c.shards[s].Planner.PlanAP(optimizer.MoveScanSelect(m))
 			if err != nil {
 				return nil, fmt.Errorf("shard: planning move scan of %s on shard %d: %w", m.Table, s, err)
 			}
-			ctx := exec.NewContext()
-			if m.Broadcast {
-				err = (&exec.Broadcast{Dests: sinks}).Run(ctx, phys.Root)
-			} else {
-				err = (&exec.Shuffle{Route: route, Dests: sinks}).Run(ctx, phys.Root)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("shard: moving %s from shard %d: %w", m.Table, s, err)
-			}
-			moveStats.Add(ctx.Stats)
+			mv.Scans[s] = phys.Root
 		}
-		key := strings.ToLower(m.Binding)
-		for s := range bufs {
-			if overrides[s] == nil {
-				overrides[s] = make(map[string][]value.Row)
-			}
-			overrides[s][key] = bufs[s].Rows
-		}
+		g.Moves = append(g.Moves, mv)
+		moved[mv.Key] = true
 	}
 
-	frags := make([]*optimizer.FragmentPlan, n)
+	phys := &optimizer.PhysPlan{Engine: plan.AP}
 	for s := 0; s < n; s++ {
 		sel, err := sqlparser.Parse(sql)
 		if err != nil {
 			return nil, err
 		}
-		frags[s], err = c.shards[s].Planner.PlanFragment(sel, overrides[s])
+		frag, final, err := c.shards[s].Planner.PlanFragment(sel, moved, g)
 		if err != nil {
 			return nil, fmt.Errorf("shard: planning fragment on shard %d: %w", s, err)
 		}
 		if c.fragDOP > 0 {
-			frags[s].Frag.DOP = c.fragDOP
+			g.Frags[s].DOP = c.fragDOP
+		}
+		phys.DOP += max(1, g.Frags[s].DOP)
+		if s == 0 {
+			// fragment plans differ across shards only in their
+			// cardinalities; EXPLAIN shows shard 0's under the gather
+			phys.Root = final
+			phys.Explain = &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
+				Cost: frag.Cost, Rows: frag.Rows,
+				Relation: fmt.Sprintf("gather (%d shards)", n), Children: []*plan.Node{frag}}
 		}
 	}
-	return &Scatter{c: c, frags: frags, moveStats: moveStats}, nil
+	return phys, nil
 }
 
-// Workers is the total worker demand: the sum of every fragment's DOP.
-// The gateway admits this against its worker ledger.
-func (sc *Scatter) Workers() int {
-	total := 0
-	for _, f := range sc.frags {
-		d := f.Frag.DOP
-		if d < 1 {
-			d = 1
-		}
-		total += d
+// Scatter is a PlanScatter plan behind the two calls bench/layers.go's
+// probe is compiled against.
+type Scatter struct {
+	c    *Coordinator
+	plan *optimizer.PhysPlan
+}
+
+// PrepareScatter is PlanScatter.
+func (c *Coordinator) PrepareScatter(sql string, dec *optimizer.DistDecision) (*Scatter, error) {
+	phys, err := c.PlanScatter(sql, dec)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	return &Scatter{c: c, plan: phys}, nil
 }
 
-// LimitWorkers scales fragment DOPs down so their sum fits the granted
-// worker count (each fragment always keeps at least one).
-func (sc *Scatter) LimitWorkers(granted int) {
-	per := granted / len(sc.frags)
-	if per < 1 {
-		per = 1
-	}
-	for _, f := range sc.frags {
-		if f.Frag.DOP > per {
-			f.Frag.DOP = per
-		}
-	}
-}
-
-// Explain renders the prepared scatter for a plain EXPLAIN: a gather leaf
-// naming the shard count over the fragment every shard runs (fragment
-// plans differ across shards only in their cardinalities; shard 0's is
-// shown).
-func (sc *Scatter) Explain() *plan.Node {
-	frag := sc.frags[0].Frag.Explain
-	return &plan.Node{Op: plan.OpTableScan, Engine: plan.AP, Cost: frag.Cost, Rows: frag.Rows,
-		Relation: fmt.Sprintf("gather (%d shards)", len(sc.frags)), Children: []*plan.Node{frag}}
-}
-
-// Run executes the scatter: one goroutine per shard drains its fragment
-// and feeds a Gather exchange; the coordinator drains the final stage
-// (merge aggregate, global sort/limit, projection) on top of the gather.
+// Run executes the plan at its own DOP and counts it.
 func (sc *Scatter) Run() ([]value.Row, exec.Stats, error) {
-	rows, stats, _, err := sc.run(false)
-	return rows, stats, err
-}
-
-// RunAnalyzed is Run under EXPLAIN ANALYZE instrumentation: the returned
-// profile is the final stage's operator tree down to its Gather leaf,
-// whose children are the measured fragment trees, one per shard.
-func (sc *Scatter) RunAnalyzed() ([]value.Row, exec.Stats, *exec.OpStats, error) {
-	return sc.run(true)
-}
-
-func (sc *Scatter) run(analyze bool) ([]value.Row, exec.Stats, *exec.OpStats, error) {
-	n := len(sc.frags)
-	total := sc.moveStats
-	var fragProfs []*exec.OpStats
-	if analyze {
-		fragProfs = make([]*exec.OpStats, n)
-	}
-
-	g := exec.NewGather(sc.frags[0].FragSchema, n)
-	prods := g.Producers()
-	var mu sync.Mutex
-	var frags task.Group
-	for i := 0; i < n; i++ {
-		i := i
-		frags.Go(func() error {
-			// a fragment that panics fails the gather like one that errors
-			err := task.Do(func() error {
-				ctx := exec.NewContext()
-				ctx.DOP = sc.frags[i].Frag.DOP
-				var rows []value.Row
-				var err error
-				if analyze {
-					rows, fragProfs[i], err = sc.frags[i].Frag.ExecuteAnalyzed(ctx)
-				} else {
-					rows, err = sc.frags[i].Frag.Execute(ctx)
-				}
-				mu.Lock()
-				total.Add(ctx.Stats)
-				mu.Unlock()
-				for err == nil && len(rows) > 0 {
-					nn := exec.BatchSize
-					if nn > len(rows) {
-						nn = len(rows)
-					}
-					if !prods[i].Send(rows[:nn]) {
-						break
-					}
-					rows = rows[nn:]
-				}
-				return err
-			})
-			prods[i].Close(err)
-			return nil // the gather reports it to the final stage's drain
-		})
-	}
-
-	final, err := sc.frags[0].MakeFinal(g)
-	if err != nil {
-		_ = g.Close() // unblocks any producers still sending
-		_ = frags.Wait()
-		return nil, total, nil, err
-	}
-	var finalProf *exec.OpProfile
-	if analyze {
-		final, finalProf = exec.Instrument(final)
-	}
-	fctx := exec.NewContext()
-	rows, err := exec.DrainOnce(final, fctx)
-	_ = frags.Wait()
-	mu.Lock()
-	total.Add(fctx.Stats)
-	mu.Unlock()
-
-	c := sc.c
-	c.met.scatterQueries.Add(1)
-	c.met.scatterFanout.Add(int64(n))
-	for i := range c.met.shardQueries {
-		c.met.shardQueries[i].Add(1)
-	}
-	c.met.exchangeBatches.Add(total.ExchangeBatches)
-	c.met.exchangeRows.Add(total.ExchangeRows)
-	if err != nil {
-		return nil, total, nil, err
-	}
-	if !analyze {
-		return rows, total, nil, nil
-	}
-	// the final stage is a chain (every operator has one input) ending at
-	// the Gather: hang the per-shard fragment trees under that leaf
-	prof := finalProf.Snapshot()
-	gather := prof
-	for len(gather.Children) > 0 {
-		gather = gather.Children[0]
-	}
-	for i, fp := range fragProfs {
-		fp.Name = fmt.Sprintf("shard %d: %s", i, fp.Name)
-		gather.Children = append(gather.Children, fp)
-	}
-	return rows, total, prof, nil
+	ctx := exec.NewContext()
+	ctx.DOP = sc.plan.DOP
+	rows, err := sc.plan.Execute(ctx)
+	sc.c.NoteScatter(&ctx.Stats)
+	return rows, ctx.Stats, err
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
+	"htapxplain/internal/plan"
 	"htapxplain/internal/value"
 	"htapxplain/internal/workload"
 )
@@ -99,6 +101,36 @@ func referenceRows(t *testing.T, ref *htap.System, sql string) []value.Row {
 	return res.APRows
 }
 
+// query runs one SELECT the way the gateway does, minus its plan cache and
+// worker ledger: on the owning shard when Route pins it, as a PlanScatter
+// plan at the plan's own DOP otherwise. fanout is the shards it touched.
+func query(c *Coordinator, sql string) (rows []value.Row, fanout int, err error) {
+	target, dec, err := c.Route(sql)
+	if err != nil {
+		return nil, 0, err
+	}
+	if target >= 0 {
+		res, err := c.Shard(target).Run(sql)
+		if err != nil {
+			return nil, 0, err
+		}
+		c.NoteRouted(target)
+		if res.Winner == plan.AP {
+			return res.APRows, 1, nil
+		}
+		return res.TPRows, 1, nil
+	}
+	phys, err := c.PlanScatter(sql, dec)
+	if err != nil {
+		return nil, 0, err
+	}
+	ctx := exec.NewContext()
+	ctx.DOP = phys.DOP
+	rows, err = phys.Execute(ctx)
+	c.NoteScatter(&ctx.Stats)
+	return rows, c.NumShards(), err
+}
+
 // The differential suite: every query class the scatter planner splits —
 // global aggregate, group-by with the full aggregate set, partition-wise
 // join, broadcast join, plain scan with ORDER BY / LIMIT — plus a
@@ -168,11 +200,11 @@ func TestShardDifferential(t *testing.T) {
 									round, path, q.sql, len(got), len(want))
 							}
 						}
-						got, err := c.Query(q.sql)
+						got, _, err := query(c, q.sql)
 						if err != nil {
-							t.Fatalf("round %d Query(%q): %v", round, q.sql, err)
+							t.Fatalf("round %d query(%q): %v", round, q.sql, err)
 						}
-						check("Query", got.Rows)
+						check("query", got)
 						if shards > 1 {
 							continue
 						}
@@ -212,7 +244,7 @@ func TestPointRoutingTouchesOneShard(t *testing.T) {
 		if want := ShardOf(value.NewInt(key), 4); target != want {
 			t.Fatalf("key %d routed to shard %d, want %d", key, target, want)
 		}
-		if _, err := c.Query(sql); err != nil {
+		if _, _, err := query(c, sql); err != nil {
 			t.Fatal(err)
 		}
 		after := c.Stats()
@@ -237,7 +269,7 @@ func TestPointRoutingTouchesOneShard(t *testing.T) {
 
 	// and the converse: an unpinned aggregate scatters to all shards
 	before := c.Stats()
-	if _, err := c.Query("SELECT COUNT(*) FROM customer"); err != nil {
+	if _, _, err := query(c, "SELECT COUNT(*) FROM customer"); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats()
@@ -324,12 +356,12 @@ func TestCrossShardTxn(t *testing.T) {
 		t.Fatalf("CrossShardTxns = %d, want 1", st.CrossShardTxns)
 	}
 	for _, k := range keys {
-		q, err := c.Query(fmt.Sprintf("SELECT c_custkey FROM customer WHERE c_custkey = %d", k))
+		rows, fanout, err := query(c, fmt.Sprintf("SELECT c_custkey FROM customer WHERE c_custkey = %d", k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(q.Rows) != 1 || q.Fanout != 1 {
-			t.Fatalf("key %d: %d rows at fanout %d after cross-shard commit", k, len(q.Rows), q.Fanout)
+		if len(rows) != 1 || fanout != 1 {
+			t.Fatalf("key %d: %d rows at fanout %d after cross-shard commit", k, len(rows), fanout)
 		}
 	}
 
@@ -367,7 +399,7 @@ func TestUpdateCannotMovePartitionKey(t *testing.T) {
 // TestScatterGatherRace is the CI -race gauntlet: concurrent AP scatters
 // race single-shard DML (and the background mergers) at N=4. The test
 // asserts nothing about row counts — it exists so the race detector sees
-// scatter fragments, exchange channels, per-shard commits and metrics
+// scatter fragments, exchange moves, per-shard commits and metrics
 // all running at once.
 func TestScatterGatherRace(t *testing.T) {
 	c := newCoordinator(t, 4, Options{})
@@ -397,7 +429,7 @@ func TestScatterGatherRace(t *testing.T) {
 				"SELECT c_custkey, c_name FROM customer WHERE c_custkey = 17",
 			}
 			for i := 0; i < iters; i++ {
-				if _, err := c.Query(queries[(r+i)%len(queries)]); err != nil {
+				if _, _, err := query(c, queries[(r+i)%len(queries)]); err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
@@ -412,5 +444,106 @@ func TestScatterGatherRace(t *testing.T) {
 	st := c.Stats()
 	if st.ScatterQueries == 0 || st.RoutedQueries == 0 {
 		t.Fatalf("gauntlet exercised scatter=%d routed=%d, want both > 0", st.ScatterQueries, st.RoutedQueries)
+	}
+}
+
+// moveJoin is a scatter join with a move: customer joins orders off
+// customer's partition key, so customer is broadcast to every fragment.
+const moveJoin = "SELECT c_mktsegment, COUNT(*), SUM(o_totalprice) FROM customer, orders WHERE o_custkey = c_custkey GROUP BY c_mktsegment"
+
+// TestScatterPlanBakesNothingIn: PlanScatter takes no exec.Context and
+// reads no storage, so a scatter's moves belong to each execution — their
+// exchange rows show up in that execution's stats, and a second Execute of
+// the same plan after a committed write to the moved table joins the new
+// row. A plan that ran its moves while it was planned would return the old
+// answer forever.
+func TestScatterPlanBakesNothingIn(t *testing.T) {
+	c := newCoordinator(t, 2, Options{})
+	phys, err := c.PlanScatter(moveJoin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.ExchangeRows != 0 || st.ScatterQueries != 0 {
+		t.Fatalf("planning alone counted %d exchange rows, %d scatters", st.ExchangeRows, st.ScatterQueries)
+	}
+	run := func() (orders int64, moved int64) {
+		t.Helper()
+		ctx := exec.NewContext()
+		rows, err := phys.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			orders += r[1].I
+		}
+		// every exchange row that is not a gathered partial-aggregate row
+		// crossed in the customer broadcast
+		return orders, ctx.Stats.ExchangeRows
+	}
+	before, moved := run()
+	customers := referenceRows(t, newReference(t), "SELECT COUNT(*) FROM customer")[0][0].I
+	if moved < 2*customers {
+		t.Fatalf("execution moved %d exchange rows, want at least the %d customers broadcast to 2 fragments", moved, customers)
+	}
+
+	// a new customer with one order: both rows commit, then replicate
+	const key = 2_100_000_001
+	for _, sql := range []string{
+		fmt.Sprintf("INSERT INTO customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_mktsegment, c_comment) VALUES (%d, 'late', 'a', 1, '11-000', 10.0, 'building', 'moved')", key),
+		fmt.Sprintf("INSERT INTO orders (o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate, o_orderpriority, o_clerk, o_shippriority, o_comment) VALUES (%d, %d, 'o', 5.0, 9000, '1-urgent', 'clerk', 0, 'moved')", key, key),
+	} {
+		if _, err := c.ExecDML(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if err := c.WaitFresh(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	after, movedAfter := run()
+	if after != before+1 || movedAfter != moved+2 {
+		t.Fatalf("re-executed plan joined %d orders over %d exchange rows, want %d over %d: the moves are not part of the execution",
+			after, movedAfter, before+1, moved+2)
+	}
+}
+
+// TestScatterPlanIsShared: one PlanScatter plan executed from 8 goroutines
+// at once (the race detector watches) gives the unsharded answer every
+// time, whatever DOP each execution is granted — the ledger-exhausted
+// grant of 1 included — and the plan, its DOP included, is unchanged
+// afterwards: the grant scales the fragments in the execution's context,
+// never in the plan.
+func TestScatterPlanIsShared(t *testing.T) {
+	c := newCoordinator(t, 4, Options{FragDOP: 4})
+	want := referenceRows(t, newReference(t), moveJoin)
+	phys, err := c.PlanScatter(moveJoin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := phys.DOP
+	if planned != 16 {
+		t.Fatalf("plan DOP = %d, want 4 fragments x FragDOP 4", planned)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				ctx := exec.NewContext()
+				ctx.DOP = []int{1, 3, planned}[(w+i)%3]
+				rows, err := phys.Execute(ctx)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if !sameMultiset(rows, want) {
+					t.Errorf("worker %d at DOP %d: shared plan diverges from the reference", w, ctx.DOP)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if phys.DOP != planned {
+		t.Fatalf("executing the plan changed its DOP from %d to %d", planned, phys.DOP)
 	}
 }

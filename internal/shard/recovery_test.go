@@ -177,11 +177,11 @@ func TestShardCrashRecoveryDifferential(t *testing.T) {
 				"SELECT COUNT(*) FROM customer",
 				"SELECT c_mktsegment, COUNT(*), SUM(c_acctbal) FROM customer GROUP BY c_mktsegment",
 			} {
-				got, err := rec.Query(sql)
+				got, _, err := query(rec, sql)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameMultiset(got.Rows, referenceRows(t, ref, sql)) {
+				if !sameMultiset(got, referenceRows(t, ref, sql)) {
 					t.Fatalf("recovered scatter diverges on %q", sql)
 				}
 			}
