@@ -18,6 +18,13 @@ const BatchSize = colstore.ChunkSize
 // (filters, limits) shrink the selection vector instead of copying values;
 // the vectors themselves may alias storage and must never be mutated by
 // consumers.
+//
+// A batch may have no columns at all: Len and Sel then stand for that many
+// rows of nothing, which is what a join hands a COUNT(*) that reads none of
+// its columns. Every operator and helper here takes its row count from
+// NumActive, never from a vector's length, so a zero-column batch flows
+// through filters, limits, aggregates, drains (as empty, non-nil rows) and
+// EXPLAIN ANALYZE row counts like any other.
 type Batch struct {
 	// Cols holds one value vector per schema column; every vector is Len
 	// values long. Vectors either alias raw column-store chunks directly or
@@ -60,7 +67,8 @@ func (b *Batch) FillRow(i int, scratch value.Row) value.Row {
 
 // AppendRows materializes every active row as a fresh value.Row appended to
 // dst — the final step of the legacy Drain contract. Rows never alias
-// storage; the whole batch is carved from one allocation.
+// storage; the whole batch is carved from one allocation (none for a
+// zero-column batch, whose rows are empty but still counted).
 func (b *Batch) AppendRows(dst []value.Row) []value.Row {
 	n := b.NumActive()
 	w := len(b.Cols)
@@ -104,41 +112,6 @@ func Drain(op BatchOperator, ctx *Context) ([]value.Row, error) {
 	return drainOp(op.Clone(), ctx)
 }
 
-// drainOp runs Open/Next/Close on an already-private operator tree. When
-// the query was granted a degree of parallelism and the tree is a
-// forkable per-morsel pipeline, the drain fans out over worker clones
-// sharing one morsel cursor and gathers their rows — this is the parallel
-// entry point for plain scan/filter/project(/limit) queries and for
-// blocking operators that materialize a child (sorts, nested-loop
-// inners).
-func drainOp(op BatchOperator, ctx *Context) ([]value.Row, error) {
-	if ctx.DOP > 1 {
-		if pipes, ok := forkPipeline(op, ctx.DOP); ok {
-			return drainForked(ctx, pipes)
-		}
-	}
-	if err := op.Open(ctx); err != nil {
-		_ = op.Close()
-		return nil, err
-	}
-	var out []value.Row
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		out = b.AppendRows(out)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Runner executes one shared plan repeatedly, pooling cloned operator
 // trees so steady-state executions reuse their batch buffers instead of
 // reallocating them per query — the piece that keeps cached point-query
@@ -175,7 +148,8 @@ func (r *Runner) Drain(ctx *Context) ([]value.Row, error) {
 // rowWindow transposes a window of rows into a reusable columnar batch —
 // the row-adapter used by row-store leaves and by operators that emit
 // materialized intermediates (sort, aggregate). All vectors share one
-// reusable slab, so a steady-state fill allocates nothing.
+// reusable slab, so a steady-state fill allocates nothing. Zero-width rows
+// fill a zero-column batch of the same length.
 type rowWindow struct {
 	batch Batch
 	slab  []value.Value
@@ -238,9 +212,10 @@ func (e *rowEmitter) next(ctx *Context) *Batch {
 const outInitCap = 8
 
 // outBuffer accumulates produced rows column-wise — the output side of
-// operators that construct new tuples (projections, joins). All columns
-// live in one slab and grow together, so filling it costs O(log n)
-// allocations regardless of width.
+// operators that construct new tuples (projections, joins) and the column
+// store of a hash join's build side. All columns live in one slab and grow
+// together, so filling it costs O(log n) allocations regardless of width;
+// with no columns it allocates nothing and only counts rows.
 type outBuffer struct {
 	batch Batch
 	cap   int // shared per-column capacity
@@ -262,11 +237,12 @@ func (o *outBuffer) reset() {
 	o.batch.Sel = nil
 }
 
-// grow doubles every column's capacity inside one new shared slab.
-func (o *outBuffer) grow() {
-	ncap := o.cap * 2
-	if ncap == 0 {
-		ncap = outInitCap
+// grow moves every column into one new shared slab whose per-column
+// capacity is the current one doubled until it reaches need.
+func (o *outBuffer) grow(need int) {
+	ncap := max(o.cap*2, outInitCap)
+	for ncap < need {
+		ncap *= 2
 	}
 	slab := make([]value.Value, len(o.batch.Cols)*ncap)
 	for j, col := range o.batch.Cols {
@@ -281,7 +257,7 @@ func (o *outBuffer) grow() {
 func (o *outBuffer) appendRow(r value.Row) {
 	n := o.batch.Len
 	if n == o.cap {
-		o.grow()
+		o.grow(n + 1)
 	}
 	for j := range o.batch.Cols {
 		o.batch.Cols[j] = o.batch.Cols[j][:n+1]
@@ -290,28 +266,48 @@ func (o *outBuffer) appendRow(r value.Row) {
 	o.batch.Len = n + 1
 }
 
-// appendSplit appends a join output row taken directly from its two
-// sources: the left values from physical position pos of batch b, the
-// right values from row tail — no intermediate scratch row.
-func (o *outBuffer) appendSplit(b *Batch, pos, leftWidth int, tail value.Row) {
-	n := o.batch.Len
-	if n == o.cap {
-		o.grow()
+// appendCols appends every active row of b, taking buffer column i from b's
+// column cols[i] — a column at a time, one copy per column when b has no
+// selection vector.
+func (o *outBuffer) appendCols(b *Batch, cols []int) {
+	n, add := o.batch.Len, b.NumActive()
+	if n+add > o.cap {
+		o.grow(n + add)
 	}
-	cols := o.batch.Cols
-	for c := 0; c < leftWidth; c++ {
-		cols[c] = cols[c][:n+1]
-		cols[c][n] = b.Cols[c][pos]
+	for j, c := range cols {
+		dst, src := o.batch.Cols[j][:n+add], b.Cols[c]
+		if b.Sel == nil {
+			copy(dst[n:], src[:b.Len])
+		} else {
+			for i, p := range b.Sel {
+				dst[n+i] = src[p]
+			}
+		}
+		o.batch.Cols[j] = dst
 	}
-	// indexed, not `for c, v := range tail`: the range copy goes through a
-	// 40-byte stack temporary, and when that straddles a cache line — which
-	// depends on how deep the caller's stack is — the probe loop runs a
-	// third slower
-	for c := range tail {
-		cols[leftWidth+c] = cols[leftWidth+c][:n+1]
-		cols[leftWidth+c][n] = tail[c]
+	o.batch.Len = n + add
+}
+
+// resize makes the buffer n rows long with unspecified contents, for a
+// producer that then fills whole columns by position (gather).
+func (o *outBuffer) resize(n int) {
+	if n > o.cap {
+		o.reset() // nothing worth copying into the new slab
+		o.grow(n)
 	}
-	o.batch.Len = n + 1
+	for j := range o.batch.Cols {
+		o.batch.Cols[j] = o.batch.Cols[j][:n]
+	}
+	o.batch.Len = n
+	o.batch.Sel = nil
+}
+
+// gather fills column j, already resized to len(idx) rows, with src[idx[i]].
+func (o *outBuffer) gather(j int, src []value.Value, idx []int32) {
+	dst := o.batch.Cols[j]
+	for i, p := range idx {
+		dst[i] = src[p]
+	}
 }
 
 func (o *outBuffer) len() int { return o.batch.Len }

@@ -321,3 +321,82 @@ func TestDrainRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroColumnBatch pins the contract batch.go states: a batch with no
+// columns stands for Len (or len(Sel)) rows of nothing, and everything that
+// handles batches counts those rows — the buffers that build one, the
+// drain, and every operator between a join that emits nothing and the
+// COUNT(*) that asked for nothing.
+func TestZeroColumnBatch(t *testing.T) {
+	b := &Batch{Len: 5}
+	if rows := b.AppendRows(nil); len(rows) != 5 || rows[0] == nil || len(rows[0]) != 0 {
+		t.Errorf("AppendRows of 5 zero-column rows = %v", rows)
+	}
+	b.Sel = []int32{1, 3}
+	if rows := b.AppendRows(nil); b.NumActive() != 2 || len(rows) != 2 {
+		t.Errorf("selected zero-column batch: active %d, %d rows", b.NumActive(), len(rows))
+	}
+
+	var rw rowWindow
+	rw.init(0)
+	if fb := rw.fill(make([]value.Row, 3)); fb.Len != 3 || len(fb.Cols) != 0 || fb.NumActive() != 3 {
+		t.Errorf("rowWindow.fill of 3 empty rows = %+v", fb)
+	}
+
+	var ob outBuffer
+	ob.init(0)
+	for i := 0; i < 3*outInitCap; i++ {
+		ob.appendRow(value.Row{})
+	}
+	ob.appendCols(&Batch{Len: 7}, nil)
+	if ob.len() != 3*outInitCap+7 {
+		t.Errorf("outBuffer holds %d zero-column rows, want %d", ob.len(), 3*outInitCap+7)
+	}
+	ob.resize(1000)
+	if ob.len() != 1000 || ob.take(NewContext()).NumActive() != 1000 {
+		t.Errorf("outBuffer resized to 1000 holds %d rows", ob.len())
+	}
+
+	// 2500 probe rows, each matching one build row; the join emits no column
+	const n = 2500
+	keys := make([]value.Row, n)
+	for i := range keys {
+		keys[i] = value.Row{value.NewInt(int64(i % 100))}
+	}
+	join := func() BatchOperator {
+		probe := &memOp{schema: Schema{intCol("p", "k")}, rows: keys}
+		build := &memOp{schema: Schema{intCol("b", "k")}, rows: keys[:100]}
+		return NewHashJoin(probe, build, []int{0}, []int{0}, nil, []int{})
+	}
+	countOver := func(child BatchOperator) *HashAggregate {
+		return &HashAggregate{Child: child, Aggs: []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}},
+			Out: Schema{intCol("", "count(*)")}}
+	}
+	yes := func(value.Row) (value.Value, error) { return value.NewBool(true), nil }
+	for _, tc := range []struct {
+		name string
+		op   BatchOperator
+		want int64
+	}{
+		{"join", join(), n},
+		{"filter", &FilterOp{Child: join(), Pred: yes}, n},
+		{"limit", &LimitOp{Child: join(), N: 1500, Offset: 10}, 1500},
+		{"gather", &Gather{Frags: []Fragment{{Root: join(), DOP: 1}, {Root: join(), DOP: 1}}}, 2 * n},
+	} {
+		if len(tc.op.Schema()) != 0 {
+			t.Fatalf("%s: schema %v, want no columns", tc.name, tc.op.Schema())
+		}
+		rows, err := Drain(tc.op, NewContext())
+		if err != nil || int64(len(rows)) != tc.want {
+			t.Errorf("%s: drained %d rows (err %v), want %d", tc.name, len(rows), err, tc.want)
+		}
+		root, prof := Instrument(countOver(tc.op.Clone()))
+		got, err := Drain(root, NewContext())
+		if err != nil || len(got) != 1 || got[0][0].I != tc.want {
+			t.Errorf("%s: COUNT(*) = %v (err %v), want %d", tc.name, got, err, tc.want)
+		}
+		if s := prof.Snapshot(); s.Children[0].Rows != tc.want {
+			t.Errorf("%s: EXPLAIN ANALYZE counts %d rows out of it, want %d", tc.name, s.Children[0].Rows, tc.want)
+		}
+	}
+}

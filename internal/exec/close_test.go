@@ -37,7 +37,7 @@ func TestOperatorCloseIdempotent(t *testing.T) {
 			return NewNestedLoopJoin(newMem(), newMem(), nil)
 		}},
 		{"HashJoin", func() BatchOperator {
-			return NewHashJoin(newMem(), newMem(), []int{0}, []int{0}, nil)
+			return NewHashJoin(newMem(), newMem(), []int{0}, []int{0}, nil, nil)
 		}},
 		{"HashAggregate", func() BatchOperator {
 			return &HashAggregate{Child: newScan(), Aggs: []AggSpec{{Func: sqlparser.AggCount}},
@@ -98,7 +98,7 @@ func TestOperatorCloseIdempotent(t *testing.T) {
 			&HashAggregate{Child: &FilterOp{Child: newScan(), Pred: boom},
 				Aggs: []AggSpec{{Func: sqlparser.AggCount}}, Out: Schema{intCol("", "count")}},
 			&SortOp{Child: &FilterOp{Child: newScan(), Pred: boom}, Keys: []SortKey{{Eval: passCol}}},
-			NewHashJoin(newMem(), &FilterOp{Child: newScan(), Pred: boom}, []int{0}, []int{0}, nil),
+			NewHashJoin(newMem(), &FilterOp{Child: newScan(), Pred: boom}, []int{0}, []int{0}, nil, nil),
 		}
 		for _, root := range roots {
 			if _, err := drainOp(root, NewContext()); err == nil {

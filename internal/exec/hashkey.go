@@ -60,6 +60,14 @@ func hashValue(h uint64, v value.Value) uint64 {
 	return h ^ h>>32
 }
 
+// hashInt is the hash of the one-column key holding int k — what
+// hashValue(hashInit, value.NewInt(k)) & keyHashMask computes, without the
+// 40-byte value.
+func hashInt(k int64) uint64 {
+	h := (hashInit ^ uint64(k) ^ uint64(value.KindInt)<<56) * hashMul
+	return (h ^ h>>32) & keyHashMask
+}
+
 // keyEqual reports whether a and b are the same key column value.
 func keyEqual(a, b value.Value) bool {
 	if a.K != b.K {
@@ -75,15 +83,6 @@ func keyEqual(a, b value.Value) bool {
 	default:
 		return true
 	}
-}
-
-// hashRowCols hashes the key columns cols of a materialized row.
-func hashRowCols(r value.Row, cols []int) uint64 {
-	h := uint64(hashInit)
-	for _, c := range cols {
-		h = hashValue(h, r[c])
-	}
-	return h & keyHashMask
 }
 
 // hashRow hashes every column of r (an evaluated group-key row).
@@ -119,7 +118,9 @@ func rowKeyEqual(a, b value.Row) bool {
 // owner keeps (build rows, aggregation states): hashes[i] is entry i's key
 // hash, buckets[h&mask] the first entry of h's chain and next[i] entry i's
 // successor, both stored +1 so the zero value means "none". Three flat
-// arrays, no per-entry allocation.
+// arrays, no per-entry allocation — two when the owner's keys are bare
+// ints (buildInts), which confirm a candidate as cheaply as a stored hash
+// would.
 type hashIndex struct {
 	hashes  []uint64
 	next    []int32
@@ -144,6 +145,19 @@ func (x *hashIndex) build(hashes []uint64) {
 	x.hashes = hashes
 	x.next = make([]int32, len(hashes))
 	x.relink()
+}
+
+// buildInts indexes one-column int keys under hashInt, chains in ascending
+// entry order like build, storing no hash per entry: the owner confirms a
+// candidate by comparing the key itself.
+func (x *hashIndex) buildInts(keys []int64) {
+	nb := bucketsFor(len(keys))
+	*x = hashIndex{next: make([]int32, len(keys)), buckets: make([]int32, nb), mask: uint64(nb - 1)}
+	for i := len(keys) - 1; i >= 0; i-- {
+		b := hashInt(keys[i]) & x.mask
+		x.next[i] = x.buckets[b]
+		x.buckets[b] = int32(i + 1)
+	}
 }
 
 // relink sizes the bucket array for the current entries and rebuilds every

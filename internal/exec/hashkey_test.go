@@ -19,14 +19,6 @@ import (
 // the reference: rows group and join when their value.Row.Key renderings
 // are equal. Every differential below compares the operators against it.
 
-func allCols(n int) []int {
-	cols := make([]int, n)
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
-
 // ---------------------------------------------------------------- fuzz
 
 // fuzzRows decodes two rows of the same width from data. A column of the
@@ -118,7 +110,7 @@ func FuzzKeyEqual(f *testing.F) {
 				}
 			}
 		}
-		cols := allCols(len(a))
+		cols := identityCols(len(a))
 		want := a.Key(cols) == b.Key(cols)
 		if got := rowKeyEqual(a, b); got != want {
 			t.Fatalf("rowKeyEqual(%v, %v) = %v, Row.Key equality = %v", a, b, got, want)
@@ -126,8 +118,12 @@ func FuzzKeyEqual(f *testing.F) {
 		if want && hashRow(a) != hashRow(b) {
 			t.Fatalf("equal keys %v and %v hash differently", a, b)
 		}
-		if hashRow(a) != hashRowCols(a, cols) {
-			t.Fatalf("hashRow and hashRowCols disagree on %v", a)
+		asBatch := (&rowWindow{batch: Batch{Cols: make([][]value.Value, len(a))}}).fill([]value.Row{a})
+		if hashRow(a) != hashBatchCols(asBatch, 0, cols) {
+			t.Fatalf("hashRow and hashBatchCols disagree on %v", a)
+		}
+		if len(a) == 1 && a[0].K == value.KindInt && hashRow(a) != hashInt(a[0].I) {
+			t.Fatalf("hashRow and hashInt disagree on %v", a)
 		}
 		if !rowKeyEqual(a, a) || !rowKeyEqual(b, b) {
 			t.Fatalf("a key must equal itself: %v / %v", a, b)
@@ -194,7 +190,7 @@ func colTableOf(t testing.TB, name string, rows []value.Row) *colstore.Table {
 }
 
 func fullScan(tbl *colstore.Table, name string) *ColTableScan {
-	return NewColTableScan(tbl, name, allCols(len(tbl.Meta.Columns)), nil, nil)
+	return NewColTableScan(tbl, name, identityCols(len(tbl.Meta.Columns)), nil, nil)
 }
 
 // rowStrings renders rows for comparison by kind and payload (Row.String
@@ -202,7 +198,7 @@ func fullScan(tbl *colstore.Table, name string) *ColTableScan {
 func rowStrings(rows []value.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = r.Key(allCols(len(r)))
+		out[i] = r.Key(identityCols(len(r)))
 	}
 	return out
 }
@@ -256,15 +252,40 @@ func refHashJoin(t *testing.T, probe, build []value.Row, pk, bk []int, residual 
 	return out
 }
 
-// joinDifferential runs HashJoin over column-store inputs at DOP 1 and 4
-// against refHashJoin: identical rows in identical order at DOP 1 (chains
-// keep build order), the same multiset at DOP 4 (the build is partitioned),
-// and the same build/probe counters.
+// joinRows widens keyedRows' (k1, k2, v, id) with the key columns the
+// join's int form is decided on: c4 is an int in every row, and c5..c8 are
+// the same int except in row oddAt, where they hold a NULL, a float, a
+// bool and a string — the key that spills a build out of the int form once
+// ints are already stored.
+func joinRows(rng *rand.Rand, n, oddAt int) []value.Row {
+	rows := keyedRows(rng, n)
+	for i, r := range rows {
+		k := value.NewInt(int64(rng.Intn(n/5 + 1)))
+		r = append(r, k, k, k, k, k)
+		if i == oddAt {
+			r[5], r[6], r[7], r[8] = value.Null, value.NewFloat(float64(k.I)), value.NewBool(true), value.NewString("7")
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// joinDifferential runs HashJoin over column-store inputs against
+// refHashJoin, over every combination of key shape (generic from the first
+// row, int throughout, int until a key of another kind arrives mid-build —
+// in the second morsel, so at DOP 4 in another worker's partition — two key
+// columns, no equi-key at all), residual, emitted column set and DOP:
+// identical rows in identical order at DOP 1 (chains keep build order), the
+// same multiset at DOP 4 (the build is partitioned), and the same
+// build/probe counters.
 func joinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	probeRows := keyedRows(rng, 400)
-	buildRows := keyedRows(rng, colstore.ChunkSize+77) // two morsels; duplicate build keys throughout
+	nBuild := colstore.ChunkSize + 77 // two morsels; duplicate build keys throughout
+	probeRows := joinRows(rng, 100, 40)
+	buildRows := joinRows(rng, nBuild, colstore.ChunkSize+5)
 	probeTbl, buildTbl := colTableOf(t, "p", probeRows), colTableOf(t, "b", buildRows)
+	fewTbl := colTableOf(t, "p", probeRows[:8]) // the cross join's probe side
+	pw := len(probeRows[0])
 	concat := fullScan(probeTbl, "p").Schema().Concat(fullScan(buildTbl, "b").Schema())
 	// residual: p.c2 < b.c2 — NULL measures drop out, as in SQL
 	residual, err := Compile(&sqlparser.BinaryExpr{
@@ -275,38 +296,87 @@ func joinDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name     string
-		pk, bk   []int
-		residual Evaluator
+	keyCases := []struct {
+		name    string
+		pk, bk  []int
+		intForm bool // the built table keeps bare int keys
 	}{
-		{"one key column", []int{0}, []int{0}, nil},
-		{"two key columns", []int{0, 1}, []int{0, 1}, nil},
-		{"crossed key columns", []int{0, 1}, []int{1, 0}, nil},
-		{"one key column with residual", []int{1}, []int{1}, residual},
-		{"two key columns with residual", []int{0, 1}, []int{0, 1}, residual},
+		{"one key column", []int{0}, []int{0}, false},
+		{"two key columns", []int{0, 1}, []int{0, 1}, false},
+		{"crossed key columns", []int{0, 1}, []int{1, 0}, false},
+		{"int build keys, probe keys of every kind", []int{0}, []int{4}, true},
+		{"int keys", []int{4}, []int{4}, true},
+		{"int then NULL", []int{5}, []int{5}, false},
+		{"int then float", []int{6}, []int{6}, false},
+		{"int then bool", []int{7}, []int{7}, false},
+		{"int then string", []int{8}, []int{8}, false},
+		{"int and generic key columns", []int{4, 0}, []int{4, 0}, false},
+		{"no equi-key", []int{}, []int{}, false},
 	}
-	for _, tc := range cases {
-		want := refHashJoin(t, probeRows, buildRows, tc.pk, tc.bk, tc.residual)
-		if len(want) == 0 {
-			t.Fatalf("%s: reference join is empty — fixture too sparse", tc.name)
+	emits := []struct {
+		name string
+		cols []int
+	}{
+		{"all", nil},
+		{"probe only", identityCols(pw)},
+		{"build only", identityCols(len(concat))[pw:]},
+		{"one of each", []int{3, pw + 3}},
+		{"none", []int{}},
+	}
+	for _, kc := range keyCases {
+		pTbl, pRows := probeTbl, probeRows
+		if len(kc.pk) == 0 {
+			pTbl, pRows = fewTbl, probeRows[:8]
 		}
-		for _, dop := range []int{1, 4} {
-			label := fmt.Sprintf("%s, DOP %d", tc.name, dop)
-			ctx := NewContext()
-			ctx.DOP = dop
-			hj := NewHashJoin(fullScan(probeTbl, "p"), fullScan(buildTbl, "b"), tc.pk, tc.bk, tc.residual)
-			got, err := Drain(hj, ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+		for _, res := range []Evaluator{nil, residual} {
+			full := refHashJoin(t, pRows, buildRows, kc.pk, kc.bk, res)
+			if len(full) == 0 {
+				t.Fatalf("%s: reference join is empty — fixture too sparse", kc.name)
 			}
-			assertRows(t, label, got, want, dop == 1)
-			if ctx.Stats.HashBuildRows != int64(len(buildRows)) || ctx.Stats.HashProbeRows != int64(len(probeRows)) {
-				t.Errorf("%s: HashBuildRows/HashProbeRows = %d/%d, want %d/%d", label,
-					ctx.Stats.HashBuildRows, ctx.Stats.HashProbeRows, len(buildRows), len(probeRows))
-			}
-			if dop == 4 && ctx.Stats.ParallelWorkers == 0 {
-				t.Errorf("%s: the build did not fork", label)
+			for _, em := range emits {
+				want := full
+				if em.cols != nil {
+					want = make([]value.Row, len(full))
+					for i, r := range full {
+						want[i] = make(value.Row, len(em.cols))
+						for o, c := range em.cols {
+							want[i][o] = r[c]
+						}
+					}
+				}
+				for _, dop := range []int{1, 4} {
+					label := fmt.Sprintf("%s, residual %v, emit %s, DOP %d", kc.name, res != nil, em.name, dop)
+					ctx := NewContext()
+					ctx.DOP = dop
+					hj := NewHashJoin(fullScan(pTbl, "p"), fullScan(buildTbl, "b"), kc.pk, kc.bk, res, em.cols)
+					if len(hj.Schema()) != len(want[0]) {
+						t.Fatalf("%s: schema has %d columns, want %d", label, len(hj.Schema()), len(want[0]))
+					}
+					if err := hj.Open(ctx); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got := hj.table.ints != nil; got != kc.intForm {
+						t.Errorf("%s: table in int form = %v, want %v", label, got, kc.intForm)
+					}
+					var got []value.Row
+					for b, err := hj.Next(ctx); b != nil || err != nil; b, err = hj.Next(ctx) {
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						got = b.AppendRows(got)
+					}
+					if err := hj.Close(); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					assertRows(t, label, got, want, dop == 1)
+					if ctx.Stats.HashBuildRows != int64(nBuild) || ctx.Stats.HashProbeRows != int64(len(pRows)) {
+						t.Errorf("%s: HashBuildRows/HashProbeRows = %d/%d, want %d/%d", label,
+							ctx.Stats.HashBuildRows, ctx.Stats.HashProbeRows, nBuild, len(pRows))
+					}
+					if dop == 4 && ctx.Stats.ParallelWorkers == 0 {
+						t.Errorf("%s: the build did not fork", label)
+					}
+				}
 			}
 		}
 	}
@@ -463,7 +533,7 @@ func aggDifferential(t *testing.T) {
 		}
 		partials = append(partials, p...)
 	}
-	mergeGroups := allCols(len(groupCols))
+	mergeGroups := identityCols(len(groupCols))
 	mkMerge := func() *HashAggregate {
 		return &HashAggregate{Child: &memOp{schema: make(Schema, partialWidth), rows: partials},
 			Groups: evalsFor(mergeGroups), Aggs: aggs, Out: make(Schema, len(groupCols)+len(aggs)), Merge: true}
@@ -516,7 +586,7 @@ func TestMultiColumnKeyAlias(t *testing.T) {
 	// join: each probe row must meet only its own build row
 	probe := &memOp{schema: schema, rows: []value.Row{withID(x, 1), withID(y, 2)}}
 	build := &memOp{schema: schema, rows: []value.Row{withID(y, 20), withID(x, 10)}}
-	joined, err := Drain(NewHashJoin(probe, build, []int{0, 1}, []int{0, 1}, nil), NewContext())
+	joined, err := Drain(NewHashJoin(probe, build, []int{0, 1}, []int{0, 1}, nil, nil), NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,16 +629,21 @@ func TestMultiColumnKeyAlias(t *testing.T) {
 // ---------------------------------------------------------------- lifetime
 
 // TestHashJoinReleasesTableAtClose: pooled Runner trees outlive a query, so
-// a closed join must not keep its build rows or index arrays reachable.
+// a closed join must not keep its build keys, kept columns or index arrays
+// reachable — in either form of the table.
 func TestHashJoinReleasesTableAtClose(t *testing.T) {
-	left := &memOp{schema: Schema{intCol("l", "k")}, rows: rowsOf([]int64{1}, []int64{2})}
-	right := &memOp{schema: Schema{intCol("r", "k")}, rows: rowsOf([]int64{1}, []int64{1})}
-	hj := NewHashJoin(left, right, []int{0}, []int{0}, nil)
-	rows, err := drainOp(hj, NewContext())
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("join = %v, err %v", rows, err)
-	}
-	if hj.rows != nil || hj.index.hashes != nil || hj.index.next != nil || hj.index.buckets != nil {
-		t.Errorf("closed join still holds its table: %d rows, index %+v", len(hj.rows), hj.index)
+	for name, buildKey := range map[string]value.Value{"int keys": value.NewInt(1), "generic keys": value.NewString("1")} {
+		left := &memOp{schema: Schema{intCol("l", "k")}, rows: []value.Row{{buildKey}, {value.NewInt(2)}}}
+		right := &memOp{schema: Schema{intCol("r", "k")}, rows: []value.Row{{buildKey}, {buildKey}}}
+		hj := NewHashJoin(left, right, []int{0}, []int{0}, nil, nil)
+		rows, err := drainOp(hj, NewContext())
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("%s: join = %v, err %v", name, rows, err)
+		}
+		tb := &hj.table
+		if tb.ints != nil || tb.keys != nil || tb.hashes != nil || tb.cols.batch.Cols != nil ||
+			tb.index.hashes != nil || tb.index.next != nil || tb.index.buckets != nil {
+			t.Errorf("%s: closed join still holds its table: %+v", name, *tb)
+		}
 	}
 }

@@ -871,17 +871,6 @@ func (j *IndexNLJoin) Next(ctx *Context) (*Batch, error) {
 			if len(ids) == 0 {
 				continue
 			}
-			if j.Residual == nil {
-				// no residual to pre-check: write outer and inner values
-				// straight into the output vectors, skipping the scratch row
-				for _, id := range ids {
-					in := j.innerRow(id)
-					ctx.Stats.RowsScanned++
-					ctx.Stats.BytesScanned += j.InnerTable.Meta.AvgRowBytes
-					j.outBuf.appendSplit(ob, p, outerWidth, in)
-				}
-				continue
-			}
 			for c := 0; c < outerWidth; c++ {
 				j.combined[c] = ob.Cols[c][p]
 			}
@@ -890,12 +879,14 @@ func (j *IndexNLJoin) Next(ctx *Context) (*Batch, error) {
 				ctx.Stats.RowsScanned++
 				ctx.Stats.BytesScanned += j.InnerTable.Meta.AvgRowBytes
 				copy(j.combined[outerWidth:], in)
-				ok, err := Truthy(j.Residual, j.combined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
+				if j.Residual != nil {
+					ok, err := Truthy(j.Residual, j.combined)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						continue
+					}
 				}
 				j.outBuf.appendRow(j.combined)
 			}
@@ -916,38 +907,78 @@ func (j *IndexNLJoin) Close() error {
 }
 
 // HashJoin builds a hash table on the Build child at Open and probes it a
-// batch at a time with the Probe child. Output schema is probe ++ build
-// (probe side listed first, matching the AP optimizer's plan rendering).
+// batch at a time with the Probe child. It outputs the columns of
+// probe ++ build (probe side first, matching the AP optimizer's plan
+// rendering) that Emit lists — the ones some operator above reads; a
+// COUNT(*) over a join chain moves one key column per stage and nothing at
+// the top.
 //
-// The table is the materialized build rows plus a hashIndex over them (see
-// hashkey.go): no per-row key is rendered on either side. Chains run in
-// build order, so a probe row meets its matches in the order the build
-// child produced them. Close drops the table — a pooled Runner tree
-// outlives the query, and the table must not.
+// The table (joinTable) is columnar: the build key, the build columns the
+// output or the residual needs, and a hashIndex over the rows (see
+// hashkey.go). No row is materialized and no per-row key rendered on either
+// side. Chains run in build order, so a probe row meets its matches in the
+// order the build child produced them. Close drops the table — a pooled
+// Runner tree outlives the query, and the table must not.
 type HashJoin struct {
 	Probe, Build         Operator
 	ProbeKeys, BuildKeys []int
 	Residual             Evaluator // over concat(probe, build); may be nil
 	out                  Schema
 
-	rows     []value.Row // build rows, in build order
-	index    hashIndex   // over rows, keyed on BuildKeys
+	// Plan-time shape, shared by clones: the probe columns emitted, the build
+	// columns the table keeps (the emitted ones; all of them under a
+	// residual, which reads whole rows), and for every emitted build column
+	// its position among the kept ones.
+	emitProbe, keep, emitKept []int
+
+	table    joinTable
+	pIdx     []int32 // current probe batch's matches: probe position ...
+	bIdx     []int32 // ... and build row, pairwise
 	combined value.Row
 	outBuf   outBuffer
 	closed   bool
 }
 
-// NewHashJoin constructs a hash join.
-func NewHashJoin(probe, build Operator, probeKeys, buildKeys []int, residual Evaluator) *HashJoin {
-	return &HashJoin{Probe: probe, Build: build, ProbeKeys: probeKeys, BuildKeys: buildKeys,
-		Residual: residual, out: probe.Schema().Concat(build.Schema())}
+// NewHashJoin constructs a hash join. emit lists, ascending, the positions
+// of concat(probe, build) the join outputs; nil outputs all of them.
+func NewHashJoin(probe, build Operator, probeKeys, buildKeys []int, residual Evaluator, emit []int) *HashJoin {
+	concat := probe.Schema().Concat(build.Schema())
+	pw, bw := len(probe.Schema()), len(build.Schema())
+	if emit == nil {
+		emit = identityCols(len(concat))
+	}
+	j := &HashJoin{Probe: probe, Build: build, ProbeKeys: probeKeys, BuildKeys: buildKeys,
+		Residual: residual, out: make(Schema, len(emit))}
+	var emitBuild []int
+	for i, c := range emit {
+		j.out[i] = concat[c]
+		if c < pw {
+			j.emitProbe = append(j.emitProbe, c)
+		} else {
+			emitBuild = append(emitBuild, c-pw)
+		}
+	}
+	j.keep, j.emitKept = emitBuild, identityCols(len(emitBuild))
+	if residual != nil {
+		j.keep, j.emitKept = identityCols(bw), emitBuild
+	}
+	return j
+}
+
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 func (j *HashJoin) Schema() Schema { return j.out }
 
 func (j *HashJoin) Clone() BatchOperator {
 	return &HashJoin{Probe: j.Probe.Clone(), Build: j.Build.Clone(),
-		ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys, Residual: j.Residual, out: j.out}
+		ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys, Residual: j.Residual, out: j.out,
+		emitProbe: j.emitProbe, keep: j.keep, emitKept: j.emitKept}
 }
 
 func (j *HashJoin) Open(ctx *Context) error {
@@ -955,133 +986,234 @@ func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.build(ctx); err != nil {
 		return err
 	}
-	if j.combined == nil {
-		j.combined = make(value.Row, len(j.out))
+	if j.Residual != nil && j.combined == nil {
+		j.combined = make(value.Row, len(j.Probe.Schema())+len(j.Build.Schema()))
 	}
 	j.outBuf.init(len(j.out))
 	return j.Probe.Open(ctx)
 }
 
-// build constructs the hash table from the Build child. When the query
-// has a degree of parallelism and the build side is a forkable per-morsel
-// pipeline, the build is partitioned: each worker drains disjoint morsels
-// and hashes their keys, and the partitions are concatenated in worker
-// order before the chains are linked (match order for duplicate keys is
-// then worker order, arrival order within a worker — a
-// multiset-equivalent reordering).
-func (j *HashJoin) build(ctx *Context) error {
-	if ctx.DOP > 1 {
-		if pipes, ok := forkPipeline(j.Build, ctx.DOP); ok {
-			return j.buildParallel(ctx, pipes)
-		}
-	}
-	rows, err := drainOp(j.Build, ctx)
-	if err != nil {
-		return err
-	}
-	ctx.Stats.HashBuildRows += int64(len(rows))
-	hashes := make([]uint64, len(rows))
-	for i, r := range rows {
-		hashes[i] = hashRowCols(r, j.BuildKeys)
-	}
-	j.rows = rows
-	j.index.build(hashes)
-	return nil
+// joinTable is a hash join's build side, held column-wise. While the join
+// has one key column and every build key met so far is an int, the keys are
+// a bare []int64 and the probe hashes and compares integers inline. The
+// first key of any other kind (NULL, float, bool, string) spills the table
+// to the generic form — one value vector per key column plus a hash per row
+// — so which form a join runs in is decided by its data, and hashkey.go's
+// key semantics hold in both: an int matches only an int either way.
+type joinTable struct {
+	ints   []int64         // int form: row i's key; nil in the generic form
+	keys   [][]value.Value // generic form: one vector per key column
+	hashes []uint64        // generic form: row i's key hash
+	cols   outBuffer       // the kept build columns; its Len is the row count
+	index  hashIndex       // over the rows, linked once the build is complete
 }
 
-func (j *HashJoin) buildParallel(ctx *Context, pipes []BatchOperator) error {
-	type part struct {
-		rows   []value.Row
-		hashes []uint64
+// init readies an empty table for a join with nkeys key columns keeping
+// width build columns, the key (or hash) array presized for bound rows.
+func (t *joinTable) init(nkeys, width, bound int) {
+	if nkeys == 1 {
+		t.ints = make([]int64, 0, bound)
+	} else {
+		t.keys = make([][]value.Value, nkeys)
+		t.hashes = make([]uint64, 0, bound)
 	}
-	parts := make([]part, len(pipes))
-	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
-		p := &parts[w]
-		from := len(p.rows)
-		p.rows = b.AppendRows(p.rows)
-		wctx.Stats.HashBuildRows += int64(len(p.rows) - from)
-		for _, r := range p.rows[from:] {
-			p.hashes = append(p.hashes, hashRowCols(r, j.BuildKeys))
+	t.cols.init(width)
+}
+
+// spill leaves the int form: the keys so far become a value vector and
+// their hashes, exactly what the generic form would have stored for them.
+func (t *joinTable) spill() {
+	vec := make([]value.Value, len(t.ints))
+	t.hashes = make([]uint64, len(t.ints), cap(t.ints))
+	for i, k := range t.ints {
+		vec[i] = value.NewInt(k)
+		t.hashes[i] = hashInt(k)
+	}
+	t.keys, t.ints = [][]value.Value{vec}, nil
+}
+
+// add appends b's active rows: keys from columns keyCols, kept columns from
+// columns keep.
+func (t *joinTable) add(b *Batch, keyCols, keep []int) {
+	n := b.NumActive()
+	if t.ints != nil {
+		kc, base := b.Cols[keyCols[0]], len(t.ints)
+		for i := 0; i < n; i++ {
+			v := &kc[b.PosAt(i)]
+			if v.K != value.KindInt {
+				t.ints = t.ints[:base]
+				t.spill()
+				break
+			}
+			t.ints = append(t.ints, v.I)
 		}
+	}
+	if t.ints == nil {
+		for i := 0; i < n; i++ {
+			p := b.PosAt(i)
+			t.hashes = append(t.hashes, hashBatchCols(b, p, keyCols))
+			for k, c := range keyCols {
+				t.keys[k] = append(t.keys[k], b.Cols[c][p])
+			}
+		}
+	}
+	t.cols.appendCols(b, keep)
+}
+
+// absorb appends all of o's rows, spilling either side so the forms agree.
+func (t *joinTable) absorb(o *joinTable) {
+	// a worker that drew no morsel never readied its table
+	if o.cols.len() == 0 {
+		return
+	}
+	if t.cols.len() == 0 {
+		*t = *o
+		return
+	}
+	if t.ints != nil && o.ints != nil {
+		t.ints = append(t.ints, o.ints...)
+	} else {
+		if t.ints != nil {
+			t.spill()
+		}
+		if o.ints != nil {
+			o.spill()
+		}
+		t.hashes = append(t.hashes, o.hashes...)
+		for k := range t.keys {
+			t.keys[k] = append(t.keys[k], o.keys[k]...)
+		}
+	}
+	t.cols.appendCols(&o.cols.batch, identityCols(len(o.cols.batch.Cols)))
+}
+
+// build constructs the hash table from the Build child: serially, or — when
+// the query has a degree of parallelism and the build side is a forkable
+// per-morsel pipeline — partitioned, each worker filling a table of its own
+// from disjoint morsels. Partitions are concatenated in worker order before
+// the chains are linked (match order for duplicate keys is then worker
+// order, arrival order within a worker — a multiset-equivalent reordering).
+func (j *HashJoin) build(ctx *Context) error {
+	pipes := forkPipeline(j.Build, ctx.DOP)
+	parts := make([]joinTable, len(pipes))
+	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
+		t := &parts[w]
+		if t.ints == nil && t.keys == nil {
+			t.init(len(j.BuildKeys), len(j.keep), rowBound(pipes[w])/len(pipes))
+		}
+		wctx.Stats.HashBuildRows += int64(b.NumActive())
+		t.add(b, j.BuildKeys, j.keep)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	n := 0
-	for i := range parts {
-		n += len(parts[i].rows)
+	t := &parts[0]
+	for i := range parts[1:] {
+		t.absorb(&parts[1+i])
 	}
-	rows := make([]value.Row, 0, n)
-	hashes := make([]uint64, 0, n)
-	for i := range parts {
-		rows = append(rows, parts[i].rows...)
-		hashes = append(hashes, parts[i].hashes...)
+	if t.ints != nil {
+		t.index.buildInts(t.ints)
+	} else {
+		t.index.build(t.hashes)
 	}
-	j.rows = rows
-	j.index.build(hashes)
+	j.table = *t
 	return nil
 }
 
-// probeMatch reports whether build row r carries the same key as the probe
-// batch row at physical position pos.
-func (j *HashJoin) probeMatch(pb *Batch, pos int, r value.Row) bool {
-	for k, c := range j.ProbeKeys {
-		if !keyEqual(pb.Cols[c][pos], r[j.BuildKeys[k]]) {
-			return false
+// match collects in pIdx/bIdx every (probe position, build row) pair of pb
+// with equal keys, in probe order and, per probe row, build order.
+func (j *HashJoin) match(pb *Batch) {
+	t, x := &j.table, &j.table.index
+	j.pIdx, j.bIdx = j.pIdx[:0], j.bIdx[:0]
+	if t.cols.len() == 0 {
+		return // an empty build side matches nothing
+	}
+	n := pb.NumActive()
+	if t.ints != nil {
+		kc := pb.Cols[j.ProbeKeys[0]]
+		for i := 0; i < n; i++ {
+			p := pb.PosAt(i)
+			if kc[p].K != value.KindInt {
+				continue // every build key is an int, and only an int equals one
+			}
+			k := kc[p].I
+			for e := x.first(hashInt(k)); e != 0; e = x.next[e-1] {
+				if t.ints[e-1] == k {
+					j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
+				}
+			}
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		p := pb.PosAt(i)
+		h := hashBatchCols(pb, p, j.ProbeKeys)
+	chain:
+		for e := x.first(h); e != 0; e = x.next[e-1] {
+			if x.hashes[e-1] != h {
+				continue
+			}
+			for k, c := range j.ProbeKeys {
+				if !keyEqual(pb.Cols[c][p], t.keys[k][e-1]) {
+					continue chain
+				}
+			}
+			j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 		}
 	}
-	return true
+}
+
+// filterMatches keeps the matched pairs whose concatenated row satisfies
+// the residual.
+func (j *HashJoin) filterMatches(pb *Batch) error {
+	pw, kept := len(pb.Cols), 0
+	for m, p := range j.pIdx {
+		for c, col := range pb.Cols {
+			j.combined[c] = col[p]
+		}
+		for c, col := range j.table.cols.batch.Cols {
+			j.combined[pw+c] = col[j.bIdx[m]]
+		}
+		ok, err := Truthy(j.Residual, j.combined)
+		if err != nil {
+			return err
+		}
+		if ok {
+			j.pIdx[kept], j.bIdx[kept] = p, j.bIdx[m]
+			kept++
+		}
+	}
+	j.pIdx, j.bIdx = j.pIdx[:kept], j.bIdx[:kept]
+	return nil
 }
 
 func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
-	probeWidth := len(j.Probe.Schema())
-	x := &j.index
 	for {
 		pb, err := j.Probe.Next(ctx)
 		if err != nil || pb == nil {
 			return nil, err
 		}
-		j.outBuf.reset()
-		n := pb.NumActive()
-		ctx.Stats.HashProbeRows += int64(n)
-		for i := 0; i < n; i++ {
-			p := pb.PosAt(i)
-			h := hashBatchCols(pb, p, j.ProbeKeys)
-			filled := false // j.combined holds this probe row's values
-			for e := x.first(h); e != 0; e = x.next[e-1] {
-				if x.hashes[e-1] != h {
-					continue
-				}
-				b := j.rows[e-1]
-				if !j.probeMatch(pb, p, b) {
-					continue
-				}
-				if j.Residual == nil {
-					// no residual to pre-check: write probe and build values
-					// straight into the output vectors, skipping the scratch row
-					j.outBuf.appendSplit(pb, p, probeWidth, b)
-					continue
-				}
-				if !filled {
-					for c := 0; c < probeWidth; c++ {
-						j.combined[c] = pb.Cols[c][p]
-					}
-					filled = true
-				}
-				copy(j.combined[probeWidth:], b)
-				ok, err := Truthy(j.Residual, j.combined)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					j.outBuf.appendRow(j.combined)
-				}
+		ctx.Stats.HashProbeRows += int64(pb.NumActive())
+		j.match(pb)
+		if j.Residual != nil {
+			if err := j.filterMatches(pb); err != nil {
+				return nil, err
 			}
 		}
-		if j.outBuf.len() > 0 {
-			return j.outBuf.take(ctx), nil
+		if len(j.pIdx) == 0 {
+			continue
 		}
+		// the output is gathered a column at a time from the matched pairs;
+		// with nothing emitted it is just their count
+		j.outBuf.resize(len(j.pIdx))
+		for o, c := range j.emitProbe {
+			j.outBuf.gather(o, pb.Cols[c], j.pIdx)
+		}
+		for o, c := range j.emitKept {
+			j.outBuf.gather(len(j.emitProbe)+o, j.table.cols.batch.Cols[c], j.bIdx)
+		}
+		return j.outBuf.take(ctx), nil
 	}
 }
 
@@ -1090,7 +1222,7 @@ func (j *HashJoin) Close() error {
 		return nil
 	}
 	j.closed = true
-	j.rows, j.index = nil, hashIndex{}
+	j.table = joinTable{}
 	return j.Probe.Close()
 }
 
@@ -1149,6 +1281,7 @@ func (a *HashAggregate) Clone() BatchOperator {
 }
 
 type aggState struct {
+	aggs   []AggSpec // the operator's, for which slots are MIN/MAX
 	group  value.Row
 	counts []int64
 	sums   []float64
@@ -1159,6 +1292,7 @@ type aggState struct {
 
 func (a *HashAggregate) newState(group value.Row) *aggState {
 	return &aggState{
+		aggs:   a.Aggs,
 		group:  group,
 		counts: make([]int64, len(a.Aggs)),
 		sums:   make([]float64, len(a.Aggs)),
@@ -1201,16 +1335,27 @@ func accumulateArg(st *aggState, i int, v value.Value) {
 	if f, ok := v.AsFloat(); ok {
 		st.sums[i] += f
 	}
+	applyMinMax(st, i, v)
+}
+
+// applyMinMax folds v into slot i's min and max without touching count or
+// sum — for kernels that reduce a chunk's extremes before consulting the
+// running state. Only a MIN or MAX slot keeps extremes: COUNT, SUM and AVG
+// never read them, so they pay for no comparison.
+func applyMinMax(st *aggState, i int, v value.Value) {
+	if f := st.aggs[i].Func; f != sqlparser.AggMin && f != sqlparser.AggMax {
+		return
+	}
 	if !st.seen[i] {
 		st.mins[i], st.maxs[i] = v, v
 		st.seen[i] = true
-	} else {
-		if v.Compare(st.mins[i]) < 0 {
-			st.mins[i] = v
-		}
-		if v.Compare(st.maxs[i]) > 0 {
-			st.maxs[i] = v
-		}
+		return
+	}
+	if v.Compare(st.mins[i]) < 0 {
+		st.mins[i] = v
+	}
+	if v.Compare(st.maxs[i]) > 0 {
+		st.maxs[i] = v
 	}
 }
 
@@ -1262,9 +1407,27 @@ func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
 	return st
 }
 
-// foldBatch folds every active row of b into the table.
+// foldBatch folds every active row of b into the table. A global aggregate
+// has one state: it is resolved once per batch, not hashed and looked up
+// per row, and when every aggregate is COUNT(*) the batch folds as its row
+// count.
 func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
 	n := b.NumActive()
+	if len(a.Groups) == 0 {
+		st := a.stateFor(t, nil)
+		if !a.Merge && a.countStarOnly() {
+			for i := range a.Aggs {
+				st.counts[i] += int64(n)
+			}
+			return nil
+		}
+		for i := 0; i < n; i++ {
+			if err := a.accumulate(st, b.FillRow(i, t.scratch)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		b.FillRow(i, t.scratch)
 		for gi, ev := range a.Groups {
@@ -1279,6 +1442,16 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
 		}
 	}
 	return nil
+}
+
+// countStarOnly reports whether every aggregate is COUNT(*).
+func (a *HashAggregate) countStarOnly() bool {
+	for _, spec := range a.Aggs {
+		if spec.Arg != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeState folds a partial aggregation state into dst — the merge half
@@ -1437,72 +1610,45 @@ func (a *HashAggregate) Open(ctx *Context) error {
 	if done, err := a.openPushdown(ctx); done || err != nil {
 		return err
 	}
-	if ctx.DOP > 1 {
-		if pipes, ok := forkPipeline(a.Child, ctx.DOP); ok {
-			return a.openParallel(ctx, pipes)
-		}
-	}
-	if err := a.Child.Open(ctx); err != nil {
-		return err
-	}
-	t := a.newTable()
-	for {
-		b, err := a.Child.Next(ctx)
-		if err != nil {
-			_ = a.Child.Close()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := a.foldBatch(t, b); err != nil {
-			_ = a.Child.Close()
-			return err
-		}
-	}
-	ctx.Stats.GroupsCreated += int64(len(t.states))
-	out, err := a.emitRows(t)
-	if err != nil {
-		_ = a.Child.Close()
-		return err
-	}
-	a.emit.reset(out, len(a.Out))
-	return nil
-}
-
-// openParallel is the partitioned hash-aggregate: each worker folds its
-// share of morsels into a private hash table, a merge stage combines the
-// partial states, and the merged groups are emitted in sorted-key order
-// (worker arrival order is nondeterministic, so the merge sorts to keep
-// parallel output deterministic run-to-run).
-func (a *HashAggregate) openParallel(ctx *Context, pipes []BatchOperator) error {
+	pipes := forkPipeline(a.Child, ctx.DOP)
 	parts := make([]*aggTable, len(pipes))
+	for w := range parts {
+		parts[w] = a.newTable()
+	}
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
-		if parts[w] == nil {
-			parts[w] = a.newTable()
-		}
 		return a.foldBatch(parts[w], b)
 	})
 	if err != nil {
 		return err
 	}
-	return a.emitMerged(ctx, parts)
+	if len(parts) > 1 {
+		return a.emitMerged(ctx, parts)
+	}
+	return a.emitTable(ctx, parts[0])
 }
 
-// emitMerged is the merge stage of both parallel aggregate paths (batch
-// and pushdown): combine the per-worker tables, count the distinct groups
-// — so the stat a query reports does not vary with the granted DOP — and
-// emit in sorted-key order.
-func (a *HashAggregate) emitMerged(ctx *Context, parts []*aggTable) error {
-	merged := a.mergeParts(parts)
-	ctx.Stats.GroupsCreated += int64(len(merged.states))
-	sortStatesByKey(merged.states)
-	out, err := a.emitRows(merged)
+// emitTable counts t's groups and readies their rows for Next, in t's
+// (first-seen) order.
+func (a *HashAggregate) emitTable(ctx *Context, t *aggTable) error {
+	ctx.Stats.GroupsCreated += int64(len(t.states))
+	out, err := a.emitRows(t)
 	if err != nil {
 		return err
 	}
 	a.emit.reset(out, len(a.Out))
 	return nil
+}
+
+// emitMerged is the merge stage of both parallel aggregate paths (batch
+// and pushdown): each worker folded its share of morsels into a private
+// table; combine them, count the distinct groups — so the stat a query
+// reports does not vary with the granted DOP — and emit in sorted-key order
+// (worker arrival order is nondeterministic, so the merge sorts to keep
+// parallel output deterministic run-to-run).
+func (a *HashAggregate) emitMerged(ctx *Context, parts []*aggTable) error {
+	merged := a.mergeParts(parts)
+	sortStatesByKey(merged.states)
+	return a.emitTable(ctx, merged)
 }
 
 // mergeParts combines per-worker partial aggregation tables into one, in

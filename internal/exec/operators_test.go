@@ -112,7 +112,7 @@ func TestHashJoinEqualsNestedLoopProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		hj := NewHashJoin(left, right, []int{0}, []int{0}, nil)
+		hj := NewHashJoin(left, right, []int{0}, []int{0}, nil, nil)
 		hjOut, err := Drain(hj, NewContext())
 		if err != nil {
 			return false
@@ -163,7 +163,7 @@ func TestHashJoinResidualPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Drain(NewHashJoin(left, right, []int{0}, []int{0}, residual), NewContext())
+	out, err := Drain(NewHashJoin(left, right, []int{0}, []int{0}, residual, nil), NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}

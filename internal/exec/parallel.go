@@ -103,33 +103,31 @@ func hasForkPoint(op BatchOperator) bool {
 	return false
 }
 
-// forkPipeline clones the per-morsel pipeline rooted at op dop times over
-// one shared morsel cursor. It returns (nil, false) when the pipeline is
-// not forkable or parallelism is not worth it — callers fall back to the
-// serial path. Limits in the pipeline share one atomic row budget across
-// all clones.
-func forkPipeline(op BatchOperator, dop int) ([]BatchOperator, bool) {
+// forkPipeline returns the pipelines a consumer of op drives with
+// runForked: the per-morsel pipeline rooted at op cloned dop times over one
+// shared morsel cursor, or op alone when the pipeline is not forkable or
+// parallelism is not worth it. Limits in the clones share one atomic row
+// budget.
+func forkPipeline(op BatchOperator, dop int) []BatchOperator {
 	if dop <= 1 || !forkable(op) {
-		return nil, false
+		return []BatchOperator{op}
 	}
-	src := findSource(op)
 	// the source clamps to its morsel supply — fewer clones may come back
 	// than asked for, and a supply too small to share runs serial
-	leaves := src.ForkShared(dop)
+	leaves := findSource(op).ForkShared(dop)
 	if len(leaves) <= 1 {
-		return nil, false
+		return []BatchOperator{op}
 	}
 	var budget *atomic.Int64
 	out := make([]BatchOperator, len(leaves))
 	for i := range out {
 		out[i] = forkOne(op, leaves[i], &budget)
 	}
-	return out, true
+	return out
 }
 
-// findSource returns the pipeline's ParallelSource leaf (the caller has
-// established forkability).
-func findSource(op BatchOperator) ParallelSource {
+// pipelineLeaf returns the leaf under a chain of per-morsel operators.
+func pipelineLeaf(op BatchOperator) BatchOperator {
 	for {
 		switch x := op.(type) {
 		case *FilterOp:
@@ -141,9 +139,30 @@ func findSource(op BatchOperator) ParallelSource {
 		case *analyzeOp:
 			op = x.child
 		default:
-			return op.(ParallelSource)
+			return op
 		}
 	}
+}
+
+// findSource returns the pipeline's ParallelSource leaf (the caller has
+// established forkability).
+func findSource(op BatchOperator) ParallelSource {
+	return pipelineLeaf(op).(ParallelSource)
+}
+
+// rowBound returns an upper bound on the rows the opened pipeline op can
+// produce — what its leaf holds, before any filtering — or 0 when the leaf
+// cannot say. A hash-join build presizes its key array from it.
+func rowBound(op BatchOperator) int {
+	switch x := pipelineLeaf(op).(type) {
+	case *ColTableScan:
+		if x.src != nil {
+			return x.src.NumMorsels() * BatchSize
+		}
+	case *MemScan:
+		return len(x.emit.rows)
+	}
+	return 0
 }
 
 // forkOne builds one worker's private pipeline clone over the given
@@ -208,35 +227,50 @@ func forkWorkers(ctx *Context, n int, work func(w int, wctx *Context) error) err
 // worker-indexed state (the batch is reused by the worker after consume
 // returns, so consume must copy what it keeps). A drained limit budget
 // cancels the workers' scope like an error does, without failing the call.
+// A single pipeline is not a fork: it runs on the caller's goroutine and
+// context as worker 0, so a consumer needs one routine for both cases.
 func runForked(ctx *Context, pipes []BatchOperator, consume func(w int, wctx *Context, b *Batch) error) error {
+	if len(pipes) == 1 {
+		return runPipe(pipes[0], 0, ctx, consume)
+	}
 	ctx.Stats.ParallelWorkers += int64(len(pipes))
 	return forkWorkers(ctx, len(pipes), func(w int, wctx *Context) error {
-		p := pipes[w]
-		if err := p.Open(wctx); err != nil {
-			_ = p.Close()
-			return err
-		}
-		for {
-			b, err := p.Next(wctx)
-			if err == nil && b != nil {
-				err = consume(w, wctx, b)
-			}
-			if err != nil {
-				_ = p.Close()
-				return err
-			}
-			if b == nil {
-				return p.Close()
-			}
-		}
+		return runPipe(pipes[w], w, wctx, consume)
 	})
 }
 
-// drainForked is the gather stage for materializing drains: every worker
-// appends its batches to a private row slice and the slices are
-// concatenated in worker order (a multiset-equivalent reordering of the
+// runPipe drives worker w's pipeline p to exhaustion on the calling
+// goroutine, closing it on every path.
+func runPipe(p BatchOperator, w int, wctx *Context, consume func(w int, wctx *Context, b *Batch) error) error {
+	if err := p.Open(wctx); err != nil {
+		_ = p.Close()
+		return err
+	}
+	for {
+		b, err := p.Next(wctx)
+		if err == nil && b != nil {
+			err = consume(w, wctx, b)
+		}
+		if err != nil {
+			_ = p.Close()
+			return err
+		}
+		if b == nil {
+			return p.Close()
+		}
+	}
+}
+
+// drainOp runs an already-private operator tree to completion and
+// materializes its rows — the entry point for plain
+// scan/filter/project(/limit) queries and for blocking operators that
+// materialize a child (sorts, nested-loop inners). When the query was granted
+// a degree of parallelism and the tree is a forkable per-morsel pipeline,
+// every worker appends its batches to a private row slice and the slices
+// are concatenated in worker order (a multiset-equivalent reordering of the
 // serial output).
-func drainForked(ctx *Context, pipes []BatchOperator) ([]value.Row, error) {
+func drainOp(op BatchOperator, ctx *Context) ([]value.Row, error) {
+	pipes := forkPipeline(op, ctx.DOP)
 	parts := make([][]value.Row, len(pipes))
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
 		parts[w] = b.AppendRows(parts[w])
@@ -245,8 +279,8 @@ func drainForked(ctx *Context, pipes []BatchOperator) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []value.Row
-	for _, p := range parts {
+	out := parts[0]
+	for _, p := range parts[1:] {
 		out = append(out, p...)
 	}
 	return out, nil

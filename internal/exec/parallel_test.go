@@ -309,8 +309,8 @@ func TestCanParallelize(t *testing.T) {
 		{"agg-over-row-emitter", agg(mem), false},
 		{"sort-over-scan", &SortOp{Child: scan()}, true},
 		{"project-over-topn-over-scan", &ProjectOp{Child: &TopNOp{Child: scan(), N: 5}}, false},
-		{"hashjoin-forkable-build", NewHashJoin(mem, scan(), []int{0}, []int{0}, nil), true},
-		{"hashjoin-serial-sides", NewHashJoin(mem, mem, []int{0}, []int{0}, nil), false},
+		{"hashjoin-forkable-build", NewHashJoin(mem, scan(), []int{0}, []int{0}, nil, nil), true},
+		{"hashjoin-serial-sides", NewHashJoin(mem, mem, []int{0}, []int{0}, nil, nil), false},
 	}
 	for _, tc := range cases {
 		if got := CanParallelize(tc.op); got != tc.want {
@@ -327,7 +327,7 @@ func TestParallelHashJoinBuild(t *testing.T) {
 		build := NewColTableScan(tbl, "p", []int{1, 2}, nil, nil) // g, v
 		probe := &memOp{schema: Schema{intCol("l", "g")},
 			rows: rowsOf([]int64{0}, []int64{3}, []int64{4})}
-		return NewHashJoin(probe, build, []int{0}, []int{0}, nil)
+		return NewHashJoin(probe, build, []int{0}, []int{0}, nil, nil)
 	}
 	serial, err := Drain(mk(), NewContext())
 	if err != nil {

@@ -77,17 +77,11 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 		if err := w.fold(ctx, src, t); err != nil {
 			return true, err
 		}
-		ctx.Stats.GroupsCreated += int64(len(t.states))
-		out, err := a.emitRows(t)
-		if err != nil {
-			return true, err
-		}
-		a.emit.reset(out, len(a.Out))
-		return true, nil
+		return true, a.emitTable(ctx, t)
 	}
 
 	// parallel: per-worker tables folded from the shared morsel cursor,
-	// merged like openParallel, emitted in sorted-key order for run-to-run
+	// merged like the batch path's, emitted in sorted-key order for run-to-run
 	// determinism
 	parts := make([]*aggTable, dop)
 	ctx.Stats.ParallelWorkers += int64(dop)
@@ -554,23 +548,6 @@ func (w *pushWorker) globalState(t *aggTable) *aggState {
 		return w.a.stateFor(t, nil)
 	}
 	return t.states[0]
-}
-
-// applyMinMax folds v into slot i's min/max exactly as accumulateArg does,
-// without touching count or sum — for kernels that reduce a chunk's
-// extremes before consulting the running state.
-func applyMinMax(st *aggState, i int, v value.Value) {
-	if !st.seen[i] {
-		st.mins[i], st.maxs[i] = v, v
-		st.seen[i] = true
-		return
-	}
-	if v.Compare(st.mins[i]) < 0 {
-		st.mins[i] = v
-	}
-	if v.Compare(st.maxs[i]) > 0 {
-		st.maxs[i] = v
-	}
 }
 
 // dictFloats returns the per-code AsFloat cache for a dictionary chunk.

@@ -204,7 +204,7 @@ func (p *Planner) apJoinTree(a *analysis) (built, error) {
 				usedJoin[i] = true
 			}
 		}
-		cur, err = p.apJoinStep(a, cur, inner, jps)
+		cur, err = p.apJoinStep(a, cur, inner, jps, a.readAbove(usedJoin))
 		if err != nil {
 			return built{}, err
 		}
@@ -214,9 +214,42 @@ func (p *Planner) apJoinTree(a *analysis) (built, error) {
 	return cur, nil
 }
 
+// readAbove lists the columns read above a join that has consumed the join
+// predicates marked used: by the select list, GROUP BY, ORDER BY, the
+// cross-table predicates and the join predicates still to come. SELECT *
+// reads every column, reported as nil.
+func (a *analysis) readAbove(used map[int]bool) []*sqlparser.ColumnRef {
+	if a.selectsStar() {
+		return nil
+	}
+	refs := []*sqlparser.ColumnRef{}
+	for _, it := range a.sel.Items {
+		refs = append(refs, sqlparser.ColumnsIn(it.Expr)...)
+	}
+	for _, g := range a.sel.GroupBy {
+		refs = append(refs, sqlparser.ColumnsIn(g)...)
+	}
+	for _, o := range a.sel.OrderBy {
+		refs = append(refs, sqlparser.ColumnsIn(o.Expr)...)
+	}
+	for _, e := range a.otherPreds {
+		refs = append(refs, sqlparser.ColumnsIn(e)...)
+	}
+	for i, jp := range a.joinPreds {
+		if !used[i] {
+			refs = append(refs, sqlparser.ColumnsIn(jp.expr)...)
+		}
+	}
+	return refs
+}
+
 // apJoinStep attaches table `inner` as the build side of a hash join on
-// top of cur (the probe side).
-func (p *Planner) apJoinStep(a *analysis, cur built, inner boundTable, jps []joinPred) (built, error) {
+// top of cur (the probe side). The join emits only the columns among above
+// (see readAbove; nil keeps every column), so what neededColumns does at
+// the scan — read only what is referenced — holds through the join chain:
+// a key column is dropped by the last join that matches on it. The plan
+// node, its cost and its rendering do not depend on the emit set.
+func (p *Planner) apJoinStep(a *analysis, cur built, inner boundTable, jps []joinPred, above []*sqlparser.ColumnRef) (built, error) {
 	buildSide, err := p.apAccess(a, inner)
 	if err != nil {
 		return built{}, err
@@ -257,7 +290,23 @@ func (p *Planner) apJoinStep(a *analysis, cur built, inner boundTable, jps []joi
 		// (single bucket). Keep executable; the cost model punishes it.
 		probeKeys, buildKeys = []int{}, []int{}
 	}
-	op := exec.NewHashJoin(cur.op, buildSide.op, probeKeys, buildKeys, residualEv)
+	var emit []int
+	if above != nil {
+		concat := probeSchema.Concat(buildSchema)
+		read := make([]bool, len(concat))
+		for _, ref := range above {
+			if i, err := concat.Resolve(ref); err == nil { // else another subtree's column
+				read[i] = true
+			}
+		}
+		emit = []int{}
+		for i := range concat {
+			if read[i] {
+				emit = append(emit, i)
+			}
+		}
+	}
+	op := exec.NewHashJoin(cur.op, buildSide.op, probeKeys, buildKeys, residualEv, emit)
 
 	buildNode := &plan.Node{Op: plan.OpHashBuild, Engine: plan.AP,
 		Cost: buildSide.node.Cost + buildSide.rows*apBuildPerRow,

@@ -53,6 +53,17 @@ func (a *analysis) table(binding string) (boundTable, bool) {
 	return boundTable{}, false
 }
 
+// selectsStar reports whether the select list has a *, which reads every
+// column of every table.
+func (a *analysis) selectsStar() bool {
+	for _, it := range a.sel.Items {
+		if it.Star {
+			return true
+		}
+	}
+	return false
+}
+
 // bind resolves the FROM list, qualifies every column reference in place,
 // and classifies WHERE conjuncts.
 func bind(cat *catalog.Catalog, sel *sqlparser.Select) (*analysis, error) {

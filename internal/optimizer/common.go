@@ -425,13 +425,7 @@ func condString(preds []sqlparser.Expr) string {
 // anywhere in the query (projection pushdown for the column store).
 // Star selects force all columns.
 func neededColumns(a *analysis, t boundTable) []int {
-	all := false
-	for _, it := range a.sel.Items {
-		if it.Star {
-			all = true
-		}
-	}
-	if all {
+	if a.selectsStar() {
 		out := make([]int, len(t.meta.Columns))
 		for i := range out {
 			out[i] = i

@@ -1,0 +1,321 @@
+package optimizer
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"htapxplain/internal/exec"
+	"htapxplain/internal/value"
+	"htapxplain/internal/workload"
+)
+
+// apScanTemplates are the analytic shapes the benchmark's ap_scan workload
+// draws from (bench/defs.go apTemplates).
+var apScanTemplates = []string{"join2_lineitem_big", "join2_segment_agg", "rare_agg_nojoin", "topn_price_desc",
+	"rare_join4_wide", "join3_phone_inlist", "rare_like_scan"}
+
+// workCounters are the exec.Stats fields the latency model and the router's
+// features are computed from: RowsScanned, HashBuildRows, HashProbeRows,
+// BatchesProduced, GroupsCreated.
+type workCounters [5]int64
+
+func countersOf(s exec.Stats) workCounters {
+	return workCounters{s.RowsScanned, s.HashBuildRows, s.HashProbeRows, s.BatchesProduced, s.GroupsCreated}
+}
+
+// apObservation is everything about one AP execution that a consumer
+// outside the executor can see besides the result rows.
+type apObservation struct {
+	sql        string
+	explain    string
+	dop1, dop4 workCounters
+	analyze    string // EXPLAIN ANALYZE tree: operator, rows, batches
+}
+
+func analyzeShape(s *exec.OpStats) string {
+	var b strings.Builder
+	var rec func(*exec.OpStats, int)
+	rec = func(n *exec.OpStats, depth int) {
+		fmt.Fprintf(&b, "%s%s rows=%d batches=%d\n", strings.Repeat("  ", depth), n.Name, n.Rows, n.Batches)
+		for _, c := range n.Children {
+			rec(c, depth+1)
+		}
+	}
+	rec(s, 0)
+	return strings.TrimRight(b.String(), "\n")
+}
+
+func observeAP(t *testing.T, p *Planner, sql string) apObservation {
+	t.Helper()
+	pp, err := p.PlanAP(parse(t, sql))
+	if err != nil {
+		t.Fatalf("PlanAP(%q): %v", sql, err)
+	}
+	obs := apObservation{sql: sql, explain: pp.Explain.String()}
+	for _, dop := range []int{1, 4} {
+		ctx := exec.NewContext()
+		ctx.DOP = dop
+		if _, err := pp.Execute(ctx); err != nil {
+			t.Fatalf("Execute(%q) at DOP %d: %v", sql, dop, err)
+		}
+		if dop == 1 {
+			obs.dop1 = countersOf(ctx.Stats)
+		} else {
+			obs.dop4 = countersOf(ctx.Stats)
+		}
+	}
+	_, prof, err := pp.ExecuteAnalyzed(exec.NewContext())
+	if err != nil {
+		t.Fatalf("ExecuteAnalyzed(%q): %v", sql, err)
+	}
+	obs.analyze = analyzeShape(prof)
+	return obs
+}
+
+// TestAPScanWorkIsPinned holds every ap_scan template's work counters,
+// EXPLAIN text and EXPLAIN ANALYZE row/batch counts to the values recorded
+// before the join pipeline was pruned (commit cdbaa2d, this fixture, seed
+// 7). The latency model's modeled times, the router's features, the tree-CNN
+// input and the curated knowledge base are all functions of exactly these,
+// so holding them proves an executor change moved none of those.
+func TestAPScanWorkIsPinned(t *testing.T) {
+	p := testPlanner(t)
+	gen := workload.NewGenerator(7)
+	for i, tmpl := range apScanTemplates {
+		got := observeAP(t, p, gen.BatchOf(tmpl, 1)[0].SQL)
+		if i >= len(apScanPinned) {
+			t.Errorf("%s is not pinned; observed:\n%#v", tmpl, got)
+			continue
+		}
+		if want := apScanPinned[i]; got != want {
+			t.Errorf("%s moved:\n got %#v\nwant %#v", tmpl, got, want)
+		}
+	}
+}
+
+var apScanPinned = []apObservation{
+	{
+		sql: `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_shipdate BETWEEN 386 AND 936`,
+		explain: `Aggregate (cost=255916666.67 rows=1)
+  Inner hash join (cost=237916666.67 rows=150000000) [(lineitem.l_orderkey = orders.o_orderkey)]
+    Filter (cost=11250000.00 rows=150000000) [lineitem.l_shipdate BETWEEN 386 AND 936]
+      Table Scan on lineitem (cost=0.50 rows=600000000)
+    Hash (cost=181666666.67 rows=150000000)
+      Table Scan on orders (cost=1666666.67 rows=150000000)`,
+		dop1: workCounters{7564, 1500, 1496, 15, 1}, dop4: workCounters{7564, 1500, 1496, 15, 1},
+		analyze: `Aggregate rows=1 batches=1
+  Inner hash join rows=1496 batches=6
+    Column Scan on lineitem rows=1496 batches=6
+    Column Scan on orders rows=1500 batches=2`,
+	},
+	{
+		sql: `SELECT COUNT(*), SUM(o_totalprice) FROM customer, orders WHERE o_custkey = c_custkey AND c_mktsegment = 'machinery'`,
+		explain: `Aggregate (cost=43908333.33 rows=1)
+  Inner hash join (cost=40308333.33 rows=30000000) [(orders.o_custkey = customer.c_custkey)]
+    Table Scan on orders (cost=3333333.33 rows=150000000)
+    Hash (cost=3975000.00 rows=3000000)
+      Filter (cost=375000.00 rows=3000000) [(customer.c_mktsegment = 'machinery')]
+        Table Scan on customer (cost=0.50 rows=15000000)`,
+		dop1: workCounters{1650, 24, 1500, 6, 1}, dop4: workCounters{1650, 24, 1500, 6, 1},
+		analyze: `Aggregate rows=1 batches=1
+  Inner hash join rows=253 batches=2
+    Column Scan on orders rows=1500 batches=2
+    Column Scan on customer rows=24 batches=1`,
+	},
+	{
+		sql: `SELECT l_shipmode, COUNT(*), AVG(l_extendedprice) FROM lineitem WHERE l_quantity > 33 GROUP BY l_shipmode`,
+		explain: `Aggregate (cost=32850000.00 rows=18000000)
+  Filter (cost=11250000.00 rows=180000000) [(lineitem.l_quantity > 33)]
+    Table Scan on lineitem (cost=0.50 rows=600000000)`,
+		dop1: workCounters{6064, 0, 0, 1, 7}, dop4: workCounters{6064, 0, 0, 1, 7},
+		analyze: `Aggregate rows=7 batches=1
+  Column Scan on lineitem rows=2055 batches=6`,
+	},
+	{
+		sql: `SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 7`,
+		explain: `Top N (cost=25833333.33 rows=7) [limit 7 offset 0]
+  Table Scan on orders (cost=3333333.33 rows=150000000)`,
+		dop1: workCounters{1500, 0, 0, 4, 0}, dop4: workCounters{1500, 0, 0, 4, 0},
+		analyze: `Projection rows=7 batches=1
+  Top N rows=7 batches=1
+    Column Scan on orders rows=1500 batches=2`,
+	},
+	{
+		sql: `SELECT COUNT(*) FROM customer, nation, orders, lineitem WHERE c_nationkey = n_nationkey AND o_custkey = c_custkey AND l_orderkey = o_orderkey AND c_mktsegment = 'machinery' AND n_name = 'russia'`,
+		explain: `Aggregate (cost=530551835.78 rows=1)
+  Inner hash join (cost=529975835.78 rows=4800000) [(customer.c_nationkey = nation.n_nationkey)]
+    Inner hash join (cost=505495833.33 rows=120000000) [(orders.o_custkey = customer.c_custkey)]
+      Inner hash join (cost=369333333.33 rows=600000000) [(lineitem.l_orderkey = orders.o_orderkey)]
+        Table Scan on lineitem (cost=6000000.00 rows=600000000)
+        Hash (cost=183333333.33 rows=150000000)
+          Table Scan on orders (cost=3333333.33 rows=150000000)
+      Hash (cost=4162500.00 rows=3000000)
+        Filter (cost=562500.00 rows=3000000) [(customer.c_mktsegment = 'machinery')]
+          Table Scan on customer (cost=0.50 rows=15000000)
+    Hash (cost=2.45 rows=1)
+      Filter (cost=1.25 rows=1) [(nation.n_name = 'russia')]
+        Table Scan on nation (cost=0.50 rows=25)`,
+		dop1: workCounters{7739, 1525, 13161, 29, 1}, dop4: workCounters{7739, 1525, 13161, 29, 1},
+		analyze: `Aggregate rows=1 batches=1
+  Inner hash join rows=92 batches=6
+    Inner hash join rows=1033 batches=6
+      Inner hash join rows=6064 batches=6
+        Column Scan on lineitem rows=6064 batches=6
+        Column Scan on orders rows=1500 batches=2
+      Column Scan on customer rows=24 batches=1
+    Column Scan on nation rows=1 batches=1`,
+	},
+	{
+		sql: `SELECT COUNT(*) FROM customer, nation, orders WHERE SUBSTRING(c_phone, 1, 2) IN ('12', '31', '28', '16', '30', '15') AND c_mktsegment = 'building' AND n_name = 'saudi arabia' AND o_orderstatus = 'f' AND o_custkey = c_custkey AND n_nationkey = c_nationkey`,
+		explain: `Aggregate (cost=15688455.78 rows=1)
+  Inner hash join (cost=15676935.78 rows=96000) [(nation.n_nationkey = customer.c_nationkey)]
+    Inner hash join (cost=15187333.33 rows=2400000) [(orders.o_custkey = customer.c_custkey)]
+      Filter (cost=3333333.33 rows=50000000) [(orders.o_orderstatus = 'f')]
+        Table Scan on orders (cost=0.50 rows=150000000)
+      Hash (cost=1614000.00 rows=720000)
+        Filter (cost=750000.00 rows=720000) [SUBSTRING(customer.c_phone, 1, 2) IN ('12', '31', '28', '16', '30', '15') AND (customer.c_mktsegment = 'building')]
+          Table Scan on customer (cost=0.50 rows=15000000)
+    Hash (cost=2.45 rows=1)
+      Filter (cost=1.25 rows=1) [(nation.n_name = 'saudi arabia')]
+        Table Scan on nation (cost=0.50 rows=25)`,
+		dop1: workCounters{1675, 13, 534, 8, 1}, dop4: workCounters{1675, 13, 534, 8, 1},
+		analyze: `Aggregate rows=1 batches=1
+  Inner hash join rows=2 batches=1
+    Inner hash join rows=41 batches=2
+      Column Scan on orders rows=493 batches=2
+      Column Scan on customer rows=12 batches=1
+    Column Scan on nation rows=1 batches=1`,
+	},
+	{
+		sql: `SELECT COUNT(*) FROM orders WHERE o_comment LIKE '%bold%'`,
+		explain: `Aggregate (cost=3466666.67 rows=1)
+  Filter (cost=1666666.67 rows=15000000) [orders.o_comment LIKE '%bold%']
+    Table Scan on orders (cost=0.50 rows=150000000)`,
+		dop1: workCounters{1500, 0, 0, 3, 1}, dop4: workCounters{1500, 0, 0, 3, 1},
+		analyze: `Aggregate rows=1 batches=1
+  Column Scan on orders rows=190 batches=2`,
+	},
+}
+
+// joinSchemas lists, top-down, the output columns of every hash join on the
+// probe spine of an AP operator tree.
+func joinSchemas(t *testing.T, op exec.Operator) []string {
+	t.Helper()
+	var out []string
+	for op != nil {
+		switch x := op.(type) {
+		case *exec.HashJoin:
+			cols := make([]string, len(x.Schema()))
+			for i, c := range x.Schema() {
+				cols[i] = c.Binding + "." + c.Name
+			}
+			out = append(out, strings.Join(cols, " "))
+			op = x.Probe
+		case *exec.FilterOp:
+			op = x.Child
+		case *exec.ProjectOp:
+			op = x.Child
+		case *exec.HashAggregate:
+			op = x.Child
+		case *exec.SortOp:
+			op = x.Child
+		case *exec.TopNOp:
+			op = x.Child
+		case *exec.LimitOp:
+			op = x.Child
+		case *exec.ColTableScan:
+			op = nil
+		default:
+			t.Fatalf("unexpected operator %T in an AP plan", op)
+		}
+	}
+	return out
+}
+
+// TestJoinEmitsOnlyWhatParentReads: projection pushdown holds through a
+// join chain. Each hash join outputs exactly the columns some operator above
+// it reads — the select list, GROUP BY, ORDER BY, cross-table predicates and
+// the keys of joins still to come — so a COUNT(*) over a chain carries one
+// key column per stage and nothing out of the top; SELECT * keeps every
+// column. Every plan must still return what the TP engine returns.
+func TestJoinEmitsOnlyWhatParentReads(t *testing.T) {
+	p := testPlanner(t)
+	type tc struct {
+		name, sql string
+		want      []string
+	}
+	cases := []tc{ // the workload's 14 templates; six of them join nothing
+		{name: "join3_phone_inlist", want: []string{"", "customer.c_nationkey"}},
+		{name: "join2_segment_agg", want: []string{"orders.o_totalprice"}},
+		{name: "join2_point_orders", want: []string{"orders.o_orderkey orders.o_totalprice"}},
+		{name: "join2_lineitem_big", want: []string{"lineitem.l_extendedprice"}},
+		{name: "join3_supplier", want: []string{"", "nation.n_nationkey"}},
+		{name: "join2_part_brand", want: []string{"partsupp.ps_supplycost"}},
+		{name: "topn_indexed_pk"}, {name: "topn_price_desc"}, {name: "topn_offset_deep"}, {name: "topn_filtered"},
+		{name: "rare_join4_wide", want: []string{"", "customer.c_nationkey", "orders.o_custkey"}},
+		{name: "rare_agg_nojoin"},
+		{name: "rare_tiny_dim_join", want: []string{"nation.n_name"}},
+		{name: "rare_like_scan"},
+	}
+	gen := workload.NewGenerator(7)
+	for i := range cases {
+		cases[i].sql = gen.BatchOf(cases[i].name, 1)[0].SQL
+	}
+	cases = append(cases,
+		tc{"select star", `SELECT * FROM nation, region WHERE n_regionkey = r_regionkey AND r_name = 'asia'`,
+			[]string{"nation.n_nationkey nation.n_name nation.n_regionkey nation.n_comment " +
+				"region.r_regionkey region.r_name region.r_comment"}},
+		tc{"order by a column not selected", `SELECT o_orderkey FROM customer, orders` +
+			` WHERE o_custkey = c_custkey AND c_mktsegment = 'building' ORDER BY c_acctbal DESC, o_orderkey LIMIT 9`,
+			[]string{"orders.o_orderkey customer.c_acctbal"}},
+		tc{"non-equi cross-table predicate", `SELECT COUNT(*) FROM customer, orders` +
+			` WHERE o_custkey = c_custkey AND o_totalprice > c_acctbal * 20`,
+			[]string{"orders.o_totalprice customer.c_acctbal"}},
+	)
+	for _, c := range cases {
+		ap, err := p.PlanAP(parse(t, c.sql))
+		if err != nil {
+			t.Fatalf("%s: PlanAP: %v", c.name, err)
+		}
+		if got := joinSchemas(t, ap.Root); strings.Join(got, " | ") != strings.Join(c.want, " | ") {
+			t.Errorf("%s: joins emit %q, want %q\n%s", c.name, got, c.want, c.sql)
+		}
+		tp, err := p.PlanTP(parse(t, c.sql))
+		if err != nil {
+			t.Fatalf("%s: PlanTP: %v", c.name, err)
+		}
+		apRows, err := ap.Execute(exec.NewContext())
+		if err != nil {
+			t.Fatalf("%s: AP: %v", c.name, err)
+		}
+		tpRows, err := tp.Execute(exec.NewContext())
+		if err != nil {
+			t.Fatalf("%s: TP: %v", c.name, err)
+		}
+		if got, want := canonRows(apRows), canonRows(tpRows); got != want {
+			t.Errorf("%s: AP returns %.300s, TP %.300s", c.name, got, want)
+		}
+	}
+}
+
+// canonRows renders a result so the two engines' answers compare: values
+// sorted within a row and rows sorted (the engines order SELECT * columns and
+// unordered results differently), floats to nine digits (they sum in
+// different orders).
+func canonRows(rows []value.Row) string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		vals := make([]string, len(r))
+		for j, v := range r {
+			if vals[j] = v.String(); v.K == value.KindFloat {
+				vals[j] = fmt.Sprintf("%.9g", v.F)
+			}
+		}
+		sort.Strings(vals)
+		out[i] = strings.Join(vals, ",")
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
+}
