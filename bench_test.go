@@ -54,11 +54,14 @@ func BenchmarkE1_Example1(b *testing.B) {
 	b.ResetTimer()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		out, err := ex.ExplainSQL(htap.Example1SQL)
+		m, err := env.Sys.Model(htap.Example1SQL)
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = out.Result.Speedup()
+		if _, err := ex.Explain(m); err != nil {
+			b.Fatal(err)
+		}
+		speedup = m.Speedup()
 	}
 	b.ReportMetric(speedup, "AP-speedup-x")
 }
@@ -128,7 +131,7 @@ func BenchmarkE4_Models(b *testing.B) {
 // (paper: <1 ms per plan pair).
 func BenchmarkE5_RouterEncode(b *testing.B) {
 	env := benchEnv(b)
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func BenchmarkE5_RouterEncode(b *testing.B) {
 // (paper: <0.1 ms per request).
 func BenchmarkE5_KBSearch(b *testing.B) {
 	env := benchEnv(b)
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,12 +206,12 @@ func BenchmarkE5_KBScaling(b *testing.B) {
 // BenchmarkE6_Study regenerates the participant study (paper §VI-C).
 func BenchmarkE6_Study(b *testing.B) {
 	env := benchEnv(b)
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ex := explain.New(env.Sys, env.Router, env.KB, llm.Doubao(), explain.DefaultOptions())
-	out, err := ex.ExplainResult(res)
+	out, err := ex.Explain(res)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func BenchmarkE7_DBGPT(b *testing.B) {
 // ~1 ms) and reports held-out routing accuracy.
 func BenchmarkE8_RouterInference(b *testing.B) {
 	env := benchEnv(b)
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,11 +315,11 @@ func BenchmarkAblation_Guardrail(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bad := 0
 				for _, q := range queries {
-					res, err := env.Sys.Run(q.SQL)
+					res, err := env.Sys.Model(q.SQL)
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := ex.ExplainResult(res)
+					out, err := ex.Explain(res)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -634,7 +637,7 @@ func BenchmarkSubstrate_ParseAndPlan(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Sys.Explain(htap.Example1SQL); err != nil {
+		if _, err := env.Sys.Model(htap.Example1SQL); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,8 @@
 // Command htapqpe is the interactive entry point of the query-performance
-// explainer: it runs a SQL query on both HTAP engines, shows both plans
+// explainer: it plans a SQL query on both HTAP engines, shows both plans
 // and the modeled execution result, and generates the RAG-grounded
-// natural-language explanation of the performance difference.
+// natural-language explanation of the performance difference. The query
+// is not executed.
 //
 // Usage:
 //
@@ -57,11 +58,14 @@ func main() {
 	ex := explain.New(env.Sys, env.Router, env.KB, model, explain.Options{
 		K: *k, UseRAG: !*noRAG, IncludeGuardrail: true, UserContext: *userCtx,
 	})
-	out, err := ex.ExplainSQL(*query)
+	res, err := env.Sys.Model(*query)
 	if err != nil {
 		fatal(err)
 	}
-	res := out.Result
+	out, err := ex.Explain(res)
+	if err != nil {
+		fatal(err)
+	}
 
 	fmt.Printf("\nquery: %s\n", res.SQL)
 	if *showPlans {
@@ -93,7 +97,7 @@ func main() {
 		fmt.Printf("\n=== follow-up ===\nQ: %s\nA: %s\n", *ask, resp.Text)
 	}
 	if *whySlow {
-		rep, err := ex.WhySlow(*query)
+		rep, err := ex.WhySlow(res)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Command trainrouter trains the tree-CNN smart router on a generated
-// workload, reports train/held-out accuracy, model size, and inference
-// latency (the paper's §III-A substrate claims), and optionally saves the
-// model.
+// workload (eval.NewEnv), reports train/held-out accuracy, model size, and
+// inference latency (eval's EvaluateRouter: the paper's §III-A substrate
+// claims), and optionally saves the model.
 //
 // Usage:
 //
@@ -12,11 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"htapxplain/internal/explain"
-	"htapxplain/internal/htap"
-	"htapxplain/internal/treecnn"
+	"htapxplain/internal/eval"
 	"htapxplain/internal/workload"
 )
 
@@ -30,43 +27,21 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, err := htap.New(htap.DefaultConfig())
+	cfg := eval.DefaultEnvConfig()
+	cfg.RouterTrainQueries, cfg.RouterEpochs, cfg.RouterSeed = *nQueries, *epochs, *seed
+	fmt.Printf("planning and labeling %d training queries on both engines, training %d epochs ...\n", *nQueries, *epochs)
+	env, err := eval.NewEnv(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	label := func(gen *workload.Generator, n int) ([]treecnn.Sample, error) {
-		labelled, err := explain.Label(sys, gen.Batch(n))
-		return explain.Samples(labelled), err
-	}
-	fmt.Printf("labeling %d training + %d test queries on both engines ...\n", *nQueries, *nTest)
-	train, err := label(workload.NewGenerator(101), *nQueries)
+	rep, err := env.EvaluateRouter(workload.NewTestGenerator(999).Batch(*nTest))
 	if err != nil {
 		fatal(err)
 	}
-	test, err := label(workload.NewTestGenerator(999), *nTest)
-	if err != nil {
-		fatal(err)
-	}
-
-	r := treecnn.New(*seed)
-	t0 := time.Now()
-	rep := r.Train(train, *epochs, *seed+1)
-	trainDur := time.Since(t0)
-
-	correct := 0
-	t1 := time.Now()
-	for _, s := range test {
-		if got, _ := r.Predict(s.Pair); got == s.Label {
-			correct++
-		}
-	}
-	inferPer := time.Since(t1) / time.Duration(max(len(test), 1))
-
-	fmt.Printf("\ntrained %d epochs in %v (final loss %.4f)\n", rep.Epochs, trainDur.Round(time.Millisecond), rep.FinalLoss)
 	fmt.Printf("train accuracy: %.1f%%\n", 100*rep.TrainAcc)
-	fmt.Printf("test accuracy:  %.1f%%  (%d/%d)\n", 100*float64(correct)/float64(max(len(test), 1)), correct, len(test))
-	fmt.Printf("model size:     %.1f KB (%d params) — paper bound: < 1 MB\n", float64(r.ModelBytes())/1024, r.NumParams())
-	fmt.Printf("inference:      %v per plan pair — paper bound: ~1 ms\n", inferPer)
+	fmt.Printf("test accuracy:  %.1f%%  (%d held-out queries)\n", 100*rep.TestAcc, *nTest)
+	fmt.Printf("model size:     %.1f KB (%d params) — paper bound: < 1 MB\n", rep.ModelKB, rep.Params)
+	fmt.Printf("inference:      %.1f µs per plan pair — paper bound: ~1 ms\n", rep.InferUsec)
 
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -74,18 +49,11 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := r.Save(f); err != nil {
+		if err := env.Router.Save(f); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("saved model to %s\n", *out)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -27,22 +27,26 @@ func main() {
 	ex := explain.New(env.Sys, env.Router, env.KB, llm.Doubao(), explain.DefaultOptions())
 
 	queries := workload.NewTestGenerator(777).Batch(48)
+	// grade explains one query and grades the text against the oracle
+	grade := func(sql string) (*explain.Explanation, expert.Truth, bool) {
+		m, err := env.Sys.Model(sql)
+		if err != nil {
+			log.Fatal(err)
+		}
+		truth, err := env.Oracle.Judge(m)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := ex.Explain(m)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return out, truth, expert.GradeExplanation(out.Text(), truth).Verdict == expert.VerdictAccurate
+	}
 	measure := func(tag string) int {
 		accurate := 0
 		for _, q := range queries {
-			res, err := env.Sys.Run(q.SQL)
-			if err != nil {
-				log.Fatal(err)
-			}
-			truth, err := env.Oracle.Judge(res)
-			if err != nil {
-				log.Fatal(err)
-			}
-			out, err := ex.ExplainResult(res)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if expert.GradeExplanation(out.Text(), truth).Verdict == expert.VerdictAccurate {
+			if _, _, ok := grade(q.SQL); ok {
 				accurate++
 			}
 		}
@@ -56,19 +60,7 @@ func main() {
 	// writes the correct explanation into the KB
 	corrections := 0
 	for _, q := range queries {
-		res, err := env.Sys.Run(q.SQL)
-		if err != nil {
-			log.Fatal(err)
-		}
-		truth, err := env.Oracle.Judge(res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := ex.ExplainResult(res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if expert.GradeExplanation(out.Text(), truth).Verdict != expert.VerdictAccurate {
+		if out, truth, ok := grade(q.SQL); !ok {
 			if err := ex.Feedback(out, env.Oracle.Explain(truth), truth); err != nil {
 				log.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Joinworkload: the paper's first workload family (§IV) — join queries
-// where the engines choose different join strategies. The example runs a
-// batch of generated join queries, routes each with the smart router,
-// executes on both engines, explains the performance difference, and
+// where the engines choose different join strategies. The example takes a
+// batch of generated join queries, plans each on both engines, routes it
+// with the smart router, explains the modeled performance difference, and
 // grades every explanation against the expert oracle.
 package main
 
@@ -29,9 +29,9 @@ func main() {
 		if q.Family != workload.FamilyJoin {
 			continue
 		}
-		res, err := env.Sys.Run(q.SQL)
+		res, err := env.Sys.Model(q.SQL)
 		if err != nil {
-			log.Fatalf("running %q: %v", q.SQL, err)
+			log.Fatalf("planning %q: %v", q.SQL, err)
 		}
 		predicted, probs := env.Router.Predict(&res.Pair)
 		if predicted == res.Winner {
@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := ex.ExplainResult(res)
+		out, err := ex.Explain(res)
 		if err != nil {
 			log.Fatal(err)
 		}

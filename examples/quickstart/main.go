@@ -28,12 +28,15 @@ func main() {
 
 	// Ask the question from the paper's introduction: "Why does my query
 	// run so much slower on one engine?"
-	out, err := ex.ExplainSQL(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := ex.Explain(res)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res := out.Result
 	fmt.Printf("TP: %v   AP: %v   → %s is %.1fx faster\n\n",
 		res.TPTime, res.APTime, res.Winner, res.Speedup())
 	fmt.Println(out.Text())

@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("%-8s %-14s %-14s %-8s\n", "LIMIT", "TP", "AP", "winner")
 	for _, limit := range []int{1, 10, 100, 1000} {
 		sql := fmt.Sprintf("SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_orderkey LIMIT %d", limit)
-		res, err := env.Sys.Run(sql)
+		res, err := env.Sys.Model(sql)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("%-8s %-14s %-14s %-8s\n", "LIMIT", "TP", "AP", "winner")
 	for _, limit := range []int{10, 100} {
 		sql := fmt.Sprintf("SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT %d", limit)
-		res, err := env.Sys.Run(sql)
+		res, err := env.Sys.Model(sql)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,13 +49,17 @@ func main() {
 		"SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_orderkey LIMIT 10",
 		"SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 10",
 	} {
-		out, err := ex.ExplainSQL(sql)
+		m, err := env.Sys.Model(sql)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\n%s\n→ %s wins: %s\n", sql, out.Result.Winner, out.Text())
-		if out.Result.Winner == plan.TP {
-			sum := plan.Summarize(out.Result.Pair.TP)
+		out, err := ex.Explain(m)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n%s\n→ %s wins: %s\n", sql, m.Winner, out.Text())
+		if m.Winner == plan.TP {
+			sum := plan.Summarize(m.Pair.TP)
 			fmt.Printf("   (TP plan uses index order: %v)\n", sum.UsesIndex)
 		}
 	}

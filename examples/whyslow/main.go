@@ -29,7 +29,11 @@ func main() {
 		"SELECT c_custkey, c_name, c_acctbal FROM customer ORDER BY c_acctbal DESC LIMIT 10 OFFSET 900",
 	}
 	for _, sql := range queries {
-		rep, err := ex.WhySlow(sql)
+		m, err := env.Sys.Model(sql)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := ex.WhySlow(m)
 		if err != nil {
 			log.Fatalf("WhySlow(%q): %v", sql, err)
 		}

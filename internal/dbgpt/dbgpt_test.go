@@ -15,11 +15,11 @@ func examplePair(t *testing.T) *plan.Pair {
 	if err != nil {
 		t.Fatalf("htap.New: %v", err)
 	}
-	pair, err := sys.Explain(htap.Example1SQL)
+	m, err := sys.Model(htap.Example1SQL)
 	if err != nil {
-		t.Fatalf("Explain: %v", err)
+		t.Fatalf("Model: %v", err)
 	}
-	return pair
+	return &m.Pair
 }
 
 func TestComputeDiffStructure(t *testing.T) {

@@ -33,7 +33,7 @@ func TestWorkloadDriftRetrainAndCorrect(t *testing.T) {
 	}
 	const q = "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 20"
 
-	before, err := env.Sys.Run(q)
+	before, err := env.Sys.Model(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWorkloadDriftRetrainAndCorrect(t *testing.T) {
 	if err := env.Sys.AddIndex("orders", "o_totalprice", "idx_totalprice"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := env.Sys.Run(q)
+	after, err := env.Sys.Model(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWorkloadDriftRetrainAndCorrect(t *testing.T) {
 	gen := workload.NewGenerator(env.Cfg.WorkloadSeed + 1)
 	var samples []treecnn.Sample
 	for _, wq := range gen.Batch(80) {
-		res, err := env.Sys.Run(wq.SQL)
+		res, err := env.Sys.Model(wq.SQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestWorkloadDriftRetrainAndCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ex.ExplainResult(after)
+	out, err := ex.Explain(after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWorkloadDriftRetrainAndCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		// ... and the next occurrence retrieves the correction
-		out2, err := ex.ExplainResult(after)
+		out2, err := ex.Explain(after)
 		if err != nil {
 			t.Fatal(err)
 		}

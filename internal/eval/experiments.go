@@ -27,7 +27,7 @@ import (
 // the execution result, and the three explanations (expert, ours, DBG-PT).
 func E1Example1(env *Env, model llm.Model) (string, error) {
 	var b strings.Builder
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		return "", err
 	}
@@ -45,7 +45,7 @@ func E1Example1(env *Env, model llm.Model) (string, error) {
 	fmt.Fprintf(&b, "explanation by experts:\n%s\n\n", env.Oracle.Explain(truth))
 
 	ex := explain.New(env.Sys, env.Router, env.KB, model, explain.DefaultOptions())
-	out, err := ex.ExplainResult(res)
+	out, err := ex.Explain(res)
 	if err != nil {
 		return "", err
 	}
@@ -203,21 +203,14 @@ func E5KBScaling() (string, error) {
 		}
 		hnswPer := time.Since(t1) / queries
 		fmt.Fprintf(&b, "%-10d %-14v %-14v %.2f\n", n, exactPer, hnswPer,
-			float64(found)/float64(max2(total, 1)))
+			float64(found)/float64(max(total, 1)))
 	}
 	return b.String(), nil
 }
 
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // E6Study reproduces the participant study (paper §VI-C).
 func E6Study(env *Env, model llm.Model) (string, error) {
-	res, err := env.Sys.Run(htap.Example1SQL)
+	res, err := env.Sys.Model(htap.Example1SQL)
 	if err != nil {
 		return "", err
 	}
@@ -226,7 +219,7 @@ func E6Study(env *Env, model llm.Model) (string, error) {
 		return "", err
 	}
 	ex := explain.New(env.Sys, env.Router, env.KB, model, explain.DefaultOptions())
-	out, err := ex.ExplainResult(res)
+	out, err := ex.Explain(res)
 	if err != nil {
 		return "", err
 	}
@@ -325,11 +318,11 @@ func AblationGuardrail(env *Env, model llm.Model) (string, error) {
 		})
 		costComparisons := 0
 		for _, q := range queries {
-			res, err := env.Sys.Run(q.SQL)
+			res, err := env.Sys.Model(q.SQL)
 			if err != nil {
 				return "", err
 			}
-			out, err := ex.ExplainResult(res)
+			out, err := ex.Explain(res)
 			if err != nil {
 				return "", err
 			}
@@ -351,9 +344,9 @@ func AblationEmbedding(env *Env) (string, error) {
 	// rebuild a KB keyed by structural features
 	structKB := knowledge.New(16)
 	for _, e := range env.KB.Entries() {
-		// recover the plan pair features from stored JSON lengths is
-		// impossible; re-run the stored SQL instead
-		res, err := env.Sys.Run(e.SQL)
+		// the stored plan JSON does not carry the pair's features;
+		// re-plan the stored SQL instead
+		res, err := env.Sys.Model(e.SQL)
 		if err != nil {
 			return "", err
 		}
@@ -369,7 +362,7 @@ func AblationEmbedding(env *Env) (string, error) {
 	fmt.Fprintf(&b, "%-28s %-26s\n", "encoder", "top-2 primary-factor recall")
 	routerHits, structHits, total := 0, 0, 0
 	for _, q := range queries {
-		res, err := env.Sys.Run(q.SQL)
+		res, err := env.Sys.Model(q.SQL)
 		if err != nil {
 			return "", err
 		}

@@ -73,7 +73,7 @@ var markerPhrases = map[Factor][]string{
 // MarkerPhrases returns the canonical phrases for a factor (read-only).
 func MarkerPhrases(f Factor) []string { return markerPhrases[f] }
 
-// Truth is the oracle's ground-truth judgment for one executed query.
+// Truth is the oracle's ground-truth judgment for one query.
 type Truth struct {
 	Winner plan.Engine
 	// Primary is the dominant causal factor; Secondary are contributing
@@ -101,19 +101,20 @@ type Oracle struct {
 // NewOracle returns an oracle bound to the HTAP system.
 func NewOracle(sys *htap.System) *Oracle { return &Oracle{sys: sys} }
 
-// Judge derives the ground-truth factors for an executed query.
-func (o *Oracle) Judge(res *htap.Result) (Truth, error) {
-	facts, err := optimizer.Facts(o.sys.Cat, res.SQL)
+// Judge derives the ground-truth factors for a query from its plan pair
+// and modeled execution result.
+func (o *Oracle) Judge(m *plan.Modeled) (Truth, error) {
+	facts, err := optimizer.Facts(o.sys.Cat, m.SQL)
 	if err != nil {
 		return Truth{}, fmt.Errorf("expert: analyzing query: %w", err)
 	}
-	return judge(res, facts), nil
+	return judge(m, facts), nil
 }
 
 // judge is the pure rule set (unit-testable without a system).
-func judge(res *htap.Result, facts *optimizer.QueryFacts) Truth {
-	tpSum := plan.Summarize(res.Pair.TP)
-	t := Truth{Winner: res.Winner, Speedup: speedup(res)}
+func judge(m *plan.Modeled, facts *optimizer.QueryFacts) Truth {
+	tpSum := plan.Summarize(m.Pair.TP)
+	t := Truth{Winner: m.Winner, Speedup: m.Speedup()}
 
 	// index usability facts
 	selectiveNoIndex := false
@@ -128,7 +129,7 @@ func judge(res *htap.Result, facts *optimizer.QueryFacts) Truth {
 	}
 	t.NoIndexUsable = selectiveNoIndex
 
-	if res.Winner == plan.AP {
+	if m.Winner == plan.AP {
 		switch {
 		case tpSum.Joins() > 0:
 			t.Primary = FactorHashJoinAdvantage
@@ -183,17 +184,6 @@ func judge(res *htap.Result, facts *optimizer.QueryFacts) Truth {
 		t.Primary = FactorStartupOverhead
 	}
 	return t
-}
-
-func speedup(res *htap.Result) float64 {
-	slow, fast := res.TPTime, res.APTime
-	if res.Winner == plan.TP {
-		slow, fast = res.APTime, res.TPTime
-	}
-	if fast <= 0 {
-		return 1
-	}
-	return float64(slow) / float64(fast)
 }
 
 // Explain writes the expert-curated explanation for a judged query — the

@@ -19,9 +19,9 @@ func testSystem(t *testing.T) (*htap.System, *Oracle) {
 
 func judgeSQL(t *testing.T, sys *htap.System, o *Oracle, sql string) Truth {
 	t.Helper()
-	res, err := sys.Run(sql)
+	res, err := sys.Model(sql)
 	if err != nil {
-		t.Fatalf("Run(%q): %v", sql, err)
+		t.Fatalf("Model(%q): %v", sql, err)
 	}
 	truth, err := o.Judge(res)
 	if err != nil {

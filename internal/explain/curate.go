@@ -11,51 +11,51 @@ import (
 	"htapxplain/internal/workload"
 )
 
-// Label executes every query on both engines. The results are the labelled
-// set the whole set-up reads — Samples for router training, CurateKB for
-// the knowledge base — so no query is executed twice.
-func Label(sys *htap.System, queries []workload.Query) ([]*htap.Result, error) {
-	out := make([]*htap.Result, 0, len(queries))
+// Label plans every query on both engines and models the result. The
+// labelled set is what the whole set-up reads — Samples for router
+// training, CurateKB for the knowledge base — so no query is planned twice.
+func Label(sys *htap.System, queries []workload.Query) ([]*plan.Modeled, error) {
+	out := make([]*plan.Modeled, 0, len(queries))
 	for _, q := range queries {
-		res, err := sys.Run(q.SQL)
+		m, err := sys.Model(q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("explain: labeling %q: %w", q.SQL, err)
 		}
-		out = append(out, res)
+		out = append(out, m)
 	}
 	return out, nil
 }
 
-// Samples are the router's training pairs for labelled executions: the
-// plan pair, labelled with the modeled winner.
-func Samples(labelled []*htap.Result) []treecnn.Sample {
+// Samples are the router's training pairs for a labelled set: the plan
+// pair, labelled with the modeled winner.
+func Samples(labelled []*plan.Modeled) []treecnn.Sample {
 	out := make([]treecnn.Sample, len(labelled))
-	for i, res := range labelled {
-		out[i] = treecnn.Sample{Pair: &res.Pair, Label: res.Winner}
+	for i, m := range labelled {
+		out[i] = treecnn.Sample{Pair: &m.Pair, Label: m.Winner}
 	}
 	return out
 }
 
 // CurateKB builds the paper's small curated knowledge base (§IV: "we
 // selectively include only 20 representative queries"): it judges the
-// labelled candidate executions with the expert oracle and selects a
+// labelled candidates with the expert oracle and selects a
 // target-sized subset that covers the (winner, primary factor) space as
 // evenly as possible — the "representative queries" selection the paper
 // performs manually.
 func CurateKB(router *treecnn.Router, oracle *expert.Oracle,
-	candidates []*htap.Result, target int) (*knowledge.Base, error) {
+	candidates []*plan.Modeled, target int) (*knowledge.Base, error) {
 	kb := knowledge.New(treecnn.PairDim)
 	type judged struct {
-		res   *htap.Result
+		m     *plan.Modeled
 		truth expert.Truth
 	}
 	var pool []judged
-	for _, res := range candidates {
-		truth, err := oracle.Judge(res)
+	for _, m := range candidates {
+		truth, err := oracle.Judge(m)
 		if err != nil {
-			return nil, fmt.Errorf("curate: judging %q: %w", res.SQL, err)
+			return nil, fmt.Errorf("curate: judging %q: %w", m.SQL, err)
 		}
-		pool = append(pool, judged{res: res, truth: truth})
+		pool = append(pool, judged{m: m, truth: truth})
 	}
 	// round-robin over (winner, primary) classes for coverage
 	type class struct {
@@ -83,8 +83,9 @@ func CurateKB(router *treecnn.Router, oracle *expert.Oracle,
 				continue
 			}
 			j := items[round]
-			if err := addEntry(kb, router, oracle, j.res, j.truth); err != nil {
-				return nil, err
+			e := NewEntry(router, j.m, oracle.Explain(j.truth), j.truth.AllFactors(), false)
+			if _, err := kb.Add(e); err != nil {
+				return nil, fmt.Errorf("curate: adding entry: %w", err)
 			}
 			added++
 			progressed = true
@@ -96,39 +97,23 @@ func CurateKB(router *treecnn.Router, oracle *expert.Oracle,
 	return kb, nil
 }
 
-// addEntry encodes and stores one expert-explained execution.
-func addEntry(kb *knowledge.Base, router *treecnn.Router, oracle *expert.Oracle,
-	res *htap.Result, truth expert.Truth) error {
-	enc := router.EmbedPair(&res.Pair)
-	_, err := kb.Add(knowledge.Entry{
-		SQL:         res.SQL,
-		Encoding:    enc,
-		TPPlanJSON:  res.Pair.TP.ExplainJSON(),
-		APPlanJSON:  res.Pair.AP.ExplainJSON(),
-		Winner:      res.Winner,
-		Speedup:     res.Speedup(),
-		Explanation: oracle.Explain(truth),
-		Factors:     truth.AllFactors(),
-	})
-	if err != nil {
-		return fmt.Errorf("curate: adding entry: %w", err)
-	}
-	return nil
-}
-
-// AddExecution is the KB's public ingestion interface (§IV: "we also
-// provide the interface for the knowledge base to accept new queries with
-// experts explanations").
-func AddExecution(kb *knowledge.Base, router *treecnn.Router, res *htap.Result,
-	explanation string, factors []expert.Factor) (int, error) {
-	return kb.Add(knowledge.Entry{
-		SQL:         res.SQL,
-		Encoding:    router.EmbedPair(&res.Pair),
-		TPPlanJSON:  res.Pair.TP.ExplainJSON(),
-		APPlanJSON:  res.Pair.AP.ExplainJSON(),
-		Winner:      res.Winner,
-		Speedup:     res.Speedup(),
+// NewEntry builds the knowledge-base record for one expert-explained
+// query: the pair's encoding under router, both plans, the modeled result
+// and the expert's text. It is the one writer of knowledge.Entry in the
+// pipeline — curation, expert feedback and the service's re-curation all
+// store what it returns (§IV: "we also provide the interface for the
+// knowledge base to accept new queries with experts explanations").
+func NewEntry(router *treecnn.Router, m *plan.Modeled, explanation string,
+	factors []expert.Factor, corrected bool) knowledge.Entry {
+	return knowledge.Entry{
+		SQL:         m.SQL,
+		Encoding:    router.EmbedPair(&m.Pair),
+		TPPlanJSON:  m.Pair.TP.ExplainJSON(),
+		APPlanJSON:  m.Pair.AP.ExplainJSON(),
+		Winner:      m.Winner,
+		Speedup:     m.Speedup(),
 		Explanation: explanation,
 		Factors:     factors,
-	})
+		Corrected:   corrected,
+	}
 }

@@ -1,7 +1,9 @@
 // Package explain implements the paper's primary contribution: the
 // retrieval-augmented explanation pipeline for HTAP query performance.
-// For a query, the pipeline (1) obtains the TP/AP plan pair from the HTAP
-// system, (2) encodes it with the smart router into the 16-dim plan-pair
+// For a query, the pipeline (1) takes the TP/AP plan pair and its modeled
+// execution result (plan.Modeled, from htap.System.Model or the serving
+// gateway's plan cache — the pipeline never executes a query), (2)
+// encodes the pair with the smart router into the 16-dim plan-pair
 // embedding, (3) retrieves the top-K most similar historical entries from
 // the knowledge base, (4) assembles the three-part engineered prompt with
 // the retrieved knowledge, (5) steers the pre-trained LLM to generate a
@@ -18,6 +20,7 @@ import (
 	"htapxplain/internal/htap"
 	"htapxplain/internal/knowledge"
 	"htapxplain/internal/llm"
+	"htapxplain/internal/plan"
 	"htapxplain/internal/prompt"
 	"htapxplain/internal/treecnn"
 )
@@ -43,10 +46,10 @@ func DefaultOptions() Options {
 // Explainer is the assembled pipeline. It is immutable once built and safe
 // for concurrent use.
 type Explainer struct {
-	Sys    *htap.System
 	Router *treecnn.Router
 	KB     *knowledge.Base
 	Model  llm.Model
+	Oracle *expert.Oracle
 	Opts   Options
 
 	// prompts carries the options and the catalog's schema summary as
@@ -63,14 +66,14 @@ func New(sys *htap.System, router *treecnn.Router, kb *knowledge.Base, model llm
 	b.IncludeGuardrail = opts.IncludeGuardrail
 	b.IncludeRAG = opts.UseRAG
 	b.UserContext = opts.UserContext
-	return &Explainer{Sys: sys, Router: router, KB: kb, Model: model, Opts: opts, prompts: b}
+	return &Explainer{Router: router, KB: kb, Model: model, Oracle: expert.NewOracle(sys), Opts: opts, prompts: b}
 }
 
 // Explanation is the full output of one pipeline run, including the
 // latency decomposition the paper reports (§VI-B).
 type Explanation struct {
 	SQL       string
-	Result    *htap.Result
+	Result    *plan.Modeled
 	Encoding  []float64
 	Retrieved []knowledge.Hit
 	Prompt    string
@@ -90,22 +93,13 @@ func (e *Explanation) TotalModeledLatency() time.Duration {
 	return e.EncodeTime + e.SearchTime + e.Response.ThinkTime + e.Response.GenTime
 }
 
-// ExplainSQL runs the query on both engines and explains the performance
-// difference.
-func (e *Explainer) ExplainSQL(sql string) (*Explanation, error) {
-	res, err := e.Sys.Run(sql)
-	if err != nil {
-		return nil, fmt.Errorf("explain: running query: %w", err)
-	}
-	return e.ExplainResult(res)
-}
-
-// ExplainResult explains an already-executed query.
-func (e *Explainer) ExplainResult(res *htap.Result) (*Explanation, error) {
-	out := &Explanation{SQL: res.SQL, Result: res}
+// Explain explains the performance difference between the two engines on
+// a query, given its plan pair and modeled execution result.
+func (e *Explainer) Explain(m *plan.Modeled) (*Explanation, error) {
+	out := &Explanation{SQL: m.SQL, Result: m}
 
 	t0 := time.Now()
-	out.Encoding = e.Router.EmbedPair(&res.Pair)
+	out.Encoding = e.Router.EmbedPair(&m.Pair)
 	out.EncodeTime = time.Since(t0)
 
 	if e.Opts.UseRAG {
@@ -119,11 +113,11 @@ func (e *Explainer) ExplainResult(res *htap.Result) (*Explanation, error) {
 	}
 
 	out.Prompt = e.prompts.Build(out.Retrieved, prompt.Question{
-		SQL:        res.SQL,
-		TPPlanJSON: res.Pair.TP.ExplainJSON(),
-		APPlanJSON: res.Pair.AP.ExplainJSON(),
-		Winner:     res.Winner,
-		Speedup:    res.Speedup(),
+		SQL:        m.SQL,
+		TPPlanJSON: m.Pair.TP.ExplainJSON(),
+		APPlanJSON: m.Pair.AP.ExplainJSON(),
+		Winner:     m.Winner,
+		Speedup:    m.Speedup(),
 	})
 
 	resp, err := e.Model.Generate(out.Prompt)
@@ -140,10 +134,7 @@ func (e *Explainer) ExplainResult(res *htap.Result) (*Explanation, error) {
 // "experts will correct it and add the revised version to the knowledge
 // base").
 func (e *Explainer) Feedback(ex *Explanation, corrected string, truth expert.Truth) error {
-	_, err := e.KB.Correct(ex.Encoding, ex.SQL,
-		ex.Result.Pair.TP.ExplainJSON(), ex.Result.Pair.AP.ExplainJSON(),
-		ex.Result.Winner, ex.Result.Speedup(), corrected, truth.AllFactors())
-	if err != nil {
+	if _, err := e.KB.Add(NewEntry(e.Router, ex.Result, corrected, truth.AllFactors(), true)); err != nil {
 		return fmt.Errorf("explain: feedback: %w", err)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"htapxplain/internal/htap"
 	"htapxplain/internal/knowledge"
 	"htapxplain/internal/llm"
+	"htapxplain/internal/plan"
 	"htapxplain/internal/treecnn"
 	"htapxplain/internal/workload"
 )
@@ -31,7 +32,7 @@ func fixture(t *testing.T) (*htap.System, *treecnn.Router, *expert.Oracle, *know
 			return
 		}
 		fixOracle = expert.NewOracle(fixSys)
-		var labelled []*htap.Result
+		var labelled []*plan.Modeled
 		labelled, fixErr = Label(fixSys, workload.NewGenerator(55).Batch(60))
 		if fixErr != nil {
 			return
@@ -44,6 +45,26 @@ func fixture(t *testing.T) (*htap.System, *treecnn.Router, *expert.Oracle, *know
 		t.Fatalf("fixture: %v", fixErr)
 	}
 	return fixSys, fixRouter, fixOracle, fixKB
+}
+
+func modelSQL(t *testing.T, sys *htap.System, sql string) *plan.Modeled {
+	t.Helper()
+	m, err := sys.Model(sql)
+	if err != nil {
+		t.Fatalf("Model(%q): %v", sql, err)
+	}
+	return m
+}
+
+// explainSQL plans the query on both engines and explains the modeled
+// result — what every caller of the pipeline does.
+func explainSQL(t *testing.T, sys *htap.System, ex *Explainer, sql string) *Explanation {
+	t.Helper()
+	out, err := ex.Explain(modelSQL(t, sys, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestCurateKBRespectsTargetAndCoverage(t *testing.T) {
@@ -71,10 +92,7 @@ func TestCurateKBRespectsTargetAndCoverage(t *testing.T) {
 func TestExplainSQLEndToEnd(t *testing.T) {
 	sys, router, oracle, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	out, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explainSQL(t, sys, ex, htap.Example1SQL)
 	if out.Response.None {
 		t.Fatalf("Example 1 should be explainable: %q", out.Text())
 	}
@@ -100,10 +118,7 @@ func TestKParameterHonored(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	for _, k := range []int{1, 3, 5} {
 		ex := New(sys, router, kb, llm.Doubao(), Options{K: k, UseRAG: true, IncludeGuardrail: true})
-		out, err := ex.ExplainSQL("SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := explainSQL(t, sys, ex, "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
 		if len(out.Retrieved) != k {
 			t.Errorf("K=%d retrieved %d", k, len(out.Retrieved))
 		}
@@ -113,10 +128,7 @@ func TestKParameterHonored(t *testing.T) {
 func TestUseRAGFalseSkipsRetrieval(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), Options{K: 2, UseRAG: false, IncludeGuardrail: true})
-	out, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explainSQL(t, sys, ex, htap.Example1SQL)
 	if len(out.Retrieved) != 0 {
 		t.Errorf("RAG disabled but retrieved %d entries", len(out.Retrieved))
 	}
@@ -131,10 +143,7 @@ func TestUserContextFlowsIntoPrompt(t *testing.T) {
 		K: 2, UseRAG: true, IncludeGuardrail: true,
 		UserContext: "an additional index has been created on the c_phone column",
 	})
-	out, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explainSQL(t, sys, ex, htap.Example1SQL)
 	if !strings.Contains(out.Prompt, "c_phone column") {
 		t.Error("user context missing from prompt")
 	}
@@ -145,10 +154,7 @@ func TestFeedbackWritesCorrection(t *testing.T) {
 	// private empty KB so feedback effects are observable
 	kb := knowledge.New(treecnn.PairDim)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	out, err := ex.ExplainSQL("SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explainSQL(t, sys, ex, "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
 	truth, err := oracle.Judge(out.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +170,7 @@ func TestFeedbackWritesCorrection(t *testing.T) {
 		t.Error("feedback entry should be marked corrected")
 	}
 	// the correction is now retrievable and fixes the same query
-	out2, err := ex.ExplainSQL("SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := explainSQL(t, sys, ex, "SELECT COUNT(*) FROM orders WHERE o_orderstatus = 'p'")
 	if out2.Response.None {
 		t.Error("after feedback the same query should be explainable")
 	}
@@ -181,33 +184,28 @@ func TestEmptyKBYieldsNone(t *testing.T) {
 	sys, router, _, _ := fixture(t)
 	kb := knowledge.New(treecnn.PairDim)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	out, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explainSQL(t, sys, ex, htap.Example1SQL)
 	if !out.Response.None {
 		t.Errorf("empty KB should produce None, got %q", out.Text())
 	}
 }
 
-func TestAddExecutionInterface(t *testing.T) {
+func TestNewEntryInterface(t *testing.T) {
 	sys, router, oracle, _ := fixture(t)
 	kb := knowledge.New(treecnn.PairDim)
-	res, err := sys.Run("SELECT COUNT(*) FROM nation")
+	m := modelSQL(t, sys, "SELECT COUNT(*) FROM nation")
+	truth, err := oracle.Judge(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := oracle.Judge(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := AddExecution(kb, router, res, "expert words", truth.AllFactors())
+	id, err := kb.Add(NewEntry(router, m, "expert words", truth.AllFactors(), false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, ok := kb.Get(id)
-	if !ok || e.Explanation != "expert words" || e.SQL != res.SQL {
-		t.Errorf("AddExecution entry: %+v", e)
+	if !ok || e.Explanation != "expert words" || e.SQL != m.SQL || e.Winner != m.Winner ||
+		e.Speedup != m.Speedup() || e.TPPlanJSON != m.Pair.TP.ExplainJSON() || e.Corrected {
+		t.Errorf("NewEntry entry: %+v", e)
 	}
 }
 

@@ -16,10 +16,7 @@ func TestFollowUpIndexQuestion(t *testing.T) {
 		K: 2, UseRAG: true, IncludeGuardrail: true,
 		UserContext: "an additional index has been created on the c_phone column",
 	})
-	root, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := explainSQL(t, sys, ex, htap.Example1SQL)
 	conv := ex.Converse(root)
 	resp, err := conv.Ask("Why does the predicate on the customer table not benefit from the index on c_phone?")
 	if err != nil {
@@ -37,10 +34,7 @@ func TestFollowUpIndexQuestion(t *testing.T) {
 func TestFollowUpTopics(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	root, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := explainSQL(t, sys, ex, htap.Example1SQL)
 	conv := ex.Converse(root)
 	cases := []struct {
 		question string
@@ -74,10 +68,7 @@ func TestFollowUpTopics(t *testing.T) {
 func TestFollowUpGenericFallback(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	root, err := ex.ExplainSQL(htap.Example1SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := explainSQL(t, sys, ex, htap.Example1SQL)
 	resp, err := ex.Converse(root).Ask("tell me a story about penguins")
 	if err != nil {
 		t.Fatal(err)

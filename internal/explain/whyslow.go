@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"htapxplain/internal/expert"
-	"htapxplain/internal/htap"
 	"htapxplain/internal/plan"
 )
 
@@ -28,41 +27,27 @@ type SlowReport struct {
 	Text string
 }
 
-// WhySlow diagnoses why the query is slow on its slower engine. It runs
-// the query on both engines, judges ground-truth factors, and renders the
-// losing side's bottleneck story.
-func (e *Explainer) WhySlow(sql string) (*SlowReport, error) {
-	res, err := e.Sys.Run(sql)
+// WhySlow diagnoses why the query is slow on its slower engine: it judges
+// the ground-truth factors from the plan pair and its modeled result and
+// renders the losing side's bottleneck story.
+func (e *Explainer) WhySlow(m *plan.Modeled) (*SlowReport, error) {
+	truth, err := e.Oracle.Judge(m)
 	if err != nil {
 		return nil, fmt.Errorf("explain: whyslow: %w", err)
 	}
-	oracle := expert.NewOracle(e.Sys)
-	truth, err := oracle.Judge(res)
-	if err != nil {
-		return nil, fmt.Errorf("explain: whyslow: %w", err)
-	}
-	return buildSlowReport(res, truth), nil
-}
-
-// SlowReportFor renders the bottleneck diagnosis from an already-judged
-// result. It is the serving-path entry point: the online explanation
-// service answers /whyslow from cached plan pairs and modeled latencies
-// without executing the query, so it judges the pair itself and hands the
-// truth here.
-func SlowReportFor(res *htap.Result, truth expert.Truth) *SlowReport {
-	return buildSlowReport(res, truth)
+	return buildSlowReport(m, truth), nil
 }
 
 // buildSlowReport is the pure renderer (unit-testable without a system).
-func buildSlowReport(res *htap.Result, truth expert.Truth) *SlowReport {
+func buildSlowReport(m *plan.Modeled, truth expert.Truth) *SlowReport {
 	slower := plan.TP
-	slowerPlan := res.Pair.TP
+	slowerPlan := m.Pair.TP
 	if truth.Winner == plan.TP {
 		slower = plan.AP
-		slowerPlan = res.Pair.AP
+		slowerPlan = m.Pair.AP
 	}
 	r := &SlowReport{
-		SQL: res.SQL, Engine: slower, Faster: truth.Winner, Speedup: truth.Speedup,
+		SQL: m.SQL, Engine: slower, Faster: truth.Winner, Speedup: truth.Speedup,
 	}
 	sum := plan.Summarize(slowerPlan)
 	seenB, seenA := map[string]bool{}, map[string]bool{}

@@ -12,7 +12,7 @@ import (
 func TestWhySlowExample1DiagnosesTP(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	rep, err := ex.WhySlow(htap.Example1SQL)
+	rep, err := ex.WhySlow(modelSQL(t, sys, htap.Example1SQL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestWhySlowExample1DiagnosesTP(t *testing.T) {
 func TestWhySlowTinyQueryDiagnosesAP(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	rep, err := ex.WhySlow("SELECT o_totalprice FROM orders WHERE o_orderkey = 3")
+	rep, err := ex.WhySlow(modelSQL(t, sys, "SELECT o_totalprice FROM orders WHERE o_orderkey = 3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWhySlowTinyQueryDiagnosesAP(t *testing.T) {
 func TestWhySlowTopNDiagnosesAPSort(t *testing.T) {
 	sys, router, _, kb := fixture(t)
 	ex := New(sys, router, kb, llm.Doubao(), DefaultOptions())
-	rep, err := ex.WhySlow("SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 10")
+	rep, err := ex.WhySlow(modelSQL(t, sys, "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 10"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWhySlowAlwaysHasBottleneck(t *testing.T) {
 		"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag",
 		"SELECT c_custkey, c_name, c_acctbal FROM customer ORDER BY c_acctbal DESC LIMIT 10 OFFSET 500",
 	} {
-		rep, err := ex.WhySlow(sql)
+		rep, err := ex.WhySlow(modelSQL(t, sys, sql))
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"htapxplain/internal/htap"
+	"htapxplain/internal/explain"
 	"htapxplain/internal/latency"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/treecnn"
@@ -17,12 +17,21 @@ import (
 // samples drops the moment the model learns reality moved, which is
 // exactly the drift signal the maintenance loop watches.
 type sample struct {
-	sql  string
-	fp   string
-	pair *plan.Pair
-	tpNS int64
-	apNS int64
-	pick plan.Engine // the live router's prediction at serve time
+	sql    string
+	fp     string
+	pair   *plan.Pair
+	tp, ap time.Duration // as modeled, before calibration
+	pick   plan.Engine   // the live router's prediction at serve time
+}
+
+// modeled is the sample's plan pair under today's calibration: both
+// latencies scaled by the calibrator's current factors, and the winner
+// they imply. The pair is the template's cached one, so it takes the
+// sample's own SQL.
+func (sm *sample) modeled(cal *latency.Calibrator) plan.Modeled {
+	pair := *sm.pair
+	pair.SQL = sm.sql
+	return plan.NewModeled(pair, cal.CalibratedDuration(plan.TP, sm.tp), cal.CalibratedDuration(plan.AP, sm.ap))
 }
 
 // window is a fixed-capacity ring buffer of recent samples.
@@ -64,14 +73,6 @@ func (w *window) reset() {
 	w.mu.Unlock()
 }
 
-// modeledWinner labels a sample with today's calibration.
-func modeledWinner(cal *latency.Calibrator, tpNS, apNS int64) plan.Engine {
-	if cal.CalibratedNS(plan.TP, tpNS) <= cal.CalibratedNS(plan.AP, apNS) {
-		return plan.TP
-	}
-	return plan.AP
-}
-
 // windowAccuracy scores the recorded router picks against the calibrated
 // modeled winners. Returns (accuracy, samples); accuracy is 1 on an
 // empty window (no evidence of drift).
@@ -80,8 +81,8 @@ func windowAccuracy(samples []sample, cal *latency.Calibrator) (float64, int) {
 		return 1, 0
 	}
 	agree := 0
-	for _, sm := range samples {
-		if sm.pick == modeledWinner(cal, sm.tpNS, sm.apNS) {
+	for i := range samples {
+		if samples[i].pick == samples[i].modeled(cal).Winner {
 			agree++
 		}
 	}
@@ -131,8 +132,7 @@ func (s *Service) retrain(samples []sample) {
 	cal := s.gw.Calibrator()
 	tcs := make([]treecnn.Sample, 0, len(samples))
 	for i := range samples {
-		sm := &samples[i]
-		tcs = append(tcs, treecnn.Sample{Pair: sm.pair, Label: modeledWinner(cal, sm.tpNS, sm.apNS)})
+		tcs = append(tcs, treecnn.Sample{Pair: samples[i].pair, Label: samples[i].modeled(cal).Winner})
 	}
 	gen := s.retrains.Add(1)
 	r := treecnn.New(s.cfg.Seed + gen)
@@ -142,6 +142,7 @@ func (s *Service) retrain(samples []sample) {
 	s.gw.InvalidatePlans()
 
 	// KB refresh: everything currently present is older than floor.
+	oracle := s.ex.Load().Oracle
 	floor := s.kb.CurSeq()
 	added, seen := 0, make(map[string]bool, len(samples))
 	for i := len(samples) - 1; i >= 0 && added < s.cfg.RecurateMax; i-- {
@@ -150,20 +151,12 @@ func (s *Service) retrain(samples []sample) {
 			continue
 		}
 		seen[sm.fp] = true
-		winner := modeledWinner(cal, sm.tpNS, sm.apNS)
-		res := &htap.Result{
-			SQL: sm.sql, Pair: *sm.pair,
-			TPTime: time.Duration(cal.CalibratedNS(plan.TP, sm.tpNS)),
-			APTime: time.Duration(cal.CalibratedNS(plan.AP, sm.apNS)),
-			Winner: winner,
-		}
-		truth, err := s.oracle.Judge(res)
+		m := sm.modeled(cal)
+		truth, err := oracle.Judge(&m)
 		if err != nil {
 			continue
 		}
-		if _, err := s.kb.Correct(r.EmbedPair(sm.pair), sm.sql,
-			sm.pair.TP.ExplainJSON(), sm.pair.AP.ExplainJSON(),
-			winner, res.Speedup(), s.oracle.Explain(truth), truth.AllFactors()); err != nil {
+		if _, err := s.kb.Add(explain.NewEntry(r, &m, oracle.Explain(truth), truth.AllFactors(), true)); err != nil {
 			continue
 		}
 		added++

@@ -1,8 +1,10 @@
 package explainsvc
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -11,6 +13,7 @@ import (
 	"htapxplain/internal/htap"
 	"htapxplain/internal/knowledge"
 	"htapxplain/internal/treecnn"
+	"htapxplain/internal/wal"
 	"htapxplain/internal/workload"
 )
 
@@ -20,7 +23,8 @@ const (
 )
 
 // writeAtomic writes via a temp file and rename so a crash mid-write
-// never corrupts the previous good state.
+// never corrupts the previous good state, and syncs the directory so the
+// rename itself survives a power cut.
 func writeAtomic(path string, write func(w io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
@@ -38,7 +42,10 @@ func writeAtomic(path string, write func(w io.Writer) error) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return wal.SyncDir(filepath.Dir(path))
 }
 
 // saveState persists the router and knowledge base under dir.
@@ -55,7 +62,9 @@ func saveState(dir string, r *treecnn.Router, kb *knowledge.Base) error {
 	return nil
 }
 
-// loadState restores a previously saved router and knowledge base.
+// loadState restores a previously saved router and knowledge base. An
+// error that is fs.ErrNotExist means a file is missing; any other names
+// the file that exists but does not open or decode.
 func loadState(dir string) (*treecnn.Router, *knowledge.Base, error) {
 	rf, err := os.Open(filepath.Join(dir, routerFile))
 	if err != nil {
@@ -64,7 +73,7 @@ func loadState(dir string) (*treecnn.Router, *knowledge.Base, error) {
 	defer rf.Close()
 	r := treecnn.New(0)
 	if err := r.Load(rf); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", rf.Name(), err)
 	}
 	kf, err := os.Open(filepath.Join(dir, kbFile))
 	if err != nil {
@@ -73,14 +82,14 @@ func loadState(dir string) (*treecnn.Router, *knowledge.Base, error) {
 	defer kf.Close()
 	kb, err := knowledge.Load(kf)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", kf.Name(), err)
 	}
 	return r, kb, nil
 }
 
 // BootstrapConfig drives Bootstrap. Zero values select the defaults.
 type BootstrapConfig struct {
-	// TrainQueries is how many generated queries are executed and labeled
+	// TrainQueries is how many generated queries are planned and labeled
 	// to train the initial router (default 80).
 	TrainQueries int
 	// Epochs bounds initial training (default 40).
@@ -98,7 +107,10 @@ type BootstrapConfig struct {
 // Bootstrap produces the router and knowledge base a Service needs: it
 // restores persisted state from cfg.Dir when present (restored == true),
 // otherwise trains a router on a labeled workload batch and curates the
-// KB from judged executions, persisting both if a directory is given.
+// KB from the judged batch, persisting both if a directory is given. Only
+// a missing file means first boot: state that exists but cannot be read
+// is an error, and nothing is written over it — it may hold a retrained
+// router and every expert-corrected entry.
 func Bootstrap(sys *htap.System, cfg BootstrapConfig) (r *treecnn.Router, kb *knowledge.Base, restored bool, err error) {
 	if cfg.TrainQueries <= 0 {
 		cfg.TrainQueries = 80
@@ -110,8 +122,12 @@ func Bootstrap(sys *htap.System, cfg BootstrapConfig) (r *treecnn.Router, kb *kn
 		cfg.KBSize = 20
 	}
 	if cfg.Dir != "" {
-		if r, kb, lerr := loadState(cfg.Dir); lerr == nil {
+		r, kb, err := loadState(cfg.Dir)
+		if err == nil {
 			return r, kb, true, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, false, fmt.Errorf("explainsvc: restoring state: %w", err)
 		}
 	}
 	labelled, err := explain.Label(sys, workload.NewGenerator(cfg.Seed).Batch(cfg.TrainQueries))

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"htapxplain/internal/gateway"
+	"htapxplain/internal/knowledge"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/treecnn"
 	"htapxplain/internal/workload"
 )
 
 // TestExplainRacesMaintenance is the -race gauntlet for the serving
-// path: concurrent /explain requests race expert Correct write-backs,
+// path: concurrent /explain requests race expert-corrected write-backs,
 // KB expiry, and full retrain-and-swap cycles. Every successful
 // explanation must be fully formed and cite live, fully-formed KB
 // entries — the copy-on-write snapshot must never expose a torn state,
@@ -75,8 +76,8 @@ func TestExplainRacesMaintenance(t *testing.T) {
 			for j := range enc {
 				enc[j] = float64((i+j)%7) / 7
 			}
-			if _, err := kb.Correct(enc, "corrected query", "{}", "{}",
-				plan.TP, 2.0, "expert-corrected explanation", nil); err != nil {
+			if _, err := kb.Add(knowledge.Entry{Encoding: enc, SQL: "corrected query",
+				Winner: plan.TP, Speedup: 2.0, Explanation: "expert-corrected explanation", Corrected: true}); err != nil {
 				errCh <- fmt.Errorf("correct: %w", err)
 				return
 			}

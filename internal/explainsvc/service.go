@@ -2,10 +2,12 @@
 // serving path as an online service. Three loops run against one shared
 // state:
 //
-//   - Serving: /explain and /whyslow answer from the gateway's cached
-//     plan pairs and the latency model's calibrated estimates — no query
-//     execution — with RAG retrieval going through the knowledge base's
-//     lock-free copy-on-write HNSW snapshot. A request takes a slot of
+//   - Serving: /explain and /whyslow hand explain.Explainer a
+//     plan.Modeled built from the gateway's cached plan pair and the
+//     latency model's calibrated estimates — the pipeline the offline
+//     harness runs (TestServedIsEvaluated), which never executes a query —
+//     with RAG retrieval going through the knowledge base's lock-free
+//     copy-on-write HNSW snapshot. A request takes a slot of
 //     the gateway's worker ledger like any other route and is served on
 //     its caller's goroutine.
 //   - Feedback: every explanation records the live router's pick and the
@@ -29,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"htapxplain/internal/expert"
 	"htapxplain/internal/explain"
 	"htapxplain/internal/gateway"
 	"htapxplain/internal/htap"
@@ -113,11 +114,10 @@ func (c *Config) defaults() {
 // Service is the online explanation service. All methods are safe for
 // concurrent use.
 type Service struct {
-	sys    *htap.System
-	gw     *gateway.Gateway
-	kb     *knowledge.Base
-	oracle *expert.Oracle
-	cfg    Config
+	sys *htap.System
+	gw  *gateway.Gateway
+	kb  *knowledge.Base
+	cfg Config
 
 	// ex is the live explainer: the router a retrain swaps and the pipeline
 	// assembled around it (options, rendered schema summary), published as
@@ -146,12 +146,11 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 	}
 	cfg.defaults()
 	s := &Service{
-		sys:    sys,
-		gw:     gw,
-		kb:     kb,
-		oracle: expert.NewOracle(sys),
-		cfg:    cfg,
-		win:    newWindow(cfg.Window),
+		sys: sys,
+		gw:  gw,
+		kb:  kb,
+		cfg: cfg,
+		win: newWindow(cfg.Window),
 	}
 	s.swapRouter(router)
 	kb.EnableHNSW(cfg.HNSWM, cfg.HNSWEf, cfg.Seed)
@@ -214,23 +213,21 @@ func (s *Service) Explain(sql string) (*Explanation, error) {
 
 func (s *Service) explain(sql string) (*Explanation, error) {
 	start := time.Now()
-	res, entry, cached, err := s.modeledResult(sql)
+	sm, cached, err := s.pairFor(sql)
 	if err != nil {
 		return nil, err
 	}
+	m := sm.modeled(s.gw.Calibrator())
 	ex := s.ex.Load()
-	inner, err := ex.ExplainResult(res)
+	inner, err := ex.Explain(&m)
 	if err != nil {
 		return nil, err
 	}
 	// the router's pick, from the encoding just computed: Predict would
 	// embed the same pair again only to apply the same head
 	pick, _ := ex.Router.Classify(inner.Encoding)
-	s.win.add(sample{
-		sql: sql, fp: entry.Fingerprint, pair: &entry.Pair,
-		tpNS: entry.TPTime.Nanoseconds(), apNS: entry.APTime.Nanoseconds(),
-		pick: pick,
-	})
+	sm.pick = pick
+	s.win.add(sm)
 	s.served.Add(1)
 	if len(inner.Retrieved) > 0 {
 		s.kbHits.Add(1)
@@ -249,39 +246,33 @@ func (s *Service) WhySlow(sql string) (*explain.SlowReport, error) {
 
 func (s *Service) whySlow(sql string) (*explain.SlowReport, error) {
 	start := time.Now()
-	res, _, _, err := s.modeledResult(sql)
+	sm, _, err := s.pairFor(sql)
 	if err != nil {
 		return nil, err
 	}
-	truth, err := s.oracle.Judge(res)
+	m := sm.modeled(s.gw.Calibrator())
+	rep, err := s.ex.Load().WhySlow(&m)
 	if err != nil {
 		return nil, err
 	}
 	s.served.Add(1)
 	s.gw.ObserveExplainLatency(time.Since(start))
-	return explain.SlowReportFor(res, truth), nil
+	return rep, nil
 }
 
-// modeledResult builds the htap.Result an explanation is grounded in —
-// plan pair from the gateway's cache (planning on miss), latencies from
-// the calibrated model — without executing the query.
-func (s *Service) modeledResult(sql string) (*htap.Result, *gateway.CachedPlan, bool, error) {
+// pairFor is what an explanation of sql is grounded in, as the drift
+// window records it: the plan pair from the gateway's cache (planning on
+// miss) and its modeled latencies, which sample.modeled calibrates. The
+// query is not executed.
+func (s *Service) pairFor(sql string) (sm sample, cached bool, err error) {
 	if kind := sqlparser.StatementKind(sql); kind != "select" {
-		return nil, nil, false, fmt.Errorf("explainsvc: only SELECT statements can be explained, got %s", kind)
+		return sample{}, false, fmt.Errorf("explainsvc: only SELECT statements can be explained, got %s", kind)
 	}
 	entry, cached, err := s.gw.PlanPair(sql)
 	if err != nil {
-		return nil, nil, false, err
+		return sample{}, false, err
 	}
-	cal := s.gw.Calibrator()
-	calTP := cal.CalibratedDuration(plan.TP, entry.TPTime)
-	calAP := cal.CalibratedDuration(plan.AP, entry.APTime)
-	winner := plan.AP
-	if calTP <= calAP {
-		winner = plan.TP
-	}
-	res := &htap.Result{SQL: sql, Pair: entry.Pair, TPTime: calTP, APTime: calAP, Winner: winner}
-	return res, entry, cached, nil
+	return sample{sql: sql, fp: entry.Fingerprint, pair: &entry.Pair, tp: entry.TPTime, ap: entry.APTime}, cached, nil
 }
 
 // Stats snapshots the service gauges for the gateway's /metrics.

@@ -277,7 +277,7 @@ func TestExplainSharesTheLedger(t *testing.T) {
 
 // TestExplainPanicIsA500: /explain and /whyslow admit on their own, so
 // they recover on their own — a serve that panics (here: a service whose
-// explainer and oracle are gone) answers 500 rather than dropping the
+// explainer is gone) answers 500 rather than dropping the
 // connection or blaming the request with a 400, is counted in
 // panics_total, and gives its slot back.
 func TestExplainPanicIsA500(t *testing.T) {
@@ -291,7 +291,6 @@ func TestExplainPanicIsA500(t *testing.T) {
 	defer srv.Close()
 
 	svc.ex.Store(nil)
-	svc.oracle = nil
 	before := g.Metrics().Panics
 	for _, path := range []string{"/explain", "/whyslow"} {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"sql": "SELECT COUNT(*) FROM region"}`))

@@ -844,11 +844,7 @@ func (g *Gateway) recordRoute(route plan.Engine, tpTime, apTime time.Duration) {
 		return
 	}
 	g.metrics.routeKnown.Add(1)
-	winner := plan.AP
-	if tpTime <= apTime {
-		winner = plan.TP
-	}
-	if route == winner {
+	if route == plan.NewModeled(plan.Pair{}, tpTime, apTime).Winner {
 		g.metrics.routeCorrect.Add(1)
 	}
 }

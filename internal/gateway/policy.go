@@ -40,10 +40,7 @@ func (CostPolicy) Name() string { return "cost" }
 
 // Route implements RoutingPolicy.
 func (CostPolicy) Route(in RouteInput) plan.Engine {
-	if in.TPTime <= in.APTime {
-		return plan.TP
-	}
-	return plan.AP
+	return plan.NewModeled(plan.Pair{}, in.TPTime, in.APTime).Winner
 }
 
 // ---------------------------------------------------------------- rule

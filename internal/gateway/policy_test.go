@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"htapxplain/internal/htap"
-	"htapxplain/internal/latency"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/treecnn"
@@ -22,16 +21,11 @@ func labelQueries(t testing.TB, sys *htap.System, queries []workload.Query) []Ro
 		if err != nil {
 			t.Fatalf("parse %q: %v", q.SQL, err)
 		}
-		pair, err := sys.Explain(q.SQL)
+		m, err := sys.Model(q.SQL)
 		if err != nil {
-			t.Fatalf("explain %q: %v", q.SQL, err)
+			t.Fatalf("model %q: %v", q.SQL, err)
 		}
-		inputs = append(inputs, RouteInput{
-			Stmt:   stmt,
-			Pair:   pair,
-			TPTime: latency.Estimate(pair.TP),
-			APTime: latency.Estimate(pair.AP),
-		})
+		inputs = append(inputs, RouteInput{Stmt: stmt, Pair: &m.Pair, TPTime: m.TPTime, APTime: m.APTime})
 	}
 	return inputs
 }

@@ -384,13 +384,11 @@ func (s *System) DropIndex(table, column string) error {
 	return s.Row.DropIndex(table, column)
 }
 
-// Result is the outcome of running one query on both engines.
+// Result is the outcome of running one query on both engines: the modeled
+// part every consumer of the system reads, and the physical outputs the
+// differential tests and the benchmark's reference check read.
 type Result struct {
-	SQL  string
-	Pair plan.Pair
-	// Modeled wall times at the paper's deployment scale.
-	TPTime, APTime time.Duration
-	Winner         plan.Engine
+	plan.Modeled
 	// Physical execution outputs (scaled-down data).
 	TPRows, APRows   []value.Row
 	TPStats, APStats exec.Stats
@@ -400,25 +398,22 @@ type Result struct {
 	ResultsAgree bool
 }
 
-// Speedup returns how many times faster the winner is.
-func (r *Result) Speedup() float64 {
-	slow, fast := r.TPTime, r.APTime
-	if r.Winner == plan.TP {
-		slow, fast = r.APTime, r.TPTime
-	}
-	if fast <= 0 {
-		return 1
-	}
-	return float64(slow) / float64(fast)
-}
-
-// Explain plans the query on both engines without executing it.
-func (s *System) Explain(sql string) (*plan.Pair, error) {
+// Model plans the query on both engines and models each plan's latency at
+// the paper's deployment scale, without executing it. This is the
+// execution result the explanation pipeline is grounded in; Run returns
+// the same value beside the rows.
+func (s *System) Model(sql string) (*plan.Modeled, error) {
 	tpPlan, apPlan, err := s.planBoth(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &plan.Pair{SQL: sql, TP: tpPlan.Explain, AP: apPlan.Explain}, nil
+	m := model(sql, tpPlan, apPlan)
+	return &m, nil
+}
+
+func model(sql string, tpPlan, apPlan *optimizer.PhysPlan) plan.Modeled {
+	return plan.NewModeled(plan.Pair{SQL: sql, TP: tpPlan.Explain, AP: apPlan.Explain},
+		latency.Estimate(tpPlan.Explain), latency.Estimate(apPlan.Explain))
 }
 
 func (s *System) planBoth(sql string) (tpPlan, apPlan *optimizer.PhysPlan, err error) {
@@ -442,8 +437,9 @@ func (s *System) planBoth(sql string) (tpPlan, apPlan *optimizer.PhysPlan, err e
 	return tpPlan, apPlan, nil
 }
 
-// Run plans and executes the query on both engines and determines the
-// winner by modeled latency.
+// Run plans and executes the query on both engines: the two-engine
+// differential reference of the tests and of the benchmark's reply check.
+// Nothing that explains a query calls it (TestExplainPipelineNeverExecutes).
 func (s *System) Run(sql string) (*Result, error) {
 	tpPlan, apPlan, err := s.planBoth(sql)
 	if err != nil {
@@ -458,23 +454,14 @@ func (s *System) Run(sql string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("htap: AP execution: %w", err)
 	}
-	res := &Result{
-		SQL:     sql,
-		Pair:    plan.Pair{SQL: sql, TP: tpPlan.Explain, AP: apPlan.Explain},
-		TPTime:  latency.Estimate(tpPlan.Explain),
-		APTime:  latency.Estimate(apPlan.Explain),
-		TPRows:  tpRows,
-		APRows:  apRows,
-		TPStats: tpCtx.Stats,
-		APStats: apCtx.Stats,
-	}
-	if res.TPTime <= res.APTime {
-		res.Winner = plan.TP
-	} else {
-		res.Winner = plan.AP
-	}
-	res.ResultsAgree = sameCardinality(tpRows, apRows)
-	return res, nil
+	return &Result{
+		Modeled:      model(sql, tpPlan, apPlan),
+		TPRows:       tpRows,
+		APRows:       apRows,
+		TPStats:      tpCtx.Stats,
+		APStats:      apCtx.Stats,
+		ResultsAgree: sameCardinality(tpRows, apRows),
+	}, nil
 }
 
 // sameCardinality cross-checks the two engines' outputs. Ordered queries

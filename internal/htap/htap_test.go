@@ -46,10 +46,11 @@ func TestExample1APWinsBigMargin(t *testing.T) {
 
 func TestExample1PlanShapes(t *testing.T) {
 	s := newSystem(t)
-	pair, err := s.Explain(Example1SQL)
+	m, err := s.Model(Example1SQL)
 	if err != nil {
-		t.Fatalf("Explain: %v", err)
+		t.Fatalf("Model: %v", err)
 	}
+	pair := m.Pair
 	tpSum := plan.Summarize(pair.TP)
 	apSum := plan.Summarize(pair.AP)
 	if tpSum.NestedLoopJoins == 0 {

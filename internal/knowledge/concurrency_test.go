@@ -67,7 +67,7 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 
 // TestConcurrentSearchWithHNSWSnapshot is the serving-path variant: with
 // the HNSW index enabled, TopK goes through the copy-on-write snapshot
-// with no lock, racing Correct write-backs, expiry and index rebuilds.
+// with no lock, racing corrected write-backs, expiry and index rebuilds.
 // Every hit must be a fully-formed live entry — no torn reads.
 func TestConcurrentSearchWithHNSWSnapshot(t *testing.T) {
 	b := New(4)
@@ -107,8 +107,8 @@ func TestConcurrentSearchWithHNSWSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := b.Correct([]float64{float64(i), 2, 0, 0}, "corrected",
-				"{}", "{}", plan.TP, 2.0, "corrected explanation", nil); err != nil {
+			if _, err := b.Add(Entry{Encoding: []float64{float64(i), 2, 0, 0}, SQL: "corrected",
+				Winner: plan.TP, Speedup: 2.0, Explanation: "corrected explanation", Corrected: true}); err != nil {
 				errCh <- err
 				return
 			}

@@ -2,11 +2,10 @@
 // store keyed by 16-dim plan-pair encodings whose values are
 // <plan details, execution result, expert explanation> tuples. It
 // supports expert-correction write-back (wrong LLM outputs corrected and
-// stored for future retrieval), staleness expiry, and gob persistence —
-// including the interface the paper describes for accepting new queries
-// with expert explanations.
+// stored, marked Corrected, for future retrieval — §III-B), staleness
+// expiry, and gob persistence. Entries are built by explain.NewEntry.
 //
-// Concurrency model: writers (Add/Correct/ExpireOlderThan) serialize on
+// Concurrency model: writers (Add/ExpireOlderThan) serialize on
 // the base's mutex. Reads take a read lock — except TopK once EnableHNSW
 // has been called: the base then maintains an atomically-published
 // copy-on-write snapshot pairing the vector store's immutable view with
@@ -212,21 +211,6 @@ func (b *Base) publishLocked() {
 		ents[id] = e
 	}
 	b.view.Store(&kbView{vec: b.store.Snapshot(), entries: ents})
-}
-
-// Correct implements the expert feedback loop (§III-B): when a generated
-// explanation is judged wrong, the expert's corrected explanation is
-// stored as a new entry keyed by the same encoding, superseding retrieval
-// results for similar future queries.
-func (b *Base) Correct(encoding []float64, sql, tpPlan, apPlan string,
-	winner plan.Engine, speedup float64, corrected string, factors []expert.Factor) (int, error) {
-	return b.Add(Entry{
-		SQL: sql, Encoding: encoding,
-		TPPlanJSON: tpPlan, APPlanJSON: apPlan,
-		Winner: winner, Speedup: speedup,
-		Explanation: corrected, Factors: factors,
-		Corrected: true,
-	})
 }
 
 // ExpireOlderThan tombstones entries with Seq <= maxSeq, the

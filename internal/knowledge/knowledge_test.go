@@ -64,8 +64,8 @@ func TestAddRejectsWrongDimension(t *testing.T) {
 
 func TestCorrectMarksEntries(t *testing.T) {
 	b := New(2)
-	id, err := b.Correct([]float64{1, 1}, "q", "{}", "{}", plan.AP, 5, "corrected text",
-		[]expert.Factor{expert.FactorColumnarScan})
+	id, err := b.Add(Entry{Encoding: []float64{1, 1}, SQL: "q", Winner: plan.AP, Speedup: 5,
+		Explanation: "corrected text", Factors: []expert.Factor{expert.FactorColumnarScan}, Corrected: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 )
 
 // Engine identifies which HTAP engine a plan belongs to.
@@ -222,6 +223,41 @@ type Pair struct {
 	SQL string
 	TP  *Node
 	AP  *Node
+}
+
+// Modeled is a plan pair with its execution result as this reproduction
+// has it: each engine's wall time modeled from its plan at the paper's
+// deployment scale, and the engine the model says is faster. It is what
+// the explanation pipeline is grounded in — labelling, curation, judging,
+// explaining and the slow report all read a Modeled and nothing else —
+// and it is built only by NewModeled, so Winner always follows from the
+// two times.
+type Modeled struct {
+	Pair
+	TPTime, APTime time.Duration
+	Winner         Engine
+}
+
+// NewModeled pairs the plans with their modeled times and decides the
+// winner: the engine with the lower time, TP on a tie.
+func NewModeled(pair Pair, tpTime, apTime time.Duration) Modeled {
+	m := Modeled{Pair: pair, TPTime: tpTime, APTime: apTime, Winner: AP}
+	if tpTime <= apTime {
+		m.Winner = TP
+	}
+	return m
+}
+
+// Speedup returns how many times faster the winner is.
+func (m *Modeled) Speedup() float64 {
+	slow, fast := m.TPTime, m.APTime
+	if m.Winner == TP {
+		slow, fast = m.APTime, m.TPTime
+	}
+	if fast <= 0 {
+		return 1
+	}
+	return float64(slow) / float64(fast)
 }
 
 // Summary aggregates structural facts about one plan, consumed by the
