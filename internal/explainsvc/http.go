@@ -1,7 +1,6 @@
 package explainsvc
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -39,7 +38,7 @@ func Register(mux *http.ServeMux, svc *Service) {
 				Corrected: h.Entry.Corrected,
 			})
 		}
-		writeJSON(w, ExplainResponse{
+		gateway.WriteJSON(w, ExplainResponse{
 			SQL:         ex.SQL,
 			Winner:      ex.Result.Winner.String(),
 			Speedup:     ex.Result.Speedup(),
@@ -64,7 +63,7 @@ func Register(mux *http.ServeMux, svc *Service) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, WhySlowResponse{
+		gateway.WriteJSON(w, WhySlowResponse{
 			SQL:         rep.SQL,
 			Engine:      rep.Engine.String(),
 			Faster:      rep.Faster.String(),
@@ -122,9 +121,4 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusInternalServerError
 	}
 	http.Error(w, err.Error(), code)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -212,8 +212,10 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 // TestOversizedBodyCostsOne4xx: a request body past the limit is refused
-// without being read to the end — a well-formed one, so only its size can
-// be the reason — and the next request on the same server is served.
+// with 413 — on its declared length before any of it is read, or where the
+// limit is crossed when it is chunked and declares none; a well-formed
+// one, so only its size can be the reason — and the next request on the
+// same server is served.
 func TestOversizedBodyCostsOne4xx(t *testing.T) {
 	sys, r, kb := testEnv(t)
 	g := newGateway(t, sys, 2)
@@ -228,16 +230,67 @@ func TestOversizedBodyCostsOne4xx(t *testing.T) {
 	big := strings.TrimSuffix(small, "}") + strings.Repeat(" ", 2<<20) + "}"
 	for _, path := range []string{"/query", "/explain", "/whyslow"} {
 		for _, tc := range []struct {
-			body string
+			name string
+			body io.Reader
 			want int
-		}{{big, http.StatusBadRequest}, {small, http.StatusOK}} {
-			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(tc.body))
+		}{
+			{"2 MiB, length declared", strings.NewReader(big), http.StatusRequestEntityTooLarge},
+			{"small", strings.NewReader(small), http.StatusOK},
+			// a reader net/http cannot size goes out chunked
+			{"2 MiB, chunked", io.MultiReader(strings.NewReader(big)), http.StatusRequestEntityTooLarge},
+			{"small, chunked", io.MultiReader(strings.NewReader(small)), http.StatusOK},
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", tc.body)
 			if err != nil {
-				t.Fatalf("POST %s: %v", path, err)
+				t.Fatalf("POST %s (%s): %v", path, tc.name, err)
 			}
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
-				t.Errorf("POST %s with a %d-byte body: status %d, want %d", path, len(tc.body), resp.StatusCode, tc.want)
+				t.Errorf("POST %s (%s): status %d, want %d", path, tc.name, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
+// TestMalformedRequestsAre400: a body that is not exactly one
+// {"sql": "<non-empty>"} object is refused on every statement endpoint —
+// bytes after the object included, which a decoder that stops at the first
+// value serves as if they were not there.
+func TestMalformedRequestsAre400(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := newGateway(t, sys, 2)
+	svc := newService(t, sys, g, r, kb, Config{Seed: 1})
+	mux := gateway.NewServeMux(g)
+	Register(mux, svc)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const ok = `{"sql": "SELECT COUNT(*) FROM region"}`
+	for _, path := range []string{"/query", "/explain", "/whyslow"} {
+		for _, tc := range []struct {
+			name, body string
+			want       int
+		}{
+			{"well-formed", ok, http.StatusOK},
+			{"surrounding whitespace", " \n" + ok + "\r\n\t ", http.StatusOK},
+			{"unknown field beside sql", `{"sql": "SELECT COUNT(*) FROM region", "pretty": true}`, http.StatusOK},
+			{"empty body", "", http.StatusBadRequest},
+			{"not JSON", "SELECT 1", http.StatusBadRequest},
+			{"empty object", `{}`, http.StatusBadRequest},
+			{"empty statement", `{"sql": ""}`, http.StatusBadRequest},
+			{"sql of the wrong type", `{"sql": 1}`, http.StatusBadRequest},
+			{"an array", `[` + ok + `]`, http.StatusBadRequest},
+			{"unterminated", `{"sql": "SELECT COUNT(*) FROM region"`, http.StatusBadRequest},
+			{"trailing garbage", ok + ` trailing garbage`, http.StatusBadRequest},
+			{"two objects", ok + ok, http.StatusBadRequest},
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("POST %s (%s): %v", path, tc.name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s (%s): status %d, want %d", path, tc.name, resp.StatusCode, tc.want)
 			}
 		}
 	}
