@@ -387,7 +387,7 @@ func gatewayPointJoinPool(n int) []workload.Query {
 // (l_quantity = 1, ~2% of rows) — the shape where batch execution with
 // selection vectors pays most: nothing is boxed per match and no column is
 // read twice.
-func selectiveScanParts(tb testing.TB) (*colstore.Table, []int, exec.Evaluator) {
+func selectiveScanParts(tb testing.TB) (*colstore.Table, []int, exec.ScanFilter) {
 	tb.Helper()
 	env := benchEnv(tb)
 	ct, ok := env.Sys.Col.Table("lineitem")
@@ -397,10 +397,10 @@ func selectiveScanParts(tb testing.TB) (*colstore.Table, []int, exec.Evaluator) 
 	cols := []int{4, 5} // l_quantity, l_extendedprice
 	full := exec.TableSchema(ct.Meta, "lineitem")
 	subset := exec.Schema{full[4], full[5]}
-	pred, err := exec.Compile(&sqlparser.BinaryExpr{
+	pred, err := exec.CompileScanFilter([]sqlparser.Expr{&sqlparser.BinaryExpr{
 		Op:   sqlparser.OpEq,
 		Left: &sqlparser.ColumnRef{Table: "lineitem", Column: "l_quantity"}, Right: &sqlparser.IntLit{V: 1},
-	}, subset)
+	}}, subset)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func selectiveScanParts(tb testing.TB) (*colstore.Table, []int, exec.Evaluator) 
 
 // batchSelectiveScan streams the same scan through the vectorized engine
 // without materializing: chunk-aliased vectors + selection vector only.
-func batchSelectiveScan(ct *colstore.Table, cols []int, pred exec.Evaluator) (int, error) {
+func batchSelectiveScan(ct *colstore.Table, cols []int, pred exec.ScanFilter) (int, error) {
 	op := exec.NewColTableScan(ct, "lineitem", cols, pred, nil).Clone()
 	ctx := exec.NewContext()
 	if err := op.Open(ctx); err != nil {

@@ -369,7 +369,57 @@ func encodeRLE(ch *EncodedChunk, vals []value.Value, runs int, encB int64) *Enco
 	return ch
 }
 
-// forAt unpacks the i-th delta of a FoR chunk.
+// forBlock is how many rows the row-order FoR kernels unpack at a time.
+// Block k's deltas start at word k*Width, bit 0 — 64 deltas of w bits are
+// exactly w words — so a block is unpacked from its own words alone.
+const forBlock = 64
+
+// unpackFoR fills dst with the first len(dst) deltas packed at width bits
+// each in words, low bits first — the row-order kernels' sequential bit
+// cursor: one word load per 64 packed bits, no per-row multiply, and a
+// straddle only where a delta crosses a word. Width 0 yields zeros and
+// reads nothing.
+func unpackFoR(dst []uint64, words []uint64, width uint8) {
+	w := uint(width)
+	mask := ^uint64(0) >> (64 - w) // 0 for width 0
+	var cur uint64                 // unread bits of the current word, low-aligned
+	avail := uint(0)               // how many bits of cur are unread
+	next := 0                      // the next word to load
+	for i := range dst {
+		if avail >= w {
+			dst[i] = cur & mask
+			cur >>= w
+			avail -= w
+			continue
+		}
+		nw := words[next]
+		next++
+		dst[i] = (cur | nw<<avail) & mask
+		cur = nw >> (w - avail)
+		avail = 64 - (w - avail)
+	}
+}
+
+// forBlockAt unpacks the block of rows starting at lo (a multiple of
+// forBlock) into buf and returns its deltas.
+func (c *EncodedChunk) forBlockAt(buf *[forBlock]uint64, lo int) []uint64 {
+	d := buf[:min(forBlock, c.N-lo)]
+	unpackFoR(d, c.Packed[lo/forBlock*int(c.Width):], c.Width)
+	return d
+}
+
+// setInt stores an integer into a decode target without writing its
+// string header unless it holds one: an int column's pooled buffer then
+// takes no pointer write, and no write barrier while the GC runs.
+func setInt(v *value.Value, i int64) {
+	v.K, v.I, v.F = value.KindInt, i, 0
+	if v.S != "" {
+		v.S = ""
+	}
+}
+
+// forAt unpacks the i-th delta of a FoR chunk — the random-access reader
+// behind ValueAt and IntAt; the row-order kernels use unpackFoR.
 func (c *EncodedChunk) forAt(i int) int64 {
 	w := uint(c.Width)
 	if w == 0 {
@@ -429,8 +479,11 @@ func (c *EncodedChunk) Decode(dst []value.Value) []value.Value {
 			dst[i] = c.Dict[code]
 		}
 	case EncFoR:
-		for i := 0; i < c.N; i++ {
-			dst[i] = value.NewInt(c.forAt(i))
+		var buf [forBlock]uint64
+		for lo := 0; lo < c.N; lo += forBlock {
+			for j, d := range c.forBlockAt(&buf, lo) {
+				setInt(&dst[lo+j], c.Base+int64(d))
+			}
 		}
 	case EncRLE:
 		pos := 0
@@ -458,8 +511,16 @@ func (c *EncodedChunk) DecodeSel(dst []value.Value, sel []int32) {
 			dst[i] = c.Dict[c.Codes[i]]
 		}
 	case EncFoR:
+		// unpack only the blocks a selected row falls in
+		var buf [forBlock]uint64
+		var d []uint64
+		lo := -1
 		for _, i := range sel {
-			dst[i] = value.NewInt(c.forAt(int(i)))
+			if blk := int(i) &^ (forBlock - 1); blk != lo {
+				lo = blk
+				d = c.forBlockAt(&buf, lo)
+			}
+			setInt(&dst[i], c.Base+int64(d[int(i)-lo]))
 		}
 	case EncRLE:
 		run := 0
@@ -553,13 +614,27 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 			}
 		}
 	case EncFoR:
+		// compare packed deltas against the window shifted by Base: a row
+		// is Base+d, so it lies in [loI, hiI] exactly when d lies in
+		// [dLo, dLo+span], one unsigned comparison
 		loI, hiI, ok := intWindow(lo, hi, loStrict, hiStrict)
-		if !ok {
+		if !ok || hiI < c.Base {
 			return sel, false
 		}
-		for i := 0; i < c.N; i++ {
-			if v := c.forAt(i); v >= loI && v <= hiI {
-				sel = append(sel, int32(i))
+		var dLo uint64
+		if loI > c.Base {
+			dLo = uint64(loI) - uint64(c.Base)
+		}
+		span := uint64(hiI) - uint64(c.Base) - dLo
+		if dLo == 0 && span >= ^uint64(0)>>(64-uint(c.Width)) {
+			return sel, true // the window covers every representable delta
+		}
+		var buf [forBlock]uint64
+		for blk := 0; blk < c.N; blk += forBlock {
+			for j, d := range c.forBlockAt(&buf, blk) {
+				if d-dLo <= span {
+					sel = append(sel, int32(blk+j))
+				}
 			}
 		}
 	case EncRLE:
@@ -602,87 +677,74 @@ func intWindow(lo, hi *value.Value, loStrict, hiStrict bool) (int64, int64, bool
 	return loI, hiI, loI <= hiI
 }
 
+// exactInts is 2^53: every int64 of smaller magnitude converts to float64
+// exactly. value.Compare orders an int against a number through float64,
+// so beyond it neighbouring ints compare equal — to each other and to the
+// bound they round to — and a window edge there is found by search.
+const exactInts = 1 << 53
+
 // intLowerBound returns the smallest int64 v with v > b (strict) or
 // v >= b under value.Compare.
 func intLowerBound(b value.Value, strict bool) (int64, bool) {
-	switch b.K {
-	case value.KindInt:
-		if strict {
-			if b.I == math.MaxInt64 {
-				return 0, false
-			}
-			return b.I + 1, true
-		}
-		return b.I, true
-	case value.KindFloat:
-		f := b.F
-		if math.IsNaN(f) {
-			// Compare(int, NaN) == 0: non-strict matches everything,
-			// strict matches nothing
-			if strict {
-				return 0, false
-			}
-			return math.MinInt64, true
-		}
-		if f >= math.MaxInt64 { // 2^63 and beyond: no int64 exceeds it
-			return 0, false
-		}
-		if f < math.MinInt64 {
-			return math.MinInt64, true
-		}
-		c := math.Ceil(f)
-		i := int64(c)
-		if strict && c == f { // integral bound, exclusive
-			if i == math.MaxInt64 {
-				return 0, false
-			}
-			return i + 1, true
-		}
-		return i, true
-	default:
+	f, ok := b.AsFloat()
+	switch {
+	case !ok:
 		// NULL never reaches here (pruner bounds are literals); strings
 		// and bools sort after every integer, so no integer exceeds them
 		return 0, false
+	case math.IsNaN(f):
+		// Compare(int, NaN) == 0: non-strict matches everything, strict
+		// matches nothing
+		return math.MinInt64, !strict
+	case math.Abs(f) < exactInts:
+		c := math.Ceil(f)
+		if strict && c == f { // integral bound, exclusive
+			c++
+		}
+		return int64(c), true
 	}
+	above := func(v int64) bool { fv := float64(v); return fv > f || (!strict && fv == f) }
+	if !above(math.MaxInt64) {
+		return 0, false
+	}
+	return firstInt(above), true
 }
 
 // intUpperBound returns the largest int64 v with v < b (strict) or
 // v <= b under value.Compare.
 func intUpperBound(b value.Value, strict bool) (int64, bool) {
-	switch b.K {
-	case value.KindInt:
-		if strict {
-			if b.I == math.MinInt64 {
-				return 0, false
-			}
-			return b.I - 1, true
-		}
-		return b.I, true
-	case value.KindFloat:
-		f := b.F
-		if math.IsNaN(f) {
-			if strict {
-				return 0, false
-			}
-			return math.MaxInt64, true
-		}
-		if f >= math.MaxInt64 {
-			return math.MaxInt64, true
-		}
-		if f < math.MinInt64 {
-			return 0, false
-		}
-		fl := math.Floor(f)
-		i := int64(fl)
-		if strict && fl == f {
-			if i == math.MinInt64 {
-				return 0, false
-			}
-			return i - 1, true
-		}
-		return i, true
-	default:
+	f, ok := b.AsFloat()
+	switch {
+	case !ok:
 		// strings and bools sort after every integer: all integers match
 		return math.MaxInt64, true
+	case math.IsNaN(f):
+		return math.MaxInt64, !strict
+	case math.Abs(f) < exactInts:
+		fl := math.Floor(f)
+		if strict && fl == f {
+			fl--
+		}
+		return int64(fl), true
 	}
+	past := func(v int64) bool { fv := float64(v); return fv > f || (strict && fv == f) }
+	if !past(math.MaxInt64) {
+		return math.MaxInt64, true
+	}
+	first := firstInt(past)
+	return first - 1, first != math.MinInt64
+}
+
+// firstInt returns the smallest int64 at which the monotone predicate up
+// (false up to some int, true from it on) holds; up(math.MaxInt64) must.
+func firstInt(up func(int64) bool) int64 {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi {
+		if mid := lo + int64((uint64(hi)-uint64(lo))/2); up(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

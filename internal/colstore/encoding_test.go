@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"htapxplain/internal/value"
@@ -275,4 +276,176 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// forChunk builds a FoR chunk of n rows whose base is base (moved down when
+// base+2^width-1 would pass MaxInt64) and whose deltas span exactly width
+// bits; the rest of the rows are drawn from rng.
+func forChunk(t testing.TB, rng *rand.Rand, base int64, width uint8, n int) (*EncodedChunk, []value.Value) {
+	t.Helper()
+	mask := ^uint64(0) >> (64 - uint(width))
+	if mask > uint64(math.MaxInt64)-uint64(base) {
+		base = int64(uint64(math.MaxInt64) - mask)
+	}
+	vals := make([]value.Value, n)
+	for i := range vals {
+		d := rng.Uint64() & mask
+		switch i {
+		case 0:
+			d = 0
+		case 1:
+			d = mask
+		}
+		vals[i] = value.NewInt(int64(uint64(base) + d))
+	}
+	ch := encodeChunk(vals, PolicyFoR)
+	if ch.Enc != EncFoR || ch.Width != width || ch.Base != base {
+		t.Fatalf("precondition: got %v width %d base %d, want for width %d base %d", ch.Enc, ch.Width, ch.Base, width, base)
+	}
+	return ch, vals
+}
+
+// forBounds are range-predicate bounds around a FoR chunk: its own values,
+// their neighbours and halves, the int64 extremes, NaN, ±Inf and a string.
+func forBounds(rng *rand.Rand, vals []value.Value, extra ...int64) []*value.Value {
+	out := []*value.Value{nil}
+	add := func(v value.Value) { out = append(out, &v) }
+	for _, x := range extra {
+		add(value.NewInt(x))
+	}
+	for k := 0; k < 3; k++ {
+		x := vals[rng.Intn(len(vals))].I
+		add(value.NewInt(x))
+		if x != math.MaxInt64 {
+			add(value.NewInt(x + 1))
+		}
+		add(value.NewFloat(float64(x) + 0.5))
+	}
+	add(value.NewInt(math.MaxInt64))
+	add(value.NewInt(math.MinInt64))
+	add(value.NewFloat(math.NaN()))
+	add(value.NewFloat(math.Inf(1)))
+	add(value.NewFloat(math.Inf(-1)))
+	add(value.NewFloat(-0.5))
+	add(value.NewString("m"))
+	return out
+}
+
+// FuzzFoRKernels: the row-order FoR kernels — unpackFoR's sequential bit
+// cursor, Decode and DecodeSel into dirty buffers, and RangeSel's
+// delta-domain window — agree with the random-access forAt and matchRange
+// at every width 0…64, from negative and extreme bases, under strict, open
+// and non-integral bounds.
+func FuzzFoRKernels(f *testing.F) {
+	f.Add(int64(0), int64(1), uint16(200), int64(5), int64(90))
+	f.Add(int64(-1000), int64(2), uint16(64), int64(-1000), int64(-1))
+	f.Add(int64(math.MinInt64), int64(3), uint16(130), int64(math.MinInt64), int64(math.MaxInt64))
+	f.Add(int64(math.MaxInt64), int64(4), uint16(2), int64(0), int64(math.MaxInt64))
+	f.Add(int64(1<<40), int64(5), uint16(1024), int64(1<<40), int64(1<<41))
+	f.Fuzz(func(t *testing.T, base, seed int64, nRaw uint16, b1, b2 int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(nRaw)%(ChunkSize-1)
+		for width := 0; width <= 64; width++ {
+			ch, vals := forChunk(t, rng, base, uint8(width), n)
+			deltas := make([]uint64, n)
+			unpackFoR(deltas, ch.Packed, ch.Width)
+			for i, d := range deltas {
+				if got := ch.Base + int64(d); got != ch.forAt(i) {
+					t.Fatalf("width %d: unpackFoR[%d] = %d, forAt %d", width, i, got, ch.forAt(i))
+				}
+			}
+			// decode targets start dirty: strings and floats in every slot
+			dirty := func() []value.Value {
+				d := make([]value.Value, n)
+				for i := range d {
+					d[i] = value.Value{K: value.KindString, F: 1.5, S: "stale"}
+				}
+				return d
+			}
+			dec := ch.Decode(dirty())
+			sparse := dirty()
+			var sel []int32
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			ch.DecodeSel(sparse, sel)
+			for i, v := range vals {
+				if !eqValue(dec[i], v) {
+					t.Fatalf("width %d: Decode[%d] = %#v, want %v", width, i, dec[i], v)
+				}
+			}
+			for k, i := range sel {
+				if !eqValue(sparse[i], vals[i]) {
+					t.Fatalf("width %d: DecodeSel[%d] = %#v, want %v", width, i, sparse[i], vals[i])
+				}
+				if next := int32(n); k+1 < len(sel) {
+					next = sel[k+1]
+				} else if i+1 < next && sparse[i+1].S != "stale" {
+					t.Fatalf("width %d: DecodeSel wrote unselected row %d", width, i+1)
+				}
+			}
+			bounds := forBounds(rng, vals, b1, b2)
+			for k := 0; k < 24; k++ {
+				lo, hi := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+				loStrict, hiStrict := rng.Intn(2) == 0, rng.Intn(2) == 0
+				got, all := ch.RangeSel(lo, hi, loStrict, hiStrict, nil)
+				var want []int32
+				for i := 0; i < n; i++ {
+					if matchRange(value.NewInt(ch.forAt(i)), lo, hi, loStrict, hiStrict) {
+						want = append(want, int32(i))
+					}
+				}
+				if all != (len(want) == n) || (!all && fmt.Sprint(got) != fmt.Sprint(want)) {
+					t.Fatalf("width %d base %d: RangeSel(%v, %v, %v, %v) = %v all=%v, want %v",
+						width, ch.Base, lo, hi, loStrict, hiStrict, got, all, want)
+				}
+			}
+		}
+	})
+}
+
+// TestFoRDecodeAllocs: the FoR kernels allocate nothing — the unpack
+// buffer lives on the stack and the targets are the caller's.
+func TestFoRDecodeAllocs(t *testing.T) {
+	ch, _ := forChunk(t, rand.New(rand.NewSource(1)), -5000, 17, ChunkSize)
+	dst := make([]value.Value, ChunkSize)
+	sel := make([]int32, 0, ChunkSize)
+	for i := 0; i < ChunkSize; i += 3 {
+		sel = append(sel, int32(i))
+	}
+	lo, hi := value.NewInt(0), value.NewInt(40000)
+	res := make([]int32, 0, ChunkSize)
+	allocs := testing.AllocsPerRun(20, func() {
+		ch.Decode(dst)
+		ch.DecodeSel(dst, sel)
+		res, _ = ch.RangeSel(&lo, &hi, false, true, res[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("Decode + DecodeSel + RangeSel of a FoR chunk: %.0f allocations, want 0", allocs)
+	}
+}
+
+func BenchmarkFoRDecode(b *testing.B) {
+	ch, _ := forChunk(b, rand.New(rand.NewSource(1)), -5000, 17, ChunkSize)
+	dst := make([]value.Value, ChunkSize)
+	b.SetBytes(ChunkSize * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Decode(dst)
+	}
+}
+
+func BenchmarkFoRRangeSel(b *testing.B) {
+	ch, _ := forChunk(b, rand.New(rand.NewSource(1)), -5000, 17, ChunkSize)
+	lo, hi := value.NewInt(0), value.NewInt(40000)
+	sel := make([]int32, 0, ChunkSize)
+	b.SetBytes(ChunkSize * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel, _ = ch.RangeSel(&lo, &hi, false, true, sel[:0])
+	}
 }

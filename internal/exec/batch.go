@@ -244,6 +244,12 @@ func (o *outBuffer) grow(need int) {
 	for ncap < need {
 		ncap *= 2
 	}
+	o.setCap(ncap)
+}
+
+// setCap moves every column into one new shared slab with room for ncap
+// rows per column.
+func (o *outBuffer) setCap(ncap int) {
 	slab := make([]value.Value, len(o.batch.Cols)*ncap)
 	for j, col := range o.batch.Cols {
 		ncol := slab[j*ncap : j*ncap+len(col) : (j+1)*ncap]

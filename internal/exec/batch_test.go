@@ -201,14 +201,14 @@ func TestColTableScanPredicateAndPruning(t *testing.T) {
 	// k < 10 touches only chunk 0; the pruner proves chunks 1..3 empty.
 	lo := value.NewInt(0)
 	hi := value.NewInt(9)
-	pred, err := Compile(&sqlparser.BinaryExpr{
+	filter, err := CompileScanFilter([]sqlparser.Expr{&sqlparser.BinaryExpr{
 		Op:   sqlparser.OpLt,
 		Left: &sqlparser.ColumnRef{Table: "t", Column: "k"}, Right: &sqlparser.IntLit{V: 10},
-	}, Schema{intCol("t", "k"), intCol("t", "v")})
+	}}, Schema{intCol("t", "k"), intCol("t", "v")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := NewColTableScan(tb, "t", []int{0, 1}, pred, &colstore.RangePruner{Col: 0, Lo: &lo, Hi: &hi})
+	scan := NewColTableScan(tb, "t", []int{0, 1}, filter, &colstore.RangePruner{Col: 0, Lo: &lo, Hi: &hi})
 	ctx := NewContext()
 	rows, err := drainOp(scan, ctx)
 	if err != nil {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/value"
@@ -86,7 +87,7 @@ func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat := x.Pattern
+		pat := compileLike(x.Pattern)
 		return func(row value.Row) (value.Value, error) {
 			v, err := ev(row)
 			if err != nil {
@@ -95,7 +96,7 @@ func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
 			if v.IsNull() {
 				return value.Null, nil
 			}
-			return value.NewBool(likeMatch(v.String(), pat)), nil
+			return value.NewBool(pat.match(v.String())), nil
 		}, nil
 	case *sqlparser.FuncExpr:
 		return compileFunc(x, s)
@@ -209,25 +210,29 @@ func compileBinary(x *sqlparser.BinaryExpr, s Schema) (Evaluator, error) {
 			if l.IsNull() || r.IsNull() {
 				return value.Null, nil
 			}
-			c := l.Compare(r)
-			var b bool
-			switch op {
-			case sqlparser.OpEq:
-				b = c == 0
-			case sqlparser.OpNe:
-				b = c != 0
-			case sqlparser.OpLt:
-				b = c < 0
-			case sqlparser.OpLe:
-				b = c <= 0
-			case sqlparser.OpGt:
-				b = c > 0
-			case sqlparser.OpGe:
-				b = c >= 0
-			}
-			return value.NewBool(b), nil
+			return value.NewBool(compareHolds(op, l.Compare(r))), nil
 		}, nil
 	}
+}
+
+// compareHolds reports whether comparison op holds for a value.Compare
+// result c.
+func compareHolds(op sqlparser.BinOp, c int) bool {
+	switch op {
+	case sqlparser.OpEq:
+		return c == 0
+	case sqlparser.OpNe:
+		return c != 0
+	case sqlparser.OpLt:
+		return c < 0
+	case sqlparser.OpLe:
+		return c <= 0
+	case sqlparser.OpGt:
+		return c > 0
+	case sqlparser.OpGe:
+		return c >= 0
+	}
+	return false
 }
 
 func compileIn(x *sqlparser.InExpr, s Schema) (Evaluator, error) {
@@ -351,23 +356,83 @@ func compileFunc(x *sqlparser.FuncExpr, s Schema) (Evaluator, error) {
 	}
 }
 
+// likePattern is a LIKE pattern compiled once: a pattern whose only
+// wildcards are a leading and/or trailing run of % is an equality, prefix,
+// suffix or substring test on its literal middle; any other pattern runs
+// likeMatch. The row evaluator and the scan's LIKE kernel both match
+// through it.
+type likePattern struct {
+	kind likeKind
+	lit  string // the literal middle (likeMatch: the whole pattern)
+}
+
+type likeKind uint8
+
+const (
+	likeGeneral likeKind = iota
+	likeEqual
+	likePrefix
+	likeSuffix
+	likeContains
+)
+
+func compileLike(pattern string) likePattern {
+	trimmed := strings.TrimLeft(pattern, "%")
+	mid := strings.TrimRight(trimmed, "%")
+	lead, trail := len(trimmed) < len(pattern), len(mid) < len(trimmed)
+	// a literal that is not valid UTF-8 could match from inside a
+	// character, where likeMatch never starts one
+	if strings.ContainsAny(mid, "%_") || !utf8.ValidString(mid) {
+		return likePattern{kind: likeGeneral, lit: pattern}
+	}
+	switch {
+	case lead && trail:
+		return likePattern{kind: likeContains, lit: mid}
+	case lead:
+		return likePattern{kind: likeSuffix, lit: mid}
+	case trail:
+		return likePattern{kind: likePrefix, lit: mid}
+	}
+	return likePattern{kind: likeEqual, lit: mid}
+}
+
+func (p *likePattern) match(s string) bool {
+	switch p.kind {
+	case likeEqual:
+		return s == p.lit
+	case likePrefix:
+		return strings.HasPrefix(s, p.lit)
+	case likeSuffix:
+		return strings.HasSuffix(s, p.lit)
+	case likeContains:
+		return strings.Contains(s, p.lit)
+	}
+	return likeMatch(s, p.lit)
+}
+
 // likeMatch implements SQL LIKE with % and _ wildcards (case-sensitive;
-// the generated data is all lower case).
+// the generated data is all lower case). _ matches one UTF-8 character;
+// a byte that does not start a valid encoding counts as one. A % or _ in
+// the pattern is always a wildcard, even where s holds the same byte.
 func likeMatch(s, pattern string) bool {
-	// dynamic-programming match, iterative with backtracking on %
+	// iterative match with backtracking on %; positions in s stay on
+	// character boundaries
 	si, pi := 0, 0
 	star, match := -1, 0
 	for si < len(s) {
-		if pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]) {
-			si++
-			pi++
-		} else if pi < len(pattern) && pattern[pi] == '%' {
+		if pi < len(pattern) && pattern[pi] == '%' {
 			star = pi
 			match = si
 			pi++
+		} else if pi < len(pattern) && pattern[pi] == '_' {
+			si += charLen(s, si)
+			pi++
+		} else if pi < len(pattern) && pattern[pi] == s[si] {
+			si++
+			pi++
 		} else if star >= 0 {
 			pi = star + 1
-			match++
+			match += charLen(s, match)
 			si = match
 		} else {
 			return false
@@ -377,6 +442,15 @@ func likeMatch(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+// charLen is the byte length of the UTF-8 character starting at s[i].
+func charLen(s string, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s[i:])
+	return n
 }
 
 // Truthy evaluates a predicate evaluator to a boolean (NULL → false).

@@ -231,7 +231,8 @@ func TestSchemaResolve(t *testing.T) {
 }
 
 // TestLikeMatchesRegexpProperty cross-validates the hand-rolled LIKE
-// matcher against the regexp package over random inputs.
+// matcher against the regexp package over random inputs, non-ASCII
+// characters included (regexp's . is one UTF-8 character, as _ is).
 func TestLikeMatchesRegexpProperty(t *testing.T) {
 	toRegexp := func(pattern string) *regexp.Regexp {
 		var sb strings.Builder
@@ -249,16 +250,14 @@ func TestLikeMatchesRegexpProperty(t *testing.T) {
 		sb.WriteString("$")
 		return regexp.MustCompile(sb.String())
 	}
-	alphabet := []byte("ab%_")
+	alphabet := []string{"a", "b", "é", "%", "_"}
 	prop := func(sRaw, pRaw []byte) bool {
 		var s, p strings.Builder
 		for _, c := range sRaw {
-			if c%4 < 2 { // strings contain only a/b
-				s.WriteByte(alphabet[c%2])
-			}
+			s.WriteString(alphabet[c%3]) // strings contain only a/b/é
 		}
 		for _, c := range pRaw {
-			p.WriteByte(alphabet[c%4])
+			p.WriteString(alphabet[c%5])
 		}
 		str, pat := s.String(), p.String()
 		if len(pat) > 12 || len(str) > 24 {
@@ -287,6 +286,17 @@ func TestLikeEdgeCases(t *testing.T) {
 		{"abc", "a_b", false},
 		{"abc", "____", false},
 		{"slyly ironic", "%ironic%", true},
+		// _ is one UTF-8 character, not one byte
+		{"é", "_", true},
+		{"é", "__", false},
+		{"aéb", "a_b", true},
+		{"日本", "%_", true},
+		{"日本", "_本", true},
+		{"日本", "___", false},
+		{"é", "%é", true},
+		// a wildcard in the pattern stays one where s holds the same byte
+		{"%a", "%", true},
+		{"_ab", "_%b", true},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.p); got != c.want {

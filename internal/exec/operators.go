@@ -269,8 +269,10 @@ func (s *RowIndexOrderScan) Close() error {
 // are aliased directly with zero per-row materialization, encoded chunks
 // are decoded into pooled per-clone buffers (sparsely, when the pruner's
 // encoded-domain prefilter already narrowed the candidates), and the
-// predicate only narrows the selection vector — running on base chunks
-// only when the pruner is not an exact encoding of it. The
+// predicate — a ScanFilter, an ordered list of selection kernels (see
+// filter.go) — only narrows the selection vector, a column vector at a
+// time, running on base chunks only when the pruner is not an exact
+// encoding of it. The
 // pinned view unions the immutable base chunks (filtering rows deleted
 // since the last merge through the selection vector) with the replicated
 // delta rows, which are batched through a private projection slab — AP
@@ -281,7 +283,7 @@ type ColTableScan struct {
 	Table   *colstore.Table
 	Binding string
 	Cols    []int // table column positions to read (projection pushdown)
-	Pred    Evaluator
+	Filter  ScanFilter
 	Pruner  *colstore.RangePruner
 	out     Schema
 
@@ -306,21 +308,21 @@ type ColTableScan struct {
 }
 
 // NewColTableScan constructs a columnar scan over the given column subset.
-// pred is compiled against the emitted (subset) schema.
-func NewColTableScan(t *colstore.Table, binding string, cols []int, pred Evaluator, pruner *colstore.RangePruner) *ColTableScan {
+// filter is compiled against the emitted (subset) schema.
+func NewColTableScan(t *colstore.Table, binding string, cols []int, filter ScanFilter, pruner *colstore.RangePruner) *ColTableScan {
 	out := make(Schema, len(cols))
 	full := TableSchema(t.Meta, binding)
 	for i, c := range cols {
 		out[i] = full[c]
 	}
-	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Pred: pred, Pruner: pruner, out: out}
+	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Filter: filter, Pruner: pruner, out: out}
 }
 
 func (s *ColTableScan) Schema() Schema { return s.out }
 
 func (s *ColTableScan) Clone() BatchOperator {
 	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols,
-		Pred: s.Pred, Pruner: s.Pruner, out: s.out}
+		Filter: s.Filter, Pruner: s.Pruner, out: s.out}
 }
 
 // ForkShared pins one view of the table and returns scan clones that all
@@ -404,9 +406,8 @@ func (s *ColTableScan) Next(ctx *Context) (*Batch, error) {
 // chunks are decoded into pooled buffers — sparsely when an encoded-domain
 // prefilter already narrowed the candidates. When the pruner is an exact
 // representation of the scan's predicate, the chunk-level RangeSel over
-// the (possibly encoded) pruner column IS the filter, and the compiled
-// row predicate never runs on base chunks. Returns nil when no row
-// survives.
+// the (possibly encoded) pruner column IS the filter, and the selection
+// kernels never run on base chunks. Returns nil when no row survives.
 func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
 	rows := m.Rows()
 	ctx.Stats.RowsScanned += int64(rows)
@@ -479,91 +480,82 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	s.batch.Len = rows
 	s.batch.Sel = nil
 
+	countChunk()
 	needDead := s.view.BaseDead != nil
-	needPred := s.Pred != nil && !selExact
+	needPred := len(s.Filter) > 0 && !selExact
 	if !needDead && !needPred {
 		s.batch.Sel = sel
-		countChunk()
 		return &s.batch, nil
 	}
 
-	// 3) narrow the candidates by the delete set and (unless the prefilter
-	// was exact) the compiled row predicate
-	out := s.selBuf[:0]
-	n := rows
-	if sel != nil {
-		n = len(sel)
-	}
-	for ii := 0; ii < n; ii++ {
-		i := ii
+	// 3) narrow the candidates by the delete set, then (unless the
+	// prefilter was exact) by the selection kernels
+	if needDead {
+		out := s.selBuf[:0]
+		n := rows
 		if sel != nil {
-			i = int(sel[ii])
+			n = len(sel)
 		}
-		if needDead && s.view.BaseDead[int32(m.Lo+i)] {
-			continue
-		}
-		if needPred {
-			s.batch.FillRow(i, s.scratch)
-			ok, err := Truthy(s.Pred, s.scratch)
-			if err != nil {
-				return nil, err
+		for ii := 0; ii < n; ii++ {
+			i := ii
+			if sel != nil {
+				i = int(sel[ii])
 			}
-			if !ok {
-				continue
+			if !s.view.BaseDead[int32(m.Lo+i)] {
+				out = append(out, int32(i))
 			}
 		}
-		out = append(out, int32(i))
+		s.selBuf, sel = out, out
 	}
-	s.selBuf = out
-	countChunk()
-	if len(out) == 0 {
+	if needPred && (sel == nil || len(sel) > 0) {
+		var err error
+		if sel, err = s.Filter.apply(s.batch.Cols, rows, sel, &s.selBuf, s.scratch); err != nil {
+			return nil, err
+		}
+	}
+	if len(sel) == 0 {
 		return nil, nil
 	}
-	s.batch.Sel = out
+	s.batch.Sel = sel
 	return &s.batch, nil
 }
 
-// deltaBatch emits one window of the replicated-but-unmerged delta rows:
-// the batch projects the needed columns into a private reusable slab
-// (delta rows are full table width, batches carry only the scanned
-// subset). Returns nil when no row survives the predicate.
+// deltaBatch emits one window of the replicated-but-unmerged delta rows,
+// projected into a private reusable slab and narrowed by the selection
+// kernels. Returns nil when no row survives the predicate.
 func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
-	width := len(s.Cols)
 	rows := s.view.Delta[m.Lo:m.Hi]
-	nr := len(rows)
-	if cap(s.deltaSlab) < nr*width {
-		s.deltaSlab = make([]value.Value, nr*width)
-	}
-	for j, c := range s.Cols {
-		col := s.deltaSlab[j*nr : j*nr+nr : j*nr+nr]
-		for i, r := range rows {
-			col[i] = r[c]
-		}
-		s.batch.Cols[j] = col
-	}
-	s.batch.Len = nr
-	s.batch.Sel = nil
-	ctx.Stats.RowsScanned += int64(nr)
-	ctx.Stats.BytesScanned += int64(nr) * perCol * int64(width)
-	if s.Pred != nil {
-		sel := s.selBuf[:0]
-		for i := 0; i < nr; i++ {
-			s.batch.FillRow(i, s.scratch)
-			ok, err := Truthy(s.Pred, s.scratch)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				sel = append(sel, int32(i))
-			}
-		}
-		s.selBuf = sel
-		if len(sel) == 0 {
-			return nil, nil
+	s.deltaSlab = projectRows(&s.batch, rows, s.Cols, s.deltaSlab)
+	ctx.Stats.RowsScanned += int64(len(rows))
+	ctx.Stats.BytesScanned += int64(len(rows)) * perCol * int64(len(s.Cols))
+	if len(s.Filter) > 0 {
+		sel, err := s.Filter.apply(s.batch.Cols, len(rows), nil, &s.selBuf, s.scratch)
+		if err != nil || len(sel) == 0 {
+			return nil, err
 		}
 		s.batch.Sel = sel
 	}
 	return &s.batch, nil
+}
+
+// projectRows sets b to rows projected onto the table columns cols, a
+// column at a time — delta rows are full table width, a scan's batch
+// carries only its subset — in slab, grown as needed and returned.
+func projectRows(b *Batch, rows []value.Row, cols []int, slab []value.Value) []value.Value {
+	nr := len(rows)
+	if cap(slab) < nr*len(cols) {
+		slab = make([]value.Value, nr*len(cols))
+	}
+	for j, c := range cols {
+		col := slab[j*nr : j*nr+nr : j*nr+nr]
+		for i, r := range rows {
+			col[i] = r[c]
+		}
+		b.Cols[j] = col
+	}
+	b.Len = nr
+	b.Sel = nil
+	return slab
 }
 
 func (s *ColTableScan) Close() error {
@@ -1009,7 +1001,8 @@ type joinTable struct {
 }
 
 // init readies an empty table for a join with nkeys key columns keeping
-// width build columns, the key (or hash) array presized for bound rows.
+// width build columns, the key (or hash) array and the columns presized
+// for bound rows.
 func (t *joinTable) init(nkeys, width, bound int) {
 	if nkeys == 1 {
 		t.ints = make([]int64, 0, bound)
@@ -1018,6 +1011,7 @@ func (t *joinTable) init(nkeys, width, bound int) {
 		t.hashes = make([]uint64, 0, bound)
 	}
 	t.cols.init(width)
+	t.cols.setCap(bound)
 }
 
 // spill leaves the int form: the keys so far become a value vector and
@@ -1728,6 +1722,15 @@ func (a *HashAggregate) Close() error {
 type SortKey struct {
 	Eval Evaluator
 	Desc bool
+	// col is 1 + the input column a ColumnKey reads, 0 for any other key.
+	col int
+}
+
+// ColumnKey orders by input column col. Its Eval reads the column, and a
+// Top-N over this one key reads it straight from the batch instead.
+func ColumnKey(col int, desc bool) SortKey {
+	return SortKey{Eval: func(row value.Row) (value.Value, error) { return row[col], nil },
+		Desc: desc, col: col + 1}
 }
 
 func compareByKeys(keys []SortKey, a, b value.Row) (int, error) {
@@ -1805,7 +1808,9 @@ func (s *SortOp) Close() error {
 
 // TopNOp keeps the first N+Offset rows in key order using a bounded
 // selection (cheaper than a full sort) over the child's batch stream, then
-// applies the offset.
+// applies the offset. Once the top is full, most candidates cost one
+// comparison against its last keeper (rejects); a row is copied out of its
+// batch only when it enters, into the row it evicts.
 type TopNOp struct {
 	Child  Operator
 	Keys   []SortKey
@@ -1847,23 +1852,20 @@ func (t *TopNOp) Open(ctx *Context) error {
 		n := b.NumActive()
 		ctx.Stats.RowsTopN += int64(n)
 		for i := 0; i < n; i++ {
-			row := b.FillRow(i, scratch)
 			if int64(len(top)) >= keep {
-				// boundary reject: a row that does not sort strictly before
-				// the current last keeper can never enter a full prefix (ties
-				// lose to earlier rows), so most rows cost one comparison
 				if keep == 0 {
 					continue
 				}
-				c, err := compareByKeys(t.Keys, row, top[len(top)-1])
+				reject, err := t.rejects(b, i, top[len(top)-1], scratch)
 				if err != nil {
 					_ = t.Child.Close()
 					return err
 				}
-				if c >= 0 {
+				if reject {
 					continue
 				}
 			}
+			row := b.FillRow(i, scratch)
 			pos := sort.Search(len(top), func(k int) bool {
 				c, err := compareByKeys(t.Keys, row, top[k])
 				if err != nil && insErr == nil {
@@ -1877,8 +1879,9 @@ func (t *TopNOp) Open(ctx *Context) error {
 				copy(top[pos+1:], top[pos:])
 				top[pos] = row.Clone()
 			case pos < len(top):
+				evicted := top[len(top)-1]
 				copy(top[pos+1:], top[pos:len(top)-1])
-				top[pos] = row.Clone()
+				top[pos] = append(evicted[:0], row...)
 			}
 		}
 		if insErr != nil {
@@ -1893,6 +1896,29 @@ func (t *TopNOp) Open(ctx *Context) error {
 	}
 	t.emit.reset(top, len(t.Schema()))
 	return nil
+}
+
+// rejects reports whether the i-th active row of b stays out of a full top
+// whose last keeper is last: a row that does not sort strictly before it
+// never enters (ties lose to earlier rows). A single ColumnKey is read
+// straight from the batch and, when both keys are ints or floats, compared
+// as float64 — what value.Compare does for numeric kinds, NaN comparing
+// equal to everything; NULL, strings and multi-key orders compare through
+// the keys' evaluators.
+func (t *TopNOp) rejects(b *Batch, i int, last, scratch value.Row) (bool, error) {
+	if len(t.Keys) == 1 && t.Keys[0].col > 0 {
+		c := t.Keys[0].col - 1
+		vf, vok := b.Cols[c][b.PosAt(i)].AsFloat()
+		lf, lok := last[c].AsFloat()
+		if vok && lok {
+			if t.Keys[0].Desc {
+				return !(vf > lf), nil
+			}
+			return !(vf < lf), nil
+		}
+	}
+	c, err := compareByKeys(t.Keys, b.FillRow(i, scratch), last)
+	return c >= 0, err
 }
 
 func (t *TopNOp) Next(ctx *Context) (*Batch, error) {

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -412,4 +414,160 @@ func TestTopNKeepsLargestWhenDesc(t *testing.T) {
 		t.Errorf("top-2 desc = %v", got)
 	}
 	_ = sort.SliceIsSorted
+}
+
+// topNKinds generate the sort-key values of TestTopNTypedBoundaryDifferential.
+var topNKinds = map[string]func(r *rand.Rand) value.Value{
+	"int":   func(r *rand.Rand) value.Value { return value.NewInt(int64(r.Intn(40) - 20)) },
+	"float": func(r *rand.Rand) value.Value { return value.NewFloat(float64(r.Intn(80))/4 - 10) },
+	"mixed": func(r *rand.Rand) value.Value {
+		if r.Intn(2) == 0 {
+			return value.NewInt(int64(r.Intn(20) - 10))
+		}
+		return value.NewFloat(float64(r.Intn(40))/2 - 10)
+	},
+	"null": func(r *rand.Rand) value.Value {
+		if r.Intn(4) == 0 {
+			return value.Null
+		}
+		return value.NewInt(int64(r.Intn(30)))
+	},
+	"nan": func(r *rand.Rand) value.Value {
+		if r.Intn(5) == 0 {
+			return value.NewFloat(math.NaN())
+		}
+		return value.NewFloat(float64(r.Intn(30)) / 2)
+	},
+	"string": func(r *rand.Rand) value.Value {
+		if r.Intn(3) == 0 {
+			return value.NewInt(int64(r.Intn(10)))
+		}
+		return value.NewString(string(rune('a' + r.Intn(12))))
+	},
+}
+
+// TestTopNTypedBoundaryDifferential: the typed boundary reject moves no
+// answer. Over int, float, mixed, NULL, NaN and string keys, ASC and DESC,
+// LIMIT 0 and offsets past the end, through a filter's selection vector, a
+// Top-N on a ColumnKey returns exactly what the same Top-N on an
+// evaluator-only key returns — the comparison path it replaces — and,
+// where no NaN makes the order partial, exactly the stable sort's
+// offset/limit window: ties go to the earlier row. A two-key order takes
+// the evaluator path and is held to the sort too.
+func TestTopNTypedBoundaryDifferential(t *testing.T) {
+	schema := Schema{{Binding: "t", Name: "k"}, intCol("t", "id")}
+	dropSome := func(row value.Row) (value.Value, error) { return value.NewBool(row[1].I%7 != 3), nil }
+	for kind, gen := range topNKinds {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			rows := make([]value.Row, rng.Intn(3*BatchSize))
+			for i := range rows {
+				rows[i] = value.Row{gen(rng), value.NewInt(int64(i))}
+			}
+			child := func() Operator { return &FilterOp{Child: &memOp{schema: schema, rows: rows}, Pred: dropSome} }
+			for _, desc := range []bool{false, true} {
+				typed := []SortKey{ColumnKey(0, desc)}
+				untyped := []SortKey{{Eval: typed[0].Eval, Desc: desc}}
+				twoKeys := []SortKey{ColumnKey(0, desc), ColumnKey(1, !desc)}
+				sorted := func(keys []SortKey) []value.Row {
+					out, err := Drain(&SortOp{Child: child(), Keys: keys}, NewContext())
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				byOne, byTwo := sorted(typed), sorted(twoKeys)
+				for _, lim := range [][2]int64{{0, 0}, {1, 0}, {7, 0}, {40, 3}, {150, 0}, {5, int64(len(rows))}, {10, 1 << 40}} {
+					label := fmt.Sprintf("%s seed %d desc %v limit %d offset %d", kind, seed, desc, lim[0], lim[1])
+					topN := func(keys []SortKey) []value.Row {
+						out, err := Drain(&TopNOp{Child: child(), Keys: keys, N: lim[0], Offset: lim[1]}, NewContext())
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						return out
+					}
+					window := func(all []value.Row) []value.Row {
+						lo := min(lim[1], int64(len(all)))
+						return all[lo:min(lo+lim[0], int64(len(all)))]
+					}
+					got := topN(typed)
+					assertRows(t, label+" vs evaluator key", got, topN(untyped), true)
+					if kind != "nan" {
+						assertRows(t, label+" vs sort", got, window(byOne), true)
+						assertRows(t, label+" two keys vs sort", topN(twoKeys), window(byTwo), true)
+					}
+				}
+			}
+		}
+	}
+}
+
+// topNScan is a warm Top-N over a 15 000-row column scan of (price, id),
+// keeping the keep highest prices; asc loads the prices in ascending order,
+// so every row enters the top, and random order otherwise.
+func topNScan(t testing.TB, keep int64, asc bool) func() {
+	t.Helper()
+	const n = 15000
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]value.Row, n)
+	for i := range rows {
+		p := float64(rng.Intn(1_000_000)) / 100
+		if asc {
+			p = float64(i) / 4
+		}
+		rows[i] = value.Row{value.NewFloat(p), value.NewInt(int64(i))}
+	}
+	op := &TopNOp{Child: fullScan(colTableOf(t, "orders", rows), "orders"), Keys: []SortKey{ColumnKey(0, true)}, N: keep}
+	return func() {
+		ctx := NewContext()
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for b, err := op.Next(ctx); b != nil || err != nil; b, err = op.Next(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += b.NumActive()
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != int(keep) {
+			t.Fatalf("Top-%d returned %d rows", keep, got)
+		}
+	}
+}
+
+// topNAllocs is what a warm Top-N allocates besides one row per keeper:
+// its scratch row, the top's growth by doubling and its scan's cursor.
+const topNAllocs = 11
+
+// TestTopNClonesOnlyEntrants: a Top-N copies a row out of its batch only
+// when the row enters the top, and an entrant past the first keep reuses
+// the row it evicts — so a warm Top-N over 15 000 rows allocates keep rows
+// plus a recorded constant, the same whether every row enters (ascending
+// input) or few do.
+func TestTopNClonesOnlyEntrants(t *testing.T) {
+	const keep = 50
+	measure := func(asc bool) float64 {
+		run := topNScan(t, keep, asc)
+		run()
+		return testing.AllocsPerRun(5, run)
+	}
+	all, few := measure(true), measure(false)
+	t.Logf("warm Top-%d over 15000 rows: %.0f allocations when all enter, %.0f in random order", keep, all, few)
+	if all != few || all > keep+topNAllocs {
+		t.Errorf("warm Top-%d allocates %.0f (all rows enter) and %.0f (random order), want both at most %d",
+			keep, all, few, keep+topNAllocs)
+	}
+}
+
+func BenchmarkTopNTyped(b *testing.B) {
+	run := topNScan(b, 50, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }

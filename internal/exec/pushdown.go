@@ -11,7 +11,7 @@ import (
 // COUNT/SUM/MIN/MAX fold RLE runs run-at-a-time and dictionary chunks
 // code-at-a-time, FoR chunks are unpacked to machine integers without ever
 // building a Value vector, and an exact pruner's encoded-domain RangeSel
-// replaces the compiled row predicate entirely. Grouping by a
+// replaces the scan's selection kernels on base chunks. Grouping by a
 // dictionary-encoded column keys the hash table once per distinct code
 // rather than once per row.
 //
@@ -37,7 +37,7 @@ func (a *HashAggregate) pushdownScan() (*ColTableScan, bool) {
 	}
 	// a residual predicate defeats pushdown unless the pruner encodes it
 	// exactly (then RangeSel at the chunk level IS the predicate)
-	if scan.Pred != nil && (scan.Pruner == nil || !scan.Pruner.Exact) {
+	if len(scan.Filter) > 0 && (scan.Pruner == nil || !scan.Pruner.Exact) {
 		return nil, false
 	}
 	ncols := len(scan.Cols)
@@ -97,7 +97,7 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 
 // pushWorker is one worker's scratch state for the encoded aggregation
 // fold: decode buffers, the prefilter selection, the per-dictionary-code
-// state cache, and a scan-schema row for delta predicates.
+// state cache, and the projected delta batch its predicate narrows.
 type pushWorker struct {
 	a      *HashAggregate
 	scan   *ColTableScan
@@ -111,8 +111,12 @@ type pushWorker struct {
 	states  []*aggState     // per-dict-code group state cache
 	df      []float64       // per-dict-code AsFloat cache
 	dfok    []bool
-	scratch value.Row // scan-schema row (delta rows, predicate eval)
+	scratch value.Row // scan-schema row (a row kernel over delta rows)
 	gkey    value.Row // one-column group key scratch
+
+	delta     Batch         // the current delta window, projected
+	deltaSlab []value.Value // its columns' storage
+	deltaSel  []int32       // the selection kernels' output
 }
 
 func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *pushWorker {
@@ -484,40 +488,37 @@ func (w *pushWorker) foldRowAt(m colstore.Morsel, t *aggTable, sel []int32) {
 	}
 }
 
-// foldDelta folds one window of replicated-but-unmerged delta rows: full
-// table-width rows projected through the scan schema, with the compiled
-// predicate applied — delta rows are never encoded, so the pruner's
-// encoded-domain shortcut does not apply here.
+// foldDelta folds one window of replicated-but-unmerged delta rows,
+// projected through the scan schema and narrowed by the scan's selection
+// kernels — delta rows are never encoded, so the pruner's encoded-domain
+// shortcut does not apply here.
 func (w *pushWorker) foldDelta(ctx *Context, m colstore.Morsel, t *aggTable) error {
-	a := w.a
+	a, b := w.a, &w.delta
 	rows := w.view.Delta[m.Lo:m.Hi]
 	ctx.Stats.RowsScanned += int64(len(rows))
 	ctx.Stats.BytesScanned += int64(len(rows)) * w.perCol * int64(len(w.scan.Cols))
-	for _, r := range rows {
-		for j, c := range w.scan.Cols {
-			w.scratch[j] = r[c]
+	if b.Cols == nil {
+		b.Cols = make([][]value.Value, len(w.scan.Cols))
+	}
+	w.deltaSlab = projectRows(b, rows, w.scan.Cols, w.deltaSlab)
+	if len(w.scan.Filter) > 0 {
+		sel, err := w.scan.Filter.apply(b.Cols, b.Len, nil, &w.deltaSel, w.scratch)
+		if err != nil || len(sel) == 0 {
+			return err
 		}
-		if w.scan.Pred != nil {
-			ok, err := Truthy(w.scan.Pred, w.scratch)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
+		b.Sel = sel
+	}
+	for ai := range a.Aggs {
+		if ac := a.Aggs[ai].ArgCol; ac >= 0 {
+			w.argv[ai] = b.Cols[ac]
 		}
-		var st *aggState
+	}
+	for i, n := 0, b.NumActive(); i < n; i++ {
+		p := b.PosAt(i)
 		if len(a.GroupCols) == 1 {
-			st = w.groupState(t, w.scratch[a.GroupCols[0]])
+			w.foldArgs(w.groupState(t, b.Cols[a.GroupCols[0]][p]), p)
 		} else {
-			st = w.globalState(t)
-		}
-		for ai := range a.Aggs {
-			if a.Aggs[ai].ArgCol < 0 {
-				st.counts[ai]++
-				continue
-			}
-			accumulateArg(st, ai, w.scratch[a.Aggs[ai].ArgCol])
+			w.foldArgs(w.globalState(t), p)
 		}
 	}
 	return nil

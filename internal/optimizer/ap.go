@@ -102,22 +102,18 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 		Rows: full, Relation: t.meta.Name}
 
 	preds := a.tablePreds[t.binding]
-	var pred exec.Evaluator
 	// compile against the pruned-column schema the scan emits
 	subset := make(exec.Schema, len(cols))
 	fullSchema := exec.TableSchema(t.meta, t.binding)
 	for i, c := range cols {
 		subset[i] = fullSchema[c]
 	}
-	if len(preds) > 0 {
-		ev, err := exec.Compile(sqlparser.AndAll(preds), subset)
-		if err != nil {
-			return built{}, err
-		}
-		pred = ev
+	filter, err := exec.CompileScanFilter(preds, subset)
+	if err != nil {
+		return built{}, err
 	}
 	pruner := zonePruner(a, t, cols)
-	op := exec.NewColTableScan(ct, t.binding, cols, pred, pruner)
+	op := exec.NewColTableScan(ct, t.binding, cols, filter, pruner)
 	chunks := ct.NumChunks()
 
 	if len(preds) == 0 {

@@ -232,7 +232,6 @@ func buildAggregate(a *analysis, shape engineShape, child built) (built, error) 
 func orderKeys(a *analysis, s exec.Schema, agged bool) ([]exec.SortKey, error) {
 	var keys []exec.SortKey
 	for _, o := range a.sel.OrderBy {
-		var ev exec.Evaluator
 		if agged {
 			if ax, ok := o.Expr.(*sqlparser.AggExpr); ok {
 				name := strings.ToLower(ax.String())
@@ -246,9 +245,7 @@ func orderKeys(a *analysis, s exec.Schema, agged bool) ([]exec.SortKey, error) {
 				if idx < 0 {
 					return nil, fmt.Errorf("optimizer: ORDER BY aggregate %s not in select list", ax)
 				}
-				j := idx
-				ev = func(row value.Row) (value.Value, error) { return row[j], nil }
-				keys = append(keys, exec.SortKey{Eval: ev, Desc: o.Desc})
+				keys = append(keys, exec.ColumnKey(idx, o.Desc))
 				continue
 			}
 			if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok {
@@ -261,20 +258,23 @@ func orderKeys(a *analysis, s exec.Schema, agged bool) ([]exec.SortKey, error) {
 					}
 				}
 				if idx >= 0 {
-					j := idx
-					keys = append(keys, exec.SortKey{
-						Eval: func(row value.Row) (value.Value, error) { return row[j], nil },
-						Desc: o.Desc,
-					})
+					keys = append(keys, exec.ColumnKey(idx, o.Desc))
 					continue
 				}
 			}
 		}
-		cev, err := exec.Compile(o.Expr, s)
+		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok {
+			idx, err := s.Resolve(ref)
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, exec.ColumnKey(idx, o.Desc))
+			continue
+		}
+		ev, err := exec.Compile(o.Expr, s)
 		if err != nil {
 			return nil, err
 		}
-		ev = cev
 		keys = append(keys, exec.SortKey{Eval: ev, Desc: o.Desc})
 	}
 	return keys, nil
@@ -478,36 +478,24 @@ func zonePruner(a *analysis, t boundTable, cols []int) *colstore.RangePruner {
 	if colPos < 0 {
 		return nil
 	}
-	toValue := func(e sqlparser.Expr) (value.Value, bool) {
-		switch l := e.(type) {
-		case *sqlparser.IntLit:
-			return value.NewInt(l.V), true
-		case *sqlparser.FloatLit:
-			return value.NewFloat(l.V), true
-		case *sqlparser.StringLit:
-			return value.NewString(l.V), true
-		default:
-			return value.Value{}, false
-		}
-	}
 	pr := &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
 	switch {
 	case len(s.keys) == 1:
-		v, ok := toValue(s.keys[0])
+		v, ok := exec.LiteralValue(s.keys[0])
 		if !ok {
 			return nil
 		}
 		pr.Lo, pr.Hi = &v, &v
 	case s.lo != nil || s.hi != nil:
 		if s.lo != nil {
-			v, ok := toValue(s.lo)
+			v, ok := exec.LiteralValue(s.lo)
 			if !ok {
 				return nil
 			}
 			pr.Lo = &v
 		}
 		if s.hi != nil {
-			v, ok := toValue(s.hi)
+			v, ok := exec.LiteralValue(s.hi)
 			if !ok {
 				return nil
 			}

@@ -365,18 +365,11 @@ func innerColOf(jp joinPred, innerBind string) string {
 	return jp.bCol
 }
 
-// litValue converts a literal AST node to a runtime value.
+// litValue converts a literal AST node to a runtime value (NULL for a
+// non-literal).
 func litValue(e sqlparser.Expr) value.Value {
-	switch l := e.(type) {
-	case *sqlparser.IntLit:
-		return value.NewInt(l.V)
-	case *sqlparser.FloatLit:
-		return value.NewFloat(l.V)
-	case *sqlparser.StringLit:
-		return value.NewString(l.V)
-	default:
-		return value.Null
-	}
+	v, _ := exec.LiteralValue(e)
+	return v
 }
 
 // tryIndexOrderTopN recognizes single-table ORDER BY <indexed col> LIMIT n
