@@ -357,8 +357,8 @@ func BenchmarkGateway_WarmCache(b *testing.B) {
 }
 
 // BenchmarkGateway_PlanPerQuery is the same workload with the plan cache
-// disabled — the baseline the ≥5x warm-cache speedup is measured against
-// (see internal/gateway's TestWarmCacheSpeedup for the enforced ratio).
+// disabled — the baseline the warm-cache speedup is measured against
+// (internal/gateway's TestWarmCacheSpeedup gates the hits by count).
 func BenchmarkGateway_PlanPerQuery(b *testing.B) {
 	env := benchEnv(b)
 	g := gateway.New(env.Sys, gateway.Config{Workers: 1, CacheCapacity: 0})
@@ -375,8 +375,7 @@ func BenchmarkGateway_PlanPerQuery(b *testing.B) {
 
 // gatewayPointJoinPool generates the plan-dominated point-join slice of
 // the seeded workload (customer ⋈ their orders by random customer key) —
-// the same pool internal/gateway's TestWarmCacheSpeedup enforces the
-// warm/cold ratio on.
+// the same pool internal/gateway's TestWarmCacheSpeedup serves as hits.
 func gatewayPointJoinPool(n int) []workload.Query {
 	return workload.NewGenerator(42).BatchOf("join2_point_orders", n)
 }

@@ -192,6 +192,72 @@ func TestColTableScanDecodesEncoded(t *testing.T) {
 	}
 }
 
+// TestClosedScanRowsSurviveReborrow: a scan gives its decode targets back
+// at Close, so an idle scan holds none, and what it materialized is a copy:
+// a second scan that re-borrows those targets and decodes another table
+// into them (poisoned first, under the race detector) leaves the first
+// scan's rows as they were.
+func TestClosedScanRowsSurviveReborrow(t *testing.T) {
+	const n = 2*colstore.ChunkSize + 100
+	negated := make([]value.Row, n)
+	for i := range negated {
+		negated[i] = value.Row{value.NewInt(-int64(i) - 1), value.NewInt(-int64(i%10) - 1)}
+	}
+	drain := func(tb *colstore.Table) ([]value.Row, map[*[BatchSize]value.Value]bool) {
+		t.Helper()
+		scan := NewColTableScan(tb, tb.Meta.Name, []int{0}, nil, nil)
+		ctx := NewContext()
+		if err := scan.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var rows []value.Row
+		for {
+			b, err := scan.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows = b.AppendRows(rows)
+		}
+		held := map[*[BatchSize]value.Value]bool{}
+		for _, d := range scan.decodeBuf {
+			held[d.buf] = true
+		}
+		if err := scan.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for j, d := range scan.decodeBuf {
+			if d.buf != nil {
+				t.Fatalf("column %d keeps its decode target past Close", j)
+			}
+		}
+		if ctx.Stats.DecodedChunks == 0 {
+			t.Fatal("precondition: the scan decoded nothing")
+		}
+		return rows, held
+	}
+	// one FoR-encoded column, the width at which a row could alias a batch
+	// vector; no value of the second table is one of the first's
+	first, firstHeld := drain(tinyColTable(t, n))
+	_, secondHeld := drain(colTableOf(t, "o", negated))
+	reborrowed := 0
+	for buf := range secondHeld {
+		if firstHeld[buf] {
+			reborrowed++
+		}
+	}
+	if reborrowed == 0 {
+		t.Fatal("the second scan re-borrowed none of the targets the first gave back")
+	}
+	for i, r := range first {
+		if r[0].I != int64(i) {
+			t.Fatalf("row %d of the first scan reads %v after its decode target was re-borrowed", i, r)
+		}
+	}
+}
+
 // TestColTableScanPredicateAndPruning: the predicate narrows the selection
 // vector and the zone-map pruner skips whole chunks, matching the legacy
 // scan's counters.

@@ -61,8 +61,10 @@ type Fragment struct {
 // sending scan on shard s, and every row it yields is delivered to the
 // fragment Route names — to every fragment when Route is nil (broadcast) —
 // where the MemScan with the same Key reads it. Scans are templates: each
-// execution drains a clone of its own and drops it, so a pooled gather
-// does not keep a full-width decode buffer per shard between runs.
+// execution drains a clone of its own and drops it. The clone borrows its
+// decode targets from the exec-wide recycler and gives them back when the
+// drain closes it, so a move allocates none once the recycler is warm and
+// a pooled gather holds none between runs.
 type Move struct {
 	Key   string
 	Scans []BatchOperator

@@ -267,18 +267,17 @@ func (s *RowIndexOrderScan) Close() error {
 // and never reach the scan. Each non-pruned base morsel becomes one batch
 // under the "alias or decode, never mutate" contract: raw chunk vectors
 // are aliased directly with zero per-row materialization, encoded chunks
-// are decoded into pooled per-clone buffers (sparsely, when the pruner's
-// encoded-domain prefilter already narrowed the candidates), and the
-// predicate — a ScanFilter, an ordered list of selection kernels (see
-// filter.go) — only narrows the selection vector, a column vector at a
-// time, running on base chunks only when the pruner is not an exact
-// encoding of it. The
-// pinned view unions the immutable base chunks (filtering rows deleted
-// since the last merge through the selection vector) with the replicated
-// delta rows, which are batched through a private projection slab — AP
-// reads are fresh up to the column store's replication watermark, and the
-// delta snapshot is pinned exactly once per query however many workers
-// share the cursor.
+// are decoded into buffers the clone borrows until Close (sparsely, when
+// the pruner's encoded-domain prefilter already narrowed the candidates),
+// and the predicate — a ScanFilter, an ordered list of selection kernels
+// (see filter.go) — only narrows the selection vector, a column vector at
+// a time, running on base chunks only when the pruner is not an exact
+// encoding of it. The pinned view unions the immutable base chunks
+// (filtering rows deleted since the last merge through the selection
+// vector) with the replicated delta rows, which are batched through a
+// private projection slab — AP reads are fresh up to the column store's
+// replication watermark, and the delta snapshot is pinned exactly once per
+// query however many workers share the cursor.
 type ColTableScan struct {
 	Table   *colstore.Table
 	Binding string
@@ -298,11 +297,12 @@ type ColTableScan struct {
 	preSel  []int32 // encoded-domain prefilter scratch
 	scratch value.Row
 	// chunkBuf holds the current morsel's per-column encoded chunks;
-	// decodeBuf is the pooled per-column decode target for encoded chunks
-	// (lazily allocated, retained across morsels and pooled executions so
-	// steady-state decode allocates nothing).
+	// decodeBuf is the per-column decode target for encoded chunks,
+	// borrowed from the process-wide recycler on a column's first encoded
+	// chunk and kept across morsels, then given back at Close — an idle
+	// pooled tree holds none.
 	chunkBuf  []*colstore.EncodedChunk
-	decodeBuf [][]value.Value
+	decodeBuf []decodeTarget
 	deltaSlab []value.Value
 	closed    bool
 }
@@ -361,7 +361,7 @@ func (s *ColTableScan) Open(ctx *Context) error {
 		s.batch.Cols = make([][]value.Value, len(s.Cols))
 		s.scratch = make(value.Row, len(s.Cols))
 		s.chunkBuf = make([]*colstore.EncodedChunk, len(s.Cols))
-		s.decodeBuf = make([][]value.Value, len(s.Cols))
+		s.decodeBuf = make([]decodeTarget, len(s.Cols))
 	}
 	return nil
 }
@@ -403,7 +403,7 @@ func (s *ColTableScan) Next(ctx *Context) (*Batch, error) {
 
 // baseBatch turns one base-chunk morsel into a batch under the "alias or
 // decode, never mutate" contract: raw chunks are aliased directly, encoded
-// chunks are decoded into pooled buffers — sparsely when an encoded-domain
+// chunks are decoded into borrowed targets — sparsely when an encoded-domain
 // prefilter already narrowed the candidates. When the pruner is an exact
 // representation of the scan's predicate, the chunk-level RangeSel over
 // the (possibly encoded) pruner column IS the filter, and the selection
@@ -455,7 +455,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	}
 
 	// 2) assemble vectors: alias raw chunks, decode encoded ones into the
-	// pooled per-column buffers (only the candidate positions when a
+	// borrowed per-column targets (only the candidate positions when a
 	// selection vector survives the prefilter)
 	for j := range s.Cols {
 		ch := s.chunkBuf[j]
@@ -463,18 +463,13 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 			s.batch.Cols[j] = ch.Raw
 			continue
 		}
-		buf := s.decodeBuf[j]
-		if cap(buf) < rows {
-			buf = make([]value.Value, colstore.ChunkSize)
-		}
-		buf = buf[:rows]
+		buf := s.decodeBuf[j].get(rows)
 		if sel != nil {
 			ch.DecodeSel(buf, sel)
 		} else {
 			buf = ch.Decode(buf)
 			fullDecode = true
 		}
-		s.decodeBuf[j] = buf
 		s.batch.Cols[j] = buf
 	}
 	s.batch.Len = rows
@@ -568,6 +563,9 @@ func (s *ColTableScan) Close() error {
 	}
 	for j := range s.chunkBuf {
 		s.chunkBuf[j] = nil // drop encoded-chunk aliases
+	}
+	for j := range s.decodeBuf {
+		s.decodeBuf[j].release()
 	}
 	s.view = colstore.View{}
 	s.src = nil

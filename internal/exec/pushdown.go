@@ -106,8 +106,8 @@ type pushWorker struct {
 
 	preSel  []int32         // encoded-domain prefilter scratch
 	argv    [][]value.Value // per-agg argument vector for the current chunk
-	dec     [][]value.Value // pooled per-agg decode targets
-	gdec    []value.Value   // pooled group-column decode target
+	dec     []decodeTarget  // per-agg decode targets, borrowed for the fold
+	gdec    decodeTarget    // the group column's decode target
 	states  []*aggState     // per-dict-code group state cache
 	df      []float64       // per-dict-code AsFloat cache
 	dfok    []bool
@@ -130,7 +130,7 @@ func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *p
 		view:    view,
 		perCol:  perCol,
 		argv:    make([][]value.Value, len(a.Aggs)),
-		dec:     make([][]value.Value, len(a.Aggs)),
+		dec:     make([]decodeTarget, len(a.Aggs)),
 		scratch: make(value.Row, len(scan.Cols)),
 		gkey:    make(value.Row, 1),
 	}
@@ -138,8 +138,9 @@ func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *p
 
 // fold drains the morsel source into t, mirroring ColTableScan's work
 // accounting so EXPLAIN ANALYZE reads the same whether or not pushdown
-// fired.
+// fired. The decode targets it borrowed go back when it returns.
 func (w *pushWorker) fold(ctx *Context, src *colstore.Morsels, t *aggTable) error {
+	defer w.release()
 	for {
 		if ctx.Canceled() {
 			return nil
@@ -157,6 +158,14 @@ func (w *pushWorker) fold(ctx *Context, src *colstore.Morsels, t *aggTable) erro
 			return err
 		}
 	}
+}
+
+// release gives back the worker's decode targets.
+func (w *pushWorker) release() {
+	for i := range w.dec {
+		w.dec[i].release()
+	}
+	w.gdec.release()
 }
 
 // foldBase folds one base chunk. The prefilter mirrors baseBatch exactly:
@@ -376,18 +385,13 @@ func (w *pushWorker) foldGrouped(m colstore.Morsel, t *aggTable, sel []int32) bo
 			w.argv[ai] = ch.Raw
 			continue
 		}
-		buf := w.dec[ai]
-		if cap(buf) < rows {
-			buf = make([]value.Value, colstore.ChunkSize)
-		}
-		buf = buf[:rows]
+		buf := w.dec[ai].get(rows)
 		if sel != nil {
 			ch.DecodeSel(buf, sel)
 		} else {
 			buf = ch.Decode(buf)
 			fullDecode = true
 		}
-		w.dec[ai] = buf
 		w.argv[ai] = buf
 	}
 
@@ -425,18 +429,13 @@ func (w *pushWorker) foldGrouped(m colstore.Morsel, t *aggTable, sel []int32) bo
 	if gch.Enc == colstore.EncRaw {
 		gvals = gch.Raw
 	} else {
-		buf := w.gdec
-		if cap(buf) < rows {
-			buf = make([]value.Value, colstore.ChunkSize)
-		}
-		buf = buf[:rows]
+		buf := w.gdec.get(rows)
 		if sel != nil {
 			gch.DecodeSel(buf, sel)
 		} else {
 			buf = gch.Decode(buf)
 			fullDecode = true
 		}
-		w.gdec = buf
 		gvals = buf
 	}
 	if sel == nil {

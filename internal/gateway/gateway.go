@@ -31,12 +31,12 @@
 // one-shard fleet. Plans are built on the shard that owns the statement
 // and a bound plan records it. A statement no single shard owns is a plan
 // too — the coordinator's PlanScatter builds it, one gather over a
-// fragment per shard — and execute, the package's one executor, admits and
-// runs it like any other. It is not cached, by policy rather than by
-// necessity: a retained plan keeps its pooled operator trees' buffers, and
-// one per scatter template roughly doubled the sharded benchmark's
-// resident set, so every scatter is planned per request and counts as a
-// miss.
+// fragment per shard — bound under its template with Shard -1 and only
+// an AP plan: a full hit runs it on AP with no routing or planning, and
+// execute, the package's one executor, admits and runs it like any other.
+// Retaining it is cheap because an idle pooled operator tree holds no
+// decode buffer: scans borrow those from exec's recycler and give them
+// back at Close.
 package gateway
 
 import (
@@ -128,7 +128,8 @@ const (
 	// CacheMiss means both engines were planned and the entry was cached.
 	CacheMiss CacheOutcome = iota
 	// CacheTemplateHit means the routing decision was reused and only the
-	// routed engine was re-planned with the query's literals.
+	// routed engine was re-planned with the query's literals — for a
+	// scatter, only its PlanScatter plan.
 	CacheTemplateHit
 	// CacheHit means the cached plan was re-executed without any parsing
 	// or planning beyond the fingerprint itself.
@@ -608,14 +609,19 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	entry, found := g.cache.Get(fp)
 	sp.End()
 	if found {
-		// the literal vector fixes the owning shard, so a retained bound
-		// plan runs where it was planned with no routing at all
+		// the literal vector fixes the owning shard, or that none owns the
+		// statement, so a retained bound plan runs where it was planned
+		// with no routing at all — a scatter on AP, whatever the route
 		if bp, ok := entry.Bind(paramKey); ok {
 			resp.Cache = CacheHit
 			g.metrics.hits.Add(1)
 			resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-			g.recordRoute(entry.Route, bp.TPTime, bp.APTime)
-			g.execute(resp, bp.Shard, pickPlan(bp, entry.Route), entry.Route, tr)
+			eng := entry.Route
+			if bp.Shard < 0 {
+				eng = plan.AP
+			}
+			g.recordRoute(eng, bp.TPTime, bp.APTime)
+			g.execute(resp, bp.Shard, pickPlan(bp, eng), eng, tr)
 			return resp
 		}
 	}
@@ -628,15 +634,25 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	}
 	switch {
 	case target < 0:
-		// no shard owns the statement: it scatters, and is not retained
-		// (see the package comment), so every scatter is a miss
-		resp.Cache = CacheMiss
-		g.metrics.misses.Add(1)
+		// no shard owns the statement: it scatters, bound under its
+		// template like any plan; a miss publishes the template first
+		if found {
+			resp.Cache = CacheTemplateHit
+			g.metrics.tmplHit.Add(1)
+		} else {
+			resp.Cache = CacheMiss
+			g.metrics.misses.Add(1)
+			if entry, _, err = g.planMiss(target, sql, fp, paramKey, tr); err != nil {
+				resp.Err = err
+				return resp
+			}
+		}
 		phys, err := g.planScatter(sql, dec, tr)
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
+		entry.AddBind(&BoundPlan{ParamKey: paramKey, Shard: -1, AP: phys})
 		g.recordRoute(plan.AP, 0, 0)
 		g.execute(resp, -1, phys, plan.AP, tr)
 	case found:
@@ -946,7 +962,8 @@ func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Se
 // statement no shard owns (target < 0) is planned on shard 0 — plan shape
 // is the same on every shard — and published without a bound plan, so the
 // serving path can never execute a plan built over another shard's
-// storage. With no fingerprint nothing is published.
+// storage: it binds the statement's scatter plan there itself. With no
+// fingerprint nothing is published.
 func (g *Gateway) planMiss(target int, sql, fp, paramKey string, tr *obs.QueryTrace) (*CachedPlan, *BoundPlan, error) {
 	owner := max(target, 0)
 	sp := tr.Begin("plan")

@@ -15,6 +15,7 @@ import (
 	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/obs"
+	"htapxplain/internal/plan"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/value"
@@ -122,7 +123,7 @@ func insertCustomers(keys ...int64) string {
 }
 
 func TestOnePathDifferential(t *testing.T) {
-	for _, n := range []int{1, 4} {
+	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			coord := testCoordinator(t, n)
 			ref := writeSystem(t)
@@ -166,8 +167,11 @@ func TestOnePathDifferential(t *testing.T) {
 				{"replicated after writes", `SELECT COUNT(*) FROM nation`, false},
 				{"explain analyze after writes", `EXPLAIN ANALYZE SELECT COUNT(*) FROM customer`, false},
 			}
-			crossBefore := coord.Stats().CrossShardTxns
-			for _, st := range steps {
+			// serve runs sql through the gateway and the reference, once both
+			// have replicated every commit, and holds the gateway's answer to
+			// the reference's
+			serve := func(name, sql string, ordered bool) *Response {
+				t.Helper()
 				// AP reads are fresh up to the replication watermark
 				if err := coord.WaitFresh(10 * time.Second); err != nil {
 					t.Fatal(err)
@@ -175,40 +179,45 @@ func TestOnePathDifferential(t *testing.T) {
 				if err := ref.WaitFresh(10 * time.Second); err != nil {
 					t.Fatal(err)
 				}
-				want := refServe(t, ref, st.sql)
-				got := g.Serve(st.sql)
+				want := refServe(t, ref, sql)
+				got := g.Serve(sql)
 				if (got.Err != nil) != want.failed {
-					t.Fatalf("%s: err = %v, reference failed = %v", st.name, got.Err, want.failed)
+					t.Fatalf("%s: err = %v, reference failed = %v", name, got.Err, want.failed)
 				}
 				if got.Kind != want.kind {
-					t.Fatalf("%s: kind %q, reference %q", st.name, got.Kind, want.kind)
+					t.Fatalf("%s: kind %q, reference %q", name, got.Kind, want.kind)
 				}
 				if got.RowsAffected != want.affected {
-					t.Fatalf("%s: rows_affected %d, reference %d", st.name, got.RowsAffected, want.affected)
+					t.Fatalf("%s: rows_affected %d, reference %d", name, got.RowsAffected, want.affected)
 				}
 				switch {
-				case st.ordered:
+				case ordered:
 					if len(got.Rows) != len(want.rows) {
-						t.Fatalf("%s: %d rows, reference %d", st.name, len(got.Rows), len(want.rows))
+						t.Fatalf("%s: %d rows, reference %d", name, len(got.Rows), len(want.rows))
 					}
 					for i := range got.Rows {
 						if rowKey(got.Rows[i]) != rowKey(want.rows[i]) {
-							t.Fatalf("%s: row %d = %v, reference %v", st.name, i, got.Rows[i], want.rows[i])
+							t.Fatalf("%s: row %d = %v, reference %v", name, i, got.Rows[i], want.rows[i])
 						}
 					}
 				case !sameRows(got.Rows, want.rows):
-					t.Fatalf("%s: rows diverge from the reference:\n got %v\nwant %v", st.name, got.Rows, want.rows)
+					t.Fatalf("%s: rows diverge from the reference:\n got %v\nwant %v", name, got.Rows, want.rows)
 				}
 				switch got.Kind {
 				case "explain":
 					if got.Explain == "" {
-						t.Fatalf("%s: empty plan rendering", st.name)
+						t.Fatalf("%s: empty plan rendering", name)
 					}
 				case "explain_analyze":
 					if got.Profile == nil || got.Profile.Rows != want.rootRows {
-						t.Fatalf("%s: profile root %+v, reference root rows %d", st.name, got.Profile, want.rootRows)
+						t.Fatalf("%s: profile root %+v, reference root rows %d", name, got.Profile, want.rootRows)
 					}
 				}
+				return got
+			}
+			crossBefore := coord.Stats().CrossShardTxns
+			for _, st := range steps {
+				serve(st.name, st.sql, st.ordered)
 			}
 			if d := coord.Stats().CrossShardTxns - crossBefore; (n > 1) != (d > 0) {
 				t.Errorf("cross-shard commits advanced by %d on %d shards", d, n)
@@ -217,6 +226,58 @@ func TestOnePathDifferential(t *testing.T) {
 			// a repeated pinned read re-executes the retained plan
 			if resp := g.Serve(pinned); resp.Err != nil || resp.Cache != CacheHit {
 				t.Errorf("repeated pinned read: cache %v err %v, want a hit", resp.Cache, resp.Err)
+			}
+
+			// cached scatters: each scatter read of the table is bound under
+			// its template until InvalidatePlans drops it; then it is served
+			// three times — a miss, then two full hits, each after a committed
+			// write, a refresh and a merge, and each equal to the reference —
+			// and its EXPLAIN ANALYZE stays a miss
+			var scatters []int
+			for i, st := range steps {
+				if sqlparser.StatementKind(st.sql) != "select" {
+					continue
+				}
+				if target, _, err := coord.Route(st.sql); err != nil {
+					t.Fatal(err)
+				} else if target < 0 {
+					scatters = append(scatters, i)
+				}
+			}
+			if (n > 1) != (len(scatters) > 0) {
+				t.Fatalf("%d scatter reads on %d shards", len(scatters), n)
+			}
+			for _, i := range scatters {
+				if got := serve(steps[i].name, steps[i].sql, steps[i].ordered); got.Cache != CacheHit {
+					t.Fatalf("%s served again: cache %v, want a hit on its bound scatter", steps[i].name, got.Cache)
+				}
+			}
+			g.InvalidatePlans()
+			key := int64(4100000000)
+			for _, i := range scatters {
+				st := steps[i]
+				for k, want := range []CacheOutcome{CacheMiss, CacheHit, CacheHit} {
+					if k > 0 {
+						key++
+						serve("write before a cached scatter", fmt.Sprintf(`BEGIN; %s; `+
+							`INSERT INTO orders (o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate, o_orderpriority, o_clerk, o_shippriority, o_comment) `+
+							`VALUES (%d, %d, 'o', 5.0, 9000, '1-urgent', 'clerk', 0, 'cached'); `+
+							`UPDATE customer SET c_acctbal = c_acctbal + 1000 WHERE c_custkey = %d; COMMIT`,
+							insertCustomers(key), key, key, a), false)
+						if err := coord.WaitFresh(10 * time.Second); err != nil {
+							t.Fatal(err)
+						}
+						for s := 0; s < n; s++ {
+							coord.Shard(s).Col.MergeAll()
+						}
+					}
+					if got := serve(st.name, st.sql, st.ordered); got.Cache != want || got.Engine != plan.AP {
+						t.Fatalf("%s, serve %d after InvalidatePlans: cache %v engine %v, want %v on AP", st.name, k+1, got.Cache, got.Engine, want)
+					}
+				}
+				if got := serve("explain analyze "+st.name, "EXPLAIN ANALYZE "+st.sql, st.ordered); got.Cache != CacheMiss {
+					t.Fatalf("EXPLAIN ANALYZE of a bound scatter (%s): cache %v, want a miss", st.name, got.Cache)
+				}
 			}
 
 			// a forced conflict: the loser's snapshot is pinned while the
@@ -336,8 +397,9 @@ func TestBoundPlanRunsOnItsOwner(t *testing.T) {
 	}
 	entry.mu.Unlock()
 
-	// a scatter statement has no owner: its template is published with no
-	// bound plan, and serving it stays a scatter
+	// a scatter statement has no owner: PlanPair publishes its template
+	// with no bound plan, the first serve binds the scatter plan under it,
+	// and the second re-executes that bind — a scatter every time
 	scatter := `SELECT COUNT(*) FROM orders`
 	entry, _, err = g.PlanPair(scatter)
 	if err != nil {
@@ -351,13 +413,21 @@ func TestBoundPlanRunsOnItsOwner(t *testing.T) {
 		tbl, _ := coord.Shard(i).Row.Table("orders")
 		want += int64(len(tbl.Scan()))
 	}
-	before := coord.Stats().ScatterQueries
-	resp := g.Serve(scatter)
-	if resp.Err != nil || resp.Cache != CacheMiss || resp.Rows[0][0].I != want {
-		t.Fatalf("scatter after PlanPair: rows %v cache %v err %v, want %d", resp.Rows, resp.Cache, resp.Err, want)
+	for i, cache := range []CacheOutcome{CacheTemplateHit, CacheHit} {
+		before := coord.Stats().ScatterQueries
+		resp := g.Serve(scatter)
+		if resp.Err != nil || resp.Cache != cache || resp.Engine != plan.AP || resp.Rows[0][0].I != want {
+			t.Fatalf("serve %d of the scatter after PlanPair: rows %v engine %v cache %v err %v, want %d on AP, a %v",
+				i+1, resp.Rows, resp.Engine, resp.Cache, resp.Err, want, cache)
+		}
+		if coord.Stats().ScatterQueries != before+1 {
+			t.Errorf("serve %d of a statement with a published template did not scatter", i+1)
+		}
 	}
-	if coord.Stats().ScatterQueries != before+1 {
-		t.Error("statement with a published template did not scatter")
+	entry.mu.Lock()
+	defer entry.mu.Unlock()
+	if len(entry.binds) != 1 || entry.binds[entry.order[0]].Shard != -1 {
+		t.Errorf("scatter template retains %d binds, want the one scatter (Shard -1)", len(entry.binds))
 	}
 }
 

