@@ -438,7 +438,7 @@ func TestZeroColumnBatch(t *testing.T) {
 		return &HashAggregate{Child: child, Aggs: []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}},
 			Out: Schema{intCol("", "count(*)")}}
 	}
-	yes := func(value.Row) (value.Value, error) { return value.NewBool(true), nil }
+	yes := func(value.Row, *Params) (value.Value, error) { return value.NewBool(true), nil }
 	for _, tc := range []struct {
 		name string
 		op   BatchOperator

@@ -20,9 +20,9 @@ func TestOperatorCloseIdempotent(t *testing.T) {
 	newMem := func() *memOp {
 		return &memOp{schema: Schema{intCol("t", "a")}, rows: rowsOf([]int64{1}, []int64{2})}
 	}
-	truthy := func(value.Row) (value.Value, error) { return value.NewBool(true), nil }
-	boom := func(value.Row) (value.Value, error) { return value.Null, fmt.Errorf("boom") }
-	passCol := func(row value.Row) (value.Value, error) { return row[0], nil }
+	truthy := func(value.Row, *Params) (value.Value, error) { return value.NewBool(true), nil }
+	boom := func(value.Row, *Params) (value.Value, error) { return value.Null, fmt.Errorf("boom") }
+	passCol := func(row value.Row, _ *Params) (value.Value, error) { return row[0], nil }
 
 	cases := []struct {
 		name string

@@ -280,10 +280,10 @@ func TestPartialMergeAgreesWithSerial(t *testing.T) {
 	schema := exchangeSchema()
 	aggs := []AggSpec{
 		{Func: sqlparser.AggCount, Arg: nil, ArgCol: -1},
-		{Func: sqlparser.AggSum, Arg: colEval(1), ArgCol: 1},
-		{Func: sqlparser.AggAvg, Arg: colEval(1), ArgCol: 1},
-		{Func: sqlparser.AggMin, Arg: colEval(1), ArgCol: 1},
-		{Func: sqlparser.AggMax, Arg: colEval(1), ArgCol: 1},
+		{Func: sqlparser.AggSum, Arg: ColumnEval(1), ArgCol: 1},
+		{Func: sqlparser.AggAvg, Arg: ColumnEval(1), ArgCol: 1},
+		{Func: sqlparser.AggMin, Arg: ColumnEval(1), ArgCol: 1},
+		{Func: sqlparser.AggMax, Arg: ColumnEval(1), ArgCol: 1},
 	}
 	finalOut := Schema{{Name: "k", Type: catalog.TypeInt},
 		{Name: "count", Type: catalog.TypeInt}, {Name: "sum", Type: catalog.TypeFloat},
@@ -319,7 +319,7 @@ func TestPartialMergeAgreesWithSerial(t *testing.T) {
 		}
 		return got
 	}
-	groupBy := []Evaluator{colEval(0)}
+	groupBy := []Evaluator{ColumnEval(0)}
 
 	want := serial(all, groupBy, false, false, finalOut, schema)
 
@@ -327,7 +327,7 @@ func TestPartialMergeAgreesWithSerial(t *testing.T) {
 	for _, frag := range frags {
 		partials = append(partials, serial(frag, groupBy, true, false, partialOut, schema)...)
 	}
-	got := serial(partials, []Evaluator{colEval(0)}, false, true, finalOut, partialOut)
+	got := serial(partials, []Evaluator{ColumnEval(0)}, false, true, finalOut, partialOut)
 
 	sortRows := func(rs []value.Row) {
 		sort.Slice(rs, func(i, j int) bool { return rs[i][0].Compare(rs[j][0]) < 0 })
@@ -358,8 +358,4 @@ func TestPartialMergeAgreesWithSerial(t *testing.T) {
 			t.Fatalf("empty-input col %d: got %s want %s", j, gotEmpty[0][j], wantEmpty[0][j])
 		}
 	}
-}
-
-func colEval(i int) Evaluator {
-	return func(r value.Row) (value.Value, error) { return r[i], nil }
 }

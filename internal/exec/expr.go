@@ -9,29 +9,33 @@ import (
 	"htapxplain/internal/value"
 )
 
-// Evaluator computes an expression over one row.
-type Evaluator func(row value.Row) (value.Value, error)
+// Evaluator computes an expression over one row. A literal reads its slot
+// of p, the literal vector the execution runs under (nil or unbound: the
+// literal the expression was compiled from).
+type Evaluator func(row value.Row, p *Params) (value.Value, error)
+
+// ColumnEval is the evaluator of column i of its row.
+func ColumnEval(i int) Evaluator {
+	return func(row value.Row, _ *Params) (value.Value, error) { return row[i], nil }
+}
 
 // Compile translates an AST expression into an Evaluator bound to the
 // given schema. Aggregates are rejected here; the aggregation operators
 // handle them.
 func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
+	if lit, ok := LitOf(e); ok {
+		if lit.Slot == 0 {
+			return func(value.Row, *Params) (value.Value, error) { return lit.V, nil }, nil
+		}
+		return func(_ value.Row, p *Params) (value.Value, error) { return lit.bind(p), nil }, nil
+	}
 	switch x := e.(type) {
-	case *sqlparser.IntLit:
-		v := value.NewInt(x.V)
-		return func(value.Row) (value.Value, error) { return v, nil }, nil
-	case *sqlparser.FloatLit:
-		v := value.NewFloat(x.V)
-		return func(value.Row) (value.Value, error) { return v, nil }, nil
-	case *sqlparser.StringLit:
-		v := value.NewString(x.V)
-		return func(value.Row) (value.Value, error) { return v, nil }, nil
 	case *sqlparser.ColumnRef:
 		idx, err := s.Resolve(x)
 		if err != nil {
 			return nil, err
 		}
-		return func(row value.Row) (value.Value, error) { return row[idx], nil }, nil
+		return ColumnEval(idx), nil
 	case *sqlparser.BinaryExpr:
 		return compileBinary(x, s)
 	case *sqlparser.NotExpr:
@@ -39,8 +43,8 @@ func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row value.Row) (value.Value, error) {
-			v, err := inner(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			v, err := inner(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -64,16 +68,16 @@ func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row value.Row) (value.Value, error) {
-			v, err := ev(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			v, err := ev(row, p)
 			if err != nil {
 				return value.Null, err
 			}
-			l, err := lo(row)
+			l, err := lo(row, p)
 			if err != nil {
 				return value.Null, err
 			}
-			h, err := hi(row)
+			h, err := hi(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -87,16 +91,17 @@ func Compile(e sqlparser.Expr, s Schema) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat := compileLike(x.Pattern)
-		return func(row value.Row) (value.Value, error) {
-			v, err := ev(row)
+		planned, slot := compileLike(x.Pattern), x.Slot
+		return func(row value.Row, p *Params) (value.Value, error) {
+			v, err := ev(row, p)
 			if err != nil {
 				return value.Null, err
 			}
 			if v.IsNull() {
 				return value.Null, nil
 			}
-			return value.NewBool(pat.match(v.String())), nil
+			// a bound vector compiled its pattern when it was bound
+			return value.NewBool(p.pattern(slot, &planned).match(v.String())), nil
 		}, nil
 	case *sqlparser.FuncExpr:
 		return compileFunc(x, s)
@@ -119,15 +124,15 @@ func compileBinary(x *sqlparser.BinaryExpr, s Schema) (Evaluator, error) {
 	op := x.Op
 	switch op {
 	case sqlparser.OpAnd:
-		return func(row value.Row) (value.Value, error) {
-			l, err := left(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			l, err := left(row, p)
 			if err != nil {
 				return value.Null, err
 			}
 			if !l.IsNull() && !l.Bool() {
 				return value.NewBool(false), nil
 			}
-			r, err := right(row)
+			r, err := right(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -140,15 +145,15 @@ func compileBinary(x *sqlparser.BinaryExpr, s Schema) (Evaluator, error) {
 			return value.NewBool(true), nil
 		}, nil
 	case sqlparser.OpOr:
-		return func(row value.Row) (value.Value, error) {
-			l, err := left(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			l, err := left(row, p)
 			if err != nil {
 				return value.Null, err
 			}
 			if !l.IsNull() && l.Bool() {
 				return value.NewBool(true), nil
 			}
-			r, err := right(row)
+			r, err := right(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -161,12 +166,12 @@ func compileBinary(x *sqlparser.BinaryExpr, s Schema) (Evaluator, error) {
 			return value.NewBool(false), nil
 		}, nil
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
-		return func(row value.Row) (value.Value, error) {
-			l, err := left(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			l, err := left(row, p)
 			if err != nil {
 				return value.Null, err
 			}
-			r, err := right(row)
+			r, err := right(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -198,12 +203,12 @@ func compileBinary(x *sqlparser.BinaryExpr, s Schema) (Evaluator, error) {
 			return value.NewFloat(out), nil
 		}, nil
 	default: // comparisons
-		return func(row value.Row) (value.Value, error) {
-			l, err := left(row)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			l, err := left(row, p)
 			if err != nil {
 				return value.Null, err
 			}
-			r, err := right(row)
+			r, err := right(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -240,6 +245,23 @@ func compileIn(x *sqlparser.InExpr, s Schema) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
+	not := x.Not
+	if x.Slot > 0 {
+		// a literal-only list is one slot: its bound values, of any count
+		lits, _ := LitsOf(x.List, x.Slot)
+		return func(row value.Row, p *Params) (value.Value, error) {
+			v, err := ev(row, p)
+			if err != nil || v.IsNull() {
+				return value.Null, err
+			}
+			for _, it := range lits.bind(p, nil) {
+				if v.Equal(it) {
+					return value.NewBool(!not), nil
+				}
+			}
+			return value.NewBool(not), nil
+		}, nil
+	}
 	items := make([]Evaluator, len(x.List))
 	for i, it := range x.List {
 		iev, err := Compile(it, s)
@@ -248,9 +270,8 @@ func compileIn(x *sqlparser.InExpr, s Schema) (Evaluator, error) {
 		}
 		items[i] = iev
 	}
-	not := x.Not
-	return func(row value.Row) (value.Value, error) {
-		v, err := ev(row)
+	return func(row value.Row, p *Params) (value.Value, error) {
+		v, err := ev(row, p)
 		if err != nil {
 			return value.Null, err
 		}
@@ -258,7 +279,7 @@ func compileIn(x *sqlparser.InExpr, s Schema) (Evaluator, error) {
 			return value.Null, nil
 		}
 		for _, iev := range items {
-			iv, err := iev(row)
+			iv, err := iev(row, p)
 			if err != nil {
 				return value.Null, err
 			}
@@ -279,26 +300,19 @@ func compileFunc(x *sqlparser.FuncExpr, s Schema) (Evaluator, error) {
 		}
 		args[i] = ev
 	}
-	evalArgs := func(row value.Row) ([]value.Value, error) {
-		out := make([]value.Value, len(args))
-		for i, ev := range args {
-			v, err := ev(row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	switch x.Name {
 	case "SUBSTRING", "SUBSTR":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("exec: %s requires 3 arguments, got %d", x.Name, len(args))
 		}
-		return func(row value.Row) (value.Value, error) {
-			vs, err := evalArgs(row)
-			if err != nil {
-				return value.Null, err
+		return func(row value.Row, p *Params) (value.Value, error) {
+			var vs [3]value.Value // on the stack: a call allocates nothing
+			for i, ev := range args {
+				v, err := ev(row, p)
+				if err != nil {
+					return value.Null, err
+				}
+				vs[i] = v
 			}
 			if vs[0].IsNull() || vs[1].IsNull() || vs[2].IsNull() {
 				return value.Null, nil
@@ -319,41 +333,30 @@ func compileFunc(x *sqlparser.FuncExpr, s Schema) (Evaluator, error) {
 			return value.NewString(str[start-1 : end]), nil
 		}, nil
 	case "UPPER":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("exec: UPPER requires 1 argument")
-		}
-		return func(row value.Row) (value.Value, error) {
-			vs, err := evalArgs(row)
-			if err != nil || vs[0].IsNull() {
-				return value.Null, err
-			}
-			return value.NewString(strings.ToUpper(vs[0].String())), nil
-		}, nil
+		return unaryFunc(x.Name, args, func(v value.Value) value.Value { return value.NewString(strings.ToUpper(v.String())) })
 	case "LOWER":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("exec: LOWER requires 1 argument")
-		}
-		return func(row value.Row) (value.Value, error) {
-			vs, err := evalArgs(row)
-			if err != nil || vs[0].IsNull() {
-				return value.Null, err
-			}
-			return value.NewString(strings.ToLower(vs[0].String())), nil
-		}, nil
+		return unaryFunc(x.Name, args, func(v value.Value) value.Value { return value.NewString(strings.ToLower(v.String())) })
 	case "LENGTH":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("exec: LENGTH requires 1 argument")
-		}
-		return func(row value.Row) (value.Value, error) {
-			vs, err := evalArgs(row)
-			if err != nil || vs[0].IsNull() {
-				return value.Null, err
-			}
-			return value.NewInt(int64(len(vs[0].String()))), nil
-		}, nil
+		return unaryFunc(x.Name, args, func(v value.Value) value.Value { return value.NewInt(int64(len(v.String()))) })
 	default:
 		return nil, fmt.Errorf("exec: unsupported function %s", x.Name)
 	}
+}
+
+// unaryFunc is a one-argument function: NULL for a NULL argument, f of it
+// otherwise.
+func unaryFunc(name string, args []Evaluator, f func(value.Value) value.Value) (Evaluator, error) {
+	if len(args) != 1 {
+		return nil, fmt.Errorf("exec: %s requires 1 argument", name)
+	}
+	arg := args[0]
+	return func(row value.Row, p *Params) (value.Value, error) {
+		v, err := arg(row, p)
+		if err != nil || v.IsNull() {
+			return value.Null, err
+		}
+		return f(v), nil
+	}, nil
 }
 
 // likePattern is a LIKE pattern compiled once: a pattern whose only
@@ -454,8 +457,8 @@ func charLen(s string, i int) int {
 }
 
 // Truthy evaluates a predicate evaluator to a boolean (NULL → false).
-func Truthy(ev Evaluator, row value.Row) (bool, error) {
-	v, err := ev(row)
+func Truthy(ev Evaluator, row value.Row, p *Params) (bool, error) {
+	v, err := ev(row, p)
 	if err != nil {
 		return false, err
 	}

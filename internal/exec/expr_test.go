@@ -52,7 +52,7 @@ func row(a int64, b float64, s string) value.Row {
 
 func evalOn(t *testing.T, ev Evaluator, r value.Row) value.Value {
 	t.Helper()
-	v, err := ev(r)
+	v, err := ev(r, nil)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -307,11 +307,11 @@ func TestLikeEdgeCases(t *testing.T) {
 
 func TestTruthyHelper(t *testing.T) {
 	ev := compilePred(t, "a = 1")
-	ok, err := Truthy(ev, row(1, 0, ""))
+	ok, err := Truthy(ev, row(1, 0, ""), nil)
 	if err != nil || !ok {
 		t.Errorf("Truthy true case: %v %v", ok, err)
 	}
-	ok, err = Truthy(ev, value.Row{value.Null, value.Null, value.Null})
+	ok, err = Truthy(ev, value.Row{value.Null, value.Null, value.Null}, nil)
 	if err != nil || ok {
 		t.Errorf("Truthy NULL case must be false: %v %v", ok, err)
 	}

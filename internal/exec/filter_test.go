@@ -167,8 +167,8 @@ func TestPushdownDeltaFoldUsesKernels(t *testing.T) {
 		tbl := kernelTable(t, p)
 		_, kernels, ref := scanFilters(t, "k BETWEEN -100 AND 250")
 		agg := func(filter ScanFilter, groupCols []int) *HashAggregate {
-			g := func(r value.Row) (value.Value, error) { return r[3], nil }
-			f := func(r value.Row) (value.Value, error) { return r[1], nil }
+			g := func(r value.Row, _ *Params) (value.Value, error) { return r[3], nil }
+			f := func(r value.Row, _ *Params) (value.Value, error) { return r[1], nil }
 			return &HashAggregate{
 				Child:  NewColTableScan(tbl, "t", identityCols(len(kernelSchema)), filter, pruner),
 				Groups: []Evaluator{g},

@@ -238,7 +238,7 @@ func refHashJoin(t *testing.T, probe, build []value.Row, pk, bk []int, residual 
 		for _, b := range ht[p.Key(pk)] {
 			row := append(p.Clone(), b...)
 			if residual != nil {
-				ok, err := Truthy(residual, row)
+				ok, err := Truthy(residual, row, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func refAggregate(t *testing.T, rows []value.Row, inWidth int, groupCols []int, 
 func evalsFor(cols []int) []Evaluator {
 	evs := make([]Evaluator, len(cols))
 	for i, c := range cols {
-		evs[i] = colEval(c)
+		evs[i] = ColumnEval(c)
 	}
 	return evs
 }
@@ -453,11 +453,11 @@ func aggDifferential(t *testing.T) {
 	const measure = 2
 	aggs := []AggSpec{
 		{Func: sqlparser.AggCount, ArgCol: -1},
-		{Func: sqlparser.AggCount, Arg: colEval(measure), ArgCol: measure},
-		{Func: sqlparser.AggSum, Arg: colEval(measure), ArgCol: measure},
-		{Func: sqlparser.AggAvg, Arg: colEval(measure), ArgCol: measure},
-		{Func: sqlparser.AggMin, Arg: colEval(measure), ArgCol: measure},
-		{Func: sqlparser.AggMax, Arg: colEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggCount, Arg: ColumnEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggSum, Arg: ColumnEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggAvg, Arg: ColumnEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggMin, Arg: ColumnEval(measure), ArgCol: measure},
+		{Func: sqlparser.AggMax, Arg: ColumnEval(measure), ArgCol: measure},
 	}
 	inWidth := len(rows[0])
 

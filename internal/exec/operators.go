@@ -90,16 +90,18 @@ func (s *RowTableScan) Close() error {
 }
 
 // RowIndexScan fetches rows through an ordered index: either a set of
-// point keys (equality / IN list) or a single range.
+// point keys (equality / IN list) or a single range. Keys and bounds are
+// read at Open, from the literal vector when one is bound.
 type RowIndexScan struct {
 	Table   *rowstore.Table
 	Index   *rowstore.Index
 	Binding string
-	Keys    []value.Value // point lookups; nil → use range
-	Lo, Hi  *value.Value
+	Keys    *Lits // point lookups; nil → use range
+	Lo, Hi  *Lit  // range bounds; nil is open
 	out     Schema
 
 	ids     []int32
+	keyBuf  []value.Value
 	heap    []value.Row
 	pos     int
 	rowsBuf []value.Row
@@ -108,7 +110,7 @@ type RowIndexScan struct {
 }
 
 // NewRowIndexScan constructs an index access path.
-func NewRowIndexScan(t *rowstore.Table, ix *rowstore.Index, binding string, keys []value.Value, lo, hi *value.Value) *RowIndexScan {
+func NewRowIndexScan(t *rowstore.Table, ix *rowstore.Index, binding string, keys *Lits, lo, hi *Lit) *RowIndexScan {
 	return &RowIndexScan{Table: t, Index: ix, Binding: binding, Keys: keys, Lo: lo, Hi: hi,
 		out: TableSchema(t.Meta, binding)}
 }
@@ -125,13 +127,23 @@ func (s *RowIndexScan) Open(ctx *Context) error {
 	s.ids = s.ids[:0]
 	s.pos = 0
 	if s.Keys != nil {
-		ctx.Stats.IndexProbes += int64(len(s.Keys))
-		for _, k := range s.Keys {
-			s.ids = append(s.ids, s.Index.Lookup(k)...)
+		keys := s.Keys.bind(ctx.Params, &s.keyBuf)
+		ctx.Stats.IndexProbes += int64(len(keys))
+		for _, k := range keys {
+			s.ids = s.Index.LookupAppend(k, s.ids)
 		}
 	} else {
 		ctx.Stats.IndexProbes++
-		s.ids = append(s.ids, s.Index.Range(s.Lo, s.Hi)...)
+		var lo, hi *value.Value
+		if s.Lo != nil {
+			v := s.Lo.bind(ctx.Params)
+			lo = &v
+		}
+		if s.Hi != nil {
+			v := s.Hi.bind(ctx.Params)
+			hi = &v
+		}
+		s.ids = append(s.ids, s.Index.Range(lo, hi)...)
 	}
 	// snapshot the heap after collecting ids: every id collected above is
 	// below the snapshot's length, and heap slots are immutable once written
@@ -178,9 +190,11 @@ type RowIndexOrderScan struct {
 	Binding   string
 	Desc      bool
 	LimitHint int // <=0 means no early stop
+	Slots     CountSlots
 	Pred      Evaluator
 	out       Schema
 
+	hint    int // LimitHint under the execution's literal vector
 	ids     []int32
 	heap    []value.Row
 	pos     int
@@ -200,7 +214,7 @@ func (s *RowIndexOrderScan) Schema() Schema { return s.out }
 
 func (s *RowIndexOrderScan) Clone() BatchOperator {
 	return &RowIndexOrderScan{Table: s.Table, Index: s.Index, Binding: s.Binding,
-		Desc: s.Desc, LimitHint: s.LimitHint, Pred: s.Pred, out: s.out}
+		Desc: s.Desc, LimitHint: s.LimitHint, Slots: s.Slots, Pred: s.Pred, out: s.out}
 }
 
 func (s *RowIndexOrderScan) Open(ctx *Context) error {
@@ -212,12 +226,14 @@ func (s *RowIndexOrderScan) Open(ctx *Context) error {
 	}
 	s.heap = s.Table.Heap()
 	s.pos, s.matched = 0, 0
+	hint, _ := s.Slots.bind(ctx.Params, int64(s.LimitHint), 0)
+	s.hint = int(hint)
 	s.rw.init(len(s.out))
 	return nil
 }
 
 func (s *RowIndexOrderScan) Next(ctx *Context) (*Batch, error) {
-	if s.LimitHint > 0 && s.matched >= s.LimitHint {
+	if s.hint > 0 && s.matched >= s.hint {
 		return nil, nil
 	}
 	s.rowsBuf = s.rowsBuf[:0]
@@ -227,7 +243,7 @@ func (s *RowIndexOrderScan) Next(ctx *Context) (*Batch, error) {
 		ctx.Stats.RowsScanned++
 		ctx.Stats.BytesScanned += s.Table.Meta.AvgRowBytes
 		if s.Pred != nil {
-			ok, err := Truthy(s.Pred, row)
+			ok, err := Truthy(s.Pred, row, ctx.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +253,7 @@ func (s *RowIndexOrderScan) Next(ctx *Context) (*Batch, error) {
 		}
 		s.rowsBuf = append(s.rowsBuf, row)
 		s.matched++
-		if s.LimitHint > 0 && s.matched >= s.LimitHint {
+		if s.hint > 0 && s.matched >= s.hint {
 			break
 		}
 	}
@@ -284,11 +300,25 @@ type ColTableScan struct {
 	Cols    []int // table column positions to read (projection pushdown)
 	Filter  ScanFilter
 	Pruner  *colstore.RangePruner
-	out     Schema
+	// PrunerSlots are the slots of Pruner's Lo and Hi (0: the planned
+	// bound); a one-key IN list's slot is both.
+	PrunerSlots [2]int
+	out         Schema
 
 	// shared, when set (by ForkShared), is the cross-worker morsel cursor
 	// this clone draws from instead of pinning its own view.
 	shared *colstore.Morsels
+
+	// filter and pruner are Filter and Pruner under the execution's literal
+	// vector (see bind); kernels and bounded hold them when a slot moved
+	// them.
+	filter  ScanFilter
+	pruner  *colstore.RangePruner
+	kernels ScanFilter
+	bounded struct {
+		pr     colstore.RangePruner
+		bounds [2]value.Value // Lo, Hi
+	}
 
 	src     *colstore.Morsels
 	view    colstore.View
@@ -322,17 +352,50 @@ func (s *ColTableScan) Schema() Schema { return s.out }
 
 func (s *ColTableScan) Clone() BatchOperator {
 	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols,
-		Filter: s.Filter, Pruner: s.Pruner, out: s.out}
+		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, out: s.out}
+}
+
+// bind specialises the scan to the literal vector p, once per execution:
+// its selection kernels, and its pruner's bounds — which chunks the morsel
+// cursor skips and the encoded prefilter selects.
+func (s *ColTableScan) bind(p *Params) {
+	s.filter = s.Filter.bind(p, &s.kernels)
+	s.pruner = s.Pruner
+	if s.Pruner == nil || !p.bound() || s.PrunerSlots == [2]int{} {
+		return
+	}
+	b := &s.bounded
+	b.pr = *s.Pruner
+	for i, slot := range s.PrunerSlots {
+		if slot == 0 {
+			continue
+		}
+		vs := p.span(slot)
+		if len(vs) != 1 {
+			// a one-key IN list bound to several keys: no one range
+			// stands for them, and the kernels alone select
+			s.pruner = nil
+			return
+		}
+		b.bounds[i] = vs[0]
+		if i == 0 {
+			b.pr.Lo = &b.bounds[0]
+		} else {
+			b.pr.Hi = &b.bounds[1]
+		}
+	}
+	s.pruner = &b.pr
 }
 
 // ForkShared pins one view of the table and returns scan clones that all
 // draw morsels from a single shared cursor — the ParallelSource contract.
 // The clone count is dop clamped to the morsel supply: workers beyond it
 // would only pay goroutine and Open overhead to receive nothing. Pruning
-// state and the delta snapshot live in the shared cursor; per-batch
-// buffers stay private to each clone.
-func (s *ColTableScan) ForkShared(dop int) []BatchOperator {
-	src := colstore.NewMorsels(s.Table.View(), s.Pruner)
+// state (bound to p) and the delta snapshot live in the shared cursor;
+// per-batch buffers stay private to each clone.
+func (s *ColTableScan) ForkShared(dop int, p *Params) []BatchOperator {
+	s.bind(p)
+	src := colstore.NewMorsels(s.Table.View(), s.pruner)
 	if n := src.NumMorsels(); dop > n {
 		dop = n
 	}
@@ -350,12 +413,13 @@ func (s *ColTableScan) ForkShared(dop int) []BatchOperator {
 
 func (s *ColTableScan) Open(ctx *Context) error {
 	s.closed = false
+	s.bind(ctx.Params)
 	if s.shared != nil {
 		s.src = s.shared
 		s.view = s.shared.View
 	} else {
 		s.view = s.Table.View()
-		s.src = colstore.NewMorsels(s.view, s.Pruner)
+		s.src = colstore.NewMorsels(s.view, s.pruner)
 	}
 	if s.batch.Cols == nil {
 		s.batch.Cols = make([][]value.Value, len(s.Cols))
@@ -440,7 +504,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	// (the sargable conjunct bounds every match) before any decode.
 	var sel []int32   // candidate positions; nil = all rows
 	selExact := false // sel already reflects the full predicate
-	if pr := s.Pruner; pr != nil && (pr.Exact || anyEnc) {
+	if pr := s.pruner; pr != nil && (pr.Exact || anyEnc) {
 		pch := s.view.Cols[pr.Col].Chunk(m.Chunk)
 		res, all := pch.RangeSel(pr.Lo, pr.Hi, pr.LoStrict, pr.HiStrict, s.preSel[:0])
 		s.preSel = res
@@ -477,7 +541,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 
 	countChunk()
 	needDead := s.view.BaseDead != nil
-	needPred := len(s.Filter) > 0 && !selExact
+	needPred := len(s.filter) > 0 && !selExact
 	if !needDead && !needPred {
 		s.batch.Sel = sel
 		return &s.batch, nil
@@ -504,7 +568,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	}
 	if needPred && (sel == nil || len(sel) > 0) {
 		var err error
-		if sel, err = s.Filter.apply(s.batch.Cols, rows, sel, &s.selBuf, s.scratch); err != nil {
+		if sel, err = s.filter.apply(s.batch.Cols, rows, sel, &s.selBuf, s.scratch, ctx.Params); err != nil {
 			return nil, err
 		}
 	}
@@ -523,8 +587,8 @@ func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64)
 	s.deltaSlab = projectRows(&s.batch, rows, s.Cols, s.deltaSlab)
 	ctx.Stats.RowsScanned += int64(len(rows))
 	ctx.Stats.BytesScanned += int64(len(rows)) * perCol * int64(len(s.Cols))
-	if len(s.Filter) > 0 {
-		sel, err := s.Filter.apply(s.batch.Cols, len(rows), nil, &s.selBuf, s.scratch)
+	if len(s.filter) > 0 {
+		sel, err := s.filter.apply(s.batch.Cols, len(rows), nil, &s.selBuf, s.scratch, ctx.Params)
 		if err != nil || len(sel) == 0 {
 			return nil, err
 		}
@@ -612,7 +676,7 @@ func (f *FilterOp) Next(ctx *Context) (*Batch, error) {
 			for j := range b.Cols {
 				f.scratch[j] = b.Cols[j][p]
 			}
-			ok, err := Truthy(f.Pred, f.scratch)
+			ok, err := Truthy(f.Pred, f.scratch, ctx.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -677,7 +741,7 @@ func (p *ProjectOp) Next(ctx *Context) (*Batch, error) {
 	for i := 0; i < n; i++ {
 		b.FillRow(i, p.scratch)
 		for j, ev := range p.Evals {
-			v, err := ev(p.scratch)
+			v, err := ev(p.scratch, ctx.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -762,7 +826,7 @@ func (j *NestedLoopJoin) Next(ctx *Context) (*Batch, error) {
 				copy(j.combined[outerWidth:], in)
 				ok := true
 				if j.Pred != nil {
-					ok, err = Truthy(j.Pred, j.combined)
+					ok, err = Truthy(j.Pred, j.combined, ctx.Params)
 					if err != nil {
 						return nil, err
 					}
@@ -870,7 +934,7 @@ func (j *IndexNLJoin) Next(ctx *Context) (*Batch, error) {
 				ctx.Stats.BytesScanned += j.InnerTable.Meta.AvgRowBytes
 				copy(j.combined[outerWidth:], in)
 				if j.Residual != nil {
-					ok, err := Truthy(j.Residual, j.combined)
+					ok, err := Truthy(j.Residual, j.combined, ctx.Params)
 					if err != nil {
 						return nil, err
 					}
@@ -1086,7 +1150,7 @@ func (t *joinTable) absorb(o *joinTable) {
 // the chains are linked (match order for duplicate keys is then worker
 // order, arrival order within a worker — a multiset-equivalent reordering).
 func (j *HashJoin) build(ctx *Context) error {
-	pipes := forkPipeline(j.Build, ctx.DOP)
+	pipes := forkPipeline(j.Build, ctx)
 	parts := make([]joinTable, len(pipes))
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
 		t := &parts[w]
@@ -1158,21 +1222,21 @@ func (j *HashJoin) match(pb *Batch) {
 
 // filterMatches keeps the matched pairs whose concatenated row satisfies
 // the residual.
-func (j *HashJoin) filterMatches(pb *Batch) error {
+func (j *HashJoin) filterMatches(pb *Batch, p *Params) error {
 	pw, kept := len(pb.Cols), 0
-	for m, p := range j.pIdx {
+	for m, pos := range j.pIdx {
 		for c, col := range pb.Cols {
-			j.combined[c] = col[p]
+			j.combined[c] = col[pos]
 		}
 		for c, col := range j.table.cols.batch.Cols {
 			j.combined[pw+c] = col[j.bIdx[m]]
 		}
-		ok, err := Truthy(j.Residual, j.combined)
+		ok, err := Truthy(j.Residual, j.combined, p)
 		if err != nil {
 			return err
 		}
 		if ok {
-			j.pIdx[kept], j.bIdx[kept] = p, j.bIdx[m]
+			j.pIdx[kept], j.bIdx[kept] = pos, j.bIdx[m]
 			kept++
 		}
 	}
@@ -1189,7 +1253,7 @@ func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
 		ctx.Stats.HashProbeRows += int64(pb.NumActive())
 		j.match(pb)
 		if j.Residual != nil {
-			if err := j.filterMatches(pb); err != nil {
+			if err := j.filterMatches(pb, ctx.Params); err != nil {
 				return nil, err
 			}
 		}
@@ -1295,7 +1359,7 @@ func (a *HashAggregate) newState(group value.Row) *aggState {
 }
 
 // accumulate folds one input row into its group's state.
-func (a *HashAggregate) accumulate(st *aggState, row value.Row) error {
+func (a *HashAggregate) accumulate(st *aggState, row value.Row, p *Params) error {
 	if a.Merge {
 		return a.mergeAccumulate(st, row)
 	}
@@ -1304,7 +1368,7 @@ func (a *HashAggregate) accumulate(st *aggState, row value.Row) error {
 			st.counts[i]++
 			continue
 		}
-		v, err := spec.Arg(row)
+		v, err := spec.Arg(row, p)
 		if err != nil {
 			return err
 		}
@@ -1403,7 +1467,7 @@ func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
 // has one state: it is resolved once per batch, not hashed and looked up
 // per row, and when every aggregate is COUNT(*) the batch folds as its row
 // count.
-func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
+func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
 	n := b.NumActive()
 	if len(a.Groups) == 0 {
 		st := a.stateFor(t, nil)
@@ -1414,7 +1478,7 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			if err := a.accumulate(st, b.FillRow(i, t.scratch)); err != nil {
+			if err := a.accumulate(st, b.FillRow(i, t.scratch), p); err != nil {
 				return err
 			}
 		}
@@ -1423,13 +1487,13 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch) error {
 	for i := 0; i < n; i++ {
 		b.FillRow(i, t.scratch)
 		for gi, ev := range a.Groups {
-			v, err := ev(t.scratch)
+			v, err := ev(t.scratch, p)
 			if err != nil {
 				return err
 			}
 			t.gkey[gi] = v
 		}
-		if err := a.accumulate(a.stateFor(t, t.gkey), t.scratch); err != nil {
+		if err := a.accumulate(a.stateFor(t, t.gkey), t.scratch, p); err != nil {
 			return err
 		}
 	}
@@ -1602,13 +1666,13 @@ func (a *HashAggregate) Open(ctx *Context) error {
 	if done, err := a.openPushdown(ctx); done || err != nil {
 		return err
 	}
-	pipes := forkPipeline(a.Child, ctx.DOP)
+	pipes := forkPipeline(a.Child, ctx)
 	parts := make([]*aggTable, len(pipes))
 	for w := range parts {
 		parts[w] = a.newTable()
 	}
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
-		return a.foldBatch(parts[w], b)
+		return a.foldBatch(parts[w], b, wctx.Params)
 	})
 	if err != nil {
 		return err
@@ -1727,17 +1791,16 @@ type SortKey struct {
 // ColumnKey orders by input column col. Its Eval reads the column, and a
 // Top-N over this one key reads it straight from the batch instead.
 func ColumnKey(col int, desc bool) SortKey {
-	return SortKey{Eval: func(row value.Row) (value.Value, error) { return row[col], nil },
-		Desc: desc, col: col + 1}
+	return SortKey{Eval: ColumnEval(col), Desc: desc, col: col + 1}
 }
 
-func compareByKeys(keys []SortKey, a, b value.Row) (int, error) {
+func compareByKeys(keys []SortKey, a, b value.Row, p *Params) (int, error) {
 	for _, k := range keys {
-		av, err := k.Eval(a)
+		av, err := k.Eval(a, p)
 		if err != nil {
 			return 0, err
 		}
-		bv, err := k.Eval(b)
+		bv, err := k.Eval(b, p)
 		if err != nil {
 			return 0, err
 		}
@@ -1778,7 +1841,7 @@ func (s *SortOp) Open(ctx *Context) error {
 	ctx.Stats.RowsSorted += int64(len(rows))
 	var sortErr error
 	sort.SliceStable(rows, func(i, j int) bool {
-		c, err := compareByKeys(s.Keys, rows[i], rows[j])
+		c, err := compareByKeys(s.Keys, rows[i], rows[j], ctx.Params)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
@@ -1814,6 +1877,7 @@ type TopNOp struct {
 	Keys   []SortKey
 	N      int64
 	Offset int64
+	Slots  CountSlots
 
 	emit   rowEmitter
 	closed bool
@@ -1822,7 +1886,7 @@ type TopNOp struct {
 func (t *TopNOp) Schema() Schema { return t.Child.Schema() }
 
 func (t *TopNOp) Clone() BatchOperator {
-	return &TopNOp{Child: t.Child.Clone(), Keys: t.Keys, N: t.N, Offset: t.Offset}
+	return &TopNOp{Child: t.Child.Clone(), Keys: t.Keys, N: t.N, Offset: t.Offset, Slots: t.Slots}
 }
 
 func (t *TopNOp) Open(ctx *Context) error {
@@ -1830,7 +1894,9 @@ func (t *TopNOp) Open(ctx *Context) error {
 	if err := t.Child.Open(ctx); err != nil {
 		return err
 	}
-	keep := t.N + t.Offset
+	p := ctx.Params
+	n, offset := t.Slots.bind(p, t.N, t.Offset)
+	keep := n + offset
 	if keep < 0 {
 		keep = 0
 	}
@@ -1854,7 +1920,7 @@ func (t *TopNOp) Open(ctx *Context) error {
 				if keep == 0 {
 					continue
 				}
-				reject, err := t.rejects(b, i, top[len(top)-1], scratch)
+				reject, err := t.rejects(b, i, top[len(top)-1], scratch, p)
 				if err != nil {
 					_ = t.Child.Close()
 					return err
@@ -1865,7 +1931,7 @@ func (t *TopNOp) Open(ctx *Context) error {
 			}
 			row := b.FillRow(i, scratch)
 			pos := sort.Search(len(top), func(k int) bool {
-				c, err := compareByKeys(t.Keys, row, top[k])
+				c, err := compareByKeys(t.Keys, row, top[k], p)
 				if err != nil && insErr == nil {
 					insErr = err
 				}
@@ -1887,10 +1953,10 @@ func (t *TopNOp) Open(ctx *Context) error {
 			return insErr
 		}
 	}
-	if t.Offset >= int64(len(top)) {
+	if offset >= int64(len(top)) {
 		top = nil
 	} else {
-		top = top[t.Offset:]
+		top = top[offset:]
 	}
 	t.emit.reset(top, len(t.Schema()))
 	return nil
@@ -1903,7 +1969,7 @@ func (t *TopNOp) Open(ctx *Context) error {
 // as float64 — what value.Compare does for numeric kinds, NaN comparing
 // equal to everything; NULL, strings and multi-key orders compare through
 // the keys' evaluators.
-func (t *TopNOp) rejects(b *Batch, i int, last, scratch value.Row) (bool, error) {
+func (t *TopNOp) rejects(b *Batch, i int, last, scratch value.Row, p *Params) (bool, error) {
 	if len(t.Keys) == 1 && t.Keys[0].col > 0 {
 		c := t.Keys[0].col - 1
 		vf, vok := b.Cols[c][b.PosAt(i)].AsFloat()
@@ -1915,7 +1981,7 @@ func (t *TopNOp) rejects(b *Batch, i int, last, scratch value.Row) (bool, error)
 			return !(vf < lf), nil
 		}
 	}
-	c, err := compareByKeys(t.Keys, b.FillRow(i, scratch), last)
+	c, err := compareByKeys(t.Keys, b.FillRow(i, scratch), last, p)
 	return c >= 0, err
 }
 
@@ -1946,25 +2012,28 @@ type LimitOp struct {
 	Child  Operator
 	N      int64
 	Offset int64
+	Slots  CountSlots
 
 	// budget, when set by forkPipeline, is the cross-worker shared
 	// remaining-row count.
 	budget *atomic.Int64
 
-	skipped int64
-	emitted int64
-	selBuf  []int32
-	closed  bool
+	n, offset int64 // N and Offset under the execution's literal vector
+	skipped   int64
+	emitted   int64
+	selBuf    []int32
+	closed    bool
 }
 
 func (l *LimitOp) Schema() Schema { return l.Child.Schema() }
 
 func (l *LimitOp) Clone() BatchOperator {
-	return &LimitOp{Child: l.Child.Clone(), N: l.N, Offset: l.Offset}
+	return &LimitOp{Child: l.Child.Clone(), N: l.N, Offset: l.Offset, Slots: l.Slots}
 }
 
 func (l *LimitOp) Open(ctx *Context) error {
 	l.closed = false
+	l.n, l.offset = l.Slots.bind(ctx.Params, l.N, l.Offset)
 	l.skipped, l.emitted = 0, 0
 	return l.Child.Open(ctx)
 }
@@ -1974,10 +2043,10 @@ func (l *LimitOp) Open(ctx *Context) error {
 // a shared budget cancels the fork scope — the whole fork is done.
 func (l *LimitOp) claim(ctx *Context, n int) int {
 	if l.budget == nil {
-		if l.N < 0 {
+		if l.n < 0 {
 			return n
 		}
-		take := l.N - l.emitted
+		take := l.n - l.emitted
 		if take > int64(n) {
 			take = int64(n)
 		}
@@ -2004,7 +2073,7 @@ func (l *LimitOp) claim(ctx *Context, n int) int {
 }
 
 func (l *LimitOp) Next(ctx *Context) (*Batch, error) {
-	if l.budget == nil && l.N >= 0 && l.emitted >= l.N {
+	if l.budget == nil && l.n >= 0 && l.emitted >= l.n {
 		return nil, nil
 	}
 	for {
@@ -2014,8 +2083,8 @@ func (l *LimitOp) Next(ctx *Context) (*Batch, error) {
 		}
 		n := b.NumActive()
 		skip := 0
-		if l.skipped < l.Offset {
-			skip = int(l.Offset - l.skipped)
+		if l.skipped < l.offset {
+			skip = int(l.offset - l.skipped)
 			if skip > n {
 				skip = n
 			}

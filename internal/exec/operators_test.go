@@ -456,7 +456,7 @@ var topNKinds = map[string]func(r *rand.Rand) value.Value{
 // the evaluator path and is held to the sort too.
 func TestTopNTypedBoundaryDifferential(t *testing.T) {
 	schema := Schema{{Binding: "t", Name: "k"}, intCol("t", "id")}
-	dropSome := func(row value.Row) (value.Value, error) { return value.NewBool(row[1].I%7 != 3), nil }
+	dropSome := func(row value.Row, _ *Params) (value.Value, error) { return value.NewBool(row[1].I%7 != 3), nil }
 	for kind, gen := range topNKinds {
 		for seed := int64(0); seed < 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))

@@ -24,34 +24,37 @@ import (
 
 // ParallelSource is a leaf operator whose scan can be split into
 // chunk-aligned morsels drawn from a shared cursor. ForkShared pins the
-// source's snapshot once and returns dop clones that all draw from it;
-// each clone is a full BatchOperator whose Open attaches to the shared
-// cursor instead of pinning a private one.
+// source's snapshot once, pruned under the literal vector p, and returns
+// dop clones that all draw from it; each clone is a full BatchOperator
+// whose Open attaches to the shared cursor instead of pinning a private
+// one.
 type ParallelSource interface {
 	BatchOperator
-	ForkShared(dop int) []BatchOperator
+	ForkShared(dop int, p *Params) []BatchOperator
 }
 
-// forkable reports whether op is a per-morsel pipeline: a chain of
-// operators that work row-at-a-time with no cross-morsel state
-// (FilterOp, ProjectOp, offset-free LimitOp) over a single
-// ParallelSource leaf. Blocking operators (aggregation, joins, sorts)
-// are not forkable themselves — they parallelize their forkable inputs
-// and merge.
-func forkable(op BatchOperator) bool {
+// forkable reports whether op is a per-morsel pipeline under the literal
+// vector p: a chain of operators that work row-at-a-time with no
+// cross-morsel state (FilterOp, ProjectOp, offset-free LimitOp) over a
+// single ParallelSource leaf. Blocking operators (aggregation, joins,
+// sorts) are not forkable themselves — they parallelize their forkable
+// inputs and merge.
+func forkable(op BatchOperator, p *Params) bool {
 	switch x := op.(type) {
 	case *FilterOp:
-		return forkable(x.Child)
+		return forkable(x.Child, p)
 	case *ProjectOp:
-		return forkable(x.Child)
+		return forkable(x.Child, p)
 	case *LimitOp:
 		// offset needs a serial view of the stream; a bounded limit forks
-		// with a shared cross-worker budget
-		return x.Offset == 0 && x.N >= 0 && forkable(x.Child)
+		// with a shared cross-worker budget. The bound counts decide: a
+		// plan built with OFFSET 0 runs serial under a vector with one.
+		n, offset := x.Slots.bind(p, x.N, x.Offset)
+		return offset == 0 && n >= 0 && forkable(x.Child, p)
 	case *analyzeOp:
 		// EXPLAIN ANALYZE wrappers are transparent: a wrapped per-morsel
 		// pipeline forks exactly like the bare one
-		return forkable(x.child)
+		return forkable(x.child, p)
 	case ParallelSource:
 		return true
 	}
@@ -68,7 +71,7 @@ func forkable(op BatchOperator) bool {
 // its child serially): reserving slots for them would starve concurrent
 // queries for no speedup.
 func CanParallelize(op BatchOperator) bool {
-	return forkable(op) || hasForkPoint(op)
+	return forkable(op, nil) || hasForkPoint(op)
 }
 
 // hasForkPoint walks the tree for an Open-time forker with a forkable
@@ -78,13 +81,13 @@ func CanParallelize(op BatchOperator) bool {
 func hasForkPoint(op BatchOperator) bool {
 	switch x := op.(type) {
 	case *HashAggregate:
-		return forkable(x.Child) || hasForkPoint(x.Child)
+		return forkable(x.Child, nil) || hasForkPoint(x.Child)
 	case *HashJoin:
-		return forkable(x.Build) || hasForkPoint(x.Build) || hasForkPoint(x.Probe)
+		return forkable(x.Build, nil) || hasForkPoint(x.Build) || hasForkPoint(x.Probe)
 	case *SortOp:
-		return forkable(x.Child) || hasForkPoint(x.Child) // Open drains the child
+		return forkable(x.Child, nil) || hasForkPoint(x.Child) // Open drains the child
 	case *NestedLoopJoin:
-		return forkable(x.Inner) || hasForkPoint(x.Inner) || hasForkPoint(x.Outer)
+		return forkable(x.Inner, nil) || hasForkPoint(x.Inner) || hasForkPoint(x.Outer)
 	case *FilterOp:
 		return hasForkPoint(x.Child)
 	case *ProjectOp:
@@ -104,24 +107,25 @@ func hasForkPoint(op BatchOperator) bool {
 }
 
 // forkPipeline returns the pipelines a consumer of op drives with
-// runForked: the per-morsel pipeline rooted at op cloned dop times over one
-// shared morsel cursor, or op alone when the pipeline is not forkable or
-// parallelism is not worth it. Limits in the clones share one atomic row
-// budget.
-func forkPipeline(op BatchOperator, dop int) []BatchOperator {
-	if dop <= 1 || !forkable(op) {
+// runForked: the per-morsel pipeline rooted at op cloned ctx.DOP times
+// over one shared morsel cursor, or op alone when the pipeline is not
+// forkable or parallelism is not worth it. Limits in the clones share one
+// atomic row budget.
+func forkPipeline(op BatchOperator, ctx *Context) []BatchOperator {
+	p := ctx.Params
+	if ctx.DOP <= 1 || !forkable(op, p) {
 		return []BatchOperator{op}
 	}
 	// the source clamps to its morsel supply — fewer clones may come back
 	// than asked for, and a supply too small to share runs serial
-	leaves := findSource(op).ForkShared(dop)
+	leaves := findSource(op).ForkShared(ctx.DOP, p)
 	if len(leaves) <= 1 {
 		return []BatchOperator{op}
 	}
 	var budget *atomic.Int64
 	out := make([]BatchOperator, len(leaves))
 	for i := range out {
-		out[i] = forkOne(op, leaves[i], &budget)
+		out[i] = forkOne(op, leaves[i], p, &budget)
 	}
 	return out
 }
@@ -167,24 +171,25 @@ func rowBound(op BatchOperator) int {
 
 // forkOne builds one worker's private pipeline clone over the given
 // shared-cursor leaf. The first limit encountered lazily creates the
-// shared budget all clones reuse.
-func forkOne(op BatchOperator, leaf BatchOperator, budget **atomic.Int64) BatchOperator {
+// shared budget all clones reuse, holding its count under p.
+func forkOne(op BatchOperator, leaf BatchOperator, p *Params, budget **atomic.Int64) BatchOperator {
 	switch x := op.(type) {
 	case *FilterOp:
-		return &FilterOp{Child: forkOne(x.Child, leaf, budget), Pred: x.Pred}
+		return &FilterOp{Child: forkOne(x.Child, leaf, p, budget), Pred: x.Pred}
 	case *ProjectOp:
-		return &ProjectOp{Child: forkOne(x.Child, leaf, budget), Evals: x.Evals, Out: x.Out}
+		return &ProjectOp{Child: forkOne(x.Child, leaf, p, budget), Evals: x.Evals, Out: x.Out}
 	case *LimitOp:
 		if *budget == nil {
+			n, _ := x.Slots.bind(p, x.N, x.Offset)
 			b := &atomic.Int64{}
-			b.Store(x.N)
+			b.Store(n)
 			*budget = b
 		}
-		return &LimitOp{Child: forkOne(x.Child, leaf, budget), N: x.N, budget: *budget}
+		return &LimitOp{Child: forkOne(x.Child, leaf, p, budget), N: x.N, Slots: x.Slots, budget: *budget}
 	case *analyzeOp:
 		// every worker gets a private wrapper instance recording into the
 		// shared profile through its atomic counters
-		return &analyzeOp{child: forkOne(x.child, leaf, budget), prof: x.prof, leafScan: x.leafScan}
+		return &analyzeOp{child: forkOne(x.child, leaf, p, budget), prof: x.prof, leafScan: x.leafScan}
 	default:
 		return leaf
 	}
@@ -270,7 +275,7 @@ func runPipe(p BatchOperator, w int, wctx *Context, consume func(w int, wctx *Co
 // are concatenated in worker order (a multiset-equivalent reordering of the
 // serial output).
 func drainOp(op BatchOperator, ctx *Context) ([]value.Row, error) {
-	pipes := forkPipeline(op, ctx.DOP)
+	pipes := forkPipeline(op, ctx)
 	parts := make([][]value.Row, len(pipes))
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
 		parts[w] = b.AppendRows(parts[w])

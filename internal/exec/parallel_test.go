@@ -245,7 +245,7 @@ func TestParallelScanZoneMapPruning(t *testing.T) {
 func TestParallelWorkerErrorPropagates(t *testing.T) {
 	tbl := parallelFixture(t, 8*colstore.ChunkSize)
 	scan := NewColTableScan(tbl, "p", []int{0, 2}, nil, nil)
-	boom := func(row value.Row) (value.Value, error) {
+	boom := func(row value.Row, _ *Params) (value.Value, error) {
 		if row[0].I == int64(3*colstore.ChunkSize+17) {
 			return value.Null, fmt.Errorf("boom")
 		}
@@ -279,7 +279,7 @@ func TestForkableShapes(t *testing.T) {
 		{"sort-over-scan", &SortOp{Child: scan}, false},
 	}
 	for _, tc := range cases {
-		if got := forkable(tc.op); got != tc.want {
+		if got := forkable(tc.op, nil); got != tc.want {
 			t.Errorf("forkable(%s) = %v, want %v", tc.name, got, tc.want)
 		}
 	}

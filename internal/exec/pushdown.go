@@ -65,8 +65,13 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 	if !ok {
 		return false, nil
 	}
+	scan.bind(ctx.Params)
+	if len(scan.filter) > 0 && scan.pruner == nil {
+		// the bound vector left no pruner to stand in for the predicate
+		return false, nil
+	}
 	view := scan.Table.View()
-	src := colstore.NewMorsels(view, scan.Pruner)
+	src := colstore.NewMorsels(view, scan.pruner)
 	dop := ctx.DOP
 	if n := src.NumMorsels(); dop > n {
 		dop = n
@@ -197,7 +202,7 @@ func (w *pushWorker) foldBase(ctx *Context, m colstore.Morsel, t *aggTable) {
 	}
 
 	var sel []int32 // candidate positions; nil = all rows
-	if pr := w.scan.Pruner; pr != nil && (pr.Exact || anyEnc) {
+	if pr := w.scan.pruner; pr != nil && (pr.Exact || anyEnc) {
 		pch := w.view.Cols[pr.Col].Chunk(m.Chunk)
 		res, all := pch.RangeSel(pr.Lo, pr.Hi, pr.LoStrict, pr.HiStrict, w.preSel[:0])
 		w.preSel = res
@@ -500,8 +505,8 @@ func (w *pushWorker) foldDelta(ctx *Context, m colstore.Morsel, t *aggTable) err
 		b.Cols = make([][]value.Value, len(w.scan.Cols))
 	}
 	w.deltaSlab = projectRows(b, rows, w.scan.Cols, w.deltaSlab)
-	if len(w.scan.Filter) > 0 {
-		sel, err := w.scan.Filter.apply(b.Cols, b.Len, nil, &w.deltaSel, w.scratch)
+	if len(w.scan.filter) > 0 {
+		sel, err := w.scan.filter.apply(b.Cols, b.Len, nil, &w.deltaSel, w.scratch, ctx.Params)
 		if err != nil || len(sel) == 0 {
 			return err
 		}

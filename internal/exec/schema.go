@@ -116,7 +116,8 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Context carries per-query execution state: the work counters, the degree
-// of parallelism granted to the query, and a cancellation scope.
+// of parallelism granted to the query, the literal vector it runs under,
+// and a cancellation scope.
 type Context struct {
 	Stats Stats
 	// DOP is the number of workers this execution may spread morsel-driven
@@ -125,12 +126,22 @@ type Context struct {
 	// sets it to the admission-granted worker count; direct callers
 	// (htap.Run, tests) leave it at the serial default.
 	DOP int
+	// Params is the literal vector the plan executes under (see Bind);
+	// direct callers leave it nil and the plan runs its own literals.
+	// Forked workers share it.
+	Params *Params
+	// bound is the storage Bind fills, so a bound execution allocates no
+	// vector beyond its values.
+	bound Params
 
 	// exchange holds the rows a scatter's moves delivered to the fragment
 	// this context executes, by MemScan key. A Gather sets it on each
 	// fragment's context; forked workers inherit it.
 	exchange map[string][]value.Row
 
+	// scope is the context's own cancellation flag, and cancel, on a
+	// forked worker, the scope its fork shares (see scopeOf).
+	scope  cancelScope
 	cancel *cancelScope
 }
 
@@ -152,45 +163,51 @@ func (c *cancelScope) canceled() bool {
 	return false
 }
 
-// NewContext returns a fresh execution context (serial by default). The
-// cancellation scope is allocated eagerly so Cancel and Canceled are safe
-// to call from different goroutines for every context built here or by a
-// fork.
-func NewContext() *Context { return &Context{cancel: &cancelScope{}} }
+// NewContext returns a fresh execution context (serial by default).
+func NewContext() *Context { return &Context{} }
+
+// Bind makes the context execute a plan under a statement's literals: its
+// Fingerprint params, paired with slots, the slots of the statement the
+// plan was built from. It reports false, leaving the context unbound, when
+// they do not pair — another literal count, or a param the slot's kind
+// does not take — and the statement must then be planned for itself.
+func (c *Context) Bind(slots []sqlparser.Slot, params []string) bool {
+	if !c.bound.pair(slots, params) {
+		return false
+	}
+	c.Params = &c.bound
+	return true
+}
+
+// scopeOf is the cancellation scope the context works in: its fork's, or
+// its own. Either lives as long as the context, so Cancel and Canceled are
+// safe to call from different goroutines on any context.
+func (c *Context) scopeOf() *cancelScope {
+	if c.cancel != nil {
+		return c.cancel
+	}
+	return &c.scope
+}
 
 // Canceled reports whether this execution scope has been asked to stop
 // early. Morsel loops poll it between morsels: a canceled scan reports
 // exhaustion, which is exactly the contract LIMIT early-termination needs.
-func (c *Context) Canceled() bool {
-	return c.cancel != nil && c.cancel.canceled()
-}
+func (c *Context) Canceled() bool { return c.scopeOf().canceled() }
 
 // Cancel asks every context sharing this scope (this context and the
-// workers forked from it) to stop early. Cross-goroutine use requires a
-// context from NewContext (or a fork); on a bare &Context{} literal the
-// lazy fallback here is single-goroutine only.
-func (c *Context) Cancel() {
-	if c.cancel == nil {
-		c.cancel = &cancelScope{}
-	}
-	c.cancel.done.Store(true)
-}
+// workers forked from it) to stop early.
+func (c *Context) Cancel() { c.scopeOf().done.Store(true) }
 
 // forkScope derives a child cancellation scope for one parallel fork: the
 // returned contexts share a fresh cancel flag (so cross-worker limit
 // termination stays local to the fork) nested under the parent's (so
-// canceling the query still stops the workers — the parent scope is
-// materialized before it is captured, so a Cancel issued after the fork
-// is always visible to the workers). Each worker context has its own
-// Stats, merged back by the forking operator.
+// canceling the query still stops the workers). Each worker context has
+// its own Stats, merged back by the forking operator.
 func (c *Context) forkScope(n int) []*Context {
-	if c.cancel == nil {
-		c.cancel = &cancelScope{}
-	}
-	scope := &cancelScope{parent: c.cancel}
+	scope := &cancelScope{parent: c.scopeOf()}
 	out := make([]*Context, n)
 	for i := range out {
-		out[i] = &Context{DOP: 1, exchange: c.exchange, cancel: scope}
+		out[i] = &Context{DOP: 1, Params: c.Params, exchange: c.exchange, cancel: scope}
 	}
 	return out
 }

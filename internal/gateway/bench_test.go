@@ -14,7 +14,8 @@ import (
 // point-lookup join template (customer ⋈ their orders), the classic
 // plan-cache beneficiary — execution is an index probe over a handful of
 // rows, so per-query planning dominates serving cost. The literals vary
-// per query, exercising the template → bound-plan promotion path.
+// per query, and every statement executes the one plan with its own
+// literals bound.
 func joinPool(n int) []workload.Query {
 	return workload.NewGenerator(42).BatchOf("join2_point_orders", n)
 }
@@ -59,7 +60,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		pointPool = append(pointPool, q.SQL)
 	}
 	// maxAllocs is what a hit allocates at most, averaged over the pool
-	// (measured 15.42 and 85.67): the point join's index probes on one
+	// (measured 13.42 and 85.00): the point join's index probes on one
 	// system; on the fleet, pinned reads and scatters, whose gather forks a
 	// worker per shard
 	for _, tc := range []struct {
@@ -81,7 +82,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 					}
 				}
 			}
-			pass() // the warm pass plans and binds every query
+			pass() // the warm pass plans every template on every target
 			before, coordBefore := g.Metrics(), tc.coord.Stats()
 			for _, sql := range tc.pool {
 				if resp := g.Serve(sql); resp.Err != nil || resp.Cache != CacheHit {

@@ -11,38 +11,54 @@
 // histogram, cache hit rate, route accuracy against the modeled winner)
 // are exported for the HTTP endpoint in cmd/htapserve.
 //
-// Cache entries are keyed on the fingerprint and follow the classic
-// parent/child-cursor scheme: the template entry carries the routing
-// decision, and retains a bounded set of bound plans per literal vector.
+// A plan is a template. Cache entries are keyed on the fingerprint; an
+// entry carries the template's routing decision and its plans, one per
+// engine per target it has served — a shard, or the scatter — each built
+// on the first statement that reached that target. A plan executes any
+// statement of its template: the statement's literals, paired with the
+// template's slots (exec.Params), are bound at execute time, read by the
+// evaluators on each call and by the kernels and access paths once at
+// Open.
 //
-//   - full hit — fingerprint matches and the literal vector is retained:
-//     the bound plan is re-executed with no parsing or planning at all
-//     (execution clones the vectorized operator tree per run, so a cached
-//     plan can run many times, concurrently);
-//   - template hit — fingerprint matches but the literals are new: the
+//   - hit — the fingerprint matches and the plan for the statement's target
+//     exists: it executes with the literals bound, no parsing or planning
+//     at all (execution clones the vectorized operator tree per run, so a
+//     cached plan runs many times, concurrently);
+//   - template hit — a known template's first serve on that target: the
 //     cached routing decision is reused (plan shape, and hence the faster
-//     engine, is a property of the template) and only the chosen engine is
-//     re-planned with the new literals, which are then retained — half the
-//     planning work, no routing work, and a full hit next time;
-//   - miss — both engines are planned, the policy routes, and the template
-//     entry is cached for the next query of the same shape.
+//     engine, is a property of the template) and only the routed engine is
+//     planned there, then kept — a hit for every later statement;
+//   - miss — an unknown fingerprint: both engines are planned, the policy
+//     routes, and the template entry is cached.
+//
+// A statement whose literals do not pair with the template's slots is
+// planned for itself and kept nowhere — input from outside the program:
+// a statement's literals always pair with its own slots (sqlparser's
+// FuzzFingerprintMatchesParse), but a unary minus folds into a number and
+// not into a string, so one fingerprint can number them two ways. A plan
+// is kept only when it numbers them as the template does. So is a
+// statement whose literals break a tie of the target's plan: where the
+// planner matched a select item to a GROUP BY term, or an ORDER BY
+// aggregate to a select item, by their text, the plan serves only the
+// vectors that spell the matched literals alike (sqlparser.Tie).
 //
 // The gateway serves a shard.Coordinator, and a single system is the
-// one-shard fleet. Plans are built on the shard that owns the statement
-// and a bound plan records it. A statement no single shard owns is a plan
-// too — the coordinator's PlanScatter builds it, one gather over a
-// fragment per shard — bound under its template with Shard -1 and only
-// an AP plan: a full hit runs it on AP with no routing or planning, and
-// execute, the package's one executor, admits and runs it like any other.
-// Retaining it is cheap because an idle pooled operator tree holds no
-// decode buffer: scans borrow those from exec's recycler and give them
-// back at Close.
+// one-shard fleet. On a fleet a hit's target comes from its bound
+// partition keys (Coordinator.Target), so a plan only ever runs on the
+// shard it was planned on. A statement no single shard owns is a plan too
+// — the coordinator's PlanScatter builds it, one gather over a fragment
+// per shard — kept as the template's scatter plan, AP only, and execute,
+// the package's one executor, admits and runs it like any other. Keeping
+// it is cheap because an idle pooled operator tree holds no decode
+// buffer: scans borrow those from exec's recycler and give them back at
+// Close.
 package gateway
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,14 +141,19 @@ func DefaultConfig() Config {
 type CacheOutcome int
 
 const (
-	// CacheMiss means both engines were planned and the entry was cached.
+	// CacheMiss means the fingerprint was unknown: both engines were
+	// planned and the entry was cached.
 	CacheMiss CacheOutcome = iota
-	// CacheTemplateHit means the routing decision was reused and only the
-	// routed engine was re-planned with the query's literals — for a
-	// scatter, only its PlanScatter plan.
+	// CacheTemplateHit means the template was known but had no plan for
+	// the statement's target: the routing decision was reused and only the
+	// routed engine was planned there — for a scatter, its PlanScatter
+	// plan — and kept. A statement whose literals do not pair with the
+	// template's slots, or break a tie of the target's plan, is one too,
+	// planned for itself and kept nowhere.
 	CacheTemplateHit
-	// CacheHit means the cached plan was re-executed without any parsing
-	// or planning beyond the fingerprint itself.
+	// CacheHit means the template's plan for the statement's target
+	// executed with the statement's literals bound, without any parsing or
+	// planning beyond the fingerprint itself.
 	CacheHit
 )
 
@@ -162,8 +183,8 @@ type Response struct {
 	// reaches the LSN).
 	RowsAffected int
 	LSN          uint64
-	// TPTime/APTime are the modeled latencies at deployment scale. On a
-	// template hit only the routed engine was planned, so the other is 0.
+	// TPTime/APTime are the template's modeled latencies at deployment
+	// scale; 0 for a scatter and for DML.
 	TPTime, APTime time.Duration
 	// ServeTime is the wall time spent serving (fingerprint → rows),
 	// excluding the wait for admission.
@@ -374,18 +395,18 @@ func (g *Gateway) Submit(sql string) (*Response, error) {
 // The pair is planned and published as a served miss would be (see
 // planMiss), scatter statements included.
 func (g *Gateway) PlanPair(sql string) (entry *CachedPlan, cached bool, err error) {
-	fp, params, err := sqlparser.Fingerprint(sql)
+	fp, _, err := sqlparser.Fingerprint(sql)
 	if err != nil {
 		return nil, false, fmt.Errorf("gateway: fingerprint: %w", err)
 	}
 	if e, ok := g.cache.Get(fp); ok {
 		return e, true, nil
 	}
-	target, _, err := g.coord.Route(sql)
+	target, dec, err := g.coord.Route(sql)
 	if err != nil {
 		return nil, false, fmt.Errorf("gateway: route: %w", err)
 	}
-	e, _, err := g.planMiss(target, sql, fp, sqlparser.ParamKey(params), nil)
+	e, err := g.planMiss(target, dec, sql, fp, nil)
 	return e, false, err
 }
 
@@ -603,92 +624,100 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 		resp.Err = fmt.Errorf("gateway: fingerprint: %w", err)
 		return resp
 	}
-	paramKey := sqlparser.ParamKey(params)
-
 	sp = tr.Begin("cache_lookup")
 	entry, found := g.cache.Get(fp)
 	sp.End()
-	if found {
-		// the literal vector fixes the owning shard, or that none owns the
-		// statement, so a retained bound plan runs where it was planned
-		// with no routing at all — a scatter on AP, whatever the route
-		if bp, ok := entry.Bind(paramKey); ok {
-			resp.Cache = CacheHit
-			g.metrics.hits.Add(1)
-			resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-			eng := entry.Route
-			if bp.Shard < 0 {
-				eng = plan.AP
-			}
-			g.recordRoute(eng, bp.TPTime, bp.APTime)
-			g.execute(resp, bp.Shard, pickPlan(bp, eng), eng, tr)
+	if !found {
+		g.serveMiss(resp, sql, fp, tr)
+		return resp
+	}
+	// a known template: its plans execute the statement with its literals
+	// bound, and the bound partition keys route it with no parse
+	ctx := exec.NewContext()
+	bound := ctx.Bind(entry.stmt.Slots, params)
+	var target int
+	if bound {
+		target = g.coord.Target(entry.dist, ctx.Params)
+	} else {
+		// planned for this statement alone, below
+		sp = tr.Begin("route")
+		target, _, err = g.coord.Route(sql)
+		sp.End()
+		if err != nil {
+			resp.Err = fmt.Errorf("gateway: route: %w", err)
 			return resp
 		}
 	}
-	sp = tr.Begin("route")
+	eng := entry.Route
+	if target < 0 {
+		eng = plan.AP // a scatter runs on AP whatever the route
+	}
+	phys := entry.planFor(target, eng)
+	if bound && phys != nil && ctx.Params.Holds(phys.Ties) {
+		resp.Cache = CacheHit
+		g.metrics.hits.Add(1)
+	} else {
+		// the target's first statement, or one whose literals break the
+		// kept plan's ties, is planned for itself and runs its own literals
+		resp.Cache = CacheTemplateHit
+		g.metrics.tmplHit.Add(1)
+		planned, err := g.planTarget(target, sql, eng, tr)
+		if err != nil {
+			resp.Err = err
+			return resp
+		}
+		// the plan is kept for the target only if it numbers its literals
+		// as the template does (a unary minus folds into a number but not
+		// into a string)
+		if bound && phys == nil && slices.Equal(planned.Slots, entry.stmt.Slots) {
+			entry.keep(target, eng, planned)
+		}
+		phys, ctx.Params = planned, nil
+	}
+	g.run(resp, entry, target, phys, eng, ctx, tr)
+	return resp
+}
+
+// serveMiss plans a statement of an unknown template: both engines on the
+// shard that owns it and the policy's route (planMiss), then — for a
+// statement no shard owns — the template's scatter plan.
+func (g *Gateway) serveMiss(resp *Response, sql, fp string, tr *obs.QueryTrace) {
+	resp.Cache = CacheMiss
+	g.metrics.misses.Add(1)
+	sp := tr.Begin("route")
 	target, dec, err := g.coord.Route(sql)
 	sp.End()
 	if err != nil {
 		resp.Err = fmt.Errorf("gateway: route: %w", err)
-		return resp
+		return
 	}
-	switch {
-	case target < 0:
-		// no shard owns the statement: it scatters, bound under its
-		// template like any plan; a miss publishes the template first
-		if found {
-			resp.Cache = CacheTemplateHit
-			g.metrics.tmplHit.Add(1)
-		} else {
-			resp.Cache = CacheMiss
-			g.metrics.misses.Add(1)
-			if entry, _, err = g.planMiss(target, sql, fp, paramKey, tr); err != nil {
-				resp.Err = err
-				return resp
-			}
-		}
-		phys, err := g.planScatter(sql, dec, tr)
-		if err != nil {
-			resp.Err = err
-			return resp
-		}
-		entry.AddBind(&BoundPlan{ParamKey: paramKey, Shard: -1, AP: phys})
-		g.recordRoute(plan.AP, 0, 0)
-		g.execute(resp, -1, phys, plan.AP, tr)
-	case found:
-		resp.Cache = CacheTemplateHit
-		g.metrics.tmplHit.Add(1)
-		sp = tr.Begin("plan")
-		_, phys, err := g.planOne(target, sql, entry.Route)
-		sp.End()
-		if err != nil {
-			resp.Err = err
-			return resp
-		}
-		bp := &BoundPlan{ParamKey: paramKey, Shard: target}
-		if entry.Route == plan.TP {
-			bp.TP, bp.TPTime = phys, latency.Estimate(phys.Explain)
-		} else {
-			bp.AP, bp.APTime = phys, latency.Estimate(phys.Explain)
-		}
-		entry.AddBind(bp)
-		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		g.recordRoute(entry.Route, 0, 0)
-		g.execute(resp, target, phys, entry.Route, tr)
-	default:
-		resp.Cache = CacheMiss
-		g.metrics.misses.Add(1)
-		entry, bp, err := g.planMiss(target, sql, fp, paramKey, tr)
-		if err != nil {
-			resp.Err = err
-			return resp
-		}
-		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		g.recordRoute(entry.Route, bp.TPTime, bp.APTime)
-		g.execute(resp, target, pickPlan(bp, entry.Route), entry.Route, tr)
-		g.maybeObserveDual(resp, bp, entry.Route)
+	entry, err := g.planMiss(target, dec, sql, fp, tr)
+	if err != nil {
+		resp.Err = err
+		return
 	}
-	return resp
+	if target >= 0 {
+		g.run(resp, entry, target, entry.planFor(target, entry.Route), entry.Route, exec.NewContext(), tr)
+		g.maybeObserveDual(resp, entry, target)
+		return
+	}
+	phys, err := g.planScatter(sql, dec, tr)
+	if err != nil {
+		resp.Err = err
+		return
+	}
+	entry.keep(target, plan.AP, phys)
+	g.run(resp, entry, target, phys, plan.AP, exec.NewContext(), tr)
+}
+
+// run executes the template's plan phys for eng on target in ctx,
+// reporting the template's modeled times — a scatter has none.
+func (g *Gateway) run(resp *Response, entry *CachedPlan, target int, phys *optimizer.PhysPlan, eng plan.Engine, ctx *exec.Context, tr *obs.QueryTrace) {
+	if target >= 0 {
+		resp.TPTime, resp.APTime = entry.TPTime, entry.APTime
+	}
+	g.recordRoute(eng, resp.TPTime, resp.APTime)
+	g.execute(resp, target, phys, eng, ctx, tr)
 }
 
 // processExplain serves `EXPLAIN [ANALYZE] <select>`, routed like the bare
@@ -723,20 +752,20 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 		}
 		resp.Engine = plan.AP
 	} else {
-		entry, bp, err := g.planMiss(target, body, "", "", tr)
+		entry, err := g.planMiss(target, nil, body, "", tr)
 		if err != nil {
 			resp.Err = err
 			return resp
 		}
 		resp.Engine = entry.Route
-		resp.TPTime, resp.APTime = bp.TPTime, bp.APTime
-		phys = pickPlan(bp, entry.Route)
+		resp.TPTime, resp.APTime = entry.TPTime, entry.APTime
+		phys = entry.planFor(target, entry.Route)
 	}
 	if !analyze {
 		resp.Explain = phys.Explain.ExplainIndentJSON()
 		return resp
 	}
-	g.execute(resp, target, phys, resp.Engine, tr)
+	g.execute(resp, target, phys, resp.Engine, exec.NewContext(), tr)
 	if resp.Err == nil {
 		resp.Explain = resp.Profile.String()
 	}
@@ -749,20 +778,20 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 // modeled) pair — and the measured winner is compared against the routing
 // decision. Deterministic every-Nth sampling keeps the overhead
 // proportional and predictable.
-func (g *Gateway) maybeObserveDual(resp *Response, bp *BoundPlan, route plan.Engine) {
+func (g *Gateway) maybeObserveDual(resp *Response, entry *CachedPlan, target int) {
 	every := g.cfg.ObservedEvery
-	if every <= 0 || resp.Err != nil || bp.TP == nil || bp.AP == nil {
+	if every <= 0 || resp.Err != nil {
 		return
 	}
 	if g.dualN.Add(1)%int64(every) != 0 {
 		return
 	}
 	other := plan.AP
-	if route == plan.AP {
+	if entry.Route == plan.AP {
 		other = plan.TP
 	}
 	dual := &Response{Kind: resp.Kind, TPTime: resp.TPTime, APTime: resp.APTime}
-	g.execute(dual, bp.Shard, pickPlan(bp, other), other, nil)
+	g.execute(dual, target, entry.planFor(target, other), other, exec.NewContext(), nil)
 	if dual.Err != nil {
 		return
 	}
@@ -846,10 +875,9 @@ func (g *Gateway) processTxn(sql string, tr *obs.QueryTrace) *Response {
 	return resp
 }
 
-// recordRoute updates routing metrics. Ground truth (the modeled winner)
-// is only known when both engines were planned; half-planned bindings
-// (template hits and their retained plans) count toward routed totals
-// only.
+// recordRoute updates routing metrics. Ground truth is the template's
+// modeled winner; a scatter has no modeled times and counts toward routed
+// totals only.
 func (g *Gateway) recordRoute(route plan.Engine, tpTime, apTime time.Duration) {
 	if route == plan.TP {
 		g.metrics.routedTP.Add(1)
@@ -865,12 +893,12 @@ func (g *Gateway) recordRoute(route plan.Engine, tpTime, apTime time.Duration) {
 	}
 }
 
-// execute is the one executor: it runs a plan built on shard owner (its
-// operators read that shard's storage) or, for owner < 0, a PlanScatter
-// plan over every shard — instrumented when resp is an EXPLAIN ANALYZE.
-func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, eng plan.Engine, tr *obs.QueryTrace) {
+// execute is the one executor: it runs, in a fresh ctx — bound to a
+// statement's literals or not — a plan built on shard owner (its operators
+// read that shard's storage) or, for owner < 0, a PlanScatter plan over
+// every shard, instrumented when resp is an EXPLAIN ANALYZE.
+func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, eng plan.Engine, ctx *exec.Context, tr *obs.QueryTrace) {
 	resp.Engine = eng
-	ctx := exec.NewContext()
 	// DOP-aware admission: a plan that wants intra-query parallelism — a
 	// scatter asks for the sum of its fragments' — claims its extra
 	// workers from the same ledger every serve's slot is charged against,
@@ -913,9 +941,8 @@ func (g *Gateway) execute(resp *Response, owner int, phys *optimizer.PhysPlan, e
 		g.metrics.parallelQueries.Add(1)
 	}
 	g.metrics.observeExec(eng, &ctx.Stats)
-	// feed the latency calibrator when the modeled time for this engine is
-	// known (misses and full hits; template hits planned one engine only,
-	// and a scatter has no modeled time)
+	// feed the latency calibrator the template's modeled time for this
+	// engine (a scatter has none)
 	modeled := resp.TPTime
 	if eng == plan.AP {
 		modeled = resp.APTime
@@ -935,9 +962,23 @@ func (g *Gateway) planScatter(sql string, dec *optimizer.DistDecision, tr *obs.Q
 	return phys, nil
 }
 
-// planOne parses the query and plans the given engine on the owning shard
-// — all the planning a template hit needs. It returns the statement it
-// bound too: binding mutates the tree, so every plan takes a fresh parse.
+// planTarget plans a known template's statement on target, the engine
+// routed — all the planning a template hit needs. A scatter is re-analysed
+// from sql, since binding mutates the decision's predicates and the
+// template's is shared.
+func (g *Gateway) planTarget(target int, sql string, eng plan.Engine, tr *obs.QueryTrace) (*optimizer.PhysPlan, error) {
+	if target < 0 {
+		return g.planScatter(sql, nil, tr)
+	}
+	sp := tr.Begin("plan")
+	_, phys, err := g.planOne(target, sql, eng)
+	sp.End()
+	return phys, err
+}
+
+// planOne parses the query and plans the given engine on the owning shard.
+// It returns the statement it bound too: binding mutates the tree, so
+// every plan takes a fresh parse.
 func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Select, *optimizer.PhysPlan, error) {
 	sel, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -958,13 +999,12 @@ func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Se
 // planMiss is the one miss path, shared by a served miss, PlanPair and
 // EXPLAIN: it plans the query on both engines of the shard that owns it,
 // asks the policy for the template's route and, given a fingerprint,
-// publishes the template with the bound plans retained for that shard. A
-// statement no shard owns (target < 0) is planned on shard 0 — plan shape
-// is the same on every shard — and published without a bound plan, so the
-// serving path can never execute a plan built over another shard's
-// storage: it binds the statement's scatter plan there itself. With no
-// fingerprint nothing is published.
-func (g *Gateway) planMiss(target int, sql, fp, paramKey string, tr *obs.QueryTrace) (*CachedPlan, *BoundPlan, error) {
+// publishes the template with both plans kept for that shard and the
+// fleet's routing analysis dec. A statement no shard owns (target < 0) is
+// planned on shard 0 — plan shape is the same on every shard — and its
+// plans are kept as shard 0's: the template's statements that shard 0
+// owns run them. With no fingerprint nothing is published.
+func (g *Gateway) planMiss(target int, dec *optimizer.DistDecision, sql, fp string, tr *obs.QueryTrace) (*CachedPlan, error) {
 	owner := max(target, 0)
 	sp := tr.Begin("plan")
 	selTP, tpPlan, err := g.planOne(owner, sql, plan.TP)
@@ -974,39 +1014,23 @@ func (g *Gateway) planMiss(target int, sql, fp, paramKey string, tr *obs.QueryTr
 	}
 	if err != nil {
 		sp.End()
-		return nil, nil, err
-	}
-	bp := &BoundPlan{
-		ParamKey: paramKey,
-		Shard:    owner,
-		TP:       tpPlan,
-		AP:       apPlan,
-		TPTime:   latency.Estimate(tpPlan.Explain),
-		APTime:   latency.Estimate(apPlan.Explain),
+		return nil, err
 	}
 	entry := &CachedPlan{
 		Fingerprint: fp,
 		Pair:        plan.Pair{SQL: sql, TP: tpPlan.Explain, AP: apPlan.Explain},
-		TPTime:      bp.TPTime,
-		APTime:      bp.APTime,
+		TPTime:      latency.Estimate(tpPlan.Explain),
+		APTime:      latency.Estimate(apPlan.Explain),
 		stmt:        selTP,
+		dist:        dec,
+		plans:       map[int][2]*optimizer.PhysPlan{owner: {plan.TP: tpPlan, plan.AP: apPlan}},
 	}
 	sp.End()
 	sp = tr.Begin("route")
 	entry.Route = g.route(entry)
 	sp.End()
 	if fp != "" {
-		if target >= 0 {
-			entry.AddBind(bp)
-		}
 		g.cache.Put(entry)
 	}
-	return entry, bp, nil
-}
-
-func pickPlan(bp *BoundPlan, eng plan.Engine) *optimizer.PhysPlan {
-	if eng == plan.TP {
-		return bp.TP
-	}
-	return bp.AP
+	return entry, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"htapxplain/internal/htap"
 	"htapxplain/internal/obs"
 	"htapxplain/internal/plan"
+	"htapxplain/internal/shard"
 	"htapxplain/internal/value"
 	"htapxplain/internal/workload"
 )
@@ -36,38 +39,44 @@ func testSystem(t testing.TB) *htap.System {
 	return sysVal
 }
 
-// rowKey renders a row for comparison, floats rounded to 4 decimals (a
-// scatter's partial aggregates accumulate in a different order than a
-// serial aggregation).
-func rowKey(r value.Row) string {
-	var b bytes.Buffer
-	for _, v := range r {
-		if v.K == value.KindFloat {
-			fmt.Fprintf(&b, "f%.4f|", v.F)
-			continue
+// sameRow reports whether two rows are equal, floats to a relative 1e-9:
+// a scatter's partial aggregates, and a parallel fold's workers, add in
+// another order than a serial aggregation.
+func sameRow(a, b value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		w := b[i]
+		if v.K == value.KindFloat && w.K == value.KindFloat {
+			if math.Abs(v.F-w.F) > 1e-9*math.Max(math.Abs(v.F), math.Abs(w.F)) {
+				return false
+			}
+		} else if v.Key() != w.Key() {
+			return false
 		}
-		b.WriteString(v.Key())
-		b.WriteByte('|')
 	}
-	return b.String()
+	return true
 }
 
-// rowMultiset renders rows for order-insensitive comparison.
-func rowMultiset(rows []value.Row) map[string]int {
-	m := make(map[string]int, len(rows))
-	for _, r := range rows {
-		m[rowKey(r)]++
-	}
-	return m
-}
-
+// sameRows reports whether a and b hold the same rows in any order.
 func sameRows(a, b []value.Row) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	ma, mb := rowMultiset(a), rowMultiset(b)
-	for k, n := range ma {
-		if mb[k] != n {
+	byValue := func(x, y value.Row) int {
+		for i := 0; i < min(len(x), len(y)); i++ {
+			if c := x[i].Compare(y[i]); c != 0 {
+				return c
+			}
+		}
+		return len(x) - len(y)
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, byValue)
+	slices.SortFunc(b, byValue)
+	for i := range a {
+		if !sameRow(a[i], b[i]) {
 			return false
 		}
 	}
@@ -88,8 +97,10 @@ func refRows(t *testing.T, sys *htap.System, sql string, eng plan.Engine) []valu
 	return res.APRows
 }
 
-// TestGatewayCacheTiers drives one query template through all three cache
-// outcomes and checks each tier returns engine-correct rows.
+// TestGatewayCacheTiers drives one query template through a miss and two
+// hits — the same statement, then a sibling literal bound into the same
+// plan — and checks each returns engine-correct rows. (A template hit
+// needs another target: see TestPlanRunsOnItsTarget.)
 func TestGatewayCacheTiers(t *testing.T) {
 	sys := testSystem(t)
 	g := New(sys, Config{Workers: 2, CacheCapacity: 64})
@@ -123,23 +134,22 @@ func TestGatewayCacheTiers(t *testing.T) {
 		t.Error("warm rows diverge from cold rows for the identical query")
 	}
 
-	// Same template, different literal: the cached plan must NOT be
-	// re-executed (it would answer q1); the gateway re-plans the routed
-	// engine with the new literal.
-	tmpl, err := g.Submit(q2)
-	if err != nil || tmpl.Err != nil {
-		t.Fatalf("template submit: %v / %v", err, tmpl.Err)
+	// Same template, different literal: the cached plan executes with the
+	// new literal bound — answering q1 would be a wrong answer.
+	sibling, err := g.Submit(q2)
+	if err != nil || sibling.Err != nil {
+		t.Fatalf("sibling submit: %v / %v", err, sibling.Err)
 	}
-	if tmpl.Cache != CacheTemplateHit {
-		t.Errorf("sibling-literal outcome = %v, want template-hit", tmpl.Cache)
+	if sibling.Cache != CacheHit {
+		t.Errorf("sibling-literal outcome = %v, want hit", sibling.Cache)
 	}
-	if !sameRows(tmpl.Rows, refRows(t, sys, q2, tmpl.Engine)) {
-		t.Errorf("template-hit rows diverge from direct %v execution of the new literals", tmpl.Engine)
+	if !sameRows(sibling.Rows, refRows(t, sys, q2, sibling.Engine)) || sameRows(sibling.Rows, cold.Rows) {
+		t.Errorf("sibling rows diverge from direct %v execution of the new literals", sibling.Engine)
 	}
 
 	snap := g.Metrics()
-	if snap.CacheHits != 1 || snap.CacheTemplateHits != 1 || snap.CacheMisses != 1 {
-		t.Errorf("cache counters = %d/%d/%d hit/tmpl/miss, want 1/1/1",
+	if snap.CacheHits != 2 || snap.CacheTemplateHits != 0 || snap.CacheMisses != 1 {
+		t.Errorf("cache counters = %d/%d/%d hit/tmpl/miss, want 2/0/1",
 			snap.CacheHits, snap.CacheTemplateHits, snap.CacheMisses)
 	}
 	if g.CacheLen() != 1 {
@@ -148,60 +158,75 @@ func TestGatewayCacheTiers(t *testing.T) {
 }
 
 // TestGatewayConcurrentServing keeps ≥ 64 callers in flight over 8
-// ledger slots and checks every one is served correctly. Run with -race.
+// ledger slots, on a single system and on a 4-shard fleet, and checks
+// every one is served the reference's rows. The pool repeats each template
+// with other literals, so callers bind one plan concurrently and race to
+// plan a template on a new shard. Run with -race.
 func TestGatewayConcurrentServing(t *testing.T) {
-	sys := testSystem(t)
-	g := New(sys, Config{Workers: 8, QueueDepth: 256, CacheCapacity: 128})
-	defer g.Stop()
+	// three literal vectors of each template, plus pinned point reads
+	pool := workload.NewGenerator(7).Batch(30)
+	for k := 1; k <= 16; k++ {
+		pool = append(pool, workload.Query{Template: "pinned",
+			SQL: fmt.Sprintf(`SELECT c_custkey, c_name FROM customer WHERE c_custkey = %d`, k)})
+	}
+	want := make([][]value.Row, len(pool))
+	for i, q := range pool {
+		want[i] = refRows(t, testSystem(t), q.SQL, plan.AP)
+	}
+	for _, tc := range []struct {
+		name  string
+		coord *shard.Coordinator
+	}{{"single system", shard.Wrap(testSystem(t))}, {"4-shard fleet", testCoordinator(t, 4)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewSharded(tc.coord, Config{Workers: 8, QueueDepth: 256, CacheCapacity: 128})
+			defer g.Stop()
 
-	const clients, perClient = 64, 4
-	// A small pool shared by all clients forces concurrent hits on the
-	// same cache entries (the interesting race surface).
-	pool := workload.NewGenerator(7).Batch(16)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, clients*perClient)
-	wg.Add(clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				q := pool[(c*perClient+i)%len(pool)]
-				resp, err := g.Submit(q.SQL)
-				if err != nil {
-					errs <- fmt.Errorf("submit [%s]: %w", q.Template, err)
-					continue
-				}
-				if resp.Err != nil {
-					errs <- fmt.Errorf("serve [%s]: %w", q.Template, resp.Err)
-					continue
-				}
-				if resp.Engine != plan.TP && resp.Engine != plan.AP {
-					errs <- fmt.Errorf("[%s] bogus engine %v", q.Template, resp.Engine)
-				}
+			const clients, perClient = 64, 4
+			var wg sync.WaitGroup
+			errs := make(chan error, clients*perClient)
+			wg.Add(clients)
+			for c := 0; c < clients; c++ {
+				c := c
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						k := (c*perClient + i*7) % len(pool)
+						q := pool[k]
+						resp, err := g.Submit(q.SQL)
+						switch {
+						case err != nil:
+							errs <- fmt.Errorf("submit [%s]: %w", q.Template, err)
+						case resp.Err != nil:
+							errs <- fmt.Errorf("serve [%s]: %w", q.Template, resp.Err)
+						case resp.Engine != plan.TP && resp.Engine != plan.AP:
+							errs <- fmt.Errorf("[%s] bogus engine %v", q.Template, resp.Engine)
+						case !sameRows(resp.Rows, want[k]):
+							errs <- fmt.Errorf("[%s] %v: rows diverge from the reference\n%s", q.Template, resp.Cache, q.SQL)
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
 
-	snap := g.Metrics()
-	if want := int64(clients * perClient); snap.Total != want {
-		t.Errorf("total = %d, want %d", snap.Total, want)
-	}
-	if snap.Errors != 0 || snap.Shed != 0 {
-		t.Errorf("errors=%d shed=%d, want 0/0 (queue sized above load)", snap.Errors, snap.Shed)
-	}
-	if got := snap.CacheHits + snap.CacheTemplateHits + snap.CacheMisses; got != snap.Total {
-		t.Errorf("cache outcomes %d != total %d", got, snap.Total)
-	}
-	// 16 distinct templates served 256 times: the cache must absorb most.
-	if snap.CacheHitRate < 0.5 {
-		t.Errorf("cache hit rate %.2f, want ≥ 0.5 on a 16-template pool", snap.CacheHitRate)
+			snap := g.Metrics()
+			if want := int64(clients * perClient); snap.Total != want {
+				t.Errorf("total = %d, want %d", snap.Total, want)
+			}
+			if snap.Errors != 0 || snap.Shed != 0 {
+				t.Errorf("errors=%d shed=%d, want 0/0 (queue sized above load)", snap.Errors, snap.Shed)
+			}
+			if got := snap.CacheHits + snap.CacheTemplateHits + snap.CacheMisses; got != snap.Total {
+				t.Errorf("cache outcomes %d != total %d", got, snap.Total)
+			}
+			// 11 templates served 256 times: the cache must absorb most
+			if snap.CacheHitRate < 0.5 {
+				t.Errorf("cache hit rate %.2f, want ≥ 0.5 on an 11-template pool", snap.CacheHitRate)
+			}
+		})
 	}
 }
 

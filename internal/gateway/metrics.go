@@ -38,7 +38,7 @@ type Metrics struct {
 	errs     atomic.Int64 // queries that failed (parse/plan/exec)
 	inFlight atomic.Int64 // queries currently being served by workers
 	hits     atomic.Int64 // full plan-cache hits (plans re-executed)
-	tmplHit  atomic.Int64 // template hits (route reused, one engine re-planned)
+	tmplHit  atomic.Int64 // template hits (route reused, one engine planned on a new target)
 	misses   atomic.Int64 // cold queries (planned both engines)
 
 	routedTP     atomic.Int64

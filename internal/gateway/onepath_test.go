@@ -7,7 +7,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/rand"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"htapxplain/internal/plan"
 	"htapxplain/internal/shard"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/tpch"
 	"htapxplain/internal/value"
 )
 
@@ -122,14 +126,373 @@ func insertCustomers(keys ...int64) string {
 	return b.String()
 }
 
+// literalTemplate is one template of the literal-vector table: its
+// statements, all of one fingerprint, and whether a reply is held to the
+// reference's rows or — a LIMIT with no ORDER BY, whose rows are the
+// executor's pick — to their count. breaks, when set, reports the vectors
+// whose literals break a tie of the plan vector 0 was planned into (see
+// sqlparser.Tie): each is planned for itself.
+type literalTemplate struct {
+	name      string
+	vectors   []string
+	countOnly bool
+	breaks    func(i int) bool
+}
+
+// literalVectors is the number of statements per literal template.
+const literalVectors = 64
+
+// literalTemplates builds the literal-vector table: every tp, ap and
+// explain template of the benchmark (bench/defs.go) and the shapes they
+// lack. Across the table the vectors change the owning shard, flip a
+// statement between routed and scatter, move a zone-pruned range, vary an
+// IN list between 1 and 3 items, run OFFSET 0 and OFFSET > 0 through a
+// DOP-4 limit, reach LIMIT 0, put an int, a float and a string into one
+// slot, bind negative numbers and doubled quotes, give LIKE every matcher
+// shape, and keep, swap or break the pairing of a select item with the
+// GROUP BY term or aggregate it is matched to by its text.
+func literalTemplates(t *testing.T) []literalTemplate {
+	r := rand.New(rand.NewSource(27))
+	pick := func(xs []string) string { return xs[r.Intn(len(xs))] }
+	quote := func(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+	// mixed is usual for most vectors; every ninth is an int, a float or a
+	// string with a doubled quote instead
+	mixed := func(i int, usual string) string {
+		switch i % 9 {
+		case 4:
+			return strconv.Itoa(r.Intn(3000))
+		case 6:
+			return fmt.Sprintf("%d.25", r.Intn(3000))
+		case 8:
+			return quote(fmt.Sprintf("it's %d", r.Intn(30)))
+		}
+		return usual
+	}
+	codes := func() string { // an IN list of 1 to 3 phone country codes
+		var cs []string
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			cs = append(cs, quote(strconv.Itoa(10+r.Intn(25))))
+		}
+		return strings.Join(cs, ", ")
+	}
+	keys := func() string { // an IN list of 1 to 3 customer keys
+		var ks []string
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			ks = append(ks, strconv.Itoa(1+r.Intn(310)))
+		}
+		return strings.Join(ks, ", ")
+	}
+	// orders of real customers, so a pinned pair sometimes holds a row
+	var owned [][2]int64
+	for _, row := range refRows(t, testSystem(t), `SELECT o_custkey, o_orderkey FROM orders WHERE o_orderkey < 400`, plan.AP) {
+		owned = append(owned, [2]int64{row[0].I, row[1].I})
+	}
+	likes := []string{"ironic", "ironic%", "%ironic", "%ironic%", "%iro_ic%", "%it''s%", "%"}
+	gen := func(name string, countOnly bool, vec func(i int) string) literalTemplate {
+		lt := literalTemplate{name: name, countOnly: countOnly}
+		for i := 0; i < literalVectors; i++ {
+			lt.vectors = append(lt.vectors, vec(i))
+		}
+		return lt
+	}
+	// tied is a template whose plan matches expressions by their text,
+	// literals included. vec(i%4, x, y, z) renders class i%4 from three
+	// distinct literals: 0 keeps vector 0's pairing with fresh literals, 1
+	// swaps it, 2 names what nothing matches (an error, as a fresh plan's),
+	// and 3 spells every candidate alike, which keeps it too
+	tied := func(name string, lits []int, vec func(class, x, y, z int) string) literalTemplate {
+		lt := gen(name, false, func(i int) string {
+			p := r.Perm(len(lits))
+			return vec(i%4, lits[p[0]], lits[p[1]], lits[p[2]])
+		})
+		lt.breaks = func(i int) bool { return i%4 == 1 || i%4 == 2 }
+		return lt
+	}
+	return []literalTemplate{
+		// select items matched to GROUP BY terms
+		tied("grouped substrings", []int{2, 3, 5}, func(class, x, y, z int) string {
+			items, terms := [2]int{x, y}, [2]int{x, y}
+			switch class {
+			case 1:
+				items = [2]int{y, x}
+			case 2:
+				items[1] = z
+			case 3:
+				items, terms = [2]int{x, x}, [2]int{x, x}
+			}
+			return fmt.Sprintf(`SELECT SUBSTRING(c_phone, 1, %d), SUBSTRING(c_phone, 1, %d), COUNT(*) FROM customer`+
+				` GROUP BY SUBSTRING(c_phone, 1, %d), SUBSTRING(c_phone, 1, %d)`, items[0], items[1], terms[0], terms[1])
+		}),
+		// an ORDER BY aggregate matched to a select item: SUM(k - c_acctbal)
+		// is k·n − Σ, so k reorders the segments
+		tied("ordered aggregate", []int{0, 3000, 10000}, func(class, x, y, z int) string {
+			aggs, key := [2]int{x, y}, x
+			switch class {
+			case 1:
+				key = y
+			case 2:
+				key = z
+			case 3:
+				aggs = [2]int{x, x}
+			}
+			return fmt.Sprintf(`SELECT c_mktsegment, SUM(%d - c_acctbal), SUM(%d - c_acctbal) FROM customer`+
+				` GROUP BY c_mktsegment ORDER BY SUM(%d - c_acctbal) LIMIT 2`, aggs[0], aggs[1], key)
+		}),
+		gen("join3_phone_inlist", false, func(i int) string {
+			start := 1
+			if i%5 == 3 {
+				start = 2
+			}
+			return fmt.Sprintf(`SELECT COUNT(*) FROM customer, nation, orders WHERE SUBSTRING(c_phone, %d, %d) IN (%s)`+
+				` AND c_mktsegment = %s AND n_name = %s AND o_orderstatus = %s AND o_custkey = c_custkey AND n_nationkey = c_nationkey`,
+				start, 2+r.Intn(2)-start+1, codes(), mixed(i, quote(pick(tpch.MktSegments))), quote(pick(tpch.Nations)), quote(pick(tpch.OrderStatuses)))
+		}),
+		gen("join2_segment_agg", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*), SUM(o_totalprice) FROM customer, orders WHERE o_custkey = c_custkey AND c_mktsegment = %s`,
+				mixed(i, quote(pick(tpch.MktSegments))))
+		}),
+		gen("join2_point_orders", false, func(i int) string {
+			return fmt.Sprintf(`SELECT o_orderkey, o_totalprice FROM customer, orders WHERE o_custkey = c_custkey AND c_custkey = %s`,
+				mixed(i, strconv.Itoa(1+r.Intn(300))))
+		}),
+		gen("join2_lineitem_big", false, func(i int) string {
+			lo := r.Intn(1500)
+			return fmt.Sprintf(`SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_shipdate BETWEEN %d AND %s`,
+				lo, mixed(i, strconv.Itoa(lo+180+r.Intn(700))))
+		}),
+		gen("join3_supplier", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*) FROM supplier, nation, customer WHERE s_nationkey = n_nationkey AND c_nationkey = n_nationkey`+
+				` AND n_name = %s AND s_acctbal > %s`, quote(pick(tpch.Nations)), mixed(i, strconv.Itoa(1000+r.Intn(8000))))
+		}),
+		gen("join2_part_brand", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*), AVG(ps_supplycost) FROM partsupp, part WHERE ps_partkey = p_partkey AND p_brand = %s`,
+				mixed(i, quote(fmt.Sprintf("brand#%d%d", 1+r.Intn(5), 1+r.Intn(5)))))
+		}),
+		gen("topn_indexed_pk", false, func(i int) string {
+			return fmt.Sprintf(`SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_orderkey LIMIT %d`, i)
+		}),
+		gen("topn_price_desc", false, func(i int) string {
+			return fmt.Sprintf(`SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT %d`, (i*7)%100)
+		}),
+		gen("topn_offset_deep", false, func(i int) string {
+			return fmt.Sprintf(`SELECT c_custkey, c_name, c_acctbal FROM customer ORDER BY c_acctbal DESC LIMIT %d OFFSET %d`, i%30, r.Intn(320))
+		}),
+		gen("topn_filtered", false, func(i int) string {
+			return fmt.Sprintf(`SELECT c_custkey, c_name FROM customer WHERE c_mktsegment = %s ORDER BY c_custkey LIMIT %d`,
+				mixed(i, quote(pick(tpch.MktSegments))), i%31)
+		}),
+		gen("rare_join4_wide", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*) FROM customer, nation, orders, lineitem WHERE c_nationkey = n_nationkey AND o_custkey = c_custkey`+
+				` AND l_orderkey = o_orderkey AND c_mktsegment = %s AND n_name = %s`, quote(pick(tpch.MktSegments)), mixed(i, quote(pick(tpch.Nations))))
+		}),
+		gen("rare_agg_nojoin", false, func(i int) string {
+			return fmt.Sprintf(`SELECT l_shipmode, COUNT(*), AVG(l_extendedprice) FROM lineitem WHERE l_quantity > %s GROUP BY l_shipmode`,
+				mixed(i, strconv.Itoa(r.Intn(50))))
+		}),
+		gen("rare_tiny_dim_join", false, func(i int) string {
+			return fmt.Sprintf(`SELECT n_name FROM nation, region WHERE n_regionkey = r_regionkey AND r_name = %s`, mixed(i, quote(pick(tpch.Regions))))
+		}),
+		gen("rare_like_scan", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*) FROM orders WHERE o_comment LIKE '%s'`, likes[i%len(likes)])
+		}),
+		// a LIKE the scan's kernels cannot take: the row evaluator's
+		gen("evaluated like", false, func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*) FROM orders WHERE SUBSTRING(o_comment, 1, %d) LIKE '%s'`, 10+i%30, likes[i%len(likes)])
+		}),
+		// the owning shard moves with the key
+		gen("pinned", false, func(i int) string {
+			return fmt.Sprintf(`SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey = %s`, mixed(i, strconv.Itoa(1+r.Intn(300))))
+		}),
+		// routed when both keys hash to one shard, a scatter otherwise
+		gen("pinned pair", false, func(i int) string {
+			o := owned[r.Intn(len(owned))]
+			if i%2 == 1 {
+				o[1] = owned[r.Intn(len(owned))][1]
+			}
+			return fmt.Sprintf(`SELECT c_name, o_totalprice FROM customer, orders WHERE o_custkey = c_custkey AND c_custkey = %d AND o_orderkey = %d`, o[0], o[1])
+		}),
+		// lineitem is clustered on l_orderkey: the range moves the pruned chunks
+		gen("clustered range", false, func(i int) string {
+			lo := r.Intn(3000)
+			return fmt.Sprintf(`SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN %d AND %s`, lo, mixed(i, strconv.Itoa(lo+r.Intn(1500))))
+		}),
+		// a slot before the list: the list's values start after its
+		gen("key list", false, func(i int) string {
+			return fmt.Sprintf(`SELECT c_custkey, c_name FROM customer WHERE c_nationkey >= %d AND c_custkey IN (%s)`, 1+r.Intn(5), keys())
+		}),
+		// planned on one key, the list is the zone-map range the encoded
+		// aggregate selects by; a vector of several keys leaves no range
+		gen("one-key list", false, func(i int) string {
+			qs := []string{strconv.Itoa(1 + r.Intn(50))}
+			for k := r.Intn(3); i > 0 && k > 0; k-- {
+				qs = append(qs, strconv.Itoa(1+r.Intn(50)))
+			}
+			return fmt.Sprintf(`SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity IN (%s)`, strings.Join(qs, ", "))
+		}),
+		gen("negated bound", false, func(i int) string {
+			bound := strconv.Itoa(r.Intn(1000))
+			if i%3 == 1 {
+				bound = fmt.Sprintf("%d.5", r.Intn(1000))
+			}
+			return fmt.Sprintf(`SELECT c_custkey, c_acctbal FROM customer WHERE c_acctbal > -%s ORDER BY c_custkey LIMIT %d`, bound, 5+i%20)
+		}),
+		// a DOP-4 limit: forked at OFFSET 0, serial under an offset
+		gen("parallel limit", true, func(i int) string {
+			off := 0
+			if i%2 == 1 {
+				off = 1 + r.Intn(400)
+			}
+			return fmt.Sprintf(`SELECT l_orderkey FROM lineitem WHERE l_quantity > %d LIMIT %d OFFSET %d`, r.Intn(50), (i*37)%900, off)
+		}),
+	}
+}
+
+// literalReference memoizes the unsharded reference for a statement on one
+// engine: testSystem plans it afresh and runs it serially — its rows, or
+// the error of a statement the fresh plan refuses.
+type literalReference map[string]literalResult
+
+type literalResult struct {
+	rows []value.Row
+	err  error
+}
+
+func (m literalReference) rows(t *testing.T, sql string, eng plan.Engine) ([]value.Row, error) {
+	t.Helper()
+	key := eng.String() + ":" + sql
+	if r, ok := m[key]; ok {
+		return r.rows, r.err
+	}
+	var r literalResult
+	res, err := testSystem(t).Run(sql)
+	switch {
+	case err != nil:
+		r.err = err
+	case eng == plan.TP:
+		r.rows = res.TPRows
+	default:
+		r.rows = res.APRows
+	}
+	m[key] = r
+	return r.rows, r.err
+}
+
+// serveLiteralTemplates is the literal-vector half of the differential: a
+// template's first statement is a miss, and every later one a hit — or a
+// template hit the first time its target (a shard or the scatter) is
+// served, and every time its literals break the kept plan's ties — and
+// each reply holds the reference's rows, or fails where it fails.
+func serveLiteralTemplates(t *testing.T, g *Gateway, coord *shard.Coordinator, ref literalReference) {
+	n := coord.NumShards()
+	for _, lt := range literalTemplates(t) {
+		fp, _, _ := sqlparser.Fingerprint(lt.vectors[0])
+		planned := map[int]bool{} // the targets the template has plans for
+		skipped := map[int64]bool{}
+		forked, serialOffset := false, true
+		for i, sql := range lt.vectors {
+			if got, _, _ := sqlparser.Fingerprint(sql); got != fp {
+				t.Fatalf("%s: vector %d has another fingerprint:\n%s\n%s", lt.name, i, got, fp)
+			}
+			target, _, err := coord.Route(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := CacheHit
+			switch {
+			case i == 0:
+				want = CacheMiss
+			case !planned[target], lt.breaks != nil && lt.breaks(i):
+				want = CacheTemplateHit
+			}
+			resp := g.Serve(sql)
+			refRows, refErr := ref.rows(t, sql, resp.Engine)
+			if (resp.Err != nil) != (refErr != nil) || resp.Cache != want {
+				t.Fatalf("%s, vector %d on target %d: cache %v err %v, want %v and err %v\n%s", lt.name, i, target, resp.Cache, resp.Err, want, refErr, sql)
+			}
+			planned[target] = true
+			if i == 0 && target < 0 {
+				planned[0] = true // a scatter's miss plans its pair on shard 0
+			}
+			if refErr != nil {
+				continue
+			}
+			if lt.countOnly && len(resp.Rows) != len(refRows) || !lt.countOnly && !sameRows(resp.Rows, refRows) {
+				t.Fatalf("%s, vector %d (%v, %v): %d rows diverge from the reference's %d\n%s\n got %v\nwant %v",
+					lt.name, i, resp.Cache, resp.Engine, len(resp.Rows), len(refRows), sql, resp.Rows, refRows)
+			}
+			skipped[resp.Stats.ChunksSkipped] = true
+			if lt.name == "parallel limit" && n == 1 {
+				offset := !strings.HasSuffix(sql, "OFFSET 0")
+				forked = forked || !offset && resp.Stats.ParallelWorkers > 0
+				serialOffset = serialOffset && (!offset || resp.Stats.ParallelWorkers == 0)
+			}
+		}
+		if len(planned) > n+1 {
+			t.Errorf("%s: planned on %d targets of a %d-shard fleet", lt.name, len(planned), n)
+		}
+		switch {
+		case lt.name == "pinned" && n > 1 && len(planned) < 2:
+			t.Errorf("pinned: every key on one shard")
+		case lt.name == "pinned pair" && n > 1 && (!planned[-1] || len(planned) < 3):
+			t.Errorf("pinned pair: targets %v, want the scatter and a routed shard", planned)
+		case lt.name == "clustered range" && len(skipped) < 2:
+			t.Errorf("clustered range: every vector pruned the same chunks")
+		case lt.name == "parallel limit" && n == 1 && (!forked || !serialOffset):
+			t.Errorf("parallel limit: forked at OFFSET 0 %v, serial under an offset %v", forked, serialOffset)
+		}
+	}
+
+	// a unary minus folds into a number but not into a string, so one
+	// fingerprint can number its literals two ways: literals that do not
+	// pair with the template's slots (a string where the template negates a
+	// number) are planned for the statement alone, and so is a plan that
+	// numbers them otherwise — a template hit every time, the kept plans
+	// untouched
+	paired := `SELECT c_custkey FROM customer WHERE c_custkey > 0 OR c_name = -5`
+	unpaired := `SELECT c_custkey FROM customer WHERE c_custkey > 0 OR c_name = -'x'`
+	a, b := keysOnDistinctShards(n)
+	str := func(k int64) string {
+		return fmt.Sprintf(`SELECT c_custkey FROM customer WHERE c_custkey = %d AND (c_custkey > 0 OR c_name = -'x')`, k)
+	}
+	num := func(k int64) string {
+		return fmt.Sprintf(`SELECT c_custkey FROM customer WHERE c_custkey = %d AND (c_custkey > 0 OR c_name = -5)`, k)
+	}
+	fleet := func(outcome CacheOutcome) CacheOutcome {
+		if n == 1 {
+			return CacheHit
+		}
+		return outcome
+	}
+	for i, c := range []struct {
+		sql  string
+		want CacheOutcome
+	}{
+		{paired, CacheMiss}, {unpaired, CacheTemplateHit}, {unpaired, CacheTemplateHit}, {paired, CacheHit},
+		{str(a), CacheMiss}, {num(b), fleet(CacheTemplateHit)}, {num(b), fleet(CacheTemplateHit)},
+		{str(b), fleet(CacheTemplateHit)}, {num(b), CacheHit}, {num(a), CacheHit},
+	} {
+		resp := g.Serve(c.sql)
+		refRows, refErr := ref.rows(t, c.sql, resp.Engine)
+		if resp.Err != nil || refErr != nil || resp.Cache != c.want || !sameRows(resp.Rows, refRows) {
+			t.Fatalf("serve %d of %q: cache %v err %v, want %v and the reference's rows", i+1, c.sql, resp.Cache, resp.Err, c.want)
+		}
+	}
+}
+
 func TestOnePathDifferential(t *testing.T) {
+	// the planner sizes DOP from GOMAXPROCS: 4 makes the parallel limit a
+	// DOP-4 plan on every machine
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ref := literalReference{}
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			coord := testCoordinator(t, n)
-			ref := writeSystem(t)
 			cfg := Config{Workers: 4, CacheCapacity: 64}
 			g := NewSharded(coord, cfg)
 			defer g.Stop()
+			serveLiteralTemplates(t, g, coord, ref)
+			g.InvalidatePlans()
+			ref := writeSystem(t)
 
 			a, b := keysOnDistinctShards(n)
 			pinned := fmt.Sprintf(`SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey = %d`, a)
@@ -196,7 +559,7 @@ func TestOnePathDifferential(t *testing.T) {
 						t.Fatalf("%s: %d rows, reference %d", name, len(got.Rows), len(want.rows))
 					}
 					for i := range got.Rows {
-						if rowKey(got.Rows[i]) != rowKey(want.rows[i]) {
+						if !sameRow(got.Rows[i], want.rows[i]) {
 							t.Fatalf("%s: row %d = %v, reference %v", name, i, got.Rows[i], want.rows[i])
 						}
 					}
@@ -228,11 +591,11 @@ func TestOnePathDifferential(t *testing.T) {
 				t.Errorf("repeated pinned read: cache %v err %v, want a hit", resp.Cache, resp.Err)
 			}
 
-			// cached scatters: each scatter read of the table is bound under
-			// its template until InvalidatePlans drops it; then it is served
-			// three times — a miss, then two full hits, each after a committed
-			// write, a refresh and a merge, and each equal to the reference —
-			// and its EXPLAIN ANALYZE stays a miss
+			// cached scatters: each scatter read of the table runs its
+			// template's kept scatter plan until InvalidatePlans drops it;
+			// then it is served three times — a miss, then two full hits,
+			// each after a committed write, a refresh and a merge, and each
+			// equal to the reference — and its EXPLAIN ANALYZE stays a miss
 			var scatters []int
 			for i, st := range steps {
 				if sqlparser.StatementKind(st.sql) != "select" {
@@ -339,17 +702,23 @@ func TestOnePathDifferential(t *testing.T) {
 	}
 }
 
-// TestBoundPlanRunsOnItsOwner interleaves the explanation service's
-// PlanPair with served reads of one fingerprint whose literals live on
-// different shards: with one shared cache, a bind planned on one shard and
-// served to another shard's key would be a silent wrong answer.
-func TestBoundPlanRunsOnItsOwner(t *testing.T) {
+// TestPlanRunsOnItsTarget interleaves the explanation service's PlanPair
+// with served reads of one fingerprint whose literals live on different
+// shards: a template keeps a plan per shard it has served, and a key is
+// only ever executed by the plan built on its owner — with one shared
+// cache, a plan built on one shard and run for another shard's key would
+// be a silent wrong answer.
+func TestPlanRunsOnItsTarget(t *testing.T) {
 	const n = 4
 	coord := testCoordinator(t, n)
 	g := NewSharded(coord, Config{Workers: 2, CacheCapacity: 64})
 	defer g.Stop()
 
 	a, b := keysOnDistinctShards(n)
+	c := a + 1 // a third key on a's shard
+	for shard.ShardOf(value.NewInt(c), n) != shard.ShardOf(value.NewInt(a), n) {
+		c++
+	}
 	sqlFor := func(k int64) string {
 		return fmt.Sprintf(`SELECT c_custkey, c_name FROM customer WHERE c_custkey = %d`, k)
 	}
@@ -370,43 +739,39 @@ func TestBoundPlanRunsOnItsOwner(t *testing.T) {
 		}
 	}
 
-	entry, cached, err := g.PlanPair(sqlFor(a)) // cold explain: plans and binds on a's owner
+	entry, cached, err := g.PlanPair(sqlFor(a)) // cold explain: plans on a's owner
 	if err != nil || cached {
 		t.Fatalf("PlanPair: cached %v err %v", cached, err)
 	}
-	serve(b, CacheTemplateHit) // same template, another shard's key
+	serve(b, CacheTemplateHit) // same template, another shard: planned there
 	if _, cached, err := g.PlanPair(sqlFor(b)); err != nil || !cached {
 		t.Fatalf("PlanPair after serve: cached %v err %v", cached, err)
 	}
-	serve(a, CacheHit) // the bind PlanPair retained
+	serve(a, CacheHit) // the plan PlanPair kept
 	serve(b, CacheHit)
+	serve(c, CacheHit) // a literal never served, on a planned shard
 	serve(a, CacheHit)
 
 	entry.mu.Lock()
-	for _, bp := range entry.binds {
-		for _, k := range []int64{a, b} {
-			if _, params, _ := sqlparser.Fingerprint(sqlFor(k)); sqlparser.ParamKey(params) == bp.ParamKey {
-				if want := shard.ShardOf(value.NewInt(k), n); bp.Shard != want {
-					t.Errorf("bind for key %d retained on shard %d, owner is %d", k, bp.Shard, want)
-				}
-			}
-		}
-	}
-	if len(entry.binds) != 2 {
-		t.Errorf("template retains %d binds, want one per key", len(entry.binds))
+	targets := map[int]bool{}
+	for target := range entry.plans {
+		targets[target] = true
 	}
 	entry.mu.Unlock()
+	if oa, ob := shard.ShardOf(value.NewInt(a), n), shard.ShardOf(value.NewInt(b), n); len(targets) != 2 || !targets[oa] || !targets[ob] {
+		t.Errorf("template keeps plans for shards %v, want exactly the owners %d and %d", targets, oa, ob)
+	}
 
-	// a scatter statement has no owner: PlanPair publishes its template
-	// with no bound plan, the first serve binds the scatter plan under it,
-	// and the second re-executes that bind — a scatter every time
+	// a scatter statement has no owner: PlanPair plans its pair on shard 0
+	// and keeps it there, the first serve plans the scatter and keeps it,
+	// and the second re-executes it — a scatter every time
 	scatter := `SELECT COUNT(*) FROM orders`
 	entry, _, err = g.PlanPair(scatter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entry.binds) != 0 || entry.Pair.TP == nil || entry.Pair.AP == nil {
-		t.Fatalf("scatter template: %d binds, pair %+v", len(entry.binds), entry.Pair)
+	if entry.planFor(-1, plan.AP) != nil || entry.Pair.TP == nil || entry.Pair.AP == nil {
+		t.Fatalf("scatter template after PlanPair: scatter plan %v, pair %+v", entry.planFor(-1, plan.AP), entry.Pair)
 	}
 	var want int64
 	for i := 0; i < n; i++ {
@@ -424,10 +789,8 @@ func TestBoundPlanRunsOnItsOwner(t *testing.T) {
 			t.Errorf("serve %d of a statement with a published template did not scatter", i+1)
 		}
 	}
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-	if len(entry.binds) != 1 || entry.binds[entry.order[0]].Shard != -1 {
-		t.Errorf("scatter template retains %d binds, want the one scatter (Shard -1)", len(entry.binds))
+	if entry.planFor(-1, plan.AP) == nil || entry.planFor(-1, plan.TP) != nil {
+		t.Error("scatter template does not keep exactly its AP scatter plan")
 	}
 }
 

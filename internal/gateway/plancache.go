@@ -10,74 +10,53 @@ import (
 	"htapxplain/internal/sqlparser"
 )
 
-// maxBindsPerTemplate bounds the bound-plan variants one template entry
-// retains (hot literal vectors); beyond it the oldest binding is dropped.
-const maxBindsPerTemplate = 32
-
-// BoundPlan holds executable plans for one (template, literal-vector)
-// combination. On the entry's first binding both engines are planned (the
-// routing policy needs the pair); later bindings plan only the routed
-// engine, so the other side may be nil with a zero estimate. Shard is the
-// shard the plans were built on — their operators read that shard's
-// storage, and the literal vector fixes the owner, so a retained plan is
-// only ever executed there. A scatter (a literal vector no shard owns) is
-// Shard -1 with only AP set, a plan over every shard with no estimate.
-type BoundPlan struct {
-	ParamKey string
-	Shard    int
-	TP, AP   *optimizer.PhysPlan
-	TPTime   time.Duration
-	APTime   time.Duration
-}
-
 // CachedPlan is one plan-cache entry: a query template identified by its
 // fingerprint, the routing decision the gateway's policy made when the
-// template was first planned, and a small cache of bound plans keyed by
-// the literal vector (the parent/child-cursor scheme of classic plan
-// caches). A lookup whose parameters match a retained binding re-executes
-// the cached plan directly; a lookup with new parameters reuses only the
-// template-level routing decision and re-plans the chosen engine (see
-// Gateway.process).
+// template was first planned, and the template's plans — per target it has
+// served (a shard, or -1 for the scatter), the engines planned there, each
+// built on the first statement that reached that target. A plan executes
+// every other statement of the template whose literals hold its ties, with
+// those literals bound to the slots of stmt (see Gateway.process).
 type CachedPlan struct {
 	Fingerprint string
 	Pair        plan.Pair
-	TPTime      time.Duration // estimates from the first binding
+	TPTime      time.Duration // the template's modeled times
 	APTime      time.Duration
 	Route       plan.Engine
 
 	// stmt is the parsed statement the entry was planned from, kept so
-	// AST-level routing policies (RulePolicy) can inspect query shape.
+	// AST-level routing policies (RulePolicy) can inspect query shape; its
+	// Slots are what a statement's literals bind to.
 	stmt *sqlparser.Select
+	// dist is the template's routing analysis on a fleet (nil on one
+	// shard): the slots that pin its partitioned tables.
+	dist *optimizer.DistDecision
 
 	mu    sync.Mutex
-	binds map[string]*BoundPlan
-	order []string // insertion order for FIFO bind eviction
+	plans map[int][2]*optimizer.PhysPlan // by target, then plan.Engine
 }
 
-// Bind returns the bound plans for the literal vector, if retained.
-func (e *CachedPlan) Bind(paramKey string) (*BoundPlan, bool) {
+// planFor returns the entry's plan for eng on target, nil until one is
+// planned.
+func (e *CachedPlan) planFor(target int, eng plan.Engine) *optimizer.PhysPlan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	bp, ok := e.binds[paramKey]
-	return bp, ok
+	return e.plans[target][eng]
 }
 
-// AddBind retains a newly planned literal vector, evicting the oldest
-// binding once the per-template budget is exceeded.
-func (e *CachedPlan) AddBind(bp *BoundPlan) {
+// keep retains phys as the entry's plan for eng on target, unless a
+// concurrent serve kept one first.
+func (e *CachedPlan) keep(target int, eng plan.Engine, phys *optimizer.PhysPlan) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.binds == nil {
-		e.binds = make(map[string]*BoundPlan, 4)
+	if e.plans == nil {
+		e.plans = make(map[int][2]*optimizer.PhysPlan, 1)
 	}
-	if _, exists := e.binds[bp.ParamKey]; !exists {
-		if len(e.order) >= maxBindsPerTemplate {
-			delete(e.binds, e.order[0])
-			e.order = e.order[1:]
-		}
-		e.order = append(e.order, bp.ParamKey)
+	ps := e.plans[target]
+	if ps[eng] == nil {
+		ps[eng] = phys
+		e.plans[target] = ps
 	}
-	e.binds[bp.ParamKey] = bp
 }
 
 // PlanCache is a sharded LRU cache of CachedPlan entries keyed by query

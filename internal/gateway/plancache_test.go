@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"htapxplain/internal/optimizer"
 	"htapxplain/internal/plan"
 )
 
@@ -47,19 +48,24 @@ func TestPlanCacheReplace(t *testing.T) {
 	}
 }
 
-func TestCachedPlanBindEviction(t *testing.T) {
+// TestCachedPlanKeepsOnePlanPerTarget: a template keeps one plan per engine
+// per target — a shard, or the scatter — and the first one kept stands:
+// a concurrent serve that planned the same target again does not replace
+// it, and a target never planned has none.
+func TestCachedPlanKeepsOnePlanPerTarget(t *testing.T) {
 	e := entry("a")
-	for i := 0; i < maxBindsPerTemplate+5; i++ {
-		e.AddBind(&BoundPlan{ParamKey: fmt.Sprintf("p%d", i)})
-	}
-	if got := len(e.binds); got != maxBindsPerTemplate {
-		t.Fatalf("retained binds = %d, want %d", got, maxBindsPerTemplate)
-	}
-	if _, ok := e.Bind("p0"); ok {
-		t.Error("oldest binding should have been evicted")
-	}
-	if _, ok := e.Bind(fmt.Sprintf("p%d", maxBindsPerTemplate+4)); !ok {
-		t.Error("newest binding missing")
+	first, second, scatter := &optimizer.PhysPlan{}, &optimizer.PhysPlan{}, &optimizer.PhysPlan{}
+	e.keep(0, plan.TP, first)
+	e.keep(0, plan.TP, second)
+	e.keep(-1, plan.AP, scatter)
+	for _, c := range []struct {
+		target int
+		eng    plan.Engine
+		want   *optimizer.PhysPlan
+	}{{0, plan.TP, first}, {0, plan.AP, nil}, {1, plan.TP, nil}, {-1, plan.AP, scatter}, {-1, plan.TP, nil}} {
+		if got := e.planFor(c.target, c.eng); got != c.want {
+			t.Errorf("planFor(%d, %v) = %p, want %p", c.target, c.eng, got, c.want)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func evalConst(e sqlparser.Expr) (value.Value, error) {
 	if err != nil {
 		return value.Value{}, fmt.Errorf("htap: VALUES expressions must be constant: %w", err)
 	}
-	return ev(nil)
+	return ev(nil, nil)
 }
 
 // coerce adapts a value to the column's declared type where lossless

@@ -166,7 +166,7 @@ func (tx *Txn) snapshotMatches(tw *tableWrites, pred exec.Evaluator) ([]int64, [
 			continue
 		}
 		if pred != nil {
-			ok, err := exec.Truthy(pred, r)
+			ok, err := exec.Truthy(pred, r, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -191,7 +191,7 @@ func (tx *Txn) pendingMatches(tw *tableWrites, pred exec.Evaluator) ([]int, erro
 			continue
 		}
 		if pred != nil {
-			ok, err := exec.Truthy(pred, p.row)
+			ok, err := exec.Truthy(pred, p.row, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -248,7 +248,7 @@ func (tx *Txn) execUpdate(upd *sqlparser.Update) (*DMLResult, error) {
 	apply := func(r value.Row) (value.Row, error) {
 		nr := r.Clone()
 		for _, st := range setters {
-			v, err := st.ev(r)
+			v, err := st.ev(r, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -112,8 +112,9 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	pruner := zonePruner(a, t, cols)
+	pruner, prunerSlots := zonePruner(a, t, cols)
 	op := exec.NewColTableScan(ct, t.binding, cols, filter, pruner)
+	op.PrunerSlots = prunerSlots
 	chunks := ct.NumChunks()
 
 	if len(preds) == 0 {

@@ -42,6 +42,11 @@ type analysis struct {
 	// shuffled/broadcast rows instead of local storage. Moved rows carry
 	// the full table schema and are already filtered at their source.
 	moved map[string]bool
+
+	// ties are the slot pairs a literal vector must hold equal for the
+	// plan to execute it: recorded wherever planning matched expressions
+	// by their text (tieText).
+	ties []sqlparser.Tie
 }
 
 func (a *analysis) table(binding string) (boundTable, bool) {
@@ -307,6 +312,7 @@ func joinSelectivity(a *analysis, jp joinPred) float64 {
 type sargable struct {
 	column string
 	keys   []sqlparser.Expr // equality / IN keys (literals)
+	list   int              // the keys' list slot, for a literal-only IN list
 	lo, hi sqlparser.Expr   // range bounds (literals); nil = open
 	// loStrict/hiStrict mark exclusive bounds (> / <). An index range scan
 	// is inclusive, so TP keeps such a predicate in its residual filter;
@@ -360,7 +366,7 @@ func extractSargable(a *analysis, t boundTable, accept func(*sargable) bool) *sa
 			if !allLit {
 				continue
 			}
-			consider(p, sargable{column: ref.Column, keys: x.List})
+			consider(p, sargable{column: ref.Column, keys: x.List, list: x.Slot})
 		case *sqlparser.BetweenExpr:
 			ref, ok := x.Expr.(*sqlparser.ColumnRef)
 			if !ok || !isLiteral(x.Lo) || !isLiteral(x.Hi) {

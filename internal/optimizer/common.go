@@ -28,6 +28,12 @@ type PhysPlan struct {
 	// executing with a smaller grant (or serially) is always safe — the
 	// operators fork at Open from whatever the context carries.
 	DOP int
+	// Slots are the literal slots of the statement the plan was built
+	// from: what a literal vector binds to (exec.Context.Bind). Ties are
+	// the pairs of them a vector must hold equal literals in for the plan
+	// to execute it (exec.Params.Holds).
+	Slots []sqlparser.Slot
+	Ties  []sqlparser.Tie
 
 	runnerOnce sync.Once
 	runner     *exec.Runner
@@ -138,7 +144,30 @@ func finish(a *analysis, shape engineShape, b built) (*PhysPlan, error) {
 		// slots the execution can never use
 		dop = 1
 	}
-	return &PhysPlan{Engine: shape.engine, Root: b.op, Explain: b.node, DOP: dop}, nil
+	return physPlan(a, shape.engine, b, dop), nil
+}
+
+// physPlan is the plan of a's statement with root b.
+func physPlan(a *analysis, eng plan.Engine, b built, dop int) *PhysPlan {
+	return &PhysPlan{Engine: eng, Root: b.op, Explain: b.node, DOP: dop, Slots: a.sel.Slots, Ties: a.ties}
+}
+
+// tieText records that planning matched expression e to the aggregate
+// output column idx by their text: the select list and ORDER BY name group
+// and aggregate outputs by their spelling, literals included.
+func tieText(a *analysis, e sqlparser.Expr, idx int) {
+	src := a.sel.GroupBy
+	if idx >= len(src) {
+		// the aggregates follow the groups, in select-list order
+		idx -= len(src)
+		src = nil
+		for _, it := range a.sel.Items {
+			if ax, ok := it.Expr.(*sqlparser.AggExpr); ok {
+				src = append(src, ax)
+			}
+		}
+	}
+	a.ties = sqlparser.AppendTies(a.ties, e, src[idx])
 }
 
 // buildAggregate plans GROUP BY + aggregates. Output schema: group columns
@@ -245,6 +274,7 @@ func orderKeys(a *analysis, s exec.Schema, agged bool) ([]exec.SortKey, error) {
 				if idx < 0 {
 					return nil, fmt.Errorf("optimizer: ORDER BY aggregate %s not in select list", ax)
 				}
+				tieText(a, ax, idx)
 				keys = append(keys, exec.ColumnKey(idx, o.Desc))
 				continue
 			}
@@ -288,7 +318,7 @@ func buildOrdering(a *analysis, shape engineShape, child built, agged bool) (bui
 	}
 	sel := a.sel
 	if sel.Limit >= 0 {
-		op := &exec.TopNOp{Child: child.op, Keys: keys, N: sel.Limit, Offset: sel.Offset}
+		op := &exec.TopNOp{Child: child.op, Keys: keys, N: sel.Limit, Offset: sel.Offset, Slots: countSlots(sel)}
 		outRows := math.Min(child.rows, float64(sel.Limit))
 		node := &plan.Node{
 			Op: plan.OpTopN, Engine: shape.engine,
@@ -310,7 +340,7 @@ func buildOrdering(a *analysis, shape engineShape, child built, agged bool) (bui
 
 // buildLimit plans LIMIT/OFFSET without ordering.
 func buildLimit(sel *sqlparser.Select, shape engineShape, child built) built {
-	op := &exec.LimitOp{Child: child.op, N: sel.Limit, Offset: sel.Offset}
+	op := &exec.LimitOp{Child: child.op, N: sel.Limit, Offset: sel.Offset, Slots: countSlots(sel)}
 	outRows := math.Min(child.rows, float64(sel.Limit))
 	node := &plan.Node{
 		Op: plan.OpLimit, Engine: shape.engine,
@@ -329,15 +359,16 @@ func projectAggOutput(a *analysis, child built) (built, error) {
 	var out exec.Schema
 	for _, it := range a.sel.Items {
 		var name string
+		spelled := false // name is the item's text
 		if ax, ok := it.Expr.(*sqlparser.AggExpr); ok {
 			name = it.Alias
 			if name == "" {
-				name = strings.ToLower(ax.String())
+				name, spelled = strings.ToLower(ax.String()), true
 			}
 		} else if ref, ok := it.Expr.(*sqlparser.ColumnRef); ok {
 			name = ref.Column
 		} else {
-			name = strings.ToLower(it.Expr.String())
+			name, spelled = strings.ToLower(it.Expr.String()), true
 		}
 		idx := -1
 		for i, c := range s {
@@ -349,9 +380,11 @@ func projectAggOutput(a *analysis, child built) (built, error) {
 		if idx < 0 {
 			return built{}, fmt.Errorf("optimizer: select item %q is neither aggregated nor grouped", it)
 		}
-		j := idx
-		evals = append(evals, func(row value.Row) (value.Value, error) { return row[j], nil })
-		out = append(out, exec.Col{Name: name, Type: s[j].Type, Binding: s[j].Binding})
+		if spelled {
+			tieText(a, it.Expr, idx)
+		}
+		evals = append(evals, exec.ColumnEval(idx))
+		out = append(out, exec.Col{Name: name, Type: s[idx].Type, Binding: s[idx].Binding})
 	}
 	// identity projection: skip the operator if order already matches
 	if len(evals) == len(s) {
@@ -381,8 +414,7 @@ func projectPlain(a *analysis, child built) (built, error) {
 	for _, it := range a.sel.Items {
 		if it.Star {
 			for i, c := range s {
-				j := i
-				evals = append(evals, func(row value.Row) (value.Value, error) { return row[j], nil })
+				evals = append(evals, exec.ColumnEval(i))
 				out = append(out, c)
 			}
 			continue
@@ -466,47 +498,48 @@ func neededColumns(a *analysis, t boundTable) []int {
 }
 
 // zonePruner derives a zone-map pruner from the binding's sargable
-// predicate when its column is among the scanned columns. Works without
-// any index — zone maps are a column-store feature — but a range has one
-// pair of bounds, so an IN list of several keys is not accepted.
-func zonePruner(a *analysis, t boundTable, cols []int) *colstore.RangePruner {
+// predicate when its column is among the scanned columns, with the slots
+// its bounds are read from under a bound literal vector. Works without any
+// index — zone maps are a column-store feature — but a range has one pair
+// of bounds, so an IN list of several keys is not accepted; a one-key list
+// slot bounds both ends, and a bound vector that lists several keys there
+// runs the scan unpruned (ColTableScan.bind).
+func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [2]int) {
 	s := extractSargable(a, t, func(s *sargable) bool { return len(s.keys) <= 1 })
 	if s == nil {
-		return nil
+		return nil, [2]int{}
 	}
 	colPos := t.meta.ColumnIndex(s.column)
 	if colPos < 0 {
-		return nil
+		return nil, [2]int{}
+	}
+	lo, hi := s.lo, s.hi
+	if len(s.keys) == 1 {
+		lo, hi = s.keys[0], s.keys[0]
+	}
+	if lo == nil && hi == nil {
+		return nil, [2]int{}
 	}
 	pr := &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
-	switch {
-	case len(s.keys) == 1:
-		v, ok := exec.LiteralValue(s.keys[0])
-		if !ok {
-			return nil
-		}
-		pr.Lo, pr.Hi = &v, &v
-	case s.lo != nil || s.hi != nil:
-		if s.lo != nil {
-			v, ok := exec.LiteralValue(s.lo)
-			if !ok {
-				return nil
-			}
-			pr.Lo = &v
-		}
-		if s.hi != nil {
-			v, ok := exec.LiteralValue(s.hi)
-			if !ok {
-				return nil
-			}
-			pr.Hi = &v
-		}
-	default:
-		return nil
+	var slots [2]int
+	if l := litOf(lo); l != nil {
+		pr.Lo, slots[0] = &l.V, l.Slot
+	}
+	if h := litOf(hi); h != nil {
+		pr.Hi, slots[1] = &h.V, h.Slot
+	}
+	if s.list > 0 {
+		slots = [2]int{s.list, s.list}
 	}
 	// the pruner is an exact predicate stand-in when the sargable conjunct
 	// is the table's whole predicate: chunk-level RangeSel then decides
 	// row membership and the compiled predicate never runs on base chunks
 	pr.Exact = len(a.tablePreds[t.binding]) == 1
-	return pr
+	return pr, slots
+}
+
+// countSlots names the slots of sel's LIMIT and OFFSET for a limit or
+// Top-N that keeps LIMIT rows after skipping OFFSET.
+func countSlots(sel *sqlparser.Select) exec.CountSlots {
+	return exec.CountSlots{N: [2]int{sel.LimitSlot}, Offset: sel.OffsetSlot}
 }

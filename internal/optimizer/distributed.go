@@ -40,6 +40,7 @@ type PinnedTable struct {
 	Table   string
 	Column  string      // partition-key column
 	Key     value.Value // the pinned literal when Pinned
+	Slot    int         // the pinned literal's slot: a bound vector's key
 	Pinned  bool
 }
 
@@ -95,8 +96,8 @@ func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) 
 		}
 		parted = append(parted, t)
 		pt := PinnedTable{Binding: t.binding, Table: t.meta.Name, Column: pcol}
-		if key, ok := PinnedEq(a.tablePreds[t.binding], pcol); ok {
-			pt.Key, pt.Pinned = key, true
+		if key, ok := pinnedLit(a.tablePreds[t.binding], pcol); ok {
+			pt.Key, pt.Slot, pt.Pinned = key.V, key.Slot, true
 		}
 		d.Partitioned = append(d.Partitioned, pt)
 	}
@@ -108,6 +109,12 @@ func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) 
 // returns the literal — the pin the shard router hashes to a shard. The
 // shard coordinator also uses it on DML WHERE clauses.
 func PinnedEq(preds []sqlparser.Expr, pcol string) (value.Value, bool) {
+	lit, ok := pinnedLit(preds, pcol)
+	return lit.V, ok
+}
+
+// pinnedLit is PinnedEq's literal, with its slot.
+func pinnedLit(preds []sqlparser.Expr, pcol string) (exec.Lit, bool) {
 	for _, p := range preds {
 		be, ok := p.(*sqlparser.BinaryExpr)
 		if !ok || be.Op != sqlparser.OpEq {
@@ -121,11 +128,11 @@ func PinnedEq(preds []sqlparser.Expr, pcol string) (value.Value, bool) {
 		if !ok || !strings.EqualFold(ref.Column, pcol) || !isLiteral(lit) {
 			continue
 		}
-		if v := litValue(lit); v.K != value.KindNull {
-			return v, true
+		if l, _ := exec.LitOf(lit); l.V.K != value.KindNull {
+			return l, true
 		}
 	}
-	return value.Null, false
+	return exec.Lit{}, false
 }
 
 // resolveMoves decides, greedily and largest-first, which partitioned
@@ -221,10 +228,11 @@ func MoveScanSelect(m TableMove) *sqlparser.Select {
 // the (lowercased) bindings whose rows reach the fragment through an
 // exchange rather than from local storage. For the first fragment added it
 // also returns the coordinator's half over g (merge aggregate / ordering /
-// limit / projection), which is the same whichever shard's plan builds it;
-// for the others final is nil. Like every planner entry point it binds the
-// statement in place, so each shard plans from its own parse.
-func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *exec.Gather) (explain *plan.Node, final exec.Operator, err error) {
+// limit / projection), which is the same whichever shard's plan builds it,
+// as the scatter's plan, short of its EXPLAIN tree and DOP; for the others
+// final is nil. Like every planner entry point it binds the statement in
+// place, so each shard plans from its own parse.
+func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *exec.Gather) (explain *plan.Node, final *PhysPlan, err error) {
 	a, err := bind(p.Cat, sel)
 	if err != nil {
 		return nil, nil, err
@@ -250,10 +258,16 @@ func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *
 			parRoot:   b.parRoot,
 		}
 	}
+	var root exec.Operator
 	if sel.HasAggregate() || len(sel.GroupBy) > 0 {
-		return fragmentAgg(a, shape, b, g)
+		explain, root, err = fragmentAgg(a, shape, b, g)
+	} else {
+		explain, root, err = fragmentPlain(a, shape, b, g)
 	}
-	return fragmentPlain(a, shape, b, g)
+	if root == nil || err != nil {
+		return explain, nil, err
+	}
+	return explain, physPlan(a, plan.AP, built{op: root}, 0), nil
 }
 
 // addFragment hands a fragment's built tree to its gather with the usual
@@ -301,8 +315,7 @@ func fragmentAgg(a *analysis, shape engineShape, b built, g *exec.Gather) (*plan
 	}
 	groups := make([]exec.Evaluator, nGroups)
 	for i := range groups {
-		i := i
-		groups[i] = func(r value.Row) (value.Value, error) { return r[i], nil }
+		groups[i] = exec.ColumnEval(i)
 	}
 	final, err := finalTail(a, shape, built{
 		op: &exec.HashAggregate{Child: g, Groups: groups, Aggs: ha.Aggs,
@@ -322,14 +335,16 @@ func fragmentPlain(a *analysis, shape engineShape, b built, g *exec.Gather) (*pl
 	sel := a.sel
 	fb := b
 	if sel.Limit >= 0 {
-		n := sel.Limit + sel.Offset
+		// the fragment keeps LIMIT+OFFSET rows and skips none; the final
+		// stage applies the offset
+		n, slots := sel.Limit+sel.Offset, exec.CountSlots{N: [2]int{sel.LimitSlot, sel.OffsetSlot}}
 		if len(sel.OrderBy) > 0 {
 			keys, err := orderKeys(a, b.op.Schema(), false)
 			if err != nil {
 				return nil, nil, err
 			}
 			fb = built{
-				op: &exec.TopNOp{Child: b.op, Keys: keys, N: n},
+				op: &exec.TopNOp{Child: b.op, Keys: keys, N: n, Slots: slots},
 				node: &plan.Node{Op: plan.OpTopN, Engine: plan.AP,
 					Cost: b.node.Cost + shape.costTopN(b.rows, n),
 					Rows: mathMax1(float64(n)), Children: []*plan.Node{b.node}},
@@ -337,7 +352,7 @@ func fragmentPlain(a *analysis, shape engineShape, b built, g *exec.Gather) (*pl
 			}
 		} else {
 			fb = built{
-				op: &exec.LimitOp{Child: b.op, N: n},
+				op: &exec.LimitOp{Child: b.op, N: n, Slots: slots},
 				node: &plan.Node{Op: plan.OpLimit, Engine: plan.AP,
 					Cost: b.node.Cost, Rows: mathMax1(float64(n)),
 					Children: []*plan.Node{b.node}},

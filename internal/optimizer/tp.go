@@ -8,7 +8,6 @@ import (
 	"htapxplain/internal/plan"
 	"htapxplain/internal/rowstore"
 	"htapxplain/internal/sqlparser"
-	"htapxplain/internal/value"
 )
 
 // TP cost model. Units are the row engine's internal "points" — small
@@ -98,25 +97,17 @@ func (p *Planner) tpAccess(a *analysis, t boundTable) (built, error) {
 	if sarg != nil {
 		ix, _ := rt.IndexOn(sarg.column)
 		ixMeta, _ := t.meta.IndexOn(sarg.column)
-		var keys []value.Value
-		var lo, hi *value.Value
+		var keys *exec.Lits
+		var lo, hi *exec.Lit
 		if len(sarg.keys) > 0 {
-			for _, k := range sarg.keys {
-				keys = append(keys, litValue(k))
-			}
+			l, _ := exec.LitsOf(sarg.keys, sarg.list) // sargable keys are literals
+			keys = &l
 		} else {
-			if sarg.lo != nil {
-				v := litValue(sarg.lo)
-				lo = &v
-			}
-			if sarg.hi != nil {
-				v := litValue(sarg.hi)
-				hi = &v
-			}
+			lo, hi = litOf(sarg.lo), litOf(sarg.hi)
 		}
 		op := exec.NewRowIndexScan(rt, ix, t.binding, keys, lo, hi)
 		matched := math.Max(1, fullRows*sarg.sel)
-		cost := tpProbeCost*math.Max(1, float64(len(keys))) + matched*tpFetchPerRow
+		cost := tpProbeCost*math.Max(1, float64(len(sarg.keys))) + matched*tpFetchPerRow
 		scan = built{
 			op: op,
 			node: &plan.Node{Op: plan.OpIndexScan, Engine: plan.TP, Cost: cost,
@@ -365,11 +356,14 @@ func innerColOf(jp joinPred, innerBind string) string {
 	return jp.bCol
 }
 
-// litValue converts a literal AST node to a runtime value (NULL for a
-// non-literal).
-func litValue(e sqlparser.Expr) value.Value {
-	v, _ := exec.LiteralValue(e)
-	return v
+// litOf is the sargable bound e as a literal operand, nil for an open
+// (nil) bound.
+func litOf(e sqlparser.Expr) *exec.Lit {
+	if e == nil {
+		return nil
+	}
+	l, _ := exec.LitOf(e)
+	return &l
 }
 
 // tryIndexOrderTopN recognizes single-table ORDER BY <indexed col> LIMIT n
@@ -410,6 +404,7 @@ func (p *Planner) tryIndexOrderTopN(a *analysis, shape engineShape) (built, bool
 	}
 	limitHint := int(sel.Limit + sel.Offset)
 	op := exec.NewRowIndexOrderScan(rt, ix, t.binding, sel.OrderBy[0].Desc, limitHint, pred)
+	op.Slots = exec.CountSlots{N: [2]int{sel.LimitSlot, sel.OffsetSlot}}
 	// expected rows visited before the limit fills: k / selectivity
 	tsel := tableSelectivity(a, t.binding)
 	visited := math.Min(float64(t.meta.Rows), float64(limitHint)/tsel)
@@ -431,7 +426,7 @@ func finishTopNIndex(a *analysis, shape engineShape, b built) (*PhysPlan, error)
 	sel := a.sel
 	if sel.Offset > 0 || sel.Limit >= 0 {
 		b = built{
-			op:   &exec.LimitOp{Child: b.op, N: sel.Limit, Offset: sel.Offset},
+			op:   &exec.LimitOp{Child: b.op, N: sel.Limit, Offset: sel.Offset, Slots: countSlots(sel)},
 			node: b.node, rows: b.rows,
 		}
 	}
@@ -439,5 +434,5 @@ func finishTopNIndex(a *analysis, shape engineShape, b built) (*PhysPlan, error)
 	if err != nil {
 		return nil, err
 	}
-	return &PhysPlan{Engine: shape.engine, Root: pb.op, Explain: pb.node}, nil
+	return physPlan(a, shape.engine, pb, 0), nil
 }

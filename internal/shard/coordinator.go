@@ -257,10 +257,10 @@ func (c *Coordinator) TxnStats() htap.TxnStats {
 // Route analyzes a SELECT and decides where it runs: a shard number when
 // every partitioned table it touches pins (via an equality predicate on
 // its partition key) to the same shard, or -1 when the statement must
-// scatter. The DistDecision is returned so a scatter can reuse it. A
-// one-shard fleet pins every statement to shard 0 without parsing it (and
-// returns no decision): the single-system hot path pays nothing for
-// routing.
+// scatter. The DistDecision is returned so a scatter can reuse it, and so
+// Target can route the template's other statements. A one-shard fleet
+// pins every statement to shard 0 without parsing it (and returns no
+// decision): the single-system hot path pays nothing for routing.
 func (c *Coordinator) Route(sql string) (int, *optimizer.DistDecision, error) {
 	if len(c.shards) == 1 {
 		return 0, nil, nil
@@ -273,23 +273,30 @@ func (c *Coordinator) Route(sql string) (int, *optimizer.DistDecision, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(dec.Partitioned) == 0 {
-		// replicated tables only: any shard has the full data
-		return 0, dec, nil
+	return c.Target(dec, nil), dec, nil
+}
+
+// Target is Route's answer for a statement of dec's template under the
+// literal vector p, without parsing it: the shard the bound partition keys
+// all hash to, -1 when they disagree or a partitioned table is unpinned,
+// and shard 0 for a statement over replicated tables only (or any
+// statement on a one-shard fleet, whose dec is nil).
+func (c *Coordinator) Target(dec *optimizer.DistDecision, p *exec.Params) int {
+	if dec == nil {
+		return 0
 	}
-	if dec.AllPinned() {
-		target := -1
-		for _, pt := range dec.Partitioned {
-			s := ShardOf(pt.Key, len(c.shards))
-			if target == -1 {
-				target = s
-			} else if target != s {
-				return -1, dec, nil
-			}
+	target := 0
+	for i, pt := range dec.Partitioned {
+		if !pt.Pinned {
+			return -1
 		}
-		return target, dec, nil
+		s := ShardOf(p.Value(pt.Slot, pt.Key), len(c.shards))
+		if i > 0 && s != target {
+			return -1
+		}
+		target = s
 	}
-	return -1, dec, nil
+	return target
 }
 
 // NoteRouted records the routing counters for a single-shard SELECT. The
@@ -366,7 +373,8 @@ func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*opt
 		moved[mv.Key] = true
 	}
 
-	phys := &optimizer.PhysPlan{Engine: plan.AP}
+	var phys *optimizer.PhysPlan
+	dop := 0
 	for s := 0; s < n; s++ {
 		sel, err := sqlparser.Parse(sql)
 		if err != nil {
@@ -379,16 +387,17 @@ func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*opt
 		if c.fragDOP > 0 {
 			g.Frags[s].DOP = c.fragDOP
 		}
-		phys.DOP += max(1, g.Frags[s].DOP)
+		dop += max(1, g.Frags[s].DOP)
 		if s == 0 {
 			// fragment plans differ across shards only in their
 			// cardinalities; EXPLAIN shows shard 0's under the gather
-			phys.Root = final
+			phys = final
 			phys.Explain = &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
 				Cost: frag.Cost, Rows: frag.Rows,
 				Relation: fmt.Sprintf("gather (%d shards)", n), Children: []*plan.Node{frag}}
 		}
 	}
+	phys.DOP = dop
 	return phys, nil
 }
 

@@ -48,35 +48,40 @@ func TPCHScheme() Scheme {
 // normalization), and a float that holds an exact integer renders exactly
 // like the equivalent int, so `o_custkey = 7` and `o_custkey = 7.0` pin
 // the same shard.
-func KeyString(v value.Value) string {
+func KeyString(v value.Value) string { return string(appendKey(nil, v)) }
+
+// appendKey appends v's canonical form (KeyString) to dst.
+func appendKey(dst []byte, v value.Value) []byte {
 	switch v.K {
 	case value.KindInt:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case value.KindFloat:
 		f := math.Round(v.F*1e4) / 1e4
 		if f == 0 {
 			f = 0 // collapse -0.0 into +0.0
 		}
 		if f == math.Trunc(f) && math.Abs(f) < 1<<53 {
-			return "i" + strconv.FormatInt(int64(f), 10)
+			return strconv.AppendInt(append(dst, 'i'), int64(f), 10)
 		}
-		return "f" + strconv.FormatFloat(f, 'f', 4, 64)
+		return strconv.AppendFloat(append(dst, 'f'), f, 'f', 4, 64)
 	case value.KindString:
-		return "s" + v.S
+		return append(append(dst, 's'), v.S...)
 	case value.KindBool:
 		if v.I != 0 {
-			return "b1"
+			return append(dst, "b1"...)
 		}
-		return "b0"
+		return append(dst, "b0"...)
 	default:
-		return "n"
+		return append(dst, 'n')
 	}
 }
 
-// PartitionKey hashes a value's canonical form (FNV-1a 64).
+// PartitionKey hashes a value's canonical form (FNV-1a 64), built in a
+// stack buffer: routing a bound literal vector allocates nothing.
 func PartitionKey(v value.Value) uint64 {
+	var buf [64]byte
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(KeyString(v)))
+	_, _ = h.Write(appendKey(buf[:0], v))
 	return h.Sum64()
 }
 

@@ -43,6 +43,16 @@ func TestKeyStringNormalization(t *testing.T) {
 	}
 }
 
+// TestPartitionKeyAllocs: routing a bound partition key hashes it in a
+// stack buffer — a fleet's plan-cache hit allocates nothing to route.
+func TestPartitionKeyAllocs(t *testing.T) {
+	for _, v := range []value.Value{value.NewInt(7), value.NewFloat(2.5), value.NewString("customer#7")} {
+		if n := testing.AllocsPerRun(100, func() { ShardOf(v, 4) }); n != 0 {
+			t.Errorf("ShardOf(%v) allocates %.0f times, want 0", v, n)
+		}
+	}
+}
+
 func TestShardOfRange(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		for i := int64(0); i < 1000; i++ {

@@ -85,7 +85,7 @@ func constEval(e sqlparser.Expr) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	return ev(nil)
+	return ev(nil, nil)
 }
 
 func (tx *Txn) execInsert(ins *sqlparser.Insert) (*htap.DMLResult, error) {

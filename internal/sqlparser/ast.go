@@ -32,20 +32,54 @@ func (c *ColumnRef) String() string {
 	return c.Column
 }
 
-// IntLit is an integer literal.
-type IntLit struct{ V int64 }
+// A Slot is one literal position of a statement, in source order: what
+// Fingerprint strips as one param, or — for a literal-only IN list — as the
+// list's "#n" marker and its n params. A plan executed under a bound
+// literal vector (exec.Params) reads each position's value from the vector
+// instead of from the statement it was built from.
+type Slot struct {
+	Kind SlotKind
+	// Neg marks a number the parser folded a unary minus into: its param
+	// is the magnitude.
+	Neg bool
+}
+
+// SlotKind is what a slot's param may be.
+type SlotKind uint8
+
+const (
+	SlotValue   SlotKind = iota // an int, float or string literal
+	SlotList                    // a literal-only IN list, of any length
+	SlotCount                   // LIMIT or OFFSET: a non-negative integer
+	SlotPattern                 // a LIKE pattern: a string
+)
+
+// IntLit is an integer literal. Slot, on every literal node, is the
+// literal's position in its statement's Slots counted from 1; 0 marks a
+// literal the statement does not spell (the 0 of a folded unary minus) or
+// an item of a literal-only IN list, whose slot is the list's.
+type IntLit struct {
+	V    int64
+	Slot int
+}
 
 func (l *IntLit) exprNode()      {}
 func (l *IntLit) String() string { return fmt.Sprintf("%d", l.V) }
 
 // FloatLit is a floating-point literal.
-type FloatLit struct{ V float64 }
+type FloatLit struct {
+	V    float64
+	Slot int
+}
 
 func (l *FloatLit) exprNode()      {}
 func (l *FloatLit) String() string { return fmt.Sprintf("%g", l.V) }
 
 // StringLit is a single-quoted string literal.
-type StringLit struct{ V string }
+type StringLit struct {
+	V    string
+	Slot int
+}
 
 func (l *StringLit) exprNode() {}
 
@@ -122,11 +156,14 @@ type NotExpr struct{ Inner Expr }
 func (n *NotExpr) exprNode()      {}
 func (n *NotExpr) String() string { return "NOT " + n.Inner.String() }
 
-// InExpr is `expr [NOT] IN (list...)`.
+// InExpr is `expr [NOT] IN (list...)`. A list of bare literals is one
+// slot (SlotList) whatever its length; its items carry no slot of their
+// own.
 type InExpr struct {
 	Expr Expr
 	List []Expr
 	Not  bool
+	Slot int
 }
 
 func (e *InExpr) exprNode() {}
@@ -156,6 +193,7 @@ func (e *BetweenExpr) String() string {
 type LikeExpr struct {
 	Expr    Expr
 	Pattern string
+	Slot    int
 }
 
 func (e *LikeExpr) exprNode()      {}
@@ -281,6 +319,11 @@ type Select struct {
 	OrderBy []OrderItem
 	Limit   int64 // -1 if absent
 	Offset  int64 // 0 if absent
+
+	// LimitSlot and OffsetSlot are the slots of LIMIT and OFFSET (0 when
+	// absent); Slots lists every slot of the statement, in source order.
+	LimitSlot, OffsetSlot int
+	Slots                 []Slot
 }
 
 // HasAggregate reports whether any select item is an aggregate.
@@ -402,4 +445,105 @@ func ColumnsIn(e Expr) []*ColumnRef {
 	}
 	walk(e)
 	return out
+}
+
+// A Tie is two slots a plan needs equal literals in. The planner matched
+// two expressions by their text — a select item to its GROUP BY term, an
+// ORDER BY aggregate to its select item — and the text spells literals, so
+// the match holds for a literal vector only if it holds the two slots'
+// literals equal. No vector holds a tie naming slot 0.
+type Tie [2]int
+
+// AppendTies appends to ties what keeps a and b, two expressions the planner
+// found spelled the same, spelled the same under any literal vector: a tie
+// for each pair of slots in the same place. If a and b differ in anything
+// but their literals, their spelling is equal only by way of the literals,
+// and it appends {0, 0}.
+func AppendTies(ties []Tie, a, b Expr) []Tie {
+	if !tieSlots(&ties, a, b) {
+		ties = append(ties, Tie{})
+	}
+	return ties
+}
+
+// tieSlots appends the ties of a and b, reporting false when they differ
+// in anything but their literals.
+func tieSlots(ties *[]Tie, a, b Expr) bool {
+	tie := func(s, t int) bool {
+		switch {
+		case s == t:
+			// the same slot, or two literals the statement does not spell:
+			// no vector moves them
+		case s == 0 || t == 0:
+			return false
+		default:
+			*ties = append(*ties, Tie{s, t})
+		}
+		return true
+	}
+	all := func(as, bs []Expr) bool {
+		if len(as) != len(bs) {
+			return false
+		}
+		for i := range as {
+			if !tieSlots(ties, as[i], bs[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch x := a.(type) {
+	case *ColumnRef:
+		y, ok := b.(*ColumnRef)
+		return ok && strings.EqualFold(x.Table, y.Table) && strings.EqualFold(x.Column, y.Column)
+	case *IntLit, *FloatLit, *StringLit:
+		s, _ := litSlot(a)
+		t, ok := litSlot(b)
+		return ok && tie(s, t)
+	case *BinaryExpr:
+		y, ok := b.(*BinaryExpr)
+		return ok && x.Op == y.Op && tieSlots(ties, x.Left, y.Left) && tieSlots(ties, x.Right, y.Right)
+	case *NotExpr:
+		y, ok := b.(*NotExpr)
+		return ok && tieSlots(ties, x.Inner, y.Inner)
+	case *InExpr:
+		y, ok := b.(*InExpr)
+		if !ok || x.Not != y.Not || !tieSlots(ties, x.Expr, y.Expr) {
+			return false
+		}
+		if x.Slot > 0 || y.Slot > 0 {
+			// a literal-only list is one slot, its length included
+			return tie(x.Slot, y.Slot)
+		}
+		return all(x.List, y.List)
+	case *BetweenExpr:
+		y, ok := b.(*BetweenExpr)
+		return ok && all([]Expr{x.Expr, x.Lo, x.Hi}, []Expr{y.Expr, y.Lo, y.Hi})
+	case *LikeExpr:
+		y, ok := b.(*LikeExpr)
+		return ok && tie(x.Slot, y.Slot) && tieSlots(ties, x.Expr, y.Expr)
+	case *FuncExpr:
+		y, ok := b.(*FuncExpr)
+		return ok && strings.EqualFold(x.Name, y.Name) && all(x.Args, y.Args)
+	case *AggExpr:
+		y, ok := b.(*AggExpr)
+		if !ok || x.Func != y.Func || (x.Arg == nil) != (y.Arg == nil) {
+			return false
+		}
+		return x.Arg == nil || tieSlots(ties, x.Arg, y.Arg)
+	}
+	return false
+}
+
+// litSlot is a literal's slot; false for any other expression.
+func litSlot(e Expr) (int, bool) {
+	switch l := e.(type) {
+	case *IntLit:
+		return l.Slot, true
+	case *FloatLit:
+		return l.Slot, true
+	case *StringLit:
+		return l.Slot, true
+	}
+	return 0, false
 }

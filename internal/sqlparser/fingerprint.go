@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
+
+	"htapxplain/internal/value"
 )
 
 // Fingerprint normalizes a query down to its parameterized template: every
@@ -18,9 +21,10 @@ import (
 // times cheaper than even one parse, let alone planning.
 //
 // The second return value is the stripped literals in source order (string
-// literals still quoted), so callers can distinguish "same template, same
-// parameters" (a cached plan is exactly reusable) from "same template,
-// different parameters" (the plan shape is reusable but the plan is not).
+// literals still quoted; a collapsed list as its "#n" marker and its n
+// items): one param per slot of the parsed statement (Select.Slots), which
+// is what lets a plan built for one statement of the template execute any
+// other with its literals bound (ParamValue converts each).
 func Fingerprint(sql string) (fp string, params []string, err error) {
 	var b strings.Builder
 	b.Grow(len(sql))
@@ -55,10 +59,24 @@ func Fingerprint(sql string) (fp string, params []string, err error) {
 			b.WriteByte('?')
 			lastWasIn = false
 			i = j
-		case isIdentStart(rune(c)):
-			j := i + 1
-			for j < n && isIdentPart(rune(sql[j])) {
-				j++
+		case c >= utf8.RuneSelf || isIdentStart(rune(c)):
+			// decode runes as the lexer does: read byte-wise, a digit
+			// inside a non-ASCII identifier would pass for a literal
+			r, size := utf8.DecodeRuneInString(sql[i:])
+			if !isIdentStart(r) {
+				b.WriteString(sql[i : i+size])
+				needSep = false
+				lastWasIn = false
+				i += size
+				continue
+			}
+			j := i + size
+			for j < n {
+				r, size := utf8.DecodeRuneInString(sql[j:])
+				if !isIdentPart(r) {
+					break
+				}
+				j += size
 			}
 			sep()
 			lower(&b, sql[i:j])
@@ -127,10 +145,10 @@ func scanNumber(sql string, i int) int {
 // non-empty list of literals starting at sql[i] == '('. On success it
 // appends an arity marker ("#<n>", a spelling no SQL literal can take)
 // followed by each literal to params, and returns the index just past
-// ')'. The marker keeps the flat ParamKey unambiguous across adjacent
-// collapsed lists: without it, IN (1,2) … IN (3) and IN (1) … IN (2,3)
-// would share both fingerprint and parameter vector, and the plan
-// cache would serve one query the other's bound plan.
+// ')'. The marker delimits the list's slot (exec.Context.Bind) across
+// adjacent collapsed lists: without it, IN (1,2) … IN (3) and IN (1) …
+// IN (2,3) would share both fingerprint and parameter vector, and a plan
+// would bind one query's lists from the other's.
 func scanLiteralList(sql string, i int, params *[]string) (int, bool) {
 	j := i + 1
 	n := len(sql)
@@ -188,4 +206,42 @@ func lower(b *strings.Builder, s string) {
 // ParamKey joins stripped literals into a single comparable cache key.
 func ParamKey(params []string) string {
 	return strings.Join(params, "\x00")
+}
+
+// ParamValue is the value of the literal Parse builds for the Fingerprint
+// param p: an int, a float, or a string with its doubled quotes folded; neg
+// negates a number as Parse folds a unary minus into it (Slot.Neg). It
+// reports false for a param Parse builds no such literal from: a list
+// marker, an integer out of range, or a negated string.
+func ParamValue(p string, neg bool) (value.Value, bool) {
+	switch {
+	case p == "":
+		return value.Value{}, false
+	case p[0] == '\'':
+		if neg || len(p) < 2 {
+			return value.Value{}, false
+		}
+		s := p[1 : len(p)-1]
+		if strings.Contains(s, "''") {
+			s = strings.ReplaceAll(s, "''", "'")
+		}
+		return value.NewString(s), true
+	case strings.IndexByte(p, '.') >= 0:
+		f, err := strconv.ParseFloat(p, 64)
+		if err != nil {
+			return value.Value{}, false
+		}
+		if neg {
+			f = -f
+		}
+		return value.NewFloat(f), true
+	}
+	i, err := strconv.ParseInt(p, 10, 64)
+	if err != nil {
+		return value.Value{}, false
+	}
+	if neg {
+		i = -i
+	}
+	return value.NewInt(i), true
 }

@@ -31,6 +31,32 @@ type parser struct {
 	toks  []token
 	pos   int
 	input string
+	slots []Slot
+}
+
+// slot numbers the next literal position of the statement.
+func (p *parser) slot(kind SlotKind) int {
+	p.slots = append(p.slots, Slot{Kind: kind})
+	return len(p.slots)
+}
+
+// negate records a unary minus folded into the literal at slot s.
+func (p *parser) negate(s int) {
+	if s > 0 {
+		p.slots[s-1].Neg = !p.slots[s-1].Neg
+	}
+}
+
+// unslot clears a literal node's slot.
+func unslot(e Expr) {
+	switch l := e.(type) {
+	case *IntLit:
+		l.Slot = 0
+	case *FloatLit:
+		l.Slot = 0
+	case *StringLit:
+		l.Slot = 0
+	}
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -227,7 +253,7 @@ func (p *parser) parseSelect() (*Select, error) {
 		if err != nil || n < 0 {
 			return nil, p.errorf("invalid LIMIT %q", t.text)
 		}
-		sel.Limit = n
+		sel.Limit, sel.LimitSlot = n, p.slot(SlotCount)
 		if p.acceptKeyword("OFFSET") {
 			t := p.next()
 			if t.kind != tkInt {
@@ -237,9 +263,10 @@ func (p *parser) parseSelect() (*Select, error) {
 			if err != nil || off < 0 {
 				return nil, p.errorf("invalid OFFSET %q", t.text)
 			}
-			sel.Offset = off
+			sel.Offset, sel.OffsetSlot = off, p.slot(SlotCount)
 		}
 	}
+	sel.Slots = p.slots
 	return sel, nil
 }
 
@@ -387,10 +414,17 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		var list []Expr
+		first, bare := len(p.slots), true
 		for {
+			start := p.pos
 			e, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
+			}
+			// a bare literal is one token; Fingerprint collapses a list of
+			// nothing else into one param group
+			if k := p.toks[start].kind; p.pos != start+1 || (k != tkInt && k != tkFloat && k != tkString) {
+				bare = false
 			}
 			list = append(list, e)
 			if !p.acceptSymbol(",") {
@@ -400,7 +434,16 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return &InExpr{Expr: left, List: list, Not: notIn}, nil
+		in := &InExpr{Expr: left, List: list, Not: notIn}
+		if bare {
+			// the items' slots become the list's one slot
+			p.slots = p.slots[:first]
+			in.Slot = p.slot(SlotList)
+			for _, e := range list {
+				unslot(e)
+			}
+		}
+		return in, nil
 	}
 	if p.acceptKeyword("BETWEEN") {
 		lo, err := p.parseAdditive()
@@ -421,7 +464,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if t.kind != tkString {
 			return nil, p.errorf("LIKE requires a string pattern, found %q", t.text)
 		}
-		return &LikeExpr{Expr: left, Pattern: t.text}, nil
+		return &LikeExpr{Expr: left, Pattern: t.text, Slot: p.slot(SlotPattern)}, nil
 	}
 	return left, nil
 }
@@ -486,15 +529,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errorf("invalid integer %q", t.text)
 		}
-		return &IntLit{V: v}, nil
+		return &IntLit{V: v, Slot: p.slot(SlotValue)}, nil
 	case tkFloat:
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.errorf("invalid float %q", t.text)
 		}
-		return &FloatLit{V: v}, nil
+		return &FloatLit{V: v, Slot: p.slot(SlotValue)}, nil
 	case tkString:
-		return &StringLit{V: t.text}, nil
+		return &StringLit{V: t.text, Slot: p.slot(SlotValue)}, nil
 	case tkKeyword:
 		if agg, ok := aggNames[t.text]; ok {
 			if err := p.expectSymbol("("); err != nil {
@@ -538,9 +581,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			switch lit := inner.(type) {
 			case *IntLit:
-				return &IntLit{V: -lit.V}, nil
+				p.negate(lit.Slot)
+				return &IntLit{V: -lit.V, Slot: lit.Slot}, nil
 			case *FloatLit:
-				return &FloatLit{V: -lit.V}, nil
+				p.negate(lit.Slot)
+				return &FloatLit{V: -lit.V, Slot: lit.Slot}, nil
 			default:
 				return &BinaryExpr{Op: OpSub, Left: &IntLit{V: 0}, Right: inner}, nil
 			}

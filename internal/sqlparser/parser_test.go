@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -313,6 +314,36 @@ func TestColumnsInWalksEverything(t *testing.T) {
 	}
 	if refs := ColumnsIn(sel.Items[0].Expr); len(refs) != 1 || refs[0].Column != "a" {
 		t.Errorf("aggregate arg columns = %v", refs)
+	}
+}
+
+// TestAppendTies: two expressions spelled alike tie their literal slots
+// place by place — a literal-only IN list as one slot — and expressions
+// that differ in anything but literals, or pair a spelled literal with
+// one the statement does not spell, get the tie no vector holds.
+func TestAppendTies(t *testing.T) {
+	sel := mustParse(t, `SELECT SUBSTRING(a, 1, 2), SUBSTRING(a, 1, 2.0), SUBSTRING(b, 1, 2), 0 - x, -x, -x, SUBSTRING(a, 3, 4)`+
+		` FROM t WHERE x IN (1, 2) AND x IN (3)`)
+	var exprs []Expr
+	for _, it := range sel.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	exprs = append(exprs, Conjuncts(sel.Where)...)
+	for _, c := range []struct {
+		a, b int
+		want []Tie
+	}{
+		{0, 0, nil},
+		{0, 1, []Tie{{1, 3}, {2, 4}}},
+		{0, 6, []Tie{{1, 8}, {2, 9}}},
+		{0, 2, []Tie{{}}},
+		{7, 8, []Tie{{10, 11}}},
+		{3, 4, []Tie{{}}},
+		{4, 5, nil},
+	} {
+		if got := AppendTies(nil, exprs[c.a], exprs[c.b]); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("AppendTies(%s, %s) = %v, want %v", exprs[c.a], exprs[c.b], got, c.want)
+		}
 	}
 }
 
