@@ -19,7 +19,6 @@ import (
 	"htapxplain/internal/exec"
 	"htapxplain/internal/expert"
 	"htapxplain/internal/explain"
-	"htapxplain/internal/gateway"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/llm"
 	"htapxplain/internal/optimizer"
@@ -332,52 +331,6 @@ func BenchmarkAblation_Guardrail(b *testing.B) {
 			b.ReportMetric(rate, "cost-cmp-%")
 		})
 	}
-}
-
-// BenchmarkGateway_WarmCache measures serving the seeded point-join
-// workload through the query gateway with a warmed plan cache: every
-// query is a full hit (fingerprint + cached-plan execution only).
-func BenchmarkGateway_WarmCache(b *testing.B) {
-	env := benchEnv(b)
-	g := gateway.New(env.Sys, gateway.Config{Workers: 1, CacheCapacity: 256})
-	defer g.Stop()
-	pool := gatewayPointJoinPool(12)
-	for _, q := range pool {
-		if resp := g.Serve(q.SQL); resp.Err != nil {
-			b.Fatalf("warming %q: %v", q.SQL, resp.Err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resp := g.Serve(pool[i%len(pool)].SQL); resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkGateway_PlanPerQuery is the same workload with the plan cache
-// disabled — the baseline the warm-cache speedup is measured against
-// (internal/gateway's TestWarmCacheSpeedup gates the hits by count).
-func BenchmarkGateway_PlanPerQuery(b *testing.B) {
-	env := benchEnv(b)
-	g := gateway.New(env.Sys, gateway.Config{Workers: 1, CacheCapacity: 0})
-	defer g.Stop()
-	pool := gatewayPointJoinPool(12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resp := g.Serve(pool[i%len(pool)].SQL); resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// gatewayPointJoinPool generates the plan-dominated point-join slice of
-// the seeded workload (customer ⋈ their orders by random customer key) —
-// the same pool internal/gateway's TestWarmCacheSpeedup serves as hits.
-func gatewayPointJoinPool(n int) []workload.Query {
-	return workload.NewGenerator(42).BatchOf("join2_point_orders", n)
 }
 
 // ---------------------------------------------------------- vectorized exec

@@ -13,7 +13,7 @@ import (
 	"htapxplain/internal/tpch"
 )
 
-// The compression gate and benchmarks pit the same dataset, at 2.5x the
+// The compression gate pits the same dataset, at 2.5x the
 // default physical scale, stored raw against the auto-encoded layout.
 
 var (
@@ -32,7 +32,6 @@ func compressionSystems(tb testing.TB) (raw, auto *htap.System) {
 		mk := func(p colstore.EncodingPolicy) (*htap.System, error) {
 			return htap.New(htap.Config{ModeledSF: 100,
 				Data:     tpch.Config{PhysScale: 0.005, Seed: 42},
-				Repl:     htap.ReplConfig{DisableMerger: true},
 				Encoding: p})
 		}
 		encRawSys, encSysErr = mk(colstore.PolicyRaw)
@@ -112,31 +111,5 @@ func TestCompressionWins(t *testing.T) {
 	}
 	if st.DecodedChunks != 0 || st.EncodedChunks == 0 {
 		t.Errorf("the pushed-down aggregate decoded %d chunks and folded %d encoded, want 0 decoded of some encoded", st.DecodedChunks, st.EncodedChunks)
-	}
-}
-
-// BenchmarkCompression_SelectiveScan measures the gate query on both
-// layouts at DOP 1 and 4 — the before/after pair for the encoding layer.
-func BenchmarkCompression_SelectiveScan(b *testing.B) {
-	raw, auto := compressionSystems(b)
-	sql := halfOrderKeySQL(b, raw)
-	for _, sys := range []struct {
-		name string
-		s    *htap.System
-	}{{"raw", raw}, {"encoded", auto}} {
-		phys := planOn(b, sys.s, sql)
-		for _, dop := range []int{1, 4} {
-			dop := dop
-			b.Run(sys.name+"/"+benchName("DOP", dop), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ctx := exec.NewContext()
-					ctx.DOP = dop
-					if _, err := phys.Execute(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

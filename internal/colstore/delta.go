@@ -79,7 +79,7 @@ func (s *Store) Apply(mut *repl.Mutation) error {
 		return err
 	}
 	s.repl.watermark.Store(mut.LSN)
-	if s.repl.pending.Add(int64(ops)) >= int64(s.mergeThreshold()) {
+	if s.repl.pending.Add(int64(ops)) >= mergeThreshold {
 		select {
 		case s.repl.notify <- struct{}{}:
 		default:

@@ -177,9 +177,11 @@ func TestMergeThenDeleteByRID(t *testing.T) {
 	}
 }
 
+// TestBackgroundMergerCompacts: eight delta rows are far below the wake
+// threshold, so it is the 50 ms tick that compacts them.
 func TestBackgroundMergerCompacts(t *testing.T) {
 	s, tb := deltaStore(t, 4)
-	s.StartMerger(time.Millisecond, 2)
+	s.StartMerger()
 	defer s.StopMerger()
 	for i := 0; i < 8; i++ {
 		if err := s.Apply(insMut(uint64(i+1), int64(4+i), int64(100+i))); err != nil {
@@ -201,7 +203,7 @@ func TestBackgroundMergerCompacts(t *testing.T) {
 // gateway.TestWorkerPanicCostsOneRequest serves queries over) makes every
 // background MergeAll panic. Each such pass is lost and counted, the first
 // stays readable in the loop's Err, the delta it could not compact stays
-// queryable, and StopMerger returns.
+// queryable, and StopMerger returns. Each pass is a 50 ms tick.
 func TestBackgroundMergerPanicCostsOnePass(t *testing.T) {
 	s, tb := deltaStore(t, 4)
 	*tb.ColumnByName("k").Chunk(0) = EncodedChunk{Enc: EncFoR, N: 4, Width: 8}
@@ -209,7 +211,7 @@ func TestBackgroundMergerPanicCostsOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := task.Panics()
-	s.StartMerger(time.Millisecond, 1)
+	s.StartMerger()
 	deadline := time.Now().Add(5 * time.Second)
 	for task.Panics() < before+2 { // a second pass ran after the first panicked
 		if time.Now().After(deadline) {

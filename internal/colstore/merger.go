@@ -9,28 +9,20 @@ import (
 	"htapxplain/internal/value"
 )
 
-// DefaultMergeThreshold is the pending-delta size (rows + tombstones,
-// across tables) that wakes the background merger between ticks.
-const DefaultMergeThreshold = 256
+// mergeThreshold is the pending-delta size (rows + tombstones, across
+// tables) that wakes the background merger between ticks.
+const mergeThreshold = 256
 
-// DefaultMergeInterval is the background merger's tick period: the upper
-// bound on how long a small delta lingers before compaction.
-const DefaultMergeInterval = 50 * time.Millisecond
+// mergeInterval is the background merger's tick period: the upper bound on
+// how long a small delta lingers before compaction.
+const mergeInterval = 50 * time.Millisecond
 
 // mergerState is the background compaction bookkeeping.
 type mergerState struct {
-	loop      task.Loop    // a pass is one MergeAll; a pass that panics is in loop.Err()
-	threshold atomic.Int64 // pending-delta size that wakes a pass; <= 0 = default
+	loop task.Loop // a pass is one MergeAll; a pass that panics is in loop.Err()
 
 	merges     atomic.Int64 // tables compacted
 	rowsMerged atomic.Int64 // rows written into fresh base chunks
-}
-
-func (s *Store) mergeThreshold() int {
-	if t := s.merger.threshold.Load(); t > 0 {
-		return int(t)
-	}
-	return DefaultMergeThreshold
 }
 
 // MergeStats is a snapshot of the background merger's work counters.
@@ -48,15 +40,11 @@ func (s *Store) MergeStats() MergeStats {
 }
 
 // StartMerger launches the background merger: it compacts every table's
-// delta into fresh base chunks each interval, and immediately when the
-// pending delta reaches threshold (<=0 uses the defaults). Callers must
-// StopMerger before discarding the store.
-func (s *Store) StartMerger(interval time.Duration, threshold int) {
-	if interval <= 0 {
-		interval = DefaultMergeInterval
-	}
-	s.merger.threshold.Store(int64(threshold))
-	s.merger.loop.Start(interval, s.repl.notify, func() error {
+// delta into fresh base chunks every 50 ms, and at once when the pending
+// delta reaches 256 operations. Callers must StopMerger before discarding
+// the store.
+func (s *Store) StartMerger() {
+	s.merger.loop.Start(mergeInterval, s.repl.notify, func() error {
 		s.MergeAll()
 		return nil
 	})

@@ -97,7 +97,7 @@ func (s *Service) CheckNow() bool {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	samples := s.win.snapshot()
-	if len(samples) < s.cfg.MinSamples {
+	if len(samples) < s.cfg.minSamples() {
 		return false
 	}
 	acc, _ := windowAccuracy(samples, s.gw.Calibrator())
@@ -145,7 +145,7 @@ func (s *Service) retrain(samples []sample) {
 	oracle := s.ex.Load().Oracle
 	floor := s.kb.CurSeq()
 	added, seen := 0, make(map[string]bool, len(samples))
-	for i := len(samples) - 1; i >= 0 && added < s.cfg.RecurateMax; i-- {
+	for i := len(samples) - 1; i >= 0 && added < recurateMax; i-- {
 		sm := &samples[i] // newest first
 		if seen[sm.fp] {
 			continue

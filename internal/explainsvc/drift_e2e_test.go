@@ -33,8 +33,10 @@ func TestDriftTriggersRetrainEndToEnd(t *testing.T) {
 	if raceEnabled {
 		epochs = 6
 	}
+	// a window of 96 is checked from 24 samples on: once the whole pool
+	// has been served
 	svc := newService(t, sys, g, r, kb, Config{
-		Seed: 5, Window: 64, MinSamples: 24, DriftThreshold: 0.8,
+		Seed: 5, Window: 96, DriftThreshold: 0.8,
 		RetrainEpochs: epochs, CheckInterval: 20 * time.Millisecond,
 	})
 
@@ -166,7 +168,7 @@ func TestDriftMonitorPanicCostsOnePass(t *testing.T) {
 	g := newGateway(t, sys, 2)
 	before := g.Metrics().Panics
 	svc := newService(t, sys, g, r, kb, Config{
-		Seed: 5, Window: 32, MinSamples: 8, RetrainEpochs: 1, CheckInterval: time.Millisecond,
+		Seed: 5, Window: 32, RetrainEpochs: 1, CheckInterval: time.Millisecond,
 		DriftThreshold: 2, // no accuracy reaches it: every check of a full-enough window retrains
 		OnSwap: func(swapped *treecnn.Router) {
 			if swapped != r {
@@ -199,5 +201,39 @@ func TestDriftMonitorPanicCostsOnePass(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestSmallWindowStillChecksDrift: a drift check waits for a quarter of
+// the window, so a window smaller than the default's 32-sample minimum is
+// still judged. Sixteen served explanations whose recorded picks all
+// disagree with the calibrated winner are a fully drifted window, and
+// CheckNow retrains on it.
+func TestSmallWindowStillChecksDrift(t *testing.T) {
+	sys, r, kb := testEnv(t)
+	g := newGateway(t, sys, 2)
+	svc := newService(t, sys, g, r, kb, Config{Seed: 5, Window: 16, RetrainEpochs: 1})
+	for _, q := range workload.NewGenerator(23).Batch(16) {
+		if _, err := svc.Explain(q.SQL); err != nil {
+			t.Fatalf("Explain %q: %v", q.SQL, err)
+		}
+	}
+	samples := svc.win.snapshot()
+	svc.win.reset()
+	for _, sm := range samples {
+		sm.pick = plan.TP
+		if sm.modeled(g.Calibrator()).Winner == plan.TP {
+			sm.pick = plan.AP
+		}
+		svc.win.add(sm)
+	}
+	if acc, n := windowAccuracy(svc.win.snapshot(), g.Calibrator()); acc != 0 || n != 16 {
+		t.Fatalf("window accuracy %.2f over %d samples, want 0 over 16", acc, n)
+	}
+	if !svc.CheckNow() {
+		t.Fatal("CheckNow on a full, fully drifted 16-sample window did not retrain")
+	}
+	if st := svc.Stats(); st.Retrains != 1 {
+		t.Errorf("retrains = %d, want 1", st.Retrains)
 	}
 }

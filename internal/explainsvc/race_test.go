@@ -23,7 +23,7 @@ func TestExplainRacesMaintenance(t *testing.T) {
 	sys, r, kb := testEnv(t)
 	g := newGateway(t, sys, 4)
 	svc := newService(t, sys, g, r, kb, Config{
-		Seed: 3, RetrainEpochs: 10, RecurateMax: 16,
+		Seed: 3, RetrainEpochs: 10,
 	})
 
 	pool := workload.NewGenerator(17).Batch(16)

@@ -42,33 +42,32 @@ import (
 	"htapxplain/internal/treecnn"
 )
 
+// The service's fixed settings: explanations are generated by the
+// simulated Doubao model (llm.Doubao), the knowledge base's HNSW index is
+// built with degree 8 and construction beam 32, and a retrain re-judges at
+// most 32 window queries into the knowledge base.
+const (
+	hnswM, hnswEf = 8, 32
+	recurateMax   = 32
+)
+
 // Config tunes the service. Zero values select the documented defaults.
 type Config struct {
 	// K is the number of retrieved similar plan pairs per explanation
 	// (paper default 2).
 	K int
-	// Model generates explanation text (default llm.Doubao()).
-	Model llm.Model
-	// UserContext is the optional third prompt part.
-	UserContext string
-
-	// HNSWM / HNSWEf are the index's degree and construction beam
-	// (defaults 8 / 32).
-	HNSWM, HNSWEf int
 	// Seed drives index construction and retraining.
 	Seed int64
 
 	// Window is the sliding drift window's capacity in served
-	// explanations (default 128); MinSamples gates drift checks until
-	// the window has substance (default 32).
-	Window, MinSamples int
+	// explanations (default 128). A drift check waits until the window
+	// holds a quarter of that (at least one sample).
+	Window int
 	// DriftThreshold is the router-vs-calibrated-winner agreement below
 	// which a retrain fires (default 0.85).
 	DriftThreshold float64
-	// RetrainEpochs bounds online retraining (default 40); RecurateMax
-	// bounds how many window queries are re-judged into the KB per
-	// retrain (default 32).
-	RetrainEpochs, RecurateMax int
+	// RetrainEpochs bounds online retraining (default 40).
+	RetrainEpochs int
 	// CheckInterval is the maintenance-loop period; 0 disables the
 	// background loop (drift checks then run only via CheckNow/Retrain).
 	CheckInterval time.Duration
@@ -85,20 +84,8 @@ func (c *Config) defaults() {
 	if c.K <= 0 {
 		c.K = 2
 	}
-	if c.Model == nil {
-		c.Model = llm.Doubao()
-	}
-	if c.HNSWM <= 0 {
-		c.HNSWM = 8
-	}
-	if c.HNSWEf <= 0 {
-		c.HNSWEf = 32
-	}
 	if c.Window <= 0 {
 		c.Window = 128
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
 	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.85
@@ -106,10 +93,11 @@ func (c *Config) defaults() {
 	if c.RetrainEpochs <= 0 {
 		c.RetrainEpochs = 40
 	}
-	if c.RecurateMax <= 0 {
-		c.RecurateMax = 32
-	}
 }
+
+// minSamples is how many samples the window must hold before a drift
+// check judges it: a quarter of its capacity, so every window can fill it.
+func (c *Config) minSamples() int { return max(1, c.Window/4) }
 
 // Service is the online explanation service. All methods are safe for
 // concurrent use.
@@ -153,7 +141,7 @@ func New(sys *htap.System, gw *gateway.Gateway, router *treecnn.Router, kb *know
 		win: newWindow(cfg.Window),
 	}
 	s.swapRouter(router)
-	kb.EnableHNSW(cfg.HNSWM, cfg.HNSWEf, cfg.Seed)
+	kb.EnableHNSW(hnswM, hnswEf, cfg.Seed)
 	gw.SetExplainStats(s.Stats)
 	if cfg.CheckInterval > 0 {
 		s.drift.Start(cfg.CheckInterval, nil, func() error {
@@ -170,8 +158,8 @@ func (s *Service) Router() *treecnn.Router { return s.ex.Load().Router }
 // swapRouter publishes r with an explainer built around it. The schema
 // summary in its prompts is rendered here, once per router, not per request.
 func (s *Service) swapRouter(r *treecnn.Router) {
-	s.ex.Store(explain.New(s.sys, r, s.kb, s.cfg.Model, explain.Options{
-		K: s.cfg.K, UseRAG: true, IncludeGuardrail: true, UserContext: s.cfg.UserContext,
+	s.ex.Store(explain.New(s.sys, r, s.kb, llm.Doubao(), explain.Options{
+		K: s.cfg.K, UseRAG: true, IncludeGuardrail: true,
 	}))
 	if s.cfg.OnSwap != nil {
 		s.cfg.OnSwap(r)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"htapxplain/internal/shard"
-	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/workload"
 )
 
@@ -18,21 +17,6 @@ import (
 // literals bound.
 func joinPool(n int) []workload.Query {
 	return workload.NewGenerator(42).BatchOf("join2_point_orders", n)
-}
-
-// The serving throughput benchmarks over this pool live in the root
-// harness (bench_test.go: BenchmarkGateway_*) and in go run ./bench; this
-// file keeps only the warm path's count gate and the fingerprint micro.
-
-// BenchmarkFingerprint measures the literal-stripping fingerprint alone —
-// fixed cost every cache tier pays.
-func BenchmarkFingerprint(b *testing.B) {
-	sql := joinPool(1)[0].SQL
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sqlparser.Fingerprint(sql); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // TestWarmCacheSpeedup: once a pool has been served, a warm plan cache

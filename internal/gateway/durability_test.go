@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"htapxplain/internal/htap"
 )
@@ -13,7 +14,7 @@ import (
 func durableSystem(t *testing.T) *htap.System {
 	t.Helper()
 	cfg := htap.DefaultConfig()
-	cfg.Durability = htap.DurabilityConfig{Dir: t.TempDir(), DisableCheckpointer: true}
+	cfg.Durability = htap.DurabilityConfig{Dir: t.TempDir(), CheckpointInterval: time.Hour}
 	sys, err := htap.New(cfg)
 	if err != nil {
 		t.Fatalf("htap.New (durable): %v", err)

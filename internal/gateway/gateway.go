@@ -107,10 +107,6 @@ type Config struct {
 	// Tracer samples served queries into span traces (nil = tracing off;
 	// the sampled-out and tracer-less paths are allocation-free).
 	Tracer *obs.Tracer
-	// Calibrator receives (observed, modeled) latency pairs so the latency
-	// oracle's paper-scale estimates can be restated in observed units
-	// (default: a private instance).
-	Calibrator *latency.Calibrator
 	// ObservedEvery enables sampled dual-execution: every Nth cache-miss
 	// SELECT (which has both engines planned) also executes the non-routed
 	// engine's plan serially, and the measured winner is compared against
@@ -333,14 +329,11 @@ func NewSharded(coord *shard.Coordinator, cfg Config) *Gateway {
 	if cfg.Policy == nil {
 		cfg.Policy = def.Policy
 	}
-	if cfg.Calibrator == nil {
-		cfg.Calibrator = &latency.Calibrator{}
-	}
 	return &Gateway{
 		coord: coord,
 		cfg:   cfg,
 		cache: NewPlanCache(cfg.CacheShards, cfg.CacheCapacity),
-		cal:   cfg.Calibrator,
+		cal:   &latency.Calibrator{},
 		slots: newWorkerSem(cfg.Workers, cfg.QueueDepth),
 	}
 }

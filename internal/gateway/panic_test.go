@@ -187,7 +187,6 @@ func TestServePanicIsAnErrorReply(t *testing.T) {
 func TestBackgroundPanicCostsOnePass(t *testing.T) {
 	cfg := htap.DefaultConfig()
 	cfg.Durability = htap.DurabilityConfig{Dir: t.TempDir()}
-	cfg.Repl.MergeInterval = time.Millisecond
 	sys, err := htap.New(cfg)
 	if err != nil {
 		t.Fatal(err)

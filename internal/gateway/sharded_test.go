@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
@@ -30,7 +31,7 @@ func testCoordinator(t testing.TB, n int) *shard.Coordinator {
 func durableCoordinator(t testing.TB, n int) *shard.Coordinator {
 	t.Helper()
 	cfg := htap.DefaultConfig()
-	cfg.Durability.DisableCheckpointer = true
+	cfg.Durability.CheckpointInterval = time.Hour
 	c, err := shard.New(n, cfg, shard.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("shard.New (durable): %v", err)

@@ -36,9 +36,6 @@ type DurabilityConfig struct {
 	// benchmarks and the transaction-throughput gate use it to make
 	// group-commit batching measurable on fast CI disks.
 	SimulatedSyncLatency time.Duration
-	// DisableCheckpointer keeps the periodic checkpointer off — crash
-	// tests use it so the WAL tail deterministically holds every commit.
-	DisableCheckpointer bool
 }
 
 // Enabled reports whether a data directory was configured.

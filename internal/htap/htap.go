@@ -38,22 +38,10 @@ AND n_name = 'egypt' AND o_orderstatus = 'p'
 AND o_custkey = c_custkey
 AND n_nationkey = c_nationkey`
 
-// ReplConfig controls the TP→AP replication pipeline.
-type ReplConfig struct {
-	// QueueDepth bounds the in-flight mutation channel between the write
-	// path and the column store's delta layer (default 256). A full queue
-	// back-pressures writers rather than growing without bound.
-	QueueDepth int
-	// MergeInterval is the background merger's tick (default
-	// colstore.DefaultMergeInterval).
-	MergeInterval time.Duration
-	// MergeThreshold is the pending-delta size that wakes the merger
-	// between ticks (default colstore.DefaultMergeThreshold).
-	MergeThreshold int
-	// DisableMerger keeps the background merger off — tests use it to
-	// control merge points explicitly via Col.MergeAll.
-	DisableMerger bool
-}
+// replQueueDepth bounds the in-flight mutation channel between the write
+// path and the column store's delta layer: a full queue back-pressures
+// writers rather than growing without bound.
+const replQueueDepth = 256
 
 // Config controls system construction.
 type Config struct {
@@ -68,8 +56,6 @@ type Config struct {
 	// deterministic for the same configuration: a durable reopen whose
 	// checkpoints were destroyed replays the WAL on top of it.
 	Preloaded *tpch.Dataset
-	// Repl controls TP→AP replication and background merging.
-	Repl ReplConfig
 	// Durability controls the WAL + checkpoint subsystem; the zero value
 	// keeps the system volatile. See Open for the durable entry point.
 	Durability DurabilityConfig
@@ -208,21 +194,15 @@ func New(cfg Config) (*System, error) {
 		}
 		return nil, fmt.Errorf("htap: booting from the image at LSN %d: %w", base.LSN, err)
 	}
-	depth := cfg.Repl.QueueDepth
-	if depth <= 0 {
-		depth = 256
-	}
 	s := &System{
 		Cat: cat, Data: data, Row: row, Col: col,
 		Planner:  optimizer.NewPlanner(cat, row, col),
-		replCh:   make(chan *repl.Mutation, depth),
+		replCh:   make(chan *repl.Mutation, replQueueDepth),
 		wal:      w,
 		recovery: info,
 	}
 	s.applier.Go(s.replicate)
-	if !cfg.Repl.DisableMerger {
-		col.StartMerger(cfg.Repl.MergeInterval, cfg.Repl.MergeThreshold)
-	}
+	col.StartMerger()
 	if cfg.Durability.Enabled() {
 		s.ckpt = recovery.NewManager(cfg.Durability.ckptDir(), s, w)
 		if info.Recovered && info.CleanShutdown && info.ReplayedMutations == 0 {
@@ -238,9 +218,7 @@ func New(cfg Config) (*System, error) {
 				return nil, fmt.Errorf("htap: boot checkpoint: %w", err)
 			}
 		}
-		if !cfg.Durability.DisableCheckpointer {
-			s.ckpt.Start(cfg.Durability.CheckpointInterval)
-		}
+		s.ckpt.Start(cfg.Durability.CheckpointInterval)
 	}
 	return s, nil
 }

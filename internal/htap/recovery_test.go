@@ -24,14 +24,12 @@ import (
 // usable again. CI runs TestCrashRecoveryDifferential under -race (see
 // .github/workflows/ci.yml).
 
-// durableCfg returns a config writing into dir, with the background
-// checkpointer disabled so tests control exactly what the WAL tail holds.
+// durableCfg returns a config writing into dir whose background
+// checkpointer waits an hour, so tests control exactly what the WAL tail
+// holds.
 func durableCfg(dir string) Config {
 	cfg := DefaultConfig()
-	cfg.Durability = DurabilityConfig{
-		Dir:                 dir,
-		DisableCheckpointer: true,
-	}
+	cfg.Durability = DurabilityConfig{Dir: dir, CheckpointInterval: time.Hour}
 	return cfg
 }
 
@@ -404,7 +402,6 @@ func TestCloseIdempotentDurableAndVolatile(t *testing.T) {
 func TestBackgroundCheckpointerBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.Durability.DisableCheckpointer = false
 	cfg.Durability.CheckpointInterval = 20 * time.Millisecond
 	s, err := Open(dir, cfg)
 	if err != nil {
@@ -455,13 +452,12 @@ func TestBackgroundCheckpointerBoundsReplay(t *testing.T) {
 // reopen with encodings re-chosen while rebuilding columns from the
 // recovered heap, and the recovered system's serial AP results must be
 // byte-identical to a volatile reference that executed the same committed
-// statements. The merger stays off in both systems so the base/delta split
-// — and therefore the accumulation order — is deterministic.
+// statements. Both systems are fully merged before they are compared, so
+// the base/delta split — and therefore the accumulation order — is the
+// same whatever their background mergers did.
 func TestRecoveryReencodesColumns(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableCfg(dir)
-	cfg.Repl.DisableMerger = true
-	s, err := Open(dir, cfg)
+	s, err := Open(dir, durableCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,9 +476,7 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 	copyTree(t, dir, image) // freeze a kill -9 disk image mid-flight
 	s.Close()
 
-	rcfg := durableCfg(image)
-	rcfg.Repl.DisableMerger = true
-	rec, err := Open(image, rcfg)
+	rec, err := Open(image, durableCfg(image))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,9 +498,7 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 	}
 
 	// volatile reference replays the committed history
-	vcfg := DefaultConfig()
-	vcfg.Repl.DisableMerger = true
-	ref, err := New(vcfg)
+	ref, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,6 +514,8 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 	if err := rec.WaitFresh(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	ref.Col.MergeAll()
+	rec.Col.MergeAll()
 
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM customer",

@@ -33,6 +33,37 @@ func newWriteSystem(t *testing.T, cfg Config) *System {
 	return s
 }
 
+// newUnmergedSystem builds a write system whose background merger is
+// stopped right after New. Deltas are empty at boot, so a pass that ran
+// first did nothing: merges happen only where the test calls MergeAll.
+func newUnmergedSystem(t *testing.T) *System {
+	t.Helper()
+	s := newWriteSystem(t, DefaultConfig())
+	s.Col.StopMerger()
+	return s
+}
+
+// mergeLoop stands in for an aggressive background merger: it stops the
+// system's own and compacts every pending delta from a test goroutine,
+// pass after pass, until stop is closed, so merges race whatever runs
+// beside them. The returned channel is closed once the loop has exited.
+func mergeLoop(s *System, stop <-chan struct{}) <-chan struct{} {
+	s.Col.StopMerger()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Col.MergeAll()
+			}
+		}
+	}()
+	return exited
+}
+
 // assertStoresEqual compares both engines' logical contents table by
 // table, value by value, in commit order.
 func assertStoresEqual(t *testing.T, s *System) {
@@ -141,11 +172,10 @@ func (m *dmlMixer) next() string {
 // hold byte-identical tables, and dual-engine query execution must still
 // agree.
 func TestReplicationDifferentialMixedWorkload(t *testing.T) {
-	// merger disabled: merge points are forced explicitly so every
+	// merger stopped: merge points are forced explicitly so every
 	// interleaving class (delta-only, merged, half-merged) is exercised
 	// deterministically
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	mix := newMixer(20260725)
 	queries := []string{
 		`SELECT COUNT(*) FROM customer`,
@@ -187,14 +217,13 @@ func TestReplicationDifferentialMixedWorkload(t *testing.T) {
 
 // TestReplicationConcurrentWritesReadsAndMerges exercises the full
 // concurrent pipeline — multiple autocommit writers racing each other,
-// closed-loop dual-engine readers, the replication applier and an
-// aggressive background merger — and then quiesces and asserts the
-// engines converged. Under -race this is the test that proves the locking
-// protocol (MVCC snapshots, the commit critical section, copy-on-write
-// delete sets, immutable merged chunks) is sound.
+// closed-loop dual-engine readers, the replication applier and merges
+// driven back to back from a test goroutine — and then quiesces and
+// asserts the engines converged. Under -race this is the test that proves
+// the locking protocol (MVCC snapshots, the commit critical section,
+// copy-on-write delete sets, immutable merged chunks) is sound.
 func TestReplicationConcurrentWritesReadsAndMerges(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{MergeInterval: time.Millisecond, MergeThreshold: 8}})
+	s := newWriteSystem(t, DefaultConfig())
 	const (
 		writers       = 3
 		writesPerGoro = 50
@@ -245,7 +274,8 @@ func TestReplicationConcurrentWritesReadsAndMerges(t *testing.T) {
 	go func() { defer close(done); wg.Wait() }()
 	writersDone := make(chan struct{})
 	go func() { defer close(writersDone); writerWg.Wait() }()
-	// writers finish first; then stop the readers
+	merged := mergeLoop(s, writersDone)
+	// writers (and the merges racing them) finish first; then stop the readers
 waitWriters:
 	for {
 		select {
@@ -255,6 +285,10 @@ waitWriters:
 		case <-writersDone:
 			break waitWriters
 		}
+	}
+	<-merged
+	if s.Col.MergeStats().Merges == 0 {
+		t.Error("no merge ran while the readers did")
 	}
 	close(stopReaders)
 	<-done
@@ -269,16 +303,12 @@ waitWriters:
 	}
 	s.Col.MergeAll()
 	assertStoresEqual(t, s)
-	if s.Col.MergeStats().Merges == 0 {
-		t.Error("background merger never ran despite threshold-sized deltas")
-	}
 }
 
 // TestWatermarkAndStaleness: the freshness gauge must be exact at
 // quiescence and the watermark must never pass the commit LSN.
 func TestWatermarkAndStaleness(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	if s.Staleness() != 0 || s.CommitLSN() != 0 {
 		t.Fatalf("fresh system: staleness=%d lsn=%d", s.Staleness(), s.CommitLSN())
 	}
@@ -396,8 +426,7 @@ var parallelDifferentialQueries = []string{
 // all covered), each deterministic query must return the same multiset at
 // DOP 1 and DOP 4, and parallel results must agree with the row engine.
 func TestReplicationParallelReadDifferential(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	// the multi-chunk aggregate and filter-scan shapes must really fork
 	// (Top-N pipelines legitimately stay serial — the operator consumes
 	// its child's stream itself — and single-chunk tables clamp to serial)
@@ -437,14 +466,13 @@ func TestReplicationParallelReadDifferential(t *testing.T) {
 }
 
 // TestReplicationConcurrentDMLAndParallelScans races the full pipeline —
-// writer, replication applier, aggressive background merger — against
+// writers, replication applier, back-to-back merges — against
 // closed-loop parallel readers at DOP 4. Under -race this is the proof
 // that morsel workers (sharing a pinned view across goroutines) obey the
 // storage locking protocol; at quiescence the stores must have converged
 // and DOP 1 / DOP 4 must still agree.
 func TestReplicationConcurrentDMLAndParallelScans(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{MergeInterval: time.Millisecond, MergeThreshold: 8}})
+	s := newWriteSystem(t, DefaultConfig())
 	const (
 		writers       = 3
 		writesPerGoro = 40
@@ -503,6 +531,8 @@ func TestReplicationConcurrentDMLAndParallelScans(t *testing.T) {
 	go func() { defer close(done); wg.Wait() }()
 	writersDone := make(chan struct{})
 	go func() { defer close(writersDone); writerWg.Wait() }()
+	merged := mergeLoop(s, writersDone)
+	// writers (and the merges racing them) finish first; then stop the readers
 waitWriters:
 	for {
 		select {
@@ -512,6 +542,10 @@ waitWriters:
 		case <-writersDone:
 			break waitWriters
 		}
+	}
+	<-merged
+	if s.Col.MergeStats().Merges == 0 {
+		t.Error("no merge ran while the readers did")
 	}
 	close(stopReaders)
 	<-done
@@ -541,9 +575,7 @@ waitWriters:
 // finish (each sends while holding the commit lock; one blocked send
 // would stop every writer), reads answer, and Close returns.
 func TestApplierPanicHaltsReplicationNotCommitters(t *testing.T) {
-	const depth = 8
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{QueueDepth: depth, DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	before := task.Panics()
 	s.replCh <- nil
 	deadline := time.Now().Add(5 * time.Second)
@@ -561,7 +593,7 @@ func TestApplierPanicHaltsReplicationNotCommitters(t *testing.T) {
 		t.Errorf("panics counted: %d, want 1", got)
 	}
 
-	const commits = 8 * depth
+	const commits = 2 * replQueueDepth
 	var writers task.Group
 	writers.Go(func() error {
 		for i := int64(0); i < commits; i++ {

@@ -70,8 +70,7 @@ func countWhere(t *testing.T, s *System, where string) int64 {
 }
 
 func TestTxnSnapshotIsolationAndReadYourWrites(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	if _, err := s.Exec(nationInsert(100, "before")); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,7 @@ func TestTxnSnapshotIsolationAndReadYourWrites(t *testing.T) {
 }
 
 func TestTxnAtomicMultiTableCommit(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	before := s.TxnStats()
 	base := s.CommitLSN()
 
@@ -177,8 +175,7 @@ func TestTxnAtomicMultiTableCommit(t *testing.T) {
 }
 
 func TestTxnRollbackDiscardsWrites(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	if _, err := s.Exec(nationInsert(120, "keep")); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +217,7 @@ func TestTxnRollbackDiscardsWrites(t *testing.T) {
 }
 
 func TestConflictFirstWriterWins(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	if _, err := s.Exec(nationInsert(130, "contested")); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,8 @@ func TestConflictFirstWriterWins(t *testing.T) {
 // private inserts and hot-row increments, retrying conflicts. First-
 // writer-wins must prevent every lost update — at quiesce the hot rows'
 // balance sum equals exactly the number of increments that committed —
-// and the differential harness must still hold. It runs at two scheduler
+// and the differential harness must still hold, with merges driven back to
+// back beside the committers. It runs at two scheduler
 // widths: a starved 2-proc schedule surfaces lock-ordering stalls, a wide
 // 8-proc schedule surfaces real data races between committers.
 func TestTxnConcurrentWriters(t *testing.T) {
@@ -286,8 +283,7 @@ func TestTxnConcurrentWriters(t *testing.T) {
 }
 
 func concurrentWriters(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{MergeInterval: time.Millisecond, MergeThreshold: 8}})
+	s := newWriteSystem(t, DefaultConfig())
 	const (
 		writers = 8
 		txns    = 20
@@ -300,6 +296,8 @@ func concurrentWriters(t *testing.T) {
 	}
 	errs := make(chan error, writers*txns)
 	commits := make([]int, writers)
+	writersDone := make(chan struct{})
+	merged := mergeLoop(s, writersDone)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -316,6 +314,11 @@ func concurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(writersDone)
+	<-merged
+	if s.Col.MergeStats().Merges == 0 {
+		t.Error("no merge ran while the writers did")
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -364,8 +367,7 @@ func concurrentWriters(t *testing.T) {
 // stay byte-identical at the watermark and aborted writes never surface
 // in either engine.
 func TestTxnDifferentialInterleavedCommitAbort(t *testing.T) {
-	s := newWriteSystem(t, Config{ModeledSF: 100, Data: DefaultConfig().Data,
-		Repl: ReplConfig{DisableMerger: true}})
+	s := newUnmergedSystem(t)
 	for round := 0; round < 6; round++ {
 		keep := int64(5_100_000 + round*10)
 		drop := int64(5_200_000 + round*10)

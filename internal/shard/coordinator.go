@@ -60,8 +60,6 @@ type metrics struct {
 // Options tunes coordinator construction beyond the per-shard htap
 // config.
 type Options struct {
-	// Scheme is the partitioning layout; nil uses TPCHScheme.
-	Scheme Scheme
 	// FragDOP, when >0, fixes every scatter fragment's DOP instead of the
 	// planner's per-shard choice.
 	FragDOP int
@@ -86,10 +84,7 @@ func New(n int, cfg htap.Config, opt Options) (*Coordinator, error) {
 	if cfg.Data.PhysScale <= 0 {
 		cfg.Data = tpch.DefaultConfig()
 	}
-	scheme := opt.Scheme
-	if scheme == nil {
-		scheme = TPCHScheme()
-	}
+	scheme := TPCHScheme()
 	cat := catalog.TPCH(cfg.ModeledSF)
 	full := cfg.Preloaded
 	if full == nil {

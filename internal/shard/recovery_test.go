@@ -83,7 +83,7 @@ func TestShardCrashRecoveryDifferential(t *testing.T) {
 	const n = 4
 	dir := t.TempDir()
 	cfg := htap.DefaultConfig()
-	cfg.Durability.DisableCheckpointer = true
+	cfg.Durability.CheckpointInterval = time.Hour // the WAL tail holds every commit
 
 	c, err := New(n, cfg, Options{Dir: dir})
 	if err != nil {

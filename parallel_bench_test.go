@@ -13,8 +13,8 @@ import (
 	"htapxplain/internal/value"
 )
 
-// The morsel-parallelism gate and benchmarks run over the compression
-// gate's auto-encoded dataset (compressionSystems): 2.5x the default
+// The morsel-parallelism gate runs over the compression gate's
+// auto-encoded dataset (compressionSystems): 2.5x the default
 // physical scale, ~30 lineitem chunks, so DOP 8 still has morsel supply.
 
 func parallelBenchSystem(tb testing.TB) *htap.System {
@@ -103,56 +103,4 @@ func mustRows(t testing.TB, sys *htap.System) int {
 		t.Fatal("no lineitem column table")
 	}
 	return ct.NumRows()
-}
-
-// BenchmarkParallel_ScanAggregate measures the gate pipeline at DOP
-// 1/2/4/8 — the before/after pair for morsel-driven parallelism.
-func BenchmarkParallel_ScanAggregate(b *testing.B) {
-	sys := parallelBenchSystem(b)
-	phys := planParallelAgg(b, sys)
-	for _, dop := range []int{1, 2, 4, 8} {
-		dop := dop
-		b.Run(benchName("DOP", dop), func(b *testing.B) {
-			b.ReportAllocs()
-			var rows int64
-			for i := 0; i < b.N; i++ {
-				ctx := exec.NewContext()
-				ctx.DOP = dop
-				if _, err := phys.Execute(ctx); err != nil {
-					b.Fatal(err)
-				}
-				rows += ctx.Stats.RowsScanned
-			}
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
-// BenchmarkParallel_PrunedScan measures the selective sorted-column range
-// scan whose chunks are pruned at morsel dispatch — the zone-map half of
-// the tentpole (pruned chunks are counted, never scanned).
-func BenchmarkParallel_PrunedScan(b *testing.B) {
-	sys := parallelBenchSystem(b)
-	sel, err := sqlparser.Parse(`SELECT COUNT(*) FROM lineitem WHERE l_orderkey <= 100`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	phys, err := sys.Planner.PlanAP(sel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pruned, scanned int64
-	for i := 0; i < b.N; i++ {
-		ctx := exec.NewContext()
-		if _, err := phys.Execute(ctx); err != nil {
-			b.Fatal(err)
-		}
-		pruned, scanned = ctx.Stats.ChunksSkipped, ctx.Stats.ChunksScanned
-	}
-	if pruned == 0 {
-		b.Fatal("selective scan pruned nothing")
-	}
-	b.ReportMetric(float64(pruned)/float64(pruned+scanned)*100, "pruned-%")
 }

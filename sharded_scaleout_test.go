@@ -97,7 +97,6 @@ func TestShardedScaleout(t *testing.T) {
 			ModeledSF: 100,
 			Data:      tpch.DefaultConfig(),
 			Preloaded: data,
-			Repl:      htap.ReplConfig{DisableMerger: true},
 		}
 		c, err := shard.New(n, cfg, shard.Options{FragDOP: 1})
 		if err != nil {

@@ -22,7 +22,7 @@ func txnCommitRate(t *testing.T, n, totalCommits int) float64 {
 	cfg.Durability = htap.DurabilityConfig{
 		Dir:                  t.TempDir(),
 		SimulatedSyncLatency: 2 * time.Millisecond,
-		DisableCheckpointer:  true,
+		CheckpointInterval:   time.Hour,
 	}
 	sys, err := htap.New(cfg)
 	if err != nil {
