@@ -202,7 +202,6 @@ func New(cfg Config) (*System, error) {
 		recovery: info,
 	}
 	s.applier.Go(s.replicate)
-	col.StartMerger()
 	if cfg.Durability.Enabled() {
 		s.ckpt = recovery.NewManager(cfg.Durability.ckptDir(), s, w)
 		if info.Recovered && info.CleanShutdown && info.ReplayedMutations == 0 {
@@ -220,6 +219,9 @@ func New(cfg Config) (*System, error) {
 		}
 		s.ckpt.Start(cfg.Durability.CheckpointInterval)
 	}
+	// the merger starts once boot is done: a recovered delta is compacted
+	// by the first pass after New returns, not beside the boot checkpoint
+	col.StartMerger()
 	return s, nil
 }
 

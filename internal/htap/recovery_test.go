@@ -452,15 +452,17 @@ func TestBackgroundCheckpointerBoundsReplay(t *testing.T) {
 // reopen with encodings re-chosen while rebuilding columns from the
 // recovered heap, and the recovered system's serial AP results must be
 // byte-identical to a volatile reference that executed the same committed
-// statements. Both systems are fully merged before they are compared, so
-// the base/delta split — and therefore the accumulation order — is the
-// same whatever their background mergers did.
+// statements. Every merger is stopped right after boot, so the recovered
+// side is compared as recovery left it — re-encoded base chunks plus the
+// replayed WAL tail in the delta — and the base/delta split, and therefore
+// the accumulation order, is deterministic.
 func TestRecoveryReencodesColumns(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, durableCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Col.StopMerger()
 	gen := workload.NewDMLGenerator(77)
 	var stmts []string
 	for _, q := range gen.Batch(20) {
@@ -481,6 +483,13 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	rec.Col.StopMerger()
+	if ms := rec.Col.MergeStats(); ms.Merges != 0 {
+		t.Fatalf("the merger compacted the replayed delta before it was stopped: %+v", ms)
+	}
+	if rec.Col.PendingDelta() == 0 {
+		t.Fatal("recovery replayed no WAL tail into the delta")
+	}
 	if info := rec.Recovery(); !info.Recovered {
 		t.Fatalf("RecoveryInfo = %+v, want recovered", info)
 	}
@@ -503,6 +512,7 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
+	ref.Col.StopMerger()
 	for _, q := range stmts {
 		if _, err := ref.Exec(q); err != nil {
 			t.Fatalf("reference Exec(%q): %v", q, err)
@@ -514,8 +524,6 @@ func TestRecoveryReencodesColumns(t *testing.T) {
 	if err := rec.WaitFresh(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ref.Col.MergeAll()
-	rec.Col.MergeAll()
 
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM customer",

@@ -64,6 +64,21 @@ func mergeLoop(s *System, stop <-chan struct{}) <-chan struct{} {
 	return exited
 }
 
+// awaitMerge holds a writer halfway through its run until the merge loop
+// has compacted a delta, so every racing-merge test shows that merges ran
+// while its writers (and readers) still did, whatever the scheduler made
+// of the first half.
+func awaitMerge(s *System) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Col.MergeStats().Merges == 0 {
+		if time.Now().After(deadline) {
+			return errors.New("no merge ran while the writers did")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
 // assertStoresEqual compares both engines' logical contents table by
 // table, value by value, in commit order.
 func assertStoresEqual(t *testing.T, s *System) {
@@ -240,6 +255,12 @@ func TestReplicationConcurrentWritesReadsAndMerges(t *testing.T) {
 			defer writerWg.Done()
 			mix := newMixerAt(int64(7+w), int64(5_000_000+w*100_000))
 			for i := 0; i < writesPerGoro; i++ {
+				if i == writesPerGoro/2 {
+					if err := awaitMerge(s); err != nil {
+						errs <- err
+						return
+					}
+				}
 				if err := execRetry(s, mix.next(), 100); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
@@ -287,9 +308,6 @@ waitWriters:
 		}
 	}
 	<-merged
-	if s.Col.MergeStats().Merges == 0 {
-		t.Error("no merge ran while the readers did")
-	}
 	close(stopReaders)
 	<-done
 	select {
@@ -489,6 +507,12 @@ func TestReplicationConcurrentDMLAndParallelScans(t *testing.T) {
 			defer writerWg.Done()
 			mix := newMixerAt(int64(13+w), int64(5_000_000+w*100_000))
 			for i := 0; i < writesPerGoro; i++ {
+				if i == writesPerGoro/2 {
+					if err := awaitMerge(s); err != nil {
+						errs <- err
+						return
+					}
+				}
 				if err := execRetry(s, mix.next(), 100); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
@@ -544,9 +568,6 @@ waitWriters:
 		}
 	}
 	<-merged
-	if s.Col.MergeStats().Merges == 0 {
-		t.Error("no merge ran while the readers did")
-	}
 	close(stopReaders)
 	<-done
 	select {
