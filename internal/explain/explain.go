@@ -94,32 +94,84 @@ func (e *Explanation) TotalModeledLatency() time.Duration {
 }
 
 // Explain explains the performance difference between the two engines on
-// a query, given its plan pair and modeled execution result.
+// a query, given its plan pair and modeled execution result:
+// Compose(m, Retrieve(&m.Pair)).
 func (e *Explainer) Explain(m *plan.Modeled) (*Explanation, error) {
-	out := &Explanation{SQL: m.SQL, Result: m}
+	r, err := e.Retrieve(&m.Pair)
+	if err != nil {
+		return nil, err
+	}
+	return e.Compose(m, r)
+}
 
+// Retrieval is everything an explanation takes from its plan pair, the
+// explainer's router and the knowledge base, and nothing from the query's
+// literals or its modeled latencies: the pair's encoding, the top-K
+// knowledge-base hits, both plans' JSON and the prompt rendered up to its
+// QUESTION. It is immutable, so any number of Compose calls may share it
+// for as long as the explainer that built it is the one composing and the
+// knowledge base is still at KBVersion.
+type Retrieval struct {
+	// Explainer is the explainer that built it: its router encoded the
+	// pair, and its options and schema summary are in Prefix.
+	Explainer *Explainer
+	Encoding  []float64
+	Hits      []knowledge.Hit
+	// TPPlanJSON and APPlanJSON are the pair's plans as the prompt shows them.
+	TPPlanJSON, APPlanJSON string
+	// Prefix is the prompt before its QUESTION section (prompt.Builder.Prefix).
+	Prefix string
+	// KBVersion is the knowledge base's Version read before the search, so
+	// the hits are from that version or a later one, never an earlier one.
+	KBVersion uint64
+	// EncodeTime and SearchTime are what building the retrieval spent.
+	EncodeTime, SearchTime time.Duration
+}
+
+// Retrieve encodes pair with the explainer's router, searches the
+// knowledge base for the K nearest entries (when RAG is on) and renders
+// the prompt's prefix around them.
+func (e *Explainer) Retrieve(pair *plan.Pair) (*Retrieval, error) {
+	r := &Retrieval{Explainer: e, KBVersion: e.KB.Version()}
 	t0 := time.Now()
-	out.Encoding = e.Router.EmbedPair(&m.Pair)
-	out.EncodeTime = time.Since(t0)
+	r.Encoding = e.Router.EmbedPair(pair)
+	r.EncodeTime = time.Since(t0)
 
 	if e.Opts.UseRAG {
 		t1 := time.Now()
-		hits, err := e.KB.TopK(out.Encoding, e.Opts.K)
+		hits, err := e.KB.TopK(r.Encoding, e.Opts.K)
 		if err != nil {
 			return nil, fmt.Errorf("explain: retrieval: %w", err)
 		}
-		out.SearchTime = time.Since(t1)
-		out.Retrieved = hits
+		r.SearchTime = time.Since(t1)
+		r.Hits = hits
 	}
+	r.TPPlanJSON = pair.TP.ExplainJSON()
+	r.APPlanJSON = pair.AP.ExplainJSON()
+	r.Prefix = e.prompts.Prefix(r.Hits)
+	return r, nil
+}
 
-	out.Prompt = e.prompts.Build(out.Retrieved, prompt.Question{
+// Compose finishes an explanation of m from a retrieval of its pair: it
+// appends the QUESTION section — m's SQL and result, the only text a
+// prompt takes from the query itself — to r's prefix and generates. The
+// explanation reports r's encode and search times.
+func (e *Explainer) Compose(m *plan.Modeled, r *Retrieval) (*Explanation, error) {
+	out := &Explanation{
 		SQL:        m.SQL,
-		TPPlanJSON: m.Pair.TP.ExplainJSON(),
-		APPlanJSON: m.Pair.AP.ExplainJSON(),
+		Result:     m,
+		Encoding:   r.Encoding,
+		Retrieved:  r.Hits,
+		EncodeTime: r.EncodeTime,
+		SearchTime: r.SearchTime,
+	}
+	out.Prompt = prompt.Compose(r.Prefix, prompt.Question{
+		SQL:        m.SQL,
+		TPPlanJSON: r.TPPlanJSON,
+		APPlanJSON: r.APPlanJSON,
 		Winner:     m.Winner,
 		Speedup:    m.Speedup(),
 	})
-
 	resp, err := e.Model.Generate(out.Prompt)
 	if err != nil {
 		return nil, fmt.Errorf("explain: generation: %w", err)

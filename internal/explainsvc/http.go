@@ -75,7 +75,11 @@ func Register(mux *http.ServeMux, svc *Service) {
 	})
 }
 
-// ExplainResponse is the /explain wire format.
+// ExplainResponse is the /explain wire format. EncodeUS and SearchUS are
+// what this request spent embedding the plan pair and searching the
+// knowledge base: 0 when it reused its template's retrieval (see the
+// package comment), and ModeledMS, which adds them to the model's think
+// and generation time, is then that much smaller too.
 type ExplainResponse struct {
 	SQL         string           `json:"sql"`
 	Winner      string           `json:"winner"`

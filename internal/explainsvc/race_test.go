@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"htapxplain/internal/gateway"
@@ -18,7 +19,9 @@ import (
 // KB expiry, and full retrain-and-swap cycles. Every successful
 // explanation must be fully formed and cite live, fully-formed KB
 // entries — the copy-on-write snapshot must never expose a torn state,
-// and the KB must never be observably empty.
+// and the KB must never be observably empty. A request that starts after
+// an expiry returned never cites an entry it expired, reused retrieval or
+// not.
 func TestExplainRacesMaintenance(t *testing.T) {
 	sys, r, kb := testEnv(t)
 	g := newGateway(t, sys, 4)
@@ -36,11 +39,14 @@ func TestExplainRacesMaintenance(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
+	// expiredUpTo is the maxSeq of the last ExpireOlderThan that returned
+	var expiredUpTo atomic.Int64
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
+				expired := expiredUpTo.Load()
 				ex, err := svc.Explain(pool[(c*7+i)%len(pool)].SQL)
 				if errors.Is(err, gateway.ErrOverloaded) {
 					continue // shed under concurrent load is legitimate
@@ -63,6 +69,11 @@ func TestExplainRacesMaintenance(t *testing.T) {
 						errCh <- fmt.Errorf("torn KB entry retrieved: %+v", h.Entry)
 						return
 					}
+					if h.Entry.Seq <= expired {
+						errCh <- fmt.Errorf("%q cites entry %d (seq %d), expired up to seq %d before the request started",
+							ex.SQL, h.Entry.ID, h.Entry.Seq, expired)
+						return
+					}
 				}
 			}
 		}(c)
@@ -82,7 +93,9 @@ func TestExplainRacesMaintenance(t *testing.T) {
 				return
 			}
 			if i%15 == 14 {
-				kb.ExpireOlderThan(kb.CurSeq() - 30)
+				floor := kb.CurSeq() - 30
+				kb.ExpireOlderThan(floor)
+				expiredUpTo.Store(floor)
 			}
 		}
 	}()

@@ -7,9 +7,15 @@
 //     latency model's calibrated estimates — the pipeline the offline
 //     harness runs (TestServedIsEvaluated), which never executes a query —
 //     with RAG retrieval going through the knowledge base's lock-free
-//     copy-on-write HNSW snapshot. A request takes a slot of
-//     the gateway's worker ledger like any other route and is served on
-//     its caller's goroutine.
+//     copy-on-write HNSW snapshot. What the pair determines — encoding,
+//     hits, plan JSON, the prompt up to its QUESTION (explain.Retrieval) —
+//     is kept on the template's plan-cache entry and reused by every
+//     explanation of the template while the live explainer and the
+//     knowledge base's version are the ones it was built under; an
+//     explainer swap, a knowledge-base change or the plan's eviction
+//     makes the next explanation retrieve afresh. A request takes a slot
+//     of the gateway's worker ledger like any other route and is served
+//     on its caller's goroutine.
 //   - Feedback: every explanation records the live router's pick and the
 //     modeled latencies into a sliding window; the gateway's calibrator
 //     feeds observed serve latencies back so modeled costs track reality.
@@ -166,7 +172,8 @@ func (s *Service) swapRouter(r *treecnn.Router) {
 	}
 }
 
-// Explanation is one served /explain answer.
+// Explanation is one served /explain answer. Its EncodeTime and SearchTime
+// are what this request spent: 0 when it reused its template's retrieval.
 type Explanation struct {
 	*explain.Explanation
 	// PlanCached reports whether the plan pair came from the gateway's
@@ -201,18 +208,25 @@ func (s *Service) Explain(sql string) (*Explanation, error) {
 
 func (s *Service) explain(sql string) (*Explanation, error) {
 	start := time.Now()
-	sm, cached, err := s.pairFor(sql)
+	entry, sm, cached, err := s.pairFor(sql)
 	if err != nil {
 		return nil, err
 	}
 	m := sm.modeled(s.gw.Calibrator())
 	ex := s.ex.Load()
-	inner, err := ex.Explain(&m)
+	r, reused, err := retrieval(ex, entry)
 	if err != nil {
 		return nil, err
 	}
-	// the router's pick, from the encoding just computed: Predict would
-	// embed the same pair again only to apply the same head
+	inner, err := ex.Compose(&m, r)
+	if err != nil {
+		return nil, err
+	}
+	if reused {
+		inner.EncodeTime, inner.SearchTime = 0, 0 // this request spent neither
+	}
+	// the router's pick, from the retrieval's encoding: Predict would embed
+	// the same pair again only to apply the same head
 	pick, _ := ex.Router.Classify(inner.Encoding)
 	sm.pick = pick
 	s.win.add(sm)
@@ -225,6 +239,22 @@ func (s *Service) explain(sql string) (*Explanation, error) {
 	return &Explanation{Explanation: inner, PlanCached: cached, RouterPick: pick, ServeTime: d}, nil
 }
 
+// retrieval returns ex's retrieval of the template's plan pair: the one
+// kept on the cache entry while ex built it and the knowledge base is still
+// at the version it searched (reused), else a new one, which it keeps.
+// Two requests that race to replace a stale one both compose from a
+// correct retrieval, and the last one kept wins.
+func retrieval(ex *explain.Explainer, entry *gateway.CachedPlan) (r *explain.Retrieval, reused bool, err error) {
+	if r = entry.Retrieval.Load(); r != nil && r.Explainer == ex && r.KBVersion == ex.KB.Version() {
+		return r, true, nil
+	}
+	if r, err = ex.Retrieve(&entry.Pair); err != nil {
+		return nil, false, err
+	}
+	entry.Retrieval.Store(r)
+	return r, false, nil
+}
+
 // WhySlow diagnoses the slower engine's bottlenecks for a SELECT, from
 // cached plans and modeled latencies — the query is not executed. It is
 // admitted as Explain is.
@@ -234,7 +264,7 @@ func (s *Service) WhySlow(sql string) (*explain.SlowReport, error) {
 
 func (s *Service) whySlow(sql string) (*explain.SlowReport, error) {
 	start := time.Now()
-	sm, _, err := s.pairFor(sql)
+	_, sm, _, err := s.pairFor(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -248,19 +278,19 @@ func (s *Service) whySlow(sql string) (*explain.SlowReport, error) {
 	return rep, nil
 }
 
-// pairFor is what an explanation of sql is grounded in, as the drift
-// window records it: the plan pair from the gateway's cache (planning on
-// miss) and its modeled latencies, which sample.modeled calibrates. The
-// query is not executed.
-func (s *Service) pairFor(sql string) (sm sample, cached bool, err error) {
+// pairFor is what an explanation of sql is grounded in: the gateway's
+// cache entry for its template (planned on a miss) and, as the drift window
+// records it, the entry's plan pair and modeled latencies, which
+// sample.modeled calibrates. The query is not executed.
+func (s *Service) pairFor(sql string) (entry *gateway.CachedPlan, sm sample, cached bool, err error) {
 	if kind := sqlparser.StatementKind(sql); kind != "select" {
-		return sample{}, false, fmt.Errorf("explainsvc: only SELECT statements can be explained, got %s", kind)
+		return nil, sample{}, false, fmt.Errorf("explainsvc: only SELECT statements can be explained, got %s", kind)
 	}
-	entry, cached, err := s.gw.PlanPair(sql)
+	entry, cached, err = s.gw.PlanPair(sql)
 	if err != nil {
-		return sample{}, false, err
+		return nil, sample{}, false, err
 	}
-	return sample{sql: sql, fp: entry.Fingerprint, pair: &entry.Pair, tp: entry.TPTime, ap: entry.APTime}, cached, nil
+	return entry, sample{sql: sql, fp: entry.Fingerprint, pair: &entry.Pair, tp: entry.TPTime, ap: entry.APTime}, cached, nil
 }
 
 // Stats snapshots the service gauges for the gateway's /metrics.

@@ -3,8 +3,10 @@ package gateway
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"htapxplain/internal/explain"
 	"htapxplain/internal/optimizer"
 	"htapxplain/internal/plan"
 	"htapxplain/internal/sqlparser"
@@ -34,6 +36,11 @@ type CachedPlan struct {
 
 	mu    sync.Mutex
 	plans map[int][2]*optimizer.PhysPlan // by target, then plan.Engine
+
+	// Retrieval is the explanation service's retrieval for the template's
+	// pair (see explainsvc), kept on the entry so it is bounded, evicted and
+	// invalidated with the plan. The gateway never reads it.
+	Retrieval atomic.Pointer[explain.Retrieval]
 }
 
 // planFor returns the entry's plan for eng on target, nil until one is

@@ -12,7 +12,9 @@
 // a matching entry map, so retrieval under concurrent serving is a
 // wait-free read through the HNSW index, never the mutex-guarded linear
 // scan. Entries are immutable after publication; a snapshot's vector
-// hits and entry lookups are mutually consistent by construction.
+// hits and entry lookups are mutually consistent by construction. Every
+// write bumps Version once it is visible, so a reader can keep what it
+// derived from TopK for as long as Version stays what it read first.
 package knowledge
 
 import (
@@ -68,6 +70,7 @@ type Base struct {
 	seq     int64
 
 	view     atomic.Pointer[kbView] // nil until EnableHNSW
+	version  atomic.Uint64          // see Version
 	indexed  bool                   // guarded by mu; true once EnableHNSW ran
 	hnswM    int
 	hnswEf   int
@@ -99,6 +102,13 @@ func (b *Base) CurSeq() int64 {
 	defer b.mu.RUnlock()
 	return b.seq
 }
+
+// Version counts the changes to what TopK can return: every Add,
+// ExpireOlderThan that expires something, RebuildIndex and EnableHNSW bumps
+// it, after the change is visible to TopK. So a TopK that starts after
+// Version returned v searches the state as of v or a later one — the
+// order a caller keeping TopK's answer under v relies on.
+func (b *Base) Version() uint64 { return b.version.Load() }
 
 // Add inserts an entry and returns its assigned ID.
 func (b *Base) Add(e Entry) (int, error) {
@@ -200,17 +210,18 @@ func (b *Base) RebuildIndex() {
 	b.publishLocked()
 }
 
-// publishLocked publishes the current state as an immutable snapshot.
-// Caller holds b.mu; no-op until EnableHNSW has run.
+// publishLocked makes a change visible: it publishes the current state as
+// an immutable snapshot once EnableHNSW has run, then bumps Version.
+// Caller holds b.mu.
 func (b *Base) publishLocked() {
-	if !b.indexed {
-		return
+	if b.indexed {
+		ents := make(map[int]*Entry, len(b.entries))
+		for id, e := range b.entries {
+			ents[id] = e
+		}
+		b.view.Store(&kbView{vec: b.store.Snapshot(), entries: ents})
 	}
-	ents := make(map[int]*Entry, len(b.entries))
-	for id, e := range b.entries {
-		ents[id] = e
-	}
-	b.view.Store(&kbView{vec: b.store.Snapshot(), entries: ents})
+	b.version.Add(1)
 }
 
 // ExpireOlderThan tombstones entries with Seq <= maxSeq, the

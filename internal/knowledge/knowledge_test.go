@@ -221,3 +221,42 @@ func TestHNSWModeRetrieves(t *testing.T) {
 		t.Fatalf("HNSW TopK = %d hits", len(hits))
 	}
 }
+
+// TestVersionCountsChanges: every change to what TopK can return bumps
+// Version — an Add before and after EnableHNSW, EnableHNSW itself, an
+// expiry that expires something and RebuildIndex — and nothing else does.
+func TestVersionCountsChanges(t *testing.T) {
+	b := New(2)
+	v := b.Version()
+	step := func(what string, changes bool, f func()) {
+		t.Helper()
+		f()
+		got := b.Version()
+		if changed := got != v; changed != changes {
+			t.Errorf("%s: version %d -> %d, want a change: %v", what, v, got, changes)
+		}
+		if got < v {
+			t.Errorf("%s: version went back from %d to %d", what, v, got)
+		}
+		v = got
+	}
+	add := func() {
+		if _, err := b.Add(entry([]float64{1, 0}, "q", plan.AP)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("Add, unindexed", true, add)
+	step("RebuildIndex before EnableHNSW", false, b.RebuildIndex)
+	step("EnableHNSW", true, func() { b.EnableHNSW(4, 8, 1) })
+	step("Add, indexed", true, add)
+	step("RebuildIndex", true, b.RebuildIndex)
+	step("ExpireOlderThan of nothing", false, func() { b.ExpireOlderThan(0) })
+	step("ExpireOlderThan", true, func() { b.ExpireOlderThan(1) })
+	step("reads", false, func() {
+		b.Len()
+		b.Entries()
+		if _, err := b.TopK([]float64{1, 0}, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -122,13 +122,12 @@ func fieldValue(section, key string) string {
 	return strings.TrimSpace(rest)
 }
 
-// parseResult reads "AP faster (12.3x)" / "TP faster ...".
+// parseResult reads "AP faster (12.3x)" / "TP faster ...", in any case.
 func parseResult(s string) (plan.Engine, bool) {
-	ls := strings.ToLower(s)
 	switch {
-	case strings.HasPrefix(ls, "ap"):
+	case len(s) >= 2 && strings.EqualFold(s[:2], "ap"):
 		return plan.AP, true
-	case strings.HasPrefix(ls, "tp"):
+	case len(s) >= 2 && strings.EqualFold(s[:2], "tp"):
 		return plan.TP, true
 	default:
 		return plan.TP, false

@@ -7,6 +7,7 @@ import (
 
 	"htapxplain/internal/expert"
 	"htapxplain/internal/plan"
+	"htapxplain/internal/prompt"
 )
 
 // SimConfig parameterizes a simulated pre-trained model. The failure
@@ -77,9 +78,15 @@ func (m *Sim) Generate(text string) (Response, error) {
 	p := parsePrompt(text)
 	var out string
 	var none bool
+	// a forward scan for the marker first: followUpQuestion's backward one
+	// is slower, and almost every prompt has no follow-up
+	var followUp string
+	if strings.Contains(text, prompt.MarkerFollowUp) {
+		followUp = followUpQuestion(text)
+	}
 	switch {
-	case followUpQuestion(text) != "":
-		out = m.answerFollowUp(p, followUpQuestion(text))
+	case followUp != "":
+		out = m.answerFollowUp(p, followUp)
 	case len(p.knowledge) > 0:
 		out, none = m.grounded(p)
 	case strings.Contains(text, "return None"):

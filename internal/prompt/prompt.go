@@ -8,7 +8,9 @@ package prompt
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"htapxplain/internal/knowledge"
 	"htapxplain/internal/plan"
@@ -73,9 +75,18 @@ func NewBuilder(schemaSummary string) *Builder {
 }
 
 // Build renders the full prompt: three engineered parts, then the
-// retrieved knowledge, then the question. Pass no hits for the RAG-free
-// ablation (the DBG-PT-fair comparison in §VI-D).
+// retrieved knowledge, then the question — Prefix(hits) with q's QUESTION
+// section appended (see Compose). Pass no hits for the RAG-free ablation
+// (the DBG-PT-fair comparison in §VI-D).
 func (b *Builder) Build(hits []knowledge.Hit, q Question) string {
+	return Compose(b.Prefix(hits), q)
+}
+
+// Prefix renders everything before the QUESTION: the background, the task,
+// the user context and one KNOWLEDGE section per hit. It depends on the
+// builder and the hits only, so one rendering serves every question asked
+// against the same hits.
+func (b *Builder) Prefix(hits []knowledge.Hit) string {
 	var sb strings.Builder
 	sb.WriteString(MarkerBackground)
 	sb.WriteString("\nWe are using RAG to assist database users in understanding query performance ")
@@ -124,18 +135,46 @@ func (b *Builder) Build(hits []knowledge.Hit, q Question) string {
 		fmt.Fprintf(&sb, "similarity_distance: %.4f\n", h.Distance)
 		fmt.Fprintf(&sb, "explanation: %s\n", h.Entry.Explanation)
 	}
+	return sb.String()
+}
 
+// Compose returns prefix followed by q's QUESTION section, the only part
+// of a prompt that depends on the question, in one allocation.
+func Compose(prefix string, q Question) string {
+	sql := singleLine(q.SQL)
+	var num [24]byte
+	speedup := strconv.AppendFloat(num[:0], q.Speedup, 'f', 1, 64) // what %.1f prints
+	winner := q.Winner.String()
+	var sb strings.Builder
+	sb.Grow(len(prefix) + len(MarkerQuestion) + len(sql) + len(q.TPPlanJSON) + len(q.APPlanJSON) +
+		len(winner) + len(speedup) + len("\nquery: \ntp_plan: \nap_plan: \nresult:  faster (x)\n"))
+	sb.WriteString(prefix)
 	sb.WriteString(MarkerQuestion)
-	sb.WriteString("\n")
-	fmt.Fprintf(&sb, "query: %s\n", singleLine(q.SQL))
-	fmt.Fprintf(&sb, "tp_plan: %s\n", q.TPPlanJSON)
-	fmt.Fprintf(&sb, "ap_plan: %s\n", q.APPlanJSON)
-	fmt.Fprintf(&sb, "result: %s faster (%.1fx)\n", q.Winner, q.Speedup)
+	sb.WriteString("\nquery: ")
+	sb.WriteString(sql)
+	sb.WriteString("\ntp_plan: ")
+	sb.WriteString(q.TPPlanJSON)
+	sb.WriteString("\nap_plan: ")
+	sb.WriteString(q.APPlanJSON)
+	sb.WriteString("\nresult: ")
+	sb.WriteString(winner)
+	sb.WriteString(" faster (")
+	sb.Write(speedup)
+	sb.WriteString("x)\n")
 	return sb.String()
 }
 
 // singleLine collapses whitespace so multi-line SQL stays on one prompt
-// line (the prompt's fields are line-oriented).
-func singleLine(sql string) string {
-	return strings.Join(strings.Fields(sql), " ")
+// line (the prompt's fields are line-oriented): strings.Fields joined by
+// single spaces. SQL that is single-spaced ASCII already is returned as it
+// is.
+func singleLine(s string) string {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' ||
+			c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' ') {
+			return strings.Join(strings.Fields(s), " ")
+		}
+	}
+	return s
 }
