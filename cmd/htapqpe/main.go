@@ -81,7 +81,7 @@ func main() {
 		}
 	}
 	if *showPrompt {
-		fmt.Printf("\n--- prompt ---\n%s\n--- end prompt ---\n", out.Prompt)
+		fmt.Printf("\n--- prompt ---\n%s\n--- end prompt ---\n", out.Prompt())
 	}
 	fmt.Printf("\n=== explanation (%s) ===\n%s\n", model.Name(), out.Text())
 	fmt.Printf("\nresponse time: encode %v + search %v + think %v + generate %v = %v\n",

@@ -76,13 +76,20 @@ type Explanation struct {
 	Result    *plan.Modeled
 	Encoding  []float64
 	Retrieved []knowledge.Hit
-	Prompt    string
 	Response  llm.Response
 	// EncodeTime is the smart-router embedding time (paper: < 1 ms).
 	EncodeTime time.Duration
 	// SearchTime is the KB search time (paper: < 0.1 ms at 20 entries).
 	SearchTime time.Duration
+
+	// prefix and question are the prompt's two parts: the retrieval's
+	// prefix, shared by every question about the template, and this
+	// query's QUESTION section.
+	prefix, question string
 }
+
+// Prompt returns the full prompt the model answered.
+func (e *Explanation) Prompt() string { return e.prefix + e.question }
 
 // Text returns the generated explanation text.
 func (e *Explanation) Text() string { return e.Response.Text }
@@ -105,10 +112,11 @@ func (e *Explainer) Explain(m *plan.Modeled) (*Explanation, error) {
 }
 
 // Retrieval is everything an explanation takes from its plan pair, the
-// explainer's router and the knowledge base, and nothing from the query's
-// literals or its modeled latencies: the pair's encoding, the top-K
-// knowledge-base hits, both plans' JSON and the prompt rendered up to its
-// QUESTION. It is immutable, so any number of Compose calls may share it
+// explainer's router, model and knowledge base, and nothing from the
+// query's literals or its modeled latencies: the pair's encoding and the
+// router's pick for it, the top-K knowledge-base hits, both plans' JSON,
+// the prompt rendered up to its QUESTION and the model's prefill of that
+// prefix. It is immutable, so any number of Compose calls may share it
 // for as long as the explainer that built it is the one composing and the
 // knowledge base is still at KBVersion.
 type Retrieval struct {
@@ -116,11 +124,15 @@ type Retrieval struct {
 	// pair, and its options and schema summary are in Prefix.
 	Explainer *Explainer
 	Encoding  []float64
-	Hits      []knowledge.Hit
+	// RouterPick is the router's engine prediction for the pair.
+	RouterPick plan.Engine
+	Hits       []knowledge.Hit
 	// TPPlanJSON and APPlanJSON are the pair's plans as the prompt shows them.
 	TPPlanJSON, APPlanJSON string
 	// Prefix is the prompt before its QUESTION section (prompt.Builder.Prefix).
 	Prefix string
+	// Prefill is the explainer's model's reading of Prefix.
+	Prefill llm.Prefill
 	// KBVersion is the knowledge base's Version read before the search, so
 	// the hits are from that version or a later one, never an earlier one.
 	KBVersion uint64
@@ -129,13 +141,14 @@ type Retrieval struct {
 }
 
 // Retrieve encodes pair with the explainer's router, searches the
-// knowledge base for the K nearest entries (when RAG is on) and renders
-// the prompt's prefix around them.
+// knowledge base for the K nearest entries (when RAG is on), renders the
+// prompt's prefix around them and has the model prefill it.
 func (e *Explainer) Retrieve(pair *plan.Pair) (*Retrieval, error) {
 	r := &Retrieval{Explainer: e, KBVersion: e.KB.Version()}
 	t0 := time.Now()
 	r.Encoding = e.Router.EmbedPair(pair)
 	r.EncodeTime = time.Since(t0)
+	r.RouterPick, _ = e.Router.Classify(r.Encoding)
 
 	if e.Opts.UseRAG {
 		t1 := time.Now()
@@ -149,12 +162,13 @@ func (e *Explainer) Retrieve(pair *plan.Pair) (*Retrieval, error) {
 	r.TPPlanJSON = pair.TP.ExplainJSON()
 	r.APPlanJSON = pair.AP.ExplainJSON()
 	r.Prefix = e.prompts.Prefix(r.Hits)
+	r.Prefill = e.Model.Prefill(r.Prefix)
 	return r, nil
 }
 
 // Compose finishes an explanation of m from a retrieval of its pair: it
-// appends the QUESTION section — m's SQL and result, the only text a
-// prompt takes from the query itself — to r's prefix and generates. The
+// renders the QUESTION section — m's SQL and result, the only text a
+// prompt takes from the query itself — and has r's prefill answer it. The
 // explanation reports r's encode and search times.
 func (e *Explainer) Compose(m *plan.Modeled, r *Retrieval) (*Explanation, error) {
 	out := &Explanation{
@@ -164,15 +178,16 @@ func (e *Explainer) Compose(m *plan.Modeled, r *Retrieval) (*Explanation, error)
 		Retrieved:  r.Hits,
 		EncodeTime: r.EncodeTime,
 		SearchTime: r.SearchTime,
+		prefix:     r.Prefix,
 	}
-	out.Prompt = prompt.Compose(r.Prefix, prompt.Question{
+	out.question = prompt.Compose("", prompt.Question{
 		SQL:        m.SQL,
 		TPPlanJSON: r.TPPlanJSON,
 		APPlanJSON: r.APPlanJSON,
 		Winner:     m.Winner,
 		Speedup:    m.Speedup(),
 	})
-	resp, err := e.Model.Generate(out.Prompt)
+	resp, err := r.Prefill.Generate(out.question)
 	if err != nil {
 		return nil, fmt.Errorf("explain: generation: %w", err)
 	}

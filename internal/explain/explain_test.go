@@ -132,7 +132,7 @@ func TestUseRAGFalseSkipsRetrieval(t *testing.T) {
 	if len(out.Retrieved) != 0 {
 		t.Errorf("RAG disabled but retrieved %d entries", len(out.Retrieved))
 	}
-	if strings.Contains(out.Prompt, "=== KNOWLEDGE") || strings.Contains(out.Prompt, "return None") {
+	if strings.Contains(out.Prompt(), "=== KNOWLEDGE") || strings.Contains(out.Prompt(), "return None") {
 		t.Error("RAG-free prompt should carry no retriever framing")
 	}
 }
@@ -144,7 +144,7 @@ func TestUserContextFlowsIntoPrompt(t *testing.T) {
 		UserContext: "an additional index has been created on the c_phone column",
 	})
 	out := explainSQL(t, sys, ex, htap.Example1SQL)
-	if !strings.Contains(out.Prompt, "c_phone column") {
+	if !strings.Contains(out.Prompt(), "c_phone column") {
 		t.Error("user context missing from prompt")
 	}
 }

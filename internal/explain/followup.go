@@ -41,7 +41,8 @@ func (c *Conversation) Root() *Explanation { return c.root }
 // generated explanation and the prior turns.
 func (c *Conversation) Ask(question string) (llm.Response, error) {
 	var sb strings.Builder
-	sb.WriteString(c.root.Prompt)
+	sb.WriteString(c.root.prefix)
+	sb.WriteString(c.root.question)
 	sb.WriteString("\n")
 	sb.WriteString(prompt.MarkerPrevAnswer)
 	sb.WriteString("\n")

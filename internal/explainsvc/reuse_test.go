@@ -3,18 +3,21 @@ package explainsvc
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"htapxplain/internal/explain"
 	"htapxplain/internal/gateway"
 	"htapxplain/internal/knowledge"
+	"htapxplain/internal/llm"
 	"htapxplain/internal/treecnn"
 	"htapxplain/internal/workload"
 )
 
-// TestRetrievalReuse: a template's retrieval is built once and reused by
-// every literal vector of it, until one of its three invalidators fires —
+// TestRetrievalReuse: a template's retrieval — the model's prefill of its
+// prompt prefix with it — is built once and reused by every literal vector
+// of it, until one of its three invalidators fires —
 // a knowledge-base change (an expert correction at the pair's own
 // encoding, the expiry of a cited entry), an explainer swap (a request
 // served inside a retrain, after the new router is live and before the
@@ -62,14 +65,21 @@ func TestRetrievalReuse(t *testing.T) {
 		return ids
 	}
 
-	// kept is the retrieval the last explanation composed from
-	var kept *explain.Retrieval
+	// kept is the retrieval the last explanation composed from, prefill the
+	// model's reading of its prompt prefix
+	var (
+		kept    *explain.Retrieval
+		prefill llm.Prefill
+	)
 	reused := func(what, sql string) *Explanation {
 		t.Helper()
 		ex := explainOf(sql)
 		if now := keptFor(t, g, sql); !ex.PlanCached || ex.EncodeTime != 0 || ex.SearchTime != 0 || now != kept {
 			t.Fatalf("%s: plan cached %v, encode %v, search %v, same retrieval %v; want a reuse",
 				what, ex.PlanCached, ex.EncodeTime, ex.SearchTime, now == kept)
+		}
+		if kept.Prefill != prefill || !strings.HasPrefix(ex.Prompt(), kept.Prefix) {
+			t.Fatalf("%s: the reuse did not compose from the kept prefill and prefix", what)
 		}
 		return ex
 	}
@@ -81,7 +91,10 @@ func TestRetrievalReuse(t *testing.T) {
 			t.Errorf("after %s: the explanation reused the old retrieval %v, the retrieval is the live explainer's %v",
 				what, now == kept, now.Explainer == svc.ex.Load())
 		}
-		kept = now
+		if now.Prefill == nil || now.Prefill == prefill || !strings.HasPrefix(ex.Prompt(), now.Prefix) {
+			t.Errorf("after %s: the explanation did not compose from a new prefill of the new prefix", what)
+		}
+		kept, prefill = now, now.Prefill
 		return ex
 	}
 
@@ -128,7 +141,7 @@ func TestRetrievalReuse(t *testing.T) {
 		t.Fatalf("Explain inside the retrain: %v", midErr)
 	case midPlanned:
 		t.Fatal("inside the retrain the plan was no longer cached, so the explainer check went untested")
-	case midKept == kept || midKept.Explainer != midLive:
+	case midKept == kept || midKept.Explainer != midLive || midKept.Prefill == prefill:
 		t.Fatal("inside the retrain the explanation reused the old explainer's retrieval")
 	}
 	if f := recomputed("Retrain", first); f.PlanCached {
@@ -188,9 +201,11 @@ func TestWarmExplainAllocs(t *testing.T) {
 		return // the count is the allocation half's; the reuse is checked above
 	}
 	// maxAllocs is what a warm explanation allocates at most, averaged over
-	// the ten templates (measured 30.00): admission, the fingerprint, the
-	// prompt, the simulated model's reading of it and its answer
-	const maxAllocs = 32
+	// the ten templates (measured 21.20): admission, the fingerprint, the
+	// QUESTION section, the simulated model's reading of it and its answer.
+	// The prompt prefix is neither copied nor read again, and the router's
+	// pick is the retrieval's.
+	const maxAllocs = 22
 	allocs := testing.AllocsPerRun(10, pass) / float64(len(qs))
 	t.Logf("a warm explanation allocates %.2f times", allocs)
 	if allocs > maxAllocs {

@@ -8,12 +8,14 @@
 //     harness runs (TestServedIsEvaluated), which never executes a query —
 //     with RAG retrieval going through the knowledge base's lock-free
 //     copy-on-write HNSW snapshot. What the pair determines — encoding,
-//     hits, plan JSON, the prompt up to its QUESTION (explain.Retrieval) —
-//     is kept on the template's plan-cache entry and reused by every
-//     explanation of the template while the live explainer and the
-//     knowledge base's version are the ones it was built under; an
-//     explainer swap, a knowledge-base change or the plan's eviction
-//     makes the next explanation retrieve afresh. A request takes a slot
+//     the router's pick, hits, plan JSON, the prompt up to its QUESTION
+//     and the model's prefill of it (explain.Retrieval) — is kept on the
+//     template's plan-cache entry and reused by every explanation of the
+//     template while the live explainer and the knowledge base's version
+//     are the ones it was built under, so a warm explanation renders only
+//     its QUESTION and the model reads only that; an explainer swap, a
+//     knowledge-base change or the plan's eviction makes the next
+//     explanation retrieve and prefill afresh. A request takes a slot
 //     of the gateway's worker ledger like any other route and is served
 //     on its caller's goroutine.
 //   - Feedback: every explanation records the live router's pick and the
@@ -225,10 +227,7 @@ func (s *Service) explain(sql string) (*Explanation, error) {
 	if reused {
 		inner.EncodeTime, inner.SearchTime = 0, 0 // this request spent neither
 	}
-	// the router's pick, from the retrieval's encoding: Predict would embed
-	// the same pair again only to apply the same head
-	pick, _ := ex.Router.Classify(inner.Encoding)
-	sm.pick = pick
+	sm.pick = r.RouterPick
 	s.win.add(sm)
 	s.served.Add(1)
 	if len(inner.Retrieved) > 0 {
@@ -236,7 +235,7 @@ func (s *Service) explain(sql string) (*Explanation, error) {
 	}
 	d := time.Since(start)
 	s.gw.ObserveExplainLatency(d)
-	return &Explanation{Explanation: inner, PlanCached: cached, RouterPick: pick, ServeTime: d}, nil
+	return &Explanation{Explanation: inner, PlanCached: cached, RouterPick: r.RouterPick, ServeTime: d}, nil
 }
 
 // retrieval returns ex's retrieval of the template's plan pair: the one

@@ -10,15 +10,11 @@ import (
 // followUpQuestion extracts the last follow-up question from a
 // conversational prompt, or "" when the prompt is not conversational.
 func followUpQuestion(text string) string {
-	i := strings.LastIndex(text, prompt.MarkerFollowUp)
+	i := lastMarkerAt(text, prompt.MarkerFollowUp)
 	if i < 0 {
 		return ""
 	}
-	rest := text[i+len(prompt.MarkerFollowUp):]
-	if j := strings.Index(rest, "==="); j >= 0 {
-		rest = rest[:j]
-	}
-	return strings.TrimSpace(rest)
+	return strings.TrimSpace(section(text[i+len(prompt.MarkerFollowUp):]))
 }
 
 // answerFollowUp produces the in-depth conversational answer (§VI-B). It
@@ -26,9 +22,9 @@ func followUpQuestion(text string) string {
 // paper's example: asked why the predicate on customer does not benefit
 // from the index on c_phone, the LLM explains that functions applied to
 // indexed columns disable index usage.
-func (m *Sim) answerFollowUp(p parsedPrompt, question string) string {
+func answerFollowUp(pq parsedQuestion, question string) string {
 	q := strings.ToLower(question)
-	sql := p.question.lowerSQL
+	sql := pq.lowerSQL
 	switch {
 	case strings.Contains(q, "index") && (hasFunctionWrappedPredicate(sql) ||
 		strings.Contains(q, "substring") || strings.Contains(q, "function")):
@@ -64,7 +60,7 @@ func (m *Sim) answerFollowUp(p parsedPrompt, question string) string {
 			"so analytical scans read only the referenced columns and vectorize well."
 	default:
 		w := "AP"
-		if p.question.hasWinner && p.question.winner == plan.TP {
+		if pq.hasWinner && pq.winner == plan.TP {
 			w = "TP"
 		}
 		return "Based on the plans discussed above, the decisive characteristics are the " +

@@ -9,6 +9,13 @@
 // column-storage overemphasis) when knowledge is absent. Accuracy is
 // therefore *emergent from retrieval quality*, which is exactly the
 // property the paper's experiments measure.
+//
+// Like a serving LLM that caches a shared prompt prefix, a model reads a
+// prompt in two steps: Prefill reads everything before the QUESTION
+// section — instructions, user context, retrieved knowledge — once, and
+// the prefill's Generate reads only the question. The explainer keeps one
+// prefill per retrieval, so every question about a template shares it;
+// Generate on a whole prompt is the two steps in a row.
 package llm
 
 import (
@@ -32,7 +39,21 @@ type Response struct {
 // Model is a pre-trained language model.
 type Model interface {
 	Name() string
+	// Generate answers a whole prompt.
 	Generate(prompt string) (Response, error)
+	// Prefill reads a prompt's prefix, everything before its QUESTION
+	// section, so that questions asked after the same prefix do not pay
+	// for reading it again: Generate(prefix + question) equals
+	// Prefill(prefix).Generate(question).
+	Prefill(prefix string) Prefill
+}
+
+// Prefill is a model's reading of a prompt prefix. It is immutable and safe
+// for concurrent use.
+type Prefill interface {
+	// Generate answers the QUESTION section, and any follow-up turns
+	// after it, asked after the prefix.
+	Generate(question string) (Response, error)
 }
 
 // hash01 maps a string deterministically into [0,1) — the simulated

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -40,12 +41,19 @@ func TestParsePromptRoundTrip(t *testing.T) {
 		hit(plan.TP, "index order wins", 0.3),
 	}
 	text := b.Build(hits, joinQuestion())
-	p := parsePrompt(text)
-	if !p.guardrail {
-		t.Error("guardrail not detected")
+	i := markerAt(text, prompt.MarkerQuestion)
+	if i <= 0 || !strings.HasPrefix(text[i:], prompt.MarkerQuestion) {
+		t.Fatalf("QUESTION marker at %d", i)
 	}
-	if !strings.Contains(p.userCtx, "c_phone") {
-		t.Errorf("user context = %q", p.userCtx)
+	p := Doubao().Prefill(text[:i]).(*prefill)
+	if !p.guardrail || !p.instructedNone {
+		t.Errorf("guardrail %v, return-None instruction %v", p.guardrail, p.instructedNone)
+	}
+	if !p.ctxIndex {
+		t.Error("the user context's index went unnoticed")
+	}
+	if p.n != i {
+		t.Errorf("prefix length = %d, want %d", p.n, i)
 	}
 	if len(p.knowledge) != 2 {
 		t.Fatalf("knowledge sections = %d", len(p.knowledge))
@@ -53,17 +61,46 @@ func TestParsePromptRoundTrip(t *testing.T) {
 	if p.knowledge[0].winner != plan.AP || !p.knowledge[0].hasWinner {
 		t.Errorf("knowledge[0] winner = %+v", p.knowledge[0])
 	}
-	if p.knowledge[0].distance != 0.01 {
-		t.Errorf("knowledge[0] distance = %v", p.knowledge[0].distance)
+	if want := math.Exp(-0.01 / 0.08); p.knowledge[0].weight != want {
+		t.Errorf("knowledge[0] weight = %v, want %v", p.knowledge[0].weight, want)
 	}
-	if !strings.Contains(p.knowledge[0].explanation, "hash join") {
-		t.Errorf("knowledge[0] explanation = %q", p.knowledge[0].explanation)
+	if want := 0.5 * math.Exp(-0.3/0.08); p.knowledge[1].weight != want {
+		t.Errorf("knowledge[1] weight = %v, want %v", p.knowledge[1].weight, want)
 	}
-	if p.question.winner != plan.AP || !p.question.hasWinner {
-		t.Errorf("question winner = %+v", p.question)
+	const hashJoin, noIndex, indexOrder = 1 << 0, 1 << 1, 1 << 3
+	if got := p.knowledge[0].factors; got != hashJoin|noIndex {
+		t.Errorf("knowledge[0] factors = %b, want %b", got, hashJoin|noIndex)
 	}
-	if p.question.speedup != 10 {
-		t.Errorf("question speedup = %v", p.question.speedup)
+	if got := p.knowledge[1].factors; got != indexOrder {
+		t.Errorf("knowledge[1] factors = %b, want %b", got, indexOrder)
+	}
+	q := readQuestion(text[i:])
+	if q.winner != plan.AP || !q.hasWinner {
+		t.Errorf("question winner = %+v", q)
+	}
+	if q.sql != joinQuestion().SQL || q.tpPlan != joinQuestion().TPPlanJSON || q.apPlan != joinQuestion().APPlanJSON {
+		t.Errorf("question = %+v", q)
+	}
+}
+
+// TestMarkersInSQLAreText: a section marker inside a query's literal is not
+// a section. SQL stays on one prompt line, and only a marker at a line
+// start counts, so a RAG-free prompt (the DBG-PT comparison's and the
+// UseRAG: false ablation's) gets its un-grounded answer — not None from a
+// phantom KNOWLEDGE section, not a follow-up answer.
+func TestMarkersInSQLAreText(t *testing.T) {
+	b := prompt.NewBuilder("s")
+	b.IncludeRAG = false
+	for _, literal := range []string{"=== KNOWLEDGE 9 ===", "=== FOLLOW-UP QUESTION === why"} {
+		q := question(plan.AP, "SELECT COUNT(*) FROM orders WHERE o_comment = '"+literal+"'",
+			`{"Node Type":"Table Scan"}`, `{"Node Type":"Aggregate"}`)
+		resp, err := Doubao().Generate(b.Build(nil, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.None || !strings.HasPrefix(resp.Text, "The AP engine is faster in this case because") {
+			t.Errorf("literal %q: answer %q (None %v), want the un-grounded answer", literal, resp.Text, resp.None)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -8,17 +9,23 @@ import (
 	"htapxplain/internal/prompt"
 )
 
-// parsedKnowledge is one KNOWLEDGE section as the model reads it.
-type parsedKnowledge struct {
-	sql         string
-	winner      plan.Engine
-	hasWinner   bool
-	distance    float64
-	explanation string
+// knowledgeRead is one KNOWLEDGE section as the prefill reads it: what
+// grounded generation needs of it, with nothing left to parse or fold.
+type knowledgeRead struct {
+	// weight is the section's evidence weight before the winner check: its
+	// rank's 1/(rank+1), sharply discounted by its similarity distance —
+	// the encoding is not perfect (§VI-B), and the model should not trust
+	// far neighbours. The exponential kernel rescales the compressed
+	// cosine-distance range of the router's tanh embeddings.
+	weight    float64
+	winner    plan.Engine
+	hasWinner bool
+	// factors has bit i set when the explanation asserts allFactors[i].
+	factors uint16
 }
 
 // parsedQuestion is the QUESTION section. The lower-cased forms are what
-// the surface-feature checks match against, folded once per prompt.
+// the surface-feature checks match against, folded once per question.
 type parsedQuestion struct {
 	sql       string
 	tpPlan    string
@@ -28,85 +35,93 @@ type parsedQuestion struct {
 	lowerAP   string
 	winner    plan.Engine
 	hasWinner bool
-	speedup   float64
 }
 
-// parsedPrompt is the model's structured reading of the prompt text.
-type parsedPrompt struct {
-	guardrail bool
-	userCtx   string
-	knowledge []parsedKnowledge
-	question  parsedQuestion
-}
-
-// parsePrompt splits the rendered prompt back into its sections.
-func parsePrompt(text string) parsedPrompt {
-	var p parsedPrompt
+// readPrefix reads a prompt's prefix: the instructions, the user context
+// and each KNOWLEDGE section, as the prompt builder renders them.
+func (p *prefill) readPrefix(text string) {
 	p.guardrail = strings.Contains(text, "not allowed to compare")
-
-	if i := strings.Index(text, prompt.MarkerUserCtx); i >= 0 {
-		rest := text[i+len(prompt.MarkerUserCtx):]
-		if j := strings.Index(rest, "==="); j >= 0 {
-			p.userCtx = strings.TrimSpace(rest[:j])
-		} else {
-			p.userCtx = strings.TrimSpace(rest)
-		}
+	p.instructedNone = strings.Contains(text, "return None")
+	if i := markerAt(text, prompt.MarkerUserCtx); i >= 0 {
+		ctx := section(text[i+len(prompt.MarkerUserCtx):])
+		p.ctxIndex = strings.Contains(strings.ToLower(ctx), "index")
 	}
-
-	// knowledge sections
-	rest := text
-	for {
-		i := strings.Index(rest, prompt.MarkerKnowledge)
+	for rest := text; ; {
+		i := markerAt(rest, prompt.MarkerKnowledge)
 		if i < 0 {
-			break
+			return
 		}
 		rest = rest[i+len(prompt.MarkerKnowledge):]
-		end := strings.Index(rest, "=== ")
-		section := rest
-		if end >= 0 {
-			section = rest[:end]
+		sec := section(rest)
+		rest = rest[len(sec):]
+
+		k := knowledgeRead{weight: 1.0 / float64(len(p.knowledge)+1)}
+		if d, err := strconv.ParseFloat(fieldValue(sec, "similarity_distance:"), 64); err == nil {
+			k.weight *= math.Exp(-d / 0.08)
 		}
-		k := parsedKnowledge{
-			sql:         fieldValue(section, "query:"),
-			explanation: fieldValue(section, "explanation:"),
-		}
-		if w, ok := parseResult(fieldValue(section, "result:")); ok {
+		if w, ok := parseResult(fieldValue(sec, "result:")); ok {
 			k.winner, k.hasWinner = w, true
 		}
-		if d, err := strconv.ParseFloat(fieldValue(section, "similarity_distance:"), 64); err == nil {
-			k.distance = d
-		}
-		p.knowledge = append(p.knowledge, k)
-		if end < 0 {
-			break
-		}
-		rest = rest[end:]
-	}
-
-	if i := strings.Index(text, prompt.MarkerQuestion); i >= 0 {
-		section := text[i+len(prompt.MarkerQuestion):]
-		p.question = parsedQuestion{
-			sql:    fieldValue(section, "query:"),
-			tpPlan: fieldValue(section, "tp_plan:"),
-			apPlan: fieldValue(section, "ap_plan:"),
-		}
-		p.question.lowerSQL = strings.ToLower(p.question.sql)
-		p.question.lowerTP = strings.ToLower(p.question.tpPlan)
-		p.question.lowerAP = strings.ToLower(p.question.apPlan)
-		if w, ok := parseResult(fieldValue(section, "result:")); ok {
-			p.question.winner, p.question.hasWinner = w, true
-		}
-		if sp := fieldValue(section, "result:"); sp != "" {
-			if j := strings.Index(sp, "("); j >= 0 {
-				if k := strings.Index(sp[j:], "x)"); k >= 0 {
-					if v, err := strconv.ParseFloat(sp[j+1:j+k], 64); err == nil {
-						p.question.speedup = v
-					}
-				}
+		lowerExpl := strings.ToLower(fieldValue(sec, "explanation:"))
+		for b, f := range allFactors {
+			if containsFactor(lowerExpl, f) {
+				k.factors |= 1 << b
 			}
 		}
+		p.knowledge = append(p.knowledge, k)
 	}
-	return p
+}
+
+// readQuestion reads the QUESTION section at the start of text.
+func readQuestion(text string) parsedQuestion {
+	q := parsedQuestion{
+		sql:    fieldValue(text, "query:"),
+		tpPlan: fieldValue(text, "tp_plan:"),
+		apPlan: fieldValue(text, "ap_plan:"),
+	}
+	q.lowerSQL = strings.ToLower(q.sql)
+	q.lowerTP = strings.ToLower(q.tpPlan)
+	q.lowerAP = strings.ToLower(q.apPlan)
+	q.winner, q.hasWinner = parseResult(fieldValue(text, "result:"))
+	return q
+}
+
+// markerAt is the index of the first line of text that starts with
+// marker, or -1. Only a marker at a line start opens a section: the prompt
+// builder writes every marker there and keeps SQL on one line, so a marker
+// inside a query's literal is text, not structure.
+func markerAt(text, marker string) int {
+	for from := 0; ; {
+		i := strings.Index(text[from:], marker)
+		if i < 0 {
+			return -1
+		}
+		if i += from; i == 0 || text[i-1] == '\n' {
+			return i
+		}
+		from = i + 1
+	}
+}
+
+// lastMarkerAt is the index of the last line of text that starts with
+// marker, or -1.
+func lastMarkerAt(text, marker string) int {
+	for end := len(text); ; {
+		i := strings.LastIndex(text[:end], marker)
+		if i <= 0 || text[i-1] == '\n' {
+			return i
+		}
+		end = i + len(marker) - 1
+	}
+}
+
+// section is the start of text up to the next line that starts with a
+// marker ("==="), or all of it.
+func section(text string) string {
+	if i := strings.Index(text, "\n==="); i >= 0 {
+		return text[:i+1]
+	}
+	return text
 }
 
 // fieldValue extracts "<key> value" up to end of line within a section.

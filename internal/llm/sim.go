@@ -2,7 +2,7 @@ package llm
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"htapxplain/internal/expert"
@@ -71,43 +71,79 @@ func NewSim(cfg SimConfig) *Sim { return &Sim{cfg: cfg} }
 // Name returns the model name.
 func (m *Sim) Name() string { return m.cfg.ModelName }
 
-// Generate produces an explanation from the prompt. With KNOWLEDGE
-// sections present it runs grounded (RAG) generation; otherwise it falls
-// back to un-grounded priors with the documented failure modes.
+// Generate produces an explanation from a whole prompt: it is
+// Prefill(text[:i]).Generate(text[i:]), where i is the start of the line
+// that opens the QUESTION section (len(text) when there is none).
 func (m *Sim) Generate(text string) (Response, error) {
-	p := parsePrompt(text)
+	i := markerAt(text, prompt.MarkerQuestion)
+	if i < 0 {
+		i = len(text)
+	}
+	return m.Prefill(text[:i]).Generate(text[i:])
+}
+
+// Prefill reads a prompt's prefix — everything before its QUESTION — once:
+// the guardrail and "return None" instructions, whether the user context
+// mentions an index, and each KNOWLEDGE section's winner, evidence weight
+// and the factors its explanation asserts. The result answers any number
+// of questions asked after that prefix.
+func (m *Sim) Prefill(prefix string) Prefill {
+	p := &prefill{m: m, n: len(prefix)}
+	p.readPrefix(prefix)
+	return p
+}
+
+// prefill is a Sim's reading of a prompt prefix. It is immutable.
+type prefill struct {
+	m *Sim
+	// n is the prefix's length, which the think time counts.
+	n              int
+	guardrail      bool
+	instructedNone bool
+	// ctxIndex reports that the user context mentions an index.
+	ctxIndex  bool
+	knowledge []knowledgeRead
+}
+
+// Generate answers the QUESTION section at the start of text and the
+// follow-up turns after it. With KNOWLEDGE in the prefix it runs grounded
+// (RAG) generation; otherwise it falls back to un-grounded priors with the
+// documented failure modes.
+func (p *prefill) Generate(text string) (Response, error) {
+	q := readQuestion(text)
 	var out string
 	var none bool
 	// a forward scan for the marker first: followUpQuestion's backward one
-	// is slower, and almost every prompt has no follow-up
+	// is slower, and almost every question has no follow-up
 	var followUp string
 	if strings.Contains(text, prompt.MarkerFollowUp) {
 		followUp = followUpQuestion(text)
 	}
 	switch {
 	case followUp != "":
-		out = m.answerFollowUp(p, followUp)
+		out = answerFollowUp(q, followUp)
 	case len(p.knowledge) > 0:
-		out, none = m.grounded(p)
-	case strings.Contains(text, "return None"):
+		out, none = p.grounded(q)
+	case p.instructedNone:
 		// a RAG prompt whose retrieval produced nothing: the instruction
 		// itself demands None
 		out, none = "None", true
 	default:
-		out = m.ungrounded(p)
+		out = p.ungrounded(q)
 	}
 	return Response{
 		Text:      out,
 		None:      none,
-		ThinkTime: thinkLatency(len(text)),
+		ThinkTime: thinkLatency(p.n + len(text)),
 		GenTime:   genLatency(len(out)),
 	}, nil
 }
 
 // ---------------------------------------------------------------- grounded
 
-// allFactors is the factor vocabulary the model can express.
-var allFactors = []expert.Factor{
+// allFactors is the factor vocabulary the model can express; a
+// knowledgeRead's factors bit i stands for allFactors[i].
+var allFactors = [...]expert.Factor{
 	expert.FactorHashJoinAdvantage, expert.FactorNoUsableIndex,
 	expert.FactorIndexPointLookup, expert.FactorIndexOrderTopN,
 	expert.FactorColumnarScan, expert.FactorLargeScanVolume,
@@ -115,29 +151,26 @@ var allFactors = []expert.Factor{
 	expert.FactorDeepOffset, expert.FactorAggregationPushdown,
 }
 
+// aggregationBit is FactorAggregationPushdown's index in allFactors.
+var aggregationBit = slices.Index(allFactors[:], expert.FactorAggregationPushdown)
+
 // grounded composes an explanation from the retrieved expert knowledge:
 // extract factors asserted by similar historical explanations, keep those
 // applicable to the question's plans, and verbalize. Returns None when the
 // applicable evidence is too weak — the paper's §III-B footnote semantics.
-func (m *Sim) grounded(p parsedPrompt) (string, bool) {
-	if !p.question.hasWinner {
+func (p *prefill) grounded(q parsedQuestion) (string, bool) {
+	if !q.hasWinner {
 		return "None", true
 	}
-	scores := map[expert.Factor]float64{}
-	for rank, k := range p.knowledge {
-		w := 1.0 / float64(rank+1)
-		// sharply discount dissimilar knowledge — the encoding is not
-		// perfect (§VI-B), and the model should not trust far neighbours.
-		// The exponential kernel rescales the compressed cosine-distance
-		// range of the router's tanh embeddings.
-		w *= math.Exp(-k.distance / 0.08)
-		if k.hasWinner && k.winner != p.question.winner {
+	var scores [len(allFactors)]float64
+	for _, k := range p.knowledge {
+		w := k.weight
+		if k.hasWinner && k.winner != q.winner {
 			w *= 0.2
 		}
-		lowerExpl := strings.ToLower(k.explanation)
-		for _, f := range allFactors {
-			if containsFactor(lowerExpl, f) {
-				scores[f] += w
+		for b := range allFactors {
+			if k.factors&(1<<b) != 0 {
+				scores[b] += w
 			}
 		}
 	}
@@ -146,14 +179,14 @@ func (m *Sim) grounded(p parsedPrompt) (string, bool) {
 		f expert.Factor
 		s float64
 	}
-	var applicable []scored
-	for _, f := range allFactors { // deterministic order
-		s, ok := scores[f]
-		if !ok || s < 0.15 { // too weakly evidenced to assert
+	var buf [len(allFactors)]scored
+	applicable := buf[:0]
+	for b, f := range allFactors { // deterministic order
+		if scores[b] < 0.15 { // too weakly evidenced to assert
 			continue
 		}
-		if factorApplies(f, p.question, p.userCtx) {
-			applicable = append(applicable, scored{f, s})
+		if factorApplies(f, q) {
+			applicable = append(applicable, scored{f, scores[b]})
 		}
 	}
 	if len(applicable) == 0 {
@@ -169,7 +202,7 @@ func (m *Sim) grounded(p parsedPrompt) (string, bool) {
 	}
 	// gate on the strongest single factor's evidence: one weakly-similar
 	// neighbour asserting many factors is not corroboration
-	if applicable[0].s < m.cfg.MinGroundingWeight {
+	if applicable[0].s < p.m.cfg.MinGroundingWeight {
 		return "None", true
 	}
 	primary := applicable[0].f
@@ -183,14 +216,14 @@ func (m *Sim) grounded(p parsedPrompt) (string, bool) {
 	// the paper notes the LLM volunteered aggregation insights the
 	// experts omitted — add that bonus observation when the plan shows a
 	// grouped aggregation the retrieved knowledge also touched on
-	if p.question.winner == plan.AP &&
-		strings.Contains(p.question.lowerSQL, "group by") &&
-		scores[expert.FactorAggregationPushdown] > 0 &&
+	if q.winner == plan.AP &&
+		strings.Contains(q.lowerSQL, "group by") &&
+		scores[aggregationBit] > 0 &&
 		primary != expert.FactorAggregationPushdown &&
 		!hasFactor(secondary, expert.FactorAggregationPushdown) && len(secondary) < 3 {
 		secondary = append(secondary, expert.FactorAggregationPushdown)
 	}
-	return m.compose(p.question, primary, secondary), false
+	return p.m.compose(q, primary, secondary), false
 }
 
 func hasFactor(fs []expert.Factor, f expert.Factor) bool {
@@ -226,7 +259,7 @@ func containsFactor(lowerText string, f expert.Factor) bool {
 // factorApplies checks the factor against the question's own surface
 // features — the model will not assert a hash-join advantage for a plan
 // pair with no joins, etc.
-func factorApplies(f expert.Factor, q parsedQuestion, userCtx string) bool {
+func factorApplies(f expert.Factor, q parsedQuestion) bool {
 	tp, ap, sql := q.lowerTP, q.lowerAP, q.lowerSQL
 	switch f {
 	case expert.FactorHashJoinAdvantage:
@@ -333,8 +366,8 @@ func fluent(f expert.Factor, q parsedQuestion) string {
 // ungrounded is the no-RAG fallback: explain from surface features with
 // the documented pre-trained-LLM failure modes. This is the model the
 // §VI-D comparison (and the guardrail ablation) exercises.
-func (m *Sim) ungrounded(p parsedPrompt) string {
-	q := p.question
+func (p *prefill) ungrounded(q parsedQuestion) string {
+	m := p.m
 	sql, tp, ap := q.lowerSQL, q.lowerTP, q.lowerAP
 
 	// winner: use the stated result if present, otherwise guess with a
@@ -370,8 +403,11 @@ func (m *Sim) ungrounded(p parsedPrompt) string {
 		}
 		b.WriteString(". ")
 	}
-	// failure mode: index misattribution on function-wrapped predicates
-	if hasFunctionWrappedPredicate(sql) && mentionsIndexContext(p) &&
+	// failure mode: index misattribution on function-wrapped predicates,
+	// when the prompt suggests an index exists on a predicate column (user
+	// context like "an index has been created on c_phone", or index nodes
+	// in the TP plan)
+	if hasFunctionWrappedPredicate(sql) && (p.ctxIndex || strings.Contains(tp, "index")) &&
 		hash01(m.cfg.Seed+2, q.sql) < m.cfg.IndexMisattributionRate {
 		b.WriteString("Both engines likely benefit from the index on the filtered column; ")
 		fmt.Fprintf(&b, "the %s engine's storage allows it to access and filter that column with less overhead. ", w)
@@ -390,14 +426,4 @@ func (m *Sim) ungrounded(p parsedPrompt) string {
 	}
 	fmt.Fprintf(&b, "In contrast, the %s engine's plan characteristics make table access more costly, so the %s engine delivers better performance for this query.", l, w)
 	return b.String()
-}
-
-// mentionsIndexContext reports whether the prompt suggests an index exists
-// on a predicate column (user context like "an index has been created on
-// c_phone", or index nodes in the TP plan).
-func mentionsIndexContext(p parsedPrompt) bool {
-	if strings.Contains(strings.ToLower(p.userCtx), "index") {
-		return true
-	}
-	return strings.Contains(p.question.lowerTP, "index")
 }
