@@ -1,9 +1,10 @@
 // Package bench is the benchmark harness regenerating every table and
 // figure of the paper's evaluation (§VI) under `go test -bench`. Each
-// BenchmarkEn corresponds to experiment En in DESIGN.md's experiment
-// index; ablations follow as BenchmarkAblation*. Reported custom metrics
-// (accuracy %, None %, latency components) are the paper's quantities;
-// run cmd/benchrunner for the same data as formatted tables.
+// BenchmarkEn measures experiment En of internal/eval/experiments.go
+// (eval.E1Example1 … eval.E8Router); ablations follow as
+// BenchmarkAblation*. Reported custom metrics (accuracy %, None %,
+// latency components) are the paper's quantities; run cmd/benchrunner
+// for the same data as formatted tables.
 package bench
 
 import (
@@ -46,7 +47,8 @@ func benchEnv(tb testing.TB) *eval.Env {
 }
 
 // BenchmarkE1_Example1 regenerates Example 1 (paper Tables II & III):
-// plan both engines, execute, explain; reports the modeled speedup.
+// model both engines' plans and explain the pair — nothing is executed —
+// and reports the modeled speedup.
 func BenchmarkE1_Example1(b *testing.B) {
 	env := benchEnv(b)
 	ex := explain.New(env.Sys, env.Router, env.KB, llm.Doubao(), explain.DefaultOptions())
@@ -270,7 +272,7 @@ func BenchmarkE8_RouterInference(b *testing.B) {
 	b.ReportMetric(rep.ModelKB, "model-KB")
 }
 
-// BenchmarkAblation_KBSize sweeps the curated KB size (DESIGN.md ★).
+// BenchmarkAblation_KBSize sweeps the curated KB size (eval.AblationKBSize).
 func BenchmarkAblation_KBSize(b *testing.B) {
 	env := benchEnv(b)
 	queries := env.TestQueries(60)
@@ -481,8 +483,9 @@ func TestHashKernelAllocs(t *testing.T) {
 // build side of int keys of which no column is read above the join is a key
 // array sized once from the scan's row bound plus the index over it, so it
 // costs the same number of allocations for 3 batches as for 15 and at most
-// 24 bytes a row (8 of key, 4 of chain link, at most 8 of bucket, and the
-// scan's own fixed buffers). Not skipped under -race.
+// 24 bytes a row (8 of key, 4 of chain link, at most 8 of bucket — here,
+// the keys being dense, 4 of offset slot — and the scan's own fixed
+// buffers). Not skipped under -race.
 func TestJoinBuildFootprint(t *testing.T) {
 	scanOf := func(name string, n int) *exec.ColTableScan {
 		cat := catalog.New(1)

@@ -1,6 +1,7 @@
 // Command benchrunner regenerates every table and figure of the paper's
-// evaluation section as text tables, plus the ablations DESIGN.md calls
-// out. Experiment IDs follow DESIGN.md's experiment index.
+// evaluation section as text tables, plus three ablations. Experiment IDs
+// name internal/eval's reports: e1 is eval.E1Example1, a1 is
+// eval.AblationKBSize, and so on.
 //
 // Usage:
 //

@@ -131,7 +131,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 0, "background checkpoint period (0 = default 30s)")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of queries traced into span trees (0 disables, 1 traces all)")
 	fs.IntVar(&o.slowQueryMS, "slow-query-ms", 0, "log the span tree of queries at least this slow (0 disables; forces trace-sample 1)")
-	fs.IntVar(&o.observedEvery, "observed-every", 0, "dual-execute every Nth cache-miss SELECT for router_observed_accuracy (0 disables)")
+	fs.IntVar(&o.observedEvery, "observed-every", 0, "dual-execute every Nth served SELECT for router_observed_accuracy (0 disables)")
 	fs.BoolVar(&o.explain, "explain", true, "enable the online explanation service (/explain, /whyslow, drift-driven retraining)")
 	fs.Float64Var(&o.driftThreshold, "drift-threshold", 0.85, "explanation service: router agreement below this triggers an online retrain")
 	return fs

@@ -149,7 +149,7 @@ func TestMaterializeSelectsColumns(t *testing.T) {
 	if a, b := v.ValueAt(ids[0], 0), v.ValueAt(ids[1], 0); a.I != 20 || b.I != 50 {
 		t.Errorf("materialized keys: %v %v", a, b)
 	}
-	if f := v.ValueAt(ids[0], 2); f.K != value.KindFloat || f.F != 1 {
+	if f := v.ValueAt(ids[0], 2); f.K != value.KindFloat || f.Float() != 1 {
 		t.Errorf("column 2 of row 2 should be the float 1.0, got %v", f)
 	}
 }

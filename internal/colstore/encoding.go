@@ -153,8 +153,7 @@ type EncodedChunk struct {
 // 0.0 != -0.0). This is the run/dictionary identity — stricter than SQL
 // equality and independent of value.Compare's numeric coercions.
 func eqValue(a, b value.Value) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
+	return a.K == b.K && a.I == b.I && a.S == b.S
 }
 
 // valBytes is the modeled footprint of one value.
@@ -194,7 +193,7 @@ func analyzeChunk(vals []value.Value) chunkStats {
 			}
 		case value.KindFloat:
 			st.allInt = false
-			if math.IsNaN(v.F) || (v.F == 0 && math.Signbit(v.F)) {
+			if f := v.Float(); math.IsNaN(f) || (f == 0 && math.Signbit(f)) {
 				st.dictOK = false
 			}
 		default:
@@ -412,7 +411,7 @@ func (c *EncodedChunk) forBlockAt(buf *[forBlock]uint64, lo int) []uint64 {
 // string header unless it holds one: an int column's pooled buffer then
 // takes no pointer write, and no write barrier while the GC runs.
 func setInt(v *value.Value, i int64) {
-	v.K, v.I, v.F = value.KindInt, i, 0
+	v.K, v.I = value.KindInt, i
 	if v.S != "" {
 		v.S = ""
 	}

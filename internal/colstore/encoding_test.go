@@ -354,11 +354,11 @@ func FuzzFoRKernels(f *testing.F) {
 					t.Fatalf("width %d: unpackFoR[%d] = %d, forAt %d", width, i, got, ch.forAt(i))
 				}
 			}
-			// decode targets start dirty: strings and floats in every slot
+			// decode targets start dirty: a string and a payload in every slot
 			dirty := func() []value.Value {
 				d := make([]value.Value, n)
 				for i := range d {
-					d[i] = value.Value{K: value.KindString, F: 1.5, S: "stale"}
+					d[i] = value.Value{K: value.KindString, I: -1, S: "stale"}
 				}
 				return d
 			}

@@ -20,8 +20,8 @@ import (
 )
 
 // This file regenerates every table/figure of the paper's evaluation
-// (§VI) as printable text reports. DESIGN.md's experiment index maps each
-// experiment ID to the paper artifact it reproduces.
+// (§VI) as printable text reports. Each report's doc comment names the
+// paper artifact it reproduces.
 
 // E1Example1 reproduces Example 1 with Tables II and III: the plan pair,
 // the execution result, and the three explanations (expert, ours, DBG-PT).

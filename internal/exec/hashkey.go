@@ -3,6 +3,7 @@ package exec
 import (
 	"hash/maphash"
 	"math"
+	"slices"
 
 	"htapxplain/internal/value"
 )
@@ -16,8 +17,8 @@ import (
 //     predicates above the join refine);
 //   - ints and bools compare by I, and an int never equals a float (1 ≠ 1.0)
 //     or a bool;
-//   - floats compare by bit pattern with every NaN collapsed to one value,
-//     so -0.0 ≠ +0.0 and NaN = NaN;
+//   - floats compare by bit pattern (I holds it) with every NaN collapsed
+//     to one value, so -0.0 ≠ +0.0 and NaN = NaN;
 //   - strings compare by content.
 //
 // This is exactly the equality of the value.Row.Key rendering for rows
@@ -48,10 +49,10 @@ func hashValue(h uint64, v value.Value) uint64 {
 	case value.KindInt, value.KindBool:
 		p = uint64(v.I)
 	case value.KindFloat:
-		if v.F != v.F {
+		if f := v.Float(); f != f {
 			p = canonNaN
 		} else {
-			p = math.Float64bits(v.F)
+			p = uint64(v.I)
 		}
 	case value.KindString:
 		p = maphash.String(hashSeed, v.S)
@@ -61,8 +62,8 @@ func hashValue(h uint64, v value.Value) uint64 {
 }
 
 // hashInt is the hash of the one-column key holding int k — what
-// hashValue(hashInit, value.NewInt(k)) & keyHashMask computes, without the
-// 40-byte value.
+// hashValue(hashInit, value.NewInt(k)) & keyHashMask computes, without
+// building the value.
 func hashInt(k int64) uint64 {
 	h := (hashInit ^ uint64(k) ^ uint64(value.KindInt)<<56) * hashMul
 	return (h ^ h>>32) & keyHashMask
@@ -77,7 +78,7 @@ func keyEqual(a, b value.Value) bool {
 	case value.KindInt, value.KindBool:
 		return a.I == b.I
 	case value.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F) || (a.F != a.F && b.F != b.F)
+		return a.I == b.I || (a.Float() != a.Float() && b.Float() != b.Float())
 	case value.KindString:
 		return a.S == b.S
 	default:
@@ -120,13 +121,22 @@ func rowKeyEqual(a, b value.Row) bool {
 // successor, both stored +1 so the zero value means "none". Three flat
 // arrays, no per-entry allocation — two when the owner's keys are bare
 // ints (buildInts), which confirm a candidate as cheaply as a stored hash
-// would.
+// would, or are dense enough to be addressed directly: then direct[k-lo]
+// heads key k's chain in place of a bucket, and every entry of a chain
+// holds that one key.
 type hashIndex struct {
 	hashes  []uint64
 	next    []int32
 	buckets []int32
 	mask    uint64
+	direct  []int32
+	lo      int64
 }
+
+// directFloor is the key range buildInts addresses directly however few
+// the keys are: 256 KiB of chain heads, so a filtered dimension's build
+// over a key range this wide probes by offset too.
+const directFloor = 1 << 16
 
 // bucketsFor returns the power-of-two bucket count for n entries (load
 // factor at most 1).
@@ -147,10 +157,37 @@ func (x *hashIndex) build(hashes []uint64) {
 	x.relink()
 }
 
-// buildInts indexes one-column int keys under hashInt, chains in ascending
-// entry order like build, storing no hash per entry: the owner confirms a
-// candidate by comparing the key itself.
+// buildInts indexes one-column int keys, chains in ascending entry order
+// like build, storing no hash per entry. Keys spanning at most
+// max(2n, directFloor) values get a direct index (buildDirect); any others
+// are chained under hashInt (buildChained). The span is taken in uint64,
+// so keys at both ends of the int64 range count as the wide range they
+// are.
 func (x *hashIndex) buildInts(keys []int64) {
+	if len(keys) > 0 {
+		lo, hi := slices.Min(keys), slices.Max(keys)
+		if span := uint64(hi) - uint64(lo); span < uint64(max(2*len(keys), directFloor)) {
+			x.buildDirect(keys, lo, span)
+			return
+		}
+	}
+	x.buildChained(keys)
+}
+
+// buildDirect indexes keys, every one within lo..lo+span, by offset: a
+// probe of key k walks direct[k-lo], with no hash and no key comparison.
+func (x *hashIndex) buildDirect(keys []int64, lo int64, span uint64) {
+	*x = hashIndex{next: make([]int32, len(keys)), direct: make([]int32, span+1), lo: lo}
+	for i := len(keys) - 1; i >= 0; i-- {
+		o := uint64(keys[i]) - uint64(lo)
+		x.next[i] = x.direct[o]
+		x.direct[o] = int32(i + 1)
+	}
+}
+
+// buildChained indexes keys under hashInt; the owner confirms a candidate
+// by comparing the key itself.
+func (x *hashIndex) buildChained(keys []int64) {
 	nb := bucketsFor(len(keys))
 	*x = hashIndex{next: make([]int32, len(keys)), buckets: make([]int32, nb), mask: uint64(nb - 1)}
 	for i := len(keys) - 1; i >= 0; i-- {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -131,6 +132,40 @@ func FuzzKeyEqual(f *testing.F) {
 	})
 }
 
+// TestFloatKeyLayout: with a float's bits in Value.I, float keys hash and
+// compare as they did when the float had a field of its own — the hashes
+// below were recorded then — every NaN is one key, and -0.0 and +0.0 stay
+// two.
+func TestFloatKeyLayout(t *testing.T) {
+	cases := []struct{ bits, hash uint64 }{
+		{0x8000000000000000, 0x1472b4655a0b6cb4},
+		{0x0000000000000000, 0x9472b465da0b6cb4},
+		{0x7ff8000000000001, 0x09d9048d68fd4889},
+		{0xfff4000000000abc, 0x09d9048d68fd4889},
+		{0x7ff0000000000000, 0xa2c2b465ecbb6cb4},
+		{0xfff0000000000000, 0x22c2b4656cbb6cb4},
+		{0x0000000000000001, 0x9521048df4054889},
+		{0x4004000000000000, 0xa13eb465ef476cb4},
+		{0xfe37e43c8800759c, 0xeb19b6fb69e4384e},
+	}
+	for _, a := range cases {
+		va := value.NewFloat(math.Float64frombits(a.bits))
+		if got := hashValue(hashInit, va); got != a.hash {
+			t.Errorf("hashValue(%#x) = %#x, want %#x", a.bits, got, a.hash)
+		}
+		for _, b := range cases {
+			vb := value.NewFloat(math.Float64frombits(b.bits))
+			bothNaN := math.IsNaN(va.Float()) && math.IsNaN(vb.Float())
+			if want := a.bits == b.bits || bothNaN; keyEqual(va, vb) != want {
+				t.Errorf("keyEqual(%#x, %#x) = %v, want %v", a.bits, b.bits, !want, want)
+			}
+		}
+		if keyEqual(va, value.NewInt(int64(a.bits))) {
+			t.Errorf("float %#x equals the int holding its bits", a.bits)
+		}
+	}
+}
+
 // ---------------------------------------------------------------- fixtures
 
 // trickyKeys is a small pool of key values chosen so that collisions of
@@ -252,32 +287,62 @@ func refHashJoin(t *testing.T, probe, build []value.Row, pk, bk []int, residual 
 	return out
 }
 
-// joinRows widens keyedRows' (k1, k2, v, id) with the key columns the
-// join's int form is decided on: c4 is an int in every row, and c5..c8 are
-// the same int except in row oddAt, where they hold a NULL, a float, a
-// bool and a string — the key that spills a build out of the int form once
-// ints are already stored.
+// joinRows widens keyedRows' (k1, k2, v, id) with the int key columns the
+// join table's form is decided on. c4 is a small int k in every row: dense
+// keys with duplicates. c5..c8 are k too except in row oddAt, where they
+// hold a NULL, a float, a bool and a string — the key that spills a build
+// out of the int form once ints are already stored. c9 is -k-5: dense
+// and negative. c10 is k except for MinInt64 in row oddAt and MaxInt64 in
+// the row after: a span that overflows int64, which must be chained. c11
+// is 40k-10: against c4's range, probe keys below, inside and above it.
+// c12 is 400k: sparse, a span past directFloor, chained.
 func joinRows(rng *rand.Rand, n, oddAt int) []value.Row {
 	rows := keyedRows(rng, n)
 	for i, r := range rows {
-		k := value.NewInt(int64(rng.Intn(n/5 + 1)))
-		r = append(r, k, k, k, k, k)
-		if i == oddAt {
-			r[5], r[6], r[7], r[8] = value.Null, value.NewFloat(float64(k.I)), value.NewBool(true), value.NewString("7")
+		k := int64(rng.Intn(n/5 + 1))
+		v := value.NewInt(k)
+		r = append(r, v, v, v, v, v, value.NewInt(-k-5), v, value.NewInt(40*k-10), value.NewInt(400*k))
+		switch i {
+		case oddAt:
+			r[5], r[6], r[7], r[8] = value.Null, value.NewFloat(float64(k)), value.NewBool(true), value.NewString("7")
+			r[10] = value.NewInt(math.MinInt64)
+		case oddAt + 1:
+			r[10] = value.NewInt(math.MaxInt64)
 		}
 		rows[i] = r
 	}
 	return rows
 }
 
+// Join table forms: the int form indexed by offset, the int form chained
+// under hashInt, and the generic form.
+const (
+	formDirect  = "direct"
+	formChained = "chained int"
+	formGeneric = "generic"
+)
+
+// tableForm names the form a built join table is in.
+func tableForm(t *joinTable) string {
+	switch {
+	case t.index.direct != nil:
+		return formDirect
+	case t.ints != nil:
+		return formChained
+	default:
+		return formGeneric
+	}
+}
+
 // joinDifferential runs HashJoin over column-store inputs against
-// refHashJoin, over every combination of key shape (generic from the first
-// row, int throughout, int until a key of another kind arrives mid-build —
-// in the second morsel, so at DOP 4 in another worker's partition — two key
-// columns, no equi-key at all), residual, emitted column set and DOP:
-// identical rows in identical order at DOP 1 (chains keep build order), the
-// same multiset at DOP 4 (the build is partitioned), and the same
-// build/probe counters.
+// refHashJoin, over every combination of key shape and table form (generic
+// from the first row; int throughout, dense or negative or spanning all of
+// int64; int until a key of another kind arrives mid-build — in the second
+// morsel, so at DOP 4 in another worker's partition; two key columns; no
+// equi-key at all), residual, emitted column set and DOP: identical rows in
+// identical order at DOP 1 (chains keep build order), the same multiset at
+// DOP 4 (the build is partitioned), and the same build/probe counters.
+// Every case asserts the form its build ends in.
 func joinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nBuild := colstore.ChunkSize + 77 // two morsels; duplicate build keys throughout
@@ -297,21 +362,27 @@ func joinDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyCases := []struct {
-		name    string
-		pk, bk  []int
-		intForm bool // the built table keeps bare int keys
+		name   string
+		pk, bk []int
+		form   string
 	}{
-		{"one key column", []int{0}, []int{0}, false},
-		{"two key columns", []int{0, 1}, []int{0, 1}, false},
-		{"crossed key columns", []int{0, 1}, []int{1, 0}, false},
-		{"int build keys, probe keys of every kind", []int{0}, []int{4}, true},
-		{"int keys", []int{4}, []int{4}, true},
-		{"int then NULL", []int{5}, []int{5}, false},
-		{"int then float", []int{6}, []int{6}, false},
-		{"int then bool", []int{7}, []int{7}, false},
-		{"int then string", []int{8}, []int{8}, false},
-		{"int and generic key columns", []int{4, 0}, []int{4, 0}, false},
-		{"no equi-key", []int{}, []int{}, false},
+		{"one key column", []int{0}, []int{0}, formGeneric},
+		{"two key columns", []int{0, 1}, []int{0, 1}, formGeneric},
+		{"crossed key columns", []int{0, 1}, []int{1, 0}, formGeneric},
+		{"dense int build keys, probe keys of every kind", []int{0}, []int{4}, formDirect},
+		{"dense int keys with duplicates", []int{4}, []int{4}, formDirect},
+		{"negative dense int keys", []int{9}, []int{9}, formDirect},
+		{"probe keys below, inside and above the range", []int{11}, []int{4}, formDirect},
+		{"probe keys at both ends of int64", []int{10}, []int{4}, formDirect},
+		{"int keys spanning MinInt64..MaxInt64", []int{10}, []int{10}, formChained},
+		{"sparse int keys", []int{12}, []int{12}, formChained},
+		{"wide int build keys, probe keys of every kind", []int{0}, []int{10}, formChained},
+		{"int then NULL", []int{5}, []int{5}, formGeneric},
+		{"int then float", []int{6}, []int{6}, formGeneric},
+		{"int then bool", []int{7}, []int{7}, formGeneric},
+		{"int then string", []int{8}, []int{8}, formGeneric},
+		{"int and generic key columns", []int{4, 0}, []int{4, 0}, formGeneric},
+		{"no equi-key", []int{}, []int{}, formGeneric},
 	}
 	emits := []struct {
 		name string
@@ -355,8 +426,8 @@ func joinDifferential(t *testing.T) {
 					if err := hj.Open(ctx); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if got := hj.table.ints != nil; got != kc.intForm {
-						t.Errorf("%s: table in int form = %v, want %v", label, got, kc.intForm)
+					if got := tableForm(&hj.table); got != kc.form {
+						t.Errorf("%s: table in %s form, want %s", label, got, kc.form)
 					}
 					var got []value.Row
 					for b, err := hj.Next(ctx); b != nil || err != nil; b, err = hj.Next(ctx) {
@@ -383,6 +454,125 @@ func joinDifferential(t *testing.T) {
 }
 
 func TestHashJoinDifferential(t *testing.T) { joinDifferential(t) }
+
+// fuzzInts decodes a multiset of at most max ints from data: a tag byte
+// below 200 is the small key tag-100 (dense, duplicates common, negatives
+// included); any other tag is followed by the key's 8 bytes, so both ends
+// of int64 are reachable.
+func fuzzInts(data []byte, max int) (keys []int64, rest []byte) {
+	for len(data) > 0 && len(keys) < max {
+		tag := data[0]
+		data = data[1:]
+		if tag < 200 {
+			keys = append(keys, int64(tag)-100)
+			continue
+		}
+		var b [8]byte
+		data = data[copy(b[:], data):]
+		keys = append(keys, int64(binary.LittleEndian.Uint64(b[:])))
+	}
+	return keys, data
+}
+
+// FuzzJoinIndex: over fuzzed int build and probe multisets, a join's int
+// table gives exactly the nested-loop (probe row, build row) pairs, in
+// probe order and per probe row in build order — indexed by offset and
+// chained under hashInt alike, whichever form the build chose.
+func FuzzJoinIndex(f *testing.F) {
+	u64 := func(v int64) string {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		return "\xff" + string(b[:])
+	}
+	for _, seed := range []string{
+		"\x04dedf" + "ddeecd",                   // dense, duplicates
+		"\x03\x00\x01\x00" + "\x00\x01\x02\xc7", // negative keys
+		"\x02" + u64(math.MinInt64) + u64(math.MaxInt64) + "d" + u64(math.MinInt64) + u64(math.MaxInt64), // span overflows
+		"\x03def" + u64(math.MinInt64) + "c" + u64(math.MaxInt64) + "g",                                  // probes outside the range
+		"\x00" + "def", // empty build
+		"\x02" + u64(1<<40) + u64(1<<40+70000) + u64(1<<40+70000), // sparse: chained
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		build, rest := fuzzInts(data[1:], int(data[0]))
+		probe, _ := fuzzInts(rest, BatchSize)
+		var want [][2]int32
+		for p, pk := range probe {
+			for b, bk := range build {
+				if pk == bk {
+					want = append(want, [2]int32{int32(p), int32(b)})
+				}
+			}
+		}
+		rows := func(keys []int64) []value.Row {
+			out := make([]value.Row, len(keys))
+			for i, k := range keys {
+				out[i] = value.Row{value.NewInt(k)}
+			}
+			return out
+		}
+		hj := NewHashJoin(&memOp{schema: Schema{intCol("p", "k")}}, &memOp{schema: Schema{intCol("b", "k")}, rows: rows(build)},
+			[]int{0}, []int{0}, nil, nil)
+		if err := hj.Open(NewContext()); err != nil {
+			t.Fatal(err)
+		}
+		defer hj.Close()
+		pb := &Batch{Cols: [][]value.Value{make([]value.Value, len(probe))}, Len: len(probe)}
+		for i, k := range probe {
+			pb.Cols[0][i] = value.NewInt(k)
+		}
+		check := func(form string) {
+			t.Helper()
+			hj.match(pb)
+			if len(hj.pIdx) != len(want) {
+				t.Fatalf("%s: %d pairs, nested loop has %d (build %v, probe %v)", form, len(hj.pIdx), len(want), build, probe)
+			}
+			for i, w := range want {
+				if hj.pIdx[i] != w[0] || hj.bIdx[i] != w[1] {
+					t.Fatalf("%s: pair %d = (%d, %d), nested loop (%d, %d)", form, i, hj.pIdx[i], hj.bIdx[i], w[0], w[1])
+				}
+			}
+		}
+		tb := &hj.table
+		check(tableForm(tb))
+		if len(build) == 0 {
+			return
+		}
+		tb.index.buildChained(tb.ints)
+		check(formChained)
+		lo, hi := slices.Min(build), slices.Max(build)
+		if span := uint64(hi) - uint64(lo); span < 1<<20 {
+			tb.index.buildDirect(tb.ints, lo, span)
+			check(formDirect)
+		}
+	})
+}
+
+// TestHashJoinEmptyBuild: a build side that produces no row leaves the
+// table unreadied — the generic form with nothing in it — and every probe
+// row meets nothing.
+func TestHashJoinEmptyBuild(t *testing.T) {
+	probe := &memOp{schema: Schema{intCol("p", "k")}, rows: rowsOf([]int64{1}, []int64{0}, []int64{-1})}
+	hj := NewHashJoin(probe, &memOp{schema: Schema{intCol("b", "k")}}, []int{0}, []int{0}, nil, nil)
+	ctx := NewContext()
+	if err := hj.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableForm(&hj.table); got != formGeneric {
+		t.Errorf("empty build in %s form, want %s", got, formGeneric)
+	}
+	b, err := hj.Next(ctx)
+	if err != nil || b != nil {
+		t.Errorf("join with an empty build = %v, err %v; want no batch", b, err)
+	}
+	if err := hj.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // ---------------------------------------------------------------- aggregate
 
@@ -630,20 +820,41 @@ func TestMultiColumnKeyAlias(t *testing.T) {
 
 // TestHashJoinReleasesTableAtClose: pooled Runner trees outlive a query, so
 // a closed join must not keep its build keys, kept columns or index arrays
-// reachable — in either form of the table.
+// — the offset array included — reachable, in any form of the table.
 func TestHashJoinReleasesTableAtClose(t *testing.T) {
-	for name, buildKey := range map[string]value.Value{"int keys": value.NewInt(1), "generic keys": value.NewString("1")} {
-		left := &memOp{schema: Schema{intCol("l", "k")}, rows: []value.Row{{buildKey}, {value.NewInt(2)}}}
-		right := &memOp{schema: Schema{intCol("r", "k")}, rows: []value.Row{{buildKey}, {buildKey}}}
+	for _, c := range []struct {
+		form  string
+		key   value.Value // probed once, and held by the first two build rows
+		third value.Value // the third build row's key
+	}{
+		{formDirect, value.NewInt(1), value.NewInt(3)},
+		{formChained, value.NewInt(1), value.NewInt(1 << 40)},
+		{formGeneric, value.NewString("1"), value.NewInt(3)},
+	} {
+		left := &memOp{schema: Schema{intCol("l", "k")}, rows: []value.Row{{c.key}, {value.NewInt(2)}}}
+		right := &memOp{schema: Schema{intCol("r", "k")}, rows: []value.Row{{c.key}, {c.key}, {c.third}}}
 		hj := NewHashJoin(left, right, []int{0}, []int{0}, nil, nil)
-		rows, err := drainOp(hj, NewContext())
-		if err != nil || len(rows) != 2 {
-			t.Fatalf("%s: join = %v, err %v", name, rows, err)
+		ctx := NewContext()
+		if err := hj.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := tableForm(&hj.table); got != c.form {
+			t.Fatalf("%s: table built in %s form", c.form, got)
+		}
+		var rows []value.Row
+		for b, err := hj.Next(ctx); b != nil || err != nil; b, err = hj.Next(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = b.AppendRows(rows)
+		}
+		if err := hj.Close(); err != nil || len(rows) != 2 {
+			t.Fatalf("%s: join = %v, err %v", c.form, rows, err)
 		}
 		tb := &hj.table
 		if tb.ints != nil || tb.keys != nil || tb.hashes != nil || tb.cols.batch.Cols != nil ||
-			tb.index.hashes != nil || tb.index.next != nil || tb.index.buckets != nil {
-			t.Errorf("%s: closed join still holds its table: %+v", name, *tb)
+			tb.index.hashes != nil || tb.index.next != nil || tb.index.buckets != nil || tb.index.direct != nil {
+			t.Errorf("%s: closed join still holds its table: %+v", c.form, *tb)
 		}
 	}
 }

@@ -1049,11 +1049,14 @@ func (j *HashJoin) Open(ctx *Context) error {
 
 // joinTable is a hash join's build side, held column-wise. While the join
 // has one key column and every build key met so far is an int, the keys are
-// a bare []int64 and the probe hashes and compares integers inline. The
-// first key of any other kind (NULL, float, bool, string) spills the table
-// to the generic form — one value vector per key column plus a hash per row
-// — so which form a join runs in is decided by its data, and hashkey.go's
-// key semantics hold in both: an int matches only an int either way.
+// a bare []int64, and the complete build is indexed by offset from its
+// smallest key when the keys are dense (a primary key's 1..N) or chained
+// under hashInt otherwise; the probe works on integers inline either way.
+// The first key of any other kind (NULL, float, bool, string) spills the
+// table to the generic form — one value vector per key column plus a hash
+// per row — so which form a join runs in is decided by its data, and
+// hashkey.go's key semantics hold in every form: an int matches only an
+// int.
 type joinTable struct {
 	ints   []int64         // int form: row i's key; nil in the generic form
 	keys   [][]value.Value // generic form: one vector per key column
@@ -1186,6 +1189,23 @@ func (j *HashJoin) match(pb *Batch) {
 		return // an empty build side matches nothing
 	}
 	n := pb.NumActive()
+	if x.direct != nil {
+		kc, lo, d := pb.Cols[j.ProbeKeys[0]], uint64(x.lo), x.direct
+		for i := 0; i < n; i++ {
+			p := pb.PosAt(i)
+			if kc[p].K != value.KindInt {
+				continue
+			}
+			o := uint64(kc[p].I) - lo
+			if o >= uint64(len(d)) {
+				continue // outside the build's key range
+			}
+			for e := d[o]; e != 0; e = x.next[e-1] {
+				j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
+			}
+		}
+		return
+	}
 	if t.ints != nil {
 		kc := pb.Cols[j.ProbeKeys[0]]
 		for i := 0; i < n; i++ {

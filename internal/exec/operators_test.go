@@ -313,7 +313,7 @@ func TestAggregatesMatchManualComputationProperty(t *testing.T) {
 		}
 		for _, r := range out {
 			st := want[r[0].I]
-			if st == nil || r[1].I != st.count || r[2].F != st.sum ||
+			if st == nil || r[1].I != st.count || r[2].Float() != st.sum ||
 				r[3].I != st.min || r[4].I != st.max {
 				return false
 			}
@@ -374,7 +374,7 @@ func TestAggregateIgnoresNullArguments(t *testing.T) {
 	if out[0][0].I != 2 {
 		t.Errorf("COUNT(v) = %v, want 2 (NULLs skipped)", out[0][0])
 	}
-	if out[0][1].F != 15 {
+	if out[0][1].Float() != 15 {
 		t.Errorf("AVG(v) = %v, want 15", out[0][1])
 	}
 }

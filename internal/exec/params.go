@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"slices"
 	"strconv"
 
@@ -158,7 +157,7 @@ func (p *Params) Holds(ties []sqlparser.Tie) bool {
 // stricter test than Equal, under which the int 1 and the float 1.0 — or
 // 0.0 and -0.0 — differ.
 func identical(a, b value.Value) bool {
-	return a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
+	return a.K == b.K && a.I == b.I && a.S == b.S
 }
 
 // Lit is one literal a kernel or an access path is specialised on: its

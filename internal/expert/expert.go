@@ -1,5 +1,5 @@
 // Package expert is the reproduction's stand-in for the paper's human
-// database experts (DESIGN.md documents the substitution). It has two
+// database experts. It has two
 // roles: (1) an oracle that derives the ground-truth performance factors
 // for a query from its plans, facts and modeled execution — producing the
 // curated explanations stored in the knowledge base — and (2) a grader

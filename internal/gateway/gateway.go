@@ -107,11 +107,12 @@ type Config struct {
 	// Tracer samples served queries into span traces (nil = tracing off;
 	// the sampled-out and tracer-less paths are allocation-free).
 	Tracer *obs.Tracer
-	// ObservedEvery enables sampled dual-execution: every Nth cache-miss
-	// SELECT (which has both engines planned) also executes the non-routed
-	// engine's plan serially, and the measured winner is compared against
-	// the routing decision — the router_observed_accuracy metric. 0
-	// disables the sampling.
+	// ObservedEvery enables sampled dual-execution: every Nth served
+	// SELECT — miss, hit or template hit — whose template has both engines
+	// planned on its shard also executes the non-routed engine's plan with
+	// the same literals, and the measured winner is compared against the
+	// routing decision — the router_observed_accuracy metric. 0 disables
+	// the sampling.
 	ObservedEvery int
 
 	// testServeStart, when set, is invoked by every Serve call before its
@@ -628,6 +629,7 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 	// bound, and the bound partition keys route it with no parse
 	ctx := exec.NewContext()
 	bound := ctx.Bind(entry.stmt.Slots, params)
+	vec := ctx.Params // the statement's literals, kept for the observed loop
 	var target int
 	if bound {
 		target = g.coord.Target(entry.dist, ctx.Params)
@@ -668,6 +670,9 @@ func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
 		phys, ctx.Params = planned, nil
 	}
 	g.run(resp, entry, target, phys, eng, ctx, tr)
+	if bound {
+		g.maybeObserveDual(resp, entry, target, vec)
+	}
 	return resp
 }
 
@@ -691,7 +696,7 @@ func (g *Gateway) serveMiss(resp *Response, sql, fp string, tr *obs.QueryTrace) 
 	}
 	if target >= 0 {
 		g.run(resp, entry, target, entry.planFor(target, entry.Route), entry.Route, exec.NewContext(), tr)
-		g.maybeObserveDual(resp, entry, target)
+		g.maybeObserveDual(resp, entry, target, nil)
 		return
 	}
 	phys, err := g.planScatter(sql, dec, tr)
@@ -765,26 +770,35 @@ func (g *Gateway) processExplain(orig, body string, analyze bool, tr *obs.QueryT
 	return resp
 }
 
-// maybeObserveDual closes the paper's loop on a sampled cache miss: the
-// non-routed engine's plan is executed too — a second execute on this
-// serve's slot, which also hands the calibrator that engine's (observed,
-// modeled) pair — and the measured winner is compared against the routing
-// decision. Deterministic every-Nth sampling keeps the overhead
-// proportional and predictable.
-func (g *Gateway) maybeObserveDual(resp *Response, entry *CachedPlan, target int) {
+// maybeObserveDual closes the paper's loop on a sampled served SELECT of
+// any cache tier: the template's plan for the non-routed engine on target
+// is executed too, with the statement's literals bound (params; nil runs
+// the plan's own, which a miss planned from this statement) — a second
+// execute on this serve's slot, which also hands the calibrator that
+// engine's (observed, modeled) pair — and the measured winner is compared
+// against the routing decision. A scatter, and a target the other engine
+// was never planned on, have nothing to compare. Deterministic every-Nth
+// sampling keeps the overhead proportional and predictable.
+func (g *Gateway) maybeObserveDual(resp *Response, entry *CachedPlan, target int, params *exec.Params) {
 	every := g.cfg.ObservedEvery
-	if every <= 0 || resp.Err != nil {
-		return
-	}
-	if g.dualN.Add(1)%int64(every) != 0 {
+	if every <= 0 || resp.Err != nil || target < 0 {
 		return
 	}
 	other := plan.AP
 	if entry.Route == plan.AP {
 		other = plan.TP
 	}
+	phys := entry.planFor(target, other)
+	if phys == nil || !params.Holds(phys.Ties) {
+		return
+	}
+	if g.dualN.Add(1)%int64(every) != 0 {
+		return
+	}
 	dual := &Response{Kind: resp.Kind, TPTime: resp.TPTime, APTime: resp.APTime}
-	g.execute(dual, target, entry.planFor(target, other), other, exec.NewContext(), nil)
+	ctx := exec.NewContext()
+	ctx.Params = params
+	g.execute(dual, target, phys, other, ctx, nil)
 	if dual.Err != nil {
 		return
 	}

@@ -49,7 +49,7 @@ func sameRow(a, b value.Row) bool {
 	for i, v := range a {
 		w := b[i]
 		if v.K == value.KindFloat && w.K == value.KindFloat {
-			if math.Abs(v.F-w.F) > 1e-9*math.Max(math.Abs(v.F), math.Abs(w.F)) {
+			if math.Abs(v.Float()-w.Float()) > 1e-9*math.Max(math.Abs(v.Float()), math.Abs(w.Float())) {
 				return false
 			}
 		} else if v.Key() != w.Key() {
@@ -617,4 +617,18 @@ func (s *workerSem) waiting() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiters
+}
+
+// TestAggregateDistinctIsAnError: the served path refuses DISTINCT inside
+// an aggregate instead of folding every row — this statement once
+// answered 3000 (the order count) where the right answer is 3.
+func TestAggregateDistinctIsAnError(t *testing.T) {
+	g := New(testSystem(t), Config{Workers: 1, CacheCapacity: 16})
+	defer g.Stop()
+	for i := 0; i < 2; i++ { // a refused statement leaves no template behind
+		resp := g.Serve(`SELECT COUNT(DISTINCT o_orderstatus) FROM orders`)
+		if resp.Err == nil || !strings.Contains(resp.Err.Error(), "DISTINCT") || resp.Rows != nil {
+			t.Fatalf("serve %d: rows %v, err %v; want a DISTINCT error and no rows", i, resp.Rows, resp.Err)
+		}
+	}
 }

@@ -377,6 +377,31 @@ func readAll(t *testing.T, r *http.Response) string {
 	}
 }
 
+// TestObservedSamplesWarmHits: the observed loop samples served SELECTs of
+// every cache tier, so a warm gateway — every statement a hit — keeps
+// feeding router_observed_accuracy, one sample per serve at
+// ObservedEvery 1.
+func TestObservedSamplesWarmHits(t *testing.T) {
+	sys := testSystem(t)
+	g := New(sys, Config{Workers: 1, CacheCapacity: 16, ObservedEvery: 1})
+	defer g.Stop()
+	const tmpl = `SELECT c_name, o_totalprice FROM customer, orders WHERE o_custkey = c_custkey AND c_custkey = %d`
+	if resp := g.Serve(fmt.Sprintf(tmpl, 5)); resp.Err != nil || resp.Cache != CacheMiss {
+		t.Fatalf("warm-up: cache %v, err %v", resp.Cache, resp.Err)
+	}
+	warm := g.Metrics().RouterObservedSamples
+	const hits = 5
+	for i := 0; i < hits; i++ {
+		resp := g.Serve(fmt.Sprintf(tmpl, 10+i))
+		if resp.Err != nil || resp.Cache != CacheHit {
+			t.Fatalf("serve %d: cache %v, err %v", i, resp.Cache, resp.Err)
+		}
+	}
+	if got := g.Metrics().RouterObservedSamples - warm; got != hits {
+		t.Errorf("%d hits added %d observed samples, want %d (ObservedEvery=1)", hits, got, hits)
+	}
+}
+
 // TestRouterObservedAccuracy: with dual-execution sampling on every miss,
 // a deliberately mis-set policy (everything to AP, on point lookups where
 // the TP index probe measurably wins) must drag router_observed_accuracy

@@ -132,7 +132,7 @@ func (s replyShape) response() *Response {
 			case 4, 5:
 				row[c] = value.NewBool(k == 4)
 			default:
-				row[c] = value.Value{K: value.Kind(k), I: s.i, F: s.f, S: s.s}
+				row[c] = value.Value{K: value.Kind(k), I: s.i, S: s.s}
 			}
 		}
 		resp.Rows = append(resp.Rows, row)
@@ -253,6 +253,25 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 	if got := appendQueryResponse(nil, replyCases()["update"].response()); string(got) != one {
 		t.Errorf("update reply:\n got %s\nwant %s", got, one)
 	}
+}
+
+// TestFloatCellsReply pins the reply for float cells whose bits a
+// one-payload value.Value must keep — both zeros, two NaN payloads, both
+// infinities, the smallest subnormal — to the bytes recorded when floats
+// had a field of their own, and to the reference encoder.
+func TestFloatCellsReply(t *testing.T) {
+	resp := &Response{SQL: "SELECT f", Kind: "select"}
+	for i, bits := range []uint64{0x8000000000000000, 0, 0x7ff8000000000001, 0xfff4000000000abc,
+		0x7ff0000000000000, 0xfff0000000000000, 1, 0x4004000000000000, 0xfe37e43c8800759c} {
+		resp.Rows = append(resp.Rows, value.Row{value.NewFloat(math.Float64frombits(bits)), value.NewInt(int64(i))})
+	}
+	const want = `{"sql":"SELECT f","kind":"select","engine":"TP","cache":"miss","row_count":9,` +
+		`"rows":[["-0","0"],["0","1"],["NaN","2"],["NaN","3"],["+Inf","4"],["-Inf","5"],["5e-324","6"],["2.5","7"],["-1e+300","8"]],` +
+		`"serve_us":0,"queue_us":0}` + "\n"
+	if got := appendQueryResponse(nil, resp); string(got) != want {
+		t.Errorf("float reply:\n got %s\nwant %s", got, want)
+	}
+	checkReply(t, resp)
 }
 
 // FuzzQueryReplyMatchesEncodingJSON runs the table above as its seed

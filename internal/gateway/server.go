@@ -286,7 +286,7 @@ func appendCell(buf []byte, v value.Value) []byte {
 	case value.KindInt:
 		return append(strconv.AppendInt(append(buf, '"'), v.I, 10), '"')
 	case value.KindFloat:
-		return append(strconv.AppendFloat(append(buf, '"'), v.F, 'g', -1, 64), '"')
+		return append(strconv.AppendFloat(append(buf, '"'), v.Float(), 'g', -1, 64), '"')
 	case value.KindString:
 		return appendJSONString(buf, v.S)
 	default: // NULL, true, false

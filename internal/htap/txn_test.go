@@ -348,7 +348,7 @@ func concurrentWriters(t *testing.T) {
 	if !res.ResultsAgree {
 		t.Fatalf("engines disagree: TP=%v AP=%v", res.TPRows, res.APRows)
 	}
-	if got := res.TPRows[0][0].F; got != float64(total) {
+	if got := res.TPRows[0][0].Float(); got != float64(total) {
 		t.Fatalf("hot balance sum = %v, want %d (a lost update)", got, total)
 	}
 	if got := countWhere(t, s, "customer WHERE c_custkey >= 4100000 AND c_custkey < 4200000"); got != int64(total) {

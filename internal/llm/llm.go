@@ -1,8 +1,8 @@
 // Package llm defines the language-model interface the explainer steers,
 // plus offline *simulated* pre-trained models ("doubao-sim",
-// "chatgpt4-sim") standing in for the paper's proprietary LLM APIs
-// (DESIGN.md documents the substitution). The simulated models consume the
-// rendered prompt text exactly as a real LLM would: they ground their
+// "chatgpt4-sim") standing in for the paper's proprietary LLM APIs. The
+// simulated models consume the rendered prompt text exactly as a real LLM
+// would: they ground their
 // answer in the retrieved KNOWLEDGE sections when present (RAG mode) and
 // fall back to surface-feature priors with the paper's documented
 // un-grounded failure modes (cost comparison, index misattribution,

@@ -310,7 +310,7 @@ func canonRows(rows []value.Row) string {
 		vals := make([]string, len(r))
 		for j, v := range r {
 			if vals[j] = v.String(); v.K == value.KindFloat {
-				vals[j] = fmt.Sprintf("%.9g", v.F)
+				vals[j] = fmt.Sprintf("%.9g", v.Float())
 			}
 		}
 		sort.Strings(vals)

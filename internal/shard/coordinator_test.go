@@ -48,7 +48,7 @@ func testRowKey(r value.Row) string {
 		case value.KindInt:
 			fmt.Fprintf(&b, "i%d|", v.I)
 		case value.KindFloat:
-			f := math.Round(v.F*1e4) / 1e4
+			f := math.Round(v.Float()*1e4) / 1e4
 			if f == 0 {
 				f = 0
 			}

@@ -56,7 +56,7 @@ func appendKey(dst []byte, v value.Value) []byte {
 	case value.KindInt:
 		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case value.KindFloat:
-		f := math.Round(v.F*1e4) / 1e4
+		f := math.Round(v.Float()*1e4) / 1e4
 		if f == 0 {
 			f = 0 // collapse -0.0 into +0.0
 		}

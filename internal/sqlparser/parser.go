@@ -552,7 +552,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 				}
 				return &AggExpr{Func: AggCount}, nil
 			}
-			p.acceptKeyword("DISTINCT") // accepted and treated as plain agg
+			if p.acceptKeyword("DISTINCT") {
+				// no operator de-duplicates an aggregate's input, and
+				// folding every row would be a wrong answer
+				return nil, p.errorf("%s(DISTINCT ...) is not supported", t.text)
+			}
 			arg, err := p.parseAdditive()
 			if err != nil {
 				return nil, err

@@ -265,6 +265,19 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestAggregateDistinctIsRefused: no operator de-duplicates an aggregate's
+// input, so DISTINCT inside one is a parse error, not a plain aggregate —
+// COUNT(DISTINCT o_orderstatus) over orders once answered 3000, not 3.
+func TestAggregateDistinctIsRefused(t *testing.T) {
+	for _, agg := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "count"} {
+		sql := "SELECT " + agg + "(DISTINCT o_orderstatus) FROM orders"
+		_, err := Parse(sql)
+		if err == nil || !strings.Contains(err.Error(), "DISTINCT") {
+			t.Errorf("Parse(%q) = err %v, want a DISTINCT error", sql, err)
+		}
+	}
+}
+
 func TestStringRoundTripReparse(t *testing.T) {
 	// String() output must itself parse to an identical String()
 	cases := []string{

@@ -1,6 +1,6 @@
 // Package study simulates the paper's human-subject study (§VI-C) with a
-// deterministic cognitive model of participants (DESIGN.md documents the
-// substitution for the real participants). The protocol is the paper's:
+// deterministic cognitive model of participants standing in for the real
+// ones. The protocol is the paper's:
 // two equal groups receive the same query and context; group A gets plan
 // details + the LLM explanation up front, group B first works from plan
 // details alone, submits an interpretation, then sees the LLM explanation

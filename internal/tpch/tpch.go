@@ -6,7 +6,6 @@
 // pattern in the paper (country-code phone prefixes, market segments,
 // nation names, order statuses, dates, ...), while the *catalog statistics*
 // and the latency model continue to reflect the modeled 100 GB scale.
-// DESIGN.md documents this substitution.
 package tpch
 
 import (

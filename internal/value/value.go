@@ -5,6 +5,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -37,12 +38,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one datum. The zero Value is NULL.
+// Value is one datum, 32 bytes: a kind, one 8-byte payload and a string.
+// The zero Value is NULL.
 type Value struct {
 	K Kind
-	I int64   // KindInt / KindBool (0 or 1)
-	F float64 // KindFloat
-	S string  // KindString
+	I int64  // KindInt, KindBool (0 or 1), KindFloat (IEEE bits; read with Float)
+	S string // KindString
 }
 
 // Null is the SQL NULL value.
@@ -52,7 +53,7 @@ var Null = Value{K: KindNull}
 func NewInt(v int64) Value { return Value{K: KindInt, I: v} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{K: KindFloat, F: v} }
+func NewFloat(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{K: KindString, S: v} }
@@ -64,6 +65,9 @@ func NewBool(v bool) Value {
 	}
 	return Value{K: KindBool, I: 0}
 }
+
+// Float returns the float a KindFloat value holds (meaningless for others).
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -77,7 +81,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.I), true
 	case KindFloat:
-		return v.F, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -91,7 +95,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindBool:
@@ -173,7 +177,7 @@ func (v Value) Key() string {
 	case KindInt:
 		return "\x00i" + strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return "\x00f" + strconv.FormatFloat(v.F, 'b', -1, 64)
+		return "\x00f" + strconv.FormatFloat(v.Float(), 'b', -1, 64)
 	case KindString:
 		return "\x00s" + v.S
 	case KindBool:

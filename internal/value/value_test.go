@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -22,7 +23,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if v := NewInt(7); v.K != KindInt || v.I != 7 {
 		t.Errorf("NewInt: %+v", v)
 	}
-	if v := NewFloat(2.5); v.K != KindFloat || v.F != 2.5 {
+	if v := NewFloat(2.5); v.K != KindFloat || v.Float() != 2.5 {
 		t.Errorf("NewFloat: %+v", v)
 	}
 	if v := NewString("x"); v.K != KindString || v.S != "x" {
@@ -211,5 +212,65 @@ func TestRowString(t *testing.T) {
 	r := Row{NewInt(1), NewString("a")}
 	if got := r.String(); got != "1, a" {
 		t.Errorf("Row.String() = %q", got)
+	}
+}
+
+// layoutFloats are the floats whose bits a one-payload Value must keep:
+// both zeros, two NaN payloads (quiet, and signalling with its sign set),
+// both infinities, the smallest subnormal and two ordinary values.
+var layoutFloats = []struct {
+	bits uint64
+	key  string // Key() as recorded when floats had a field of their own
+	str  string
+}{
+	{0x8000000000000000, "\x00f-0p-1074", "-0"},
+	{0x0000000000000000, "\x00f0p-1074", "0"},
+	{0x7ff8000000000001, "\x00fNaN", "NaN"},
+	{0xfff4000000000abc, "\x00fNaN", "NaN"},
+	{0x7ff0000000000000, "\x00f+Inf", "+Inf"},
+	{0xfff0000000000000, "\x00f-Inf", "-Inf"},
+	{0x0000000000000001, "\x00f1p-1074", "5e-324"},
+	{0x4004000000000000, "\x00f5629499534213120p-51", "2.5"},
+	{0xfe37e43c8800759c, "\x00f-6724873095247260p+944", "-1e+300"},
+}
+
+// TestValueLayout: a Value is 32 bytes — a kind, one 8-byte payload, a
+// string — and a float's IEEE bits live in that payload: NewFloat/Float
+// round-trip every bit pattern, NaN payloads and the sign of zero
+// included, and Key, String and Compare answer as they did when the float
+// had a field of its own.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, c := range layoutFloats {
+		f := math.Float64frombits(c.bits)
+		v := NewFloat(f)
+		if v.K != KindFloat || math.Float64bits(v.Float()) != c.bits || uint64(v.I) != c.bits {
+			t.Errorf("NewFloat(%#x) = %#v, Float bits %#x", c.bits, v, math.Float64bits(v.Float()))
+		}
+		if af, ok := v.AsFloat(); !ok || math.Float64bits(af) != c.bits {
+			t.Errorf("NewFloat(%#x).AsFloat() = %#x, %v", c.bits, math.Float64bits(af), ok)
+		}
+		if v.Key() != c.key || v.String() != c.str {
+			t.Errorf("NewFloat(%#x): Key %q String %q, want %q %q", c.bits, v.Key(), v.String(), c.key, c.str)
+		}
+		for _, d := range layoutFloats {
+			g := math.Float64frombits(d.bits)
+			want := 0 // NaN is neither below nor above anything: Compare says 0
+			if f < g {
+				want = -1
+			} else if f > g {
+				want = 1
+			}
+			if got := v.Compare(NewFloat(g)); got != want {
+				t.Errorf("Compare(%#x, %#x) = %d, want %d", c.bits, d.bits, got, want)
+			}
+		}
+		if c.bits == 0 || c.bits == 0x8000000000000000 {
+			if v.Compare(NewInt(0)) != 0 || NewInt(0).Compare(v) != 0 {
+				t.Errorf("%#x does not compare equal to int 0", c.bits)
+			}
+		}
 	}
 }

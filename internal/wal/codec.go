@@ -162,7 +162,7 @@ func AppendValue(dst []byte, v value.Value) []byte {
 		return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	case value.KindFloat:
 		dst = append(dst, tagFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.I)) // the IEEE bits
 	case value.KindString:
 		dst = append(dst, tagString)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.S)))

@@ -85,7 +85,7 @@ func TestParallelSpeedup(t *testing.T) {
 		for j, v := range rows[i] {
 			w := serial[i][j]
 			if v.K != w.K || v.K != value.KindFloat && v.Compare(w) != 0 ||
-				v.K == value.KindFloat && math.Abs(v.F-w.F) > 1e-9*math.Abs(w.F) {
+				v.K == value.KindFloat && math.Abs(v.Float()-w.Float()) > 1e-9*math.Abs(w.Float()) {
 				t.Errorf("group %d column %d: DOP 4 %v, DOP 1 %v", i, j, v, w)
 			}
 		}
