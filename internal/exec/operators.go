@@ -183,7 +183,10 @@ func (s *RowIndexScan) Close() error {
 
 // RowIndexOrderScan returns rows in index-key order, stopping after
 // LimitHint rows pass the optional predicate — the access path behind TP's
-// index-ordered Top-N plans.
+// index-ordered Top-N plans. It copies the index a chunk at a time: with
+// no predicate the first chunk is the LimitHint ids the scan returns;
+// otherwise each chunk is about BatchSize ids of whole keys, and the next
+// resumes at the key after the last one copied.
 type RowIndexOrderScan struct {
 	Table     *rowstore.Table
 	Index     *rowstore.Index
@@ -196,6 +199,8 @@ type RowIndexOrderScan struct {
 
 	hint    int // LimitHint under the execution's literal vector
 	ids     []int32
+	last    value.Value // last key copied into ids
+	more    bool        // keys remain past last
 	heap    []value.Row
 	pos     int
 	matched int
@@ -219,17 +224,34 @@ func (s *RowIndexOrderScan) Clone() BatchOperator {
 
 func (s *RowIndexOrderScan) Open(ctx *Context) error {
 	s.closed = false
-	if s.Desc {
-		s.ids = s.Index.Descending()
-	} else {
-		s.ids = s.Index.Ascending()
-	}
-	s.heap = s.Table.Heap()
 	s.pos, s.matched = 0, 0
 	hint, _ := s.Slots.bind(ctx.Params, int64(s.LimitHint), 0)
 	s.hint = int(hint)
+	n, whole := BatchSize, true
+	if s.Pred == nil && s.hint > 0 {
+		// every id read is returned: the first chunk is the whole answer
+		n, whole = s.hint, false
+	}
+	s.ids, s.last, s.more = s.Index.AppendOrdered(s.ids[:0], s.Desc, nil, n, whole)
+	s.more = s.more && whole
+	// snapshot the heap after collecting ids: every id collected above is
+	// below the snapshot's length, and heap slots are immutable once written
+	s.heap = s.Table.Heap()
 	s.rw.init(len(s.out))
 	return nil
+}
+
+// nextChunk replaces the consumed chunk with the next one, reporting
+// false at the end of the index.
+func (s *RowIndexOrderScan) nextChunk() bool {
+	if !s.more {
+		return false
+	}
+	last := s.last
+	s.ids, s.last, s.more = s.Index.AppendOrdered(s.ids[:0], s.Desc, &last, BatchSize, true)
+	s.heap = s.Table.Heap()
+	s.pos = 0
+	return len(s.ids) > 0
 }
 
 func (s *RowIndexOrderScan) Next(ctx *Context) (*Batch, error) {
@@ -237,7 +259,10 @@ func (s *RowIndexOrderScan) Next(ctx *Context) (*Batch, error) {
 		return nil, nil
 	}
 	s.rowsBuf = s.rowsBuf[:0]
-	for s.pos < len(s.ids) && len(s.rowsBuf) < BatchSize {
+	for len(s.rowsBuf) < BatchSize {
+		if s.pos >= len(s.ids) && !s.nextChunk() {
+			break
+		}
 		row := s.heap[s.ids[s.pos]]
 		s.pos++
 		ctx.Stats.RowsScanned++
@@ -269,7 +294,9 @@ func (s *RowIndexOrderScan) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.ids, s.rowsBuf, s.heap = nil, nil, nil
+	// ids is at most a chunk now, so a pooled tree keeps it, like
+	// RowIndexScan does
+	s.rowsBuf, s.heap, s.last = nil, nil, value.Value{}
 	return nil
 }
 

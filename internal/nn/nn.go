@@ -43,10 +43,21 @@ func (m *Matrix) MulVecAdd(dst, x []float64) {
 		panic(fmt.Sprintf("nn: MulVecAdd dimension mismatch: %dx%d matrix, %d vec, %d dst", m.Rows, m.Cols, len(x), len(dst)))
 	}
 	for i := range dst {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row, xs := m.Data[i*m.Cols:(i+1)*m.Cols], x[:m.Cols]
+		// one accumulator, added left to right like a plain loop, so the
+		// sum is bit-identical to one; unrolled 4-way for fewer branches
+		// and bounds checks
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			r, v := row[j:j+4:j+4], xs[j:j+4:j+4]
+			s += r[0] * v[0]
+			s += r[1] * v[1]
+			s += r[2] * v[2]
+			s += r[3] * v[3]
+		}
+		for ; j < len(row); j++ {
+			s += row[j] * xs[j]
 		}
 		dst[i] += s
 	}

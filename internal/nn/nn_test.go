@@ -218,3 +218,43 @@ func TestGlorotInitBounded(t *testing.T) {
 		t.Error("init left matrix at zero")
 	}
 }
+
+// TestMulVecAddMatchesPlainLoop: the unrolled MulVecAdd adds each row's
+// products in the same order as a plain loop, so the sums are the same
+// bits — at column counts below, at and past the unroll width, and at a
+// hidden-layer width.
+func TestMulVecAddMatchesPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+		for trial := 0; trial < 20; trial++ {
+			m := NewMatrix(5, cols)
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+			x := make([]float64, cols)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			got := make([]float64, m.Rows)
+			want := make([]float64, m.Rows)
+			for i := range got {
+				got[i] = rng.NormFloat64()
+				want[i] = got[i]
+			}
+			m.MulVecAdd(got, x)
+			for i := range want {
+				var s float64
+				for j := 0; j < cols; j++ {
+					s += m.At(i, j) * x[j]
+				}
+				want[i] += s
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("cols=%d trial %d row %d: %v (%#x), plain loop %v (%#x)",
+						cols, trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,226 @@
+package rowstore
+
+import (
+	"math/rand"
+	"testing"
+
+	"htapxplain/internal/catalog"
+	"htapxplain/internal/value"
+)
+
+// FuzzDMLAccessPath holds LookupLiveAt to ScanLiveAt: over a random history
+// of inserts, updates and deletes at increasing LSNs, and indexes built
+// and dropped at runtime, a read of one key at a random snapshot must give
+// the same (RID, row) sequence from the index as from a filtered heap
+// scan whenever LookupLiveAt answers — and it must answer exactly when the
+// column is indexed and no delete committed after the snapshot. The table
+// has a unique int index (k), a non-unique one with NULL cells (n, like
+// c_nationkey) and a string column (s) whose index comes and goes; reads
+// probe present keys, absent keys and NULL.
+//
+// The input is a sequence of (op, arg) byte pairs; see applyAccessOp.
+func FuzzDMLAccessPath(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 2, 7, 0, 4, 0, 7, 3})
+	f.Add([]byte{5, 0, 0, 7, 3, 1, 7, 2, 6, 0, 7, 9, 4, 2, 0, 0, 7, 6})
+	for _, seed := range []int64{1, 2, 3, 4} {
+		// a random history, then a tail of inserts and reads only, so
+		// the index answers reads at snapshots older than the last commit
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 400, 480)
+		rng.Read(ops)
+		for i := 0; i < 40; i++ {
+			ops = append(ops, byte(7*(i%2)), byte(rng.Intn(256)))
+		}
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		h := newAccessHistory(t)
+		for i := 0; i+1 < len(ops); i += 2 {
+			h.apply(ops[i], ops[i+1])
+		}
+		// finally every column, at every snapshot, for every probe key
+		for snap := uint64(0); snap <= h.lsn; snap++ {
+			for _, col := range []string{"k", "n", "s"} {
+				for _, key := range h.probes(col) {
+					h.check(col, key, snap)
+				}
+			}
+		}
+	})
+}
+
+// accessHistory is one fuzz run's store and the facts the checks need.
+type accessHistory struct {
+	t          *testing.T
+	s          *Store
+	tb         *Table
+	lsn        uint64 // last committed LSN
+	lastDelete uint64 // highest LSN a version was deleted at
+	nextK      int64
+}
+
+var accessStrings = []string{"ant", "bee", "cat"}
+
+func newAccessHistory(t *testing.T) *accessHistory {
+	cat := catalog.New(1)
+	if err := cat.AddTable(&catalog.Table{
+		Name: "t",
+		Columns: []catalog.Column{
+			{Name: "k", Type: catalog.TypeInt},
+			{Name: "n", Type: catalog.TypeInt},
+			{Name: "s", Type: catalog.TypeString},
+		},
+		Indexes: []catalog.Index{
+			{Name: "pk_t", Table: "t", Column: "k", Kind: catalog.PrimaryIndex, Unique: true},
+			{Name: "ix_t_n", Table: "t", Column: "n", Kind: catalog.SecondaryIndex},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := &accessHistory{t: t, nextK: 1}
+	var bulk []value.Row
+	for i := byte(0); i < 6; i++ {
+		bulk = append(bulk, h.newRow(i*37))
+	}
+	s, err := NewStore(cat, map[string][]value.Row{"t": bulk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.s = s
+	h.tb, _ = s.Table("t")
+	return h
+}
+
+// newRow is a row with a fresh k; arg picks n (NULL one time in five)
+// and s (NULL one time in four).
+func (h *accessHistory) newRow(arg byte) value.Row {
+	r := value.Row{value.NewInt(h.nextK), value.NewInt(int64(arg % 4)), value.NewString(accessStrings[arg%3])}
+	h.nextK++
+	if arg%5 == 0 {
+		r[1] = value.Null
+	}
+	if arg%4 == 3 {
+		r[2] = value.Null
+	}
+	return r
+}
+
+// apply runs one step: op picks insert (three times in eight), update,
+// delete, build or drop the string index, or a read check; arg picks the
+// row, the values and the snapshot.
+func (h *accessHistory) apply(op, arg byte) {
+	t := h.t
+	liveRIDs, liveRows := h.tb.ScanLiveAt(h.lsn)
+	switch op % 8 {
+	case 0, 1, 2: // insert one or two rows
+		ins := []value.Row{h.newRow(arg)}
+		if arg&0x80 != 0 {
+			ins = append(ins, h.newRow(arg>>1))
+		}
+		h.commit(nil, ins)
+	case 3: // update: keep k, change n and s
+		if len(liveRIDs) == 0 {
+			return
+		}
+		i := int(arg) % len(liveRIDs)
+		nr := h.newRow(arg / 3)
+		h.nextK--
+		nr[0] = liveRows[i][0]
+		h.commit([]int64{liveRIDs[i]}, []value.Row{nr})
+	case 4: // delete
+		if len(liveRIDs) == 0 {
+			return
+		}
+		h.commit([]int64{liveRIDs[int(arg)%len(liveRIDs)]}, nil)
+	case 5:
+		if err := h.s.BuildIndex("t", "s"); err != nil {
+			t.Fatal(err)
+		}
+	case 6:
+		_ = h.s.DropIndex("t", "s") // absent is fine
+	case 7:
+		col := []string{"k", "n", "s"}[arg%3]
+		probes := h.probes(col)
+		h.check(col, probes[int(arg/3)%len(probes)], uint64(arg)%(h.lsn+1))
+	}
+}
+
+func (h *accessHistory) commit(deletes []int64, inserts []value.Row) {
+	h.lsn++
+	if _, err := h.s.ApplyAt("t", deletes, inserts, h.lsn); err != nil {
+		h.t.Fatal(err)
+	}
+	h.s.PublishCommit(h.lsn)
+	if len(deletes) > 0 {
+		h.lastDelete = h.lsn
+	}
+}
+
+// probes lists the keys reads of col try: every value the column can
+// hold, a key it never holds, and NULL.
+func (h *accessHistory) probes(col string) []value.Value {
+	out := []value.Value{value.Null}
+	switch col {
+	case "k": // 0 and nextK are absent; up to 16 keys between
+		step := h.nextK/16 + 1
+		for k := int64(0); k <= h.nextK; k += step {
+			out = append(out, value.NewInt(k))
+		}
+		out = append(out, value.NewInt(h.nextK))
+	case "n":
+		for n := int64(0); n <= 4; n++ {
+			out = append(out, value.NewInt(n))
+		}
+	case "s":
+		for _, s := range append(accessStrings, "dog") {
+			out = append(out, value.NewString(s))
+		}
+	}
+	return out
+}
+
+// check compares LookupLiveAt with a filtered ScanLiveAt for one read.
+func (h *accessHistory) check(col string, key value.Value, snap uint64) {
+	t := h.t
+	t.Helper()
+	rids, rows, ok := h.tb.LookupLiveAt(col, key, snap)
+	_, indexed := h.tb.IndexOn(col)
+	if want := indexed && h.lastDelete <= snap; ok != want {
+		t.Fatalf("LookupLiveAt(%s = %v, snap %d) ok = %v, want %v (indexed %v, last delete at %d)",
+			col, key, snap, ok, want, indexed, h.lastDelete)
+	}
+	if !ok {
+		return
+	}
+	ci := h.tb.Meta.ColumnIndex(col)
+	allRIDs, allRows := h.tb.ScanLiveAt(snap)
+	var wantRIDs []int64
+	var wantRows []value.Row
+	for i, r := range allRows {
+		if r[ci].Compare(key) == 0 {
+			wantRIDs = append(wantRIDs, allRIDs[i])
+			wantRows = append(wantRows, r)
+		}
+	}
+	if len(rids) != len(wantRIDs) || len(rows) != len(rids) {
+		t.Fatalf("LookupLiveAt(%s = %v, snap %d) = RIDs %v, scan gives %v", col, key, snap, rids, wantRIDs)
+	}
+	for i := range rids {
+		if rids[i] != wantRIDs[i] || !rowsEqual(rows[i], wantRows[i]) {
+			t.Fatalf("LookupLiveAt(%s = %v, snap %d)[%d] = %d %v, scan gives %d %v",
+				col, key, snap, i, rids[i], rows[i], wantRIDs[i], wantRows[i])
+		}
+	}
+}
+
+func rowsEqual(a, b value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Compare(b[i]) != 0 || a[i].K != b[i].K {
+			return false
+		}
+	}
+	return true
+}

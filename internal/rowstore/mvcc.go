@@ -50,6 +50,38 @@ func (t *Table) ScanLiveAt(snap uint64) (rids []int64, rows []value.Row) {
 	return rids, rows
 }
 
+// LookupLiveAt is ScanLiveAt narrowed to one key of an indexed column:
+// it returns the RIDs and rows visible at snap whose column equals key,
+// read from the index's posting list instead of the heap, in heap order
+// (the order ScanLiveAt gives them). The index holds only versions live
+// now, so a version visible at snap but tombstoned since is missing from
+// it: ok is false, and the caller must fall back to ScanLiveAt, when the
+// column has no index or a delete committed after snap.
+func (t *Table) LookupLiveAt(column string, key value.Value, snap uint64) (rids []int64, rows []value.Row, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ix, ok := t.indexes[strings.ToLower(column)]
+	if !ok || t.lastDelete > snap {
+		return nil, nil, false
+	}
+	i, found := ix.find(key)
+	if !found {
+		return nil, nil, true
+	}
+	ids := ix.rowIDs[i]
+	rids = make([]int64, 0, len(ids))
+	rows = make([]value.Row, 0, len(ids))
+	for _, id := range ids {
+		// every indexed version is live now; those committed after snap
+		// are not yet visible to it
+		if t.versions[id].insertLSN <= snap {
+			rids = append(rids, int64(id))
+			rows = append(rows, t.rows[id])
+		}
+	}
+	return rids, rows, true
+}
+
 // FirstConflict reports the first RID in rids whose version is no longer
 // live — i.e. a concurrent transaction deleted or updated it since the
 // caller's snapshot (the caller only ever selects RIDs that were live at

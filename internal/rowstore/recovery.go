@@ -83,6 +83,7 @@ func NewStoreFromSnapshot(cat *catalog.Catalog, heaps map[string]HeapSnapshot, c
 			t.versions[i] = version{insertLSN: vm.InsertLSN, deleteLSN: vm.DeleteLSN}
 			if vm.DeleteLSN != 0 {
 				t.live--
+				t.lastDelete = max(t.lastDelete, vm.DeleteLSN)
 			}
 		}
 		for ri, r := range snap.Rows {

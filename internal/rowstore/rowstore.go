@@ -20,7 +20,11 @@
 // tombstone the deletes, append the inserts, all stamped with one commit
 // LSN, returned as the repl.Mutation the WAL logs and the column store
 // replays; live commits and recovery's Replay both go through it) and one
-// snapshot reader for writers (ScanLiveAt).
+// snapshot reader for writers with two access paths: ScanLiveAt walks the
+// whole heap at a snapshot; LookupLiveAt reads one key's posting list and
+// keeps the versions visible at the snapshot. The indexes hold only
+// versions live now, so LookupLiveAt answers only while no delete has
+// committed after the snapshot, and otherwise tells its caller to scan.
 package rowstore
 
 import (
@@ -50,6 +54,10 @@ type Table struct {
 	rows     []value.Row // append-only version heap; RID == position
 	versions []version   // parallel to rows
 	live     int         // number of undeleted versions
+	// lastDelete is the highest LSN a version was tombstoned at. The
+	// indexes hold only versions live now, so they answer a read at
+	// snapshot S only while lastDelete <= S (see LookupLiveAt).
+	lastDelete uint64
 	// indexes maps lower-cased column name → ordered index.
 	indexes map[string]*Index
 }
@@ -186,6 +194,7 @@ func (t *Table) appendVersion(r value.Row, lsn uint64) int64 {
 func (t *Table) tombstone(rid int64, lsn uint64) {
 	t.versions[rid].deleteLSN = lsn
 	t.live--
+	t.lastDelete = max(t.lastDelete, lsn)
 	r := t.rows[rid]
 	for _, ix := range t.indexes {
 		ix.removeLocked(r[ix.Col], int32(rid))
@@ -206,12 +215,19 @@ func (t *Table) checkLive(rids []int64) error {
 	return nil
 }
 
-// insertLocked adds (key, id) to the index. Caller holds the table lock.
-func (ix *Index) insertLocked(key value.Value, id int32) {
+// find returns the position of the first key >= key and whether it
+// equals key. Caller holds the table lock.
+func (ix *Index) find(key value.Value) (int, bool) {
 	i := sort.Search(len(ix.keys), func(i int) bool {
 		return ix.keys[i].Compare(key) >= 0
 	})
-	if i < len(ix.keys) && ix.keys[i].Compare(key) == 0 {
+	return i, i < len(ix.keys) && ix.keys[i].Compare(key) == 0
+}
+
+// insertLocked adds (key, id) to the index. Caller holds the table lock.
+func (ix *Index) insertLocked(key value.Value, id int32) {
+	i, found := ix.find(key)
+	if found {
 		ix.rowIDs[i] = append(ix.rowIDs[i], id)
 		return
 	}
@@ -227,10 +243,8 @@ func (ix *Index) insertLocked(key value.Value, id int32) {
 // order so index-ordered scans stay deterministic. Caller holds the table
 // lock.
 func (ix *Index) removeLocked(key value.Value, id int32) {
-	i := sort.Search(len(ix.keys), func(i int) bool {
-		return ix.keys[i].Compare(key) >= 0
-	})
-	if i >= len(ix.keys) || ix.keys[i].Compare(key) != 0 {
+	i, found := ix.find(key)
+	if !found {
 		return
 	}
 	ids := ix.rowIDs[i]
@@ -315,10 +329,7 @@ func (t *Table) IndexOn(column string) (*Index, bool) {
 func (ix *Index) Lookup(key value.Value) []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	i := sort.Search(len(ix.keys), func(i int) bool {
-		return ix.keys[i].Compare(key) >= 0
-	})
-	if i < len(ix.keys) && ix.keys[i].Compare(key) == 0 {
+	if i, found := ix.find(key); found {
 		out := make([]int32, len(ix.rowIDs[i]))
 		copy(out, ix.rowIDs[i])
 		return out
@@ -332,10 +343,7 @@ func (ix *Index) Lookup(key value.Value) []int32 {
 func (ix *Index) LookupAppend(key value.Value, dst []int32) []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	i := sort.Search(len(ix.keys), func(i int) bool {
-		return ix.keys[i].Compare(key) >= 0
-	})
-	if i < len(ix.keys) && ix.keys[i].Compare(key) == 0 {
+	if i, found := ix.find(key); found {
 		dst = append(dst, ix.rowIDs[i]...)
 	}
 	return dst
@@ -348,9 +356,7 @@ func (ix *Index) Range(lo, hi *value.Value) []int32 {
 	defer ix.mu.RUnlock()
 	start := 0
 	if lo != nil {
-		start = sort.Search(len(ix.keys), func(i int) bool {
-			return ix.keys[i].Compare(*lo) >= 0
-		})
+		start, _ = ix.find(*lo)
 	}
 	var out []int32
 	for i := start; i < len(ix.keys); i++ {
@@ -362,25 +368,42 @@ func (ix *Index) Range(lo, hi *value.Value) []int32 {
 	return out
 }
 
-// Ascending returns row ids in index-key order — the access path behind
-// index-ordered Top-N plans (ORDER BY indexed_col LIMIT n).
-func (ix *Index) Ascending() []int32 {
+// AppendOrdered appends row ids to dst in index-key order (reverse order
+// when desc) — the access path behind index-ordered Top-N plans (ORDER BY
+// indexed_col LIMIT n), which walk the index a chunk at a time instead of
+// copying it whole. The walk starts at the first key past *after (at the
+// first key when after is nil) and stops once n ids are appended: exactly
+// n when whole is false, else at the end of the posting that reached n,
+// so the chunk ends on a key boundary. It returns the extended dst, the
+// last key it appended from, and whether any key lies past that one; the
+// next chunk resumes with after = &last.
+func (ix *Index) AppendOrdered(dst []int32, desc bool, after *value.Value, n int, whole bool) (out []int32, last value.Value, more bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var out []int32
-	for _, ids := range ix.rowIDs {
-		out = append(out, ids...)
+	// i is the position of the first key to copy; step walks away from it
+	i, step := 0, 1
+	if desc {
+		i, step = len(ix.keys)-1, -1
 	}
-	return out
-}
-
-// Descending returns row ids in reverse key order.
-func (ix *Index) Descending() []int32 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []int32
-	for i := len(ix.rowIDs) - 1; i >= 0; i-- {
-		out = append(out, ix.rowIDs[i]...)
+	if after != nil {
+		at, found := ix.find(*after)
+		switch {
+		case !desc && found:
+			i = at + 1
+		case !desc:
+			i = at
+		default: // the last key below *after
+			i = at - 1
+		}
 	}
-	return out
+	start := len(dst)
+	for ; i >= 0 && i < len(ix.keys) && len(dst)-start < n; i += step {
+		ids := ix.rowIDs[i]
+		if room := n - (len(dst) - start); !whole && len(ids) > room {
+			ids = ids[:room]
+		}
+		dst = append(dst, ids...)
+		last = ix.keys[i]
+	}
+	return dst, last, i >= 0 && i < len(ix.keys)
 }

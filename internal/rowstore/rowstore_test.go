@@ -90,18 +90,81 @@ func TestRangeSemantics(t *testing.T) {
 func TestAscendingDescendingOrder(t *testing.T) {
 	_, tb := tinyStore(t, []int64{4, 1, 3, 2})
 	ix, _ := tb.IndexOn("k")
-	asc := ix.Ascending()
+	asc, _, _ := ix.AppendOrdered(nil, false, nil, 4, true)
 	for i := 1; i < len(asc); i++ {
 		if tb.Row(asc[i-1])[0].I > tb.Row(asc[i])[0].I {
-			t.Fatal("Ascending not in key order")
+			t.Fatal("ascending walk not in key order")
 		}
 	}
-	desc := ix.Descending()
+	desc, _, _ := ix.AppendOrdered(nil, true, nil, 4, true)
 	for i := 1; i < len(desc); i++ {
 		if tb.Row(desc[i-1])[0].I < tb.Row(desc[i])[0].I {
-			t.Fatal("Descending not in reverse key order")
+			t.Fatal("descending walk not in reverse key order")
 		}
 	}
+	if len(asc) != 4 || len(desc) != 4 {
+		t.Fatalf("walks returned %d and %d ids, want 4", len(asc), len(desc))
+	}
+}
+
+// TestAppendOrderedChunks: walking a non-unique index in chunks — whole
+// keys each, resumed after the last key copied — gives the same ids in the
+// same order as one walk over everything, in both directions, and a cut
+// walk stops at exactly n ids.
+func TestAppendOrderedChunks(t *testing.T) {
+	keys := make([]int64, 200)
+	rng := rand.New(rand.NewSource(3))
+	for i := range keys {
+		keys[i] = int64(rng.Intn(23))
+	}
+	_, tb := tinyStore(t, keys)
+	ix, _ := tb.IndexOn("k")
+	for _, desc := range []bool{false, true} {
+		all, _, more := ix.AppendOrdered(nil, desc, nil, len(keys)+1, true)
+		if len(all) != len(keys) || more {
+			t.Fatalf("desc=%v: full walk got %d ids (more=%v), want %d", desc, len(all), more, len(keys))
+		}
+		for _, n := range []int{1, 7, 64} {
+			var got []int32
+			chunk, last, more := ix.AppendOrdered(nil, desc, nil, n, true)
+			got = append(got, chunk...)
+			for more {
+				after := last
+				chunk, last, more = ix.AppendOrdered(chunk[:0], desc, &after, n, true)
+				if len(chunk) == 0 {
+					t.Fatalf("desc=%v n=%d: empty chunk with more keys", desc, n)
+				}
+				got = append(got, chunk...)
+			}
+			if !equalIDs(got, all) {
+				t.Fatalf("desc=%v n=%d: chunked walk %v, want %v", desc, n, got, all)
+			}
+			cut, _, _ := ix.AppendOrdered(nil, desc, nil, n, false)
+			if !equalIDs(cut, all[:n]) {
+				t.Fatalf("desc=%v n=%d: cut walk %v, want %v", desc, n, cut, all[:n])
+			}
+		}
+		// resuming after an absent key starts at the next present one
+		absent := value.NewInt(-1)
+		if desc {
+			absent = value.NewInt(99)
+		}
+		if got, _, _ := ix.AppendOrdered(nil, desc, &absent, len(keys), true); !equalIDs(got, all) {
+			t.Fatalf("desc=%v: walk after an absent bound %v, want %v", desc, got, all)
+		}
+	}
+}
+
+func equalIDs(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestIndexMatchesNaiveScanProperty: for random datasets and probes, the
