@@ -6,13 +6,15 @@
 //
 // The column store is the replication secondary of the TP write path: it
 // consumes the row store's mutation log in LSN order (Store.Apply) into a
-// per-table in-memory delta layer, and a background merger compacts deltas
-// into fresh immutable base chunks (see delta.go and merger.go; the merger
-// is a task.Loop, so a merge pass that panics is skipped, kept in the
-// loop's Err and tried again on the next tick). Readers never lock per
-// value: Table.View pins an immutable snapshot (base column
-// vectors + copy-on-write delete set + delta rows) that stays valid across
-// concurrent replication and merges.
+// per-table in-memory delta layer plus a per-chunk bitmap of deleted base
+// positions, and a background merger appends the live delta rows to the
+// base as fresh immutable chunks, rewriting only the partial last chunk —
+// it compacts the whole table only once more than a quarter of the base
+// is deleted (see delta.go and merger.go; the merger is a task.Loop, so a
+// merge pass that panics is skipped, kept in the loop's Err and tried
+// again on the next tick). Readers never lock per value: Table.View pins
+// an immutable snapshot (base column vectors + copy-on-write delete set +
+// delta rows) that stays valid across concurrent replication and merges.
 //
 // There is one of each: one constructor (NewStoreFromHeap — a bulk load is
 // the heap at LSN 0 with no tombstones), one writer (Store.Apply) and one
@@ -35,15 +37,16 @@ const ChunkSize = 1024
 
 // Column is one stored column: per-chunk encoded data plus per-chunk zone
 // maps. A Column is immutable once published; merges build fresh Columns
-// and swap them in, so execution batches may alias raw chunk vectors (and
-// hold decoded copies of encoded ones) indefinitely — "alias or decode,
-// never mutate".
+// (sharing the chunks they keep) and swap them in, so execution batches
+// may alias raw chunk vectors (and hold decoded copies of encoded ones)
+// indefinitely — "alias or decode, never mutate".
 type Column struct {
 	Name string
 	n    int
-	// vals is the contiguous raw vector, retained only when every chunk
-	// chose the raw encoding (the chunks alias it); nil once any chunk is
-	// encoded, so the raw backing array is actually freed.
+	// vals is the contiguous raw vector, retained only for a column built
+	// in one piece whose every chunk chose the raw encoding (the chunks
+	// alias it); nil once any chunk is encoded, so the raw backing array
+	// is actually freed, and nil for a column extended by a merge.
 	vals   []value.Value
 	chunks []*EncodedChunk
 	// zone maps: min/max per chunk (valid for orderable kinds), built from
@@ -55,32 +58,51 @@ type Column struct {
 // newColumn builds an immutable column over vals, choosing a per-chunk
 // encoding under the given policy. vals is owned by the column afterwards.
 func newColumn(name string, vals []value.Value, policy EncodingPolicy) *Column {
-	c := &Column{Name: name, n: len(vals), vals: vals}
-	c.buildZoneMaps()
-	nchunks := (len(vals) + ChunkSize - 1) / ChunkSize
-	c.chunks = make([]*EncodedChunk, nchunks)
-	encoded := false
-	for k := 0; k < nchunks; k++ {
-		lo, hi := k*ChunkSize, (k+1)*ChunkSize
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		c.chunks[k] = encodeChunk(vals[lo:hi:hi], policy)
-		if c.chunks[k].Enc != EncRaw {
-			encoded = true
+	return (&Column{Name: name}).extend(0, vals, policy)
+}
+
+// extend builds a new immutable column that shares c's first keep chunks
+// and their zone maps and encodes vals after them, chunk by chunk under
+// the given policy — the merger's append path, which writes only the rows
+// it adds. c is not touched. vals is owned by the new column afterwards.
+func (c *Column) extend(keep int, vals []value.Value, policy EncodingPolicy) *Column {
+	nc := &Column{
+		Name:   c.Name,
+		n:      keep*ChunkSize + len(vals),
+		chunks: c.chunks[:keep:keep],
+		zmin:   c.zmin[:keep:keep],
+		zmax:   c.zmax[:keep:keep],
+	}
+	// the contiguous raw vector is kept only for a column built in one
+	// piece whose every chunk chose raw
+	raw := keep == 0
+	for lo := 0; lo < len(vals); lo += ChunkSize {
+		hi := min(lo+ChunkSize, len(vals))
+		mn, mx := zoneRange(vals[lo:hi])
+		nc.zmin = append(nc.zmin, mn)
+		nc.zmax = append(nc.zmax, mx)
+		ch := encodeChunk(vals[lo:hi:hi], policy)
+		nc.chunks = append(nc.chunks, ch)
+		if ch.Enc != EncRaw {
+			raw = false
 		}
 	}
-	if encoded {
-		// raw chunks get private copies so the full-width backing array is
-		// actually released, then the contiguous alias is dropped
-		for _, ch := range c.chunks {
-			if ch.Enc == EncRaw {
-				ch.Raw = append([]value.Value(nil), ch.Raw...)
-			}
-		}
-		c.vals = nil
+	if nc.n == 0 {
+		nc.zmin = append(nc.zmin, value.Null)
+		nc.zmax = append(nc.zmax, value.Null)
 	}
-	return c
+	if raw {
+		nc.vals = vals
+		return nc
+	}
+	// raw chunks built here get private copies so vals' backing array is
+	// actually released
+	for _, ch := range nc.chunks[keep:] {
+		if ch.Enc == EncRaw {
+			ch.Raw = append([]value.Value(nil), ch.Raw...)
+		}
+	}
+	return nc
 }
 
 // Len returns the number of values.
@@ -117,18 +139,84 @@ type Table struct {
 	numRows int // base rows (before delta)
 	// baseRID maps base position → row id assigned by the primary; nil
 	// means the identity mapping of the initial bulk load (pos == RID).
-	// ridPos is its inverse (nil while the identity mapping holds).
+	// It is ascending — the bulk identity, then delta RIDs in LSN order,
+	// which merges append and compaction keeps in order — so a RID's
+	// position is a binary search. No view holds it: a merge may append
+	// to it in place.
 	baseRID []int64
-	ridPos  map[int64]int32
-	// baseDead is the copy-on-write set of deleted base positions; nil
-	// when no base row is deleted. Never mutated once published — deletes
-	// replace it with an extended copy, so views may alias it freely.
-	baseDead map[int32]bool
-	delta    tableDelta
+	// baseDead is the copy-on-write set of deleted base positions. Never
+	// mutated once published — deletes replace it with a copy that shares
+	// every chunk mask it does not touch, so views may alias it freely.
+	baseDead DeadSet
+	// deadSinceMerge counts the base deletes applied since the last
+	// merge: the pending merge operations baseDead stands for (positions
+	// seeded by recovery or kept by an appending merge are not pending).
+	deadSinceMerge int
+	delta          tableDelta
 
 	// policy is the store's encoding policy, applied whenever this
 	// table's base chunks are (re)built: bulk load, merge, recovery.
 	policy EncodingPolicy
+}
+
+// DeadMask is one base chunk's deleted positions: bit i%64 of word i/64
+// is set when chunk offset i is deleted.
+type DeadMask [ChunkSize / 64]uint64
+
+// Has reports whether chunk offset i is deleted.
+func (m *DeadMask) Has(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// DeadSet is a set of deleted base positions: one mask per base chunk,
+// nil for a chunk with no deleted row. The zero value is the empty set.
+// It is copy-on-write: a published set and its masks are never mutated.
+type DeadSet struct {
+	masks []*DeadMask
+	n     int
+}
+
+// Len returns the number of deleted positions.
+func (d DeadSet) Len() int { return d.n }
+
+// Chunk returns base chunk k's mask, nil when the chunk has no deleted
+// row — the readers' cue to keep their delete-free kernels.
+func (d DeadSet) Chunk(k int) *DeadMask {
+	if k < len(d.masks) {
+		return d.masks[k]
+	}
+	return nil
+}
+
+// Has reports whether base position pos is deleted.
+func (d DeadSet) Has(pos int) bool {
+	m := d.Chunk(pos / ChunkSize)
+	return m != nil && m.Has(pos%ChunkSize)
+}
+
+// with returns the set plus the given positions. It copies the outer slice
+// and the masks it touches; every other mask is shared with d, which is
+// not changed. ok is false when a position is already in d or given twice.
+func (d DeadSet) with(pos []int32) (_ DeadSet, ok bool) {
+	nchunks := len(d.masks)
+	for _, p := range pos {
+		nchunks = max(nchunks, int(p)/ChunkSize+1)
+	}
+	out := DeadSet{masks: make([]*DeadMask, nchunks), n: d.n + len(pos)}
+	copy(out.masks, d.masks)
+	for _, p := range pos {
+		k, i := int(p)/ChunkSize, int(p)%ChunkSize
+		if m := out.masks[k]; m == nil || m == d.Chunk(k) {
+			fresh := new(DeadMask)
+			if m != nil {
+				*fresh = *m
+			}
+			out.masks[k] = fresh
+		}
+		if out.masks[k].Has(i) {
+			return DeadSet{}, false
+		}
+		out.masks[k][i>>6] |= 1 << (uint(i) & 63)
+	}
+	return out, true
 }
 
 // Store is the column engine's storage manager and replication secondary.
@@ -198,29 +286,18 @@ func (s *Store) MemStats() MemStats {
 	return out
 }
 
-func (c *Column) buildZoneMaps() {
-	n := len(c.vals)
-	for start := 0; start < n; start += ChunkSize {
-		end := start + ChunkSize
-		if end > n {
-			end = n
+// zoneRange returns the [min,max] zone map of one chunk's values.
+func zoneRange(vals []value.Value) (mn, mx value.Value) {
+	mn, mx = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v.Compare(mn) < 0 {
+			mn = v
 		}
-		mn, mx := c.vals[start], c.vals[start]
-		for _, v := range c.vals[start+1 : end] {
-			if v.Compare(mn) < 0 {
-				mn = v
-			}
-			if v.Compare(mx) > 0 {
-				mx = v
-			}
+		if v.Compare(mx) > 0 {
+			mx = v
 		}
-		c.zmin = append(c.zmin, mn)
-		c.zmax = append(c.zmax, mx)
 	}
-	if n == 0 {
-		c.zmin = append(c.zmin, value.Null)
-		c.zmax = append(c.zmax, value.Null)
-	}
+	return mn, mx
 }
 
 // Table returns the named table.
@@ -242,7 +319,7 @@ func (t *Table) NumRows() int {
 func (t *Table) NumLive() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.numRows - len(t.baseDead) + t.delta.numLive()
+	return t.numRows - t.baseDead.Len() + t.delta.numLive()
 }
 
 // Column returns the base column at position i.
@@ -262,19 +339,18 @@ func (t *Table) ColumnByName(name string) *Column {
 }
 
 // View is an immutable snapshot of a table's logical contents: the base
-// column vectors, the set of base positions deleted since the last merge,
-// and the replicated delta rows not yet compacted. Taking a view is
-// allocation-free until delta rows are tombstoned (then the live delta is
-// copied out); everything it references is copy-on-write or append-only,
-// so it stays consistent while replication and merges continue. Scans
-// draw morsels over it (see Morsels): base chunks, skipping BaseDead
-// positions, then the delta rows — together the table as of the
-// replication watermark at snapshot time.
+// column vectors, the set of deleted base positions, and the replicated
+// delta rows not yet merged. Taking a view is allocation-free until delta
+// rows are tombstoned (then the live delta is copied out); everything it
+// references is copy-on-write or append-only, so it stays consistent
+// while replication and merges continue. Scans draw morsels over it (see
+// Morsels): base chunks, skipping BaseDead positions, then the delta rows
+// — together the table as of the replication watermark at snapshot time.
 type View struct {
 	Cols    []*Column
 	NumRows int // base rows
-	// BaseDead is the deleted base-position set (nil when none).
-	BaseDead map[int32]bool
+	// BaseDead is the deleted base-position set.
+	BaseDead DeadSet
 	// Delta holds the live replicated rows not yet merged, in replay
 	// order. Rows are full table width and must not be mutated.
 	Delta []value.Row
@@ -293,7 +369,7 @@ func (t *Table) View() View {
 }
 
 // NumLive returns the view's logical row count.
-func (v *View) NumLive() int { return v.NumRows - len(v.BaseDead) + len(v.Delta) }
+func (v *View) NumLive() int { return v.NumRows - v.BaseDead.Len() + len(v.Delta) }
 
 // ValueAt reads column col of logical row id, where ids < NumRows address
 // base positions and ids >= NumRows address delta rows.

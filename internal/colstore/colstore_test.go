@@ -57,7 +57,7 @@ func drain(v View, pruner *RangePruner, pred func(id int) bool) (ids []int, visi
 			id := i
 			if !m.Base {
 				id = v.NumRows + i
-			} else if v.BaseDead[int32(i)] {
+			} else if v.BaseDead.Has(i) {
 				continue
 			}
 			visited++

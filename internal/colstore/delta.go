@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"htapxplain/internal/repl"
@@ -16,13 +17,10 @@ import (
 // tombstones they alias rows directly.
 type tableDelta struct {
 	rows []value.Row // replicated inserts in replay (LSN) order
-	rids []int64     // parallel: primary-assigned RID per row
+	rids []int64     // parallel: primary-assigned RID per row, ascending
 	dead []bool      // parallel: tombstoned before merging
 	// deadCount is the number of set tombstones.
 	deadCount int
-	// ridPos maps RID → index into rows for rows that are still live.
-	// Only the replication applier touches it (under the table lock).
-	ridPos map[int64]int
 }
 
 // liveRows returns the delta rows visible to readers: an alias of the
@@ -47,7 +45,7 @@ func (d *tableDelta) numLive() int { return len(d.rows) - d.deadCount }
 // replState is the store-global replication bookkeeping.
 type replState struct {
 	watermark atomic.Uint64 // last applied LSN
-	pending   atomic.Int64  // delta slots + tombstones awaiting merge, across tables
+	pending   atomic.Int64  // delta slots + base deletes awaiting merge, across tables
 	notify    chan struct{} // pokes the background merger on threshold
 }
 
@@ -60,7 +58,7 @@ func (r *replState) init() {
 func (s *Store) Watermark() uint64 { return s.repl.watermark.Load() }
 
 // PendingDelta returns the number of un-merged delta operations across all
-// tables (delta slots plus base tombstones).
+// tables (delta slots plus base deletes applied since the last merge).
 func (s *Store) PendingDelta() int64 { return s.repl.pending.Load() }
 
 // Apply folds one replicated mutation into the target table's delta layer
@@ -88,15 +86,6 @@ func (s *Store) Apply(mut *repl.Mutation) error {
 	return nil
 }
 
-// deleteTarget locates one RID to delete: either a base position or a
-// delta index.
-type deleteTarget struct {
-	rid    int64
-	inBase bool
-	pos    int32 // base position when inBase
-	di     int   // delta index otherwise
-}
-
 // apply folds the mutation into the table and reports how many pending
 // merge operations it added. It validates every operation before mutating
 // anything, so a failed mutation is all-or-nothing.
@@ -105,75 +94,85 @@ func (t *Table) apply(mut *repl.Mutation) (int, error) {
 	defer t.mu.Unlock()
 
 	// phase 1: validate and resolve
-	targets := make([]deleteTarget, 0, len(mut.Deletes))
-	seenBase := make(map[int32]bool, len(mut.Deletes))
-	seenDelta := make(map[int]bool, len(mut.Deletes))
+	var basePos []int32
+	var deltaIdx []int
 	for _, rid := range mut.Deletes {
 		if pos, ok := t.basePosLocked(rid); ok {
-			if t.baseDead[pos] || seenBase[pos] {
-				return 0, fmt.Errorf("colstore: %s base row %d deleted twice", mut.Table, rid)
-			}
-			seenBase[pos] = true
-			targets = append(targets, deleteTarget{rid: rid, inBase: true, pos: pos})
+			basePos = append(basePos, pos)
 			continue
 		}
-		di, ok := t.delta.ridPos[rid]
-		if !ok || seenDelta[di] {
+		di, ok := slices.BinarySearch(t.delta.rids, rid)
+		if !ok || t.delta.dead[di] {
 			return 0, fmt.Errorf("colstore: %s has no row version %d to delete", mut.Table, rid)
 		}
-		seenDelta[di] = true
-		targets = append(targets, deleteTarget{rid: rid, di: di})
+		deltaIdx = append(deltaIdx, di)
 	}
+	dead := t.baseDead
+	if len(basePos) > 0 {
+		var ok bool
+		if dead, ok = dead.with(basePos); !ok {
+			return 0, fmt.Errorf("colstore: %s deletes a base row twice", mut.Table)
+		}
+	}
+	slices.Sort(deltaIdx)
+	for i := 1; i < len(deltaIdx); i++ {
+		if deltaIdx[i] == deltaIdx[i-1] {
+			return 0, fmt.Errorf("colstore: %s deletes row version %d twice", mut.Table, t.delta.rids[deltaIdx[i]])
+		}
+	}
+	last := t.lastRIDLocked()
 	for _, ins := range mut.Inserts {
 		if len(ins.Row) != len(t.Meta.Columns) {
 			return 0, fmt.Errorf("colstore: %s expects %d columns, got %d",
 				mut.Table, len(t.Meta.Columns), len(ins.Row))
 		}
+		if ins.RID <= last {
+			return 0, fmt.Errorf("colstore: %s insert RID %d does not follow the table's last RID %d",
+				mut.Table, ins.RID, last)
+		}
+		last = ins.RID
 	}
 
 	// phase 2: mutate
-	ops := 0
-	if len(seenBase) > 0 {
-		// copy-on-write, once per mutation: views alias the published map
-		nd := make(map[int32]bool, len(t.baseDead)+len(seenBase))
-		for k, v := range t.baseDead {
-			nd[k] = v
-		}
-		t.baseDead = nd
-	}
-	for _, tgt := range targets {
-		if tgt.inBase {
-			t.baseDead[tgt.pos] = true
-			ops++
-			continue
-		}
-		t.delta.dead[tgt.di] = true
+	t.baseDead = dead
+	t.deadSinceMerge += len(basePos)
+	for _, di := range deltaIdx {
+		t.delta.dead[di] = true
 		t.delta.deadCount++
-		delete(t.delta.ridPos, tgt.rid)
 	}
 	for _, ins := range mut.Inserts {
-		if t.delta.ridPos == nil {
-			t.delta.ridPos = make(map[int64]int)
-		}
-		t.delta.ridPos[ins.RID] = len(t.delta.rows)
 		t.delta.rows = append(t.delta.rows, ins.Row)
 		t.delta.rids = append(t.delta.rids, ins.RID)
 		t.delta.dead = append(t.delta.dead, false)
-		ops++
 	}
-	return ops, nil
+	return len(basePos) + len(mut.Inserts), nil
 }
 
 // basePosLocked resolves a primary RID to a base position, if the version
 // lives in the merged base. Caller holds t.mu.
 func (t *Table) basePosLocked(rid int64) (int32, bool) {
-	if t.ridPos != nil {
-		pos, ok := t.ridPos[rid]
-		return pos, ok
+	if t.baseRID != nil {
+		pos, ok := slices.BinarySearch(t.baseRID, rid)
+		return int32(pos), ok
 	}
 	// identity mapping of the initial bulk load
 	if rid >= 0 && rid < int64(t.numRows) {
 		return int32(rid), true
 	}
 	return 0, false
+}
+
+// lastRIDLocked returns the largest RID the table holds, merged or not,
+// live or deleted (-1 when it holds none): a replicated insert must exceed
+// it, which is what keeps baseRID and the delta's rids ascending. Caller
+// holds t.mu.
+func (t *Table) lastRIDLocked() int64 {
+	switch {
+	case len(t.delta.rids) > 0:
+		return t.delta.rids[len(t.delta.rids)-1]
+	case len(t.baseRID) > 0:
+		return t.baseRID[len(t.baseRID)-1]
+	default: // the identity mapping, or no rows at all
+		return int64(t.numRows) - 1
+	}
 }

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,33 @@ func TestUpdateMutationReplaysAtomically(t *testing.T) {
 	}
 }
 
+// liveKeys reads column k of the view's live rows: base positions not in
+// BaseDead, then the delta.
+func liveKeys(v View) []int64 {
+	var keys []int64
+	for pos := 0; pos < v.NumRows; pos++ {
+		if !v.BaseDead.Has(pos) {
+			keys = append(keys, v.Cols[0].Value(pos).I)
+		}
+	}
+	for _, r := range v.Delta {
+		keys = append(keys, r[0].I)
+	}
+	return keys
+}
+
+func baseKeys(v View) []int64 {
+	keys := make([]int64, v.NumRows)
+	for pos := range keys {
+		keys[pos] = v.Cols[0].Value(pos).I
+	}
+	return keys
+}
+
+// TestMergeCompactsAndPreservesOrder: a merge appends the live delta rows
+// after the base and keeps deleted positions in place; once more than a
+// quarter of the base is deleted, the next merge compacts them away.
+// Either way the live rows keep replay order.
 func TestMergeCompactsAndPreservesOrder(t *testing.T) {
 	s, tb := deltaStore(t, 6)
 	if err := s.Apply(insMut(1, 6, 60)); err != nil {
@@ -120,60 +148,84 @@ func TestMergeCompactsAndPreservesOrder(t *testing.T) {
 	oldView := tb.View()
 	oldCol := oldView.Cols[0]
 
+	// 1 of 6 base positions deleted: append. The partial chunk 0 is
+	// rewritten with its 6 positions, then the 2 live delta rows.
 	st := s.MergeAll()
-	if st.Merges != 1 || st.RowsMerged != 7 {
-		t.Errorf("merge stats = %+v, want 1 merge of 7 rows", st)
+	if st.Merges != 1 || st.RowsMerged != 8 {
+		t.Errorf("merge stats = %+v, want 1 merge writing 8 rows", st)
 	}
 	if got := s.PendingDelta(); got != 0 {
 		t.Errorf("pending after merge = %d, want 0", got)
 	}
-
 	v := tb.View()
-	if v.NumRows != 7 || len(v.Delta) != 0 || v.BaseDead != nil {
-		t.Fatalf("post-merge view: base=%d delta=%d dead=%v", v.NumRows, len(v.Delta), v.BaseDead)
+	if v.NumRows != 8 || len(v.Delta) != 0 || v.BaseDead.Len() != 1 || !v.BaseDead.Has(1) {
+		t.Fatalf("post-append view: base=%d delta=%d dead=%d (pos 1 %v)",
+			v.NumRows, len(v.Delta), v.BaseDead.Len(), v.BaseDead.Has(1))
 	}
-	// survivors keep replay order: base 0,2,3,4,5 then delta 60,70
-	want := []int64{0, 2, 3, 4, 5, 60, 70}
-	for i, w := range want {
-		if got := v.Cols[0].Value(i).I; got != w {
-			t.Fatalf("post-merge key[%d] = %d, want %d (full: %v)", i, got, w, want)
-		}
+	if got, want := baseKeys(v), []int64{0, 1, 2, 3, 4, 5, 60, 70}; !slices.Equal(got, want) {
+		t.Fatalf("post-append base keys = %v, want %v", got, want)
 	}
-	// zone maps rebuilt over the new base
+	if got, want := liveKeys(v), []int64{0, 2, 3, 4, 5, 60, 70}; !slices.Equal(got, want) {
+		t.Fatalf("post-append live keys = %v, want %v", got, want)
+	}
+	// the rewritten chunk's zone map covers the appended rows (and the
+	// deleted position, which only widens it)
 	if mn, mx := v.Cols[0].ChunkRange(0); mn.I != 0 || mx.I != 70 {
 		t.Errorf("zone map = [%v,%v], want [0,70]", mn, mx)
 	}
+
+	// 3 of 8 deleted: past a quarter, so the merge compacts
+	if err := s.Apply(&repl.Mutation{LSN: 4, Table: "t", Deletes: []int64{2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.MergeAll(); st.Merges != 1 || st.RowsMerged != 5 {
+		t.Errorf("compaction stats = %+v, want 1 merge writing 5 rows", st)
+	}
+	v = tb.View()
+	if v.NumRows != 5 || v.BaseDead.Len() != 0 {
+		t.Fatalf("post-compaction view: base=%d dead=%d", v.NumRows, v.BaseDead.Len())
+	}
+	if got, want := baseKeys(v), []int64{0, 4, 5, 60, 70}; !slices.Equal(got, want) {
+		t.Fatalf("post-compaction base keys = %v, want %v", got, want)
+	}
+
 	// the pre-merge view still reads the old immutable vectors
-	if oldCol.Value(1).I != 1 {
-		t.Error("merge mutated the old column vector in place")
+	if oldCol.Value(1).I != 1 || oldView.NumRows != 6 || !oldView.BaseDead.Has(1) {
+		t.Error("merge mutated the pinned view's base in place")
 	}
 	if len(oldView.Delta) != 2 {
 		t.Error("merge truncated a pinned view's delta")
 	}
 }
 
+// TestMergeThenDeleteByRID: rows keep their RIDs across an appending
+// merge, so a later delete finds a bulk row and a merged delta row by RID;
+// the compaction that follows drops both.
 func TestMergeThenDeleteByRID(t *testing.T) {
 	s, tb := deltaStore(t, 4)
 	if err := s.Apply(insMut(1, 4, 40)); err != nil {
 		t.Fatal(err)
 	}
 	s.MergeAll()
+	if v := tb.View(); v.NumRows != 5 || v.BaseDead.Len() != 0 {
+		t.Fatalf("post-merge view: base=%d dead=%d, want 5/0", v.NumRows, v.BaseDead.Len())
+	}
 	// post-merge, delete a bulk row and the previously merged delta row by RID
 	if err := s.Apply(&repl.Mutation{LSN: 2, Table: "t", Deletes: []int64{0, 4}}); err != nil {
 		t.Fatalf("post-merge delete: %v", err)
 	}
 	v := tb.View()
-	if v.NumLive() != 3 {
-		t.Errorf("live = %d, want 3", v.NumLive())
+	if v.NumLive() != 3 || !v.BaseDead.Has(0) || !v.BaseDead.Has(4) {
+		t.Errorf("live = %d, dead 0/4 = %v/%v, want 3, true/true", v.NumLive(), v.BaseDead.Has(0), v.BaseDead.Has(4))
 	}
-	s.MergeAll()
+	// a deleted row cannot be deleted again
+	if err := s.Apply(&repl.Mutation{LSN: 3, Table: "t", Deletes: []int64{4}}); err == nil {
+		t.Error("second delete of merged RID 4 succeeded")
+	}
+	s.MergeAll() // 2 of 5 deleted: compacts
 	v = tb.View()
-	keys := make([]int64, 0, v.NumRows)
-	for i := 0; i < v.NumRows; i++ {
-		keys = append(keys, v.Cols[0].Value(i).I)
-	}
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
-		t.Errorf("post-merge keys = %v, want [1 2 3]", keys)
+	if got := baseKeys(v); !slices.Equal(got, []int64{1, 2, 3}) || v.BaseDead.Len() != 0 {
+		t.Errorf("post-compaction keys = %v dead = %d, want [1 2 3] and 0", got, v.BaseDead.Len())
 	}
 }
 

@@ -9,19 +9,19 @@ import (
 	"htapxplain/internal/value"
 )
 
-// mergeThreshold is the pending-delta size (rows + tombstones, across
-// tables) that wakes the background merger between ticks.
+// mergeThreshold is the pending-delta size (delta rows + base deletes,
+// across tables) that wakes the background merger between ticks.
 const mergeThreshold = 256
 
 // mergeInterval is the background merger's tick period: the upper bound on
-// how long a small delta lingers before compaction.
+// how long a small delta lingers before it is merged.
 const mergeInterval = 50 * time.Millisecond
 
-// mergerState is the background compaction bookkeeping.
+// mergerState is the background merger's bookkeeping.
 type mergerState struct {
 	loop task.Loop // a pass is one MergeAll; a pass that panics is in loop.Err()
 
-	merges     atomic.Int64 // tables compacted
+	merges     atomic.Int64 // table merges that folded pending operations
 	rowsMerged atomic.Int64 // rows written into fresh base chunks
 }
 
@@ -31,7 +31,7 @@ type MergeStats struct {
 	RowsMerged int64 `json:"rows_merged"`
 }
 
-// MergeStats returns the compaction counters.
+// MergeStats returns the merger's work counters.
 func (s *Store) MergeStats() MergeStats {
 	return MergeStats{
 		Merges:     s.merger.merges.Load(),
@@ -39,8 +39,8 @@ func (s *Store) MergeStats() MergeStats {
 	}
 }
 
-// StartMerger launches the background merger: it compacts every table's
-// delta into fresh base chunks every 50 ms, and at once when the pending
+// StartMerger launches the background merger: it merges every table's
+// delta into its base every 50 ms, and at once when the pending
 // delta reaches 256 operations. Callers must StopMerger before discarding
 // the store.
 func (s *Store) StartMerger() {
@@ -54,7 +54,7 @@ func (s *Store) StartMerger() {
 // final pending delta (if any) is left for explicit MergeAll calls.
 func (s *Store) StopMerger() { s.merger.loop.Stop() }
 
-// MergeAll synchronously compacts every table with a pending delta,
+// MergeAll synchronously merges every table with a pending delta,
 // in deterministic (sorted-name) order. Safe to call concurrently with
 // replication and reads; tests call it directly for deterministic merge
 // points.
@@ -67,7 +67,7 @@ func (s *Store) MergeAll() MergeStats {
 	var out MergeStats
 	for _, n := range names {
 		ops, rows := s.tables[n].merge()
-		if ops == 0 && rows == 0 {
+		if ops == 0 {
 			continue
 		}
 		s.repl.pending.Add(-int64(ops))
@@ -79,47 +79,68 @@ func (s *Store) MergeAll() MergeStats {
 	return out
 }
 
-// merge compacts the table's delta into fresh immutable base chunks:
-// surviving base values and delta rows are copied into brand-new columns
-// with rebuilt zone maps and freshly chosen per-chunk encodings (the
-// merger is the encoding-selection point: post-merge statistics decide
-// dictionary/FoR/RLE/raw per chunk, per column under the store's policy),
-// and the published columns pointer is swapped. Old columns are never
-// touched, so concurrent views (and any execution batches aliasing or
-// decoding their chunks) stay valid — the batch contract the immutability
-// suite guards.
+// compactDeadFraction is the share of deleted base positions past which a
+// merge compacts — rewrites the whole table without them — instead of
+// appending. Below it, a deleted row costs one bit and readers skip it.
+const compactDeadFraction = 0.25
+
+// merge folds the table's delta into its base and publishes fresh
+// columns. It appends: the base's full chunks and their zone maps are
+// shared, the partial last chunk is decoded, and it plus the live delta
+// rows are encoded and zone-mapped into new chunks, so a merge writes
+// O(delta) rows and deleted positions stay where they are, in baseDead.
+// Once more than compactDeadFraction of the base positions are deleted it
+// compacts instead: every surviving base value and live delta row is
+// copied into brand-new columns, and baseDead empties. Either way the
+// merger is the encoding-selection point: each chunk it writes chooses
+// dictionary/FoR/RLE/raw from its own statistics under the store's
+// policy. Old columns are never touched, so concurrent views (and any
+// execution batches aliasing or decoding their chunks) stay valid — the
+// batch contract the immutability suite guards.
 //
-// It returns the number of delta operations compacted and the new base
-// row count (0, 0 when there was nothing to do).
-func (t *Table) merge() (ops, newN int) {
+// It returns the number of delta operations folded and the number of
+// rows written into fresh chunks (0, 0 when there was nothing to do).
+func (t *Table) merge() (ops, written int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.baseDead) == 0 && len(t.delta.rows) == 0 {
+	// pending accounting: every delta slot (live or tombstoned) and every
+	// base delete was counted once when applied
+	ops = t.deadSinceMerge + len(t.delta.rows)
+	if ops == 0 {
 		return 0, 0
 	}
-	// pending accounting: every delta slot (live or tombstoned) and every
-	// base tombstone was counted once when applied
-	ops = len(t.baseDead) + len(t.delta.rows)
-	newN = t.numRows - len(t.baseDead) + t.delta.numLive()
+	compact := float64(t.baseDead.Len()) > compactDeadFraction*float64(t.numRows)
+	if !compact && t.delta.numLive() == 0 {
+		// deletes only: they are already in baseDead
+		t.deadSinceMerge = 0
+		t.delta = tableDelta{}
+		return ops, 0
+	}
+	// an append shares the full chunks and rewrites every position after
+	// them; a compaction rewrites all but the deleted ones
+	keep, dead := t.numRows/ChunkSize, DeadSet{}
+	if compact {
+		keep, dead = 0, t.baseDead
+	}
+	written = t.numRows - keep*ChunkSize - dead.Len() + t.delta.numLive()
 
 	newCols := make([]*Column, len(t.columns))
 	var decodeBuf []value.Value // per-chunk decode scratch, reused across columns
 	for ci, old := range t.columns {
-		vals := make([]value.Value, 0, newN)
-		for k := 0; k < len(old.chunks); k++ {
+		vals := make([]value.Value, 0, written)
+		for k := keep; k*ChunkSize < t.numRows; k++ {
 			// decode chunk-at-a-time (raw chunks alias, encoded ones decode
-			// into the scratch), then drop tombstoned positions
+			// into the scratch), dropping deleted positions if compacting
 			ch := old.chunks[k]
 			chunk := ch.Decode(decodeBuf)
 			if ch.Enc != EncRaw {
 				decodeBuf = chunk
 			}
-			base := k * ChunkSize
+			mask := dead.Chunk(k)
 			for i, v := range chunk {
-				if t.baseDead[int32(base+i)] {
-					continue
+				if mask == nil || !mask.Has(i) {
+					vals = append(vals, v)
 				}
-				vals = append(vals, v)
 			}
 		}
 		for di, row := range t.delta.rows {
@@ -127,20 +148,21 @@ func (t *Table) merge() (ops, newN int) {
 				vals = append(vals, row[ci])
 			}
 		}
-		// re-encode: the merger is where chunk encodings are (re)chosen
-		// from fresh post-compaction statistics
-		newCols[ci] = newColumn(old.Name, vals, t.policy)
+		newCols[ci] = old.extend(keep, vals, t.policy)
 	}
 
-	newRID := make([]int64, 0, newN)
-	for pos := 0; pos < t.numRows; pos++ {
-		if t.baseDead[int32(pos)] {
-			continue
+	var newRID []int64
+	if compact {
+		newRID = make([]int64, 0, written)
+		for pos := 0; pos < t.numRows; pos++ {
+			if !dead.Has(pos) {
+				newRID = append(newRID, t.ridAt(pos))
+			}
 		}
-		if t.baseRID != nil {
-			newRID = append(newRID, t.baseRID[pos])
-		} else {
-			newRID = append(newRID, int64(pos))
+	} else if newRID = t.baseRID; newRID == nil {
+		newRID = make([]int64, t.numRows, t.numRows+t.delta.numLive())
+		for pos := range newRID {
+			newRID[pos] = int64(pos)
 		}
 	}
 	for di, rid := range t.delta.rids {
@@ -148,16 +170,22 @@ func (t *Table) merge() (ops, newN int) {
 			newRID = append(newRID, rid)
 		}
 	}
-	ridPos := make(map[int64]int32, len(newRID))
-	for i, rid := range newRID {
-		ridPos[rid] = int32(i)
-	}
 
 	t.columns = newCols
-	t.numRows = newN
+	t.numRows = len(newRID)
 	t.baseRID = newRID
-	t.ridPos = ridPos
-	t.baseDead = nil
+	if compact {
+		t.baseDead = DeadSet{}
+	}
+	t.deadSinceMerge = 0
 	t.delta = tableDelta{}
-	return ops, newN
+	return ops, written
+}
+
+// ridAt returns the RID at base position pos. Caller holds t.mu.
+func (t *Table) ridAt(pos int) int64 {
+	if t.baseRID == nil {
+		return int64(pos)
+	}
+	return t.baseRID[pos]
 }

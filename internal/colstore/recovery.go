@@ -16,14 +16,15 @@ import (
 // heap (live and tombstoned slots) so the identity RID mapping (position
 // == RID) that the replication protocol assumes holds, and tombstoned
 // slots are seeded into the copy-on-write delete set that scans already
-// filter. Zone maps cover dead slots too — they can only widen a chunk's
-// range, which keeps pruning conservative and correct. Chunk encodings are
-// chosen here from the values under the store's policy — checkpoints stay
-// encoding-agnostic (they snapshot plain row heaps), so an encoding
-// change never invalidates a checkpoint. watermark seats the replication
-// watermark at the heap's commit point, so the freshness gauge does not
-// report a phantom lag after restart; WAL tail replay continues through
-// Apply.
+// filter; they are not pending merge work, so the merger leaves them in
+// place until enough of the base is deleted to compact. Zone maps cover
+// dead slots too — they can only widen a chunk's range, which keeps
+// pruning conservative and correct. Chunk encodings are chosen here from
+// the values under the store's policy — checkpoints stay encoding-agnostic
+// (they snapshot plain row heaps), so an encoding change never invalidates
+// a checkpoint. watermark seats the replication watermark at the heap's
+// commit point, so the freshness gauge does not report a phantom lag after
+// restart; WAL tail replay continues through Apply.
 func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]rowstore.HeapSnapshot, watermark uint64, opts ...Option) (*Store, error) {
 	s := &Store{tables: make(map[string]*Table, len(heaps))}
 	s.repl.init()
@@ -53,15 +54,13 @@ func NewStoreFromHeap(cat *catalog.Catalog, heaps map[string]rowstore.HeapSnapsh
 			}
 			t.columns = append(t.columns, newColumn(strings.ToLower(meta.Columns[ci].Name), vals, s.policy))
 		}
+		var dead []int32
 		for pos, vm := range snap.Versions {
-			if vm.DeleteLSN == 0 {
-				continue
+			if vm.DeleteLSN != 0 {
+				dead = append(dead, int32(pos))
 			}
-			if t.baseDead == nil {
-				t.baseDead = make(map[int32]bool)
-			}
-			t.baseDead[int32(pos)] = true
 		}
+		t.baseDead, _ = DeadSet{}.with(dead)
 		s.tables[strings.ToLower(meta.Name)] = t
 	}
 	s.repl.watermark.Store(watermark)

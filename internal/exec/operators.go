@@ -316,8 +316,8 @@ func (s *RowIndexOrderScan) Close() error {
 // (see filter.go) — only narrows the selection vector, a column vector at
 // a time, running on base chunks only when the pruner is not an exact
 // encoding of it. The pinned view unions the immutable base chunks
-// (filtering rows deleted since the last merge through the selection
-// vector) with the replicated delta rows, which are batched through a
+// (a chunk with deleted rows filters them through the selection vector)
+// with the replicated delta rows, which are batched through a
 // private projection slab — AP reads are fresh up to the column store's
 // replication watermark, and the delta snapshot is pinned exactly once per
 // query however many workers share the cursor.
@@ -567,16 +567,16 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	s.batch.Sel = nil
 
 	countChunk()
-	needDead := s.view.BaseDead != nil
+	dead := s.view.BaseDead.Chunk(m.Chunk)
 	needPred := len(s.filter) > 0 && !selExact
-	if !needDead && !needPred {
+	if dead == nil && !needPred {
 		s.batch.Sel = sel
 		return &s.batch, nil
 	}
 
 	// 3) narrow the candidates by the delete set, then (unless the
 	// prefilter was exact) by the selection kernels
-	if needDead {
+	if dead != nil {
 		out := s.selBuf[:0]
 		n := rows
 		if sel != nil {
@@ -587,7 +587,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 			if sel != nil {
 				i = int(sel[ii])
 			}
-			if !s.view.BaseDead[int32(m.Lo+i)] {
+			if !dead.Has(i) {
 				out = append(out, int32(i))
 			}
 		}

@@ -215,10 +215,10 @@ func (w *pushWorker) foldBase(ctx *Context, m colstore.Morsel, t *aggTable) {
 		}
 	}
 
-	switch {
-	case w.view.BaseDead != nil:
-		// deleted base positions force the generic per-row walk
-		w.foldRowAt(m, t, sel)
+	switch dead := w.view.BaseDead.Chunk(m.Chunk); {
+	case dead != nil:
+		// deleted positions in this chunk force the generic per-row walk
+		w.foldRowAt(m, t, sel, dead)
 	case len(w.a.GroupCols) == 0:
 		w.foldGlobal(m, t, sel)
 	default:
@@ -455,9 +455,9 @@ func (w *pushWorker) foldGrouped(m colstore.Morsel, t *aggTable, sel []int32) bo
 	return fullDecode
 }
 
-// foldRowAt is the generic per-row walk for base chunks with deleted
+// foldRowAt is the generic per-row walk for a base chunk with deleted
 // positions: random-access ValueAt reads, no decode, dead rows skipped.
-func (w *pushWorker) foldRowAt(m colstore.Morsel, t *aggTable, sel []int32) {
+func (w *pushWorker) foldRowAt(m colstore.Morsel, t *aggTable, sel []int32, dead *colstore.DeadMask) {
 	a := w.a
 	var gch *colstore.EncodedChunk
 	if len(a.GroupCols) == 1 {
@@ -472,7 +472,7 @@ func (w *pushWorker) foldRowAt(m colstore.Morsel, t *aggTable, sel []int32) {
 		if sel != nil {
 			i = int(sel[ii])
 		}
-		if w.view.BaseDead[int32(m.Lo+i)] {
+		if dead.Has(i) {
 			continue
 		}
 		var st *aggState

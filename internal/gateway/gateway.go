@@ -454,7 +454,7 @@ func (g *Gateway) ObserveExplainLatency(d time.Duration) {
 
 // Metrics returns a point-in-time snapshot of the serving counters plus
 // the fleet's storage gauges: the TP→AP freshness gauge (commit LSN vs
-// replication watermark), the background mergers' compaction counters,
+// replication watermark), the background mergers' work counters,
 // the column stores' footprint and the durability subsystem's
 // wal_*/checkpoint_* gauges. Every storage gauge is the sum over the
 // shards — so a one-shard fleet reports exactly its system's numbers —

@@ -68,7 +68,7 @@ func (g *Gateway) PromText() string {
 	w.Gauge("htap_replication_watermark", "Column store's applied-delta watermark LSN.", nil, float64(s.Watermark))
 	w.Gauge("htap_staleness_lsns", "Commit LSN minus replication watermark (0 = AP fully fresh).", nil, float64(s.StalenessLSNs))
 	w.Counter("htap_delta_merges_total", "Background delta-to-column-store merge passes.", nil, s.Merges)
-	w.Counter("htap_delta_rows_merged_total", "Rows folded into the column store by merges.", nil, s.RowsMerged)
+	w.Counter("htap_delta_rows_merged_total", "Rows merges wrote into fresh column-store chunks.", nil, s.RowsMerged)
 
 	if s.DurabilityOn {
 		w.Counter("htap_wal_appends_total", "WAL records appended.", nil, s.WALAppends)

@@ -75,8 +75,8 @@ func DefaultConfig() Config {
 // primary: DML (see Exec in dml.go) commits there under a monotonic LSN
 // and is replicated asynchronously — through a bounded channel drained by
 // a replication goroutine — into the column store's delta layer, whose
-// background merger compacts deltas into fresh base chunks. AP reads are
-// fresh up to the column store's replication watermark.
+// background merger appends deltas to the base as fresh chunks. AP reads
+// are fresh up to the column store's replication watermark.
 type System struct {
 	Cat     *catalog.Catalog
 	Data    *tpch.Dataset
@@ -219,8 +219,8 @@ func New(cfg Config) (*System, error) {
 		}
 		s.ckpt.Start(cfg.Durability.CheckpointInterval)
 	}
-	// the merger starts once boot is done: a recovered delta is compacted
-	// by the first pass after New returns, not beside the boot checkpoint
+	// the merger starts once boot is done: a recovered delta is merged by
+	// the first pass after New returns, not beside the boot checkpoint
 	col.StartMerger()
 	return s, nil
 }

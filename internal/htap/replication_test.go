@@ -109,7 +109,7 @@ func assertStoresEqual(t *testing.T, s *System) {
 			i++
 		}
 		for pos := 0; pos < v.NumRows; pos++ {
-			if v.BaseDead[int32(pos)] {
+			if v.BaseDead.Has(pos) {
 				continue
 			}
 			pos := pos

@@ -1,7 +1,11 @@
 package rowstore
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"htapxplain/internal/catalog"
@@ -22,6 +26,8 @@ import (
 func FuzzDMLAccessPath(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 2, 7, 0, 4, 0, 7, 3})
 	f.Add([]byte{5, 0, 0, 7, 3, 1, 7, 2, 6, 0, 7, 9, 4, 2, 0, 0, 7, 6})
+	// UPDATEs that keep k (and, for args 0 and 12, n too), read between
+	f.Add([]byte{0, 1, 0, 2, 3, 0, 7, 0, 3, 12, 3, 0, 7, 1, 3, 3, 7, 4, 3, 12, 7, 3})
 	for _, seed := range []int64{1, 2, 3, 4} {
 		// a random history, then a tail of inserts and reads only, so
 		// the index answers reads at snapshots older than the last commit
@@ -37,6 +43,11 @@ func FuzzDMLAccessPath(f *testing.F) {
 		h := newAccessHistory(t)
 		for i := 0; i+1 < len(ops); i += 2 {
 			h.apply(ops[i], ops[i+1])
+		}
+		for _, col := range []string{"k", "n"} {
+			if err := indexMismatch(h.tb, col); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// finally every column, at every snapshot, for every probe key
 		for snap := uint64(0); snap <= h.lsn; snap++ {
@@ -223,4 +234,94 @@ func rowsEqual(a, b value.Row) bool {
 		}
 	}
 	return true
+}
+
+// indexMismatch holds the index on col to the live heap: one entry per
+// distinct live key, in key order, each posting the key's live RIDs in
+// heap order. It describes the first difference, or returns nil.
+func indexMismatch(tb *Table, col string) error {
+	ix, ok := tb.IndexOn(col)
+	if !ok {
+		return fmt.Errorf("no index on %s", col)
+	}
+	rids, rows := tb.ScanLiveAt(math.MaxUint64)
+	order := make([]int, len(rids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return rows[order[a]][ix.Col].Compare(rows[order[b]][ix.Col]) < 0 })
+	var keys []value.Value
+	var postings [][]int32
+	for _, i := range order {
+		key := rows[i][ix.Col]
+		if n := len(keys); n == 0 || keys[n-1].Compare(key) != 0 {
+			keys = append(keys, key)
+			postings = append(postings, nil)
+		}
+		postings[len(postings)-1] = append(postings[len(postings)-1], int32(rids[i]))
+	}
+	if ix.Len() != len(keys) {
+		return fmt.Errorf("index on %s has %d keys, the live heap %d", col, ix.Len(), len(keys))
+	}
+	for i, key := range keys {
+		if ix.keys[i].Compare(key) != 0 || !slices.Equal(ix.rowIDs[i], postings[i]) {
+			return fmt.Errorf("index on %s entry %d = %v %v, the live heap gives %v %v",
+				col, i, ix.keys[i], ix.rowIDs[i], key, postings[i])
+		}
+	}
+	return nil
+}
+
+// TestIndexOrderAfterUpdates: an UPDATE indexes its new version before it
+// unindexes the old one. Whether it keeps the unique k and the non-unique
+// n, keeps k and changes n, or changes k, every posting stays in heap
+// order and Index.Len() counts the distinct live keys.
+func TestIndexOrderAfterUpdates(t *testing.T) {
+	h := newAccessHistory(t)
+	var ins []value.Row
+	for i := byte(0); i < 12; i++ {
+		ins = append(ins, h.newRow(i*11))
+	}
+	h.commit(nil, ins)
+	check := func(what string) {
+		t.Helper()
+		for _, col := range []string{"k", "n"} {
+			if err := indexMismatch(h.tb, col); err != nil {
+				t.Fatalf("after %s: %v", what, err)
+			}
+		}
+	}
+	check("the inserts")
+	kIx, _ := h.tb.IndexOn("k")
+	update := func(i int, mk func(old value.Row) value.Row) {
+		rids, rows := h.tb.ScanLiveAt(h.lsn)
+		h.commit([]int64{rids[i]}, []value.Row{mk(rows[i])})
+	}
+	for i := 0; i < 8; i++ { // same k, same n
+		keys := kIx.Len()
+		update(i*2, func(old value.Row) value.Row {
+			return value.Row{old[0], old[1], value.NewString(fmt.Sprint("u", i))}
+		})
+		check(fmt.Sprint("same-key update ", i))
+		if kIx.Len() != keys {
+			t.Fatalf("a same-key update changed the key count: %d -> %d", keys, kIx.Len())
+		}
+	}
+	for i := 0; i < 8; i++ { // same k, n moves between postings
+		update(i, func(old value.Row) value.Row {
+			return value.Row{old[0], value.NewInt(int64(i % 3)), old[2]}
+		})
+		check(fmt.Sprint("n-changing update ", i))
+	}
+	for i := 0; i < 6; i++ { // new k, same n
+		update(i*3, func(old value.Row) value.Row {
+			r := value.Row{value.NewInt(h.nextK), old[1], old[2]}
+			h.nextK++
+			return r
+		})
+		check(fmt.Sprint("k-changing update ", i))
+	}
+	rids, _ := h.tb.ScanLiveAt(h.lsn)
+	h.commit(rids[:5], nil)
+	check("the deletes")
 }

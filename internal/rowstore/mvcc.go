@@ -108,10 +108,10 @@ func (s *Store) FirstConflict(table string, rids []int64) (int64, bool, error) {
 }
 
 // ApplyAt is the store's one writer: it applies a write set for one table
-// at the given commit LSN — every delete is tombstoned, then every insert
-// appended as a new live version (an UPDATE is both) — and returns the
-// mutation record the WAL logs and the column store replays. Live commits
-// and recovery's Replay both come through here. The store's published
+// at the given commit LSN — every insert is appended as a new live
+// version, then every delete tombstoned (an UPDATE is both) — and returns
+// the mutation record the WAL logs and the column store replays. Live
+// commits and recovery's Replay both come through here. The store's published
 // commit LSN is NOT advanced; the caller calls PublishCommit once after
 // the transaction's last table, keeping multi-table commits atomic for
 // snapshot readers. Nothing is applied unless the whole set validates
@@ -134,14 +134,18 @@ func (s *Store) ApplyAt(table string, deletes []int64, inserts []value.Row, lsn 
 	if err := t.checkLive(deletes); err != nil {
 		return nil, err
 	}
+	// inserts first: an UPDATE that keeps an indexed key then only
+	// appends to and trims that key's posting, and never empties it (which
+	// would shift the whole sorted key array out and back in). Postings
+	// stay in heap order: the new RIDs are the largest.
 	mut := &repl.Mutation{LSN: lsn, Table: strings.ToLower(t.Meta.Name)}
-	for _, rid := range deletes {
-		t.tombstone(rid, lsn)
-		mut.Deletes = append(mut.Deletes, rid)
-	}
+	mut.Deletes = append(mut.Deletes, deletes...)
 	for _, r := range inserts {
 		rid := t.appendVersion(r, lsn)
 		mut.Inserts = append(mut.Inserts, repl.RowVersion{RID: rid, Row: r})
+	}
+	for _, rid := range deletes {
+		t.tombstone(rid, lsn)
 	}
 	return mut, nil
 }

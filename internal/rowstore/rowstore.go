@@ -17,7 +17,7 @@
 //
 // There is one of each: one constructor (NewStoreFromSnapshot — a bulk
 // load is the snapshot at LSN 0 with no tombstones), one writer (ApplyAt:
-// tombstone the deletes, append the inserts, all stamped with one commit
+// append the inserts, tombstone the deletes, all stamped with one commit
 // LSN, returned as the repl.Mutation the WAL logs and the column store
 // replays; live commits and recovery's Replay both go through it) and one
 // snapshot reader for writers with two access paths: ScanLiveAt walks the

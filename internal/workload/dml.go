@@ -37,7 +37,7 @@ func NewDMLGenerator(seed int64) *DMLGenerator {
 
 // Next returns the next write statement, cycling insert-heavy over
 // updates and deletes (2:1:1) so the delta layer always has fresh rows to
-// replicate and the merger always has tombstones to compact.
+// replicate and the merger always has deletes to fold.
 func (g *DMLGenerator) Next() Query {
 	g.id++
 	var sql, tmpl string
