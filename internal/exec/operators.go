@@ -1000,6 +1000,19 @@ func (j *IndexNLJoin) Close() error {
 // side. Chains run in build order, so a probe row meets its matches in the
 // order the build child produced them. Close drops the table — a pooled
 // Runner tree outlives the query, and the table must not.
+//
+// A built table also reduces the builds below it (semi-join reduction):
+// with one key column, Open traces the probe key down the probe chain —
+// through hash joins and EXPLAIN ANALYZE wrappers, nothing else — and, when
+// it comes out of a lower join's build side, gives that join a keyFilter
+// before opening the probe child, which opens (and builds) that join
+// next. The lower build then keeps only rows whose key the table contains
+// under match's rules, and pushes its own smaller table further down.
+// Every join here is an inner equi-join and the trace crosses only joins,
+// which copy key values unchanged, so a dropped build row could only have
+// produced rows this join drops: a residual above does not matter, the
+// filter being only a necessary condition. Plans, EXPLAIN text and costs
+// are untouched; HashBuildRows counts the rows kept.
 type HashJoin struct {
 	Probe, Build         Operator
 	ProbeKeys, BuildKeys []int
@@ -1013,8 +1026,9 @@ type HashJoin struct {
 	emitProbe, keep, emitKept []int
 
 	table    joinTable
-	pIdx     []int32 // current probe batch's matches: probe position ...
-	bIdx     []int32 // ... and build row, pairwise
+	filters  []keyFilter // upper joins' tables, for the next build only
+	pIdx     []int32     // current probe batch's matches: probe position ...
+	bIdx     []int32     // ... and build row, pairwise
 	combined value.Row
 	outBuf   outBuffer
 	closed   bool
@@ -1071,7 +1085,43 @@ func (j *HashJoin) Open(ctx *Context) error {
 		j.combined = make(value.Row, len(j.Probe.Schema())+len(j.Build.Schema()))
 	}
 	j.outBuf.init(len(j.out))
+	j.pushFilter()
 	return j.Probe.Open(ctx)
+}
+
+// keyFilter is an upper join's table handed to a lower join's build: a
+// build row whose column col holds no key of table cannot reach a row the
+// upper join keeps.
+type keyFilter struct {
+	col   int
+	table *joinTable
+}
+
+// pushFilter traces a one-column probe key down the probe chain and, when
+// a lower join's build side supplies it, files this join's table as a
+// filter on that build. Each join's output column is a probe column
+// (emitProbe) or a kept build column (keep[emitKept[…]]); an EXPLAIN
+// ANALYZE wrapper is transparent, and any other operator ends the trace.
+func (j *HashJoin) pushFilter() {
+	if len(j.ProbeKeys) != 1 {
+		return
+	}
+	c, op := j.ProbeKeys[0], j.Probe
+	for {
+		switch x := op.(type) {
+		case *analyzeOp:
+			op = x.child
+		case *HashJoin:
+			if c < len(x.emitProbe) {
+				c, op = x.emitProbe[c], x.Probe
+				continue
+			}
+			x.filters = append(x.filters, keyFilter{col: x.keep[x.emitKept[c-len(x.emitProbe)]], table: &j.table})
+			return
+		default:
+			return
+		}
+	}
 }
 
 // joinTable is a hash join's build side, held column-wise. While the join
@@ -1179,13 +1229,28 @@ func (t *joinTable) absorb(o *joinTable) {
 // from disjoint morsels. Partitions are concatenated in worker order before
 // the chains are linked (match order for duplicate keys is then worker
 // order, arrival order within a worker — a multiset-equivalent reordering).
+//
+// Rows that fail a key filter (see pushFilter) are dropped before add; the
+// filters are spent once the build ends.
 func (j *HashJoin) build(ctx *Context) error {
+	defer func() { j.filters = nil }()
 	pipes := forkPipeline(j.Build, ctx)
 	parts := make([]joinTable, len(pipes))
+	var kept []Batch // per worker: the filtered view of its current batch
+	if len(j.filters) > 0 {
+		kept = make([]Batch, len(pipes))
+	}
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
 		t := &parts[w]
 		if t.ints == nil && t.keys == nil {
-			t.init(len(j.BuildKeys), len(j.keep), rowBound(pipes[w])/len(pipes))
+			bound := rowBound(pipes[w]) / len(pipes)
+			if kept != nil {
+				bound = 0 // a reduced build keeps few of the rows its leaf holds
+			}
+			t.init(len(j.BuildKeys), len(j.keep), bound)
+		}
+		if kept != nil {
+			b = j.filterBuild(b, &kept[w])
 		}
 		wctx.Stats.HashBuildRows += int64(b.NumActive())
 		t.add(b, j.BuildKeys, j.keep)
@@ -1207,6 +1272,104 @@ func (j *HashJoin) build(ctx *Context) error {
 	return nil
 }
 
+// filterBuild returns the rows of b that pass every key filter, as a view
+// in *kept: a copy of b's header with a selection of its own — never nil,
+// since a nil Sel means every row, so it is empty when no row survives. b
+// itself is not touched; each filter after the first narrows the view's
+// selection in place.
+func (j *HashJoin) filterBuild(b *Batch, kept *Batch) *Batch {
+	sel := kept.Sel[:0]
+	if sel == nil {
+		sel = make([]int32, 0, BatchSize)
+	}
+	*kept = *b
+	for _, f := range j.filters {
+		kept.Sel = f.table.semiJoin(kept, f.col, sel[:0])
+	}
+	return kept
+}
+
+// The three table forms each find a key through one lookup, shared by
+// match and semiJoin: directHead and seekInt for the int forms, which a
+// key of any other kind never matches, seekKey for the generic form.
+
+// directHead returns the chain of int key k in the direct index d over
+// keys from lo (+1, 0 when k is outside the build's key range or absent);
+// every entry of it holds k. It takes the index's fields, not the index, so
+// that match's probe loop keeps them in registers.
+func directHead(d []int32, lo uint64, k int64) int32 {
+	o := uint64(k) - lo
+	if o >= uint64(len(d)) {
+		return 0
+	}
+	return d[o]
+}
+
+// seekInt returns the first entry from e on (+1, 0 at the chain's end) of a
+// chained int table whose key is k.
+func (t *joinTable) seekInt(e int32, k int64) int32 {
+	for e != 0 && t.ints[e-1] != k {
+		e = t.index.next[e-1]
+	}
+	return e
+}
+
+// seekKey returns the first entry from e on (+1, 0 at the chain's end) of a
+// generic table whose key equals the one in columns cols of b's row p,
+// whose hash is h.
+func (t *joinTable) seekKey(e int32, h uint64, b *Batch, p int, cols []int) int32 {
+chain:
+	for ; e != 0; e = t.index.next[e-1] {
+		if t.index.hashes[e-1] != h {
+			continue
+		}
+		for k, c := range cols {
+			if !keyEqual(b.Cols[c][p], t.keys[k][e-1]) {
+				continue chain
+			}
+		}
+		return e
+	}
+	return 0
+}
+
+// semiJoin appends to sel the positions of b's active rows whose key in
+// column c the one-column table holds — the rows match would pair with
+// some build row — and returns it. sel may share b.Sel's array: no position
+// is written before it is read.
+func (t *joinTable) semiJoin(b *Batch, c int, sel []int32) []int32 {
+	if t.cols.len() == 0 {
+		return sel // an empty build side matches nothing
+	}
+	n, kc, x := b.NumActive(), b.Cols[c], &t.index
+	switch {
+	case x.direct != nil:
+		d, lo := x.direct, uint64(x.lo)
+		for i := 0; i < n; i++ {
+			p := b.PosAt(i)
+			if kc[p].K == value.KindInt && directHead(d, lo, kc[p].I) != 0 {
+				sel = append(sel, int32(p))
+			}
+		}
+	case t.ints != nil:
+		for i := 0; i < n; i++ {
+			p := b.PosAt(i)
+			if k := kc[p].I; kc[p].K == value.KindInt && t.seekInt(x.first(hashInt(k)), k) != 0 {
+				sel = append(sel, int32(p))
+			}
+		}
+	default:
+		cols := [1]int{c}
+		for i := 0; i < n; i++ {
+			p := b.PosAt(i)
+			if h := hashBatchCols(b, p, cols[:]); t.seekKey(x.first(h), h, b, p, cols[:]) != 0 {
+				sel = append(sel, int32(p))
+			}
+		}
+	}
+	return sel
+}
+
 // match collects in pIdx/bIdx every (probe position, build row) pair of pb
 // with equal keys, in probe order and, per probe row, build order.
 func (j *HashJoin) match(pb *Batch) {
@@ -1223,11 +1386,7 @@ func (j *HashJoin) match(pb *Batch) {
 			if kc[p].K != value.KindInt {
 				continue
 			}
-			o := uint64(kc[p].I) - lo
-			if o >= uint64(len(d)) {
-				continue // outside the build's key range
-			}
-			for e := d[o]; e != 0; e = x.next[e-1] {
+			for e := directHead(d, lo, kc[p].I); e != 0; e = x.next[e-1] {
 				j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 			}
 		}
@@ -1241,10 +1400,8 @@ func (j *HashJoin) match(pb *Batch) {
 				continue // every build key is an int, and only an int equals one
 			}
 			k := kc[p].I
-			for e := x.first(hashInt(k)); e != 0; e = x.next[e-1] {
-				if t.ints[e-1] == k {
-					j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
-				}
+			for e := t.seekInt(x.first(hashInt(k)), k); e != 0; e = t.seekInt(x.next[e-1], k) {
+				j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 			}
 		}
 		return
@@ -1252,16 +1409,7 @@ func (j *HashJoin) match(pb *Batch) {
 	for i := 0; i < n; i++ {
 		p := pb.PosAt(i)
 		h := hashBatchCols(pb, p, j.ProbeKeys)
-	chain:
-		for e := x.first(h); e != 0; e = x.next[e-1] {
-			if x.hashes[e-1] != h {
-				continue
-			}
-			for k, c := range j.ProbeKeys {
-				if !keyEqual(pb.Cols[c][p], t.keys[k][e-1]) {
-					continue chain
-				}
-			}
+		for e := t.seekKey(x.first(h), h, pb, p, j.ProbeKeys); e != 0; e = t.seekKey(x.next[e-1], h, pb, p, j.ProbeKeys) {
 			j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 		}
 	}
@@ -1321,6 +1469,7 @@ func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
 }
 
 func (j *HashJoin) Close() error {
+	j.filters = nil
 	if j.closed {
 		return nil
 	}

@@ -85,7 +85,7 @@ func sameRows(a, b []value.Row) bool {
 
 // refRows executes sql directly on both engines and returns the rows the
 // given engine produced — the reference the gateway must match.
-func refRows(t *testing.T, sys *htap.System, sql string, eng plan.Engine) []value.Row {
+func refRows(t testing.TB, sys *htap.System, sql string, eng plan.Engine) []value.Row {
 	t.Helper()
 	res, err := sys.Run(sql)
 	if err != nil {

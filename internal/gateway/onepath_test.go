@@ -150,9 +150,10 @@ const literalVectors = 64
 // DOP-4 limit, reach LIMIT 0, put an int, a float and a string into one
 // slot, bind negative numbers and doubled quotes, give LIKE every matcher
 // shape, and keep, swap or break the pairing of a select item with the
-// GROUP BY term or aggregate it is matched to by its text.
-func literalTemplates(t *testing.T) []literalTemplate {
-	r := rand.New(rand.NewSource(27))
+// GROUP BY term or aggregate it is matched to by its text. seed draws the
+// literals.
+func literalTemplates(t testing.TB, seed int64) []literalTemplate {
+	r := rand.New(rand.NewSource(seed))
 	pick := func(xs []string) string { return xs[r.Intn(len(xs))] }
 	quote := func(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 	// mixed is usual for most vectors; every ninth is an int, a float or a
@@ -384,7 +385,7 @@ func (m literalReference) rows(t *testing.T, sql string, eng plan.Engine) ([]val
 // each reply holds the reference's rows, or fails where it fails.
 func serveLiteralTemplates(t *testing.T, g *Gateway, coord *shard.Coordinator, ref literalReference) {
 	n := coord.NumShards()
-	for _, lt := range literalTemplates(t) {
+	for _, lt := range literalTemplates(t, 27) {
 		fp, _, _ := sqlparser.Fingerprint(lt.vectors[0])
 		planned := map[int]bool{} // the targets the template has plans for
 		skipped := map[int64]bool{}
@@ -477,6 +478,57 @@ func serveLiteralTemplates(t *testing.T, g *Gateway, coord *shard.Coordinator, r
 			t.Fatalf("serve %d of %q: cache %v err %v, want %v and the reference's rows", i+1, c.sql, resp.Cache, resp.Err, c.want)
 		}
 	}
+}
+
+// FuzzHitMatchesFreshPlan: a statement of a literal template served as a
+// hit on a warm gateway — its template planned for other literals, the new
+// ones bound at execute time into a pooled plan — returns the rows the
+// same statement returns planned afresh on a cold gateway, or fails where
+// that fails, on one shard and on four, serial and forked (a one-worker
+// ledger grants no extra workers, so every plan runs at DOP 1). The fuzzer
+// picks the literals' seed, the template and the vector.
+func FuzzHitMatchesFreshPlan(f *testing.F) {
+	// as in TestOnePathDifferential: DOP-4 plans on every machine
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	type fleet struct {
+		name       string
+		warm, cold *Gateway
+	}
+	var fleets []fleet
+	for _, n := range []int{1, 4} {
+		coord := testCoordinator(f, n)
+		for _, workers := range []int{1, 4} {
+			cfg := Config{Workers: workers, CacheCapacity: 64}
+			fl := fleet{fmt.Sprintf("%d shards, %d workers", n, workers), NewSharded(coord, cfg), NewSharded(coord, cfg)}
+			f.Cleanup(fl.warm.Stop)
+			f.Cleanup(fl.cold.Stop)
+			fleets = append(fleets, fl)
+		}
+	}
+	for i := range literalTemplates(f, 27) {
+		f.Add(int64(27), uint8(i), uint8(1+i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, tmpl, vec uint8) {
+		lts := literalTemplates(t, seed)
+		lt := lts[int(tmpl)%len(lts)]
+		sql := lt.vectors[int(vec)%len(lt.vectors)]
+		for _, fl := range fleets {
+			fl.warm.Serve(lt.vectors[0]) // plans the template unless it is cached
+			hit := fl.warm.Serve(sql)
+			fl.cold.InvalidatePlans()
+			fresh := fl.cold.Serve(sql)
+			if hit.Cache == CacheMiss || fresh.Cache != CacheMiss {
+				t.Fatalf("%s on %s: warm %v, cold %v; want a hit and a miss\n%s", lt.name, fl.name, hit.Cache, fresh.Cache, sql)
+			}
+			if (hit.Err != nil) != (fresh.Err != nil) {
+				t.Fatalf("%s on %s: hit err %v, fresh plan err %v\n%s", lt.name, fl.name, hit.Err, fresh.Err, sql)
+			}
+			if lt.countOnly && len(hit.Rows) != len(fresh.Rows) || !lt.countOnly && !sameRows(hit.Rows, fresh.Rows) {
+				t.Fatalf("%s on %s (%v): the hit's %d rows diverge from a fresh plan's %d\n%s\n got %v\nwant %v",
+					lt.name, fl.name, hit.Cache, len(hit.Rows), len(fresh.Rows), sql, hit.Rows, fresh.Rows)
+			}
+		}
+	})
 }
 
 func TestOnePathDifferential(t *testing.T) {
