@@ -1,8 +1,12 @@
-package bench
+package main
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -34,7 +38,7 @@ func TestConfigSurface(t *testing.T) {
 		{"wal.Options", wal.Options{}, []string{"Dir", "SegmentBytes", "SyncInterval", "SyncBytes", "SimulatedSyncLatency"}},
 		{"obs.TracerConfig", obs.TracerConfig{}, []string{"SampleRate", "RingSize", "SlowQuery", "SlowLogf"}},
 	}
-	readme, err := os.ReadFile("README.md")
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,5 +70,47 @@ func TestConfigSurface(t *testing.T) {
 	}
 	if rows != want {
 		t.Errorf("README's Configuration table has %d rows, want one per field: %d", rows, want)
+	}
+}
+
+// TestNightlyFuzzCoversEveryTarget: every fuzz target in the module has
+// its row in the nightly fuzz job's matrix, and every row names one, so a
+// new fuzzer is fuzzed and not only run on its seed corpus.
+func TestNightlyFuzzCoversEveryTarget(t *testing.T) {
+	const root = "../.."
+	matrix, err := os.ReadFile(filepath.Join(root, ".github/workflows/nightly-fuzz.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	targets := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		for _, m := range fuzzFunc.FindAllSubmatch(src, -1) {
+			targets++
+			row := fmt.Sprintf("- { pkg: ./%s, fuzz: %s }", filepath.ToSlash(rel), m[1])
+			if !strings.Contains(string(matrix), row) {
+				t.Errorf("nightly-fuzz.yml's matrix lacks the row %s", row)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(string(matrix), "- { pkg: "); rows != targets {
+		t.Errorf("nightly-fuzz.yml's matrix has %d rows for %d fuzz targets", rows, targets)
 	}
 }

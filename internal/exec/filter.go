@@ -9,116 +9,143 @@ import (
 
 // A columnar scan's predicate runs as an ordered list of selection kernels,
 // each narrowing the candidate positions of the batch's column vectors a
-// vector at a time. A conjunct that tests one bare column against literals —
-// col <op> lit, col BETWEEN lit AND lit, col IN (lits), col LIKE 'pat' — is
-// a column kernel: one test per value, no row assembled, no evaluator tree
-// walked. A predicate with any other conjunct is a single row kernel running
-// the whole compiled evaluator, so its error and short-circuit behaviour stay
-// exactly the evaluator's; column kernels cannot fail, which is what lets
-// them run conjunct by conjunct. Either way a row is selected exactly when
-// Truthy of the compiled predicate holds for it: NULL is never selected,
-// comparisons keep value.Compare semantics, and LIKE matches a non-string on
-// its String rendering, as Compile does.
+// vector at a time. A conjunct that tests one bare column against literals
+// (a Sarg) is a column kernel: one test per value, no row assembled, no
+// evaluator tree walked. A predicate with any other conjunct is a single
+// row kernel running the whole compiled evaluator, so its error and
+// short-circuit behaviour stay exactly the evaluator's; column kernels
+// cannot fail, which is what lets them run conjunct by conjunct. Either way
+// a row is selected exactly when Truthy of the compiled predicate holds for
+// it: NULL is never selected, comparisons keep value.Compare semantics, and
+// LIKE matches a non-string on its String rendering, as Compile does.
+
+// Sarg is a conjunct that tests one operand against literals: operand op
+// lit, operand BETWEEN lit AND lit, operand [NOT] IN (lits) or operand LIKE
+// 'pat'. A comparison written lit op operand is mirrored to operand op'
+// lit. It is the one definition of the shape that scan kernels, index
+// paths, zone pruners, shard pins, selectivity estimates and DML's snapshot
+// read all look for; each then asks its own question of the operand (a
+// bare column, an indexed one, a function call).
+type Sarg struct {
+	Operand sqlparser.Expr
+	Shape   Shape
+	Op      sqlparser.BinOp // ShapeCmp: the comparison, Operand on its left
+	Not     bool            // ShapeIn: NOT IN
+	// Lits are the literals with their slots: ShapeCmp's one, ShapeBetween's
+	// lo and hi, ShapeIn's list, ShapeLike's pattern.
+	Lits Lits
+}
+
+// Shape is the form of a Sarg.
+type Shape uint8
+
+const (
+	ShapeCmp Shape = iota
+	ShapeBetween
+	ShapeIn
+	ShapeLike
+)
+
+// SargOf classifies e; false when it is not a Sarg.
+func SargOf(e sqlparser.Expr) (Sarg, bool) {
+	var s Sarg
+	ok := false
+	switch x := e.(type) {
+	case *sqlparser.BinaryExpr:
+		if !x.Op.IsComparison() {
+			return Sarg{}, false
+		}
+		s.Operand, s.Shape, s.Op = x.Left, ShapeCmp, x.Op
+		lit := x.Right
+		if _, isLit := LitOf(lit); !isLit {
+			s.Operand, s.Op, lit = x.Right, mirrored(x.Op), x.Left
+		}
+		s.Lits, ok = LitsOf([]sqlparser.Expr{lit}, 0)
+	case *sqlparser.BetweenExpr:
+		s.Operand, s.Shape = x.Expr, ShapeBetween
+		s.Lits, ok = LitsOf([]sqlparser.Expr{x.Lo, x.Hi}, 0)
+	case *sqlparser.InExpr:
+		s.Operand, s.Shape, s.Not = x.Expr, ShapeIn, x.Not
+		s.Lits, ok = LitsOf(x.List, x.Slot)
+	case *sqlparser.LikeExpr:
+		s.Operand, s.Shape, ok = x.Expr, ShapeLike, true
+		s.Lits = Lits{Values: []value.Value{value.NewString(x.Pattern)}}
+		if x.Slot > 0 {
+			s.Lits.Slots = []int{x.Slot}
+		}
+	}
+	return s, ok
+}
+
+// mirrored is comparison op with its operands swapped: a < b is b > a.
+func mirrored(op sqlparser.BinOp) sqlparser.BinOp {
+	switch op {
+	case sqlparser.OpLt:
+		return sqlparser.OpGt
+	case sqlparser.OpLe:
+		return sqlparser.OpGe
+	case sqlparser.OpGt:
+		return sqlparser.OpLt
+	case sqlparser.OpGe:
+		return sqlparser.OpLe
+	}
+	return op
+}
 
 // ScanFilter is a columnar scan's predicate compiled to selection kernels;
 // empty means no predicate.
 type ScanFilter []selKernel
 
 // selKernel is one selection kernel: a column kernel, testing column col's
-// value against the literals lits by its kind, or, when row is set, the row
-// kernel. A column kernel is specialised on its literals' values — a
-// comparison or BETWEEN on its operands, IN on its list, LIKE on its
-// pattern's matcher — once: at compile time on the planned literals, and
-// again once per execution (bind) when a bound literal vector slots them.
+// value against its Sarg's literals, or, when row is set, the row kernel. A
+// column kernel is specialised on its literals' values — a comparison or
+// BETWEEN on its operands, IN on its list, LIKE on its pattern's matcher —
+// once: at compile time on the planned literals, and again once per
+// execution (bind) when a bound literal vector slots them.
 type selKernel struct {
-	col  int
-	kind kernelKind
-	op   sqlparser.BinOp // kernelCmp
-	not  bool            // kernelIn: NOT IN
-	lits Lits
+	Sarg
+	col int
 
-	a, b  value.Value   // kernelCmp: a; kernelBetween: a..b
-	items []value.Value // kernelIn
-	pat   likePattern   // kernelLike
+	a, b  value.Value   // ShapeCmp: a; ShapeBetween: a..b
+	items []value.Value // ShapeIn
+	pat   likePattern   // ShapeLike
 
 	row Evaluator
 }
 
-type kernelKind uint8
-
-const (
-	kernelCmp kernelKind = iota
-	kernelBetween
-	kernelIn
-	kernelLike
-)
-
 // CompileScanFilter compiles the conjuncts of a scan predicate against the
-// scan's schema: one column kernel per conjunct when every conjunct has one,
-// otherwise one row kernel over their conjunction.
+// scan's schema: one column kernel per conjunct when every conjunct is a
+// Sarg on a bare column, otherwise one row kernel over their conjunction.
 func CompileScanFilter(conjuncts []sqlparser.Expr, s Schema) (ScanFilter, error) {
 	f := make(ScanFilter, 0, len(conjuncts))
 	for _, c := range conjuncts {
-		k, ok := columnKernel(c, s)
-		if !ok {
+		sarg, ok := SargOf(c)
+		col, bare := bareColumn(sarg.Operand, s)
+		if !ok || !bare {
 			ev, err := Compile(sqlparser.AndAll(conjuncts), s)
 			if err != nil {
 				return nil, err
 			}
 			return ScanFilter{{row: ev}}, nil
 		}
+		k := selKernel{Sarg: sarg, col: col}
 		k.specialise(nil)
 		f = append(f, k)
 	}
 	return f, nil
 }
 
-// columnKernel compiles one conjunct to a column kernel, if it has one.
-func columnKernel(e sqlparser.Expr, s Schema) (selKernel, bool) {
-	var k selKernel
-	var operand sqlparser.Expr
-	var ok, isLit bool
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		operand, k.kind, k.op = x.Left, kernelCmp, x.Op
-		k.lits, isLit = LitsOf([]sqlparser.Expr{x.Right}, 0)
-		isLit = isLit && x.Op.IsComparison()
-	case *sqlparser.BetweenExpr:
-		operand, k.kind = x.Expr, kernelBetween
-		k.lits, isLit = LitsOf([]sqlparser.Expr{x.Lo, x.Hi}, 0)
-	case *sqlparser.InExpr:
-		operand, k.kind, k.not = x.Expr, kernelIn, x.Not
-		k.lits, isLit = LitsOf(x.List, x.Slot)
-	case *sqlparser.LikeExpr:
-		operand, k.kind, isLit = x.Expr, kernelLike, true
-		k.lits = Lits{Values: []value.Value{value.NewString(x.Pattern)}}
-		if x.Slot > 0 {
-			k.lits.Slots = []int{x.Slot}
-		}
-	default:
-		return selKernel{}, false
-	}
-	k.col, ok = bareColumn(operand, s)
-	return k, ok && isLit
-}
-
 // specialise reads the kernel's literals under p (nil: the planned ones).
 func (k *selKernel) specialise(p *Params) {
-	lit := func(i int) value.Value {
-		if k.lits.Slots == nil {
-			return k.lits.Values[i]
-		}
-		return p.Value(k.lits.Slots[i], k.lits.Values[i])
-	}
-	switch k.kind {
-	case kernelCmp:
-		k.a = lit(0)
-	case kernelBetween:
-		k.a, k.b = lit(0), lit(1)
-	case kernelIn:
-		k.items = k.lits.bind(p, nil)
-	case kernelLike:
-		k.pat = compileLike(lit(0).S)
+	switch k.Shape {
+	case ShapeCmp:
+		k.a = k.Lits.At(0).bind(p)
+	case ShapeBetween:
+		k.a, k.b = k.Lits.At(0).bind(p), k.Lits.At(1).bind(p)
+	case ShapeIn:
+		k.items = k.Lits.bind(p, nil)
+	case ShapeLike:
+		k.pat = compileLike(k.Lits.At(0).bind(p).S)
 	}
 }
 
@@ -129,18 +156,18 @@ func (k *selKernel) keep(v *value.Value) bool {
 	if v.K == value.KindNull {
 		return false
 	}
-	switch k.kind {
-	case kernelCmp:
-		return compareHolds(k.op, v.Compare(k.a))
-	case kernelBetween:
+	switch k.Shape {
+	case ShapeCmp:
+		return compareHolds(k.Op, v.Compare(k.a))
+	case ShapeBetween:
 		return v.Compare(k.a) >= 0 && v.Compare(k.b) <= 0
-	case kernelIn:
+	case ShapeIn:
 		for _, it := range k.items {
 			if v.Equal(it) {
-				return !k.not
+				return !k.Not
 			}
 		}
-		return k.not
+		return k.Not
 	}
 	if v.K == value.KindString {
 		return k.pat.match(v.S)
@@ -152,12 +179,12 @@ func (k *selKernel) keep(v *value.Value) bool {
 // execution, in buf: f itself stands when p is unbound or no kernel has a
 // slot.
 func (f ScanFilter) bind(p *Params, buf *ScanFilter) ScanFilter {
-	if !p.bound() || !slices.ContainsFunc(f, func(k selKernel) bool { return k.lits.slotted() }) {
+	if !p.bound() || !slices.ContainsFunc(f, func(k selKernel) bool { return k.Lits.slotted() }) {
 		return f
 	}
 	b := append((*buf)[:0], f...)
 	for i := range b {
-		if b[i].lits.slotted() {
+		if b[i].Lits.slotted() {
 			b[i].specialise(p)
 		}
 	}

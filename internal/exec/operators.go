@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -131,6 +132,12 @@ func (s *RowIndexScan) Open(ctx *Context) error {
 		ctx.Stats.IndexProbes += int64(len(keys))
 		for _, k := range keys {
 			s.ids = s.Index.LookupAppend(k, s.ids)
+		}
+		if len(keys) > 1 {
+			// keys that compare equal (7, 7.0) share a posting: each row
+			// once, in heap order
+			slices.Sort(s.ids)
+			s.ids = slices.Compact(s.ids)
 		}
 	} else {
 		ctx.Stats.IndexProbes++

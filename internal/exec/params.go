@@ -212,6 +212,15 @@ func LitsOf(exprs []sqlparser.Expr, list int) (Lits, bool) {
 	return l, true
 }
 
+// At is the literal Values[i], with its slot.
+func (l *Lits) At(i int) Lit {
+	lit := Lit{V: l.Values[i]}
+	if l.Slots != nil {
+		lit.Slot = l.Slots[i]
+	}
+	return lit
+}
+
 func (l *Lits) slotted() bool { return l.List > 0 || l.Slots != nil }
 
 // bind returns the list under p. A list slotted item by item is assembled

@@ -22,20 +22,25 @@ import (
 
 // TestPointDMLSeesSnapshotAfterConcurrentDelete: a concurrent commit
 // updates and then deletes key k after a transaction pinned its snapshot.
-// The transaction's UPDATE ... WHERE c_custkey = k still sees k's version
-// at the snapshot — the one the concurrent update tombstoned — and its
-// commit must lose with ErrConflict. An index read that missed that
-// version would match 0 rows and commit: a lost update.
+// The transaction's UPDATE ... WHERE c_custkey = k (or a key set or key
+// range holding k) still sees k's version at the snapshot — the one the
+// concurrent update tombstoned — and its commit must lose with
+// ErrConflict. An index read that missed that version would match 0 rows
+// and commit: a lost update.
 func TestPointDMLSeesSnapshotAfterConcurrentDelete(t *testing.T) {
 	s := newUnmergedSystem(t)
+	const point = "c_custkey = %[1]d AND c_mktsegment <> 'x'"
 	cases := []struct {
 		name  string
 		key   int64
 		stmts []string // run before the UPDATE under test, in the same txn
+		where string   // the UPDATE's WHERE: %[1]d is k, %[2]d k-1, %[3]d k+1
 	}{
-		{name: "block", key: 11, stmts: []string{
+		{name: "block", key: 11, where: point, stmts: []string{
 			"UPDATE customer SET c_comment = 'block' WHERE c_custkey = 12"}},
-		{name: "autocommit", key: 13},
+		{name: "autocommit", key: 13, where: point},
+		{name: "in", key: 15, where: "c_custkey IN (%[1]d, %[1]d, 999999) AND c_mktsegment <> 'x'"},
+		{name: "range", key: 17, where: "c_custkey > %[2]d AND c_custkey < %[3]d AND c_mktsegment <> 'x'"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,8 +58,8 @@ func TestPointDMLSeesSnapshotAfterConcurrentDelete(t *testing.T) {
 					t.Fatalf("concurrent %q: %v", q, err)
 				}
 			}
-			res, err := tx.Exec(fmt.Sprintf(
-				"UPDATE customer SET c_comment = 'late' WHERE c_custkey = %d AND c_mktsegment <> 'x'", tc.key))
+			res, err := tx.Exec("UPDATE customer SET c_comment = 'late' WHERE " +
+				fmt.Sprintf(tc.where, tc.key, tc.key-1, tc.key+1))
 			if err != nil {
 				t.Fatal(err)
 			}

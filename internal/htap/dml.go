@@ -123,25 +123,25 @@ func buildInsertRows(meta *catalog.Table, ins *sqlparser.Insert) ([]value.Row, e
 }
 
 // dmlTarget resolves the target table and compiles the optional WHERE
-// predicate against its schema.
-func (s *System) dmlTarget(table string, where sqlparser.Expr) (*rowstore.Table, *catalog.Table, exec.Evaluator, error) {
+// predicate against its schema, which it returns too (nil with no WHERE).
+func (s *System) dmlTarget(table string, where sqlparser.Expr) (*rowstore.Table, *catalog.Table, exec.Schema, exec.Evaluator, error) {
 	meta, ok := s.Cat.Table(table)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("htap: no such table %q", table)
+		return nil, nil, nil, nil, fmt.Errorf("htap: no such table %q", table)
 	}
 	t, ok := s.Row.Table(table)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("htap: row store missing table %q", table)
+		return nil, nil, nil, nil, fmt.Errorf("htap: row store missing table %q", table)
 	}
-	var pred exec.Evaluator
-	if where != nil {
-		ev, err := exec.Compile(where, exec.TableSchema(meta, strings.ToLower(table)))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("htap: WHERE: %w", err)
-		}
-		pred = ev
+	if where == nil {
+		return t, meta, nil, nil, nil
 	}
-	return t, meta, pred, nil
+	schema := exec.TableSchema(meta, strings.ToLower(table))
+	pred, err := exec.Compile(where, schema)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("htap: WHERE: %w", err)
+	}
+	return t, meta, schema, pred, nil
 }
 
 // evalConst evaluates a constant expression (literals and arithmetic over

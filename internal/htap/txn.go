@@ -9,6 +9,7 @@ import (
 	"htapxplain/internal/catalog"
 	"htapxplain/internal/exec"
 	"htapxplain/internal/obs"
+	"htapxplain/internal/optimizer"
 	"htapxplain/internal/repl"
 	"htapxplain/internal/rowstore"
 	"htapxplain/internal/sqlparser"
@@ -22,14 +23,14 @@ import (
 // in a private write set — nothing touches shared state until Commit.
 // Statements read the base table at the snapshot, overlaid with the
 // transaction's own buffered writes (read-your-writes), so concurrent
-// commits never change what a running transaction sees. A WHERE that pins
-// an indexed column to a literal (and otherwise only compares columns to
-// literals) reads that key's posting list through LookupLiveAt; every
-// other statement scans the version heap with ScanLiveAt. The index holds
-// only versions live now, so when a delete committed after the snapshot
-// LookupLiveAt declines and the statement scans: a row updated or deleted
-// concurrently is still matched, and the commit conflicts instead of
-// silently updating nothing.
+// commits never change what a running transaction sees. A WHERE whose
+// every conjunct tests a bare column against literals, one of them an
+// indexed column's keys or range, reads those postings through
+// LookupLiveAt; every other statement scans the version heap with
+// ScanLiveAt. The index holds only versions live now, so when a delete
+// committed after the snapshot LookupLiveAt declines and the statement
+// scans: a row updated or deleted concurrently is still matched, and the
+// commit conflicts instead of silently updating nothing.
 //
 // Commit is where writers meet. The heavy lifting — parsing, WHERE
 // evaluation, row construction — already happened outside any lock;
@@ -163,17 +164,18 @@ func (tx *Txn) tableWrites(table string, tbl *rowstore.Table, meta *catalog.Tabl
 
 // snapshotMatches reads the base table at the transaction's snapshot,
 // skipping rows the transaction itself already deleted, and filters by
-// the predicate. It returns parallel RID/row slices. A WHERE that pins an
-// indexed column (see pointKey) reads only that key's versions through
-// LookupLiveAt; any other WHERE, or a snapshot the index cannot answer,
-// scans the heap with ScanLiveAt. Both give the same rows in the same
-// order, and the full predicate is evaluated on every candidate.
+// the predicate. It returns parallel RID/row slices. A WHERE the TP
+// planner would read through an index (see optimizer.IndexKeys) reads only
+// that conjunct's keys or key range through LookupLiveAt; any other WHERE,
+// or a snapshot the index cannot answer, scans the heap with ScanLiveAt.
+// Both give the same rows in the same order, and the full predicate is
+// evaluated on every candidate.
 func (tx *Txn) snapshotMatches(tw *tableWrites, where sqlparser.Expr, pred exec.Evaluator) ([]int64, []value.Row, error) {
 	var rids []int64
 	var rows []value.Row
 	indexed := false
-	if col, key, point := pointKey(where, tw.tbl); point {
-		rids, rows, indexed = tw.tbl.LookupLiveAt(col, key, tx.snap)
+	if col, keys, lo, hi, ok := optimizer.IndexKeys(tw.meta, where); ok {
+		rids, rows, indexed = tw.tbl.LookupLiveAt(col, keys, lo, hi, tx.snap)
 	}
 	if !indexed {
 		rids, rows = tw.tbl.ScanLiveAt(tx.snap)
@@ -197,62 +199,6 @@ func (tx *Txn) snapshotMatches(tw *tableWrites, where sqlparser.Expr, pred exec.
 		outRows = append(outRows, r)
 	}
 	return outIDs, outRows, nil
-}
-
-// pointKey reports the column and key a WHERE pins through an index: the
-// WHERE must be an AND-tree of comparisons between bare columns and int or
-// string literals, one of them indexed_col = literal. Such a WHERE cannot
-// fail to evaluate, so the index path and the scan fail or succeed alike.
-func pointKey(where sqlparser.Expr, tbl *rowstore.Table) (col string, key value.Value, ok bool) {
-	var pk indexedEq
-	if where == nil || !pk.walk(where, tbl) || pk.col == "" {
-		return "", value.Value{}, false
-	}
-	return pk.col, pk.key, true
-}
-
-// indexedEq is pointKey's walk state: the first indexed_col = literal
-// conjunct found.
-type indexedEq struct {
-	col string
-	key value.Value
-}
-
-// walk reports whether e is an AND-tree of column-literal comparisons,
-// recording its first equality on an indexed column.
-func (pk *indexedEq) walk(e sqlparser.Expr, tbl *rowstore.Table) bool {
-	b, isBin := e.(*sqlparser.BinaryExpr)
-	switch {
-	case !isBin:
-		return false
-	case b.Op == sqlparser.OpAnd:
-		return pk.walk(b.Left, tbl) && pk.walk(b.Right, tbl)
-	case !b.Op.IsComparison():
-		return false
-	}
-	side, other := b.Left, b.Right
-	if _, isCol := other.(*sqlparser.ColumnRef); isCol {
-		side, other = other, side
-	}
-	ref, isCol := side.(*sqlparser.ColumnRef)
-	var lit value.Value
-	switch l := other.(type) {
-	case *sqlparser.IntLit:
-		lit = value.NewInt(l.V)
-	case *sqlparser.StringLit:
-		lit = value.NewString(l.V)
-	default:
-		return false
-	}
-	if !isCol {
-		return false
-	}
-	if pk.col == "" && b.Op == sqlparser.OpEq {
-		if _, indexed := tbl.IndexOn(ref.Column); indexed {
-			pk.col, pk.key = ref.Column, lit
-		}
-	}
-	return true
 }
 
 // pendingMatches returns the indexes of the transaction's own live
@@ -280,7 +226,7 @@ func (tx *Txn) pendingMatches(tw *tableWrites, pred exec.Evaluator) ([]int, erro
 }
 
 func (tx *Txn) execInsert(ins *sqlparser.Insert) (*DMLResult, error) {
-	tbl, meta, _, err := tx.sys.dmlTarget(ins.Table, nil)
+	tbl, meta, _, _, err := tx.sys.dmlTarget(ins.Table, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,11 +245,13 @@ func (tx *Txn) execInsert(ins *sqlparser.Insert) (*DMLResult, error) {
 }
 
 func (tx *Txn) execUpdate(upd *sqlparser.Update) (*DMLResult, error) {
-	tbl, meta, pred, err := tx.sys.dmlTarget(upd.Table, upd.Where)
+	tbl, meta, schema, pred, err := tx.sys.dmlTarget(upd.Table, upd.Where)
 	if err != nil {
 		return nil, err
 	}
-	schema := exec.TableSchema(meta, strings.ToLower(upd.Table))
+	if schema == nil {
+		schema = exec.TableSchema(meta, strings.ToLower(upd.Table))
+	}
 	type setter struct {
 		col int
 		ev  exec.Evaluator
@@ -375,7 +323,7 @@ func (tx *Txn) execUpdate(upd *sqlparser.Update) (*DMLResult, error) {
 }
 
 func (tx *Txn) execDelete(del *sqlparser.Delete) (*DMLResult, error) {
-	tbl, meta, pred, err := tx.sys.dmlTarget(del.Table, del.Where)
+	tbl, meta, _, pred, err := tx.sys.dmlTarget(del.Table, del.Where)
 	if err != nil {
 		return nil, err
 	}

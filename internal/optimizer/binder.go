@@ -12,7 +12,9 @@ import (
 	"strings"
 
 	"htapxplain/internal/catalog"
+	"htapxplain/internal/exec"
 	"htapxplain/internal/sqlparser"
+	"htapxplain/internal/value"
 )
 
 // boundTable is one FROM entry resolved against the catalog.
@@ -211,61 +213,91 @@ func ndvOf(meta *catalog.Table, col string) float64 {
 	return float64(c.NDV)
 }
 
-// selectivity estimates the fraction of rows of the predicate's (single)
-// table that satisfy e. Function-wrapped columns get heuristic defaults
+// selectivity estimates the fraction of the rows of table that satisfy e,
+// a predicate on it alone. Function-wrapped columns get heuristic defaults
 // (their distributions are opaque to the optimizer — the reason such
 // predicates also cannot use indexes).
-func selectivity(a *analysis, e sqlparser.Expr) float64 {
+func selectivity(table *catalog.Table, e sqlparser.Expr) float64 {
 	switch x := e.(type) {
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
 		case sqlparser.OpAnd:
-			return clampSel(selectivity(a, x.Left) * selectivity(a, x.Right))
+			return clampSel(selectivity(table, x.Left) * selectivity(table, x.Right))
 		case sqlparser.OpOr:
-			l, r := selectivity(a, x.Left), selectivity(a, x.Right)
+			l, r := selectivity(table, x.Left), selectivity(table, x.Right)
 			return clampSel(l + r - l*r)
-		case sqlparser.OpEq:
-			if ref, ok := x.Left.(*sqlparser.ColumnRef); ok {
-				if bt, found := a.table(ref.Table); found {
-					return clampSel(1.0 / ndvOf(bt.meta, ref.Column))
-				}
-			}
-			if _, ok := x.Left.(*sqlparser.FuncExpr); ok {
-				return 0.04 // e.g. SUBSTRING(...) = '20': one of ~25 codes
-			}
-			return 0.05
-		case sqlparser.OpNe:
-			return 0.9
-		case sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-			return 0.3
-		default:
-			return 0.5
 		}
 	case *sqlparser.NotExpr:
-		return clampSel(1 - selectivity(a, x.Inner))
-	case *sqlparser.InExpr:
-		k := float64(len(x.List))
-		var domain float64 = 25 // function-wrapped default (phone country codes)
-		if ref, ok := x.Expr.(*sqlparser.ColumnRef); ok {
-			if bt, found := a.table(ref.Table); found {
-				domain = ndvOf(bt.meta, ref.Column)
-			}
-		}
-		s := k / domain
-		if x.Not {
-			s = 1 - s
-		}
-		return clampSel(s)
-	case *sqlparser.BetweenExpr:
-		return 0.25
-	case *sqlparser.LikeExpr:
-		if !strings.HasPrefix(x.Pattern, "%") {
-			return 0.05
-		}
-		return 0.1
-	default:
-		return 0.5
+		return clampSel(1 - selectivity(table, x.Inner))
 	}
+	if s, ok := exec.SargOf(e); ok {
+		return sargSelectivity(table, s)
+	}
+	// Not a Sarg (an expression on both sides of a comparison, an IN item
+	// or a BETWEEN bound that is not a literal): its shape's estimate, the
+	// left side standing as the operand.
+	switch x := e.(type) {
+	case *sqlparser.BinaryExpr:
+		if x.Op.IsComparison() {
+			return cmpSelectivity(table, x.Left, x.Op)
+		}
+	case *sqlparser.InExpr:
+		return inSelectivity(table, x.Expr, len(x.List), x.Not)
+	case *sqlparser.BetweenExpr:
+		return betweenSel
+	}
+	return 0.5
+}
+
+// betweenSel is the estimate of a BETWEEN.
+const betweenSel = 0.25
+
+// sargSelectivity estimates the fraction of the rows of table that satisfy
+// the Sarg s.
+func sargSelectivity(table *catalog.Table, s exec.Sarg) float64 {
+	switch s.Shape {
+	case exec.ShapeCmp:
+		return cmpSelectivity(table, s.Operand, s.Op)
+	case exec.ShapeIn:
+		return inSelectivity(table, s.Operand, len(s.Lits.Values), s.Not)
+	case exec.ShapeBetween:
+		return betweenSel
+	}
+	if !strings.HasPrefix(s.Lits.Values[0].S, "%") {
+		return 0.05
+	}
+	return 0.1
+}
+
+// cmpSelectivity estimates operand op x.
+func cmpSelectivity(table *catalog.Table, operand sqlparser.Expr, op sqlparser.BinOp) float64 {
+	switch op {
+	case sqlparser.OpEq:
+	case sqlparser.OpNe:
+		return 0.9
+	default:
+		return 0.3
+	}
+	switch x := operand.(type) {
+	case *sqlparser.ColumnRef:
+		return clampSel(1.0 / ndvOf(table, x.Column))
+	case *sqlparser.FuncExpr:
+		return 0.04 // e.g. SUBSTRING(...) = '20': one of ~25 codes
+	}
+	return 0.05
+}
+
+// inSelectivity estimates operand [NOT] IN a list of k items.
+func inSelectivity(table *catalog.Table, operand sqlparser.Expr, k int, not bool) float64 {
+	domain := 25.0 // function-wrapped default (phone country codes)
+	if ref, ok := operand.(*sqlparser.ColumnRef); ok {
+		domain = ndvOf(table, ref.Column)
+	}
+	sel := float64(k) / domain
+	if not {
+		sel = 1 - sel
+	}
+	return clampSel(sel)
 }
 
 func clampSel(s float64) float64 {
@@ -280,10 +312,10 @@ func clampSel(s float64) float64 {
 
 // tableSelectivity is the product of all single-table predicates on a
 // binding.
-func tableSelectivity(a *analysis, binding string) float64 {
+func tableSelectivity(a *analysis, t boundTable) float64 {
 	s := 1.0
-	for _, p := range a.tablePreds[binding] {
-		s *= selectivity(a, p)
+	for _, p := range a.tablePreds[t.binding] {
+		s *= selectivity(t.meta, p)
 	}
 	return clampSel(s)
 }
@@ -291,7 +323,7 @@ func tableSelectivity(a *analysis, binding string) float64 {
 // estRows is the estimated post-filter cardinality of a binding at the
 // modeled scale.
 func estRows(a *analysis, t boundTable) float64 {
-	return math.Max(1, float64(t.meta.Rows)*tableSelectivity(a, t.binding))
+	return math.Max(1, float64(t.meta.Rows)*tableSelectivity(a, t))
 }
 
 // joinSelectivity estimates 1/max(ndv_a, ndv_b) for an equi-join.
@@ -308,12 +340,12 @@ func joinSelectivity(a *analysis, jp joinPred) float64 {
 // --------------------------------------------------------- sargability
 
 // sargable describes a single-table predicate an access path can use in
-// place of a row-by-row test: a bare column compared to literals.
+// place of a row-by-row test: a bare column equal to literals (keys) or
+// bounded by them (lo, hi).
 type sargable struct {
 	column string
-	keys   []sqlparser.Expr // equality / IN keys (literals)
-	list   int              // the keys' list slot, for a literal-only IN list
-	lo, hi sqlparser.Expr   // range bounds (literals); nil = open
+	keys   exec.Lits // equality / IN keys; none for a range
+	lo, hi *exec.Lit // range bounds; nil = open
 	// loStrict/hiStrict mark exclusive bounds (> / <). An index range scan
 	// is inclusive, so TP keeps such a predicate in its residual filter;
 	// the AP zone pruner propagates them so its chunk-level RangeSel can
@@ -323,76 +355,71 @@ type sargable struct {
 	pred               sqlparser.Expr
 }
 
-// extractSargable finds the most selective predicate on the binding that
-// is sargable — a bare (not function-wrapped) column compared to literals
-// — and that the access path accepts. This is where
-// SUBSTRING(c_phone,1,2) IN (...) fails to qualify — the paper's central
-// example of index-unusable predicates.
-func extractSargable(a *analysis, t boundTable, accept func(*sargable) bool) *sargable {
-	var best *sargable
-	consider := func(p sqlparser.Expr, s sargable) {
-		s.sel, s.pred = selectivity(a, p), p
-		if accept(&s) && (best == nil || s.sel < best.sel) {
-			best = &s
+// pickSargable finds the most selective of preds, the single-table
+// predicates on table, that is sargable — a bare (not function-wrapped)
+// column compared to literals — and that the access path accepts. This is
+// where SUBSTRING(c_phone,1,2) IN (...) fails to qualify — the paper's
+// central example of index-unusable predicates; best.pred is nil when none
+// qualifies. bare reports whether every predicate is a Sarg on a bare
+// column.
+func pickSargable(table *catalog.Table, preds []sqlparser.Expr, accept func(sargable) bool) (best sargable, bare bool) {
+	bare = true
+	for _, p := range preds {
+		x, ok := exec.SargOf(p)
+		ref, isCol := x.Operand.(*sqlparser.ColumnRef)
+		if !ok || !isCol {
+			bare = false
+			continue
+		}
+		s := sargable{column: ref.Column, sel: sargSelectivity(table, x), pred: p}
+		lit := func(i int) *exec.Lit { l := x.Lits.At(i); return &l }
+		switch {
+		case x.Shape == exec.ShapeIn && !x.Not, x.Shape == exec.ShapeCmp && x.Op == sqlparser.OpEq:
+			s.keys = x.Lits
+		case x.Shape == exec.ShapeBetween:
+			s.lo, s.hi = lit(0), lit(1)
+		case x.Shape == exec.ShapeCmp && (x.Op == sqlparser.OpGt || x.Op == sqlparser.OpGe):
+			s.lo, s.loStrict = lit(0), x.Op == sqlparser.OpGt
+		case x.Shape == exec.ShapeCmp && (x.Op == sqlparser.OpLt || x.Op == sqlparser.OpLe):
+			s.hi, s.hiStrict = lit(0), x.Op == sqlparser.OpLt
+		default:
+			continue
+		}
+		if accept(s) && (best.pred == nil || s.sel < best.sel) {
+			best = s
 		}
 	}
-	for _, p := range a.tablePreds[t.binding] {
-		switch x := p.(type) {
-		case *sqlparser.BinaryExpr:
-			ref, lok := x.Left.(*sqlparser.ColumnRef)
-			if !lok || !isLiteral(x.Right) {
-				continue
-			}
-			switch x.Op {
-			case sqlparser.OpEq:
-				consider(p, sargable{column: ref.Column, keys: []sqlparser.Expr{x.Right}})
-			case sqlparser.OpGt, sqlparser.OpGe:
-				consider(p, sargable{column: ref.Column, lo: x.Right, loStrict: x.Op == sqlparser.OpGt})
-			case sqlparser.OpLt, sqlparser.OpLe:
-				consider(p, sargable{column: ref.Column, hi: x.Right, hiStrict: x.Op == sqlparser.OpLt})
-			}
-		case *sqlparser.InExpr:
-			ref, ok := x.Expr.(*sqlparser.ColumnRef)
-			if !ok || x.Not {
-				continue
-			}
-			allLit := true
-			for _, it := range x.List {
-				if !isLiteral(it) {
-					allLit = false
-					break
-				}
-			}
-			if !allLit {
-				continue
-			}
-			consider(p, sargable{column: ref.Column, keys: x.List, list: x.Slot})
-		case *sqlparser.BetweenExpr:
-			ref, ok := x.Expr.(*sqlparser.ColumnRef)
-			if !ok || !isLiteral(x.Lo) || !isLiteral(x.Hi) {
-				continue
-			}
-			consider(p, sargable{column: ref.Column, lo: x.Lo, hi: x.Hi})
-		}
-	}
-	return best
+	return best, bare
 }
 
 // indexSargable is the row store's acceptance: the column has an index.
-func indexSargable(a *analysis, t boundTable) *sargable {
-	return extractSargable(a, t, func(s *sargable) bool {
-		_, ok := t.meta.IndexOn(s.column)
+func indexSargable(table *catalog.Table, preds []sqlparser.Expr) (sargable, bool) {
+	return pickSargable(table, preds, func(s sargable) bool {
+		_, ok := table.IndexOn(s.column)
 		return ok
 	})
 }
 
-func isLiteral(e sqlparser.Expr) bool {
-	switch e.(type) {
-	case *sqlparser.IntLit, *sqlparser.FloatLit, *sqlparser.StringLit:
-		return true
-	default:
-		return false
+// IndexKeys is the index read of a DML statement's WHERE on table: the
+// column, and the keys or the inclusive bounds, of the conjunct the TP
+// planner would read through an index (indexSargable), as
+// rowstore.Table.LookupLiveAt takes them. ok is false when no conjunct
+// qualifies, or when one is not a Sarg on a bare column: only such a WHERE
+// cannot fail to evaluate, so the index read and the heap scan fail or
+// succeed alike.
+func IndexKeys(table *catalog.Table, where sqlparser.Expr) (col string, keys []value.Value, lo, hi *value.Value, ok bool) {
+	var buf [8]sqlparser.Expr
+	s, bare := indexSargable(table, sqlparser.AppendConjuncts(buf[:0], where))
+	if s.pred == nil || !bare {
+		return "", nil, nil, nil, false
 	}
+	if s.lo != nil {
+		lo = &s.lo.V
+	}
+	if s.hi != nil {
+		hi = &s.hi.V
+	}
+	return s.column, s.keys.Values, lo, hi, true
 }
 
 // hasFunctionWrappedIndexedColumn reports whether any predicate on the
@@ -401,22 +428,9 @@ func isLiteral(e sqlparser.Expr) bool {
 // question discusses (§VI-B).
 func hasFunctionWrappedIndexedColumn(a *analysis, t boundTable) (string, bool) {
 	for _, p := range a.tablePreds[t.binding] {
-		var fn *sqlparser.FuncExpr
-		switch x := p.(type) {
-		case *sqlparser.InExpr:
-			if f, ok := x.Expr.(*sqlparser.FuncExpr); ok {
-				fn = f
-			}
-		case *sqlparser.BinaryExpr:
-			if f, ok := x.Left.(*sqlparser.FuncExpr); ok {
-				fn = f
-			}
-		case *sqlparser.LikeExpr:
-			if f, ok := x.Expr.(*sqlparser.FuncExpr); ok {
-				fn = f
-			}
-		}
-		if fn == nil {
+		s, ok := exec.SargOf(p)
+		fn, isFunc := s.Operand.(*sqlparser.FuncExpr)
+		if !ok || !isFunc {
 			continue
 		}
 		for _, ref := range sqlparser.ColumnsIn(fn) {

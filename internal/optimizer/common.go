@@ -505,8 +505,8 @@ func neededColumns(a *analysis, t boundTable) []int {
 // slot bounds both ends, and a bound vector that lists several keys there
 // runs the scan unpruned (ColTableScan.bind).
 func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [2]int) {
-	s := extractSargable(a, t, func(s *sargable) bool { return len(s.keys) <= 1 })
-	if s == nil {
+	s, _ := pickSargable(t.meta, a.tablePreds[t.binding], func(s sargable) bool { return len(s.keys.Values) <= 1 })
+	if s.pred == nil {
 		return nil, [2]int{}
 	}
 	colPos := t.meta.ColumnIndex(s.column)
@@ -514,22 +514,23 @@ func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [
 		return nil, [2]int{}
 	}
 	lo, hi := s.lo, s.hi
-	if len(s.keys) == 1 {
-		lo, hi = s.keys[0], s.keys[0]
+	if len(s.keys.Values) == 1 {
+		key := s.keys.At(0)
+		lo, hi = &key, &key
 	}
 	if lo == nil && hi == nil {
 		return nil, [2]int{}
 	}
 	pr := &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
 	var slots [2]int
-	if l := litOf(lo); l != nil {
-		pr.Lo, slots[0] = &l.V, l.Slot
+	if lo != nil {
+		pr.Lo, slots[0] = &lo.V, lo.Slot
 	}
-	if h := litOf(hi); h != nil {
-		pr.Hi, slots[1] = &h.V, h.Slot
+	if hi != nil {
+		pr.Hi, slots[1] = &hi.V, hi.Slot
 	}
-	if s.list > 0 {
-		slots = [2]int{s.list, s.list}
+	if s.keys.List > 0 {
+		slots = [2]int{s.keys.List, s.keys.List}
 	}
 	// the pruner is an exact predicate stand-in when the sargable conjunct
 	// is the table's whole predicate: chunk-level RangeSel then decides

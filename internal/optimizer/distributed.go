@@ -96,7 +96,7 @@ func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) 
 		}
 		parted = append(parted, t)
 		pt := PinnedTable{Binding: t.binding, Table: t.meta.Name, Column: pcol}
-		if key, ok := pinnedLit(a.tablePreds[t.binding], pcol); ok {
+		if key, ok := PinnedEq(a.tablePreds[t.binding], pcol); ok {
 			pt.Key, pt.Slot, pt.Pinned = key.V, key.Slot, true
 		}
 		d.Partitioned = append(d.Partitioned, pt)
@@ -105,31 +105,16 @@ func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) 
 	return d, nil
 }
 
-// PinnedEq finds a `col = literal` conjunct among the predicates and
-// returns the literal — the pin the shard router hashes to a shard. The
-// shard coordinator also uses it on DML WHERE clauses.
-func PinnedEq(preds []sqlparser.Expr, pcol string) (value.Value, bool) {
-	lit, ok := pinnedLit(preds, pcol)
-	return lit.V, ok
-}
-
-// pinnedLit is PinnedEq's literal, with its slot.
-func pinnedLit(preds []sqlparser.Expr, pcol string) (exec.Lit, bool) {
+// PinnedEq finds a `col = literal` conjunct (or `literal = col`) among the
+// predicates and returns the literal, with its slot — the pin the shard
+// router hashes to a shard. The shard coordinator also uses it on DML
+// WHERE clauses.
+func PinnedEq(preds []sqlparser.Expr, pcol string) (exec.Lit, bool) {
 	for _, p := range preds {
-		be, ok := p.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			continue
-		}
-		col, lit := be.Left, be.Right
-		if isLiteral(col) {
-			col, lit = lit, col
-		}
-		ref, ok := col.(*sqlparser.ColumnRef)
-		if !ok || !strings.EqualFold(ref.Column, pcol) || !isLiteral(lit) {
-			continue
-		}
-		if l, _ := exec.LitOf(lit); l.V.K != value.KindNull {
-			return l, true
+		s, ok := exec.SargOf(p)
+		ref, isCol := s.Operand.(*sqlparser.ColumnRef)
+		if ok && isCol && s.Shape == exec.ShapeCmp && s.Op == sqlparser.OpEq && strings.EqualFold(ref.Column, pcol) {
+			return s.Lits.At(0), true
 		}
 	}
 	return exec.Lit{}, false

@@ -67,13 +67,13 @@ func Facts(cat *catalog.Catalog, sql string) (*QueryFacts, error) {
 			Binding:      t.binding,
 			Table:        t.meta.Name,
 			Rows:         t.meta.Rows,
-			FilterSel:    tableSelectivity(a, t.binding),
+			FilterSel:    tableSelectivity(a, t),
 			HasPredicate: len(a.tablePreds[t.binding]) > 0,
 		}
 		for _, p := range a.tablePreds[t.binding] {
 			tf.Predicates = append(tf.Predicates, p.String())
 		}
-		if s := indexSargable(a, t); s != nil {
+		if s, _ := indexSargable(t.meta, a.tablePreds[t.binding]); s.pred != nil {
 			tf.SargableIndexColumn = s.column
 		}
 		if col, ok := hasFunctionWrappedIndexedColumn(a, t); ok {

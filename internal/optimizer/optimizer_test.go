@@ -226,12 +226,19 @@ func TestFactsFunctionWrappedIndexedColumn(t *testing.T) {
 	if err := p.Cat.AddIndex("customer", "c_phone", "idx_phone"); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Facts(p.Cat, "SELECT COUNT(*) FROM customer WHERE SUBSTRING(c_phone, 1, 2) IN ('20')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Tables[0].FuncWrappedIndexedColumn != "c_phone" {
-		t.Errorf("func-wrapped indexed column not detected: %+v", f.Tables[0])
+	for _, where := range []string{
+		"SUBSTRING(c_phone, 1, 2) IN ('20')",
+		"SUBSTRING(c_phone, 1, 2) BETWEEN '10' AND '20'",
+		"'20' = SUBSTRING(c_phone, 1, 2)",
+		"SUBSTRING(c_phone, 1, 2) LIKE '2%'",
+	} {
+		f, err := Facts(p.Cat, "SELECT COUNT(*) FROM customer WHERE "+where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Tables[0].FuncWrappedIndexedColumn != "c_phone" {
+			t.Errorf("%s: func-wrapped indexed column not detected: %+v", where, f.Tables[0])
+		}
 	}
 }
 
@@ -335,6 +342,7 @@ func TestSargableBoundsAgreeAcrossEngines(t *testing.T) {
 		{"SELECT COUNT(*) FROM customer WHERE c_custkey >= 5 AND c_custkey <= 8", 4},
 		{"SELECT COUNT(*) FROM customer WHERE c_custkey < 3", 2},
 		{"SELECT COUNT(*) FROM customer WHERE c_custkey IN (7)", 1},
+		{"SELECT COUNT(*) FROM customer WHERE c_custkey IN (7, 9, 7, 7.0)", 2},
 	} {
 		if tp, ap := count(tc.sql, p.PlanTP), count(tc.sql, p.PlanAP); tp != tc.want || ap != tc.want {
 			t.Errorf("%s: TP %d, AP %d, want %d", tc.sql, tp, ap, tc.want)

@@ -92,22 +92,18 @@ func (p *Planner) tpAccess(a *analysis, t boundTable) (built, error) {
 	fullRows := float64(t.meta.Rows)
 	filtered := estRows(a, t)
 
-	sarg := indexSargable(a, t)
+	sarg, _ := indexSargable(t.meta, preds)
 	var scan built
-	if sarg != nil {
+	if sarg.pred != nil {
 		ix, _ := rt.IndexOn(sarg.column)
 		ixMeta, _ := t.meta.IndexOn(sarg.column)
 		var keys *exec.Lits
-		var lo, hi *exec.Lit
-		if len(sarg.keys) > 0 {
-			l, _ := exec.LitsOf(sarg.keys, sarg.list) // sargable keys are literals
-			keys = &l
-		} else {
-			lo, hi = litOf(sarg.lo), litOf(sarg.hi)
+		if len(sarg.keys.Values) > 0 {
+			keys = &sarg.keys
 		}
-		op := exec.NewRowIndexScan(rt, ix, t.binding, keys, lo, hi)
+		op := exec.NewRowIndexScan(rt, ix, t.binding, keys, sarg.lo, sarg.hi)
 		matched := math.Max(1, fullRows*sarg.sel)
-		cost := tpProbeCost*math.Max(1, float64(len(sarg.keys))) + matched*tpFetchPerRow
+		cost := tpProbeCost*math.Max(1, float64(len(sarg.keys.Values))) + matched*tpFetchPerRow
 		scan = built{
 			op: op,
 			node: &plan.Node{Op: plan.OpIndexScan, Engine: plan.TP, Cost: cost,
@@ -356,16 +352,6 @@ func innerColOf(jp joinPred, innerBind string) string {
 	return jp.bCol
 }
 
-// litOf is the sargable bound e as a literal operand, nil for an open
-// (nil) bound.
-func litOf(e sqlparser.Expr) *exec.Lit {
-	if e == nil {
-		return nil
-	}
-	l, _ := exec.LitOf(e)
-	return &l
-}
-
 // tryIndexOrderTopN recognizes single-table ORDER BY <indexed col> LIMIT n
 // queries, which TP can serve in index order without sorting — its
 // signature Top-N advantage over AP.
@@ -406,7 +392,7 @@ func (p *Planner) tryIndexOrderTopN(a *analysis, shape engineShape) (built, bool
 	op := exec.NewRowIndexOrderScan(rt, ix, t.binding, sel.OrderBy[0].Desc, limitHint, pred)
 	op.Slots = exec.CountSlots{N: [2]int{sel.LimitSlot, sel.OffsetSlot}}
 	// expected rows visited before the limit fills: k / selectivity
-	tsel := tableSelectivity(a, t.binding)
+	tsel := tableSelectivity(a, t)
 	visited := math.Min(float64(t.meta.Rows), float64(limitHint)/tsel)
 	cost := tpProbeCost + visited*(tpFetchPerRow+tpFilterPerRow)
 	scanNode := &plan.Node{Op: plan.OpIndexScan, Engine: plan.TP, Cost: cost,

@@ -14,13 +14,15 @@ import (
 
 // FuzzDMLAccessPath holds LookupLiveAt to ScanLiveAt: over a random history
 // of inserts, updates and deletes at increasing LSNs, and indexes built
-// and dropped at runtime, a read of one key at a random snapshot must give
-// the same (RID, row) sequence from the index as from a filtered heap
-// scan whenever LookupLiveAt answers — and it must answer exactly when the
-// column is indexed and no delete committed after the snapshot. The table
-// has a unique int index (k), a non-unique one with NULL cells (n, like
-// c_nationkey) and a string column (s) whose index comes and goes; reads
-// probe present keys, absent keys and NULL.
+// and dropped at runtime, a read of a key set or a key range at a random
+// snapshot must give the same (RID, row) sequence from the index as from a
+// filtered heap scan whenever LookupLiveAt answers — and it must answer
+// exactly when the column is indexed and no delete committed after the
+// snapshot. The table has a unique int index (k), a non-unique one with
+// NULL cells (n, like c_nationkey) and a string column (s) whose index
+// comes and goes; reads probe present keys, absent keys and NULL, alone and
+// in sets with a duplicate, and ranges between them with open and closed
+// ends.
 //
 // The input is a sequence of (op, arg) byte pairs; see applyAccessOp.
 func FuzzDMLAccessPath(f *testing.F) {
@@ -49,11 +51,11 @@ func FuzzDMLAccessPath(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		// finally every column, at every snapshot, for every probe key
+		// finally every column, at every snapshot, for every read
 		for snap := uint64(0); snap <= h.lsn; snap++ {
 			for _, col := range []string{"k", "n", "s"} {
-				for _, key := range h.probes(col) {
-					h.check(col, key, snap)
+				for _, r := range h.reads(col) {
+					h.check(col, r, snap)
 				}
 			}
 		}
@@ -68,6 +70,24 @@ type accessHistory struct {
 	lsn        uint64 // last committed LSN
 	lastDelete uint64 // highest LSN a version was deleted at
 	nextK      int64
+
+	// scanned holds ScanLiveAt(scanned.snap) as of LSN scanned.lsn: the
+	// oracle of every read at that snapshot until the next commit
+	scanned struct {
+		snap, lsn uint64
+		rids      []int64
+		rows      []value.Row
+	}
+}
+
+// scan is ScanLiveAt(snap), read once per snapshot and commit.
+func (h *accessHistory) scan(snap uint64) ([]int64, []value.Row) {
+	sc := &h.scanned
+	if sc.rows == nil || sc.snap != snap || sc.lsn != h.lsn {
+		sc.rids, sc.rows = h.tb.ScanLiveAt(snap)
+		sc.snap, sc.lsn = snap, h.lsn
+	}
+	return sc.rids, sc.rows
 }
 
 var accessStrings = []string{"ant", "bee", "cat"}
@@ -151,8 +171,8 @@ func (h *accessHistory) apply(op, arg byte) {
 		_ = h.s.DropIndex("t", "s") // absent is fine
 	case 7:
 		col := []string{"k", "n", "s"}[arg%3]
-		probes := h.probes(col)
-		h.check(col, probes[int(arg/3)%len(probes)], uint64(arg)%(h.lsn+1))
+		reads := h.reads(col)
+		h.check(col, reads[int(arg/3)%len(reads)], uint64(arg)%(h.lsn+1))
 	}
 }
 
@@ -190,36 +210,84 @@ func (h *accessHistory) probes(col string) []value.Value {
 	return out
 }
 
+// accessRead is one LookupLiveAt read: the keys, or when keys is nil the
+// inclusive range lo..hi (nil: open).
+type accessRead struct {
+	keys   []value.Value
+	lo, hi *value.Value
+}
+
+// holds reports whether the read selects a row whose column is v.
+func (r accessRead) holds(v value.Value) bool {
+	if r.keys != nil {
+		return slices.ContainsFunc(r.keys, func(k value.Value) bool { return v.Compare(k) == 0 })
+	}
+	return (r.lo == nil || v.Compare(*r.lo) >= 0) && (r.hi == nil || v.Compare(*r.hi) <= 0)
+}
+
+func (r accessRead) String() string {
+	if r.keys != nil {
+		return fmt.Sprintf("IN %v", r.keys)
+	}
+	bound := func(b *value.Value) string {
+		if b == nil {
+			return "open"
+		}
+		return b.String()
+	}
+	return fmt.Sprintf("BETWEEN %s AND %s", bound(r.lo), bound(r.hi))
+}
+
+// reads lists the reads of col a check tries. For each probe key p_i (of
+// n): p_i alone; the set {p_i, p_i+1, p_i}, a duplicate among its keys;
+// the closed range p_i..p_i+2, empty when the probes run backwards there;
+// and the ranges open below p_i and above it.
+func (h *accessHistory) reads(col string) []accessRead {
+	probes := h.probes(col)
+	n := len(probes)
+	var out []accessRead
+	for i := range probes {
+		p, next := &probes[i], probes[(i+1)%n]
+		out = append(out,
+			accessRead{keys: []value.Value{*p}},
+			accessRead{keys: []value.Value{*p, next, *p}},
+			accessRead{lo: p, hi: &probes[(i+2)%n]},
+			accessRead{hi: p},
+			accessRead{lo: p})
+	}
+	return out
+}
+
 // check compares LookupLiveAt with a filtered ScanLiveAt for one read.
-func (h *accessHistory) check(col string, key value.Value, snap uint64) {
+func (h *accessHistory) check(col string, r accessRead, snap uint64) {
 	t := h.t
 	t.Helper()
-	rids, rows, ok := h.tb.LookupLiveAt(col, key, snap)
+	rids, rows, ok := h.tb.LookupLiveAt(col, r.keys, r.lo, r.hi, snap)
 	_, indexed := h.tb.IndexOn(col)
 	if want := indexed && h.lastDelete <= snap; ok != want {
-		t.Fatalf("LookupLiveAt(%s = %v, snap %d) ok = %v, want %v (indexed %v, last delete at %d)",
-			col, key, snap, ok, want, indexed, h.lastDelete)
+		t.Fatalf("LookupLiveAt(%s %v, snap %d) ok = %v, want %v (indexed %v, last delete at %d)",
+			col, r, snap, ok, want, indexed, h.lastDelete)
 	}
 	if !ok {
 		return
 	}
 	ci := h.tb.Meta.ColumnIndex(col)
-	allRIDs, allRows := h.tb.ScanLiveAt(snap)
+	allRIDs, allRows := h.scan(snap)
 	var wantRIDs []int64
 	var wantRows []value.Row
-	for i, r := range allRows {
-		if r[ci].Compare(key) == 0 {
+	for i, row := range allRows {
+		if r.holds(row[ci]) {
 			wantRIDs = append(wantRIDs, allRIDs[i])
-			wantRows = append(wantRows, r)
+			wantRows = append(wantRows, row)
 		}
 	}
 	if len(rids) != len(wantRIDs) || len(rows) != len(rids) {
-		t.Fatalf("LookupLiveAt(%s = %v, snap %d) = RIDs %v, scan gives %v", col, key, snap, rids, wantRIDs)
+		t.Fatalf("LookupLiveAt(%s %v, snap %d) = RIDs %v, scan gives %v", col, r, snap, rids, wantRIDs)
 	}
 	for i := range rids {
 		if rids[i] != wantRIDs[i] || !rowsEqual(rows[i], wantRows[i]) {
-			t.Fatalf("LookupLiveAt(%s = %v, snap %d)[%d] = %d %v, scan gives %d %v",
-				col, key, snap, i, rids[i], rows[i], wantRIDs[i], wantRows[i])
+			t.Fatalf("LookupLiveAt(%s %v, snap %d)[%d] = %d %v, scan gives %d %v",
+				col, r, snap, i, rids[i], rows[i], wantRIDs[i], wantRows[i])
 		}
 	}
 }

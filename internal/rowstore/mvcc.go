@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"htapxplain/internal/repl"
@@ -50,25 +51,39 @@ func (t *Table) ScanLiveAt(snap uint64) (rids []int64, rows []value.Row) {
 	return rids, rows
 }
 
-// LookupLiveAt is ScanLiveAt narrowed to one key of an indexed column:
-// it returns the RIDs and rows visible at snap whose column equals key,
-// read from the index's posting list instead of the heap, in heap order
-// (the order ScanLiveAt gives them). The index holds only versions live
-// now, so a version visible at snap but tombstoned since is missing from
-// it: ok is false, and the caller must fall back to ScanLiveAt, when the
-// column has no index or a delete committed after snap.
-func (t *Table) LookupLiveAt(column string, key value.Value, snap uint64) (rids []int64, rows []value.Row, ok bool) {
+// LookupLiveAt is ScanLiveAt narrowed through the index on column: it
+// returns the RIDs and rows visible at snap whose column equals one of keys
+// or, when keys is nil, lies between lo and hi inclusive (a nil bound is
+// open), read from the index's postings instead of the heap, each once and
+// in heap order (the order ScanLiveAt gives them). The index holds only
+// versions live now, so a version visible at snap but tombstoned since is
+// missing from it: ok is false, and the caller must fall back to
+// ScanLiveAt, when the column has no index or a delete committed after
+// snap.
+func (t *Table) LookupLiveAt(column string, keys []value.Value, lo, hi *value.Value, snap uint64) (rids []int64, rows []value.Row, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix, ok := t.indexes[strings.ToLower(column)]
 	if !ok || t.lastDelete > snap {
 		return nil, nil, false
 	}
-	i, found := ix.find(key)
-	if !found {
-		return nil, nil, true
+	var ids []int32
+	if len(keys) == 1 { // one posting, already in heap order
+		if i, found := ix.find(keys[0]); found {
+			ids = ix.rowIDs[i]
+		}
+	} else {
+		if keys == nil {
+			ids = ix.rangeLocked(lo, hi)
+		}
+		for _, key := range keys {
+			if i, found := ix.find(key); found {
+				ids = append(ids, ix.rowIDs[i]...)
+			}
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 	}
-	ids := ix.rowIDs[i]
 	rids = make([]int64, 0, len(ids))
 	rows = make([]value.Row, 0, len(ids))
 	for _, id := range ids {

@@ -21,8 +21,8 @@
 // LSN, returned as the repl.Mutation the WAL logs and the column store
 // replays; live commits and recovery's Replay both go through it) and one
 // snapshot reader for writers with two access paths: ScanLiveAt walks the
-// whole heap at a snapshot; LookupLiveAt reads one key's posting list and
-// keeps the versions visible at the snapshot. The indexes hold only
+// whole heap at a snapshot; LookupLiveAt reads the postings of a key set or
+// a key range and keeps the versions visible at the snapshot. The indexes hold only
 // versions live now, so LookupLiveAt answers only while no delete has
 // committed after the snapshot, and otherwise tells its caller to scan.
 package rowstore
@@ -354,6 +354,11 @@ func (ix *Index) LookupAppend(key value.Value, dst []int32) []int32 {
 func (ix *Index) Range(lo, hi *value.Value) []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	return ix.rangeLocked(lo, hi)
+}
+
+// rangeLocked is Range for a caller holding the table lock.
+func (ix *Index) rangeLocked(lo, hi *value.Value) []int32 {
 	start := 0
 	if lo != nil {
 		start, _ = ix.find(*lo)

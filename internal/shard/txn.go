@@ -203,7 +203,7 @@ func (tx *Txn) execDelete(del *sqlparser.Delete) (*htap.DMLResult, error) {
 func (c *Coordinator) targetShards(pcol string, parted bool, where sqlparser.Expr) []int {
 	if parted {
 		if key, ok := optimizer.PinnedEq(sqlparser.Conjuncts(where), pcol); ok {
-			return []int{ShardOf(key, len(c.shards))}
+			return []int{ShardOf(key.V, len(c.shards))}
 		}
 	}
 	all := make([]int, len(c.shards))

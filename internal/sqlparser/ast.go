@@ -385,14 +385,17 @@ func (s *Select) String() string {
 }
 
 // Conjuncts splits an expression on top-level ANDs.
-func Conjuncts(e Expr) []Expr {
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends the conjuncts of e to dst.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
+		return AppendConjuncts(AppendConjuncts(dst, b.Left), b.Right)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // AndAll joins expressions with AND (nil for empty input).
