@@ -9,12 +9,10 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"htapxplain/internal/catalog"
 	"htapxplain/internal/colstore"
 	"htapxplain/internal/eval"
 	"htapxplain/internal/exec"
@@ -26,7 +24,6 @@ import (
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/study"
 	"htapxplain/internal/treecnn"
-	"htapxplain/internal/value"
 	"htapxplain/internal/vectordb"
 	"htapxplain/internal/workload"
 )
@@ -476,62 +473,6 @@ func TestHashKernelAllocs(t *testing.T) {
 		allocs, stats.HashBuildRows, stats.HashProbeRows, stats.GroupsCreated, stats.BatchesProduced)
 	if allocs*16 >= float64(stats.HashProbeRows) {
 		t.Errorf("%.0f allocations for %d probe rows, want fewer than 1 per 16 rows", allocs, stats.HashProbeRows)
-	}
-}
-
-// TestJoinBuildFootprint gates the hash-join build's memory as counts: a
-// build side of int keys of which no column is read above the join is a key
-// array sized once from the scan's row bound plus the index over it, so it
-// costs the same number of allocations for 3 batches as for 15 and at most
-// 24 bytes a row (8 of key, 4 of chain link, at most 8 of bucket — here,
-// the keys being dense, 4 of offset slot — and the scan's own fixed
-// buffers). Not skipped under -race.
-func TestJoinBuildFootprint(t *testing.T) {
-	scanOf := func(name string, n int) *exec.ColTableScan {
-		cat := catalog.New(1)
-		rows := make([]value.Row, n)
-		for i := range rows {
-			rows[i] = value.Row{value.NewInt(int64(i * 7 % n)), value.NewString("payload")}
-		}
-		cols := []catalog.Column{{Name: "k", Type: catalog.TypeInt}, {Name: "v", Type: catalog.TypeString}}
-		if err := cat.AddTable(&catalog.Table{Name: name, Columns: cols, Rows: int64(n), AvgRowBytes: 24}); err != nil {
-			t.Fatal(err)
-		}
-		s, err := colstore.NewStore(cat, map[string][]value.Row{name: rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl, _ := s.Table(name)
-		return exec.NewColTableScan(tbl, name, []int{0, 1}, nil, nil)
-	}
-	measure := func(name string, n int) (allocs float64, bytes uint64) {
-		hj := exec.NewHashJoin(scanOf(name+"_probe", 1), scanOf(name, n), []int{0}, []int{0}, nil, []int{})
-		build := func() {
-			if err := hj.Open(exec.NewContext()); err != nil {
-				t.Fatal(err)
-			}
-			if err := hj.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		build() // the scans keep their decode buffers from here on
-		allocs = testing.AllocsPerRun(5, build)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		build()
-		runtime.ReadMemStats(&after)
-		return allocs, after.TotalAlloc - before.TotalAlloc
-	}
-	const n = 15000
-	smallAllocs, _ := measure("small", n/5)
-	allocs, bytes := measure("big", n)
-	t.Logf("%d build rows: %.0f allocations, %d bytes (%.1f a row); %d rows: %.0f allocations",
-		n, allocs, bytes, float64(bytes)/n, n/5, smallAllocs)
-	if allocs != smallAllocs {
-		t.Errorf("%.0f allocations to build %d rows, %.0f to build %d: the count depends on the batch count", allocs, n, smallAllocs, n/5)
-	}
-	if bytes > 24*n {
-		t.Errorf("%d bytes to build %d rows, want at most 24 a row", bytes, n)
 	}
 }
 

@@ -22,6 +22,7 @@ package colstore
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"htapxplain/internal/value"
@@ -606,12 +607,17 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 		if cLo == 0 && cHi == len(c.Dict) {
 			return sel, true
 		}
-		lc, hc := uint16(cLo), uint16(cHi)
+		// branch-free: every position is written, and the cursor moves
+		// past it only when its code lies in [cLo, cHi)
+		lc, span := uint16(cLo), uint16(cHi-cLo)
+		out, k := slices.Grow(sel, c.N)[:c.N], 0
 		for i, code := range c.Codes {
-			if code >= lc && code < hc {
-				sel = append(sel, int32(i))
+			out[k] = int32(i)
+			if code-lc < span {
+				k++
 			}
 		}
+		sel = out[:k]
 	case EncFoR:
 		// compare packed deltas against the window shifted by Base: a row
 		// is Base+d, so it lies in [loI, hiI] exactly when d lies in
@@ -628,14 +634,18 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 		if dLo == 0 && span >= ^uint64(0)>>(64-uint(c.Width)) {
 			return sel, true // the window covers every representable delta
 		}
+		// branch-free, like the dictionary's
 		var buf [forBlock]uint64
+		out, k := slices.Grow(sel, c.N)[:c.N], 0
 		for blk := 0; blk < c.N; blk += forBlock {
 			for j, d := range c.forBlockAt(&buf, blk) {
+				out[k] = int32(blk + j)
 				if d-dLo <= span {
-					sel = append(sel, int32(blk+j))
+					k++
 				}
 			}
 		}
+		sel = out[:k]
 	case EncRLE:
 		pos := 0
 		for j, v := range c.RunVals {

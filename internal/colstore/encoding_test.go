@@ -406,6 +406,87 @@ func FuzzFoRKernels(f *testing.F) {
 	})
 }
 
+// dictChunk builds a dictionary chunk of n rows drawn from ndist distinct
+// values of one kind (0 ints, 1 floats, 2 strings).
+func dictChunk(t testing.TB, rng *rand.Rand, kind, ndist, n int) (*EncodedChunk, []value.Value) {
+	t.Helper()
+	distinct := make([]value.Value, ndist)
+	for i := range distinct {
+		x := rng.Int63n(1000) - 500
+		switch kind {
+		case 0:
+			distinct[i] = value.NewInt(x)
+		case 1:
+			distinct[i] = value.NewFloat(float64(x) / 4)
+		default:
+			distinct[i] = value.NewString(fmt.Sprintf("s%03d", x+500))
+		}
+	}
+	vals := make([]value.Value, n)
+	for i := range vals {
+		vals[i] = distinct[rng.Intn(ndist)]
+	}
+	ch := encodeChunk(vals, PolicyDict)
+	if ch.Enc != EncDict {
+		t.Fatalf("precondition: got %v, want dict", ch.Enc)
+	}
+	return ch, vals
+}
+
+// FuzzDictRangeSel: a dictionary chunk's RangeSel — code bounds found by
+// binary search, then one branch-free pass over the codes — agrees with
+// matchRange row by row, for int, float and string dictionaries, under
+// strict, open and mixed-strictness bounds of the dictionary's own values,
+// values between them, other kinds, NaN and ±Inf, into a caller selection
+// with stale contents whether its capacity covers the chunk or not.
+func FuzzDictRangeSel(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(7), uint16(1024))
+	f.Add(int64(2), uint8(1), uint8(1), uint16(3))
+	f.Add(int64(3), uint8(2), uint8(200), uint16(700))
+	f.Add(int64(4), uint8(2), uint8(2), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, kindRaw, distRaw uint8, nRaw uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%ChunkSize
+		ch, vals := dictChunk(t, rng, int(kindRaw%3), 1+int(distRaw)%maxDictSize, n)
+		bounds := []*value.Value{nil}
+		add := func(v value.Value) { bounds = append(bounds, &v) }
+		for _, v := range ch.Dict {
+			add(v)
+			switch v.K {
+			case value.KindString:
+				add(value.NewString(v.S + "\x00"))
+			case value.KindFloat:
+				add(value.NewFloat(v.Float() + 0.125))
+			default:
+				add(value.NewInt(v.I + 1))
+				add(value.NewFloat(float64(v.I) - 0.5))
+			}
+		}
+		add(value.NewInt(math.MinInt64))
+		add(value.NewFloat(math.NaN()))
+		add(value.NewFloat(math.Inf(1)))
+		add(value.NewFloat(math.Inf(-1)))
+		add(value.NewString(""))
+		add(value.NewString("~"))
+		add(value.NewBool(true))
+		for k := 0; k < 64; k++ {
+			lo, hi := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+			loStrict, hiStrict := rng.Intn(2) == 0, rng.Intn(2) == 0
+			want := refRangeSel(vals, lo, hi, loStrict, hiStrict)
+			// a stale selection: short of the chunk, or with room for all of it
+			stale := make([]int32, 3, 3+rng.Intn(2*n))
+			for i := range stale[:cap(stale)] {
+				stale[:cap(stale)][i] = -7
+			}
+			got, all := ch.RangeSel(lo, hi, loStrict, hiStrict, stale)
+			if all != (len(want) == n) || (!all && fmt.Sprint(got) != fmt.Sprint(want)) {
+				t.Fatalf("dict of %d %v: RangeSel(%v, %v, %v, %v) into cap %d = %v all=%v, want %v",
+					len(ch.Dict), ch.Dict[0].K, lo, hi, loStrict, hiStrict, cap(stale), got, all, want)
+			}
+		}
+	})
+}
+
 // TestFoRDecodeAllocs: the FoR kernels allocate nothing — the unpack
 // buffer lives on the stack and the targets are the caller's.
 func TestFoRDecodeAllocs(t *testing.T) {
@@ -443,6 +524,18 @@ func BenchmarkFoRRangeSel(b *testing.B) {
 	lo, hi := value.NewInt(0), value.NewInt(40000)
 	sel := make([]int32, 0, ChunkSize)
 	b.SetBytes(ChunkSize * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel, _ = ch.RangeSel(&lo, &hi, false, true, sel[:0])
+	}
+}
+
+func BenchmarkDictRangeSel(b *testing.B) {
+	ch, _ := dictChunk(b, rand.New(rand.NewSource(1)), 2, 64, ChunkSize)
+	lo, hi := ch.Dict[16], ch.Dict[40]
+	sel := make([]int32, 0, ChunkSize)
+	b.SetBytes(ChunkSize * 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -116,8 +116,9 @@ func Drain(op BatchOperator, ctx *Context) ([]value.Row, error) {
 // trees so steady-state executions reuse their batch buffers instead of
 // reallocating them per query — the piece that keeps cached point-query
 // plans fast under the vectorized engine. The largest buffers, a scan's
-// decode targets, are not kept by the tree: they go back to the exec-wide
-// recycler at Close (see decodeTargets). A pooled tree is only ever used
+// decode targets and a hash join's table arrays, are not kept by the tree:
+// they go back to the exec-wide recycler at Close (see recycle.go). A
+// pooled tree is only ever used
 // by one goroutine at a time; concurrency comes from the pool handing out
 // distinct clones.
 type Runner struct {
@@ -145,78 +146,6 @@ func (r *Runner) Drain(ctx *Context) ([]value.Row, error) {
 	}
 	r.pool.Put(op)
 	return rows, nil
-}
-
-// decodeTargets recycles the decode targets of encoded chunks — BatchSize
-// values, 40 KiB each — across every scan and aggregate-pushdown worker in
-// the process. A holder borrows one on first need and gives it back when
-// its scan closes or its fold ends, so an idle pooled operator tree holds
-// none and a fresh one (a scatter fragment, a move scan's clone, a forked
-// worker) reuses a released target instead of allocating its own.
-//
-// It is a bounded LIFO free list, not a sync.Pool: a borrower gets the
-// most recently released (cache-warm) target, and borrowing is the same
-// in every build — under the race detector a sync.Pool drops a quarter of
-// what is put back, which the allocation gates over scans would count.
-var decodeTargets = targetList{free: make([]*[BatchSize]value.Value, 0, maxIdleTargets)}
-
-// maxIdleTargets bounds the released targets kept for reuse (10 MiB); a
-// target released beyond it is left to the collector.
-const maxIdleTargets = 256
-
-type targetList struct {
-	mu   sync.Mutex
-	free []*[BatchSize]value.Value
-}
-
-func (l *targetList) take() *[BatchSize]value.Value {
-	l.mu.Lock()
-	n := len(l.free)
-	if n == 0 {
-		l.mu.Unlock()
-		return new([BatchSize]value.Value)
-	}
-	buf := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	l.mu.Unlock()
-	return buf
-}
-
-func (l *targetList) give(buf *[BatchSize]value.Value) {
-	l.mu.Lock()
-	if len(l.free) < cap(l.free) {
-		l.free = append(l.free, buf)
-	}
-	l.mu.Unlock()
-}
-
-// decodeTarget is one holder's borrowed decode buffer, nil until first
-// need. It keeps the pointer the free list handed out, so neither
-// borrowing nor giving back allocates.
-type decodeTarget struct {
-	buf *[BatchSize]value.Value
-}
-
-// get returns the target's first n values, borrowing it on first need.
-func (d *decodeTarget) get(n int) []value.Value {
-	if d.buf == nil {
-		d.buf = decodeTargets.take()
-	}
-	return d.buf[:n]
-}
-
-// release gives the target back; the holder's batches must no longer be
-// read. Under the race detector the values are poisoned first, so a
-// consumer that kept a batch vector past its scan's Close reads a value no
-// table holds and fails its differential instead of passing on stale data.
-func (d *decodeTarget) release() {
-	if d.buf == nil {
-		return
-	}
-	poisonReleased(d.buf[:])
-	decodeTargets.give(d.buf)
-	d.buf = nil
 }
 
 // rowWindow transposes a window of rows into a reusable columnar batch —

@@ -123,7 +123,8 @@ func rowKeyEqual(a, b value.Row) bool {
 // ints (buildInts), which confirm a candidate as cheaply as a stored hash
 // would, or are dense enough to be addressed directly: then direct[k-lo]
 // heads key k's chain in place of a bucket, and every entry of a chain
-// holds that one key.
+// holds that one key. A hash join's index takes its arrays from the
+// recycler and gives them back (release); an aggregate's grows its own.
 type hashIndex struct {
 	hashes  []uint64
 	next    []int32
@@ -134,8 +135,9 @@ type hashIndex struct {
 }
 
 // directFloor is the key range buildInts addresses directly however few
-// the keys are: 256 KiB of chain heads, so a filtered dimension's build
-// over a key range this wide probes by offset too.
+// the keys are: 256 KiB of chain heads, a recycled array cleared per build,
+// so a filtered dimension's build over a key range this wide probes by
+// offset too.
 const directFloor = 1 << 16
 
 // bucketsFor returns the power-of-two bucket count for n entries (load
@@ -153,8 +155,8 @@ func bucketsFor(n int) int {
 // visits equal keys in the order the owner stored them.
 func (x *hashIndex) build(hashes []uint64) {
 	x.hashes = hashes
-	x.next = make([]int32, len(hashes))
-	x.relink()
+	x.next = linkArrays.take(len(hashes))
+	x.link(linkArrays.takeZeroed(bucketsFor(len(hashes))))
 }
 
 // buildInts indexes one-column int keys, chains in ascending entry order
@@ -177,7 +179,7 @@ func (x *hashIndex) buildInts(keys []int64) {
 // buildDirect indexes keys, every one within lo..lo+span, by offset: a
 // probe of key k walks direct[k-lo], with no hash and no key comparison.
 func (x *hashIndex) buildDirect(keys []int64, lo int64, span uint64) {
-	*x = hashIndex{next: make([]int32, len(keys)), direct: make([]int32, span+1), lo: lo}
+	*x = hashIndex{next: linkArrays.take(len(keys)), direct: linkArrays.takeZeroed(int(span) + 1), lo: lo}
 	for i := len(keys) - 1; i >= 0; i-- {
 		o := uint64(keys[i]) - uint64(lo)
 		x.next[i] = x.direct[o]
@@ -189,7 +191,7 @@ func (x *hashIndex) buildDirect(keys []int64, lo int64, span uint64) {
 // by comparing the key itself.
 func (x *hashIndex) buildChained(keys []int64) {
 	nb := bucketsFor(len(keys))
-	*x = hashIndex{next: make([]int32, len(keys)), buckets: make([]int32, nb), mask: uint64(nb - 1)}
+	*x = hashIndex{next: linkArrays.take(len(keys)), buckets: linkArrays.takeZeroed(nb), mask: uint64(nb - 1)}
 	for i := len(keys) - 1; i >= 0; i-- {
 		b := hashInt(keys[i]) & x.mask
 		x.next[i] = x.buckets[b]
@@ -200,14 +202,27 @@ func (x *hashIndex) buildChained(keys []int64) {
 // relink sizes the bucket array for the current entries and rebuilds every
 // chain from the stored hashes.
 func (x *hashIndex) relink() {
-	nb := bucketsFor(len(x.hashes))
-	x.buckets = make([]int32, nb)
-	x.mask = uint64(nb - 1)
+	x.link(make([]int32, bucketsFor(len(x.hashes))))
+}
+
+// link rebuilds every chain from the stored hashes into buckets, zeroed and
+// a power of two long.
+func (x *hashIndex) link(buckets []int32) {
+	x.buckets, x.mask = buckets, uint64(len(buckets)-1)
 	for i := len(x.hashes) - 1; i >= 0; i-- {
 		b := x.hashes[i] & x.mask
 		x.next[i] = x.buckets[b]
 		x.buckets[b] = int32(i + 1)
 	}
+}
+
+// release gives a join index's arrays back to the recycler; the hashes are
+// its owner's.
+func (x *hashIndex) release() {
+	linkArrays.give(x.next)
+	linkArrays.give(x.buckets)
+	linkArrays.give(x.direct)
+	*x = hashIndex{}
 }
 
 // first returns the head of h's chain, +1 (0 = empty chain). Walk with

@@ -1005,8 +1005,9 @@ func (j *IndexNLJoin) Close() error {
 // output or the residual needs, and a hashIndex over the rows (see
 // hashkey.go). No row is materialized and no per-row key rendered on either
 // side. Chains run in build order, so a probe row meets its matches in the
-// order the build child produced them. Close drops the table — a pooled
-// Runner tree outlives the query, and the table must not.
+// order the build child produced them. The table's integer arrays come from
+// the recycler (recycle.go), and Close gives them back — a pooled Runner
+// tree outlives the query, and the table must not.
 //
 // A built table also reduces the builds below it (semi-join reduction):
 // with one key column, Open traces the probe key down the probe chain —
@@ -1150,29 +1151,38 @@ type joinTable struct {
 }
 
 // init readies an empty table for a join with nkeys key columns keeping
-// width build columns, the key (or hash) array and the columns presized
-// for bound rows.
-func (t *joinTable) init(nkeys, width, bound int) {
+// width build columns: the key (or hash) array, taken from the recycler,
+// with room for bound rows, the columns presized for colBound.
+func (t *joinTable) init(nkeys, width, bound, colBound int) {
 	if nkeys == 1 {
-		t.ints = make([]int64, 0, bound)
+		t.ints = keyArrays.take(bound)[:0]
 	} else {
 		t.keys = make([][]value.Value, nkeys)
-		t.hashes = make([]uint64, 0, bound)
+		t.hashes = hashArrays.take(bound)[:0]
 	}
 	t.cols.init(width)
-	t.cols.setCap(bound)
+	t.cols.setCap(colBound)
 }
 
 // spill leaves the int form: the keys so far become a value vector and
 // their hashes, exactly what the generic form would have stored for them.
 func (t *joinTable) spill() {
 	vec := make([]value.Value, len(t.ints))
-	t.hashes = make([]uint64, len(t.ints), cap(t.ints))
+	t.hashes = hashArrays.take(cap(t.ints))[:len(t.ints)]
 	for i, k := range t.ints {
 		vec[i] = value.NewInt(k)
 		t.hashes[i] = hashInt(k)
 	}
+	keyArrays.give(t.ints)
 	t.keys, t.ints = [][]value.Value{vec}, nil
+}
+
+// release gives the table's recycled arrays back and empties it.
+func (t *joinTable) release() {
+	keyArrays.give(t.ints)
+	hashArrays.give(t.hashes)
+	t.index.release()
+	*t = joinTable{}
 }
 
 // add appends b's active rows: keys from columns keyCols, kept columns from
@@ -1180,6 +1190,7 @@ func (t *joinTable) spill() {
 func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 	n := b.NumActive()
 	if t.ints != nil {
+		t.ints = keyArrays.grow(t.ints, n)
 		kc, base := b.Cols[keyCols[0]], len(t.ints)
 		for i := 0; i < n; i++ {
 			v := &kc[b.PosAt(i)]
@@ -1192,6 +1203,7 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 		}
 	}
 	if t.ints == nil {
+		t.hashes = hashArrays.grow(t.hashes, n)
 		for i := 0; i < n; i++ {
 			p := b.PosAt(i)
 			t.hashes = append(t.hashes, hashBatchCols(b, p, keyCols))
@@ -1203,18 +1215,20 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 	t.cols.appendCols(b, keep)
 }
 
-// absorb appends all of o's rows, spilling either side so the forms agree.
+// absorb appends all of o's rows, spilling either side so the forms agree,
+// and leaves o empty, its arrays back in the recycler.
 func (t *joinTable) absorb(o *joinTable) {
-	// a worker that drew no morsel never readied its table
+	defer o.release()
 	if o.cols.len() == 0 {
 		return
 	}
 	if t.cols.len() == 0 {
-		*t = *o
+		t.release()
+		*t, *o = *o, joinTable{}
 		return
 	}
 	if t.ints != nil && o.ints != nil {
-		t.ints = append(t.ints, o.ints...)
+		t.ints = append(keyArrays.grow(t.ints, len(o.ints)), o.ints...)
 	} else {
 		if t.ints != nil {
 			t.spill()
@@ -1222,7 +1236,7 @@ func (t *joinTable) absorb(o *joinTable) {
 		if o.ints != nil {
 			o.spill()
 		}
-		t.hashes = append(t.hashes, o.hashes...)
+		t.hashes = append(hashArrays.grow(t.hashes, len(o.hashes)), o.hashes...)
 		for k := range t.keys {
 			t.keys[k] = append(t.keys[k], o.keys[k]...)
 		}
@@ -1236,6 +1250,12 @@ func (t *joinTable) absorb(o *joinTable) {
 // from disjoint morsels. Partitions are concatenated in worker order before
 // the chains are linked (match order for duplicate keys is then worker
 // order, arrival order within a worker — a multiset-equivalent reordering).
+// Every worker's key array has room for the whole pipeline's row bound, so
+// the parts join without regrowth, the emptied ones going back to the
+// recycler; the kept columns, which are not recycled, are presized for an
+// even share. A forked build readies every part before it starts, so it
+// takes as many arrays each time whichever workers draw morsels; a serial
+// one readies its table on its first batch, once its leaf is open.
 //
 // Rows that fail a key filter (see pushFilter) are dropped before add; the
 // filters are spent once the build ends.
@@ -1243,6 +1263,11 @@ func (j *HashJoin) build(ctx *Context) error {
 	defer func() { j.filters = nil }()
 	pipes := forkPipeline(j.Build, ctx)
 	parts := make([]joinTable, len(pipes))
+	if len(pipes) > 1 {
+		for w := range parts {
+			j.ready(&parts[w], pipes[w], len(pipes))
+		}
+	}
 	var kept []Batch // per worker: the filtered view of its current batch
 	if len(j.filters) > 0 {
 		kept = make([]Batch, len(pipes))
@@ -1250,11 +1275,7 @@ func (j *HashJoin) build(ctx *Context) error {
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
 		t := &parts[w]
 		if t.ints == nil && t.keys == nil {
-			bound := rowBound(pipes[w]) / len(pipes)
-			if kept != nil {
-				bound = 0 // a reduced build keeps few of the rows its leaf holds
-			}
-			t.init(len(j.BuildKeys), len(j.keep), bound)
+			j.ready(t, pipes[w], len(pipes))
 		}
 		if kept != nil {
 			b = j.filterBuild(b, &kept[w])
@@ -1263,12 +1284,21 @@ func (j *HashJoin) build(ctx *Context) error {
 		t.add(b, j.BuildKeys, j.keep)
 		return nil
 	})
+	for w := range kept {
+		linkArrays.give(kept[w].Sel)
+	}
 	if err != nil {
+		for i := range parts {
+			parts[i].release()
+		}
 		return err
 	}
 	t := &parts[0]
 	for i := range parts[1:] {
 		t.absorb(&parts[1+i])
+	}
+	if t.cols.len() == 0 {
+		t.release() // an empty build is the generic form, whatever its workers readied
 	}
 	if t.ints != nil {
 		t.index.buildInts(t.ints)
@@ -1279,15 +1309,25 @@ func (j *HashJoin) build(ctx *Context) error {
 	return nil
 }
 
+// ready readies t, one of nparts parts of a build, for the rows of pipe.
+func (j *HashJoin) ready(t *joinTable, pipe BatchOperator, nparts int) {
+	bound := rowBound(pipe)
+	if len(j.filters) > 0 {
+		bound = 0 // a reduced build keeps few of the rows its leaf holds
+	}
+	t.init(len(j.BuildKeys), len(j.keep), bound, bound/nparts)
+}
+
 // filterBuild returns the rows of b that pass every key filter, as a view
 // in *kept: a copy of b's header with a selection of its own — never nil,
 // since a nil Sel means every row, so it is empty when no row survives. b
 // itself is not touched; each filter after the first narrows the view's
-// selection in place.
+// selection in place. The selection's array comes from the recycler, and
+// build gives it back.
 func (j *HashJoin) filterBuild(b *Batch, kept *Batch) *Batch {
 	sel := kept.Sel[:0]
 	if sel == nil {
-		sel = make([]int32, 0, BatchSize)
+		sel = linkArrays.take(BatchSize)[:0]
 	}
 	*kept = *b
 	for _, f := range j.filters {
@@ -1481,7 +1521,7 @@ func (j *HashJoin) Close() error {
 		return nil
 	}
 	j.closed = true
-	j.table = joinTable{}
+	j.table.release()
 	return j.Probe.Close()
 }
 

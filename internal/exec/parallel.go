@@ -154,12 +154,16 @@ func findSource(op BatchOperator) ParallelSource {
 	return pipelineLeaf(op).(ParallelSource)
 }
 
-// rowBound returns an upper bound on the rows the opened pipeline op can
-// produce — what its leaf holds, before any filtering — or 0 when the leaf
-// cannot say. A hash-join build presizes its key array from it.
+// rowBound returns an upper bound on the rows the pipeline op can produce —
+// what its leaf holds, before any filtering — or 0 when the leaf cannot say.
+// The pipeline must be open, or forked (its leaf then draws from the
+// shared cursor). A hash-join build presizes its key array from it.
 func rowBound(op BatchOperator) int {
 	switch x := pipelineLeaf(op).(type) {
 	case *ColTableScan:
+		if x.shared != nil {
+			return x.shared.NumMorsels() * BatchSize
+		}
 		if x.src != nil {
 			return x.src.NumMorsels() * BatchSize
 		}

@@ -2,7 +2,5 @@
 
 package exec
 
-import "htapxplain/internal/value"
-
 // poisonReleased is a no-op without the race detector (see race_on.go).
-func poisonReleased([]value.Value) {}
+func poisonReleased[T any]([]T, T) {}

@@ -2,15 +2,10 @@
 
 package exec
 
-import "htapxplain/internal/value"
-
-// released is what a released decode target holds under the race
-// detector: a string no generated table contains.
-var released = value.NewString("\x00released decode target")
-
-// poisonReleased overwrites a decode target on its way back to the pool.
-func poisonReleased(buf []value.Value) {
+// poisonReleased overwrites an array on its way back to the recycler with
+// its list's poison.
+func poisonReleased[T any](buf []T, poison T) {
 	for i := range buf {
-		buf[i] = released
+		buf[i] = poison
 	}
 }

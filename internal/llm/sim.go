@@ -235,16 +235,6 @@ func hasFactor(fs []expert.Factor, f expert.Factor) bool {
 	return false
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 // containsFactor checks whether the explanation text asserts the factor
 // (marker-phrase vocabulary shared with the expert package).
 func containsFactor(lowerText string, f expert.Factor) bool {
