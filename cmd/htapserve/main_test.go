@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,5 +172,33 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if err := shutdown(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// bootState are the sha256 sums of the router.gob and kb.gob a server's
+// first boot writes under -data-dir, server defaults otherwise. The router
+// is trained on, and the knowledge base curated from, modeled plan pairs,
+// so a change to planning or plan costs shows here; an executor change —
+// what a scan decodes, reads or emits — must not.
+var bootState = map[string]string{
+	"router.gob": "ccd2a212c5e78f7f455ae6d5e4c8544729eb336e72aec820ae0b28331bc969c8",
+	"kb.gob":     "363ab27f091505431e1aa819ac4ae4aa4af069c4870eb864866118b33cfee88d",
+}
+
+// TestBootStateIsPinned: a first boot writes byte-identical state.
+func TestBootStateIsPinned(t *testing.T) {
+	dir := t.TempDir()
+	_, shutdown := serve(t, "-addr", "127.0.0.1:0", "-data-dir", dir)
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for name, want := range bootState {
+		b, err := os.ReadFile(filepath.Join(dir, "explain", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != want {
+			t.Errorf("%s (%d bytes) has sha256 %s, want %s", name, len(b), sum, want)
+		}
 	}
 }

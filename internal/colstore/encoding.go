@@ -24,6 +24,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"htapxplain/internal/value"
 )
@@ -107,9 +108,9 @@ func (p EncodingPolicy) String() string {
 // benchmarks that sweep the encoding space.
 var AllPolicies = []EncodingPolicy{PolicyAuto, PolicyRaw, PolicyDict, PolicyFoR, PolicyRLE}
 
-// valueHeaderBytes is the in-memory footprint of one value.Value (tag +
-// int64 + float64 + string header on 64-bit), excluding string payloads.
-const valueHeaderBytes = 40
+// valueHeaderBytes is the in-memory footprint of one value.Value (tag,
+// payload word and string header), excluding string payloads.
+const valueHeaderBytes = int64(unsafe.Sizeof(value.Value{}))
 
 // maxDictSize bounds the dictionary: chunks with more distinct values
 // rarely compress through a dictionary, and a small bound keeps the
@@ -619,33 +620,7 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 		}
 		sel = out[:k]
 	case EncFoR:
-		// compare packed deltas against the window shifted by Base: a row
-		// is Base+d, so it lies in [loI, hiI] exactly when d lies in
-		// [dLo, dLo+span], one unsigned comparison
-		loI, hiI, ok := intWindow(lo, hi, loStrict, hiStrict)
-		if !ok || hiI < c.Base {
-			return sel, false
-		}
-		var dLo uint64
-		if loI > c.Base {
-			dLo = uint64(loI) - uint64(c.Base)
-		}
-		span := uint64(hiI) - uint64(c.Base) - dLo
-		if dLo == 0 && span >= ^uint64(0)>>(64-uint(c.Width)) {
-			return sel, true // the window covers every representable delta
-		}
-		// branch-free, like the dictionary's
-		var buf [forBlock]uint64
-		out, k := slices.Grow(sel, c.N)[:c.N], 0
-		for blk := 0; blk < c.N; blk += forBlock {
-			for j, d := range c.forBlockAt(&buf, blk) {
-				out[k] = int32(blk + j)
-				if d-dLo <= span {
-					k++
-				}
-			}
-		}
-		sel = out[:k]
+		return c.WindowSel(lo, hi, loStrict, hiStrict, false, nil, sel)
 	case EncRLE:
 		pos := 0
 		for j, v := range c.RunVals {
@@ -660,6 +635,68 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 		}
 	}
 	return sel, len(sel) == c.N
+}
+
+// WindowSel is RangeSel's kernel for a FoR chunk, over candidates: it
+// appends to out, in order, the candidates (ascending chunk positions; nil:
+// every row) whose value lies in the range [lo, hi] under RangeSel's rules
+// — or, when outside is set, those whose value does not. The second result
+// is true when every candidate was kept: the caller then keeps its own
+// candidates, whatever out holds. A candidate list may share out's backing array: position k of the output is
+// written only after candidate k is read. Neither bound may be NULL.
+//
+// Packed deltas are compared against the window shifted by Base: a row is
+// Base+d, so it lies in [loI, hiI] exactly when d lies in [dLo, dLo+span],
+// one unsigned comparison modulo 2^64 — under which the rows outside are
+// the window [dLo+span+1, dLo-1]. The loops are branch-free like the
+// dictionary's in RangeSel: every position is written, and the cursor
+// moves past it only when it is kept.
+func (c *EncodedChunk) WindowSel(lo, hi *value.Value, loStrict, hiStrict, outside bool, cand, out []int32) ([]int32, bool) {
+	out = out[:0]
+	loI, hiI, ok := intWindow(lo, hi, loStrict, hiStrict)
+	if !ok || hiI < c.Base {
+		return out, outside // no row lies in the window
+	}
+	var dLo uint64
+	if loI > c.Base {
+		dLo = uint64(loI) - uint64(c.Base)
+	}
+	span := uint64(hiI) - uint64(c.Base) - dLo
+	if dLo == 0 && span >= ^uint64(0)>>(64-uint(c.Width)) {
+		return out, !outside // the window covers every representable delta
+	}
+	if outside {
+		// span < 2^64-1 here: the window does not cover the whole ring
+		dLo, span = dLo+span+1, ^span-1
+	}
+	var buf [forBlock]uint64
+	k := 0
+	if cand == nil {
+		out = slices.Grow(out, c.N)[:c.N]
+		for blk := 0; blk < c.N; blk += forBlock {
+			for j, d := range c.forBlockAt(&buf, blk) {
+				out[k] = int32(blk + j)
+				if d-dLo <= span {
+					k++
+				}
+			}
+		}
+		return out[:k], k == c.N
+	}
+	out = slices.Grow(out, len(cand))[:len(cand)]
+	var d []uint64
+	blk := -1
+	for _, i := range cand {
+		if b := int(i) &^ (forBlock - 1); b != blk {
+			blk = b
+			d = c.forBlockAt(&buf, blk)
+		}
+		out[k] = i
+		if d[int(i)-blk]-dLo <= span {
+			k++
+		}
+	}
+	return out[:k], k == len(cand)
 }
 
 // intWindow converts value-domain range bounds into a closed int64 window

@@ -3,6 +3,7 @@ package exec
 import (
 	"slices"
 
+	"htapxplain/internal/colstore"
 	"htapxplain/internal/sqlparser"
 	"htapxplain/internal/value"
 )
@@ -18,6 +19,12 @@ import (
 // a row is selected exactly when Truthy of the compiled predicate holds for
 // it: NULL is never selected, comparisons keep value.Compare semantics, and
 // LIKE matches a non-string on its String rendering, as Compile does.
+//
+// Over a base chunk a column kernel runs in the encoded domain, before any
+// decode (narrowChunk): once per dictionary entry or run, or on a FoR
+// chunk's packed deltas against an integer window, then a branch-free pass
+// over the codes or candidates. Each of those tests is keep, so the encoded
+// narrowing is the decoded one by construction.
 
 // Sarg is a conjunct that tests one operand against literals: operand op
 // lit, operand BETWEEN lit AND lit, operand [NOT] IN (lits) or operand LIKE
@@ -239,6 +246,154 @@ func (k *selKernel) narrow(cols [][]value.Value, n int, cand, out []int32, scrat
 		}
 	}
 	return out, nil
+}
+
+// narrowChunk runs the column kernel over its column's base chunk ch in the
+// encoded domain: it appends to out, in order, the candidates (cand,
+// ascending; nil: all ch.N rows) the kernel keeps. all reports that every
+// candidate was kept — the caller then keeps cand, whatever out holds. ok
+// is false when the chunk has no encoded form of the test — a raw chunk, or
+// IN, LIKE or a NULL literal over FoR — and the caller runs narrow over
+// the decoded values instead. keep is scratch for the per-entry tests. cand
+// may share out's backing array, as in apply.
+func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, keep *[]bool) (sel []int32, all, ok bool) {
+	switch ch.Enc {
+	case colstore.EncDict:
+		// a dictionary holds no NULL; a candidate list shorter than it is
+		// tested entry by entry, candidate by candidate
+		if cand != nil && len(cand) < len(ch.Dict) {
+			out = slices.Grow(out[:0], len(cand))[:len(cand)]
+			n := 0
+			for _, pos := range cand {
+				out[n] = pos
+				if k.keep(&ch.Dict[ch.Codes[pos]]) {
+					n++
+				}
+			}
+			return out[:n], n == len(cand), true
+		}
+		kept, some, every := k.keepEach(ch.Dict, keep)
+		if !some || every {
+			return out[:0], every, true
+		}
+		sel = selectCodes(ch.Codes, kept, cand, out)
+		return sel, cand != nil && len(sel) == len(cand), true
+	case colstore.EncRLE:
+		if cand != nil && len(cand) < len(ch.RunVals) {
+			out = slices.Grow(out[:0], len(cand))[:len(cand)]
+			n, run := 0, 0
+			for _, pos := range cand {
+				for ch.RunEnds[run] <= pos {
+					run++
+				}
+				out[n] = pos
+				if k.keep(&ch.RunVals[run]) {
+					n++
+				}
+			}
+			return out[:n], n == len(cand), true
+		}
+		kept, some, every := k.keepEach(ch.RunVals, keep)
+		if !some || every {
+			return out[:0], every, true
+		}
+		sel = selectRuns(ch.RunEnds, kept, cand, out)
+		return sel, cand != nil && len(sel) == len(cand), true
+	case colstore.EncFoR:
+		var lo, hi *value.Value
+		strictLo, strictHi, outside := false, false, false
+		switch {
+		case k.Shape == ShapeBetween && !k.a.IsNull() && !k.b.IsNull():
+			lo, hi = &k.a, &k.b
+		case k.Shape == ShapeCmp && !k.a.IsNull():
+			switch k.Op {
+			case sqlparser.OpEq:
+				lo, hi = &k.a, &k.a
+			case sqlparser.OpNe:
+				lo, hi, outside = &k.a, &k.a, true
+			case sqlparser.OpLt, sqlparser.OpLe:
+				hi, strictHi = &k.a, k.Op == sqlparser.OpLt
+			case sqlparser.OpGt, sqlparser.OpGe:
+				lo, strictLo = &k.a, k.Op == sqlparser.OpGt
+			default:
+				return nil, false, false
+			}
+		default:
+			return nil, false, false
+		}
+		sel, all = ch.WindowSel(lo, hi, strictLo, strictHi, outside, cand, out)
+		return sel, all, true
+	}
+	return nil, false, false
+}
+
+// keepEach tests every value of vals (a dictionary or a chunk's run
+// values) once, into *buf, and reports whether some and every one passed.
+func (k *selKernel) keepEach(vals []value.Value, buf *[]bool) (kept []bool, some, every bool) {
+	kept = slices.Grow((*buf)[:0], len(vals))[:len(vals)]
+	*buf = kept
+	every = true
+	for i := range vals {
+		kept[i] = k.keep(&vals[i])
+		some = some || kept[i]
+		every = every && kept[i]
+	}
+	return kept, some, every
+}
+
+// selectCodes appends to out the candidates (nil: every row) whose code
+// the dictionary test kept — branch-free, like RangeSel's: every position
+// is written, and the cursor moves past it only when it is kept.
+func selectCodes(codes []uint16, kept []bool, cand, out []int32) []int32 {
+	n := 0
+	if cand == nil {
+		out = slices.Grow(out[:0], len(codes))[:len(codes)]
+		for i, code := range codes {
+			out[n] = int32(i)
+			if kept[code] {
+				n++
+			}
+		}
+		return out[:n]
+	}
+	out = slices.Grow(out[:0], len(cand))[:len(cand)]
+	for _, pos := range cand {
+		out[n] = pos
+		if kept[codes[pos]] {
+			n++
+		}
+	}
+	return out[:n]
+}
+
+// selectRuns appends to out the candidates (nil: every row) whose run the
+// test kept: a kept run's rows at once, or a run cursor over the list.
+func selectRuns(ends []int32, kept []bool, cand, out []int32) []int32 {
+	if cand == nil {
+		out = out[:0]
+		start := int32(0)
+		for r, end := range ends {
+			if kept[r] {
+				for pos := start; pos < end; pos++ {
+					out = append(out, pos)
+				}
+			}
+			start = end
+		}
+		return out
+	}
+	out = slices.Grow(out[:0], len(cand))[:len(cand)]
+	n, run := 0, 0
+	for _, pos := range cand {
+		for ends[run] <= pos {
+			run++
+		}
+		out[n] = pos
+		if kept[run] {
+			n++
+		}
+	}
+	return out[:n]
 }
 
 // narrowRows is the row kernel: each candidate is assembled in scratch and

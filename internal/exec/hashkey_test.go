@@ -736,6 +736,101 @@ func aggDifferential(t *testing.T) {
 	}
 	whole := refAggregate(t, rows, inWidth, groupCols, aggs, len(groupCols)+len(aggs), false, false, false)
 	assertRows(t, "merge vs unsplit", merged, whole, false)
+
+	globalFoldDifferential(t)
+}
+
+// foldRows makes n rows of (i, q, s, tie, r, k): an int, a float in
+// quarters (exact sums in any order), a string, a column of values that
+// compare equal across kinds and signs (1 and 1.0, 0.0 and -0.0: MIN/MAX
+// ties that only first-seen order decides), a float in tenths (sums that
+// depend on order) — each NULL now and then — and a join key.
+func foldRows(rng *rand.Rand, n int) []value.Row {
+	ties := []value.Value{value.NewInt(1), value.NewFloat(1), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewInt(0), value.NewInt(7), value.NewFloat(7)}
+	rows := make([]value.Row, n)
+	for i := range rows {
+		r := value.Row{
+			value.NewInt(int64(rng.Intn(400) - 200)),
+			value.NewFloat(float64(rng.Intn(80)-40) / 4),
+			value.NewString(fmt.Sprintf("s%02d", rng.Intn(40))),
+			ties[rng.Intn(len(ties))],
+			value.NewFloat(float64(rng.Intn(1000)) / 10),
+			value.NewInt(int64(rng.Intn(300))),
+		}
+		for c := 0; c < 5; c++ {
+			if rng.Intn(9) == 0 {
+				r[c] = value.Null
+			}
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// globalFoldDifferential: an ungrouped aggregate whose arguments are bare
+// columns (GroupCols set) folds a column at a time; over a join and over a
+// filtered scan — paths the encoded pushdown does not take — its rows
+// equal the row fold's (GroupCols nil) byte for byte, final and Partial, at
+// DOP 1 and 4. Order-dependent columns (sums of tenths, cross-kind ties)
+// run at DOP 1 only, where both folds see one row order; at DOP 4 the
+// merge order of the workers' states varies from run to run.
+func globalFoldDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	probe := colTableOf(t, "f", foldRows(rng, 3*colstore.ChunkSize+77))
+	buildRows := make([]value.Row, 500)
+	for i := range buildRows {
+		buildRows[i] = value.Row{value.NewInt(int64(rng.Intn(350))), value.NewInt(int64(i))}
+	}
+	build := colTableOf(t, "b", buildRows)
+	filter := ScanFilter{{Sarg: Sarg{Shape: ShapeCmp, Op: sqlparser.OpLt, Lits: Lits{Values: []value.Value{value.NewInt(120)}}}, col: 5}}
+	filter[0].specialise(nil)
+	inputs := []struct {
+		name  string
+		child func() Operator
+	}{
+		{"join", func() Operator {
+			return NewHashJoin(fullScan(probe, "f"), fullScan(build, "b"), []int{5}, []int{0}, nil, nil)
+		}},
+		{"filtered scan", func() Operator {
+			return NewColTableScan(probe, "f", identityCols(6), filter, nil)
+		}},
+	}
+	for _, in := range inputs {
+		for _, dop := range []int{1, 4} {
+			cols := []int{0, 1, 2}
+			if dop == 1 {
+				cols = append(cols, 3, 4)
+			}
+			aggs := []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}
+			for _, c := range cols {
+				for _, f := range []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax} {
+					aggs = append(aggs, AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c})
+				}
+			}
+			for _, partial := range []bool{false, true} {
+				label := fmt.Sprintf("global fold over the %s, DOP %d, partial %v", in.name, dop, partial)
+				width := len(aggs)
+				if partial {
+					width *= 2
+				}
+				agg := func(groupCols []int) []value.Row {
+					a := &HashAggregate{Child: in.child(), Aggs: aggs, Out: make(Schema, width), GroupCols: groupCols, Partial: partial}
+					if _, ok := a.pushdownScan(); ok {
+						t.Fatalf("%s: precondition: the encoded pushdown takes the aggregate", label)
+					}
+					ctx := NewContext()
+					ctx.DOP = dop
+					rows, err := Drain(a, ctx)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					return rows
+				}
+				assertRows(t, label, agg([]int{}), agg(nil), true)
+			}
+		}
+	}
 }
 
 func TestHashAggregateDifferential(t *testing.T) { aggDifferential(t) }

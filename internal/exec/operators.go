@@ -316,28 +316,33 @@ func (s *RowIndexOrderScan) Close() error {
 // lives inside the morsel cursor, so skipped chunks are counted at dispatch
 // and never reach the scan. Each non-pruned base morsel becomes one batch
 // under the "alias or decode, never mutate" contract: raw chunk vectors
-// are aliased directly with zero per-row materialization, encoded chunks
-// are decoded into buffers the clone borrows until Close (sparsely, when
-// the pruner's encoded-domain prefilter already narrowed the candidates),
-// and the predicate — a ScanFilter, an ordered list of selection kernels
-// (see filter.go) — only narrows the selection vector, a column vector at
-// a time, running on base chunks only when the pruner is not an exact
-// encoding of it. The pinned view unions the immutable base chunks
-// (a chunk with deleted rows filters them through the selection vector)
-// with the replicated delta rows, which are batched through a
-// private projection slab — AP reads are fresh up to the column store's
+// are aliased directly with zero per-row materialization, and encoded
+// chunks are decoded into buffers the clone borrows until Close. The
+// predicate — the pruner's encoded-domain prefilter, the delete set, then a
+// ScanFilter, an ordered list of selection kernels (see filter.go) — runs
+// on positions and codes before anything is decoded, and each emitted
+// column is then decoded once, at the surviving rows only. The scan reads
+// Cols but emits only the first Emit of them: the rest are the columns
+// only its predicate reads, tested in the scan and never passed up (late
+// materialization). The pinned view unions the immutable base chunks with
+// the replicated delta rows, which are batched through a private
+// projection slab — AP reads are fresh up to the column store's
 // replication watermark, and the delta snapshot is pinned exactly once per
 // query however many workers share the cursor.
 type ColTableScan struct {
 	Table   *colstore.Table
 	Binding string
-	Cols    []int // table column positions to read (projection pushdown)
-	Filter  ScanFilter
-	Pruner  *colstore.RangePruner
+	// Cols are the table column positions the scan reads (projection
+	// pushdown): the Emit columns it emits, then those only Filter reads.
+	// Filter is compiled against all of them.
+	Cols   []int
+	Emit   int
+	Filter ScanFilter
+	Pruner *colstore.RangePruner
 	// PrunerSlots are the slots of Pruner's Lo and Hi (0: the planned
 	// bound); a one-key IN list's slot is both.
 	PrunerSlots [2]int
-	out         Schema
+	out         Schema // the schema of Cols; the scan's is out[:Emit]
 
 	// shared, when set (by ForkShared), is the cross-worker morsel cursor
 	// this clone draws from instead of pinning its own view.
@@ -354,38 +359,45 @@ type ColTableScan struct {
 		bounds [2]value.Value // Lo, Hi
 	}
 
-	src     *colstore.Morsels
-	view    colstore.View
-	batch   Batch
+	src   *colstore.Morsels
+	view  colstore.View
+	batch Batch // its Cols are vecs[:Emit]
+	// vecs are the read columns' vectors; ready marks those that hold
+	// their values at every current candidate of the morsel.
+	vecs    [][]value.Value
+	ready   []bool
 	selBuf  []int32
 	preSel  []int32 // encoded-domain prefilter scratch
+	keepBuf []bool  // per-dictionary-entry or per-run kernel results
 	scratch value.Row
 	// chunkBuf holds the current morsel's per-column encoded chunks;
 	// decodeBuf is the per-column decode target for encoded chunks,
 	// borrowed from the process-wide recycler on a column's first encoded
 	// chunk and kept across morsels, then given back at Close — an idle
-	// pooled tree holds none.
-	chunkBuf  []*colstore.EncodedChunk
-	decodeBuf []decodeTarget
-	deltaSlab []value.Value
-	closed    bool
+	// pooled tree holds none. fullDecode records that the current morsel
+	// decoded some column at every row.
+	chunkBuf   []*colstore.EncodedChunk
+	decodeBuf  []decodeTarget
+	fullDecode bool
+	deltaSlab  []value.Value
+	closed     bool
 }
 
-// NewColTableScan constructs a columnar scan over the given column subset.
-// filter is compiled against the emitted (subset) schema.
+// NewColTableScan constructs a columnar scan over the given column subset,
+// emitting all of it; filter is compiled against the subset's schema.
 func NewColTableScan(t *colstore.Table, binding string, cols []int, filter ScanFilter, pruner *colstore.RangePruner) *ColTableScan {
 	out := make(Schema, len(cols))
 	full := TableSchema(t.Meta, binding)
 	for i, c := range cols {
 		out[i] = full[c]
 	}
-	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Filter: filter, Pruner: pruner, out: out}
+	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Emit: len(cols), Filter: filter, Pruner: pruner, out: out}
 }
 
-func (s *ColTableScan) Schema() Schema { return s.out }
+func (s *ColTableScan) Schema() Schema { return s.out[:s.Emit] }
 
 func (s *ColTableScan) Clone() BatchOperator {
-	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols,
+	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols, Emit: s.Emit,
 		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, out: s.out}
 }
 
@@ -455,8 +467,10 @@ func (s *ColTableScan) Open(ctx *Context) error {
 		s.view = s.Table.View()
 		s.src = colstore.NewMorsels(s.view, s.pruner)
 	}
-	if s.batch.Cols == nil {
-		s.batch.Cols = make([][]value.Value, len(s.Cols))
+	if s.vecs == nil {
+		s.vecs = make([][]value.Value, len(s.Cols))
+		s.ready = make([]bool, len(s.Cols))
+		s.batch.Cols = s.vecs[:s.Emit]
 		s.scratch = make(value.Row, len(s.Cols))
 		s.chunkBuf = make([]*colstore.EncodedChunk, len(s.Cols))
 		s.decodeBuf = make([]decodeTarget, len(s.Cols))
@@ -500,12 +514,14 @@ func (s *ColTableScan) Next(ctx *Context) (*Batch, error) {
 }
 
 // baseBatch turns one base-chunk morsel into a batch under the "alias or
-// decode, never mutate" contract: raw chunks are aliased directly, encoded
-// chunks are decoded into borrowed targets — sparsely when an encoded-domain
-// prefilter already narrowed the candidates. When the pruner is an exact
-// representation of the scan's predicate, the chunk-level RangeSel over
-// the (possibly encoded) pruner column IS the filter, and the selection
-// kernels never run on base chunks. Returns nil when no row survives.
+// decode, never mutate" contract, selecting before it decodes: the
+// pruner's encoded-domain prefilter, the delete set and the selection
+// kernels narrow the candidate positions on the chunks as stored (see
+// selectBase), and only then is each emitted column aliased (raw) or
+// decoded (encoded) — at the survivors only when some row was dropped. A
+// chunk with an encoded read column counts as decoded when some column was
+// decoded at every row, as encoded otherwise. Returns nil when no row
+// survives.
 func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
 	rows := m.Rows()
 	ctx.Stats.RowsScanned += int64(rows)
@@ -513,30 +529,40 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	anyEnc := false
 	for j, c := range s.Cols {
 		ch := s.view.Cols[c].Chunk(m.Chunk)
-		s.chunkBuf[j] = ch
+		s.chunkBuf[j], s.ready[j] = ch, false
 		if ch.Enc != colstore.EncRaw {
 			anyEnc = true
 		}
 	}
-	// encoded-chunk accounting: a chunk with at least one encoded column
-	// counts as decoded when some column needed a full decode, encoded
-	// when the kernels got away with aliasing plus at most a sparse decode
-	fullDecode := false
-	countChunk := func() {
-		if !anyEnc {
-			return
+	s.fullDecode = false
+	sel, some, err := s.selectBase(ctx, m, anyEnc)
+	if err == nil && some {
+		for j := 0; j < s.Emit; j++ {
+			s.vector(j, rows, sel)
 		}
-		if fullDecode {
+	}
+	if anyEnc {
+		if s.fullDecode {
 			ctx.Stats.DecodedChunks++
 		} else {
 			ctx.Stats.EncodedChunks++
 		}
 	}
+	if err != nil || !some {
+		return nil, err
+	}
+	s.batch.Len, s.batch.Sel = rows, sel
+	return &s.batch, nil
+}
 
-	// 1) encoded-domain prefilter: when the pruner is exact it is the
-	// whole predicate; otherwise it only pre-narrows the candidate set
-	// (the sargable conjunct bounds every match) before any decode.
-	var sel []int32   // candidate positions; nil = all rows
+// selectBase narrows the morsel's rows to the predicate's survivors (nil:
+// every row), with some false when none survives. When the pruner
+// is an exact representation of the scan's predicate, the chunk-level
+// RangeSel over the (possibly encoded) pruner column IS the filter, and
+// the selection kernels never run on base chunks; otherwise it only
+// pre-narrows the candidates (the sargable conjunct bounds every match).
+func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) (sel []int32, some bool, err error) {
+	rows := m.Rows()
 	selExact := false // sel already reflects the full predicate
 	if pr := s.pruner; pr != nil && (pr.Exact || anyEnc) {
 		pch := s.view.Cols[pr.Col].Chunk(m.Chunk)
@@ -544,46 +570,13 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 		s.preSel = res
 		if !all {
 			if len(res) == 0 {
-				countChunk()
-				return nil, nil
+				return nil, false, nil
 			}
 			sel = res
 		}
 		selExact = pr.Exact
 	}
-
-	// 2) assemble vectors: alias raw chunks, decode encoded ones into the
-	// borrowed per-column targets (only the candidate positions when a
-	// selection vector survives the prefilter)
-	for j := range s.Cols {
-		ch := s.chunkBuf[j]
-		if ch.Enc == colstore.EncRaw {
-			s.batch.Cols[j] = ch.Raw
-			continue
-		}
-		buf := s.decodeBuf[j].get(rows)
-		if sel != nil {
-			ch.DecodeSel(buf, sel)
-		} else {
-			buf = ch.Decode(buf)
-			fullDecode = true
-		}
-		s.batch.Cols[j] = buf
-	}
-	s.batch.Len = rows
-	s.batch.Sel = nil
-
-	countChunk()
-	dead := s.view.BaseDead.Chunk(m.Chunk)
-	needPred := len(s.filter) > 0 && !selExact
-	if dead == nil && !needPred {
-		s.batch.Sel = sel
-		return &s.batch, nil
-	}
-
-	// 3) narrow the candidates by the delete set, then (unless the
-	// prefilter was exact) by the selection kernels
-	if dead != nil {
+	if dead := s.view.BaseDead.Chunk(m.Chunk); dead != nil {
 		out := s.selBuf[:0]
 		n := rows
 		if sel != nil {
@@ -599,18 +592,72 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 			}
 		}
 		s.selBuf, sel = out, out
-	}
-	if needPred && (sel == nil || len(sel) > 0) {
-		var err error
-		if sel, err = s.filter.apply(s.batch.Cols, rows, sel, &s.selBuf, s.scratch, ctx.Params); err != nil {
-			return nil, err
+		if len(sel) == 0 {
+			return nil, false, nil
 		}
 	}
-	if len(sel) == 0 {
-		return nil, nil
+	if selExact {
+		return sel, true, nil
 	}
-	s.batch.Sel = sel
-	return &s.batch, nil
+	for i := range s.filter {
+		out, all, err := s.narrowBase(&s.filter[i], rows, sel, ctx.Params)
+		if err != nil {
+			return nil, false, err
+		}
+		if !all {
+			s.selBuf, sel = out, out
+			if len(sel) == 0 {
+				return nil, false, nil
+			}
+		}
+	}
+	return sel, true, nil
+}
+
+// narrowBase runs one selection kernel over the morsel's candidates (nil:
+// every row), reporting all when it kept every one. A column kernel runs
+// on its column's chunk as stored where the encoding allows (narrowChunk)
+// and on its decoded values otherwise; the row kernel decodes every read
+// column at the candidates and evaluates the predicate over rows.
+func (s *ColTableScan) narrowBase(k *selKernel, rows int, cand []int32, p *Params) ([]int32, bool, error) {
+	if k.row == nil {
+		if out, all, ok := k.narrowChunk(s.chunkBuf[k.col], cand, s.selBuf[:0], &s.keepBuf); ok {
+			return out, all, nil
+		}
+		s.vector(k.col, rows, cand)
+		out, err := k.narrow(s.vecs, rows, cand, s.selBuf[:0], nil, p)
+		return out, false, err
+	}
+	for j := range s.Cols {
+		s.vector(j, rows, cand)
+	}
+	out, err := narrowRows(k.row, s.vecs, rows, cand, s.selBuf[:0], s.scratch, p)
+	return out, false, err
+}
+
+// vector makes read column j's vector hold its values at every candidate
+// (cand; nil: all rows), once per morsel: a raw chunk is aliased, an
+// encoded one decoded into the column's borrowed target — at the
+// candidates only, when there is a list. Candidates only ever narrow, so a
+// vector made ready stays ready for the rest of the morsel.
+func (s *ColTableScan) vector(j, rows int, cand []int32) {
+	if s.ready[j] {
+		return
+	}
+	s.ready[j] = true
+	ch := s.chunkBuf[j]
+	if ch.Enc == colstore.EncRaw {
+		s.vecs[j] = ch.Raw
+		return
+	}
+	buf := s.decodeBuf[j].get(rows)
+	if cand != nil {
+		ch.DecodeSel(buf, cand)
+	} else {
+		buf = ch.Decode(buf)
+		s.fullDecode = true
+	}
+	s.vecs[j] = buf
 }
 
 // deltaBatch emits one window of the replicated-but-unmerged delta rows,
@@ -618,11 +665,12 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 // kernels. Returns nil when no row survives the predicate.
 func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
 	rows := s.view.Delta[m.Lo:m.Hi]
-	s.deltaSlab = projectRows(&s.batch, rows, s.Cols, s.deltaSlab)
+	s.deltaSlab = projectRows(s.vecs, rows, s.Cols, s.deltaSlab)
+	s.batch.Len, s.batch.Sel = len(rows), nil
 	ctx.Stats.RowsScanned += int64(len(rows))
 	ctx.Stats.BytesScanned += int64(len(rows)) * perCol * int64(len(s.Cols))
 	if len(s.filter) > 0 {
-		sel, err := s.filter.apply(s.batch.Cols, len(rows), nil, &s.selBuf, s.scratch, ctx.Params)
+		sel, err := s.filter.apply(s.vecs, len(rows), nil, &s.selBuf, s.scratch, ctx.Params)
 		if err != nil || len(sel) == 0 {
 			return nil, err
 		}
@@ -631,10 +679,10 @@ func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64)
 	return &s.batch, nil
 }
 
-// projectRows sets b to rows projected onto the table columns cols, a
-// column at a time — delta rows are full table width, a scan's batch
-// carries only its subset — in slab, grown as needed and returned.
-func projectRows(b *Batch, rows []value.Row, cols []int, slab []value.Value) []value.Value {
+// projectRows sets vecs to rows projected onto the table columns cols, a
+// column at a time — delta rows are full table width, a scan reads only
+// its subset — in slab, grown as needed and returned.
+func projectRows(vecs [][]value.Value, rows []value.Row, cols []int, slab []value.Value) []value.Value {
 	nr := len(rows)
 	if cap(slab) < nr*len(cols) {
 		slab = make([]value.Value, nr*len(cols))
@@ -644,10 +692,8 @@ func projectRows(b *Batch, rows []value.Row, cols []int, slab []value.Value) []v
 		for i, r := range rows {
 			col[i] = r[c]
 		}
-		b.Cols[j] = col
+		vecs[j] = col
 	}
-	b.Len = nr
-	b.Sel = nil
 	return slab
 }
 
@@ -656,8 +702,8 @@ func (s *ColTableScan) Close() error {
 		return nil
 	}
 	s.closed = true
-	for j := range s.batch.Cols {
-		s.batch.Cols[j] = nil // drop storage aliases
+	for j := range s.vecs {
+		s.vecs[j] = nil // drop storage aliases
 	}
 	for j := range s.chunkBuf {
 		s.chunkBuf[j] = nil // drop encoded-chunk aliases
@@ -1708,8 +1754,9 @@ func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
 
 // foldBatch folds every active row of b into the table. A global aggregate
 // has one state: it is resolved once per batch, not hashed and looked up
-// per row, and when every aggregate is COUNT(*) the batch folds as its row
-// count.
+// per row; when every aggregate is COUNT(*) the batch folds as its row
+// count, and when every argument is a bare column (GroupCols set) it folds
+// a column at a time (foldColumns).
 func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
 	n := b.NumActive()
 	if len(a.Groups) == 0 {
@@ -1718,6 +1765,10 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
 			for i := range a.Aggs {
 				st.counts[i] += int64(n)
 			}
+			return nil
+		}
+		if !a.Merge && a.bareArgs() {
+			a.foldColumns(st, b)
 			return nil
 		}
 		for i := 0; i < n; i++ {
@@ -1741,6 +1792,45 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
 		}
 	}
 	return nil
+}
+
+// foldColumns folds b into the global state st an aggregate at a time:
+// COUNT(*) by the batch's row count, and every other aggregate by its
+// argument's column vector at the active positions through accumulateArg.
+// Each slot takes its values in row order, as the row fold gives them, so
+// the results — float sums included — are byte-identical to it.
+func (a *HashAggregate) foldColumns(st *aggState, b *Batch) {
+	n := b.NumActive()
+	for i, spec := range a.Aggs {
+		if spec.Arg == nil {
+			st.counts[i] += int64(n)
+			continue
+		}
+		col := b.Cols[spec.ArgCol]
+		if b.Sel == nil {
+			for _, v := range col[:b.Len] {
+				accumulateArg(st, i, v)
+			}
+			continue
+		}
+		for _, pos := range b.Sel {
+			accumulateArg(st, i, col[pos])
+		}
+	}
+}
+
+// bareArgs reports whether every aggregate argument is a resolved bare
+// column: GroupCols is set and ArgCol is -1 exactly for COUNT(*).
+func (a *HashAggregate) bareArgs() bool {
+	if a.GroupCols == nil {
+		return false
+	}
+	for _, spec := range a.Aggs {
+		if (spec.Arg == nil) != (spec.ArgCol < 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // countStarOnly reports whether every aggregate is COUNT(*).

@@ -28,7 +28,7 @@ import (
 // pushdownScan reports whether the aggregate can run over encoded chunks
 // directly, returning the child scan when it can.
 func (a *HashAggregate) pushdownScan() (*ColTableScan, bool) {
-	if a.GroupCols == nil || len(a.GroupCols) > 1 || len(a.GroupCols) != len(a.Groups) {
+	if !a.bareArgs() || len(a.GroupCols) > 1 || len(a.GroupCols) != len(a.Groups) {
 		return nil, false
 	}
 	scan, ok := a.Child.(*ColTableScan)
@@ -40,17 +40,16 @@ func (a *HashAggregate) pushdownScan() (*ColTableScan, bool) {
 	if len(scan.Filter) > 0 && (scan.Pruner == nil || !scan.Pruner.Exact) {
 		return nil, false
 	}
-	ncols := len(scan.Cols)
+	// group and argument columns index the scan's schema: its emitted
+	// columns, not the ones only its predicate reads
+	ncols := scan.Emit
 	for _, g := range a.GroupCols {
 		if g < 0 || g >= ncols {
 			return nil, false
 		}
 	}
 	for _, spec := range a.Aggs {
-		if spec.ArgCol < -1 || spec.ArgCol >= ncols {
-			return nil, false
-		}
-		if spec.ArgCol == -1 && spec.Arg != nil {
+		if spec.ArgCol >= ncols {
 			return nil, false
 		}
 	}
@@ -504,7 +503,8 @@ func (w *pushWorker) foldDelta(ctx *Context, m colstore.Morsel, t *aggTable) err
 	if b.Cols == nil {
 		b.Cols = make([][]value.Value, len(w.scan.Cols))
 	}
-	w.deltaSlab = projectRows(b, rows, w.scan.Cols, w.deltaSlab)
+	w.deltaSlab = projectRows(b.Cols, rows, w.scan.Cols, w.deltaSlab)
+	b.Len, b.Sel = len(rows), nil
 	if len(w.scan.filter) > 0 {
 		sel, err := w.scan.filter.apply(b.Cols, b.Len, nil, &w.deltaSel, w.scratch, ctx.Params)
 		if err != nil || len(sel) == 0 {

@@ -73,9 +73,10 @@ func (p *Planner) PlanAP(sel *sqlparser.Select) (*PhysPlan, error) {
 }
 
 // apAccess plans the columnar scan of one table: only referenced columns
-// are read, table predicates are evaluated inside the scan, and a
-// zone-map pruner is attached when a range/equality predicate allows
-// chunk skipping.
+// are read, table predicates are evaluated inside the scan — the columns
+// only they read are read but never emitted — and a zone-map pruner is
+// attached when a range/equality predicate allows chunk skipping. The
+// scan's cost counts every column it reads.
 func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	if a.moved[t.binding] {
 		// Exchange-delivered rows replace the local scan: full table
@@ -93,7 +94,7 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	if !ok {
 		return built{}, fmt.Errorf("optimizer: column store missing table %q", t.meta.Name)
 	}
-	cols := neededColumns(a, t)
+	cols, emit := neededColumns(a, t)
 	full := float64(t.meta.Rows)
 	filtered := estRows(a, t)
 
@@ -102,7 +103,7 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 		Rows: full, Relation: t.meta.Name}
 
 	preds := a.tablePreds[t.binding]
-	// compile against the pruned-column schema the scan emits
+	// compile against the pruned-column schema the scan reads
 	subset := make(exec.Schema, len(cols))
 	fullSchema := exec.TableSchema(t.meta, t.binding)
 	for i, c := range cols {
@@ -114,7 +115,7 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	}
 	pruner, prunerSlots := zonePruner(a, t, cols)
 	op := exec.NewColTableScan(ct, t.binding, cols, filter, pruner)
-	op.PrunerSlots = prunerSlots
+	op.Emit, op.PrunerSlots = emit, prunerSlots
 	chunks := ct.NumChunks()
 
 	if len(preds) == 0 {

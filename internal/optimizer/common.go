@@ -453,48 +453,73 @@ func condString(preds []sqlparser.Expr) string {
 	return strings.Join(parts, " AND ")
 }
 
-// neededColumns returns the table column positions of binding b referenced
-// anywhere in the query (projection pushdown for the column store).
-// Star selects force all columns.
-func neededColumns(a *analysis, t boundTable) []int {
+// neededColumns returns the table column positions of binding t its
+// columnar scan reads (projection pushdown), and how many of them lead the
+// list as the columns it emits: those some operator above the scan reads —
+// the select list, GROUP BY, ORDER BY, join and cross-table predicates —
+// ascending, then those only the table's own predicates read, ascending,
+// which the scan tests and never emits (late materialization). A scan
+// emits at least one column: with nothing read above it, the first
+// predicate column, or column 0 when there is no predicate. Star selects
+// emit every column.
+func neededColumns(a *analysis, t boundTable) (cols []int, emit int) {
 	if a.selectsStar() {
 		out := make([]int, len(t.meta.Columns))
 		for i := range out {
 			out[i] = i
 		}
-		return out
+		return out, len(out)
 	}
-	set := map[int]bool{}
-	addRefs := func(e sqlparser.Expr) {
+	const readAbove, readByPred = 1, 2
+	use := make([]uint8, len(t.meta.Columns))
+	addRefs := func(how uint8, e sqlparser.Expr) {
 		for _, ref := range sqlparser.ColumnsIn(e) {
 			if ref.Table != t.binding {
 				continue
 			}
 			if i := t.meta.ColumnIndex(ref.Column); i >= 0 {
-				set[i] = true
+				use[i] |= how
 			}
 		}
 	}
 	for _, it := range a.sel.Items {
-		addRefs(it.Expr)
+		addRefs(readAbove, it.Expr)
 	}
-	addRefs(a.sel.Where)
 	for _, g := range a.sel.GroupBy {
-		addRefs(g)
+		addRefs(readAbove, g)
 	}
 	for _, o := range a.sel.OrderBy {
-		addRefs(o.Expr)
+		addRefs(readAbove, o.Expr)
 	}
-	if len(set) == 0 {
-		set[0] = true // COUNT(*)-only queries still need one column to scan
+	for _, jp := range a.joinPreds {
+		addRefs(readAbove, jp.expr)
 	}
-	out := make([]int, 0, len(set))
-	for i := 0; i < len(t.meta.Columns); i++ {
-		if set[i] {
-			out = append(out, i)
+	for _, e := range a.otherPreds {
+		addRefs(readAbove, e)
+	}
+	for _, e := range a.tablePreds[t.binding] {
+		addRefs(readByPred, e)
+	}
+	cols = make([]int, 0, len(use))
+	for i, u := range use {
+		if u&readAbove != 0 {
+			cols = append(cols, i)
 		}
 	}
-	return out
+	emit = len(cols)
+	for i, u := range use {
+		if u == readByPred {
+			cols = append(cols, i)
+		}
+	}
+	switch {
+	case emit > 0:
+	case len(cols) > 0:
+		emit = 1 // COUNT(*)-only: the first predicate column stands in
+	default:
+		cols, emit = []int{0}, 1 // COUNT(*)-only queries still need one column to scan
+	}
+	return cols, emit
 }
 
 // zonePruner derives a zone-map pruner from the binding's sargable
