@@ -620,7 +620,7 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 		}
 		sel = out[:k]
 	case EncFoR:
-		return c.WindowSel(lo, hi, loStrict, hiStrict, false, nil, sel)
+		return c.WindowSel(lo, hi, loStrict, hiStrict, nil, sel)
 	case EncRLE:
 		pos := 0
 		for j, v := range c.RunVals {
@@ -639,23 +639,22 @@ func (c *EncodedChunk) RangeSel(lo, hi *value.Value, loStrict, hiStrict bool, se
 
 // WindowSel is RangeSel's kernel for a FoR chunk, over candidates: it
 // appends to out, in order, the candidates (ascending chunk positions; nil:
-// every row) whose value lies in the range [lo, hi] under RangeSel's rules
-// — or, when outside is set, those whose value does not. The second result
-// is true when every candidate was kept: the caller then keeps its own
-// candidates, whatever out holds. A candidate list may share out's backing array: position k of the output is
-// written only after candidate k is read. Neither bound may be NULL.
+// every row) whose value lies in the range [lo, hi] under RangeSel's rules.
+// The second result is true when every candidate was kept: the caller then
+// keeps its own candidates, whatever out holds. A candidate list may share
+// out's backing array: position k of the output is written only after
+// candidate k is read. Neither bound may be NULL.
 //
 // Packed deltas are compared against the window shifted by Base: a row is
 // Base+d, so it lies in [loI, hiI] exactly when d lies in [dLo, dLo+span],
-// one unsigned comparison modulo 2^64 — under which the rows outside are
-// the window [dLo+span+1, dLo-1]. The loops are branch-free like the
-// dictionary's in RangeSel: every position is written, and the cursor
-// moves past it only when it is kept.
-func (c *EncodedChunk) WindowSel(lo, hi *value.Value, loStrict, hiStrict, outside bool, cand, out []int32) ([]int32, bool) {
+// one unsigned comparison. The loops are branch-free like the dictionary's
+// in RangeSel: every position is written, and the cursor moves past it
+// only when it is kept.
+func (c *EncodedChunk) WindowSel(lo, hi *value.Value, loStrict, hiStrict bool, cand, out []int32) ([]int32, bool) {
 	out = out[:0]
 	loI, hiI, ok := intWindow(lo, hi, loStrict, hiStrict)
 	if !ok || hiI < c.Base {
-		return out, outside // no row lies in the window
+		return out, false // no row lies in the window
 	}
 	var dLo uint64
 	if loI > c.Base {
@@ -663,11 +662,7 @@ func (c *EncodedChunk) WindowSel(lo, hi *value.Value, loStrict, hiStrict, outsid
 	}
 	span := uint64(hiI) - uint64(c.Base) - dLo
 	if dLo == 0 && span >= ^uint64(0)>>(64-uint(c.Width)) {
-		return out, !outside // the window covers every representable delta
-	}
-	if outside {
-		// span < 2^64-1 here: the window does not cover the whole ring
-		dLo, span = dLo+span+1, ^span-1
+		return out, true // the window covers every representable delta
 	}
 	var buf [forBlock]uint64
 	k := 0

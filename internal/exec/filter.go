@@ -253,25 +253,13 @@ func (k *selKernel) narrow(cols [][]value.Value, n int, cand, out []int32, scrat
 // ascending; nil: all ch.N rows) the kernel keeps. all reports that every
 // candidate was kept — the caller then keeps cand, whatever out holds. ok
 // is false when the chunk has no encoded form of the test — a raw chunk, or
-// IN, LIKE or a NULL literal over FoR — and the caller runs narrow over
+// <>, IN, LIKE or a NULL literal over FoR — and the caller runs narrow over
 // the decoded values instead. keep is scratch for the per-entry tests. cand
 // may share out's backing array, as in apply.
 func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, keep *[]bool) (sel []int32, all, ok bool) {
 	switch ch.Enc {
 	case colstore.EncDict:
-		// a dictionary holds no NULL; a candidate list shorter than it is
-		// tested entry by entry, candidate by candidate
-		if cand != nil && len(cand) < len(ch.Dict) {
-			out = slices.Grow(out[:0], len(cand))[:len(cand)]
-			n := 0
-			for _, pos := range cand {
-				out[n] = pos
-				if k.keep(&ch.Dict[ch.Codes[pos]]) {
-					n++
-				}
-			}
-			return out[:n], n == len(cand), true
-		}
+		// a dictionary holds no NULL
 		kept, some, every := k.keepEach(ch.Dict, keep)
 		if !some || every {
 			return out[:0], every, true
@@ -279,20 +267,6 @@ func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, ke
 		sel = selectCodes(ch.Codes, kept, cand, out)
 		return sel, cand != nil && len(sel) == len(cand), true
 	case colstore.EncRLE:
-		if cand != nil && len(cand) < len(ch.RunVals) {
-			out = slices.Grow(out[:0], len(cand))[:len(cand)]
-			n, run := 0, 0
-			for _, pos := range cand {
-				for ch.RunEnds[run] <= pos {
-					run++
-				}
-				out[n] = pos
-				if k.keep(&ch.RunVals[run]) {
-					n++
-				}
-			}
-			return out[:n], n == len(cand), true
-		}
 		kept, some, every := k.keepEach(ch.RunVals, keep)
 		if !some || every {
 			return out[:0], every, true
@@ -301,7 +275,7 @@ func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, ke
 		return sel, cand != nil && len(sel) == len(cand), true
 	case colstore.EncFoR:
 		var lo, hi *value.Value
-		strictLo, strictHi, outside := false, false, false
+		strictLo, strictHi := false, false
 		switch {
 		case k.Shape == ShapeBetween && !k.a.IsNull() && !k.b.IsNull():
 			lo, hi = &k.a, &k.b
@@ -309,8 +283,6 @@ func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, ke
 			switch k.Op {
 			case sqlparser.OpEq:
 				lo, hi = &k.a, &k.a
-			case sqlparser.OpNe:
-				lo, hi, outside = &k.a, &k.a, true
 			case sqlparser.OpLt, sqlparser.OpLe:
 				hi, strictHi = &k.a, k.Op == sqlparser.OpLt
 			case sqlparser.OpGt, sqlparser.OpGe:
@@ -321,7 +293,7 @@ func (k *selKernel) narrowChunk(ch *colstore.EncodedChunk, cand, out []int32, ke
 		default:
 			return nil, false, false
 		}
-		sel, all = ch.WindowSel(lo, hi, strictLo, strictHi, outside, cand, out)
+		sel, all = ch.WindowSel(lo, hi, strictLo, strictHi, cand, out)
 		return sel, all, true
 	}
 	return nil, false, false

@@ -342,7 +342,12 @@ type ColTableScan struct {
 	// PrunerSlots are the slots of Pruner's Lo and Hi (0: the planned
 	// bound); a one-key IN list's slot is both.
 	PrunerSlots [2]int
-	out         Schema // the schema of Cols; the scan's is out[:Emit]
+	// PrunerKernel is the position in Filter of the conjunct Pruner's range
+	// stands for, bit for bit (-1: none). On a base chunk that the pruner
+	// prefiltered, that column kernel would only test its survivors again,
+	// and it is skipped.
+	PrunerKernel int
+	out          Schema // the schema of Cols; the scan's is out[:Emit]
 
 	// shared, when set (by ForkShared), is the cross-worker morsel cursor
 	// this clone draws from instead of pinning its own view.
@@ -391,14 +396,14 @@ func NewColTableScan(t *colstore.Table, binding string, cols []int, filter ScanF
 	for i, c := range cols {
 		out[i] = full[c]
 	}
-	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Emit: len(cols), Filter: filter, Pruner: pruner, out: out}
+	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Emit: len(cols), Filter: filter, Pruner: pruner, PrunerKernel: -1, out: out}
 }
 
 func (s *ColTableScan) Schema() Schema { return s.out[:s.Emit] }
 
 func (s *ColTableScan) Clone() BatchOperator {
 	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols, Emit: s.Emit,
-		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, out: s.out}
+		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, PrunerKernel: s.PrunerKernel, out: s.out}
 }
 
 // bind specialises the scan to the literal vector p, once per execution:
@@ -560,10 +565,12 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 // is an exact representation of the scan's predicate, the chunk-level
 // RangeSel over the (possibly encoded) pruner column IS the filter, and
 // the selection kernels never run on base chunks; otherwise it only
-// pre-narrows the candidates (the sargable conjunct bounds every match).
+// pre-narrows the candidates (the sargable conjunct bounds every match),
+// and the column kernel of that conjunct is not run again.
 func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) (sel []int32, some bool, err error) {
 	rows := m.Rows()
 	selExact := false // sel already reflects the full predicate
+	prefiltered := -1 // the kernel the prefilter applied
 	if pr := s.pruner; pr != nil && (pr.Exact || anyEnc) {
 		pch := s.view.Cols[pr.Col].Chunk(m.Chunk)
 		res, all := pch.RangeSel(pr.Lo, pr.Hi, pr.LoStrict, pr.HiStrict, s.preSel[:0])
@@ -574,7 +581,7 @@ func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) 
 			}
 			sel = res
 		}
-		selExact = pr.Exact
+		selExact, prefiltered = pr.Exact, s.PrunerKernel
 	}
 	if dead := s.view.BaseDead.Chunk(m.Chunk); dead != nil {
 		out := s.selBuf[:0]
@@ -600,6 +607,9 @@ func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) 
 		return sel, true, nil
 	}
 	for i := range s.filter {
+		if i == prefiltered && s.filter[i].row == nil {
+			continue
+		}
 		out, all, err := s.narrowBase(&s.filter[i], rows, sel, ctx.Params)
 		if err != nil {
 			return nil, false, err

@@ -113,9 +113,9 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	pruner, prunerSlots := zonePruner(a, t, cols)
+	pruner, prunerSlots, prunerConj := zonePruner(a, t, cols)
 	op := exec.NewColTableScan(ct, t.binding, cols, filter, pruner)
-	op.Emit, op.PrunerSlots = emit, prunerSlots
+	op.Emit, op.PrunerSlots, op.PrunerKernel = emit, prunerSlots, prunerConj
 	chunks := ct.NumChunks()
 
 	if len(preds) == 0 {

@@ -353,6 +353,7 @@ type sargable struct {
 	loStrict, hiStrict bool
 	sel                float64
 	pred               sqlparser.Expr
+	conj               int // pred's position in preds
 }
 
 // pickSargable finds the most selective of preds, the single-table
@@ -364,14 +365,14 @@ type sargable struct {
 // column.
 func pickSargable(table *catalog.Table, preds []sqlparser.Expr, accept func(sargable) bool) (best sargable, bare bool) {
 	bare = true
-	for _, p := range preds {
+	for i, p := range preds {
 		x, ok := exec.SargOf(p)
 		ref, isCol := x.Operand.(*sqlparser.ColumnRef)
 		if !ok || !isCol {
 			bare = false
 			continue
 		}
-		s := sargable{column: ref.Column, sel: sargSelectivity(table, x), pred: p}
+		s := sargable{column: ref.Column, sel: sargSelectivity(table, x), pred: p, conj: i}
 		lit := func(i int) *exec.Lit { l := x.Lits.At(i); return &l }
 		switch {
 		case x.Shape == exec.ShapeIn && !x.Not, x.Shape == exec.ShapeCmp && x.Op == sqlparser.OpEq:

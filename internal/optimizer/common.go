@@ -528,15 +528,16 @@ func neededColumns(a *analysis, t boundTable) (cols []int, emit int) {
 // index — zone maps are a column-store feature — but a range has one pair
 // of bounds, so an IN list of several keys is not accepted; a one-key list
 // slot bounds both ends, and a bound vector that lists several keys there
-// runs the scan unpruned (ColTableScan.bind).
-func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [2]int) {
+// runs the scan unpruned (ColTableScan.bind). conj is the position of the
+// conjunct the pruner stands for among the binding's predicates.
+func zonePruner(a *analysis, t boundTable, cols []int) (pr *colstore.RangePruner, slots [2]int, conj int) {
 	s, _ := pickSargable(t.meta, a.tablePreds[t.binding], func(s sargable) bool { return len(s.keys.Values) <= 1 })
 	if s.pred == nil {
-		return nil, [2]int{}
+		return nil, [2]int{}, -1
 	}
 	colPos := t.meta.ColumnIndex(s.column)
 	if colPos < 0 {
-		return nil, [2]int{}
+		return nil, [2]int{}, -1
 	}
 	lo, hi := s.lo, s.hi
 	if len(s.keys.Values) == 1 {
@@ -544,10 +545,9 @@ func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [
 		lo, hi = &key, &key
 	}
 	if lo == nil && hi == nil {
-		return nil, [2]int{}
+		return nil, [2]int{}, -1
 	}
-	pr := &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
-	var slots [2]int
+	pr = &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
 	if lo != nil {
 		pr.Lo, slots[0] = &lo.V, lo.Slot
 	}
@@ -561,7 +561,7 @@ func zonePruner(a *analysis, t boundTable, cols []int) (*colstore.RangePruner, [
 	// is the table's whole predicate: chunk-level RangeSel then decides
 	// row membership and the compiled predicate never runs on base chunks
 	pr.Exact = len(a.tablePreds[t.binding]) == 1
-	return pr, slots
+	return pr, slots, s.conj
 }
 
 // countSlots names the slots of sel's LIMIT and OFFSET for a limit or
