@@ -835,7 +835,7 @@ func globalFoldDifferential(t *testing.T) {
 
 func TestHashAggregateDifferential(t *testing.T) { aggDifferential(t) }
 
-// TestForcedHashCollisions reruns both differentials with every key hash
+// TestForcedHashCollisions reruns the differentials with every key hash
 // forced to one value: all keys share a chain, so only keyEqual separates
 // them. Correctness must not rest on the hash function.
 func TestForcedHashCollisions(t *testing.T) {
@@ -847,6 +847,7 @@ func TestForcedHashCollisions(t *testing.T) {
 	}
 	t.Run("join", joinDifferential)
 	t.Run("aggregate", aggDifferential)
+	t.Run("grouped fold", groupedFoldDifferential)
 }
 
 // ---------------------------------------------------------------- alias

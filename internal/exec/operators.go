@@ -543,7 +543,7 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	sel, some, err := s.selectBase(ctx, m, anyEnc)
 	if err == nil && some {
 		for j := 0; j < s.Emit; j++ {
-			s.vector(j, rows, sel)
+			s.vector(j, sel)
 		}
 	}
 	if anyEnc {
@@ -634,12 +634,12 @@ func (s *ColTableScan) narrowBase(k *selKernel, rows int, cand []int32, p *Param
 		if out, all, ok := k.narrowChunk(s.chunkBuf[k.col], cand, s.selBuf[:0], &s.keepBuf); ok {
 			return out, all, nil
 		}
-		s.vector(k.col, rows, cand)
+		s.vector(k.col, cand)
 		out, err := k.narrow(s.vecs, rows, cand, s.selBuf[:0], nil, p)
 		return out, false, err
 	}
 	for j := range s.Cols {
-		s.vector(j, rows, cand)
+		s.vector(j, cand)
 	}
 	out, err := narrowRows(k.row, s.vecs, rows, cand, s.selBuf[:0], s.scratch, p)
 	return out, false, err
@@ -650,24 +650,30 @@ func (s *ColTableScan) narrowBase(k *selKernel, rows int, cand []int32, p *Param
 // encoded one decoded into the column's borrowed target — at the
 // candidates only, when there is a list. Candidates only ever narrow, so a
 // vector made ready stays ready for the rest of the morsel.
-func (s *ColTableScan) vector(j, rows int, cand []int32) {
+func (s *ColTableScan) vector(j int, cand []int32) {
 	if s.ready[j] {
 		return
 	}
 	s.ready[j] = true
-	ch := s.chunkBuf[j]
+	var full bool
+	s.vecs[j], full = valuesAt(s.chunkBuf[j], &s.decodeBuf[j], cand)
+	s.fullDecode = s.fullDecode || full
+}
+
+// valuesAt returns chunk ch's values at the positions cand (every row when
+// cand is nil): a raw chunk's own vector, never to be mutated, or ch
+// decoded into d — at cand only, so other positions hold stale values.
+// full reports a decode of every row.
+func valuesAt(ch *colstore.EncodedChunk, d *decodeTarget, cand []int32) (vals []value.Value, full bool) {
 	if ch.Enc == colstore.EncRaw {
-		s.vecs[j] = ch.Raw
-		return
+		return ch.Raw, false
 	}
-	buf := s.decodeBuf[j].get(rows)
+	buf := d.get(ch.N)
 	if cand != nil {
 		ch.DecodeSel(buf, cand)
-	} else {
-		buf = ch.Decode(buf)
-		s.fullDecode = true
+		return buf, false
 	}
-	s.vecs[j] = buf
+	return ch.Decode(buf), true
 }
 
 // deltaBatch emits one window of the replicated-but-unmerged delta rows,
@@ -1698,9 +1704,17 @@ func accumulateArg(st *aggState, i int, v value.Value) {
 // running state. Only a MIN or MAX slot keeps extremes: COUNT, SUM and AVG
 // never read them, so they pay for no comparison.
 func applyMinMax(st *aggState, i int, v value.Value) {
-	if f := st.aggs[i].Func; f != sqlparser.AggMin && f != sqlparser.AggMax {
-		return
+	if st.aggs[i].extreme() {
+		foldExtreme(st, i, v)
 	}
+}
+
+// extreme reports whether the aggregate keeps a running MIN or MAX.
+func (s AggSpec) extreme() bool { return s.Func == sqlparser.AggMin || s.Func == sqlparser.AggMax }
+
+// foldExtreme folds non-NULL v into slot i's min and max, first-seen ties
+// kept.
+func foldExtreme(st *aggState, i int, v value.Value) {
 	if !st.seen[i] {
 		st.mins[i], st.maxs[i] = v, v
 		st.seen[i] = true
@@ -1712,6 +1726,99 @@ func applyMinMax(st *aggState, i int, v value.Value) {
 	if v.Compare(st.maxs[i]) > 0 {
 		st.maxs[i] = v
 	}
+}
+
+// The typed fold kernels fold one argument column into one slot over a
+// selection: sel lists the positions of col to fold, in row order (allRows
+// for every row of a vector up to BatchSize long). They are accumulateArg
+// unrolled over a column — NULLs skipped, every other value counted, Int
+// and Float values added to the sum in row order through the same float
+// additions, MIN/MAX extremes by value.Compare with first-seen ties kept —
+// so their results are accumulateArg's bit for bit. Only a MIN or MAX slot
+// makes a second pass for its extremes.
+
+// allRows is the identity selection, shared and read-only: allRows[:n]
+// folds a vector's first n values.
+var allRows = func() []int32 {
+	sel := make([]int32, BatchSize)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}()
+
+// foldSlot folds col at sel into slot i of the one state st, its count and
+// sum kept in registers across the loop.
+func foldSlot(st *aggState, i int, col []value.Value, sel []int32) {
+	n, sum := st.counts[i], st.sums[i]
+	for _, p := range sel {
+		switch v := &col[p]; v.K {
+		case value.KindNull:
+			continue
+		case value.KindInt:
+			sum += float64(v.I)
+		case value.KindFloat:
+			sum += v.Float()
+		}
+		n++
+	}
+	st.counts[i], st.sums[i] = n, sum
+	if !st.aggs[i].extreme() {
+		return
+	}
+	for _, p := range sel {
+		if v := col[p]; !v.IsNull() {
+			foldExtreme(st, i, v)
+		}
+	}
+}
+
+// foldSlotGroups folds col at sel into slot i of per-group states: the
+// row at position p folds into states[groups[p]]. groups is a dictionary
+// chunk's codes (states indexed by code) or the rows' ordinals in an
+// aggregation table's states.
+func foldSlotGroups[G uint16 | int32](states []*aggState, groups []G, i int, col []value.Value, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	for _, p := range sel {
+		st := states[groups[p]]
+		switch v := &col[p]; v.K {
+		case value.KindNull:
+			continue
+		case value.KindInt:
+			st.sums[i] += float64(v.I)
+		case value.KindFloat:
+			st.sums[i] += v.Float()
+		}
+		st.counts[i]++
+	}
+	if !states[groups[sel[0]]].aggs[i].extreme() {
+		return
+	}
+	for _, p := range sel {
+		if v := col[p]; !v.IsNull() {
+			foldExtreme(states[groups[p]], i, v)
+		}
+	}
+}
+
+// foldRepeat folds v into slot i of st k times over — one RLE run's
+// candidates — with k sequential additions, not f*k: float addition does
+// not distribute.
+func foldRepeat(st *aggState, i int, v value.Value, k int) {
+	if k == 0 || v.IsNull() {
+		return
+	}
+	st.counts[i] += int64(k)
+	if f, ok := v.AsFloat(); ok {
+		sum := st.sums[i]
+		for j := 0; j < k; j++ {
+			sum += f
+		}
+		st.sums[i] = sum
+	}
+	applyMinMax(st, i, v)
 }
 
 // aggTable is one (per-worker or global) aggregation hash table: the
@@ -1732,15 +1839,16 @@ func (a *HashAggregate) newTable() *aggTable {
 	}
 }
 
-// find returns the state of the group whose key row is g (hash h), or nil.
-func (t *aggTable) find(h uint64, g value.Row) *aggState {
+// find returns the ordinal in states of the group whose key row is g
+// (hash h), or -1.
+func (t *aggTable) find(h uint64, g value.Row) int {
 	x := &t.index
 	for e := x.first(h); e != 0; e = x.next[e-1] {
 		if x.hashes[e-1] == h && rowKeyEqual(t.states[e-1].group, g) {
-			return t.states[e-1]
+			return int(e - 1)
 		}
 	}
-	return nil
+	return -1
 }
 
 // insert adds st (hash h) as the newest group; the caller has checked with
@@ -1750,16 +1858,23 @@ func (t *aggTable) insert(h uint64, st *aggState) {
 	t.states = append(t.states, st)
 }
 
-// stateFor resolves, creating on first sight, the state of the group whose
-// key row is g. g is caller scratch: it is cloned only for a new group.
-func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
+// groupOf resolves, creating on first sight, the group whose key row is g
+// and returns its ordinal in t.states. g is caller scratch: it is cloned
+// only for a new group.
+func (a *HashAggregate) groupOf(t *aggTable, g value.Row) int32 {
 	h := hashRow(g)
-	st := t.find(h, g)
-	if st == nil {
-		st = a.newState(g.Clone())
-		t.insert(h, st)
+	e := t.find(h, g)
+	if e < 0 {
+		e = len(t.states)
+		t.insert(h, a.newState(g.Clone()))
 	}
-	return st
+	return int32(e)
+}
+
+// stateFor resolves, creating on first sight, the state of the group whose
+// key row is g.
+func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
+	return t.states[a.groupOf(t, g)]
 }
 
 // foldBatch folds every active row of b into the table. A global aggregate
@@ -1804,11 +1919,13 @@ func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
 	return nil
 }
 
-// foldColumns folds b into the global state st an aggregate at a time:
-// COUNT(*) by the batch's row count, and every other aggregate by its
-// argument's column vector at the active positions through accumulateArg.
-// Each slot takes its values in row order, as the row fold gives them, so
-// the results — float sums included — are byte-identical to it.
+// foldColumns folds b into the global state st a column and a slot at a
+// time: COUNT(*) by the batch's row count, and every other aggregate by
+// its argument's column vector at the active positions through foldSlot
+// (a batch with no selection in allRows-long pieces: a join's output can
+// be longer). Each slot takes its values in row order, as the row fold
+// gives them, so the results — float sums included — are byte-identical to
+// it.
 func (a *HashAggregate) foldColumns(st *aggState, b *Batch) {
 	n := b.NumActive()
 	for i, spec := range a.Aggs {
@@ -1817,15 +1934,28 @@ func (a *HashAggregate) foldColumns(st *aggState, b *Batch) {
 			continue
 		}
 		col := b.Cols[spec.ArgCol]
-		if b.Sel == nil {
-			for _, v := range col[:b.Len] {
-				accumulateArg(st, i, v)
+		if b.Sel != nil {
+			foldSlot(st, i, col, b.Sel)
+			continue
+		}
+		for lo := 0; lo < b.Len; lo += len(allRows) {
+			foldSlot(st, i, col[lo:], allRows[:min(len(allRows), b.Len-lo)])
+		}
+	}
+}
+
+// foldGroups folds a's argument vectors argv (indexed by aggregate) at sel
+// into per-group states a slot at a time: the row at position p folds into
+// states[groups[p]], resolved for every row before any slot folds.
+func foldGroups[G uint16 | int32](a *HashAggregate, states []*aggState, groups []G, argv [][]value.Value, sel []int32) {
+	for i, spec := range a.Aggs {
+		if spec.ArgCol < 0 {
+			for _, p := range sel {
+				states[groups[p]].counts[i]++
 			}
 			continue
 		}
-		for _, pos := range b.Sel {
-			accumulateArg(st, i, col[pos])
-		}
+		foldSlotGroups(states, groups, i, argv[i], sel)
 	}
 }
 
@@ -2060,8 +2190,8 @@ func (a *HashAggregate) mergeParts(parts []*aggTable) *aggTable {
 		}
 		for i, src := range p.states {
 			h := p.index.hashes[i]
-			if dst := merged.find(h, src.group); dst != nil {
-				a.mergeState(dst, src)
+			if e := merged.find(h, src.group); e >= 0 {
+				a.mergeState(merged.states[e], src)
 			} else {
 				merged.insert(h, src)
 			}

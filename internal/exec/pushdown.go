@@ -10,10 +10,15 @@ import (
 // and consumes encoded chunks natively instead of pulling decoded batches —
 // COUNT/SUM/MIN/MAX fold RLE runs run-at-a-time and dictionary chunks
 // code-at-a-time, FoR chunks are unpacked to machine integers without ever
-// building a Value vector, and an exact pruner's encoded-domain RangeSel
-// replaces the scan's selection kernels on base chunks. Grouping by a
-// dictionary-encoded column keys the hash table once per distinct code
-// rather than once per row.
+// building a Value vector, raw vectors fold through the typed kernels
+// (foldSlot), and an exact pruner's encoded-domain RangeSel replaces the
+// scan's selection kernels on base chunks. A grouped fold first resolves
+// each candidate row's group state, in row order — per dictionary code
+// when the group column is dictionary-encoded (one hash lookup per
+// distinct code, not per row), to an ordinal per row through the hash
+// table otherwise — and then folds each argument column into its slot over
+// the whole chunk (foldSlotGroups): a column and a slot at a time, no
+// per-value call.
 //
 // Every kernel accumulates in row order with the same float operations as
 // accumulateArg, so encoded execution is byte-identical to the decoded
@@ -101,7 +106,8 @@ func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
 
 // pushWorker is one worker's scratch state for the encoded aggregation
 // fold: decode buffers, the prefilter selection, the per-dictionary-code
-// state cache, and the projected delta batch its predicate narrows.
+// state cache, the per-row group ordinals of a grouped fold, and the
+// projected delta batch its predicate narrows.
 type pushWorker struct {
 	a      *HashAggregate
 	scan   *ColTableScan
@@ -113,6 +119,7 @@ type pushWorker struct {
 	dec     []decodeTarget  // per-agg decode targets, borrowed for the fold
 	gdec    decodeTarget    // the group column's decode target
 	states  []*aggState     // per-dict-code group state cache
+	ords    []int32         // per-position group ordinals, borrowed for the fold
 	df      []float64       // per-dict-code AsFloat cache
 	dfok    []bool
 	scratch value.Row // scan-schema row (a row kernel over delta rows)
@@ -164,12 +171,28 @@ func (w *pushWorker) fold(ctx *Context, src *colstore.Morsels, t *aggTable) erro
 	}
 }
 
-// release gives back the worker's decode targets.
+// release gives back the worker's decode targets and ordinal vector.
 func (w *pushWorker) release() {
 	for i := range w.dec {
 		w.dec[i].release()
 	}
 	w.gdec.release()
+	linkArrays.give(w.ords)
+	w.ords = nil
+}
+
+// groupOrds resolves the group of each row at sel, whose group values are
+// gvals, to its ordinal in t.states, stored at the row's position in the
+// returned vector (borrowed on first need).
+func (w *pushWorker) groupOrds(t *aggTable, gvals []value.Value, sel []int32) []int32 {
+	if w.ords == nil {
+		w.ords = linkArrays.take(BatchSize)
+	}
+	for _, p := range sel {
+		w.gkey[0] = gvals[p]
+		w.ords[p] = w.a.groupOf(t, w.gkey)
+	}
+	return w.ords
 }
 
 // foldBase folds one base chunk. The prefilter mirrors baseBatch exactly:
@@ -251,14 +274,9 @@ func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, s
 	switch ch.Enc {
 	case colstore.EncRaw:
 		if sel == nil {
-			for _, v := range ch.Raw {
-				accumulateArg(st, ai, v)
-			}
-		} else {
-			for _, i := range sel {
-				accumulateArg(st, ai, ch.Raw[i])
-			}
+			sel = allRows[:ch.N]
 		}
+		foldSlot(st, ai, ch.Raw, sel)
 
 	case colstore.EncDict:
 		// dictionaries hold no NULLs: every candidate counts. Sums stay
@@ -335,122 +353,70 @@ func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, s
 		}
 
 	case colstore.EncRLE:
-		if sel == nil {
-			start := 0
-			for r, v := range ch.RunVals {
-				end := int(ch.RunEnds[r])
-				k := end - start
-				start = end
-				if v.IsNull() {
-					continue
+		// each run folds as its value repeated over the run's candidates:
+		// all its rows, or the selected ones (sel is ascending)
+		start, c := 0, 0
+		for r, v := range ch.RunVals {
+			end := int(ch.RunEnds[r])
+			k := end - start
+			start = end
+			if sel != nil {
+				k = 0
+				for ; c < len(sel) && int(sel[c]) < end; c++ {
+					k++
 				}
-				st.counts[ai] += int64(k)
-				if f, ok := v.AsFloat(); ok {
-					// k sequential adds, not f*k: float addition does not
-					// distribute, and the differential suites compare bytes
-					for j := 0; j < k; j++ {
-						st.sums[ai] += f
-					}
-				}
-				applyMinMax(st, ai, v)
 			}
-		} else {
-			run := 0
-			for _, i := range sel {
-				for int(ch.RunEnds[run]) <= int(i) {
-					run++
-				}
-				accumulateArg(st, ai, ch.RunVals[run])
-			}
+			foldRepeat(st, ai, v, k)
 		}
 	}
 }
 
-// foldGrouped folds one chunk of a single-column GROUP BY. Grouping by a
-// dictionary chunk resolves each row's state through a per-code cache —
-// one table lookup per distinct code per chunk instead of one per row.
-// Other group encodings decode the group column like any other; argument
-// columns alias raw chunks and decode encoded ones (sparsely under a
-// selection). Reports whether any encoded column was fully decoded.
+// foldGrouped folds one chunk of a single-column GROUP BY: it resolves
+// every candidate row's group, in row order, then folds each argument
+// column into its slot (foldGroups). Grouping by a dictionary chunk
+// resolves a state per code — one table lookup per distinct code per chunk
+// instead of one per row — and folds by the chunk's codes. Other group
+// encodings decode the group column like any other; argument columns alias
+// raw chunks and decode encoded ones (sparsely under a selection). Reports
+// whether any encoded column was fully decoded.
 func (w *pushWorker) foldGrouped(m colstore.Morsel, t *aggTable, sel []int32) bool {
 	a := w.a
 	rows := m.Rows()
 	fullDecode := false
 
-	// materialize argument vectors: alias or decode, never mutate
 	for ai := range a.Aggs {
-		ac := a.Aggs[ai].ArgCol
-		if ac < 0 {
-			w.argv[ai] = nil
-			continue
+		w.argv[ai] = nil
+		if ac := a.Aggs[ai].ArgCol; ac >= 0 {
+			var full bool
+			w.argv[ai], full = valuesAt(w.view.Cols[w.scan.Cols[ac]].Chunk(m.Chunk), &w.dec[ai], sel)
+			fullDecode = fullDecode || full
 		}
-		ch := w.view.Cols[w.scan.Cols[ac]].Chunk(m.Chunk)
-		if ch.Enc == colstore.EncRaw {
-			w.argv[ai] = ch.Raw
-			continue
-		}
-		buf := w.dec[ai].get(rows)
-		if sel != nil {
-			ch.DecodeSel(buf, sel)
-		} else {
-			buf = ch.Decode(buf)
-			fullDecode = true
-		}
-		w.argv[ai] = buf
+	}
+	cand := sel
+	if cand == nil {
+		cand = allRows[:rows]
 	}
 
 	gch := w.view.Cols[w.scan.Cols[a.GroupCols[0]]].Chunk(m.Chunk)
-	if gch.Enc == colstore.EncDict {
-		if cap(w.states) < len(gch.Dict) {
-			w.states = make([]*aggState, len(gch.Dict))
-		}
-		states := w.states[:len(gch.Dict)]
-		for i := range states {
-			states[i] = nil
-		}
-		foldRow := func(i int) {
-			code := gch.Codes[i]
-			st := states[code]
-			if st == nil {
-				st = w.groupState(t, gch.Dict[code])
-				states[code] = st
-			}
-			w.foldArgs(st, i)
-		}
-		if sel == nil {
-			for i := 0; i < rows; i++ {
-				foldRow(i)
-			}
-		} else {
-			for _, i := range sel {
-				foldRow(int(i))
-			}
-		}
-		return fullDecode
+	if gch.Enc != colstore.EncDict {
+		gvals, full := valuesAt(gch, &w.gdec, sel)
+		ords := w.groupOrds(t, gvals, cand) // may grow t.states: read it after
+		foldGroups(a, t.states, ords, w.argv, cand)
+		return fullDecode || full
 	}
-
-	var gvals []value.Value
-	if gch.Enc == colstore.EncRaw {
-		gvals = gch.Raw
-	} else {
-		buf := w.gdec.get(rows)
-		if sel != nil {
-			gch.DecodeSel(buf, sel)
-		} else {
-			buf = gch.Decode(buf)
-			fullDecode = true
-		}
-		gvals = buf
+	if cap(w.states) < len(gch.Dict) {
+		w.states = make([]*aggState, len(gch.Dict))
 	}
-	if sel == nil {
-		for i := 0; i < rows; i++ {
-			w.foldArgs(w.groupState(t, gvals[i]), i)
-		}
-	} else {
-		for _, i := range sel {
-			w.foldArgs(w.groupState(t, gvals[i]), int(i))
+	byCode := w.states[:len(gch.Dict)]
+	clear(byCode)
+	// first sight in row order; done once every code has its state
+	for seen, k := 0, 0; seen < len(byCode) && k < len(cand); k++ {
+		if code := gch.Codes[cand[k]]; byCode[code] == nil {
+			byCode[code] = w.groupState(t, gch.Dict[code])
+			seen++
 		}
 	}
+	foldGroups(a, byCode, gch.Codes, w.argv, cand)
 	return fullDecode
 }
 
@@ -512,32 +478,22 @@ func (w *pushWorker) foldDelta(ctx *Context, m colstore.Morsel, t *aggTable) err
 		}
 		b.Sel = sel
 	}
+	if len(a.GroupCols) == 0 {
+		a.foldColumns(w.globalState(t), b)
+		return nil
+	}
+	sel := b.Sel
+	if sel == nil {
+		sel = allRows[:b.Len]
+	}
+	ords := w.groupOrds(t, b.Cols[a.GroupCols[0]], sel)
 	for ai := range a.Aggs {
 		if ac := a.Aggs[ai].ArgCol; ac >= 0 {
 			w.argv[ai] = b.Cols[ac]
 		}
 	}
-	for i, n := 0, b.NumActive(); i < n; i++ {
-		p := b.PosAt(i)
-		if len(a.GroupCols) == 1 {
-			w.foldArgs(w.groupState(t, b.Cols[a.GroupCols[0]][p]), p)
-		} else {
-			w.foldArgs(w.globalState(t), p)
-		}
-	}
+	foldGroups(a, t.states, ords, w.argv, sel)
 	return nil
-}
-
-// foldArgs folds row i's argument values (from the materialized argv
-// vectors) into st.
-func (w *pushWorker) foldArgs(st *aggState, i int) {
-	for ai := range w.a.Aggs {
-		if w.a.Aggs[ai].ArgCol < 0 {
-			st.counts[ai]++
-			continue
-		}
-		accumulateArg(st, ai, w.argv[ai][i])
-	}
 }
 
 // groupState resolves (creating on first sight) the state for a

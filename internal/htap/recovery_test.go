@@ -43,10 +43,16 @@ func openDurableSystem(t *testing.T, dir string) *System {
 }
 
 // copyTree copies the data directory — the crash test's way of freezing a
-// "disk image" while the source system keeps running.
+// "disk image" while the source system keeps running. A file that vanishes
+// between the directory read and its copy (a checkpoint's temporary file,
+// renamed as it lands) is left out, as a crash at that moment would have
+// left it out of the directory too.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -59,6 +65,9 @@ func copyTree(t *testing.T, src, dst string) {
 			return os.MkdirAll(target, 0o755)
 		}
 		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -407,6 +416,8 @@ func TestBackgroundCheckpointerBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// a failed step still stops the checkpointer before TempDir's removal
+	t.Cleanup(s.Close)
 	gen := workload.NewDMLGenerator(7)
 	for _, q := range gen.Batch(30) {
 		if _, err := s.Exec(q.SQL); err != nil {

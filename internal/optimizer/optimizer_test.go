@@ -16,9 +16,16 @@ import (
 // testPlanner builds a planner over a small physical TPC-H dataset.
 func testPlanner(t testing.TB) *Planner {
 	t.Helper()
+	return plannerAt(t, 0.001)
+}
+
+// plannerAt builds a planner over the TPC-H fixture generated at scale
+// (tpch.Config.PhysScale), under the default data seed.
+func plannerAt(t testing.TB, scale float64) *Planner {
+	t.Helper()
 	cat := catalog.TPCH(100)
 	cfg := tpch.DefaultConfig()
-	cfg.PhysScale = 0.001
+	cfg.PhysScale = scale
 	data, err := tpch.Generate(cat, cfg)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
