@@ -448,7 +448,7 @@ const (
 	// the same join under a global aggregate: nearly all of it is the probe
 	hashJoinProbeSQL = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey`
 	// two group columns keep the aggregate on the evaluator path (the
-	// encoded pushdown takes one), so every row goes through the group table
+	// column fold takes one), so every row goes through the group table
 	hashAggFoldSQL = `SELECT l_returnflag, l_linestatus, COUNT(*), SUM(l_quantity) FROM lineitem ` +
 		`GROUP BY l_returnflag, l_linestatus`
 )

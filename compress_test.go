@@ -77,10 +77,10 @@ func halfOrderKeySQL(tb testing.TB, sys *htap.System) string {
 // TestCompressionWins is the count gate for the encoding layer: the auto
 // policy keeps the same TPC-H data in at most a third of the raw resident
 // bytes, and over the encoded layout the selective sorted range scan skips
-// half the chunks by their zone maps and its pushed-down aggregate counts
-// the other half without decoding one. It counts, so it holds under -race
-// and on two cores; how much faster encoded storage is, is the
-// benchmark's to say.
+// half the chunks by their zone maps and its aggregate, folding the scan's
+// stored chunks, counts the other half without decoding one. It counts, so
+// it holds under -race and on two cores; how much faster encoded storage
+// is, is the benchmark's to say.
 func TestCompressionWins(t *testing.T) {
 	raw, auto := compressionSystems(t)
 
@@ -110,6 +110,6 @@ func TestCompressionWins(t *testing.T) {
 		t.Errorf("the half-range scan skipped %d and scanned %d of %d chunks, want half skipped", st.ChunksSkipped, st.ChunksScanned, chunks)
 	}
 	if st.DecodedChunks != 0 || st.EncodedChunks == 0 {
-		t.Errorf("the pushed-down aggregate decoded %d chunks and folded %d encoded, want 0 decoded of some encoded", st.DecodedChunks, st.EncodedChunks)
+		t.Errorf("the aggregate over stored chunks decoded %d chunks and folded %d encoded, want 0 decoded of some encoded", st.DecodedChunks, st.EncodedChunks)
 	}
 }

@@ -12,13 +12,14 @@ import (
 	"htapxplain/internal/value"
 )
 
-// TestPushdownWithDeletesInOneChunk: in a three-chunk table whose deletes
-// all fall in the middle chunk, only that chunk carries a delete mask, so
-// only it leaves the encoded kernels for the row-at-a-time walk. Under
-// every encoding policy and at DOP 1 and 4, global and grouped
-// COUNT/SUM/MIN/MAX through the aggregate pushdown, and a scan filtered
-// by selection kernels, equal the row evaluator over the live rows.
-func TestPushdownWithDeletesInOneChunk(t *testing.T) {
+// TestStoredFoldWithDeletesInOneChunk: in a three-chunk table whose
+// deletes all fall in the middle chunk, only that chunk carries a delete
+// mask, which the scan's selection drops before the aggregate folds the
+// chunks as stored. Under every encoding policy and at DOP 1 and 4, global
+// and grouped COUNT/SUM/MIN/MAX folded from the scan's stored chunks, and
+// a scan filtered by selection kernels, equal the row evaluator over the
+// live rows.
+func TestStoredFoldWithDeletesInOneChunk(t *testing.T) {
 	const n = 3 * colstore.ChunkSize
 	rng := rand.New(rand.NewSource(3))
 	rows := make([]value.Row, n)
@@ -79,8 +80,8 @@ func TestPushdownWithDeletesInOneChunk(t *testing.T) {
 				return &HashAggregate{Child: fullScan(tbl, "d"), Groups: evalsFor(groupCols), GroupCols: groupCols,
 					Aggs: aggs, Out: make(Schema, len(groupCols)+len(aggs))}
 			}
-			if _, ok := agg().pushdownScan(); !ok {
-				t.Fatalf("%v: group by %v is not pushdown-eligible", p, groupCols)
+			if !foldsStoredChunks(t, agg(), nil) {
+				t.Fatalf("%v: group by %v does not fold the scan's chunks as stored", p, groupCols)
 			}
 			for _, dop := range []int{1, 4} {
 				want := refAggregate(t, live, 3, groupCols, aggs, len(groupCols)+len(aggs), false, false, dop > 1)

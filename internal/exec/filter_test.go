@@ -158,11 +158,11 @@ func TestScanKernelsMatchRowEvaluator(t *testing.T) {
 	}
 }
 
-// TestPushdownDeltaFoldUsesKernels: an aggregate over a scan whose pruner
-// is exact runs the encoded pushdown, where the selection kernels filter
-// only the delta rows; its groups equal the generic aggregate's over the
-// row evaluator.
-func TestPushdownDeltaFoldUsesKernels(t *testing.T) {
+// TestStoredFoldDeltaUsesKernels: an aggregate over a scan whose pruner
+// is exact folds the scan's chunks as stored, where the selection kernels
+// filter only the delta rows; its groups equal the generic aggregate's
+// over the row evaluator.
+func TestStoredFoldDeltaUsesKernels(t *testing.T) {
 	lo, hi := value.NewInt(-100), value.NewInt(250)
 	pruner := &colstore.RangePruner{Col: 0, Lo: &lo, Hi: &hi, Exact: true}
 	for _, p := range colstore.AllPolicies {
@@ -180,8 +180,8 @@ func TestPushdownDeltaFoldUsesKernels(t *testing.T) {
 				GroupCols: groupCols,
 			}
 		}
-		if _, ok := agg(kernels, []int{3}).pushdownScan(); !ok {
-			t.Fatalf("%v: the exact-pruned aggregate does not push down", p)
+		if !foldsStoredChunks(t, agg(kernels, []int{3}), nil) {
+			t.Fatalf("%v: the exact-pruned aggregate does not fold the scan's chunks as stored", p)
 		}
 		got, _, gotErr := scanRun(agg(kernels, []int{3}))
 		want, _, wantErr := scanRun(agg(ref, nil))

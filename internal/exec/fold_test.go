@@ -17,10 +17,11 @@ import (
 
 // foldTable loads foldRows plus a group column g (c6: a few strings, never
 // NULL, so a dictionary can hold it) under policy, then replicates one
-// mutation that deletes every fifth row of the second chunk and inserts 300
-// delta rows: the first and third chunks fold through the encoded kernels,
-// the second through the row walk, the delta through the delta fold.
-func foldTable(t testing.TB, policy colstore.EncodingPolicy) *colstore.Table {
+// mutation that deletes every fifth row of the second chunk — of every
+// chunk, with everyChunk — and inserts 300 delta rows: the chunks fold as
+// stored under the scan's selection, deleted rows dropped from it, and the
+// delta as decoded windows.
+func foldTable(t testing.TB, policy colstore.EncodingPolicy, everyChunk bool) *colstore.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	const n = 3*colstore.ChunkSize + 77
@@ -41,7 +42,11 @@ func foldTable(t testing.TB, policy colstore.EncodingPolicy) *colstore.Table {
 		t.Fatal(err)
 	}
 	mut := &repl.Mutation{LSN: 1, Table: "f"}
-	for rid := int64(colstore.ChunkSize); rid < 2*colstore.ChunkSize; rid += 5 {
+	first, last := int64(colstore.ChunkSize), int64(2*colstore.ChunkSize)
+	if everyChunk {
+		first, last = 3, n
+	}
+	for rid := first; rid < last; rid += 5 {
 		mut.Deletes = append(mut.Deletes, rid)
 	}
 	for i, r := range rows[n:] {
@@ -52,9 +57,13 @@ func foldTable(t testing.TB, policy colstore.EncodingPolicy) *colstore.Table {
 	}
 	tbl, _ := store.Table("f")
 	v := tbl.View()
-	if v.BaseDead.Chunk(0) != nil || v.BaseDead.Chunk(1) == nil || len(v.Delta) != 300 {
-		t.Fatalf("%v: precondition: deletes in chunk 0 %v, in chunk 1 %v, %d delta rows",
-			policy, v.BaseDead.Chunk(0) != nil, v.BaseDead.Chunk(1) != nil, len(v.Delta))
+	for c := 0; c < 4; c++ {
+		if want := everyChunk || c == 1; (v.BaseDead.Chunk(c) != nil) != want {
+			t.Fatalf("%v: precondition: deletes in chunk %d %v, want %v", policy, c, !want, want)
+		}
+	}
+	if len(v.Delta) != 300 {
+		t.Fatalf("%v: precondition: %d delta rows, want 300", policy, len(v.Delta))
 	}
 	if policy == colstore.PolicyAuto && v.Cols[6].Chunk(0).Enc != colstore.EncDict {
 		t.Fatalf("precondition: the group column is %v, not dictionary-encoded", v.Cols[6].Chunk(0).Enc)
@@ -62,70 +71,129 @@ func foldTable(t testing.TB, policy colstore.EncodingPolicy) *colstore.Table {
 	return tbl
 }
 
-// groupedFoldDifferential: the encoded pushdown's grouped and global folds
-// — per-row states resolved by dictionary code or by hash, then one typed
-// kernel per slot — return the evaluator path's rows byte for byte, under
-// every encoding policy, with and without an exact pruner's selection,
-// over a table with deleted base rows and delta rows, final and Partial.
-// The arguments are ints, quarters, strings, cross-kind MIN/MAX ties and
-// tenths (sums that depend on order), each NULL now and then. At DOP 1
-// both paths fold one row order, so every column compares exactly; at
-// DOP 4 the merge order of the workers' states varies from run to run, so
-// the order-dependent ties and tenths run at DOP 1 only.
+// foldsStoredChunks reports whether a, opened serially under p, asks its
+// child scan for its base chunks as stored.
+func foldsStoredChunks(t *testing.T, a *HashAggregate, p *Params) bool {
+	t.Helper()
+	c := a.Clone().(*HashAggregate)
+	ctx := NewContext()
+	ctx.Params = p
+	if err := c.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, ok := c.Child.(*ColTableScan)
+	return ok && s.fold != nil
+}
+
+// groupedFoldDifferential: an aggregate over bare columns that folds its
+// scan's chunks as stored — global, or grouped with per-row states
+// resolved by dictionary code or by hash, then one typed kernel per slot —
+// returns the evaluator path's rows byte for byte, under every encoding
+// policy, over tables with deleted base rows (in one chunk, and in every
+// chunk) and delta rows, final and Partial. The scans select every row;
+// through an exact pruner; through an inexact pruner and a residual
+// kernel; through a row kernel (LIKE and SUBSTRING … IN); and through a
+// one-key IN pruner that the bound vector's three keys drop. The
+// arguments are ints, quarters, strings, cross-kind MIN/MAX ties and
+// tenths (sums that depend on order), each NULL now and then, and the
+// dictionary group column itself, which the fold must then decode. At
+// DOP 1 both paths fold one row order, so every column compares exactly;
+// at DOP 4 the merge order of the workers' states varies from run to run,
+// so the order-dependent ties and tenths run at DOP 1 only.
 func groupedFoldDifferential(t *testing.T) {
-	hi := value.NewInt(200)
-	filter := ScanFilter{{Sarg: Sarg{Shape: ShapeCmp, Op: sqlparser.OpLt, Lits: Lits{Values: []value.Value{hi}}}, col: 5}}
-	filter[0].specialise(nil)
-	pruner := &colstore.RangePruner{Col: 5, Hi: &hi, HiStrict: true, Exact: true}
-	for _, policy := range colstore.AllPolicies {
-		tbl := foldTable(t, policy)
-		scans := []struct {
-			name string
-			scan func() *ColTableScan
-		}{
-			{"all rows", func() *ColTableScan { return fullScan(tbl, "f") }},
-			{"c5 < 200", func() *ColTableScan { return NewColTableScan(tbl, "f", identityCols(7), filter, pruner) }},
+	hi, lo := value.NewInt(200), value.NewInt(0)
+	lt200 := selKernel{Sarg: Sarg{Shape: ShapeCmp, Op: sqlparser.OpLt, Lits: Lits{Values: []value.Value{hi}}}, col: 5}
+	gt0 := selKernel{Sarg: Sarg{Shape: ShapeCmp, Op: sqlparser.OpGt, Lits: Lits{Values: []value.Value{lo}}}, col: 0}
+	in := selKernel{Sarg: Sarg{Shape: ShapeIn, Lits: Lits{Values: []value.Value{value.NewInt(7)}, List: 1}}, col: 5}
+	filter, residual, inList := ScanFilter{lt200}, ScanFilter{lt200, gt0}, ScanFilter{in}
+	for _, f := range []ScanFilter{filter, residual, inList} {
+		for i := range f {
+			f[i].specialise(nil)
 		}
-		for _, sc := range scans {
-			for _, groupCols := range [][]int{{6}, {5}, {}} {
-				for _, dop := range []int{1, 4} {
-					cols := []int{0, 1, 2}
-					if dop == 1 {
-						cols = append(cols, 3, 4)
-					}
-					aggs := []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}
-					for _, c := range cols {
-						for _, f := range []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax} {
-							aggs = append(aggs, AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c})
+	}
+	exact := &colstore.RangePruner{Col: 5, Hi: &hi, HiStrict: true, Exact: true}
+	inexact := &colstore.RangePruner{Col: 5, Hi: &hi, HiStrict: true}
+	seven := value.NewInt(7)
+	onKey := &colstore.RangePruner{Col: 5, Lo: &seven, Hi: &seven, Exact: true}
+	threeKeys := &Params{vals: []value.Value{value.NewInt(7), value.NewInt(42), value.NewInt(199)}, ends: []int32{3}}
+	for _, policy := range colstore.AllPolicies {
+		for _, everyChunk := range []bool{false, true} {
+			tbl := foldTable(t, policy, everyChunk)
+			sch := NewColTableScan(tbl, "f", identityCols(7), nil, nil).Schema()
+			sel, err := sqlparser.Parse("SELECT * FROM f WHERE c2 LIKE 's1%' AND SUBSTRING(c2, 3, 1) IN ('1', '3', '4')")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowKernel, err := CompileScanFilter(sqlparser.Conjuncts(sel.Where), sch)
+			if err != nil || rowKernel[0].row == nil {
+				t.Fatalf("precondition: the predicate compiles to %v, %v, not a row kernel", rowKernel, err)
+			}
+			scans := []struct {
+				name   string
+				params *Params
+				scan   func() *ColTableScan
+			}{
+				{"all rows", nil, func() *ColTableScan { return fullScan(tbl, "f") }},
+				{"c5 < 200", nil, func() *ColTableScan { return NewColTableScan(tbl, "f", identityCols(7), filter, exact) }},
+				{"c5 < 200 AND c0 > 0", nil, func() *ColTableScan {
+					s := NewColTableScan(tbl, "f", identityCols(7), residual, inexact)
+					s.PrunerKernel = 0
+					return s
+				}},
+				{"row kernel", nil, func() *ColTableScan { return NewColTableScan(tbl, "f", identityCols(7), rowKernel, nil) }},
+				{"c5 IN (7, 42, 199)", threeKeys, func() *ColTableScan {
+					s := NewColTableScan(tbl, "f", identityCols(7), inList, onKey)
+					s.PrunerSlots, s.PrunerKernel = [2]int{1, 1}, 0
+					return s
+				}},
+			}
+			for _, sc := range scans {
+				for _, groupCols := range [][]int{{6}, {5}, {}} {
+					for _, dop := range []int{1, 4} {
+						cols := []int{0, 1, 2, 6} // c6: an argument reading the group column
+						if dop == 1 {
+							cols = append(cols, 3, 4)
 						}
-					}
-					for _, partial := range []bool{false, true} {
-						label := fmt.Sprintf("%v, %s, group by %v, DOP %d, partial %v", policy, sc.name, groupCols, dop, partial)
-						width := len(aggs)
-						if partial {
-							width *= 2
+						aggs := []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}
+						for _, c := range cols {
+							for _, f := range []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax} {
+								aggs = append(aggs, AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c})
+							}
 						}
-						agg := func(pushdown bool) []value.Row {
-							a := &HashAggregate{Child: sc.scan(), Groups: evalsFor(groupCols), Aggs: aggs,
-								Out: make(Schema, len(groupCols)+width), Partial: partial}
-							if pushdown {
-								a.GroupCols = groupCols
-								if _, ok := a.pushdownScan(); !ok {
-									t.Fatalf("%s: precondition: the encoded pushdown does not take the aggregate", label)
+						for _, partial := range []bool{false, true} {
+							label := fmt.Sprintf("%v, deletes in every chunk %v, %s, group by %v, DOP %d, partial %v",
+								policy, everyChunk, sc.name, groupCols, dop, partial)
+							width := len(aggs)
+							if partial {
+								width *= 2
+							}
+							agg := func(stored bool) []value.Row {
+								a := &HashAggregate{Child: sc.scan(), Groups: evalsFor(groupCols), Aggs: aggs,
+									Out: make(Schema, len(groupCols)+width), Partial: partial}
+								if stored {
+									a.GroupCols = groupCols
+									if !foldsStoredChunks(t, a, sc.params) {
+										t.Fatalf("%s: precondition: the aggregate does not fold its scan's chunks as stored", label)
+									}
 								}
+								ctx := NewContext()
+								ctx.DOP, ctx.Params = dop, sc.params
+								rows, err := Drain(a, ctx)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								if dop > 1 && ctx.Stats.ParallelWorkers == 0 {
+									t.Fatalf("%s: the aggregate did not fork", label)
+								}
+								return rows
 							}
-							ctx := NewContext()
-							ctx.DOP = dop
-							rows, err := Drain(a, ctx)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
+							want := agg(false)
+							if len(want) == 0 {
+								t.Fatalf("%s: precondition: the scan selects nothing", label)
 							}
-							if dop > 1 && ctx.Stats.ParallelWorkers == 0 {
-								t.Fatalf("%s: the aggregate did not fork", label)
-							}
-							return rows
+							assertRows(t, label, agg(true), want, true)
 						}
-						assertRows(t, label, agg(true), agg(false), true)
 					}
 				}
 			}

@@ -8,7 +8,7 @@ import (
 	"htapxplain/internal/value"
 )
 
-// Typed-hash kernel shared by HashJoin and HashAggregate (batch, pushdown
+// Typed-hash kernel shared by HashJoin and HashAggregate (row, column-fold
 // and parallel-merge paths). A key is a tuple of values; two keys are the
 // same key when every column has the same kind and the same payload:
 //

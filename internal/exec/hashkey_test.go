@@ -631,7 +631,7 @@ func evalsFor(cols []int) []Evaluator {
 	return evs
 }
 
-// aggDifferential runs HashAggregate — evaluator path, encoded pushdown
+// aggDifferential runs HashAggregate — evaluator path, stored-chunk fold
 // path, and the Partial/Merge split — at DOP 1 and 4 against refAggregate.
 // The measure is small integers, so sums are exact and rows compare
 // exactly at every DOP; DOP 1 must keep first-seen group order and DOP 4
@@ -674,7 +674,7 @@ func aggDifferential(t *testing.T) {
 		}
 	}
 
-	// evaluator path: GroupCols nil, so pushdown never fires
+	// evaluator path: GroupCols nil, so nothing folds a column at a time
 	for _, groupCols := range [][]int{{0}, {0, 1}, {1, 0}} {
 		groupCols := groupCols
 		run(fmt.Sprintf("evaluator, group by %v", groupCols), func() *HashAggregate {
@@ -683,20 +683,20 @@ func aggDifferential(t *testing.T) {
 		}, rows, groupCols, []int{1, 4})
 	}
 
-	// pushdown path: one structural group column over the bare scan
+	// stored-chunk fold: one structural group column over the bare scan
 	for _, g := range []int{0, 1} {
 		g := g
 		agg := &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{g}), GroupCols: []int{g}, Aggs: aggs}
-		if _, ok := agg.pushdownScan(); !ok {
-			t.Fatalf("group by c%d is not pushdown-eligible", g)
+		if !foldsStoredChunks(t, agg, nil) {
+			t.Fatalf("group by c%d does not fold the scan's chunks as stored", g)
 		}
-		run(fmt.Sprintf("pushdown, group by c%d", g), func() *HashAggregate {
+		run(fmt.Sprintf("stored fold, group by c%d", g), func() *HashAggregate {
 			return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{g}), GroupCols: []int{g},
 				Aggs: aggs, Out: make(Schema, 1+len(aggs))}
 		}, rows, []int{g}, []int{1, 4})
 	}
 
-	// Partial fragments (evaluator and pushdown), then Merge over their rows
+	// Partial fragments (evaluator and stored fold), then Merge over their rows
 	groupCols := []int{0, 1}
 	partialWidth := len(groupCols) + 2*len(aggs)
 	mkPartial := func() *HashAggregate {
@@ -704,7 +704,7 @@ func aggDifferential(t *testing.T) {
 			Out: make(Schema, partialWidth), Partial: true}
 	}
 	run("partial", mkPartial, rows, groupCols, []int{1, 4})
-	run("partial pushdown", func() *HashAggregate {
+	run("partial stored fold", func() *HashAggregate {
 		return &HashAggregate{Child: fullScan(tbl, "a"), Groups: evalsFor([]int{1}), GroupCols: []int{1},
 			Aggs: aggs, Out: make(Schema, 1+2*len(aggs)), Partial: true}
 	}, rows, []int{1}, []int{1, 4})
@@ -768,13 +768,16 @@ func foldRows(rng *rand.Rand, n int) []value.Row {
 	return rows
 }
 
-// globalFoldDifferential: an ungrouped aggregate whose arguments are bare
-// columns (GroupCols set) folds a column at a time; over a join and over a
-// filtered scan — paths the encoded pushdown does not take — its rows
-// equal the row fold's (GroupCols nil) byte for byte, final and Partial, at
-// DOP 1 and 4. Order-dependent columns (sums of tenths, cross-kind ties)
-// run at DOP 1 only, where both folds see one row order; at DOP 4 the
-// merge order of the workers' states varies from run to run.
+// globalFoldDifferential: an aggregate whose groups and arguments are bare
+// columns (GroupCols set) folds a column at a time; ungrouped and grouped
+// by a string and by an int column, over a join whose output batches are
+// longer than BatchSize, over that join filtered (a selection reaching
+// past BatchSize) — where it folds values — and over a filtered scan —
+// whose chunks it folds as stored — its rows equal the row fold's
+// (GroupCols nil) byte for byte, final and Partial, at DOP 1 and 4.
+// Order-dependent columns (sums of tenths, cross-kind ties) run at DOP 1
+// only, where both folds see one row order; at DOP 4 the merge order of
+// the workers' states varies from run to run.
 func globalFoldDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	probe := colTableOf(t, "f", foldRows(rng, 3*colstore.ChunkSize+77))
@@ -785,49 +788,73 @@ func globalFoldDifferential(t *testing.T) {
 	build := colTableOf(t, "b", buildRows)
 	filter := ScanFilter{{Sarg: Sarg{Shape: ShapeCmp, Op: sqlparser.OpLt, Lits: Lits{Values: []value.Value{value.NewInt(120)}}}, col: 5}}
 	filter[0].specialise(nil)
+	join := func() Operator {
+		return NewHashJoin(fullScan(probe, "f"), fullScan(build, "b"), []int{5}, []int{0}, nil, nil)
+	}
+	long, j, ctx := false, join(), NewContext()
+	if err := j.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for b, err := j.Next(ctx); b != nil || err != nil; b, err = j.Next(ctx) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		long = long || b.Len > BatchSize
+	}
+	j.Close()
+	if !long {
+		t.Fatal("precondition: no join output batch is longer than BatchSize")
+	}
+	odd := func(r value.Row, _ *Params) (value.Value, error) { return value.NewBool(r[7].I%2 == 1), nil }
 	inputs := []struct {
-		name  string
-		child func() Operator
+		name   string
+		stored bool
+		child  func() Operator
 	}{
-		{"join", func() Operator {
-			return NewHashJoin(fullScan(probe, "f"), fullScan(build, "b"), []int{5}, []int{0}, nil, nil)
-		}},
-		{"filtered scan", func() Operator {
+		{"join", false, join},
+		{"filtered join", false, func() Operator { return &FilterOp{Child: join(), Pred: odd} }},
+		{"filtered scan", true, func() Operator {
 			return NewColTableScan(probe, "f", identityCols(6), filter, nil)
 		}},
 	}
 	for _, in := range inputs {
-		for _, dop := range []int{1, 4} {
-			cols := []int{0, 1, 2}
-			if dop == 1 {
-				cols = append(cols, 3, 4)
-			}
-			aggs := []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}
-			for _, c := range cols {
-				for _, f := range []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax} {
-					aggs = append(aggs, AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c})
+		for _, groupCols := range [][]int{{}, {2}, {5}} {
+			for _, dop := range []int{1, 4} {
+				cols := []int{0, 1, 2}
+				if dop == 1 {
+					cols = append(cols, 3, 4)
 				}
-			}
-			for _, partial := range []bool{false, true} {
-				label := fmt.Sprintf("global fold over the %s, DOP %d, partial %v", in.name, dop, partial)
-				width := len(aggs)
-				if partial {
-					width *= 2
-				}
-				agg := func(groupCols []int) []value.Row {
-					a := &HashAggregate{Child: in.child(), Aggs: aggs, Out: make(Schema, width), GroupCols: groupCols, Partial: partial}
-					if _, ok := a.pushdownScan(); ok {
-						t.Fatalf("%s: precondition: the encoded pushdown takes the aggregate", label)
+				aggs := []AggSpec{{Func: sqlparser.AggCount, ArgCol: -1}}
+				for _, c := range cols {
+					for _, f := range []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax} {
+						aggs = append(aggs, AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c})
 					}
-					ctx := NewContext()
-					ctx.DOP = dop
-					rows, err := Drain(a, ctx)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					return rows
 				}
-				assertRows(t, label, agg([]int{}), agg(nil), true)
+				for _, partial := range []bool{false, true} {
+					label := fmt.Sprintf("fold over the %s, group by %v, DOP %d, partial %v", in.name, groupCols, dop, partial)
+					width := len(aggs)
+					if partial {
+						width *= 2
+					}
+					agg := func(columnar bool) []value.Row {
+						a := &HashAggregate{Child: in.child(), Groups: evalsFor(groupCols), Aggs: aggs,
+							Out: make(Schema, len(groupCols)+width), Partial: partial}
+						if columnar {
+							a.GroupCols = groupCols
+							if foldsStoredChunks(t, a, nil) != in.stored {
+								t.Fatalf("%s: precondition: folds the scan's chunks as stored %v, want %v", label, !in.stored, in.stored)
+							}
+						}
+						ctx := NewContext()
+						ctx.DOP = dop
+						rows, err := Drain(a, ctx)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						return rows
+					}
+					assertRows(t, label, agg(true), agg(false), true)
+				}
 			}
 		}
 	}

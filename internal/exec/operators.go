@@ -324,11 +324,13 @@ func (s *RowIndexOrderScan) Close() error {
 // column is then decoded once, at the surviving rows only. The scan reads
 // Cols but emits only the first Emit of them: the rest are the columns
 // only its predicate reads, tested in the scan and never passed up (late
-// materialization). The pinned view unions the immutable base chunks with
-// the replicated delta rows, which are batched through a private
-// projection slab — AP reads are fresh up to the column store's
-// replication watermark, and the delta snapshot is pinned exactly once per
-// query however many workers share the cursor.
+// materialization). Under an aggregate that folds its chunks as stored
+// (see storedFold), the columns it folds that way are not decoded either:
+// the morsel's chunks go up beside the batch. The pinned view unions the
+// immutable base chunks with the replicated delta rows, which are batched
+// through a private projection slab — AP reads are fresh up to the column
+// store's replication watermark, and the delta snapshot is pinned exactly
+// once per query however many workers share the cursor.
 type ColTableScan struct {
 	Table   *colstore.Table
 	Binding string
@@ -386,6 +388,13 @@ type ColTableScan struct {
 	fullDecode bool
 	deltaSlab  []value.Value
 	closed     bool
+	// fold, set by the aggregate this scan feeds (see storedFold), leaves
+	// undecoded the columns that aggregate folds as stored; stored is then
+	// the current batch's emitted chunks as stored, nil for a delta batch.
+	fold   *storedFold
+	stored []*colstore.EncodedChunk
+	// forks are the clones ForkShared made, kept for the next execution.
+	forks []*ColTableScan
 }
 
 // NewColTableScan constructs a columnar scan over the given column subset,
@@ -443,7 +452,9 @@ func (s *ColTableScan) bind(p *Params) {
 // The clone count is dop clamped to the morsel supply: workers beyond it
 // would only pay goroutine and Open overhead to receive nothing. Pruning
 // state (bound to p) and the delta snapshot live in the shared cursor;
-// per-batch buffers stay private to each clone.
+// per-batch buffers stay private to each clone. The scan keeps its clones,
+// so the next execution of a pooled tree forks the same ones, their
+// buffers made at their first Open.
 func (s *ColTableScan) ForkShared(dop int, p *Params) []BatchOperator {
 	s.bind(p)
 	src := colstore.NewMorsels(s.Table.View(), s.pruner)
@@ -453,11 +464,13 @@ func (s *ColTableScan) ForkShared(dop int, p *Params) []BatchOperator {
 	if dop < 1 {
 		dop = 1
 	}
+	for len(s.forks) < dop {
+		s.forks = append(s.forks, s.Clone().(*ColTableScan))
+	}
 	out := make([]BatchOperator, dop)
 	for i := range out {
-		c := s.Clone().(*ColTableScan)
-		c.shared = src
-		out[i] = c
+		s.forks[i].shared = src
+		out[i] = s.forks[i]
 	}
 	return out
 }
@@ -543,7 +556,9 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 	sel, some, err := s.selectBase(ctx, m, anyEnc)
 	if err == nil && some {
 		for j := 0; j < s.Emit; j++ {
-			s.vector(j, sel)
+			if !s.foldsStored(j) {
+				s.vector(j, sel)
+			}
 		}
 	}
 	if anyEnc {
@@ -557,7 +572,17 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 		return nil, err
 	}
 	s.batch.Len, s.batch.Sel = rows, sel
+	if s.fold != nil {
+		s.stored = s.chunkBuf[:s.Emit]
+	}
 	return &s.batch, nil
+}
+
+// foldsStored reports whether the aggregate this scan feeds folds emitted
+// column j of the current morsel as stored, so it is not decoded.
+func (s *ColTableScan) foldsStored(j int) bool {
+	f := s.fold
+	return f != nil && (f.global || j == f.byCode && s.chunkBuf[j].Enc == colstore.EncDict)
 }
 
 // selectBase narrows the morsel's rows to the predicate's survivors (nil:
@@ -682,7 +707,7 @@ func valuesAt(ch *colstore.EncodedChunk, d *decodeTarget, cand []int32) (vals []
 func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
 	rows := s.view.Delta[m.Lo:m.Hi]
 	s.deltaSlab = projectRows(s.vecs, rows, s.Cols, s.deltaSlab)
-	s.batch.Len, s.batch.Sel = len(rows), nil
+	s.batch.Len, s.batch.Sel, s.stored = len(rows), nil, nil
 	ctx.Stats.RowsScanned += int64(len(rows))
 	ctx.Stats.BytesScanned += int64(len(rows)) * perCol * int64(len(s.Cols))
 	if len(s.filter) > 0 {
@@ -1610,8 +1635,8 @@ type HashAggregate struct {
 	Groups []Evaluator
 	Aggs   []AggSpec
 	Out    Schema // group columns followed by aggregate columns
-	// GroupCols, when non-nil, carries the structural shape the encoded
-	// aggregation pushdown needs: every GROUP BY term is a bare column and
+	// GroupCols, when non-nil, carries the structural shape a column fold
+	// needs (see pushdown.go): every GROUP BY term is a bare column and
 	// GroupCols[i] is its child-schema position (an empty non-nil slice
 	// means a global aggregate), and every AggSpec.ArgCol is resolved. The
 	// optimizer sets it; operators built by hand leave it nil and always
@@ -1630,6 +1655,8 @@ type HashAggregate struct {
 	// folds its (state, count) pair additively. Out is the final schema.
 	Merge bool
 
+	stored storedFold // what it folds as stored of its child scan's chunks
+	folds  []*aggFold // per-worker fold scratch
 	emit   rowEmitter
 	closed bool
 }
@@ -1877,30 +1904,38 @@ func (a *HashAggregate) stateFor(t *aggTable, g value.Row) *aggState {
 	return t.states[a.groupOf(t, g)]
 }
 
-// foldBatch folds every active row of b into the table. A global aggregate
-// has one state: it is resolved once per batch, not hashed and looked up
-// per row; when every aggregate is COUNT(*) the batch folds as its row
-// count, and when every argument is a bare column (GroupCols set) it folds
-// a column at a time (foldColumns).
-func (a *HashAggregate) foldBatch(t *aggTable, b *Batch, p *Params) error {
+// foldBatch folds every active row of b into the table, with f as its
+// scratch. A global aggregate has one state: it is resolved once per
+// batch, not hashed and looked up per row; when every aggregate is
+// COUNT(*) the batch folds as its row count. When every group and argument
+// is a bare column (columnar), a global aggregate folds a column at a time
+// (foldStored over a scan's stored chunks, foldColumns over values) and a
+// one-column GROUP BY resolves its rows' groups and then folds a slot at a
+// time (foldGrouped); anything else evaluates row by row.
+func (a *HashAggregate) foldBatch(t *aggTable, f *aggFold, b *Batch, p *Params) error {
 	n := b.NumActive()
 	if len(a.Groups) == 0 {
 		st := a.stateFor(t, nil)
-		if !a.Merge && a.countStarOnly() {
+		switch {
+		case !a.Merge && a.countStarOnly():
 			for i := range a.Aggs {
 				st.counts[i] += int64(n)
 			}
-			return nil
-		}
-		if !a.Merge && a.bareArgs() {
+		case a.columnar() && f.stored() != nil:
+			f.foldStored(st, b)
+		case a.columnar():
 			a.foldColumns(st, b)
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			if err := a.accumulate(st, b.FillRow(i, t.scratch), p); err != nil {
-				return err
+		default:
+			for i := 0; i < n; i++ {
+				if err := a.accumulate(st, b.FillRow(i, t.scratch), p); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
+	}
+	if len(a.GroupCols) == 1 && a.columnar() {
+		f.foldGrouped(t, b)
 		return nil
 	}
 	for i := 0; i < n; i++ {
@@ -1959,10 +1994,11 @@ func foldGroups[G uint16 | int32](a *HashAggregate, states []*aggState, groups [
 	}
 }
 
-// bareArgs reports whether every aggregate argument is a resolved bare
-// column: GroupCols is set and ArgCol is -1 exactly for COUNT(*).
-func (a *HashAggregate) bareArgs() bool {
-	if a.GroupCols == nil {
+// columnar reports whether batches fold a column and a slot at a time:
+// not a Merge, GroupCols set with every group a bare column, and ArgCol -1
+// exactly for COUNT(*).
+func (a *HashAggregate) columnar() bool {
+	if a.Merge || a.GroupCols == nil || len(a.GroupCols) != len(a.Groups) {
 		return false
 	}
 	for _, spec := range a.Aggs {
@@ -2134,19 +2170,18 @@ func (a *HashAggregate) emitRows(t *aggTable) ([]value.Row, error) {
 
 func (a *HashAggregate) Open(ctx *Context) error {
 	a.closed = false
-	// encoded aggregation pushdown: a structurally simple aggregate over a
-	// bare columnar scan consumes encoded chunks directly (see pushdown.go)
-	if done, err := a.openPushdown(ctx); done || err != nil {
-		return err
-	}
 	pipes := forkPipeline(a.Child, ctx)
+	a.readyFolds(pipes)
 	parts := make([]*aggTable, len(pipes))
 	for w := range parts {
 		parts[w] = a.newTable()
 	}
 	err := runForked(ctx, pipes, func(w int, wctx *Context, b *Batch) error {
-		return a.foldBatch(parts[w], b, wctx.Params)
+		return a.foldBatch(parts[w], a.folds[w], b, wctx.Params)
 	})
+	for _, f := range a.folds {
+		f.release()
+	}
 	if err != nil {
 		return err
 	}
@@ -2168,12 +2203,12 @@ func (a *HashAggregate) emitTable(ctx *Context, t *aggTable) error {
 	return nil
 }
 
-// emitMerged is the merge stage of both parallel aggregate paths (batch
-// and pushdown): each worker folded its share of morsels into a private
-// table; combine them, count the distinct groups — so the stat a query
-// reports does not vary with the granted DOP — and emit in sorted-key order
-// (worker arrival order is nondeterministic, so the merge sorts to keep
-// parallel output deterministic run-to-run).
+// emitMerged is the merge stage of a parallel aggregate: each worker
+// folded its share of morsels into a private table; combine them, count
+// the distinct groups — so the stat a query reports does not vary with the
+// granted DOP — and emit in sorted-key order (worker arrival order is
+// nondeterministic, so the merge sorts to keep parallel output
+// deterministic run-to-run).
 func (a *HashAggregate) emitMerged(ctx *Context, parts []*aggTable) error {
 	merged := a.mergeParts(parts)
 	sortStatesByKey(merged.states)

@@ -5,272 +5,124 @@ import (
 	"htapxplain/internal/value"
 )
 
-// Encoded aggregation pushdown: when a structurally simple aggregate sits
-// directly on a bare columnar scan, the aggregate runs its own morsel loop
-// and consumes encoded chunks natively instead of pulling decoded batches —
-// COUNT/SUM/MIN/MAX fold RLE runs run-at-a-time and dictionary chunks
-// code-at-a-time, FoR chunks are unpacked to machine integers without ever
-// building a Value vector, raw vectors fold through the typed kernels
-// (foldSlot), and an exact pruner's encoded-domain RangeSel replaces the
-// scan's selection kernels on base chunks. A grouped fold first resolves
-// each candidate row's group state, in row order — per dictionary code
-// when the group column is dictionary-encoded (one hash lookup per
-// distinct code, not per row), to an ordinal per row through the hash
-// table otherwise — and then folds each argument column into its slot over
-// the whole chunk (foldSlotGroups): a column and a slot at a time, no
-// per-value call.
+// Folding stored chunks: an aggregate whose groups and arguments are bare
+// columns, at most one group column, opens its child like any other
+// aggregate — one pipeline, or one per worker over a shared morsel cursor
+// (forkPipeline) — and folds every batch a column and a slot at a time.
+// When its child is a bare columnar scan (through an EXPLAIN ANALYZE
+// wrapper or not), the aggregate asks the scan for its base chunks as
+// stored (storedFold): the scan runs its whole selection on each base
+// morsel — the pruner's encoded prefilter, the delete set, every kernel —
+// and hands up the morsel's emitted chunks beside the survivors, decoding
+// only the columns the fold reads as values. A global fold then folds each
+// argument chunk as stored (aggChunk): RLE runs run-at-a-time, dictionary
+// chunks code-at-a-time, FoR chunks unpacked to machine integers, raw
+// vectors through the typed kernels (foldSlot). A grouped fold resolves
+// each active row's group state first, in row order — per dictionary code
+// when the group chunk is a dictionary (one hash lookup per distinct code,
+// not per row), to an ordinal per row through the hash table otherwise —
+// and then folds each argument column into its slot over the whole batch
+// (foldGroups). Delta windows, and every batch of a non-scan child (a
+// join's output), are decoded batches and fold the same way by ordinal.
 //
 // Every kernel accumulates in row order with the same float operations as
-// accumulateArg, so encoded execution is byte-identical to the decoded
-// path at the same DOP — the invariant the storage-immutability and
+// accumulateArg, so folding stored chunks is byte-identical to the row
+// fold at the same DOP — the invariant the storage-immutability and
 // recovery differential suites assert exactly, not approximately.
-//
-// Eligibility is structural (see pushdownScan); anything else — extra
-// operators between aggregate and scan, non-bare group or argument
-// expressions, an inexact pruner alongside a residual predicate, or an
-// EXPLAIN ANALYZE wrapper — falls back to the generic batch path.
 
-// pushdownScan reports whether the aggregate can run over encoded chunks
-// directly, returning the child scan when it can.
-func (a *HashAggregate) pushdownScan() (*ColTableScan, bool) {
-	if !a.bareArgs() || len(a.GroupCols) > 1 || len(a.GroupCols) != len(a.Groups) {
-		return nil, false
-	}
-	scan, ok := a.Child.(*ColTableScan)
-	if !ok || scan.shared != nil {
-		return nil, false
-	}
-	// a residual predicate defeats pushdown unless the pruner encodes it
-	// exactly (then RangeSel at the chunk level IS the predicate)
-	if len(scan.Filter) > 0 && (scan.Pruner == nil || !scan.Pruner.Exact) {
-		return nil, false
-	}
-	// group and argument columns index the scan's schema: its emitted
-	// columns, not the ones only its predicate reads
-	ncols := scan.Emit
-	for _, g := range a.GroupCols {
-		if g < 0 || g >= ncols {
-			return nil, false
-		}
-	}
-	for _, spec := range a.Aggs {
-		if spec.ArgCol >= ncols {
-			return nil, false
-		}
-	}
-	return scan, true
+// storedFold is what an aggregate folds as stored of its child scan's base
+// chunks, set on the scans it drives (see readyFolds): the scan decodes
+// every emitted column except those the fold reads as stored.
+type storedFold struct {
+	// global: every argument chunk folds as stored, in any encoding, so no
+	// emitted column is decoded.
+	global bool
+	// byCode is the group column of a grouped fold when no argument reads
+	// it (-1 otherwise): left stored when its chunk is a dictionary, whose
+	// codes the fold resolves groups by.
+	byCode int
 }
 
-// openPushdown runs the aggregate over encoded chunks when eligible. The
-// first return value reports whether pushdown handled the open; when false
-// the caller proceeds with the generic batch path.
-func (a *HashAggregate) openPushdown(ctx *Context) (bool, error) {
-	scan, ok := a.pushdownScan()
-	if !ok {
-		return false, nil
+// readyFolds readies a fold worker's scratch for each pipeline and, when
+// the aggregate folds columns, asks the bare scan at the leaf of each for
+// its base chunks as stored.
+func (a *HashAggregate) readyFolds(pipes []BatchOperator) {
+	for len(a.folds) < len(pipes) {
+		a.folds = append(a.folds, &aggFold{a: a, argv: make([][]value.Value, len(a.Aggs)), gkey: make(value.Row, 1)})
 	}
-	scan.bind(ctx.Params)
-	if len(scan.filter) > 0 && scan.pruner == nil {
-		// the bound vector left no pruner to stand in for the predicate
-		return false, nil
+	if !a.columnar() || len(a.GroupCols) > 1 {
+		return
 	}
-	view := scan.Table.View()
-	src := colstore.NewMorsels(view, scan.pruner)
-	dop := ctx.DOP
-	if n := src.NumMorsels(); dop > n {
-		dop = n
-	}
-	if dop <= 1 {
-		w := a.newPushWorker(scan, view)
-		t := a.newTable()
-		if err := w.fold(ctx, src, t); err != nil {
-			return true, err
-		}
-		return true, a.emitTable(ctx, t)
-	}
-
-	// parallel: per-worker tables folded from the shared morsel cursor,
-	// merged like the batch path's, emitted in sorted-key order for run-to-run
-	// determinism
-	parts := make([]*aggTable, dop)
-	ctx.Stats.ParallelWorkers += int64(dop)
-	err := forkWorkers(ctx, dop, func(wi int, wctx *Context) error {
-		parts[wi] = a.newTable()
-		return a.newPushWorker(scan, view).fold(wctx, src, parts[wi])
-	})
-	if err != nil {
-		return true, err
-	}
-	return true, a.emitMerged(ctx, parts)
-}
-
-// pushWorker is one worker's scratch state for the encoded aggregation
-// fold: decode buffers, the prefilter selection, the per-dictionary-code
-// state cache, the per-row group ordinals of a grouped fold, and the
-// projected delta batch its predicate narrows.
-type pushWorker struct {
-	a      *HashAggregate
-	scan   *ColTableScan
-	view   colstore.View
-	perCol int64 // modeled bytes per column per row
-
-	preSel  []int32         // encoded-domain prefilter scratch
-	argv    [][]value.Value // per-agg argument vector for the current chunk
-	dec     []decodeTarget  // per-agg decode targets, borrowed for the fold
-	gdec    decodeTarget    // the group column's decode target
-	states  []*aggState     // per-dict-code group state cache
-	ords    []int32         // per-position group ordinals, borrowed for the fold
-	df      []float64       // per-dict-code AsFloat cache
-	dfok    []bool
-	scratch value.Row // scan-schema row (a row kernel over delta rows)
-	gkey    value.Row // one-column group key scratch
-
-	delta     Batch         // the current delta window, projected
-	deltaSlab []value.Value // its columns' storage
-	deltaSel  []int32       // the selection kernels' output
-}
-
-func (a *HashAggregate) newPushWorker(scan *ColTableScan, view colstore.View) *pushWorker {
-	perCol := scan.Table.Meta.AvgRowBytes / int64(len(scan.Table.Meta.Columns))
-	if perCol < 1 {
-		perCol = 1
-	}
-	return &pushWorker{
-		a:       a,
-		scan:    scan,
-		view:    view,
-		perCol:  perCol,
-		argv:    make([][]value.Value, len(a.Aggs)),
-		dec:     make([]decodeTarget, len(a.Aggs)),
-		scratch: make(value.Row, len(scan.Cols)),
-		gkey:    make(value.Row, 1),
-	}
-}
-
-// fold drains the morsel source into t, mirroring ColTableScan's work
-// accounting so EXPLAIN ANALYZE reads the same whether or not pushdown
-// fired. The decode targets it borrowed go back when it returns.
-func (w *pushWorker) fold(ctx *Context, src *colstore.Morsels, t *aggTable) error {
-	defer w.release()
-	for {
-		if ctx.Canceled() {
-			return nil
-		}
-		m, pruned, ok := src.Next()
-		ctx.Stats.ChunksSkipped += pruned
-		if !ok {
-			return nil
-		}
-		ctx.Stats.MorselsDispatched++
-		if m.Base {
-			ctx.Stats.ChunksScanned++
-			w.foldBase(ctx, m, t)
-		} else if err := w.foldDelta(ctx, m, t); err != nil {
-			return err
-		}
-	}
-}
-
-// release gives back the worker's decode targets and ordinal vector.
-func (w *pushWorker) release() {
-	for i := range w.dec {
-		w.dec[i].release()
-	}
-	w.gdec.release()
-	linkArrays.give(w.ords)
-	w.ords = nil
-}
-
-// groupOrds resolves the group of each row at sel, whose group values are
-// gvals, to its ordinal in t.states, stored at the row's position in the
-// returned vector (borrowed on first need).
-func (w *pushWorker) groupOrds(t *aggTable, gvals []value.Value, sel []int32) []int32 {
-	if w.ords == nil {
-		w.ords = linkArrays.take(BatchSize)
-	}
-	for _, p := range sel {
-		w.gkey[0] = gvals[p]
-		w.ords[p] = w.a.groupOf(t, w.gkey)
-	}
-	return w.ords
-}
-
-// foldBase folds one base chunk. The prefilter mirrors baseBatch exactly:
-// applied when the pruner is exact (then it is the whole predicate) or the
-// chunk has encoded columns (then the sargable bound pre-narrows before
-// any decode).
-func (w *pushWorker) foldBase(ctx *Context, m colstore.Morsel, t *aggTable) {
-	rows := m.Rows()
-	ctx.Stats.RowsScanned += int64(rows)
-	ctx.Stats.BytesScanned += int64(rows) * w.perCol * int64(len(w.scan.Cols))
-
-	anyEnc := false
-	for _, c := range w.scan.Cols {
-		if w.view.Cols[c].Chunk(m.Chunk).Enc != colstore.EncRaw {
-			anyEnc = true
-			break
-		}
-	}
-	fullDecode := false
-	countChunk := func() {
-		if !anyEnc {
-			return
-		}
-		if fullDecode {
-			ctx.Stats.DecodedChunks++
-		} else {
-			ctx.Stats.EncodedChunks++
-		}
-	}
-
-	var sel []int32 // candidate positions; nil = all rows
-	if pr := w.scan.pruner; pr != nil && (pr.Exact || anyEnc) {
-		pch := w.view.Cols[pr.Col].Chunk(m.Chunk)
-		res, all := pch.RangeSel(pr.Lo, pr.Hi, pr.LoStrict, pr.HiStrict, w.preSel[:0])
-		w.preSel = res
-		if !all {
-			if len(res) == 0 {
-				countChunk()
-				return
+	a.stored = storedFold{global: len(a.GroupCols) == 0, byCode: -1}
+	if !a.stored.global {
+		a.stored.byCode = a.GroupCols[0]
+		for _, spec := range a.Aggs {
+			if spec.ArgCol == a.stored.byCode {
+				a.stored.byCode = -1
 			}
-			sel = res
 		}
 	}
-
-	switch dead := w.view.BaseDead.Chunk(m.Chunk); {
-	case dead != nil:
-		// deleted positions in this chunk force the generic per-row walk
-		w.foldRowAt(m, t, sel, dead)
-	case len(w.a.GroupCols) == 0:
-		w.foldGlobal(m, t, sel)
-	default:
-		fullDecode = w.foldGrouped(m, t, sel)
+	for w, p := range pipes {
+		if x, ok := p.(*analyzeOp); ok {
+			p = x.child
+		}
+		if s, ok := p.(*ColTableScan); ok {
+			s.fold, a.folds[w].scan = &a.stored, s
+		}
 	}
-	countChunk()
 }
 
-// foldGlobal folds one chunk into the single global group via the
-// per-encoding kernels — no decode, no Value vector.
-func (w *pushWorker) foldGlobal(m colstore.Morsel, t *aggTable, sel []int32) {
-	a := w.a
-	st := w.globalState(t)
-	ncand := m.Rows()
-	if sel != nil {
-		ncand = len(sel)
+// aggFold is one fold worker's scratch, kept by the aggregate across
+// executions: the scan whose chunks it folds as stored, the argument
+// vectors of the current batch, the per-dictionary-code group states and
+// float cache of the current chunk, and the per-position group ordinals,
+// borrowed from the recycler for the length of one fold.
+type aggFold struct {
+	a      *HashAggregate
+	scan   *ColTableScan   // nil: the child is no bare scan
+	argv   [][]value.Value // per-aggregate argument vector
+	states []*aggState     // per-dictionary-code group state
+	ords   []int32         // per-position group ordinal
+	df     []float64       // per-dictionary-code AsFloat cache
+	dfok   []bool
+	gkey   value.Row // one-column group key
+}
+
+// release gives back the ordinal vector and drops the fold's references
+// to the scan, to storage and to the execution's group states.
+func (f *aggFold) release() {
+	linkArrays.give(f.ords)
+	f.ords, f.scan = nil, nil
+	clear(f.argv)
+	clear(f.states)
+}
+
+// stored returns the emitted chunks, as stored, of the batch the scan just
+// handed the fold: nil for a delta batch, or when the child is no bare
+// scan.
+func (f *aggFold) stored() []*colstore.EncodedChunk {
+	if f.scan == nil {
+		return nil
 	}
-	for ai := range a.Aggs {
-		if a.Aggs[ai].ArgCol < 0 { // COUNT(*): every candidate counts
-			st.counts[ai] += int64(ncand)
+	return f.scan.stored
+}
+
+// foldStored folds a base batch's argument chunks as stored into the
+// global state st — no decode, no Value vector.
+func (f *aggFold) foldStored(st *aggState, b *Batch) {
+	stored := f.stored()
+	for i, spec := range f.a.Aggs {
+		if spec.ArgCol < 0 { // COUNT(*): every active row counts
+			st.counts[i] += int64(b.NumActive())
 			continue
 		}
-		ch := w.view.Cols[w.scan.Cols[a.Aggs[ai].ArgCol]].Chunk(m.Chunk)
-		w.aggChunk(st, ai, ch, sel)
+		f.aggChunk(st, i, stored[spec.ArgCol], b.Sel)
 	}
 }
 
 // aggChunk folds one argument chunk into state slot ai, bit-exactly
 // matching a row-order accumulateArg loop over the decoded values.
-func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, sel []int32) {
+func (f *aggFold) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, sel []int32) {
 	switch ch.Enc {
 	case colstore.EncRaw:
 		if sel == nil {
@@ -284,7 +136,7 @@ func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, s
 		// min/max reduce to the extreme codes — the dictionary is sorted
 		// by value.Compare, but the explicit code comparison keeps this
 		// independent of that.
-		df, dfok := w.dictFloats(ch)
+		df, dfok := f.dictFloats(ch)
 		minC, maxC := -1, -1
 		foldCode := func(code uint16) {
 			st.counts[ai]++
@@ -371,154 +223,91 @@ func (w *pushWorker) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, s
 	}
 }
 
-// foldGrouped folds one chunk of a single-column GROUP BY: it resolves
-// every candidate row's group, in row order, then folds each argument
-// column into its slot (foldGroups). Grouping by a dictionary chunk
+// foldGrouped folds b into t for a one-column GROUP BY: it resolves every
+// active row's group, in row order, then folds each argument column into
+// its slot (foldGroups). A stored batch whose group chunk is a dictionary
 // resolves a state per code — one table lookup per distinct code per chunk
-// instead of one per row — and folds by the chunk's codes. Other group
-// encodings decode the group column like any other; argument columns alias
-// raw chunks and decode encoded ones (sparsely under a selection). Reports
-// whether any encoded column was fully decoded.
-func (w *pushWorker) foldGrouped(m colstore.Morsel, t *aggTable, sel []int32) bool {
-	a := w.a
-	rows := m.Rows()
-	fullDecode := false
+// instead of one per row — and folds by the chunk's codes; any other batch
+// resolves an ordinal per row through the hash table, in allRows-long
+// pieces when it has no selection.
+func (f *aggFold) foldGrouped(t *aggTable, b *Batch) {
+	a := f.a
+	g := a.GroupCols[0]
+	if stored := f.stored(); stored != nil && stored[g].Enc == colstore.EncDict {
+		f.setArgs(b, 0)
+		cand := b.Sel
+		if cand == nil {
+			cand = allRows[:b.Len]
+		}
+		foldGroups(a, f.codeStates(t, stored[g], cand), stored[g].Codes, f.argv, cand)
+		return
+	}
+	if b.Sel != nil {
+		f.setArgs(b, 0)
+		foldGroups(a, t.states, f.groupOrds(t, b.Cols[g], b.Sel), f.argv, b.Sel)
+		return
+	}
+	for lo := 0; lo < b.Len; lo += len(allRows) {
+		sel := allRows[:min(len(allRows), b.Len-lo)]
+		f.setArgs(b, lo)
+		ords := f.groupOrds(t, b.Cols[g][lo:], sel) // may grow t.states: read it after
+		foldGroups(a, t.states, ords, f.argv, sel)
+	}
+}
 
-	for ai := range a.Aggs {
-		w.argv[ai] = nil
-		if ac := a.Aggs[ai].ArgCol; ac >= 0 {
-			var full bool
-			w.argv[ai], full = valuesAt(w.view.Cols[w.scan.Cols[ac]].Chunk(m.Chunk), &w.dec[ai], sel)
-			fullDecode = fullDecode || full
+// setArgs points each argument's vector at b's column, from position lo.
+func (f *aggFold) setArgs(b *Batch, lo int) {
+	for i, spec := range f.a.Aggs {
+		if spec.ArgCol >= 0 {
+			f.argv[i] = b.Cols[spec.ArgCol][lo:]
 		}
 	}
-	cand := sel
-	if cand == nil {
-		cand = allRows[:rows]
-	}
+}
 
-	gch := w.view.Cols[w.scan.Cols[a.GroupCols[0]]].Chunk(m.Chunk)
-	if gch.Enc != colstore.EncDict {
-		gvals, full := valuesAt(gch, &w.gdec, sel)
-		ords := w.groupOrds(t, gvals, cand) // may grow t.states: read it after
-		foldGroups(a, t.states, ords, w.argv, cand)
-		return fullDecode || full
+// codeStates resolves the group state of every code of the dictionary
+// chunk gch that a row at cand carries, in first-sight row order, into a
+// vector indexed by code; it stops once every code has its state.
+func (f *aggFold) codeStates(t *aggTable, gch *colstore.EncodedChunk, cand []int32) []*aggState {
+	if cap(f.states) < len(gch.Dict) {
+		f.states = make([]*aggState, len(gch.Dict))
 	}
-	if cap(w.states) < len(gch.Dict) {
-		w.states = make([]*aggState, len(gch.Dict))
-	}
-	byCode := w.states[:len(gch.Dict)]
+	byCode := f.states[:len(gch.Dict)]
 	clear(byCode)
-	// first sight in row order; done once every code has its state
 	for seen, k := 0, 0; seen < len(byCode) && k < len(cand); k++ {
 		if code := gch.Codes[cand[k]]; byCode[code] == nil {
-			byCode[code] = w.groupState(t, gch.Dict[code])
+			f.gkey[0] = gch.Dict[code]
+			byCode[code] = f.a.stateFor(t, f.gkey)
 			seen++
 		}
 	}
-	foldGroups(a, byCode, gch.Codes, w.argv, cand)
-	return fullDecode
+	return byCode
 }
 
-// foldRowAt is the generic per-row walk for a base chunk with deleted
-// positions: random-access ValueAt reads, no decode, dead rows skipped.
-func (w *pushWorker) foldRowAt(m colstore.Morsel, t *aggTable, sel []int32, dead *colstore.DeadMask) {
-	a := w.a
-	var gch *colstore.EncodedChunk
-	if len(a.GroupCols) == 1 {
-		gch = w.view.Cols[w.scan.Cols[a.GroupCols[0]]].Chunk(m.Chunk)
+// groupOrds resolves the group of each row at sel, whose group values are
+// gvals, to its ordinal in t.states, stored at the row's position in the
+// returned vector — borrowed on first need, and grown for a selection
+// that reaches past allRows (a join's output).
+func (f *aggFold) groupOrds(t *aggTable, gvals []value.Value, sel []int32) []int32 {
+	if n := int(sel[len(sel)-1]) + 1; cap(f.ords) < n {
+		linkArrays.give(f.ords)
+		f.ords = linkArrays.take(max(n, BatchSize))
 	}
-	n := m.Rows()
-	if sel != nil {
-		n = len(sel)
+	ords := f.ords[:cap(f.ords)]
+	for _, p := range sel {
+		f.gkey[0] = gvals[p]
+		ords[p] = f.a.groupOf(t, f.gkey)
 	}
-	for ii := 0; ii < n; ii++ {
-		i := ii
-		if sel != nil {
-			i = int(sel[ii])
-		}
-		if dead.Has(i) {
-			continue
-		}
-		var st *aggState
-		if gch != nil {
-			st = w.groupState(t, gch.ValueAt(i))
-		} else {
-			st = w.globalState(t)
-		}
-		for ai := range a.Aggs {
-			if a.Aggs[ai].ArgCol < 0 {
-				st.counts[ai]++
-				continue
-			}
-			ch := w.view.Cols[w.scan.Cols[a.Aggs[ai].ArgCol]].Chunk(m.Chunk)
-			accumulateArg(st, ai, ch.ValueAt(i))
-		}
-	}
-}
-
-// foldDelta folds one window of replicated-but-unmerged delta rows,
-// projected through the scan schema and narrowed by the scan's selection
-// kernels — delta rows are never encoded, so the pruner's encoded-domain
-// shortcut does not apply here.
-func (w *pushWorker) foldDelta(ctx *Context, m colstore.Morsel, t *aggTable) error {
-	a, b := w.a, &w.delta
-	rows := w.view.Delta[m.Lo:m.Hi]
-	ctx.Stats.RowsScanned += int64(len(rows))
-	ctx.Stats.BytesScanned += int64(len(rows)) * w.perCol * int64(len(w.scan.Cols))
-	if b.Cols == nil {
-		b.Cols = make([][]value.Value, len(w.scan.Cols))
-	}
-	w.deltaSlab = projectRows(b.Cols, rows, w.scan.Cols, w.deltaSlab)
-	b.Len, b.Sel = len(rows), nil
-	if len(w.scan.filter) > 0 {
-		sel, err := w.scan.filter.apply(b.Cols, b.Len, nil, &w.deltaSel, w.scratch, ctx.Params)
-		if err != nil || len(sel) == 0 {
-			return err
-		}
-		b.Sel = sel
-	}
-	if len(a.GroupCols) == 0 {
-		a.foldColumns(w.globalState(t), b)
-		return nil
-	}
-	sel := b.Sel
-	if sel == nil {
-		sel = allRows[:b.Len]
-	}
-	ords := w.groupOrds(t, b.Cols[a.GroupCols[0]], sel)
-	for ai := range a.Aggs {
-		if ac := a.Aggs[ai].ArgCol; ac >= 0 {
-			w.argv[ai] = b.Cols[ac]
-		}
-	}
-	foldGroups(a, t.states, ords, w.argv, sel)
-	return nil
-}
-
-// groupState resolves (creating on first sight) the state for a
-// single-column group value — the same key as foldBatch's.
-func (w *pushWorker) groupState(t *aggTable, gv value.Value) *aggState {
-	w.gkey[0] = gv
-	return w.a.stateFor(t, w.gkey)
-}
-
-// globalState resolves the single global-aggregate state.
-func (w *pushWorker) globalState(t *aggTable) *aggState {
-	if len(t.states) == 0 {
-		return w.a.stateFor(t, nil)
-	}
-	return t.states[0]
+	return ords
 }
 
 // dictFloats returns the per-code AsFloat cache for a dictionary chunk.
-func (w *pushWorker) dictFloats(ch *colstore.EncodedChunk) ([]float64, []bool) {
+func (f *aggFold) dictFloats(ch *colstore.EncodedChunk) ([]float64, []bool) {
 	n := len(ch.Dict)
-	if cap(w.df) < n || cap(w.dfok) < n {
-		w.df = make([]float64, n)
-		w.dfok = make([]bool, n)
+	if cap(f.df) < n || cap(f.dfok) < n {
+		f.df = make([]float64, n)
+		f.dfok = make([]bool, n)
 	}
-	df, dfok := w.df[:n], w.dfok[:n]
+	df, dfok := f.df[:n], f.dfok[:n]
 	for i, v := range ch.Dict {
 		df[i], dfok[i] = v.AsFloat()
 	}

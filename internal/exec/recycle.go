@@ -10,12 +10,12 @@ import (
 )
 
 // The recycler keeps the process's large transient arrays for reuse: the
-// decode targets of encoded chunks, an aggregate pushdown's per-row group
+// decode targets of encoded chunks, an aggregate fold's per-row group
 // ordinals, and a hash join's integer arrays (its int keys or key hashes,
 // its chain links, chain heads and direct index) and its key-filtered
 // builds' selection vectors. A holder takes one when it first needs it and
-// gives it back when it is done — a scan at Close, an aggregate pushdown
-// when its fold ends, a hash join at Close — so an idle pooled operator
+// gives it back when it is done — a scan at Close, an aggregate when its
+// fold ends, a hash join at Close — so an idle pooled operator
 // tree holds none, and a fresh tree (a scatter fragment, a move scan's
 // clone, a forked worker) reuses a released array instead of allocating
 // its own. Taking and giving back allocate nothing.

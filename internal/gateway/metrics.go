@@ -299,7 +299,7 @@ type Snapshot struct {
 	ZonemapScanned    int64 `json:"zonemap_chunks_scanned"`
 
 	// Encoded-kernel counters, summed over both routes: chunks whose
-	// encoded representation was consumed directly by a pushed-down kernel
+	// encoded representation was consumed directly by an encoded kernel
 	// vs chunks that had to be decoded into batch vectors.
 	EncodedChunks int64 `json:"exec_encoded_chunks"`
 	DecodedChunks int64 `json:"exec_decoded_chunks"`

@@ -34,8 +34,8 @@ func tearChunk(t *testing.T, sys *htap.System, table, column string) {
 }
 
 // TestWorkerPanicCostsOneRequest: a panic on a goroutine the query itself
-// spawned — a forked morsel worker, a parallel encoded-aggregate worker, a
-// scatter fragment — is an error reply for that one request. Nothing but
+// spawned — a forked morsel worker, a worker folding an aggregate over its
+// scan's encoded chunks, a scatter fragment — is an error reply for that one request. Nothing but
 // task.Group's recover stands between such a panic and the end
 // of the process (and of this test binary); the request's serve slot, its
 // DOP extras and its in_flight count come back through the same defers a
@@ -53,9 +53,10 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 		// root drain of a forkable scan pipeline at DOP 4
 		{"forked morsel worker", 1, 4,
 			"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 3", "runForked.func"},
-		// aggregate folded over encoded chunks by 4 workers
+		// an aggregate folding its scan's encoded chunks as stored on 4
+		// workers: the torn chunk panics in the fold's kernel
 		{"parallel encoded-aggregate worker", 1, 4,
-			"SELECT SUM(l_quantity) FROM lineitem", "openPushdown"},
+			"SELECT SUM(l_quantity) FROM lineitem", "aggChunk"},
 		// one serve slot: each fragment runs serially on its own goroutine
 		{"scatter fragment", 2, 1,
 			"SELECT SUM(l_quantity) FROM lineitem", "(*Gather).Open"},

@@ -11,22 +11,23 @@ import (
 
 // TestWarmAPFoldAllocs pins what a warm pooled runner allocates to drain
 // the AP plans of the two ap_scan templates whose cost is mostly an
-// aggregate fold: the grouped encoded fold of rare_agg_nojoin and the
-// global column fold above join2_lineitem_big's join, on the benchmark's
-// fixture (scale 0.01) under the workload's seed 7, serially and forked
-// four ways — and, serially, rare_agg_nojoin's shape grouped by an integer
-// column, whose rows resolve their groups through the hash table rather
-// than by dictionary code. The ceilings are the counts recorded before the folds became
-// typed kernels, which must not add per-query work: an all-rows fold reads
-// a shared identity vector, never one of its own, and a worker borrows its
-// per-row state vector from the recycler. Steady state is the least of
-// three rounds. Serially the counts are exact; forked, the allocation
-// count is exact but the bytes depend on which morsels each worker draws
-// (a worker's prefilter selection grows with the chunks it meets) and on
-// when the collector runs: before the change they read 17.0 to 23.0 KB a
-// run for rare_agg_nojoin and 8.8 to 11.1 KB for join2_lineitem_big over
-// sixteen runs, so their ceiling is the largest recorded plus a tenth. A
-// vector of 1024 states or positions per worker would still cross it.
+// aggregate fold: the grouped fold of rare_agg_nojoin over its scan's
+// stored chunks and the global column fold above join2_lineitem_big's
+// join, on the benchmark's fixture (scale 0.01) under the workload's seed
+// 7, serially and forked four ways — and, serially, rare_agg_nojoin's
+// shape grouped by an integer column, whose rows resolve their groups
+// through the hash table rather than by dictionary code. An all-rows fold
+// reads a shared identity vector, never one of its own; the aggregate
+// keeps each fold worker's scratch, borrowing its per-row ordinal vector
+// from the recycler for one fold, and a scan keeps the clones it forks,
+// so neither is made afresh per query. Steady state is the least of three
+// rounds. Serially the counts are exact; forked, the allocation count is
+// exact but the bytes depend on which morsels each worker draws (how many
+// groups each worker's table meets) and on when the collector runs: over
+// sixteen runs they read 10.7 to 14.2 KB for rare_agg_nojoin and 5.7 KB
+// for join2_lineitem_big, so their ceiling is the largest recorded plus a
+// tenth. A vector of 1024 states or positions per worker would still
+// cross it.
 func TestWarmAPFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the count is meaningless under it")
@@ -41,11 +42,11 @@ func TestWarmAPFoldAllocs(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{"rare_agg_nojoin", 1, 87, 10089},
-		{"rare_agg_nojoin", 4, 160, 25300},
+		{"rare_agg_nojoin", 1, 85, 6001},
+		{"rare_agg_nojoin", 4, 145, 15600},
 		{"join2_lineitem_big", 1, 28, 2176},
-		{"join2_lineitem_big", 4, 69, 12200},
-		{hashed, 1, 849, 77889},
+		{"join2_lineitem_big", 4, 45, 6300},
+		{hashed, 1, 848, 73865},
 	} {
 		sql := c.tmpl
 		if sql != hashed {

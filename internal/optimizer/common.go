@@ -177,7 +177,7 @@ func buildAggregate(a *analysis, shape engineShape, child built) (built, error) 
 	var groups []exec.Evaluator
 	var outSchema exec.Schema
 	groupNames := make([]string, len(a.sel.GroupBy))
-	// structural shape for the encoded aggregation pushdown: bare-column
+	// structural shape for the column fold over stored chunks: bare-column
 	// groups and aggregate arguments resolve to child-schema positions;
 	// any expression group/argument clears it and forces the evaluator path
 	groupCols := make([]int, 0, len(a.sel.GroupBy))

@@ -268,7 +268,7 @@ func addFragment(g *exec.Gather, b built) (first bool) {
 }
 
 // fragmentAgg splits an aggregation: the shard half is the planner's own
-// HashAggregate flipped into Partial mode (so encoded pushdown and
+// HashAggregate flipped into Partial mode (so folding stored chunks and
 // morsel parallelism keep working), the final half a Merge-mode aggregate
 // over the gathered partial states followed by the usual tail.
 func fragmentAgg(a *analysis, shape engineShape, b built, g *exec.Gather) (*plan.Node, exec.Operator, error) {
