@@ -390,8 +390,8 @@ type RangePruner struct {
 	Lo, Hi             *value.Value
 	LoStrict, HiStrict bool
 	// Exact marks the pruner as a complete, bit-exact representation of
-	// the scan's entire predicate (a single sargable comparison/BETWEEN on
-	// Col): the chunk-level RangeSel is then the final filter on base
+	// the scan's entire predicate (one key, or up to two bounds, on Col):
+	// the chunk-level RangeSel is then the final filter on base
 	// chunks, and the compiled row predicate only needs to run on delta
 	// rows. The optimizer sets it; scans may never assume it otherwise.
 	Exact bool

@@ -12,6 +12,7 @@ package dbgpt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"htapxplain/internal/llm"
@@ -53,22 +54,12 @@ func ComputeDiff(p *plan.Pair) Diff {
 			d.OnlyInTP = append(d.OnlyInTP, op)
 		}
 	}
-	sortStrings(d.OnlyInTP)
-	sortStrings(d.OnlyInAP)
+	slices.Sort(d.OnlyInTP)
+	slices.Sort(d.OnlyInAP)
 	if p.TP.Cost > 0 {
 		d.CostRatio = p.AP.Cost / p.TP.Cost
 	}
 	return d
-}
-
-func sortStrings(s []string) {
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if s[j] < s[i] {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
 }
 
 // Explainer is the DBG-PT pipeline: diff + un-grounded LLM prompt.

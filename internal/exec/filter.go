@@ -29,10 +29,10 @@ import (
 // Sarg is a conjunct that tests one operand against literals: operand op
 // lit, operand BETWEEN lit AND lit, operand [NOT] IN (lits) or operand LIKE
 // 'pat'. A comparison written lit op operand is mirrored to operand op'
-// lit. It is the one definition of the shape that scan kernels, index
-// paths, zone pruners, shard pins, selectivity estimates and DML's snapshot
-// read all look for; each then asks its own question of the operand (a
-// bare column, an indexed one, a function call).
+// lit. It is the one definition of the shape: scan kernels classify their
+// conjuncts by it, and the optimizer's binder folds each binding's Sargs
+// on one bare column once, for index paths, zone pruners, shard pins,
+// selectivity estimates and DML's snapshot read.
 type Sarg struct {
 	Operand sqlparser.Expr
 	Shape   Shape
@@ -53,11 +53,24 @@ const (
 	ShapeLike
 )
 
-// SargOf classifies e; false when it is not a Sarg.
+// SargOf classifies e; false when it is not a Sarg. NOT goes through a
+// comparison and through IN: NOT (c >= x) is c < x, NOT (c IN (…)) is
+// c NOT IN (…) — alike under three-valued logic, since NULL is kept by
+// neither.
 func SargOf(e sqlparser.Expr) (Sarg, bool) {
 	var s Sarg
 	ok := false
 	switch x := e.(type) {
+	case *sqlparser.NotExpr:
+		s, ok = SargOf(x.Inner)
+		switch s.Shape {
+		case ShapeCmp:
+			s.Op = negated[s.Op]
+		case ShapeIn:
+			s.Not = !s.Not
+		default:
+			ok = false
+		}
 	case *sqlparser.BinaryExpr:
 		if !x.Op.IsComparison() {
 			return Sarg{}, false
@@ -65,7 +78,7 @@ func SargOf(e sqlparser.Expr) (Sarg, bool) {
 		s.Operand, s.Shape, s.Op = x.Left, ShapeCmp, x.Op
 		lit := x.Right
 		if _, isLit := LitOf(lit); !isLit {
-			s.Operand, s.Op, lit = x.Right, mirrored(x.Op), x.Left
+			s.Operand, s.Op, lit = x.Right, mirrored[x.Op], x.Left
 		}
 		s.Lits, ok = LitsOf([]sqlparser.Expr{lit}, 0)
 	case *sqlparser.BetweenExpr:
@@ -84,20 +97,12 @@ func SargOf(e sqlparser.Expr) (Sarg, bool) {
 	return s, ok
 }
 
-// mirrored is comparison op with its operands swapped: a < b is b > a.
-func mirrored(op sqlparser.BinOp) sqlparser.BinOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLe:
-		return sqlparser.OpGe
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGe:
-		return sqlparser.OpLe
-	}
-	return op
-}
+// mirrored[op] is comparison op with its operands swapped: a < b is b > a.
+// negated[op] holds exactly where op does not, on two non-NULL values.
+var (
+	mirrored = [...]sqlparser.BinOp{sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpGt, sqlparser.OpGe, sqlparser.OpLt, sqlparser.OpLe}
+	negated  = [...]sqlparser.BinOp{sqlparser.OpNe, sqlparser.OpEq, sqlparser.OpGe, sqlparser.OpGt, sqlparser.OpLe, sqlparser.OpLt}
+)
 
 // ScanFilter is a columnar scan's predicate compiled to selection kernels;
 // empty means no predicate.

@@ -130,10 +130,12 @@ func TestScanKernelsMatchRowEvaluator(t *testing.T) {
 		"k <> 5 AND s LIKE '%y%' AND f > -10",
 		// a literal on the left is mirrored: 5 < k is k > 5
 		"5 < k", "-3 >= k AND 2 = g", "0 <= f", "1.5 > f", "0 = f", "5 <> k", "'b' < s", "'a' > k",
+		// NOT goes through a comparison or IN: NOT k > 5 is k <= 5
+		"NOT k > 5 AND f < 3", "NOT 5 = k", "NOT s IN ('bold bold')", "NOT k NOT IN (1, 2) AND NOT f <> 0",
 	}
 	mixed := []string{
 		"k + 1 > 10", "s LIKE '%bold%' AND k * 2 < 100", "SUBSTRING(s, 1, 2) = 'sl' AND k > 0",
-		"NOT k > 5 AND f < 3", "k > 0 OR f < 0", "5 < k + 0", "s + 1 > 3 AND k > 0", "k > 0 AND s + 1 > 3",
+		"NOT k BETWEEN 1 AND 5 AND f < 3", "NOT s LIKE 'b%'", "k > 0 OR f < 0", "5 < k + 0", "s + 1 > 3 AND k > 0", "k > 0 AND s + 1 > 3",
 	}
 	for _, p := range colstore.AllPolicies {
 		tbl := kernelTable(t, p)

@@ -138,13 +138,13 @@ func groupedFoldDifferential(t *testing.T) {
 				{"c5 < 200", nil, func() *ColTableScan { return NewColTableScan(tbl, "f", identityCols(7), filter, exact) }},
 				{"c5 < 200 AND c0 > 0", nil, func() *ColTableScan {
 					s := NewColTableScan(tbl, "f", identityCols(7), residual, inexact)
-					s.PrunerKernel = 0
+					s.PrunerKernels = 1
 					return s
 				}},
 				{"row kernel", nil, func() *ColTableScan { return NewColTableScan(tbl, "f", identityCols(7), rowKernel, nil) }},
 				{"c5 IN (7, 42, 199)", threeKeys, func() *ColTableScan {
 					s := NewColTableScan(tbl, "f", identityCols(7), inList, onKey)
-					s.PrunerSlots, s.PrunerKernel = [2]int{1, 1}, 0
+					s.PrunerSlots, s.PrunerKernels = [2]int{1, 1}, 1
 					return s
 				}},
 			}

@@ -128,16 +128,16 @@ func (s *RowIndexScan) Open(ctx *Context) error {
 	s.ids = s.ids[:0]
 	s.pos = 0
 	if s.Keys != nil {
+		// keys that compare equal (7, 7, 7.0) share a posting, probed once
 		keys := s.Keys.bind(ctx.Params, &s.keyBuf)
-		ctx.Stats.IndexProbes += int64(len(keys))
-		for _, k := range keys {
-			s.ids = s.Index.LookupAppend(k, s.ids)
+		for i, k := range keys {
+			if !slices.ContainsFunc(keys[:i], k.Equal) {
+				ctx.Stats.IndexProbes++
+				s.ids = s.Index.LookupAppend(k, s.ids)
+			}
 		}
 		if len(keys) > 1 {
-			// keys that compare equal (7, 7.0) share a posting: each row
-			// once, in heap order
-			slices.Sort(s.ids)
-			s.ids = slices.Compact(s.ids)
+			slices.Sort(s.ids) // each row in heap order
 		}
 	} else {
 		ctx.Stats.IndexProbes++
@@ -344,12 +344,12 @@ type ColTableScan struct {
 	// PrunerSlots are the slots of Pruner's Lo and Hi (0: the planned
 	// bound); a one-key IN list's slot is both.
 	PrunerSlots [2]int
-	// PrunerKernel is the position in Filter of the conjunct Pruner's range
-	// stands for, bit for bit (-1: none). On a base chunk that the pruner
-	// prefiltered, that column kernel would only test its survivors again,
-	// and it is skipped.
-	PrunerKernel int
-	out          Schema // the schema of Cols; the scan's is out[:Emit]
+	// PrunerKernels marks the positions in Filter (below 64) of the
+	// conjuncts Pruner's range stands for, bit for bit. On a base chunk
+	// that the pruner prefiltered, those column kernels would only test its
+	// survivors again, and they are skipped.
+	PrunerKernels uint64
+	out           Schema // the schema of Cols; the scan's is out[:Emit]
 
 	// shared, when set (by ForkShared), is the cross-worker morsel cursor
 	// this clone draws from instead of pinning its own view.
@@ -405,14 +405,14 @@ func NewColTableScan(t *colstore.Table, binding string, cols []int, filter ScanF
 	for i, c := range cols {
 		out[i] = full[c]
 	}
-	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Emit: len(cols), Filter: filter, Pruner: pruner, PrunerKernel: -1, out: out}
+	return &ColTableScan{Table: t, Binding: binding, Cols: cols, Emit: len(cols), Filter: filter, Pruner: pruner, out: out}
 }
 
 func (s *ColTableScan) Schema() Schema { return s.out[:s.Emit] }
 
 func (s *ColTableScan) Clone() BatchOperator {
 	return &ColTableScan{Table: s.Table, Binding: s.Binding, Cols: s.Cols, Emit: s.Emit,
-		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, PrunerKernel: s.PrunerKernel, out: s.out}
+		Filter: s.Filter, Pruner: s.Pruner, PrunerSlots: s.PrunerSlots, PrunerKernels: s.PrunerKernels, out: s.out}
 }
 
 // bind specialises the scan to the literal vector p, once per execution:
@@ -590,12 +590,12 @@ func (s *ColTableScan) foldsStored(j int) bool {
 // is an exact representation of the scan's predicate, the chunk-level
 // RangeSel over the (possibly encoded) pruner column IS the filter, and
 // the selection kernels never run on base chunks; otherwise it only
-// pre-narrows the candidates (the sargable conjunct bounds every match),
-// and the column kernel of that conjunct is not run again.
+// pre-narrows the candidates (the conjuncts it stands for bound every
+// match), and their column kernels are not run again.
 func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) (sel []int32, some bool, err error) {
 	rows := m.Rows()
-	selExact := false // sel already reflects the full predicate
-	prefiltered := -1 // the kernel the prefilter applied
+	selExact := false      // sel already reflects the full predicate
+	var prefiltered uint64 // the kernels the prefilter applied
 	if pr := s.pruner; pr != nil && (pr.Exact || anyEnc) {
 		pch := s.view.Cols[pr.Col].Chunk(m.Chunk)
 		res, all := pch.RangeSel(pr.Lo, pr.Hi, pr.LoStrict, pr.HiStrict, s.preSel[:0])
@@ -606,7 +606,7 @@ func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) 
 			}
 			sel = res
 		}
-		selExact, prefiltered = pr.Exact, s.PrunerKernel
+		selExact, prefiltered = pr.Exact, s.PrunerKernels
 	}
 	if dead := s.view.BaseDead.Chunk(m.Chunk); dead != nil {
 		out := s.selBuf[:0]
@@ -632,7 +632,7 @@ func (s *ColTableScan) selectBase(ctx *Context, m colstore.Morsel, anyEnc bool) 
 		return sel, true, nil
 	}
 	for i := range s.filter {
-		if i == prefiltered && s.filter[i].row == nil {
+		if prefiltered>>i&1 != 0 && s.filter[i].row == nil {
 			continue
 		}
 		out, all, err := s.narrowBase(&s.filter[i], rows, sel, ctx.Params)

@@ -971,25 +971,28 @@ func (g *Gateway) planScatter(sql string, dec *optimizer.DistDecision, tr *obs.Q
 
 // planTarget plans a known template's statement on target, the engine
 // routed — all the planning a template hit needs. A scatter is re-analysed
-// from sql, since binding mutates the decision's predicates and the
-// template's is shared.
+// from sql, since the template's decision holds its first statement's
+// literals.
 func (g *Gateway) planTarget(target int, sql string, eng plan.Engine, tr *obs.QueryTrace) (*optimizer.PhysPlan, error) {
 	if target < 0 {
 		return g.planScatter(sql, nil, tr)
 	}
 	sp := tr.Begin("plan")
-	_, phys, err := g.planOne(target, sql, eng)
+	_, phys, err := g.planOne(target, sql, nil, eng)
 	sp.End()
 	return phys, err
 }
 
-// planOne parses the query and plans the given engine on the owning shard.
-// It returns the statement it bound too: binding mutates the tree, so
-// every plan takes a fresh parse.
-func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Select, *optimizer.PhysPlan, error) {
-	sel, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gateway: parse: %w", err)
+// planOne plans the query on the given engine of the owning shard, from
+// sel, or from a fresh parse of sql when sel is nil. It returns the
+// statement it planned: a bound statement is read-only, so the other
+// engine can plan it too.
+func (g *Gateway) planOne(owner int, sql string, sel *sqlparser.Select, eng plan.Engine) (*sqlparser.Select, *optimizer.PhysPlan, error) {
+	if sel == nil {
+		var err error
+		if sel, err = sqlparser.Parse(sql); err != nil {
+			return nil, nil, fmt.Errorf("gateway: parse: %w", err)
+		}
 	}
 	planner := g.coord.Shard(owner).Planner
 	planEngine := planner.PlanAP
@@ -1005,19 +1008,19 @@ func (g *Gateway) planOne(owner int, sql string, eng plan.Engine) (*sqlparser.Se
 
 // planMiss is the one miss path, shared by a served miss, PlanPair and
 // EXPLAIN: it plans the query on both engines of the shard that owns it,
-// asks the policy for the template's route and, given a fingerprint,
-// publishes the template with both plans kept for that shard and the
-// fleet's routing analysis dec. A statement no shard owns (target < 0) is
-// planned on shard 0 — plan shape is the same on every shard — and its
-// plans are kept as shard 0's: the template's statements that shard 0
+// from one parse, asks the policy for the template's route and, given a
+// fingerprint, publishes the template with both plans kept for that shard
+// and the fleet's routing analysis dec. A statement no shard owns (target
+// < 0) is planned on shard 0 — plan shape is the same on every shard — and
+// its plans are kept as shard 0's: the template's statements that shard 0
 // owns run them. With no fingerprint nothing is published.
 func (g *Gateway) planMiss(target int, dec *optimizer.DistDecision, sql, fp string, tr *obs.QueryTrace) (*CachedPlan, error) {
 	owner := max(target, 0)
 	sp := tr.Begin("plan")
-	selTP, tpPlan, err := g.planOne(owner, sql, plan.TP)
+	sel, tpPlan, err := g.planOne(owner, sql, nil, plan.TP)
 	var apPlan *optimizer.PhysPlan
 	if err == nil {
-		_, apPlan, err = g.planOne(owner, sql, plan.AP)
+		_, apPlan, err = g.planOne(owner, sql, sel, plan.AP)
 	}
 	if err != nil {
 		sp.End()
@@ -1028,7 +1031,7 @@ func (g *Gateway) planMiss(target int, dec *optimizer.DistDecision, sql, fp stri
 		Pair:        plan.Pair{SQL: sql, TP: tpPlan.Explain, AP: apPlan.Explain},
 		TPTime:      latency.Estimate(tpPlan.Explain),
 		APTime:      latency.Estimate(apPlan.Explain),
-		stmt:        selTP,
+		stmt:        sel,
 		dist:        dec,
 		plans:       map[int][2]*optimizer.PhysPlan{owner: {plan.TP: tpPlan, plan.AP: apPlan}},
 	}

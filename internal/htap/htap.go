@@ -397,20 +397,15 @@ func model(sql string, tpPlan, apPlan *optimizer.PhysPlan) plan.Modeled {
 }
 
 func (s *System) planBoth(sql string) (tpPlan, apPlan *optimizer.PhysPlan, err error) {
-	// each engine binds its own fresh AST (binding mutates the tree)
-	selTP, err := sqlparser.Parse(sql)
+	sel, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	selAP, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	tpPlan, err = s.Planner.PlanTP(selTP)
+	tpPlan, err = s.Planner.PlanTP(sel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("htap: TP planning: %w", err)
 	}
-	apPlan, err = s.Planner.PlanAP(selAP)
+	apPlan, err = s.Planner.PlanAP(sel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("htap: AP planning: %w", err)
 	}

@@ -54,20 +54,8 @@ func (p *Planner) PlanAP(sel *sqlparser.Select) (*PhysPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(a.otherPreds) > 0 {
-		pred, err := exec.Compile(sqlparser.AndAll(a.otherPreds), b.op.Schema())
-		if err != nil {
-			return nil, err
-		}
-		b = built{
-			op: &exec.FilterOp{Child: b.op, Pred: pred},
-			node: &plan.Node{Op: plan.OpFilter, Engine: plan.AP,
-				Cost: b.node.Cost + b.rows*apFilterPerRow, Rows: math.Max(1, b.rows*0.5),
-				Condition: condString(a.otherPreds), Children: []*plan.Node{b.node}},
-			rows:      math.Max(1, b.rows*0.5),
-			parChunks: b.parChunks,
-			parRoot:   b.parRoot, // a filter keeps a per-morsel chain forkable
-		}
+	if b, err = filterOthers(a, b, plan.AP, apFilterPerRow); err != nil {
+		return nil, err
 	}
 	return finish(a, shape, b)
 }
@@ -84,7 +72,7 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 		// table predicates nor the zone pruner apply again. How many
 		// arrive is known only when the moves run, so the leaf is costed
 		// from the same filtered estimate a local scan would be.
-		rows := estRows(a, t)
+		rows := estRows(t)
 		node := &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
 			Cost: rows * apScanPerRow, Rows: rows, Relation: t.meta.Name + " (exchange)"}
 		return built{op: &exec.MemScan{Out: exec.TableSchema(t.meta, t.binding), Key: t.binding},
@@ -96,13 +84,13 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	}
 	cols, emit := neededColumns(a, t)
 	full := float64(t.meta.Rows)
-	filtered := estRows(a, t)
+	filtered := estRows(t)
 
 	scanNode := &plan.Node{Op: plan.OpTableScan, Engine: plan.AP,
 		Cost: 0.5, // the paper's AP leaves show a nominal scan-start cost
 		Rows: full, Relation: t.meta.Name}
 
-	preds := a.tablePreds[t.binding]
+	preds := t.preds
 	// compile against the pruned-column schema the scan reads
 	subset := make(exec.Schema, len(cols))
 	fullSchema := exec.TableSchema(t.meta, t.binding)
@@ -113,9 +101,9 @@ func (p *Planner) apAccess(a *analysis, t boundTable) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	pruner, prunerSlots, prunerConj := zonePruner(a, t, cols)
+	pruner, prunerSlots, prunerKernels := zonePruner(t)
 	op := exec.NewColTableScan(ct, t.binding, cols, filter, pruner)
-	op.Emit, op.PrunerSlots, op.PrunerKernel = emit, prunerSlots, prunerConj
+	op.Emit, op.PrunerSlots, op.PrunerKernels = emit, prunerSlots, prunerKernels
 	chunks := ct.NumChunks()
 
 	if len(preds) == 0 {
@@ -149,7 +137,7 @@ func (p *Planner) apJoinTree(a *analysis) (built, error) {
 	var probe boundTable
 	probeRows := -1.0
 	for _, t := range a.tables {
-		if r := estRows(a, t); r > probeRows {
+		if r := estRows(t); r > probeRows {
 			probe, probeRows = t, r
 		}
 	}

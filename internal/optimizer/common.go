@@ -444,6 +444,27 @@ func projectPlain(a *analysis, child built) (built, error) {
 	return built{op: op, node: child.node, rows: child.rows, parChunks: child.parChunks}, nil
 }
 
+// filterOthers puts a Filter of the multi-table non-equi conjuncts, which
+// keeps half its input, over the join tree b on engine eng, whose filter
+// costs perRow a row; b stands when there are none. A filter keeps a
+// per-morsel chain forkable.
+func filterOthers(a *analysis, b built, eng plan.Engine, perRow float64) (built, error) {
+	if len(a.otherPreds) == 0 {
+		return b, nil
+	}
+	pred, err := exec.Compile(sqlparser.AndAll(a.otherPreds), b.op.Schema())
+	if err != nil {
+		return built{}, err
+	}
+	rows := math.Max(1, b.rows*0.5)
+	return built{
+		op: &exec.FilterOp{Child: b.op, Pred: pred},
+		node: &plan.Node{Op: plan.OpFilter, Engine: eng, Cost: b.node.Cost + b.rows*perRow, Rows: rows,
+			Condition: condString(a.otherPreds), Children: []*plan.Node{b.node}},
+		rows: rows, parChunks: b.parChunks, parRoot: b.parRoot,
+	}, nil
+}
+
 // condString renders a conjunction for EXPLAIN display.
 func condString(preds []sqlparser.Expr) string {
 	parts := make([]string, len(preds))
@@ -497,7 +518,7 @@ func neededColumns(a *analysis, t boundTable) (cols []int, emit int) {
 	for _, e := range a.otherPreds {
 		addRefs(readAbove, e)
 	}
-	for _, e := range a.tablePreds[t.binding] {
+	for _, e := range t.preds {
 		addRefs(readByPred, e)
 	}
 	cols = make([]int, 0, len(use))
@@ -522,46 +543,32 @@ func neededColumns(a *analysis, t boundTable) (cols []int, emit int) {
 	return cols, emit
 }
 
-// zonePruner derives a zone-map pruner from the binding's sargable
-// predicate when its column is among the scanned columns, with the slots
-// its bounds are read from under a bound literal vector. Works without any
-// index — zone maps are a column-store feature — but a range has one pair
-// of bounds, so an IN list of several keys is not accepted; a one-key list
-// slot bounds both ends, and a bound vector that lists several keys there
-// runs the scan unpruned (ColTableScan.bind). conj is the position of the
-// conjunct the pruner stands for among the binding's predicates.
-func zonePruner(a *analysis, t boundTable, cols []int) (pr *colstore.RangePruner, slots [2]int, conj int) {
-	s, _ := pickSargable(t.meta, a.tablePreds[t.binding], func(s sargable) bool { return len(s.keys.Values) <= 1 })
-	if s.pred == nil {
-		return nil, [2]int{}, -1
+// zonePruner derives a zone-map pruner from the binding's most selective
+// folded column, with the slots its bounds are read from under a bound
+// literal vector. Works without any index — zone maps are a column-store
+// feature — but a range has one pair of bounds, so a key set of several
+// keys is not taken: the column's interval stands in, if it has one. A
+// one-key IN list's slot bounds both ends, and a bound vector that lists
+// several keys there runs the scan unpruned (ColTableScan.bind). kernels
+// marks the conjuncts the pruner's range stands for, bit for bit.
+func zonePruner(t boundTable) (pr *colstore.RangePruner, slots [2]int, kernels uint64) {
+	s, _, ok := pickSargable(t.meta, &t.fold, false)
+	if !ok {
+		return nil, [2]int{}, 0
 	}
-	colPos := t.meta.ColumnIndex(s.column)
-	if colPos < 0 {
-		return nil, [2]int{}, -1
-	}
-	lo, hi := s.lo, s.hi
-	if len(s.keys.Values) == 1 {
+	pr = &colstore.RangePruner{Col: s.pos, Lo: s.lo.val(), Hi: s.hi.val(), LoStrict: s.lo.strict, HiStrict: s.hi.strict}
+	slots = [2]int{s.lo.Slot, s.hi.Slot}
+	if s.useKeys {
 		key := s.keys.At(0)
-		lo, hi = &key, &key
+		slot := max(key.Slot, s.keys.List)
+		*pr, slots = colstore.RangePruner{Col: s.pos, Lo: &key.V, Hi: &key.V}, [2]int{slot, slot}
 	}
-	if lo == nil && hi == nil {
-		return nil, [2]int{}, -1
-	}
-	pr = &colstore.RangePruner{Col: colPos, LoStrict: s.loStrict, HiStrict: s.hiStrict}
-	if lo != nil {
-		pr.Lo, slots[0] = &lo.V, lo.Slot
-	}
-	if hi != nil {
-		pr.Hi, slots[1] = &hi.V, hi.Slot
-	}
-	if s.keys.List > 0 {
-		slots = [2]int{s.keys.List, s.keys.List}
-	}
-	// the pruner is an exact predicate stand-in when the sargable conjunct
-	// is the table's whole predicate: chunk-level RangeSel then decides
-	// row membership and the compiled predicate never runs on base chunks
-	pr.Exact = len(a.tablePreds[t.binding]) == 1
-	return pr, slots, s.conj
+	// the pruner is an exact predicate stand-in when it stands for the
+	// table's whole predicate: chunk-level RangeSel then decides row
+	// membership and the compiled predicate never runs on base chunks
+	kernels = s.conjs(true, true)
+	pr.Exact = len(t.preds) < 64 && kernels == 1<<len(t.preds)-1
+	return pr, slots, kernels
 }
 
 // countSlots names the slots of sel's LIMIT and OFFSET for a limit or

@@ -15,6 +15,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -80,8 +81,9 @@ func (d *DistDecision) AllPinned() bool {
 }
 
 // AnalyzeDist classifies a SELECT against the partition layout. It binds
-// (and thereby qualifies) the statement in place, so callers should pass
-// a dedicated parse, not one shared with concurrent planning.
+// the statement, qualifying its unqualified column references in place,
+// so a parse must not be shared with concurrent planning until it has
+// been bound once; a bound statement is read-only to every later bind.
 func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) (*DistDecision, error) {
 	a, err := bind(cat, sel)
 	if err != nil {
@@ -96,28 +98,13 @@ func AnalyzeDist(cat *catalog.Catalog, sel *sqlparser.Select, pv PartitionView) 
 		}
 		parted = append(parted, t)
 		pt := PinnedTable{Binding: t.binding, Table: t.meta.Name, Column: pcol}
-		if key, ok := PinnedEq(a.tablePreds[t.binding], pcol); ok {
+		if key, ok := t.fold.col(pcol).pin(); ok {
 			pt.Key, pt.Slot, pt.Pinned = key.V, key.Slot, true
 		}
 		d.Partitioned = append(d.Partitioned, pt)
 	}
 	d.Moves = resolveMoves(a, parted, pv)
 	return d, nil
-}
-
-// PinnedEq finds a `col = literal` conjunct (or `literal = col`) among the
-// predicates and returns the literal, with its slot — the pin the shard
-// router hashes to a shard. The shard coordinator also uses it on DML
-// WHERE clauses.
-func PinnedEq(preds []sqlparser.Expr, pcol string) (exec.Lit, bool) {
-	for _, p := range preds {
-		s, ok := exec.SargOf(p)
-		ref, isCol := s.Operand.(*sqlparser.ColumnRef)
-		if ok && isCol && s.Shape == exec.ShapeCmp && s.Op == sqlparser.OpEq && strings.EqualFold(ref.Column, pcol) {
-			return s.Lits.At(0), true
-		}
-	}
-	return exec.Lit{}, false
 }
 
 // resolveMoves decides, greedily and largest-first, which partitioned
@@ -171,10 +158,10 @@ func resolveMoves(a *analysis, parted []boundTable, pv PartitionView) []TableMov
 			anchored[bind] = tp
 		case shuffleCol != "":
 			moves = append(moves, TableMove{Binding: t.binding, Table: t.meta.Name,
-				ShuffleCol: shuffleCol, Preds: a.tablePreds[t.binding]})
+				ShuffleCol: shuffleCol, Preds: t.preds})
 		default:
 			moves = append(moves, TableMove{Binding: t.binding, Table: t.meta.Name,
-				Broadcast: true, Preds: a.tablePreds[t.binding]})
+				Broadcast: true, Preds: t.preds})
 		}
 	}
 	return moves
@@ -196,8 +183,8 @@ func joinSides(jp joinPred, binding string) (tCol, oCol, oBind string, ok bool) 
 // SELECT * FROM table AS binding WHERE <the table's own conjuncts>. Each
 // shard plans it against local storage; the union of all shards' outputs
 // is the full filtered row set. The Select shares Preds AST nodes with
-// the routed statement, so per-shard planning of moves must be sequential
-// (bind qualifies expressions in place).
+// the routed statement, which are bound already, so planning it writes
+// none of them.
 func MoveScanSelect(m TableMove) *sqlparser.Select {
 	return &sqlparser.Select{
 		Items: []sqlparser.SelectItem{{Star: true}},
@@ -215,8 +202,8 @@ func MoveScanSelect(m TableMove) *sqlparser.Select {
 // also returns the coordinator's half over g (merge aggregate / ordering /
 // limit / projection), which is the same whichever shard's plan builds it,
 // as the scatter's plan, short of its EXPLAIN tree and DOP; for the others
-// final is nil. Like every planner entry point it binds the statement in
-// place, so each shard plans from its own parse.
+// final is nil. Like every planner entry point it binds the statement,
+// so every shard can plan one parse in turn.
 func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *exec.Gather) (explain *plan.Node, final *PhysPlan, err error) {
 	a, err := bind(p.Cat, sel)
 	if err != nil {
@@ -228,20 +215,8 @@ func (p *Planner) PlanFragment(sel *sqlparser.Select, moved map[string]bool, g *
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(a.otherPreds) > 0 {
-		pred, err := exec.Compile(sqlparser.AndAll(a.otherPreds), b.op.Schema())
-		if err != nil {
-			return nil, nil, err
-		}
-		b = built{
-			op: &exec.FilterOp{Child: b.op, Pred: pred},
-			node: &plan.Node{Op: plan.OpFilter, Engine: plan.AP,
-				Cost: b.node.Cost + b.rows*apFilterPerRow, Rows: mathMax1(b.rows * 0.5),
-				Condition: condString(a.otherPreds), Children: []*plan.Node{b.node}},
-			rows:      mathMax1(b.rows * 0.5),
-			parChunks: b.parChunks,
-			parRoot:   b.parRoot,
-		}
+	if b, err = filterOthers(a, b, plan.AP, apFilterPerRow); err != nil {
+		return nil, nil, err
 	}
 	var root exec.Operator
 	if sel.HasAggregate() || len(sel.GroupBy) > 0 {
@@ -332,16 +307,16 @@ func fragmentPlain(a *analysis, shape engineShape, b built, g *exec.Gather) (*pl
 				op: &exec.TopNOp{Child: b.op, Keys: keys, N: n, Slots: slots},
 				node: &plan.Node{Op: plan.OpTopN, Engine: plan.AP,
 					Cost: b.node.Cost + shape.costTopN(b.rows, n),
-					Rows: mathMax1(float64(n)), Children: []*plan.Node{b.node}},
-				rows: mathMax1(float64(n)), parChunks: b.parChunks,
+					Rows: math.Max(1, float64(n)), Children: []*plan.Node{b.node}},
+				rows: math.Max(1, float64(n)), parChunks: b.parChunks,
 			}
 		} else {
 			fb = built{
 				op: &exec.LimitOp{Child: b.op, N: n, Slots: slots},
 				node: &plan.Node{Op: plan.OpLimit, Engine: plan.AP,
-					Cost: b.node.Cost, Rows: mathMax1(float64(n)),
+					Cost: b.node.Cost, Rows: math.Max(1, float64(n)),
 					Children: []*plan.Node{b.node}},
-				rows: mathMax1(float64(n)), parChunks: b.parChunks,
+				rows: math.Max(1, float64(n)), parChunks: b.parChunks,
 			}
 		}
 	}
@@ -376,11 +351,4 @@ func finalTail(a *analysis, shape engineShape, fb built, agged bool) (exec.Batch
 		return nil, err
 	}
 	return fb.op, nil
-}
-
-func mathMax1(v float64) float64 {
-	if v < 1 {
-		return 1
-	}
-	return v
 }

@@ -23,8 +23,6 @@ type TableFacts struct {
 	// inside a function call in predicates — the index exists but cannot
 	// be used (the paper's SUBSTRING(c_phone,...) case). "" when absent.
 	FuncWrappedIndexedColumn string
-	// Predicates are the display strings of the table's predicates.
-	Predicates []string
 }
 
 // QueryFacts is the bound, optimizer-visible description of a query.
@@ -64,22 +62,17 @@ func Facts(cat *catalog.Catalog, sql string) (*QueryFacts, error) {
 	}
 	for _, t := range a.tables {
 		tf := TableFacts{
-			Binding:      t.binding,
-			Table:        t.meta.Name,
-			Rows:         t.meta.Rows,
-			FilterSel:    tableSelectivity(a, t),
-			HasPredicate: len(a.tablePreds[t.binding]) > 0,
+			Binding:                  t.binding,
+			Table:                    t.meta.Name,
+			Rows:                     t.meta.Rows,
+			FilterSel:                tableSelectivity(t),
+			HasPredicate:             len(t.preds) > 0,
+			FuncWrappedIndexedColumn: t.fold.funcIndexed,
 		}
-		for _, p := range a.tablePreds[t.binding] {
-			tf.Predicates = append(tf.Predicates, p.String())
-		}
-		if s, _ := indexSargable(t.meta, a.tablePreds[t.binding]); s.pred != nil {
+		if s, _, ok := pickSargable(t.meta, &t.fold, true); ok {
 			tf.SargableIndexColumn = s.column
 		}
-		if col, ok := hasFunctionWrappedIndexedColumn(a, t); ok {
-			tf.FuncWrappedIndexedColumn = col
-		}
-		f.EstScannedRows += estRows(a, t)
+		f.EstScannedRows += estRows(t)
 		f.Tables = append(f.Tables, tf)
 	}
 	if len(a.tables) == 1 && len(sel.OrderBy) == 1 && sel.Limit >= 0 {

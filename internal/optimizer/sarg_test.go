@@ -86,13 +86,13 @@ func observeConjuncts(t *testing.T, p *Planner, where string) conjunctObservatio
 }
 
 // TestMirroredAndReorderedConjunctsAlike: a comparison written lit op' col
-// is the Sarg col op lit, and the order of conjuncts on different columns
-// does not matter (two bounds on one column are not merged into one range:
-// the planner keeps the first, so their order is held fixed here).
-// Each pair of spellings gets the same route, the same TP and AP plans up
-// to their condition text (so the same index path and estimates), an AP
-// scan of column kernels only (one per conjunct: no row-evaluator
-// fallback), the same zone pruner and the same rows.
+// is the Sarg col op lit, NOT (col op lit) is col op” lit, a repeated IN
+// key is one key, and the order of conjuncts does not matter, two bounds on
+// one column included: the binder folds them into one range whichever
+// comes first. Each pair of spellings gets the same route, the same TP and
+// AP plans up to their condition text (so the same index path and
+// estimates), an AP scan of column kernels only (one per conjunct: no
+// row-evaluator fallback), the same zone pruner and the same rows.
 func TestMirroredAndReorderedConjunctsAlike(t *testing.T) {
 	p := testPlanner(t)
 	const other = " AND c_mktsegment <> 'x'"
@@ -106,6 +106,13 @@ func TestMirroredAndReorderedConjunctsAlike(t *testing.T) {
 		{"c_nationkey = 3 AND c_custkey IN (3, 9, 27, 81)", "c_custkey IN (3, 9, 27, 81) AND 3 = c_nationkey"},
 		{"c_nationkey = 3 AND c_custkey BETWEEN 5 AND 60", "c_custkey BETWEEN 5 AND 60 AND 3 = c_nationkey"},
 		{"c_custkey > 5 AND c_custkey < 60", "5 < c_custkey AND 60 > c_custkey"},
+		{"c_custkey > 5 AND c_custkey < 60", "c_custkey < 60 AND c_custkey > 5"},
+		{"c_custkey >= 5 AND c_custkey <= 60" + other, "c_custkey <= 60 AND c_custkey >= 5" + other},
+		{"c_custkey > 5 AND c_custkey >= 5 AND c_custkey < 60", "c_custkey < 60 AND c_custkey >= 5 AND c_custkey > 5"},
+		{"c_custkey > 5 AND c_custkey < 60 AND c_custkey < 90", "c_custkey < 90 AND 60 > c_custkey AND c_custkey > 5"},
+		{"NOT (c_custkey >= 60)" + other, "c_custkey < 60" + other},
+		{"NOT (c_custkey IN (3, 9))" + other, "c_custkey NOT IN (3, 9)" + other},
+		{"c_custkey IN (3, 9, 3)" + other, "c_custkey IN (9, 3)" + other},
 	} {
 		a, b := observeConjuncts(t, p, tc.a), observeConjuncts(t, p, tc.b)
 		if a != b {
@@ -117,11 +124,11 @@ func TestMirroredAndReorderedConjunctsAlike(t *testing.T) {
 	}
 }
 
-// TestIndexKeysPicksThePlannersConjunct: DML reads through the conjunct
-// the TP planner would — the most selective on an indexed column, whether
-// a comparison is mirrored or conjuncts on different columns are
-// reordered — as keys or as a range, and only
-// when every conjunct tests a bare column against literals.
+// TestIndexKeysPicksThePlannersConjunct: DML reads through the folded
+// column the TP planner would — the most selective indexed one, whether a
+// comparison is mirrored or negated or conjuncts are reordered — as keys
+// or as a range, and only when every conjunct tests a bare column against
+// literals.
 func TestIndexKeysPicksThePlannersConjunct(t *testing.T) {
 	p := testPlanner(t)
 	customer, _ := p.Cat.Table("customer")
@@ -140,6 +147,14 @@ func TestIndexKeysPicksThePlannersConjunct(t *testing.T) {
 		{where: "c_custkey BETWEEN 5 AND 9", ok: true, col: "c_custkey", lo: &five, hi: &nine},
 		{where: "9 > c_custkey AND c_name LIKE 'c%'", ok: true, col: "c_custkey", hi: &nine},
 		{where: "c_nationkey = 3", ok: true, col: "c_nationkey", keys: []value.Value{value.NewInt(3)}},
+		// two bounds on one column are one range, in either order; a
+		// strict bound is read inclusively, the WHERE being evaluated on
+		// every candidate
+		{where: "c_custkey > 5 AND c_custkey <= 9", ok: true, col: "c_custkey", lo: &five, hi: &nine},
+		{where: "c_custkey <= 9 AND c_custkey > 5", ok: true, col: "c_custkey", lo: &five, hi: &nine},
+		{where: "c_custkey < 20 AND c_custkey BETWEEN 5 AND 9", ok: true, col: "c_custkey", lo: &five, hi: &nine},
+		{where: "NOT (c_custkey >= 9)", ok: true, col: "c_custkey", hi: &nine},
+		{where: "c_custkey IN (5, 9, 5)", ok: true, col: "c_custkey", keys: []value.Value{five, nine}},
 		{where: "c_custkey <> 5"},
 		{where: "c_custkey NOT IN (5, 9)"},
 		{where: "c_mktsegment = 'machinery'"},
@@ -197,6 +212,39 @@ func TestSelectivityPerShape(t *testing.T) {
 	} {
 		if got := selectivity(customer, parse(t, "SELECT 1 FROM customer WHERE "+tc.where).Where); got != tc.want {
 			t.Errorf("selectivity(%s) = %v, want %v", tc.where, got, tc.want)
+		}
+	}
+}
+
+// TestOneEstimatePerColumn: the estimate of a binding's predicates is one
+// per folded column, so every spelling of a range, a key set or a negated
+// comparison on one column gets the estimate of its plainest spelling — a
+// two-sided range BETWEEN's, a one-sided one a comparison's, k keys k/ndv
+// however often a key repeats — and conjuncts the fold does not hold keep
+// their own estimate.
+func TestOneEstimatePerColumn(t *testing.T) {
+	p := testPlanner(t)
+	for _, class := range [][]string{
+		{"c_custkey BETWEEN 6 AND 59", "c_custkey > 5 AND c_custkey < 60", "c_custkey < 60 AND c_custkey > 5",
+			"c_custkey >= 6 AND c_custkey <= 59", "c_custkey <= 59 AND c_custkey >= 6 AND c_custkey < 90"},
+		{"c_custkey < 60", "NOT (c_custkey >= 60)", "60 > c_custkey", "c_custkey < 60 AND c_custkey <= 90"},
+		{"c_custkey IN (7, 9)", "c_custkey IN (7, 9, 7)", "c_custkey IN (9, 7, 9, 7)"},
+		{"c_custkey = 7", "7 = c_custkey", "c_custkey IN (7)", "NOT (c_custkey <> 7)", "c_custkey = 7 AND c_custkey IN (7, 9)"},
+		{"c_custkey NOT IN (7, 9)", "NOT (c_custkey IN (7, 9))"},
+		{"c_custkey <> 7 AND c_custkey > 5", "c_custkey > 5 AND NOT (c_custkey = 7)"},
+	} {
+		var want float64
+		for i, where := range class {
+			a, err := bind(p.Cat, parse(t, "SELECT 1 FROM customer WHERE "+where))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tableSelectivity(a.tables[0])
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: estimate %v, but %s: %v", where, got, class[0], want)
+			}
 		}
 	}
 }

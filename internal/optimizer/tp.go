@@ -63,19 +63,8 @@ func (p *Planner) PlanTP(sel *sqlparser.Select) (*PhysPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(a.otherPreds) > 0 {
-		pred, err := exec.Compile(sqlparser.AndAll(a.otherPreds), b.op.Schema())
-		if err != nil {
-			return nil, err
-		}
-		sel := 0.5
-		b = built{
-			op: &exec.FilterOp{Child: b.op, Pred: pred},
-			node: &plan.Node{Op: plan.OpFilter, Engine: plan.TP,
-				Cost: b.node.Cost + b.rows*tpFilterPerRow, Rows: math.Max(1, b.rows*sel),
-				Condition: condString(a.otherPreds), Children: []*plan.Node{b.node}},
-			rows: math.Max(1, b.rows*sel),
-		}
+	if b, err = filterOthers(a, b, plan.TP, tpFilterPerRow); err != nil {
+		return nil, err
 	}
 	return finish(a, shape, b)
 }
@@ -88,38 +77,31 @@ func (p *Planner) tpAccess(a *analysis, t boundTable) (built, error) {
 	if !ok {
 		return built{}, fmt.Errorf("optimizer: row store missing table %q", t.meta.Name)
 	}
-	preds := a.tablePreds[t.binding]
+	preds := t.preds
 	fullRows := float64(t.meta.Rows)
-	filtered := estRows(a, t)
+	filtered := estRows(t)
 
-	sarg, _ := indexSargable(t.meta, preds)
 	var scan built
-	if sarg.pred != nil {
+	if sarg, sel, ok := pickSargable(t.meta, &t.fold, true); ok {
 		ix, _ := rt.IndexOn(sarg.column)
 		ixMeta, _ := t.meta.IndexOn(sarg.column)
 		var keys *exec.Lits
-		if len(sarg.keys.Values) > 0 {
+		if sarg.useKeys {
 			keys = &sarg.keys
 		}
-		op := exec.NewRowIndexScan(rt, ix, t.binding, keys, sarg.lo, sarg.hi)
-		matched := math.Max(1, fullRows*sarg.sel)
+		op := exec.NewRowIndexScan(rt, ix, t.binding, keys, sarg.lo.lit(), sarg.hi.lit())
+		matched := math.Max(1, fullRows*sel)
 		cost := tpProbeCost*math.Max(1, float64(len(sarg.keys.Values))) + matched*tpFetchPerRow
 		scan = built{
 			op: op,
 			node: &plan.Node{Op: plan.OpIndexScan, Engine: plan.TP, Cost: cost,
 				Rows: matched, Relation: t.meta.Name, Index: ixMeta.Name,
-				Condition: sarg.pred.String(), UsesIndex: true},
+				Condition: condString(masked(preds, sarg.conjs(false, false), true)), UsesIndex: true},
 			rows: matched,
 		}
-		// residual = all table preds except the sargable one, which stays
-		// when a bound is exclusive: the index range is inclusive
-		var residual []sqlparser.Expr
-		for _, pr := range preds {
-			if pr != sarg.pred || sarg.loStrict || sarg.hiStrict {
-				residual = append(residual, pr)
-			}
-		}
-		preds = residual
+		// residual = all table preds but those the index read stands for:
+		// a strict bound stays, since the index range is inclusive
+		preds = masked(preds, sarg.conjs(true, false), false)
 	} else {
 		op := exec.NewRowTableScan(rt, t.binding)
 		scan = built{
@@ -159,7 +141,7 @@ func (p *Planner) tpJoinTree(a *analysis) (built, error) {
 	first := true
 	for _, t := range a.tables {
 		remaining[t.binding] = t
-		r := estRows(a, t)
+		r := estRows(t)
 		if first || r < start.rows {
 			start = cand{t: t, rows: r}
 			first = false
@@ -236,7 +218,7 @@ func (p *Planner) tpJoinStep(a *analysis, cur built, inner boundTable, jps []joi
 	if !ok {
 		return built{}, fmt.Errorf("optimizer: row store missing table %q", inner.meta.Name)
 	}
-	innerFiltered := estRows(a, inner)
+	innerFiltered := estRows(inner)
 	joinSel := 1.0
 	for _, jp := range jps {
 		joinSel *= joinSelectivity(a, jp)
@@ -244,12 +226,13 @@ func (p *Planner) tpJoinStep(a *analysis, cur built, inner boundTable, jps []joi
 	outRows := math.Max(1, cur.rows*innerFiltered*joinSel)
 
 	// Option 1: index nested-loop join
-	var bestIdx *struct {
+	type idxJoin struct {
 		jp      joinPred
 		ix      *rowstore.Index
 		ixName  string
 		perCost float64
 	}
+	var bestIdx *idxJoin
 	for _, jp := range jps {
 		innerCol := jp.bCol
 		if jp.bBind != inner.binding {
@@ -263,12 +246,7 @@ func (p *Planner) tpJoinStep(a *analysis, cur built, inner boundTable, jps []joi
 		matchPerProbe := float64(inner.meta.Rows) / ndvOf(inner.meta, innerCol)
 		per := tpProbeCost + matchPerProbe*tpFetchPerRow
 		if bestIdx == nil || per < bestIdx.perCost {
-			bestIdx = &struct {
-				jp      joinPred
-				ix      *rowstore.Index
-				ixName  string
-				perCost float64
-			}{jp: jp, ix: ix, ixName: ixMeta.Name, perCost: per}
+			bestIdx = &idxJoin{jp: jp, ix: ix, ixName: ixMeta.Name, perCost: per}
 		}
 	}
 
@@ -289,7 +267,7 @@ func (p *Planner) tpJoinStep(a *analysis, cur built, inner boundTable, jps []joi
 				return built{}, err
 			}
 			var residualPreds []sqlparser.Expr
-			residualPreds = append(residualPreds, a.tablePreds[inner.binding]...)
+			residualPreds = append(residualPreds, inner.preds...)
 			for _, jp := range jps {
 				if jp != bestIdx.jp {
 					residualPreds = append(residualPreds, jp.expr)
@@ -379,7 +357,7 @@ func (p *Planner) tryIndexOrderTopN(a *analysis, shape engineShape) (built, bool
 		return built{}, false, nil
 	}
 	var pred exec.Evaluator
-	preds := a.tablePreds[t.binding]
+	preds := t.preds
 	schema := exec.TableSchema(t.meta, t.binding)
 	if len(preds) > 0 {
 		ev, err := exec.Compile(sqlparser.AndAll(preds), schema)
@@ -392,7 +370,7 @@ func (p *Planner) tryIndexOrderTopN(a *analysis, shape engineShape) (built, bool
 	op := exec.NewRowIndexOrderScan(rt, ix, t.binding, sel.OrderBy[0].Desc, limitHint, pred)
 	op.Slots = exec.CountSlots{N: [2]int{sel.LimitSlot, sel.OffsetSlot}}
 	// expected rows visited before the limit fills: k / selectivity
-	tsel := tableSelectivity(a, t)
+	tsel := tableSelectivity(t)
 	visited := math.Min(float64(t.meta.Rows), float64(limitHint)/tsel)
 	cost := tpProbeCost + visited*(tpFetchPerRow+tpFilterPerRow)
 	scanNode := &plan.Node{Op: plan.OpIndexScan, Engine: plan.TP, Cost: cost,

@@ -30,6 +30,10 @@ func FuzzDMLAccessPath(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 7, 3, 1, 7, 2, 6, 0, 7, 9, 4, 2, 0, 0, 7, 6})
 	// UPDATEs that keep k (and, for args 0 and 12, n too), read between
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 7, 0, 3, 12, 3, 0, 7, 1, 3, 3, 7, 4, 3, 12, 7, 3})
+	// two-bound ranges — the one-point range p..p and p..p+2, as a WHERE
+	// with a lower and an upper bound on one column folds to — on k, n and
+	// s, between inserts, an update and a delete
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 5, 0, 7, 6, 7, 7, 7, 8, 3, 5, 7, 24, 7, 10, 4, 1, 7, 9, 7, 42, 7, 26})
 	for _, seed := range []int64{1, 2, 3, 4} {
 		// a random history, then a tail of inserts and reads only, so
 		// the index answers reads at snapshots older than the last commit
@@ -241,7 +245,8 @@ func (r accessRead) String() string {
 // reads lists the reads of col a check tries. For each probe key p_i (of
 // n): p_i alone; the set {p_i, p_i+1, p_i}, a duplicate among its keys;
 // the closed range p_i..p_i+2, empty when the probes run backwards there;
-// and the ranges open below p_i and above it.
+// the one-point range p_i..p_i; and the ranges open below p_i and above
+// it.
 func (h *accessHistory) reads(col string) []accessRead {
 	probes := h.probes(col)
 	n := len(probes)
@@ -252,6 +257,7 @@ func (h *accessHistory) reads(col string) []accessRead {
 			accessRead{keys: []value.Value{*p}},
 			accessRead{keys: []value.Value{*p, next, *p}},
 			accessRead{lo: p, hi: &probes[(i+2)%n]},
+			accessRead{lo: p, hi: p},
 			accessRead{hi: p},
 			accessRead{lo: p})
 	}

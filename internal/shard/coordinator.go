@@ -326,13 +326,12 @@ func (c *Coordinator) NoteScatter(st *exec.Stats) {
 // The plan's DOP is the fragments' total worker demand; executed with
 // less, the fragments share what the context grants.
 func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*optimizer.PhysPlan, error) {
+	sel, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
 	if dec == nil {
-		sel, err := sqlparser.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		dec, err = optimizer.AnalyzeDist(c.cat, sel, c.scheme)
-		if err != nil {
+		if dec, err = optimizer.AnalyzeDist(c.cat, sel, c.scheme); err != nil {
 			return nil, err
 		}
 	}
@@ -341,9 +340,7 @@ func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*opt
 	moved := make(map[string]bool, len(dec.Moves))
 
 	// Each move is a scan of the table on every shard, with its filter
-	// conjuncts pushed into the scan. Move scans across shards share
-	// predicate AST nodes (binding mutates them), so they are planned
-	// sequentially.
+	// conjuncts pushed into the scan.
 	for _, m := range dec.Moves {
 		meta, ok := c.cat.Table(m.Table)
 		if !ok {
@@ -371,10 +368,6 @@ func (c *Coordinator) PlanScatter(sql string, dec *optimizer.DistDecision) (*opt
 	var phys *optimizer.PhysPlan
 	dop := 0
 	for s := 0; s < n; s++ {
-		sel, err := sqlparser.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
 		frag, final, err := c.shards[s].Planner.PlanFragment(sel, moved, g)
 		if err != nil {
 			return nil, fmt.Errorf("shard: planning fragment on shard %d: %w", s, err)

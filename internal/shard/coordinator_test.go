@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -545,5 +546,52 @@ func TestScatterPlanIsShared(t *testing.T) {
 	wg.Wait()
 	if phys.DOP != planned {
 		t.Fatalf("executing the plan changed its DOP from %d to %d", planned, phys.DOP)
+	}
+}
+
+// TestKeySetDMLStaysOnItsShards: an UPDATE or DELETE runs on the shards its
+// WHERE clause's key set on the partition key hashes to. Keys that all
+// hash to one shard — an IN list with a repeat, or an IN beside an = —
+// commit there alone, not through the two-phase path; keys on two shards
+// commit on those two.
+func TestKeySetDMLStaysOnItsShards(t *testing.T) {
+	const n = 4
+	c := newCoordinator(t, n, Options{})
+	ref := newReference(t)
+	byShard := map[int][]int64{}
+	for k := int64(1); len(byShard[0]) < 3 || len(byShard[1]) < 1; k++ {
+		s := ShardOf(value.NewInt(k), n)
+		byShard[s] = append(byShard[s], k)
+	}
+	a, b, d := byShard[0][0], byShard[0][1], byShard[0][2]
+	other := byShard[1][0]
+	for _, tc := range []struct {
+		sql    string
+		shards []int
+	}{
+		{fmt.Sprintf("UPDATE customer SET c_acctbal = 1.5 WHERE c_custkey IN (%d, %d, %d)", a, b, a), []int{0}},
+		{fmt.Sprintf("UPDATE customer SET c_acctbal = 2.5 WHERE c_custkey IN (%d, %d) AND c_custkey = %d", a, other, a), []int{0}},
+		{fmt.Sprintf("UPDATE customer SET c_acctbal = 3.5 WHERE c_nationkey >= 0 AND c_custkey IN (%d, %d)", d, other), []int{0, 1}},
+		{fmt.Sprintf("DELETE FROM customer WHERE c_custkey IN (%d, %d)", b, d), []int{0}},
+	} {
+		tx := c.Begin()
+		got, err := tx.Exec(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		res, err := tx.Commit()
+		if err != nil {
+			t.Fatalf("%s: commit: %v", tc.sql, err)
+		}
+		if !slices.Equal(res.Shards, tc.shards) || res.CrossShard != (len(tc.shards) > 1) {
+			t.Errorf("%s: committed on shards %v (cross-shard %v), want %v", tc.sql, res.Shards, res.CrossShard, tc.shards)
+		}
+		want, err := ref.Exec(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.RowsAffected != want.RowsAffected || want.RowsAffected == 0 {
+			t.Errorf("%s: affected %d rows, the unsharded system %d", tc.sql, got.RowsAffected, want.RowsAffected)
+		}
 	}
 }

@@ -3,9 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"htapxplain/internal/catalog"
 	"htapxplain/internal/exec"
 	"htapxplain/internal/htap"
 	"htapxplain/internal/obs"
@@ -54,8 +56,8 @@ func (tx *Txn) Exec(sql string) (*htap.DMLResult, error) {
 
 // ExecStmt routes an already-parsed DML statement to the shard(s) that
 // own the touched rows: inserts split their VALUES tuples by hashed
-// partition key, updates and deletes pin to one shard when the WHERE
-// clause fixes the partition key by equality and fan out to all shards
+// partition key, updates and deletes run on the shards their WHERE
+// clause's = or IN keys on the partition key hash to and on all shards
 // otherwise, and statements on replicated tables apply everywhere.
 func (tx *Txn) ExecStmt(stmt sqlparser.Statement) (*htap.DMLResult, error) {
 	if tx.done {
@@ -168,7 +170,7 @@ func (tx *Txn) execUpdate(upd *sqlparser.Update) (*htap.DMLResult, error) {
 		}
 	}
 	out := &htap.DMLResult{Kind: "update", Table: strings.ToLower(upd.Table)}
-	for _, s := range c.targetShards(pcol, parted, upd.Where) {
+	for _, s := range c.targetShards(meta, pcol, parted, upd.Where) {
 		r, err := tx.shardTxn(s).ExecStmt(upd)
 		if err != nil {
 			return nil, err
@@ -186,7 +188,7 @@ func (tx *Txn) execDelete(del *sqlparser.Delete) (*htap.DMLResult, error) {
 	}
 	pcol, parted := c.scheme.PartitionColumn(meta.Name)
 	out := &htap.DMLResult{Kind: "delete", Table: strings.ToLower(del.Table)}
-	for _, s := range c.targetShards(pcol, parted, del.Where) {
+	for _, s := range c.targetShards(meta, pcol, parted, del.Where) {
 		r, err := tx.shardTxn(s).ExecStmt(del)
 		if err != nil {
 			return nil, err
@@ -196,21 +198,19 @@ func (tx *Txn) execDelete(del *sqlparser.Delete) (*htap.DMLResult, error) {
 	return out, nil
 }
 
-// targetShards picks the shards an UPDATE/DELETE runs on: exactly one
-// when the WHERE clause pins the partition key by equality, all shards
-// otherwise (a replicated table always applies everywhere to keep the
-// copies identical).
-func (c *Coordinator) targetShards(pcol string, parted bool, where sqlparser.Expr) []int {
-	if parted {
-		if key, ok := optimizer.PinnedEq(sqlparser.Conjuncts(where), pcol); ok {
-			return []int{ShardOf(key.V, len(c.shards))}
+// targetShards picks the shards an UPDATE/DELETE on table runs on: those
+// its WHERE clause's key set on the partition key hashes to, when it has
+// one, all shards otherwise (a replicated table always applies everywhere
+// to keep the copies identical).
+func (c *Coordinator) targetShards(table *catalog.Table, pcol string, parted bool, where sqlparser.Expr) []int {
+	keys, pinned := optimizer.KeysOn(table, where, pcol)
+	var out []int
+	for i := range c.shards {
+		if !parted || !pinned || slices.ContainsFunc(keys, func(k value.Value) bool { return ShardOf(k, len(c.shards)) == i }) {
+			out = append(out, i)
 		}
 	}
-	all := make([]int, len(c.shards))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return out
 }
 
 // TxnResult is the outcome of a distributed commit.
