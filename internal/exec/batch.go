@@ -105,6 +105,24 @@ type BatchOperator interface {
 // materializing Run contract it once carried survives only as Drain.
 type Operator = BatchOperator
 
+// Every physical operator implements the vectorized BatchOperator
+// interface.
+var (
+	_ BatchOperator = (*RowTableScan)(nil)
+	_ BatchOperator = (*RowIndexScan)(nil)
+	_ BatchOperator = (*RowIndexOrderScan)(nil)
+	_ BatchOperator = (*ColTableScan)(nil)
+	_ BatchOperator = (*FilterOp)(nil)
+	_ BatchOperator = (*ProjectOp)(nil)
+	_ BatchOperator = (*NestedLoopJoin)(nil)
+	_ BatchOperator = (*IndexNLJoin)(nil)
+	_ BatchOperator = (*HashJoin)(nil)
+	_ BatchOperator = (*HashAggregate)(nil)
+	_ BatchOperator = (*SortOp)(nil)
+	_ BatchOperator = (*TopNOp)(nil)
+	_ BatchOperator = (*LimitOp)(nil)
+)
+
 // Drain executes op to completion and materializes its output rows — the
 // legacy Operator.Run contract. The tree is cloned first, so a shared
 // (cached) plan can be drained by many goroutines concurrently.
