@@ -375,12 +375,13 @@ func encodeRLE(ch *EncodedChunk, vals []value.Value, runs int, encB int64) *Enco
 // exactly w words — so a block is unpacked from its own words alone.
 const forBlock = 64
 
-// unpackFoR fills dst with the first len(dst) deltas packed at width bits
-// each in words, low bits first — the row-order kernels' sequential bit
-// cursor: one word load per 64 packed bits, no per-row multiply, and a
-// straddle only where a delta crosses a word. Width 0 yields zeros and
-// reads nothing.
-func unpackFoR(dst []uint64, words []uint64, width uint8) {
+// unpackFoR fills dst with base plus each of the first len(dst) deltas
+// packed at width bits each in words, low bits first — the row-order
+// kernels' sequential bit cursor: one word load per 64 packed bits, no
+// per-row multiply, and a straddle only where a delta crosses a word. The
+// base is added in the same loop: 0 yields the deltas themselves, a FoR
+// chunk's Base its integers. Width 0 yields base and reads nothing.
+func unpackFoR[T int64 | uint64](dst []T, words []uint64, width uint8, base T) {
 	w := uint(width)
 	mask := ^uint64(0) >> (64 - w) // 0 for width 0
 	var cur uint64                 // unread bits of the current word, low-aligned
@@ -388,14 +389,14 @@ func unpackFoR(dst []uint64, words []uint64, width uint8) {
 	next := 0                      // the next word to load
 	for i := range dst {
 		if avail >= w {
-			dst[i] = cur & mask
+			dst[i] = base + T(cur&mask)
 			cur >>= w
 			avail -= w
 			continue
 		}
 		nw := words[next]
 		next++
-		dst[i] = (cur | nw<<avail) & mask
+		dst[i] = base + T((cur|nw<<avail)&mask)
 		cur = nw >> (w - avail)
 		avail = 64 - (w - avail)
 	}
@@ -405,22 +406,12 @@ func unpackFoR(dst []uint64, words []uint64, width uint8) {
 // forBlock) into buf and returns its deltas.
 func (c *EncodedChunk) forBlockAt(buf *[forBlock]uint64, lo int) []uint64 {
 	d := buf[:min(forBlock, c.N-lo)]
-	unpackFoR(d, c.Packed[lo/forBlock*int(c.Width):], c.Width)
+	unpackFoR(d, c.Packed[lo/forBlock*int(c.Width):], c.Width, 0)
 	return d
 }
 
-// setInt stores an integer into a decode target without writing its
-// string header unless it holds one: an int column's pooled buffer then
-// takes no pointer write, and no write barrier while the GC runs.
-func setInt(v *value.Value, i int64) {
-	v.K, v.I = value.KindInt, i
-	if v.S != "" {
-		v.S = ""
-	}
-}
-
-// forAt unpacks the i-th delta of a FoR chunk — the random-access reader
-// behind ValueAt and IntAt; the row-order kernels use unpackFoR.
+// forAt unpacks the i-th integer of a FoR chunk — the random-access reader
+// behind ValueAt; the row-order kernels use unpackFoR.
 func (c *EncodedChunk) forAt(i int) int64 {
 	w := uint(c.Width)
 	if w == 0 {
@@ -437,10 +428,6 @@ func (c *EncodedChunk) forAt(i int) int64 {
 	}
 	return c.Base + int64(x)
 }
-
-// IntAt unpacks the integer at row i of a FoR chunk without building a
-// Value — the accessor integer kernels iterate with.
-func (c *EncodedChunk) IntAt(i int) int64 { return c.forAt(i) }
 
 // rleRunAt returns the index of the run containing row i.
 func (c *EncodedChunk) rleRunAt(i int) int {
@@ -483,7 +470,7 @@ func (c *EncodedChunk) Decode(dst []value.Value) []value.Value {
 		var buf [forBlock]uint64
 		for lo := 0; lo < c.N; lo += forBlock {
 			for j, d := range c.forBlockAt(&buf, lo) {
-				setInt(&dst[lo+j], c.Base+int64(d))
+				dst[lo+j].SetInt(c.Base + int64(d))
 			}
 		}
 	case EncRLE:
@@ -521,7 +508,7 @@ func (c *EncodedChunk) DecodeSel(dst []value.Value, sel []int32) {
 				lo = blk
 				d = c.forBlockAt(&buf, lo)
 			}
-			setInt(&dst[i], c.Base+int64(d[int(i)-lo]))
+			dst[i].SetInt(c.Base + int64(d[int(i)-lo]))
 		}
 	case EncRLE:
 		run := 0
@@ -531,6 +518,35 @@ func (c *EncodedChunk) DecodeSel(dst []value.Value, sel []int32) {
 			}
 			dst[i] = c.RunVals[run]
 		}
+	}
+}
+
+// DecodeInts decodes every row of a FoR chunk into dst (grown as needed)
+// and returns dst[:N] — Decode's int form, one bit-cursor pass with the
+// base added in the same loop, no Value written.
+func (c *EncodedChunk) DecodeInts(dst []int64) []int64 {
+	if cap(dst) < c.N {
+		dst = make([]int64, c.N)
+	}
+	dst = dst[:c.N]
+	unpackFoR(dst, c.Packed, c.Width, c.Base)
+	return dst
+}
+
+// DecodeIntsSel decodes the rows of a FoR chunk listed in sel (ascending
+// chunk-local positions) into their positions of dst, which must be at
+// least N long — DecodeSel's int form; other positions of dst may be
+// written too. Below a third of the rows it reads each selected row at
+// random (forAt), above that it decodes every row (DecodeInts): a 1024-row
+// chunk at width 9 or 12 decodes whole in ~1.3 µs, and a random read costs
+// ~3 ns a row.
+func (c *EncodedChunk) DecodeIntsSel(dst []int64, sel []int32) {
+	if 3*len(sel) >= c.N {
+		c.DecodeInts(dst[:c.N])
+		return
+	}
+	for _, i := range sel {
+		dst[i] = c.forAt(int(i))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"htapxplain/internal/value"
@@ -332,10 +333,11 @@ func forBounds(rng *rand.Rand, vals []value.Value, extra ...int64) []*value.Valu
 }
 
 // FuzzFoRKernels: the row-order FoR kernels — unpackFoR's sequential bit
-// cursor, Decode and DecodeSel into dirty buffers, and RangeSel's
-// delta-domain window — agree with the random-access forAt and matchRange
-// at every width 0…64, from negative and extreme bases, under strict, open
-// and non-integral bounds.
+// cursor, Decode and DecodeSel into dirty buffers, their int forms
+// DecodeInts and DecodeIntsSel likewise, and RangeSel's delta-domain
+// window — agree with the random-access forAt and matchRange at every width
+// 0…64, from negative and extreme bases, under strict, open and
+// non-integral bounds.
 func FuzzFoRKernels(f *testing.F) {
 	f.Add(int64(0), int64(1), uint16(200), int64(5), int64(90))
 	f.Add(int64(-1000), int64(2), uint16(64), int64(-1000), int64(-1))
@@ -348,7 +350,7 @@ func FuzzFoRKernels(f *testing.F) {
 		for width := 0; width <= 64; width++ {
 			ch, vals := forChunk(t, rng, base, uint8(width), n)
 			deltas := make([]uint64, n)
-			unpackFoR(deltas, ch.Packed, ch.Width)
+			unpackFoR(deltas, ch.Packed, ch.Width, 0)
 			for i, d := range deltas {
 				if got := ch.Base + int64(d); got != ch.forAt(i) {
 					t.Fatalf("width %d: unpackFoR[%d] = %d, forAt %d", width, i, got, ch.forAt(i))
@@ -384,6 +386,49 @@ func FuzzFoRKernels(f *testing.F) {
 					next = sel[k+1]
 				} else if i+1 < next && sparse[i+1].S != "stale" {
 					t.Fatalf("width %d: DecodeSel wrote unselected row %d", width, i+1)
+				}
+			}
+			// the int forms: every row, and a sparse, the same and a dense
+			// selection, from dirty targets; DecodeInts grows a target too
+			// short for the chunk
+			const stale = math.MinInt64 + 7
+			dirtyInts := func(n int) []int64 {
+				d := make([]int64, n)
+				for i := range d {
+					d[i] = stale
+				}
+				return d
+			}
+			ints := ch.DecodeInts(dirtyInts(n))
+			if short := ch.DecodeInts(dirtyInts(n / 2)); !slices.Equal(short, ints) {
+				t.Fatalf("width %d: DecodeInts into a short target = %v, want %v", width, short, ints)
+			}
+			for i, v := range vals {
+				if len(ints) != n || ints[i] != v.I {
+					t.Fatalf("width %d: DecodeInts[%d] = %d (of %d), want %v", width, i, ints[i], len(ints), v)
+				}
+			}
+			var sparseSel, denseSel []int32
+			for i := 0; i < n; i++ {
+				if rng.Intn(8) == 0 {
+					sparseSel = append(sparseSel, int32(i))
+				}
+				if rng.Intn(4) != 0 {
+					denseSel = append(denseSel, int32(i))
+				}
+			}
+			for _, sel := range [][]int32{sparseSel, sel, denseSel} {
+				got := dirtyInts(n)
+				ch.DecodeIntsSel(got, sel)
+				picked := make([]bool, n)
+				for _, i := range sel {
+					picked[i] = true
+				}
+				for i, v := range got {
+					if v != vals[i].I && (picked[i] || v != stale) {
+						t.Fatalf("width %d, %d of %d rows selected: DecodeIntsSel[%d] = %d (selected %v), want %v",
+							width, len(sel), n, i, v, picked[i], vals[i])
+					}
 				}
 			}
 			bounds := forBounds(rng, vals, b1, b2)
@@ -487,8 +532,9 @@ func FuzzDictRangeSel(f *testing.F) {
 	})
 }
 
-// TestFoRDecodeAllocs: the FoR kernels allocate nothing — the unpack
-// buffer lives on the stack and the targets are the caller's.
+// TestFoRDecodeAllocs: the FoR kernels, Value and int forms alike,
+// allocate nothing — the unpack buffer lives on the stack and the targets
+// are the caller's.
 func TestFoRDecodeAllocs(t *testing.T) {
 	ch, _ := forChunk(t, rand.New(rand.NewSource(1)), -5000, 17, ChunkSize)
 	dst := make([]value.Value, ChunkSize)
@@ -498,13 +544,17 @@ func TestFoRDecodeAllocs(t *testing.T) {
 	}
 	lo, hi := value.NewInt(0), value.NewInt(40000)
 	res := make([]int32, 0, ChunkSize)
+	ints := make([]int64, ChunkSize)
 	allocs := testing.AllocsPerRun(20, func() {
 		ch.Decode(dst)
 		ch.DecodeSel(dst, sel)
+		ch.DecodeInts(ints)
+		ch.DecodeIntsSel(ints, sel)
+		ch.DecodeIntsSel(ints, sel[:len(sel)/4]) // sparse: read at random
 		res, _ = ch.RangeSel(&lo, &hi, false, true, res[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("Decode + DecodeSel + RangeSel of a FoR chunk: %.0f allocations, want 0", allocs)
+		t.Errorf("Decode + DecodeSel + DecodeInts + DecodeIntsSel + RangeSel of a FoR chunk: %.0f allocations, want 0", allocs)
 	}
 }
 
@@ -516,6 +566,17 @@ func BenchmarkFoRDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Decode(dst)
+	}
+}
+
+func BenchmarkFoRDecodeInts(b *testing.B) {
+	ch, _ := forChunk(b, rand.New(rand.NewSource(1)), -5000, 17, ChunkSize)
+	dst := make([]int64, ChunkSize)
+	b.SetBytes(ChunkSize * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.DecodeInts(dst)
 	}
 }
 

@@ -364,7 +364,7 @@ func (a *HashAggregate) foldColumns(st *aggState, b *Batch) {
 			st.counts[i] += int64(n)
 			continue
 		}
-		col := b.Cols[spec.ArgCol]
+		col := b.Col(spec.ArgCol)
 		if b.Sel != nil {
 			foldSlot(st, i, col, b.Sel)
 			continue

@@ -19,6 +19,14 @@ const BatchSize = colstore.ChunkSize
 // the vectors themselves may alias storage and must never be mutated by
 // consumers.
 //
+// A column may also carry an int form (see intForms): a NULL-free vector
+// of ints, which is what a scan decodes a frame-of-reference chunk into.
+// Until a reader needs the column as values its value vector is nil, so a
+// column is read through the accessors — at for one value, FillRow and
+// AppendRows for rows, Col for the whole column as values — never through
+// Cols directly; a reader that can take ints (a hash join's int keys,
+// Top-N's key screen) asks intCol for them first.
+//
 // A batch may have no columns at all: Len and Sel then stand for that many
 // rows of nothing, which is what a join hands a COUNT(*) that reads none of
 // its columns. Every operator and helper here takes its row count from
@@ -29,13 +37,23 @@ type Batch struct {
 	// Cols holds one value vector per schema column; every vector is Len
 	// values long. Vectors either alias raw column-store chunks directly or
 	// are pooled decode buffers owned by the producing scan — alias or
-	// decode, never mutate.
+	// decode, never mutate. A column in its int form only has a nil vector.
 	Cols [][]value.Value
 	// Sel lists the active row positions in ascending order. A nil Sel
 	// means all Len rows are active.
 	Sel []int32
 	// Len is the physical number of rows in each vector.
 	Len int
+	// ints, when set, are the columns' int forms, kept by the producer.
+	ints *intForms
+}
+
+// intForms are a batch's int columns: per column its int form or nil — Len
+// ints, every one a KindInt value of the column at that position — and the
+// targets Col materializes one into.
+type intForms struct {
+	cols [][]int64
+	vals []decodeTarget
 }
 
 // NumActive returns the number of selected rows.
@@ -54,13 +72,72 @@ func (b *Batch) PosAt(i int) int {
 	return i
 }
 
+// at returns column j's value at physical position p — the one-value
+// accessor, which reads a column in its int form only straight from its
+// ints.
+func (b *Batch) at(j, p int) value.Value {
+	if col := b.Cols[j]; col != nil {
+		return col[p]
+	}
+	return value.NewInt(b.ints.cols[j][p])
+}
+
+// intCol returns column j's int form, nil when it has none.
+func (b *Batch) intCol(j int) []int64 {
+	if b.ints == nil {
+		return nil
+	}
+	return b.ints.cols[j]
+}
+
+// Col returns column j as values — the column accessor. A column in its int
+// form only is materialized once, at the active positions (the other
+// positions hold stale values), into a target its producer owns; the int
+// form stays for the readers that take it.
+func (b *Batch) Col(j int) []value.Value {
+	if b.Cols[j] != nil || b.intCol(j) == nil {
+		return b.Cols[j]
+	}
+	vals, ints := b.ints.vals[j].get(&decodeTargets, b.Len), b.ints.cols[j]
+	if b.Sel == nil {
+		for p, x := range ints[:b.Len] {
+			vals[p].SetInt(x)
+		}
+	} else {
+		for _, p := range b.Sel {
+			vals[p].SetInt(ints[p])
+		}
+	}
+	b.Cols[j] = vals
+	return vals
+}
+
+// gather sets dst[i] to column c's value at position idx[i], for every i.
+func (b *Batch) gather(dst []value.Value, c int, idx []int32) {
+	if src := b.Cols[c]; src != nil {
+		for i, p := range idx {
+			dst[i] = src[p]
+		}
+		return
+	}
+	ints := b.ints.cols[c]
+	for i, p := range idx {
+		dst[i].SetInt(ints[p])
+	}
+}
+
 // FillRow copies the i-th active row into scratch (which must be
 // len(b.Cols) long) and returns it — the bridge that lets row-oriented
 // Evaluators run over a batch without allocating.
 func (b *Batch) FillRow(i int, scratch value.Row) value.Row {
-	p := b.PosAt(i)
-	for j, col := range b.Cols {
-		scratch[j] = col[p]
+	return b.fillAt(b.PosAt(i), scratch)
+}
+
+// fillAt copies the row at physical position p into scratch, which must be
+// at least len(b.Cols) long.
+func (b *Batch) fillAt(p int, scratch value.Row) value.Row {
+	for j := range b.Cols {
+		scratch[j] = b.at(j, p)
 	}
 	return scratch
 }
@@ -77,12 +154,8 @@ func (b *Batch) AppendRows(dst []value.Row) []value.Row {
 	}
 	slab := make([]value.Value, n*w)
 	for i := 0; i < n; i++ {
-		p := b.PosAt(i)
 		r := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, col := range b.Cols {
-			r[j] = col[p]
-		}
-		dst = append(dst, value.Row(r))
+		dst = append(dst, b.FillRow(i, r))
 	}
 	return dst
 }
@@ -302,12 +375,15 @@ func (o *outBuffer) appendCols(b *Batch, cols []int) {
 		o.grow(n + add)
 	}
 	for j, c := range cols {
-		dst, src := o.batch.Cols[j][:n+add], b.Cols[c]
-		if b.Sel == nil {
+		dst := o.batch.Cols[j][:n+add]
+		switch src := b.Cols[c]; {
+		case b.Sel != nil:
+			b.gather(dst[n:], c, b.Sel)
+		case src != nil:
 			copy(dst[n:], src[:b.Len])
-		} else {
-			for i, p := range b.Sel {
-				dst[n+i] = src[p]
+		default:
+			for p, x := range b.ints.cols[c][:b.Len] {
+				dst[n+p].SetInt(x)
 			}
 		}
 		o.batch.Cols[j] = dst
@@ -329,12 +405,10 @@ func (o *outBuffer) resize(n int) {
 	o.batch.Sel = nil
 }
 
-// gather fills column j, already resized to len(idx) rows, with src[idx[i]].
-func (o *outBuffer) gather(j int, src []value.Value, idx []int32) {
-	dst := o.batch.Cols[j]
-	for i, p := range idx {
-		dst[i] = src[p]
-	}
+// gather fills column j, already resized to len(idx) rows, with b's
+// column c at the positions idx.
+func (o *outBuffer) gather(j int, b *Batch, c int, idx []int32) {
+	b.gather(o.batch.Cols[j], c, idx)
 }
 
 func (o *outBuffer) len() int { return o.batch.Len }

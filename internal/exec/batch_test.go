@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestColTableScanAliasesChunks(t *testing.T) {
 // are decoded copies — the other half of the "alias or decode, never
 // mutate" contract: the batch must not alias encoded storage, mutating it
 // must not corrupt the store, and the decoded values must round-trip
-// exactly.
+// exactly — a FoR column's int form, and the values it materializes.
 func TestColTableScanDecodesEncoded(t *testing.T) {
 	n := 2*colstore.ChunkSize + 100
 	tb := tinyColTable(t, n) // default policy: both int columns FoR-encode
@@ -168,14 +169,19 @@ func TestColTableScanDecodesEncoded(t *testing.T) {
 		if b == nil {
 			break
 		}
+		if b.Cols[0] != nil || b.ints.cols[0] == nil {
+			t.Fatal("a FoR column did not go up in its int form only")
+		}
+		vals := b.Col(0)
 		for i := 0; i < b.NumActive(); i++ {
-			if got := b.Cols[0][b.PosAt(i)].I; got != next {
-				t.Fatalf("row %d: decoded k = %d", next, got)
+			p := b.PosAt(i)
+			if got := vals[p].I; got != next || b.ints.cols[0][p] != next || b.at(0, p) != value.NewInt(next) {
+				t.Fatalf("row %d: decoded k = %d, int form %d, at %v", next, got, b.ints.cols[0][p], b.at(0, p))
 			}
 			next++
 		}
-		// mutating the batch must not reach storage
-		b.Cols[0][0] = value.NewInt(-1)
+		// mutating the batch, in either form, must not reach storage
+		vals[0], b.ints.cols[0][0] = value.NewInt(-1), -1
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
@@ -464,5 +470,186 @@ func TestZeroColumnBatch(t *testing.T) {
 		if s := prof.Snapshot(); s.Children[0].Rows != tc.want {
 			t.Errorf("%s: EXPLAIN ANALYZE counts %d rows out of it, want %d", tc.name, s.Children[0].Rows, tc.want)
 		}
+	}
+}
+
+// keyForms names the two forms a batch column of ints can take.
+var keyForms = [2]string{"as values", "in int form"}
+
+// intForm returns b with every NULL-free all-int column in its int form
+// only, as a scan hands up a frame-of-reference chunk; its other columns,
+// Len and Sel are b's. releaseIntForm gives back what its columns
+// materialize into.
+func intForm(b *Batch) *Batch {
+	w := len(b.Cols)
+	out := &Batch{Cols: slices.Clone(b.Cols), Sel: b.Sel, Len: b.Len,
+		ints: &intForms{cols: make([][]int64, w), vals: make([]decodeTarget, w)}}
+	for j, col := range b.Cols {
+		ints := make([]int64, b.Len)
+		for p, v := range col[:b.Len] {
+			if v.K != value.KindInt {
+				ints = nil
+				break
+			}
+			ints[p] = v.I
+		}
+		if ints != nil {
+			out.Cols[j], out.ints.cols[j] = nil, ints
+		}
+	}
+	return out
+}
+
+func releaseIntForm(b *Batch) {
+	for j := range b.ints.vals {
+		b.ints.vals[j].release(&decodeTargets)
+	}
+}
+
+// typedOp is memOp handing up each batch in its int form (intForm).
+type typedOp struct {
+	memOp
+	last *Batch
+}
+
+func (o *typedOp) Clone() BatchOperator {
+	return &typedOp{memOp: memOp{schema: o.schema, rows: o.rows}}
+}
+
+func (o *typedOp) Next(ctx *Context) (*Batch, error) {
+	o.Close()
+	b, _ := o.memOp.Next(ctx)
+	if b == nil {
+		return nil, nil
+	}
+	o.last = intForm(b)
+	return o.last, nil
+}
+
+func (o *typedOp) Close() error {
+	if o.last != nil {
+		releaseIntForm(o.last)
+		o.last = nil
+	}
+	return nil
+}
+
+// TestIntFormForwards: every operator gives the same rows in the same
+// order over batches whose int columns go up in their int form as over
+// the same batches as values — filter, project, limit, analyze, gather,
+// nested-loop and hash joins (their build, their output gather, a
+// residual), global and grouped aggregates, sort and Top-N — all rows
+// active or a filter's selection.
+func TestIntFormForwards(t *testing.T) {
+	n := 2*BatchSize + 300
+	rows := make([]value.Row, n)
+	for i := range rows {
+		f := value.NewFloat(float64(i) / 4)
+		if i%11 == 0 {
+			f = value.Null
+		}
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i%97 - 40)), value.NewString(fmt.Sprint("s", i%5)), f}
+	}
+	schema := Schema{intCol("t", "k"), intCol("t", "v"), {Binding: "t", Name: "s"}, {Binding: "t", Name: "f"}}
+	build := make([]value.Row, 120)
+	for i := range build {
+		build[i] = value.Row{value.NewInt(int64(i - 50)), value.NewInt(int64(i % 7))}
+	}
+	bschema := Schema{intCol("b", "k"), intCol("b", "x")}
+	source := func(typed bool, schema Schema, rows []value.Row) BatchOperator {
+		if typed {
+			return &typedOp{memOp: memOp{schema: schema, rows: rows}}
+		}
+		return &memOp{schema: schema, rows: rows}
+	}
+	mod := func(c int, m, r int64) Evaluator {
+		return func(row value.Row, _ *Params) (value.Value, error) { return value.NewBool(row[c].I%m != r), nil }
+	}
+	sum := func(row value.Row, _ *Params) (value.Value, error) { return value.NewInt(row[0].I + row[1].I), nil }
+	arg := func(f sqlparser.AggFunc, c int) AggSpec { return AggSpec{Func: f, Arg: ColumnEval(c), ArgCol: c} }
+	count := AggSpec{Func: sqlparser.AggCount, ArgCol: -1}
+	for _, tc := range []struct {
+		name string
+		op   func(src, bsrc func() BatchOperator) BatchOperator
+	}{
+		{"filter", func(src, _ func() BatchOperator) BatchOperator { return &FilterOp{Child: src(), Pred: mod(0, 3, 1)} }},
+		{"project", func(src, _ func() BatchOperator) BatchOperator {
+			return &ProjectOp{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)},
+				Evals: []Evaluator{ColumnEval(1), sum, ColumnEval(3)}, Out: make(Schema, 3)}
+		}},
+		{"limit", func(src, _ func() BatchOperator) BatchOperator {
+			return &LimitOp{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, N: 1500, Offset: 10}
+		}},
+		{"analyze", func(src, _ func() BatchOperator) BatchOperator {
+			root, _ := Instrument(&FilterOp{Child: src(), Pred: mod(1, 2, 0)})
+			return root
+		}},
+		{"gather", func(src, _ func() BatchOperator) BatchOperator {
+			return &Gather{Frags: []Fragment{{Root: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, DOP: 1}, {Root: src(), DOP: 1}}}
+		}},
+		{"nested loop join", func(src, bsrc func() BatchOperator) BatchOperator {
+			on := func(row value.Row, _ *Params) (value.Value, error) { return value.NewBool(row[1].I == row[4].I), nil }
+			return NewNestedLoopJoin(&FilterOp{Child: src(), Pred: mod(0, 3, 1)}, bsrc(), on)
+		}},
+		{"hash join", func(src, bsrc func() BatchOperator) BatchOperator {
+			return NewHashJoin(&FilterOp{Child: src(), Pred: mod(0, 3, 1)}, bsrc(), []int{1}, []int{0}, nil, nil)
+		}},
+		{"hash join, all rows, narrowed emit", func(src, bsrc func() BatchOperator) BatchOperator {
+			return NewHashJoin(src(), &FilterOp{Child: bsrc(), Pred: mod(1, 7, 3)}, []int{1}, []int{0}, nil, []int{0, 5, 2})
+		}},
+		{"hash join with a residual", func(src, bsrc func() BatchOperator) BatchOperator {
+			return NewHashJoin(src(), bsrc(), []int{1}, []int{0}, mod(5, 2, 1), nil)
+		}},
+		{"two-key hash join", func(src, bsrc func() BatchOperator) BatchOperator {
+			return NewHashJoin(src(), bsrc(), []int{1, 1}, []int{0, 0}, nil, nil)
+		}},
+		{"global aggregate", func(src, _ func() BatchOperator) BatchOperator {
+			return &HashAggregate{Child: src(), GroupCols: []int{}, Out: make(Schema, 4),
+				Aggs: []AggSpec{arg(sqlparser.AggSum, 0), arg(sqlparser.AggMin, 1), arg(sqlparser.AggAvg, 3), count}}
+		}},
+		{"global aggregate, filtered", func(src, _ func() BatchOperator) BatchOperator {
+			return &HashAggregate{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, GroupCols: []int{}, Out: make(Schema, 3),
+				Aggs: []AggSpec{arg(sqlparser.AggSum, 0), arg(sqlparser.AggMin, 0), arg(sqlparser.AggMax, 1)}}
+		}},
+		{"grouped aggregate", func(src, _ func() BatchOperator) BatchOperator {
+			return &HashAggregate{Child: src(), Groups: evalsFor([]int{1}), GroupCols: []int{1}, Out: make(Schema, 3),
+				Aggs: []AggSpec{arg(sqlparser.AggSum, 0), arg(sqlparser.AggCount, 3)}}
+		}},
+		{"grouped aggregate, filtered", func(src, _ func() BatchOperator) BatchOperator {
+			return &HashAggregate{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, Groups: evalsFor([]int{1}), GroupCols: []int{1},
+				Out: make(Schema, 4), Aggs: []AggSpec{arg(sqlparser.AggSum, 0), arg(sqlparser.AggMax, 0), count}}
+		}},
+		{"grouped aggregate, two groups", func(src, _ func() BatchOperator) BatchOperator {
+			return &HashAggregate{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, Groups: evalsFor([]int{1, 2}), GroupCols: []int{1, 2},
+				Out: make(Schema, 3), Aggs: []AggSpec{arg(sqlparser.AggSum, 0)}}
+		}},
+		{"sort", func(src, _ func() BatchOperator) BatchOperator {
+			return &SortOp{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, Keys: []SortKey{ColumnKey(1, false), ColumnKey(0, true)}}
+		}},
+		{"top-n", func(src, _ func() BatchOperator) BatchOperator {
+			return &TopNOp{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, Keys: []SortKey{ColumnKey(0, true)}, N: 7}
+		}},
+		{"top-n, offset, ties", func(src, _ func() BatchOperator) BatchOperator {
+			return &TopNOp{Child: src(), Keys: []SortKey{ColumnKey(1, false)}, N: 40, Offset: 5}
+		}},
+		{"top-n, descending ties", func(src, _ func() BatchOperator) BatchOperator {
+			return &TopNOp{Child: &FilterOp{Child: src(), Pred: mod(0, 3, 1)}, Keys: []SortKey{ColumnKey(1, true)}, N: 30}
+		}},
+	} {
+		var got [2][]value.Row
+		for form := range got {
+			typed := form == 1
+			op := tc.op(func() BatchOperator { return source(typed, schema, rows) },
+				func() BatchOperator { return source(typed, bschema, build) })
+			out, err := Drain(op, NewContext())
+			if err != nil {
+				t.Fatalf("%s, columns %s: %v", tc.name, keyForms[form], err)
+			}
+			got[form] = out
+		}
+		if len(got[0]) == 0 {
+			t.Fatalf("%s: no rows — fixture too sparse", tc.name)
+		}
+		assertRows(t, tc.name+", columns "+keyForms[1], got[1], got[0], true)
 	}
 }

@@ -100,7 +100,7 @@ func hashRow(r value.Row) uint64 {
 func hashBatchCols(b *Batch, pos int, cols []int) uint64 {
 	h := uint64(hashInit)
 	for _, c := range cols {
-		h = hashValue(h, b.Cols[c][pos])
+		h = hashValue(h, b.at(c, pos))
 	}
 	return h & keyHashMask
 }

@@ -477,7 +477,8 @@ func fuzzInts(data []byte, max int) (keys []int64, rest []byte) {
 // FuzzJoinIndex: over fuzzed int build and probe multisets, a join's int
 // table gives exactly the nested-loop (probe row, build row) pairs, in
 // probe order and per probe row in build order — indexed by offset and
-// chained under hashInt alike, whichever form the build chose.
+// chained under hashInt alike, whichever form the build chose, and with
+// either side's keys as values or in their int form.
 func FuzzJoinIndex(f *testing.F) {
 	u64 := func(v int64) string {
 		var b [8]byte
@@ -515,38 +516,57 @@ func FuzzJoinIndex(f *testing.F) {
 			}
 			return out
 		}
-		hj := NewHashJoin(&memOp{schema: Schema{intCol("p", "k")}}, &memOp{schema: Schema{intCol("b", "k")}, rows: rows(build)},
-			[]int{0}, []int{0}, nil, nil)
-		if err := hj.Open(NewContext()); err != nil {
-			t.Fatal(err)
+		probeSchema, buildSchema := Schema{intCol("p", "k")}, Schema{intCol("b", "k")}
+		joins := []*HashJoin{
+			NewHashJoin(&memOp{schema: probeSchema}, &memOp{schema: buildSchema, rows: rows(build)}, []int{0}, []int{0}, nil, nil),
+			NewHashJoin(&memOp{schema: probeSchema}, &typedOp{memOp: memOp{schema: buildSchema, rows: rows(build)}}, []int{0}, []int{0}, nil, nil),
 		}
-		defer hj.Close()
+		for _, hj := range joins {
+			if err := hj.Open(NewContext()); err != nil {
+				t.Fatal(err)
+			}
+			defer hj.Close()
+		}
+		if vt, it := &joins[0].table, &joins[1].table; tableForm(vt) != tableForm(it) || !slices.Equal(vt.ints, it.ints) {
+			t.Fatalf("a build of int-form keys chose the %s form over %v, one of values the %s form over %v",
+				tableForm(it), it.ints, tableForm(vt), vt.ints)
+		}
 		pb := &Batch{Cols: [][]value.Value{make([]value.Value, len(probe))}, Len: len(probe)}
 		for i, k := range probe {
 			pb.Cols[0][i] = value.NewInt(k)
 		}
+		ipb := intForm(pb)
+		defer releaseIntForm(ipb)
 		check := func(form string) {
 			t.Helper()
-			hj.match(pb)
-			if len(hj.pIdx) != len(want) {
-				t.Fatalf("%s: %d pairs, nested loop has %d (build %v, probe %v)", form, len(hj.pIdx), len(want), build, probe)
-			}
-			for i, w := range want {
-				if hj.pIdx[i] != w[0] || hj.bIdx[i] != w[1] {
-					t.Fatalf("%s: pair %d = (%d, %d), nested loop (%d, %d)", form, i, hj.pIdx[i], hj.bIdx[i], w[0], w[1])
+			for jn, hj := range joins {
+				for bn, b := range []*Batch{pb, ipb} {
+					label := fmt.Sprintf("%s, build keys %s, probe keys %s", form, keyForms[jn], keyForms[bn])
+					hj.match(b)
+					if len(hj.pIdx) != len(want) {
+						t.Fatalf("%s: %d pairs, nested loop has %d (build %v, probe %v)", label, len(hj.pIdx), len(want), build, probe)
+					}
+					for i, w := range want {
+						if hj.pIdx[i] != w[0] || hj.bIdx[i] != w[1] {
+							t.Fatalf("%s: pair %d = (%d, %d), nested loop (%d, %d)", label, i, hj.pIdx[i], hj.bIdx[i], w[0], w[1])
+						}
+					}
 				}
 			}
 		}
-		tb := &hj.table
-		check(tableForm(tb))
+		check(tableForm(&joins[0].table))
 		if len(build) == 0 {
 			return
 		}
-		tb.index.buildChained(tb.ints)
+		for _, hj := range joins {
+			hj.table.index.buildChained(hj.table.ints)
+		}
 		check(formChained)
 		lo, hi := slices.Min(build), slices.Max(build)
 		if span := uint64(hi) - uint64(lo); span < 1<<20 {
-			tb.index.buildDirect(tb.ints, lo, span)
+			for _, hj := range joins {
+				hj.table.index.buildDirect(hj.table.ints, lo, span)
+			}
 			check(formDirect)
 		}
 	})

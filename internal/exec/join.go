@@ -62,10 +62,7 @@ func (j *NestedLoopJoin) Next(ctx *Context) (*Batch, error) {
 		j.outBuf.reset()
 		n := ob.NumActive()
 		for i := 0; i < n; i++ {
-			p := ob.PosAt(i)
-			for c := 0; c < outerWidth; c++ {
-				j.combined[c] = ob.Cols[c][p]
-			}
+			ob.FillRow(i, j.combined)
 			for _, in := range j.innerRows {
 				ctx.Stats.JoinComparisons++
 				copy(j.combined[outerWidth:], in)
@@ -165,14 +162,12 @@ func (j *IndexNLJoin) Next(ctx *Context) (*Batch, error) {
 		for i := 0; i < n; i++ {
 			p := ob.PosAt(i)
 			ctx.Stats.IndexProbes++
-			ids := j.InnerIndex.LookupAppend(ob.Cols[j.OuterKeyCol][p], j.idsBuf[:0])
+			ids := j.InnerIndex.LookupAppend(ob.at(j.OuterKeyCol, p), j.idsBuf[:0])
 			j.idsBuf = ids
 			if len(ids) == 0 {
 				continue
 			}
-			for c := 0; c < outerWidth; c++ {
-				j.combined[c] = ob.Cols[c][p]
-			}
+			ob.fillAt(p, j.combined)
 			for _, id := range ids {
 				in := j.innerRow(id)
 				ctx.Stats.RowsScanned++
@@ -402,15 +397,15 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 	n := b.NumActive()
 	if t.ints != nil {
 		t.ints = keyArrays.grow(t.ints, n)
-		kc, base := b.Cols[keyCols[0]], len(t.ints)
+		ik, kc, base := b.intCol(keyCols[0]), b.Cols[keyCols[0]], len(t.ints)
 		for i := 0; i < n; i++ {
-			v := &kc[b.PosAt(i)]
-			if v.K != value.KindInt {
+			k, ok := intKey(ik, kc, b.PosAt(i))
+			if !ok {
 				t.ints = t.ints[:base]
 				t.spill()
 				break
 			}
-			t.ints = append(t.ints, v.I)
+			t.ints = append(t.ints, k)
 		}
 	}
 	if t.ints == nil {
@@ -419,7 +414,7 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 			p := b.PosAt(i)
 			t.hashes = append(t.hashes, hashBatchCols(b, p, keyCols))
 			for k, c := range keyCols {
-				t.keys[k] = append(t.keys[k], b.Cols[c][p])
+				t.keys[k] = append(t.keys[k], b.at(c, p))
 			}
 		}
 	}
@@ -549,7 +544,19 @@ func (j *HashJoin) filterBuild(b *Batch, kept *Batch) *Batch {
 
 // The three table forms each find a key through one lookup, shared by
 // match and semiJoin: directHead and seekInt for the int forms, which a
-// key of any other kind never matches, seekKey for the generic form.
+// key of any other kind never matches, seekKey for the generic form. The
+// int forms read a probe key through intKey, from the column's int form
+// when it has one.
+
+// intKey returns the one-column key at position p: from the int form ik
+// when there is one, else from the values kc, with ok false when the value
+// there is no int.
+func intKey(ik []int64, kc []value.Value, p int) (int64, bool) {
+	if ik != nil {
+		return ik[p], true
+	}
+	return kc[p].I, kc[p].K == value.KindInt
+}
 
 // directHead returns the chain of int key k in the direct index d over
 // keys from lo (+1, 0 when k is outside the build's key range or absent);
@@ -582,7 +589,7 @@ chain:
 			continue
 		}
 		for k, c := range cols {
-			if !keyEqual(b.Cols[c][p], t.keys[k][e-1]) {
+			if !keyEqual(b.at(c, p), t.keys[k][e-1]) {
 				continue chain
 			}
 		}
@@ -599,20 +606,20 @@ func (t *joinTable) semiJoin(b *Batch, c int, sel []int32) []int32 {
 	if t.cols.len() == 0 {
 		return sel // an empty build side matches nothing
 	}
-	n, kc, x := b.NumActive(), b.Cols[c], &t.index
+	n, ik, kc, x := b.NumActive(), b.intCol(c), b.Cols[c], &t.index
 	switch {
 	case x.direct != nil:
 		d, lo := x.direct, uint64(x.lo)
 		for i := 0; i < n; i++ {
 			p := b.PosAt(i)
-			if kc[p].K == value.KindInt && directHead(d, lo, kc[p].I) != 0 {
+			if k, ok := intKey(ik, kc, p); ok && directHead(d, lo, k) != 0 {
 				sel = append(sel, int32(p))
 			}
 		}
 	case t.ints != nil:
 		for i := 0; i < n; i++ {
 			p := b.PosAt(i)
-			if k := kc[p].I; kc[p].K == value.KindInt && t.seekInt(x.first(hashInt(k)), k) != 0 {
+			if k, ok := intKey(ik, kc, p); ok && t.seekInt(x.first(hashInt(k)), k) != 0 {
 				sel = append(sel, int32(p))
 			}
 		}
@@ -637,27 +644,29 @@ func (j *HashJoin) match(pb *Batch) {
 		return // an empty build side matches nothing
 	}
 	n := pb.NumActive()
-	if x.direct != nil {
-		kc, lo, d := pb.Cols[j.ProbeKeys[0]], uint64(x.lo), x.direct
-		for i := 0; i < n; i++ {
-			p := pb.PosAt(i)
-			if kc[p].K != value.KindInt {
-				continue
-			}
-			for e := directHead(d, lo, kc[p].I); e != 0; e = x.next[e-1] {
-				j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
-			}
-		}
-		return
-	}
 	if t.ints != nil {
-		kc := pb.Cols[j.ProbeKeys[0]]
+		c := j.ProbeKeys[0]
+		ik, kc := pb.intCol(c), pb.Cols[c]
+		if x.direct != nil {
+			lo, d := uint64(x.lo), x.direct
+			for i := 0; i < n; i++ {
+				p := pb.PosAt(i)
+				k, ok := intKey(ik, kc, p)
+				if !ok {
+					continue
+				}
+				for e := directHead(d, lo, k); e != 0; e = x.next[e-1] {
+					j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
+				}
+			}
+			return
+		}
 		for i := 0; i < n; i++ {
 			p := pb.PosAt(i)
-			if kc[p].K != value.KindInt {
+			k, ok := intKey(ik, kc, p)
+			if !ok {
 				continue // every build key is an int, and only an int equals one
 			}
-			k := kc[p].I
 			for e := t.seekInt(x.first(hashInt(k)), k); e != 0; e = t.seekInt(x.next[e-1], k) {
 				j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 			}
@@ -678,12 +687,8 @@ func (j *HashJoin) match(pb *Batch) {
 func (j *HashJoin) filterMatches(pb *Batch, p *Params) error {
 	pw, kept := len(pb.Cols), 0
 	for m, pos := range j.pIdx {
-		for c, col := range pb.Cols {
-			j.combined[c] = col[pos]
-		}
-		for c, col := range j.table.cols.batch.Cols {
-			j.combined[pw+c] = col[j.bIdx[m]]
-		}
+		pb.fillAt(int(pos), j.combined)
+		j.table.cols.batch.fillAt(int(j.bIdx[m]), j.combined[pw:])
 		ok, err := Truthy(j.Residual, j.combined, p)
 		if err != nil {
 			return err
@@ -717,10 +722,10 @@ func (j *HashJoin) Next(ctx *Context) (*Batch, error) {
 		// with nothing emitted it is just their count
 		j.outBuf.resize(len(j.pIdx))
 		for o, c := range j.emitProbe {
-			j.outBuf.gather(o, pb.Cols[c], j.pIdx)
+			j.outBuf.gather(o, pb, c, j.pIdx)
 		}
 		for o, c := range j.emitKept {
-			j.outBuf.gather(len(j.emitProbe)+o, j.table.cols.batch.Cols[c], j.bIdx)
+			j.outBuf.gather(len(j.emitProbe)+o, &j.table.cols.batch, c, j.bIdx)
 		}
 		return j.outBuf.take(ctx), nil
 	}

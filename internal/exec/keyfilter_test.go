@@ -313,7 +313,9 @@ func chainRows(probe []value.Value, pairs []value.Row, upper, top []value.Value)
 // chose (and in the chained and direct int forms where they apply); and the
 // chain p ⋈ l ⋈ u ⋈ v on p.k = l.a, l.b = u.k and l.a = v.k — u's and v's
 // tables both reducing l's build — gives the barrier's rows, keeping
-// exactly the l rows whose a is in v and whose b is in u. Inputs whose
+// exactly the l rows whose a is in v and whose b is in u. Every NULL-free
+// int key column is fed both as values and in its int form, and both give
+// the same kept rows, pairs and build rows. Inputs whose
 // barrier would emit more than maxChainRows rows at some join skip the
 // chain: their drain measures the machine's memory, not the filter.
 func FuzzJoinKeyFilter(f *testing.F) {
@@ -344,15 +346,25 @@ func FuzzJoinKeyFilter(f *testing.F) {
 		}
 
 		// membership, against the nested loop
-		u := NewHashJoin(&memOp{schema: Schema{intCol("q", "k")}}, &memOp{schema: Schema{intCol("u", "k")}, rows: oneColumn(upper)},
-			[]int{0}, []int{0}, nil, nil)
-		if err := u.Open(NewContext()); err != nil {
-			t.Fatal(err)
+		us := Schema{intCol("u", "k")}
+		uj := [2]*HashJoin{
+			NewHashJoin(&memOp{schema: Schema{intCol("q", "k")}}, &memOp{schema: us, rows: oneColumn(upper)}, []int{0}, []int{0}, nil, nil),
+			NewHashJoin(&memOp{schema: Schema{intCol("q", "k")}}, &typedOp{memOp: memOp{schema: us, rows: oneColumn(upper)}}, []int{0}, []int{0}, nil, nil),
 		}
-		defer u.Close()
+		for _, u := range uj {
+			if err := u.Open(NewContext()); err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+		}
+		if vt, it := &uj[0].table, &uj[1].table; tableForm(vt) != tableForm(it) || !slices.Equal(vt.ints, it.ints) {
+			t.Fatalf("a build of int-form keys chose the %s form over %v, one of values the %s form over %v",
+				tableForm(it), it.ints, tableForm(vt), vt.ints)
+		}
 		lb := &Batch{Cols: [][]value.Value{make([]value.Value, len(lower))}, Len: len(lower)}
 		copy(lb.Cols[0], lower)
-		tb := &u.table
+		ilb := intForm(lb)
+		defer releaseIntForm(ilb)
 		var held []int32
 		for p, v := range lower {
 			if holds(upper, v) {
@@ -361,17 +373,26 @@ func FuzzJoinKeyFilter(f *testing.F) {
 		}
 		check := func(form string) {
 			t.Helper()
-			if got := tb.semiJoin(lb, 0, nil); !slices.Equal(got, held) {
-				t.Fatalf("%s: semiJoin keeps %v, nested loop %v (lower %v, upper %v)", form, got, held, lower, upper)
+			for un, u := range uj {
+				for bn, b := range []*Batch{lb, ilb} {
+					if got := u.table.semiJoin(b, 0, nil); !slices.Equal(got, held) {
+						t.Fatalf("%s, build keys %s, probed keys %s: semiJoin keeps %v, nested loop %v (lower %v, upper %v)",
+							form, keyForms[un], keyForms[bn], got, held, lower, upper)
+					}
+				}
 			}
 		}
-		check(tableForm(tb))
-		if tb.ints != nil && len(tb.ints) > 0 {
-			tb.index.buildChained(tb.ints)
+		check(tableForm(&uj[0].table))
+		if ints := uj[0].table.ints; len(ints) > 0 {
+			for _, u := range uj {
+				u.table.index.buildChained(u.table.ints)
+			}
 			check(formChained)
-			lo, hi := slices.Min(tb.ints), slices.Max(tb.ints)
+			lo, hi := slices.Min(ints), slices.Max(ints)
 			if span := uint64(hi) - uint64(lo); span < 1<<20 {
-				tb.index.buildDirect(tb.ints, lo, span)
+				for _, u := range uj {
+					u.table.index.buildDirect(u.table.ints, lo, span)
+				}
 				check(formDirect)
 			}
 		}
@@ -382,26 +403,34 @@ func FuzzJoinKeyFilter(f *testing.F) {
 		if chainRows(probe, pairs, upper, top) > maxChainRows {
 			return
 		}
-		build := func(schema Schema, rows []value.Row) func() BatchOperator {
-			return func() BatchOperator { return &memOp{schema: schema, rows: rows} }
-		}
-		steps := []joinStep{
-			{build: build(Schema{intCol("l", "a"), intCol("l", "b")}, pairs), pk: []int{0}, bk: []int{0}},
-			{build: build(Schema{intCol("u", "k")}, oneColumn(upper)), pk: []int{2}, bk: []int{0}},
-			{build: build(Schema{intCol("v", "k")}, oneColumn(top)), pk: []int{1}, bk: []int{0}},
-		}
-		p := build(Schema{intCol("p", "k")}, oneColumn(probe))
-		want, _ := drainChain(t, chainOf(p(), steps, true), 1)
-		got, gs := drainChain(t, chainOf(p(), steps, false), 1)
-		assertRows(t, "chain", got, want, false)
 		kept := int64(len(upper) + len(top))
 		for _, r := range pairs {
 			if holds(top, r[0]) && holds(upper, r[1]) {
 				kept++
 			}
 		}
-		if gs.HashBuildRows != kept {
-			t.Fatalf("the pushed chain kept %d build rows, want %d", gs.HashBuildRows, kept)
+		var want []value.Row
+		for form, name := range keyForms {
+			build := func(schema Schema, rows []value.Row) func() BatchOperator {
+				if form == 1 {
+					return func() BatchOperator { return &typedOp{memOp: memOp{schema: schema, rows: rows}} }
+				}
+				return func() BatchOperator { return &memOp{schema: schema, rows: rows} }
+			}
+			steps := []joinStep{
+				{build: build(Schema{intCol("l", "a"), intCol("l", "b")}, pairs), pk: []int{0}, bk: []int{0}},
+				{build: build(Schema{intCol("u", "k")}, oneColumn(upper)), pk: []int{2}, bk: []int{0}},
+				{build: build(Schema{intCol("v", "k")}, oneColumn(top)), pk: []int{1}, bk: []int{0}},
+			}
+			p := build(Schema{intCol("p", "k")}, oneColumn(probe))
+			if form == 0 {
+				want, _ = drainChain(t, chainOf(p(), steps, true), 1)
+			}
+			got, gs := drainChain(t, chainOf(p(), steps, false), 1)
+			assertRows(t, "chain, keys "+name, got, want, false)
+			if gs.HashBuildRows != kept {
+				t.Fatalf("the pushed chain, keys %s, kept %d build rows, want %d", name, gs.HashBuildRows, kept)
+			}
 		}
 	})
 }

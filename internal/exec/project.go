@@ -41,10 +41,7 @@ func (f *FilterOp) Next(ctx *Context) (*Batch, error) {
 		n := b.NumActive()
 		for i := 0; i < n; i++ {
 			p := b.PosAt(i)
-			for j := range b.Cols {
-				f.scratch[j] = b.Cols[j][p]
-			}
-			ok, err := Truthy(f.Pred, f.scratch, ctx.Params)
+			ok, err := Truthy(f.Pred, b.fillAt(p, f.scratch), ctx.Params)
 			if err != nil {
 				return nil, err
 			}

@@ -75,23 +75,26 @@ func (a *HashAggregate) readyFolds(pipes []BatchOperator) {
 // aggFold is one fold worker's scratch, kept by the aggregate across
 // executions: the scan whose chunks it folds as stored, the argument
 // vectors of the current batch, the per-dictionary-code group states and
-// float cache of the current chunk, and the per-position group ordinals,
-// borrowed from the recycler for the length of one fold.
+// float cache of the current chunk, and the per-position group ordinals
+// and a FoR argument chunk's ints, borrowed from the recycler for the
+// length of one fold.
 type aggFold struct {
 	a      *HashAggregate
 	scan   *ColTableScan   // nil: the child is no bare scan
 	argv   [][]value.Value // per-aggregate argument vector
 	states []*aggState     // per-dictionary-code group state
 	ords   []int32         // per-position group ordinal
+	ints   target[int64]   // a FoR argument chunk's ints
 	df     []float64       // per-dictionary-code AsFloat cache
 	dfok   []bool
 	gkey   value.Row // one-column group key
 }
 
-// release gives back the ordinal vector and drops the fold's references
+// release gives back the ordinal and int vectors and drops the fold's references
 // to the scan, to storage and to the execution's group states.
 func (f *aggFold) release() {
 	linkArrays.give(f.ords)
+	f.ints.release(&keyArrays)
 	f.ords, f.scan = nil, nil
 	clear(f.argv)
 	clear(f.states)
@@ -170,39 +173,28 @@ func (f *aggFold) aggChunk(st *aggState, ai int, ch *colstore.EncodedChunk, sel 
 		}
 
 	case colstore.EncFoR:
-		// FoR chunks are all-Int and NULL-free: unpack to machine ints,
+		// FoR chunks are all-Int and NULL-free: decode to machine ints,
 		// track integer extremes, one float add per row for the sum
-		var minI, maxI int64
-		first := true
-		foldInt := func(i int) {
-			v := ch.IntAt(i)
-			st.counts[ai]++
-			st.sums[ai] += float64(v)
-			if first {
-				minI, maxI = v, v
-				first = false
-			} else {
-				if v < minI {
-					minI = v
-				}
-				if v > maxI {
-					maxI = v
-				}
-			}
-		}
+		ints := f.ints.get(&keyArrays, ch.N)
 		if sel == nil {
-			for i := 0; i < ch.N; i++ {
-				foldInt(i)
-			}
+			sel = allRows[:ch.N]
+			ch.DecodeInts(ints)
 		} else {
-			for _, i := range sel {
-				foldInt(int(i))
-			}
+			ch.DecodeIntsSel(ints, sel)
 		}
-		if !first {
-			applyMinMax(st, ai, value.NewInt(minI))
-			applyMinMax(st, ai, value.NewInt(maxI))
+		if len(sel) == 0 {
+			return
 		}
+		sum, minI, maxI := st.sums[ai], ints[sel[0]], ints[sel[0]]
+		for _, p := range sel {
+			v := ints[p]
+			sum += float64(v)
+			minI, maxI = min(minI, v), max(maxI, v)
+		}
+		st.counts[ai] += int64(len(sel))
+		st.sums[ai] = sum
+		applyMinMax(st, ai, value.NewInt(minI))
+		applyMinMax(st, ai, value.NewInt(maxI))
 
 	case colstore.EncRLE:
 		// each run folds as its value repeated over the run's candidates:
@@ -244,13 +236,13 @@ func (f *aggFold) foldGrouped(t *aggTable, b *Batch) {
 	}
 	if b.Sel != nil {
 		f.setArgs(b, 0)
-		foldGroups(a, t.states, f.groupOrds(t, b.Cols[g], b.Sel), f.argv, b.Sel)
+		foldGroups(a, t.states, f.groupOrds(t, b.Col(g), b.Sel), f.argv, b.Sel)
 		return
 	}
 	for lo := 0; lo < b.Len; lo += len(allRows) {
 		sel := allRows[:min(len(allRows), b.Len-lo)]
 		f.setArgs(b, lo)
-		ords := f.groupOrds(t, b.Cols[g][lo:], sel) // may grow t.states: read it after
+		ords := f.groupOrds(t, b.Col(g)[lo:], sel) // may grow t.states: read it after
 		foldGroups(a, t.states, ords, f.argv, sel)
 	}
 }
@@ -259,7 +251,7 @@ func (f *aggFold) foldGrouped(t *aggTable, b *Batch) {
 func (f *aggFold) setArgs(b *Batch, lo int) {
 	for i, spec := range f.a.Aggs {
 		if spec.ArgCol >= 0 {
-			f.argv[i] = b.Cols[spec.ArgCol][lo:]
+			f.argv[i] = b.Col(spec.ArgCol)[lo:]
 		}
 	}
 }

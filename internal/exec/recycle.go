@@ -10,15 +10,17 @@ import (
 )
 
 // The recycler keeps the process's large transient arrays for reuse: the
-// decode targets of encoded chunks, an aggregate fold's per-row group
-// ordinals, and a hash join's integer arrays (its int keys or key hashes,
-// its chain links, chain heads and direct index) and its key-filtered
-// builds' selection vectors. A holder takes one when it first needs it and
-// gives it back when it is done — a scan at Close, an aggregate when its
-// fold ends, a hash join at Close — so an idle pooled operator
-// tree holds none, and a fresh tree (a scatter fragment, a move scan's
-// clone, a forked worker) reuses a released array instead of allocating
-// its own. Taking and giving back allocate nothing.
+// decode targets of encoded chunks (values, or ints for a FoR chunk's int
+// form) and the values an int column materializes into, an aggregate
+// fold's FoR argument ints and per-row group ordinals, and a hash join's
+// integer arrays (its int keys or key hashes, its chain links, chain heads
+// and direct index) and its key-filtered builds' selection vectors. A
+// holder takes one when it first needs it and gives it back when it is
+// done — a scan at Close, an aggregate when its fold ends, a hash join at
+// Close — so an idle pooled operator tree holds none, and a fresh tree (a
+// scatter fragment, a move scan's clone, a forked worker) reuses a
+// released array instead of allocating its own. Taking and giving back
+// allocate nothing.
 //
 // Each element type has its own list, and each list keeps one LIFO stack per
 // power-of-two size class: an array of capacity c is filed under the largest
@@ -121,27 +123,31 @@ func (l *freeList[T]) bytes(buf []T) int {
 	return cap(buf) * int(unsafe.Sizeof(l.poison))
 }
 
-// decodeTarget is one holder's borrowed decode buffer, nil until first
-// need. It keeps the array the list handed out, so neither borrowing nor
-// giving back allocates.
-type decodeTarget struct {
-	buf *[BatchSize]value.Value
+// target is one holder's borrowed batch-sized array, nil until first need:
+// a decode target of values, or of ints from keyArrays. It keeps the array
+// the list handed out, so neither borrowing nor giving back allocates.
+type target[T any] struct {
+	buf *[BatchSize]T
 }
 
-// get returns the target's first n values, borrowing it on first need.
-func (d *decodeTarget) get(n int) []value.Value {
+// decodeTarget is a target of values, from decodeTargets.
+type decodeTarget = target[value.Value]
+
+// get returns the target's first n elements, borrowing it from l on first
+// need.
+func (d *target[T]) get(l *freeList[T], n int) []T {
 	if d.buf == nil {
-		d.buf = (*[BatchSize]value.Value)(decodeTargets.take(BatchSize))
+		d.buf = (*[BatchSize]T)(l.take(BatchSize))
 	}
 	return d.buf[:n]
 }
 
-// release gives the target back; the holder's batches must no longer be
-// read.
-func (d *decodeTarget) release() {
+// release gives the target back to l; the holder's batches must no longer
+// be read.
+func (d *target[T]) release(l *freeList[T]) {
 	if d.buf == nil {
 		return
 	}
-	decodeTargets.give(d.buf[:])
+	l.give(d.buf[:])
 	d.buf = nil
 }

@@ -364,8 +364,14 @@ type ColTableScan struct {
 	chunkBuf   []*colstore.EncodedChunk
 	decodeBuf  []decodeTarget
 	fullDecode bool
-	deltaSlab  []value.Value
-	closed     bool
+	// ints are the emitted columns' int forms, the batch's: a FoR chunk no
+	// kernel decoded goes up as ints, decoded into the column's intBuf, a
+	// target borrowed and given back like decodeBuf; an int form
+	// materializes as values into decodeBuf, which then holds none.
+	ints      intForms
+	intBuf    []target[int64]
+	deltaSlab []value.Value
+	closed    bool
 	// fold, set by the aggregate this scan feeds (see storedFold), leaves
 	// undecoded the columns that aggregate folds as stored; stored is then
 	// the current batch's emitted chunks as stored, nil for a delta batch.
@@ -470,6 +476,9 @@ func (s *ColTableScan) Open(ctx *Context) error {
 		s.scratch = make(value.Row, len(s.Cols))
 		s.chunkBuf = make([]*colstore.EncodedChunk, len(s.Cols))
 		s.decodeBuf = make([]decodeTarget, len(s.Cols))
+		s.ints = intForms{cols: make([][]int64, s.Emit), vals: s.decodeBuf[:s.Emit]}
+		s.intBuf = make([]target[int64], s.Emit)
+		s.batch.ints = &s.ints
 	}
 	return nil
 }
@@ -514,7 +523,8 @@ func (s *ColTableScan) Next(ctx *Context) (*Batch, error) {
 // pruner's encoded-domain prefilter, the delete set and the selection
 // kernels narrow the candidate positions on the chunks as stored (see
 // selectBase), and only then is each emitted column aliased (raw) or
-// decoded (encoded) — at the survivors only when some row was dropped. A
+// decoded (encoded; a FoR chunk into its int form, see emitCol) — at the
+// survivors only when some row was dropped. A
 // chunk with an encoded read column counts as decoded when some column was
 // decoded at every row, as encoded otherwise. Returns nil when no row
 // survives.
@@ -531,11 +541,12 @@ func (s *ColTableScan) baseBatch(ctx *Context, m colstore.Morsel, perCol int64) 
 		}
 	}
 	s.fullDecode = false
+	clear(s.ints.cols)
 	sel, some, err := s.selectBase(ctx, m, anyEnc)
 	if err == nil && some {
 		for j := 0; j < s.Emit; j++ {
 			if !s.foldsStored(j) {
-				s.vector(j, sel)
+				s.emitCol(j, sel)
 			}
 		}
 	}
@@ -648,6 +659,27 @@ func (s *ColTableScan) narrowBase(k *selKernel, rows int, cand []int32, p *Param
 	return out, false, err
 }
 
+// emitCol makes emitted column j hold its values at the survivors sel
+// (nil: every row): a FoR chunk that no kernel decoded is decoded into the
+// column's int form, its value vector left nil; any other column is made
+// ready as values (vector).
+func (s *ColTableScan) emitCol(j int, sel []int32) {
+	ch := s.chunkBuf[j]
+	if s.ready[j] || ch.Enc != colstore.EncFoR {
+		s.vector(j, sel)
+		return
+	}
+	s.ready[j] = true
+	ints := s.intBuf[j].get(&keyArrays, ch.N)
+	if sel != nil {
+		ch.DecodeIntsSel(ints, sel)
+	} else {
+		ch.DecodeInts(ints)
+		s.fullDecode = true
+	}
+	s.vecs[j], s.ints.cols[j] = nil, ints
+}
+
 // vector makes read column j's vector hold its values at every candidate
 // (cand; nil: all rows), once per morsel: a raw chunk is aliased, an
 // encoded one decoded into the column's borrowed target — at the
@@ -671,7 +703,7 @@ func valuesAt(ch *colstore.EncodedChunk, d *decodeTarget, cand []int32) (vals []
 	if ch.Enc == colstore.EncRaw {
 		return ch.Raw, false
 	}
-	buf := d.get(ch.N)
+	buf := d.get(&decodeTargets, ch.N)
 	if cand != nil {
 		ch.DecodeSel(buf, cand)
 		return buf, false
@@ -685,6 +717,7 @@ func valuesAt(ch *colstore.EncodedChunk, d *decodeTarget, cand []int32) (vals []
 func (s *ColTableScan) deltaBatch(ctx *Context, m colstore.Morsel, perCol int64) (*Batch, error) {
 	rows := s.view.Delta[m.Lo:m.Hi]
 	s.deltaSlab = projectRows(s.vecs, rows, s.Cols, s.deltaSlab)
+	clear(s.ints.cols)
 	s.batch.Len, s.batch.Sel, s.stored = len(rows), nil, nil
 	ctx.Stats.RowsScanned += int64(len(rows))
 	ctx.Stats.BytesScanned += int64(len(rows)) * perCol * int64(len(s.Cols))
@@ -728,7 +761,11 @@ func (s *ColTableScan) Close() error {
 		s.chunkBuf[j] = nil // drop encoded-chunk aliases
 	}
 	for j := range s.decodeBuf {
-		s.decodeBuf[j].release()
+		s.decodeBuf[j].release(&decodeTargets)
+	}
+	clear(s.ints.cols)
+	for j := range s.intBuf {
+		s.intBuf[j].release(&keyArrays)
 	}
 	s.view = colstore.View{}
 	s.src = nil

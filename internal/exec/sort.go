@@ -98,9 +98,10 @@ func (s *SortOp) Close() error {
 
 // TopNOp keeps the first N+Offset rows in key order using a bounded
 // selection (cheaper than a full sort) over the child's batch stream, then
-// applies the offset. Once the top is full, most candidates cost one
-// comparison against its last keeper (rejects); a row is copied out of its
-// batch only when it enters, into the row it evicts.
+// applies the offset. Once the top is full, a batch is screened against
+// the top's last keeper (admit), in one loop over its key column for a
+// single-column order; only a row that enters is read out of its batch and
+// placed, copied into the row it evicts.
 type TopNOp struct {
 	Child  Operator
 	Keys   []SortKey
@@ -144,18 +145,14 @@ func (t *TopNOp) Open(ctx *Context) error {
 		}
 		n := b.NumActive()
 		ctx.Stats.RowsTopN += int64(n)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && keep > 0; i++ {
 			if int64(len(top)) >= keep {
-				if keep == 0 {
-					continue
-				}
-				reject, err := t.rejects(b, i, top[len(top)-1], scratch, p)
-				if err != nil {
+				if i, err = t.admit(b, i, top[len(top)-1], scratch, p); err != nil {
 					_ = t.Child.Close()
 					return err
 				}
-				if reject {
-					continue
+				if i == n {
+					break
 				}
 			}
 			row := b.FillRow(i, scratch)
@@ -191,27 +188,47 @@ func (t *TopNOp) Open(ctx *Context) error {
 	return nil
 }
 
-// rejects reports whether the i-th active row of b stays out of a full top
-// whose last keeper is last: a row that does not sort strictly before it
-// never enters (ties lose to earlier rows). A single ColumnKey is read
-// straight from the batch and, when both keys are ints or floats, compared
-// as float64 — what value.Compare does for numeric kinds, NaN comparing
-// equal to everything; NULL, strings and multi-key orders compare through
-// the keys' evaluators.
-func (t *TopNOp) rejects(b *Batch, i int, last, scratch value.Row, p *Params) (bool, error) {
+// admit returns the ordinal of the first active row of b from i on that
+// enters a full top whose last keeper is last — one that sorts strictly
+// before it, ties losing to earlier rows — or NumActive when none does. A
+// single ColumnKey is screened in one loop over its column: an int form,
+// and values when both keys are ints or floats, compare as float64 — what
+// value.Compare does for numeric kinds, NaN comparing equal to everything;
+// NULL, strings and multi-key orders compare through the keys' evaluators.
+func (t *TopNOp) admit(b *Batch, i int, last, scratch value.Row, p *Params) (int, error) {
+	n := b.NumActive()
+	var lf float64
+	var ints []int64
+	var col []value.Value
+	desc, screen := false, false
 	if len(t.Keys) == 1 && t.Keys[0].col > 0 {
 		c := t.Keys[0].col - 1
-		vf, vok := b.Cols[c][b.PosAt(i)].AsFloat()
-		lf, lok := last[c].AsFloat()
-		if vok && lok {
-			if t.Keys[0].Desc {
-				return !(vf > lf), nil
+		lf, screen = last[c].AsFloat()
+		desc, ints, col = t.Keys[0].Desc, b.intCol(c), b.Cols[c]
+	}
+	if screen && ints != nil {
+		for ; i < n; i++ {
+			if f := float64(ints[b.PosAt(i)]); desc && f > lf || !desc && f < lf {
+				return i, nil
 			}
-			return !(vf < lf), nil
+		}
+		return n, nil
+	}
+	for ; i < n; i++ {
+		if screen {
+			if f, ok := col[b.PosAt(i)].AsFloat(); ok {
+				if desc && f > lf || !desc && f < lf {
+					return i, nil
+				}
+				continue
+			}
+		}
+		c, err := compareByKeys(t.Keys, b.FillRow(i, scratch), last, p)
+		if err != nil || c < 0 {
+			return i, err
 		}
 	}
-	c, err := compareByKeys(t.Keys, b.FillRow(i, scratch), last, p)
-	return c >= 0, err
+	return n, nil
 }
 
 func (t *TopNOp) Next(ctx *Context) (*Batch, error) {

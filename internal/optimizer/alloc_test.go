@@ -16,7 +16,11 @@ import (
 // join, on the benchmark's fixture (scale 0.01) under the workload's seed
 // 7, serially and forked four ways — and, serially, rare_agg_nojoin's
 // shape grouped by an integer column, whose rows resolve their groups
-// through the hash table rather than by dictionary code. An all-rows fold
+// through the hash table rather than by dictionary code; and, serially,
+// the two templates whose frame-of-reference keys a scan hands up in their
+// int form: rare_join4_wide's hash joins and topn_price_desc's Top-N,
+// which materialize no value vector for a key they only probe or screen
+// with. An all-rows fold
 // reads a shared identity vector, never one of its own; the aggregate
 // keeps each fold worker's scratch, borrowing its per-row ordinal vector
 // from the recycler for one fold, and a scan keeps the clones it forks,
@@ -47,6 +51,8 @@ func TestWarmAPFoldAllocs(t *testing.T) {
 		{"join2_lineitem_big", 1, 28, 2176},
 		{"join2_lineitem_big", 4, 45, 6300},
 		{hashed, 1, 848, 73865},
+		{"rare_join4_wide", 1, 47, 12544},
+		{"topn_price_desc", 1, 36, 6360},
 	} {
 		sql := c.tmpl
 		if sql != hashed {

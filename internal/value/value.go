@@ -52,6 +52,16 @@ var Null = Value{K: KindNull}
 // NewInt returns an integer value.
 func NewInt(v int64) Value { return Value{K: KindInt, I: v} }
 
+// SetInt makes v the integer i without writing its string header unless it
+// holds one: a reused buffer of ints then takes no pointer write, and no
+// write barrier while the GC runs.
+func (v *Value) SetInt(i int64) {
+	v.K, v.I = KindInt, i
+	if v.S != "" {
+		v.S = ""
+	}
+}
+
 // NewFloat returns a float value.
 func NewFloat(v float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(v))} }
 
