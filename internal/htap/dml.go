@@ -2,7 +2,6 @@ package htap
 
 import (
 	"fmt"
-	"strings"
 
 	"htapxplain/internal/catalog"
 	"htapxplain/internal/exec"
@@ -122,8 +121,8 @@ func buildInsertRows(meta *catalog.Table, ins *sqlparser.Insert) ([]value.Row, e
 	return rows, nil
 }
 
-// dmlTarget resolves the target table and compiles the optional WHERE
-// predicate against its schema, which it returns too (nil with no WHERE).
+// dmlTarget resolves the target table and its schema and compiles the
+// optional WHERE predicate against it.
 func (s *System) dmlTarget(table string, where sqlparser.Expr) (*rowstore.Table, *catalog.Table, exec.Schema, exec.Evaluator, error) {
 	meta, ok := s.Cat.Table(table)
 	if !ok {
@@ -133,10 +132,10 @@ func (s *System) dmlTarget(table string, where sqlparser.Expr) (*rowstore.Table,
 	if !ok {
 		return nil, nil, nil, nil, fmt.Errorf("htap: row store missing table %q", table)
 	}
+	schema := s.schemas[meta]
 	if where == nil {
-		return t, meta, nil, nil, nil
+		return t, meta, schema, nil, nil
 	}
-	schema := exec.TableSchema(meta, strings.ToLower(table))
 	pred, err := exec.Compile(where, schema)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("htap: WHERE: %w", err)

@@ -8,6 +8,7 @@ package htap
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +84,10 @@ type System struct {
 	Row     *rowstore.Store
 	Col     *colstore.Store
 	Planner *optimizer.Planner
+
+	// schemas are the catalog tables' schemas, built once at boot: DML
+	// compiles its WHERE and SET against them
+	schemas map[*catalog.Table]exec.Schema
 
 	// write path state
 	writeMu   sync.Mutex // serializes DML commits and orders the log
@@ -197,9 +202,13 @@ func New(cfg Config) (*System, error) {
 	s := &System{
 		Cat: cat, Data: data, Row: row, Col: col,
 		Planner:  optimizer.NewPlanner(cat, row, col),
+		schemas:  make(map[*catalog.Table]exec.Schema),
 		replCh:   make(chan *repl.Mutation, replQueueDepth),
 		wal:      w,
 		recovery: info,
+	}
+	for _, t := range cat.Tables() {
+		s.schemas[t] = exec.TableSchema(t, strings.ToLower(t.Name))
 	}
 	s.applier.Go(s.replicate)
 	if cfg.Durability.Enabled() {

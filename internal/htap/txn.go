@@ -249,9 +249,6 @@ func (tx *Txn) execUpdate(upd *sqlparser.Update) (*DMLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if schema == nil {
-		schema = exec.TableSchema(meta, strings.ToLower(upd.Table))
-	}
 	type setter struct {
 		col int
 		ev  exec.Evaluator
