@@ -120,7 +120,7 @@ func (b *Batch) gather(dst []value.Value, c int, idx []int32) {
 		}
 		return
 	}
-	ints := b.ints.cols[c]
+	ints := b.intCol(c)
 	for i, p := range idx {
 		dst[i].SetInt(ints[p])
 	}
@@ -382,7 +382,7 @@ func (o *outBuffer) appendCols(b *Batch, cols []int) {
 		case src != nil:
 			copy(dst[n:], src[:b.Len])
 		default:
-			for p, x := range b.ints.cols[c][:b.Len] {
+			for p, x := range b.intCol(c)[:b.Len] {
 				dst[n+p].SetInt(x)
 			}
 		}

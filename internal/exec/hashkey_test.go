@@ -477,8 +477,9 @@ func fuzzInts(data []byte, max int) (keys []int64, rest []byte) {
 // FuzzJoinIndex: over fuzzed int build and probe multisets, a join's int
 // table gives exactly the nested-loop (probe row, build row) pairs, in
 // probe order and per probe row in build order — indexed by offset and
-// chained under hashInt alike, whichever form the build chose, and with
-// either side's keys as values or in their int form.
+// chained under hashInt alike, whichever form the build chose, with
+// either side's keys as values or in their int form, and with every probe
+// row active or a selection of them.
 func FuzzJoinIndex(f *testing.F) {
 	u64 := func(v int64) string {
 		var b [8]byte
@@ -537,11 +538,30 @@ func FuzzJoinIndex(f *testing.F) {
 		}
 		ipb := intForm(pb)
 		defer releaseIntForm(ipb)
+		// the same probe with every third row inactive, as a filter leaves it
+		var sel []int32
+		for p := range probe {
+			if p%3 != 1 {
+				sel = append(sel, int32(p))
+			}
+		}
+		spb, sipb := *pb, *ipb
+		spb.Sel, sipb.Sel = sel, sel
+		var wantSel [][2]int32
+		for _, w := range want {
+			if w[0]%3 != 1 {
+				wantSel = append(wantSel, w)
+			}
+		}
 		check := func(form string) {
 			t.Helper()
 			for jn, hj := range joins {
-				for bn, b := range []*Batch{pb, ipb} {
-					label := fmt.Sprintf("%s, build keys %s, probe keys %s", form, keyForms[jn], keyForms[bn])
+				for bn, b := range []*Batch{pb, ipb, &spb, &sipb} {
+					label := fmt.Sprintf("%s, build keys %s, probe keys %s", form, keyForms[jn], keyForms[bn%2])
+					want := want
+					if b.Sel != nil {
+						label, want = label+", every third row inactive", wantSel
+					}
 					hj.match(b)
 					if len(hj.pIdx) != len(want) {
 						t.Fatalf("%s: %d pairs, nested loop has %d (build %v, probe %v)", label, len(hj.pIdx), len(want), build, probe)

@@ -397,15 +397,23 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 	n := b.NumActive()
 	if t.ints != nil {
 		t.ints = keyArrays.grow(t.ints, n)
-		ik, kc, base := b.intCol(keyCols[0]), b.Cols[keyCols[0]], len(t.ints)
-		for i := 0; i < n; i++ {
-			k, ok := intKey(ik, kc, b.PosAt(i))
-			if !ok {
-				t.ints = t.ints[:base]
-				t.spill()
-				break
+		if ik := b.intCol(keyCols[0]); ik == nil {
+			kc, base := b.Cols[keyCols[0]], len(t.ints)
+			for i := 0; i < n; i++ {
+				k, ok := intKey(nil, kc, b.PosAt(i))
+				if !ok {
+					t.ints = t.ints[:base]
+					t.spill()
+					break
+				}
+				t.ints = append(t.ints, k)
 			}
-			t.ints = append(t.ints, k)
+		} else if b.Sel == nil {
+			t.ints = append(t.ints, ik[:b.Len]...)
+		} else {
+			for _, p := range b.Sel {
+				t.ints = append(t.ints, ik[p])
+			}
 		}
 	}
 	if t.ints == nil {
@@ -608,6 +616,21 @@ func (t *joinTable) semiJoin(b *Batch, c int, sel []int32) []int32 {
 	}
 	n, ik, kc, x := b.NumActive(), b.intCol(c), b.Cols[c], &t.index
 	switch {
+	case x.direct != nil && ik != nil:
+		d, lo := x.direct, uint64(x.lo)
+		if b.Sel == nil {
+			for p, k := range ik[:b.Len] {
+				if directHead(d, lo, k) != 0 {
+					sel = append(sel, int32(p))
+				}
+			}
+		} else {
+			for _, p := range b.Sel {
+				if directHead(d, lo, ik[p]) != 0 {
+					sel = append(sel, p)
+				}
+			}
+		}
 	case x.direct != nil:
 		d, lo := x.direct, uint64(x.lo)
 		for i := 0; i < n; i++ {
@@ -649,6 +672,10 @@ func (j *HashJoin) match(pb *Batch) {
 		ik, kc := pb.intCol(c), pb.Cols[c]
 		if x.direct != nil {
 			lo, d := uint64(x.lo), x.direct
+			if ik != nil {
+				j.matchDirect(ik, pb.Sel, pb.Len, d, lo)
+				return
+			}
 			for i := 0; i < n; i++ {
 				p := pb.PosAt(i)
 				k, ok := intKey(ik, kc, p)
@@ -680,6 +707,28 @@ func (j *HashJoin) match(pb *Batch) {
 			j.pIdx, j.bIdx = append(j.pIdx, int32(p)), append(j.bIdx, e-1)
 		}
 	}
+}
+
+// matchDirect is match over a direct index for probe keys in their int
+// form: the active positions are sel, or all n when sel is nil, and every
+// key is an int, so the loop reads each key and its chain head and nothing
+// else.
+func (j *HashJoin) matchDirect(ik []int64, sel []int32, n int, d []int32, lo uint64) {
+	pIdx, bIdx, next := j.pIdx, j.bIdx, j.table.index.next
+	if sel == nil {
+		for p, k := range ik[:n] {
+			for e := directHead(d, lo, k); e != 0; e = next[e-1] {
+				pIdx, bIdx = append(pIdx, int32(p)), append(bIdx, e-1)
+			}
+		}
+	} else {
+		for _, p := range sel {
+			for e := directHead(d, lo, ik[p]); e != 0; e = next[e-1] {
+				pIdx, bIdx = append(pIdx, p), append(bIdx, e-1)
+			}
+		}
+	}
+	j.pIdx, j.bIdx = pIdx, bIdx
 }
 
 // filterMatches keeps the matched pairs whose concatenated row satisfies

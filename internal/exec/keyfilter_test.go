@@ -310,7 +310,8 @@ func chainRows(probe []value.Value, pairs []value.Row, upper, top []value.Value)
 
 // FuzzJoinKeyFilter: over fuzzed key multisets, a table's semiJoin keeps
 // the rows a nested loop under keyEqual keeps, in whichever form the build
-// chose (and in the chained and direct int forms where they apply); and the
+// chose (and in the chained and direct int forms where they apply), with
+// every row active or a selection of them; and the
 // chain p ⋈ l ⋈ u ⋈ v on p.k = l.a, l.b = u.k and l.a = v.k — u's and v's
 // tables both reducing l's build — gives the barrier's rows, keeping
 // exactly the l rows whose a is in v and whose b is in u. Every NULL-free
@@ -365,19 +366,31 @@ func FuzzJoinKeyFilter(f *testing.F) {
 		copy(lb.Cols[0], lower)
 		ilb := intForm(lb)
 		defer releaseIntForm(ilb)
-		var held []int32
+		// the same rows with every third one inactive, as a filter leaves them
+		var sel, held, heldSel []int32
 		for p, v := range lower {
+			if p%3 != 1 {
+				sel = append(sel, int32(p))
+			}
 			if holds(upper, v) {
 				held = append(held, int32(p))
+				if p%3 != 1 {
+					heldSel = append(heldSel, int32(p))
+				}
 			}
 		}
+		slb, silb := *lb, *ilb
+		slb.Sel, silb.Sel = sel, sel
 		check := func(form string) {
 			t.Helper()
 			for un, u := range uj {
-				for bn, b := range []*Batch{lb, ilb} {
-					if got := u.table.semiJoin(b, 0, nil); !slices.Equal(got, held) {
-						t.Fatalf("%s, build keys %s, probed keys %s: semiJoin keeps %v, nested loop %v (lower %v, upper %v)",
-							form, keyForms[un], keyForms[bn], got, held, lower, upper)
+				for bn, b := range []*Batch{lb, ilb, &slb, &silb} {
+					label, want := fmt.Sprintf("%s, build keys %s, probed keys %s", form, keyForms[un], keyForms[bn%2]), held
+					if b.Sel != nil {
+						label, want = label+", every third row inactive", heldSel
+					}
+					if got := u.table.semiJoin(b, 0, nil); !slices.Equal(got, want) {
+						t.Fatalf("%s: semiJoin keeps %v, nested loop %v (lower %v, upper %v)", label, got, want, lower, upper)
 					}
 				}
 			}
