@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"htapxplain/internal/rowstore"
 	"htapxplain/internal/value"
 )
@@ -243,6 +245,8 @@ type HashJoin struct {
 	filters  []keyFilter // upper joins' tables, for the next build only
 	pIdx     []int32     // current probe batch's matches: probe position ...
 	bIdx     []int32     // ... and build row, pairwise
+	hitPos   []int32     // matchDirect's probe positions whose key has a chain ...
+	hitHead  []int32     // ... and that chain's head, pairwise
 	combined value.Row
 	outBuf   outBuffer
 	closed   bool
@@ -710,25 +714,38 @@ func (j *HashJoin) match(pb *Batch) {
 }
 
 // matchDirect is match over a direct index for probe keys in their int
-// form: the active positions are sel, or all n when sel is nil, and every
-// key is an int, so the loop reads each key and its chain head and nothing
-// else.
+// form, the active positions being sel, or all n (at least len(sel)) when
+// sel is nil. A first
+// loop lists the positions whose key has a chain, with no call or append
+// in it — most probe rows of a selective join meet nothing — and a second
+// walks their chains.
 func (j *HashJoin) matchDirect(ik []int64, sel []int32, n int, d []int32, lo uint64) {
-	pIdx, bIdx, next := j.pIdx, j.bIdx, j.table.index.next
+	hp, he := slices.Grow(j.hitPos[:0], n)[:n], slices.Grow(j.hitHead[:0], n)[:n]
+	m := 0
 	if sel == nil {
 		for p, k := range ik[:n] {
-			for e := directHead(d, lo, k); e != 0; e = next[e-1] {
-				pIdx, bIdx = append(pIdx, int32(p)), append(bIdx, e-1)
+			e := directHead(d, lo, k)
+			hp[m], he[m] = int32(p), e
+			if e != 0 {
+				m++
 			}
 		}
 	} else {
 		for _, p := range sel {
-			for e := directHead(d, lo, ik[p]); e != 0; e = next[e-1] {
-				pIdx, bIdx = append(pIdx, p), append(bIdx, e-1)
+			e := directHead(d, lo, ik[p])
+			hp[m], he[m] = p, e
+			if e != 0 {
+				m++
 			}
 		}
 	}
-	j.pIdx, j.bIdx = pIdx, bIdx
+	pIdx, bIdx, next := j.pIdx, j.bIdx, j.table.index.next
+	for i, e := range he[:m] {
+		for ; e != 0; e = next[e-1] {
+			pIdx, bIdx = append(pIdx, hp[i]), append(bIdx, e-1)
+		}
+	}
+	j.hitPos, j.hitHead, j.pIdx, j.bIdx = hp, he, pIdx, bIdx
 }
 
 // filterMatches keeps the matched pairs whose concatenated row satisfies
