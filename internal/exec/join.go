@@ -404,13 +404,13 @@ func (t *joinTable) add(b *Batch, keyCols, keep []int) {
 		if ik := b.intCol(keyCols[0]); ik == nil {
 			kc, base := b.Cols[keyCols[0]], len(t.ints)
 			for i := 0; i < n; i++ {
-				k, ok := intKey(nil, kc, b.PosAt(i))
-				if !ok {
+				k := kc[b.PosAt(i)]
+				if k.K != value.KindInt {
 					t.ints = t.ints[:base]
 					t.spill()
 					break
 				}
-				t.ints = append(t.ints, k)
+				t.ints = append(t.ints, k.I)
 			}
 		} else if b.Sel == nil {
 			t.ints = append(t.ints, ik[:b.Len]...)
@@ -558,7 +558,8 @@ func (j *HashJoin) filterBuild(b *Batch, kept *Batch) *Batch {
 // match and semiJoin: directHead and seekInt for the int forms, which a
 // key of any other kind never matches, seekKey for the generic form. The
 // int forms read a probe key through intKey, from the column's int form
-// when it has one.
+// when it has one — except that a direct index reads an int form in a loop
+// of its own (matchDirect, and semiJoin's first case).
 
 // intKey returns the one-column key at position p: from the int form ik
 // when there is one, else from the values kc, with ok false when the value
