@@ -159,21 +159,23 @@ func TestStatementKind(t *testing.T) {
 	}
 }
 
+// parseStatementSeeds seed FuzzParseStatement and the golden corpus.
+var parseStatementSeeds = []string{
+	`INSERT INTO customer (c_custkey) VALUES (1)`,
+	`INSERT INTO t VALUES (1, 'x', 2.5), (2, 'y', -1)`,
+	`UPDATE t SET a = a + 1 WHERE b = 'z'`,
+	`DELETE FROM t WHERE a IN (1, 2, 3)`,
+	`SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 2`,
+	`INSERT INTO`,
+	`UPDATE t SET`,
+	`DELETE FROM t WHERE`,
+}
+
 // FuzzParseStatement checks the statement parser never panics and that
 // whatever parses round-trips through String back into something
 // parseable of the same kind.
 func FuzzParseStatement(f *testing.F) {
-	seeds := []string{
-		`INSERT INTO customer (c_custkey) VALUES (1)`,
-		`INSERT INTO t VALUES (1, 'x', 2.5), (2, 'y', -1)`,
-		`UPDATE t SET a = a + 1 WHERE b = 'z'`,
-		`DELETE FROM t WHERE a IN (1, 2, 3)`,
-		`SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 2`,
-		`INSERT INTO`,
-		`UPDATE t SET`,
-		`DELETE FROM t WHERE`,
-	}
-	for _, s := range seeds {
+	for _, s := range parseStatementSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {

@@ -192,26 +192,29 @@ func slotValues(sel *Select) map[int][]value.Value {
 	return out
 }
 
+// fingerprintSeeds seed FuzzFingerprintMatchesParse and the golden corpus.
+var fingerprintSeeds = []string{
+	`SELECT c_name AS nameé1 FROM customer WHERE c_custkey = 5`,
+	`SELECT c_name AS nameé2 FROM customer WHERE c_custkey = 5`,
+	`SELECT a FROM t WHERE x = -5`,
+	`SELECT a FROM t WHERE x = - 5`,
+	`SELECT a FROM t WHERE x = 5 - 3`,
+	`SELECT a FROM t WHERE x = 5.0 AND y > -2.5`,
+	`SELECT a FROM t WHERE x = 'a''b'`,
+	`SELECT a FROM t WHERE x IN (1,2,3) LIMIT 3 OFFSET 2`,
+	`SELECT a FROM t WHERE x IN (1, y, 'z') AND z NOT IN ('p')`,
+	`SELECT a FROM t WHERE x IN (-1, 2) OR x = -(4)`,
+	`SELECT SUBSTRING(p, 1, 2), COUNT(*) FROM t WHERE p LIKE 'ab%' GROUP BY SUBSTRING(p, 1, 2) ORDER BY 1 LIMIT 0`,
+	`SELECT a FROM t JOIN u ON t.k = u.k AND u.v = 'x' WHERE t.w BETWEEN 3 AND 9.5`,
+}
+
 // FuzzFingerprintMatchesParse: for every statement Parse accepts,
 // Fingerprint's params pair one-to-one with the parser's slots — a list
 // slot with its "#n" marker and n items — and each param's ParamValue is
 // the literal Parse built there. A plan bound to another statement of the
 // template reads its literals by exactly this pairing.
 func FuzzFingerprintMatchesParse(f *testing.F) {
-	for _, sql := range []string{
-		`SELECT c_name AS nameé1 FROM customer WHERE c_custkey = 5`,
-		`SELECT c_name AS nameé2 FROM customer WHERE c_custkey = 5`,
-		`SELECT a FROM t WHERE x = -5`,
-		`SELECT a FROM t WHERE x = - 5`,
-		`SELECT a FROM t WHERE x = 5 - 3`,
-		`SELECT a FROM t WHERE x = 5.0 AND y > -2.5`,
-		`SELECT a FROM t WHERE x = 'a''b'`,
-		`SELECT a FROM t WHERE x IN (1,2,3) LIMIT 3 OFFSET 2`,
-		`SELECT a FROM t WHERE x IN (1, y, 'z') AND z NOT IN ('p')`,
-		`SELECT a FROM t WHERE x IN (-1, 2) OR x = -(4)`,
-		`SELECT SUBSTRING(p, 1, 2), COUNT(*) FROM t WHERE p LIKE 'ab%' GROUP BY SUBSTRING(p, 1, 2) ORDER BY 1 LIMIT 0`,
-		`SELECT a FROM t JOIN u ON t.k = u.k AND u.v = 'x' WHERE t.w BETWEEN 3 AND 9.5`,
-	} {
+	for _, sql := range fingerprintSeeds {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {

@@ -108,18 +108,25 @@ func TestStatementKindTxnKeywords(t *testing.T) {
 	}
 }
 
+// parseScriptSeeds seed FuzzParseScript and the golden corpus.
+var parseScriptSeeds = []string{
+	"BEGIN; INSERT INTO t VALUES (1); COMMIT",
+	"BEGIN; UPDATE t SET a = 1 WHERE b = 2; DELETE FROM t; ROLLBACK;",
+	"BEGIN; COMMIT",
+	"INSERT INTO t VALUES (1)",
+	"COMMIT",
+	"BEGIN; BEGIN; COMMIT",
+	"BEGIN; SELECT a FROM t; COMMIT",
+	";;;BEGIN;;COMMIT;;",
+}
+
 // FuzzParseScript attacks the block grammar: whatever the input, the
 // parser must not panic, and an accepted script must be internally
 // consistent (only DML statement nodes, a terminator implied by Commit).
 func FuzzParseScript(f *testing.F) {
-	f.Add("BEGIN; INSERT INTO t VALUES (1); COMMIT")
-	f.Add("BEGIN; UPDATE t SET a = 1 WHERE b = 2; DELETE FROM t; ROLLBACK;")
-	f.Add("BEGIN; COMMIT")
-	f.Add("INSERT INTO t VALUES (1)")
-	f.Add("COMMIT")
-	f.Add("BEGIN; BEGIN; COMMIT")
-	f.Add("BEGIN; SELECT a FROM t; COMMIT")
-	f.Add(";;;BEGIN;;COMMIT;;")
+	for _, s := range parseScriptSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		sc, err := ParseScript(sql)
 		if err != nil {
