@@ -102,54 +102,36 @@ func (s *Delete) String() string {
 	return out
 }
 
-// StatementKind classifies a SQL string by its leading keyword without
-// tokenizing the full input — the gateway's admission fast path uses it to
-// route DML around the read-only plan cache. It returns "select",
-// "insert", "update", "delete", "begin", "commit", "rollback", or "" when
-// the input starts with none of them.
+// StatementKind classifies a SQL string by its first token alone — the
+// gateway's admission fast path uses it to route DML around the read-only
+// plan cache. It returns "select", "insert", "update", "delete", "begin",
+// "commit", "rollback", or "" when the input starts with none of them.
 func StatementKind(sql string) string {
-	i, n := 0, len(sql)
-	for i < n {
-		c := sql[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			i++
-			continue
-		}
-		break
+	sc := scanner{src: sql}
+	if kind, start, end := sc.next(); kind == tkIdent {
+		kw, _ := keyword(sql[start:end])
+		return statementKinds[kw]
 	}
-	j := i
-	for j < n && isIdentPart(rune(sql[j])) {
-		j++
-	}
-	switch strings.ToUpper(sql[i:j]) {
-	case "SELECT":
-		return "select"
-	case "INSERT":
-		return "insert"
-	case "UPDATE":
-		return "update"
-	case "DELETE":
-		return "delete"
-	case "BEGIN":
-		return "begin"
-	case "COMMIT":
-		return "commit"
-	case "ROLLBACK":
-		return "rollback"
-	default:
-		return ""
-	}
+	return ""
 }
+
+var statementKinds = map[string]string{"SELECT": "select", "INSERT": "insert", "UPDATE": "update",
+	"DELETE": "delete", "BEGIN": "begin", "COMMIT": "commit", "ROLLBACK": "rollback"}
 
 // ParseStatement parses a single SQL statement of any supported kind. A
 // trailing semicolon is allowed.
 func ParseStatement(sql string) (Statement, error) {
-	toks, err := lex(sql)
+	p, err := newParser(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: sql}
+	return p.parseStatement()
+}
+
+// parseStatement parses the tokens as one statement of any kind.
+func (p *parser) parseStatement() (Statement, error) {
 	var stmt Statement
+	var err error
 	switch {
 	case p.atKeyword("SELECT"):
 		stmt, err = p.parseSelect()
@@ -165,11 +147,8 @@ func ParseStatement(sql string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind == tkSymbol && p.peek().text == ";" {
-		p.next()
-	}
-	if p.peek().kind != tkEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return stmt, nil
 }

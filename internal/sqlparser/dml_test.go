@@ -151,6 +151,8 @@ func TestStatementKind(t *testing.T) {
 		{"DROP TABLE t", ""},
 		{"", ""},
 		{"updatex t", ""},
+		{"ınsert INTO customer (c_custkey) VALUES (1)", ""},
+		{"ſelect c_name FROM customer WHERE c_custkey = 1", ""},
 	}
 	for _, c := range cases {
 		if got := StatementKind(c.sql); got != c.want {
@@ -169,11 +171,14 @@ var parseStatementSeeds = []string{
 	`INSERT INTO`,
 	`UPDATE t SET`,
 	`DELETE FROM t WHERE`,
+	`ınsert INTO customer (c_custkey) VALUES (1)`,
+	`ſelect c_name FROM customer WHERE c_custkey = 1`,
 }
 
 // FuzzParseStatement checks the statement parser never panics and that
 // whatever parses round-trips through String back into something
-// parseable of the same kind.
+// parseable of the same kind, which is the kind StatementKind reads off
+// its first token, with no EXPLAIN prefix in front.
 func FuzzParseStatement(f *testing.F) {
 	for _, s := range parseStatementSeeds {
 		f.Add(s)
@@ -182,6 +187,12 @@ func FuzzParseStatement(f *testing.F) {
 		stmt, err := ParseStatement(sql)
 		if err != nil {
 			return
+		}
+		if got, want := StatementKind(sql), kindOf(stmt); got != want {
+			t.Fatalf("StatementKind(%q) = %q, ParseStatement built a %s", sql, got, want)
+		}
+		if _, explain, _ := StripExplain(sql); explain {
+			t.Fatalf("StripExplain(%q) finds an EXPLAIN prefix ParseStatement does not", sql)
 		}
 		rendered := stmt.String()
 		stmt2, err := ParseStatement(rendered)

@@ -1,30 +1,18 @@
 package sqlparser
 
-import "strings"
-
 // StripExplain detects and removes a leading `EXPLAIN [ANALYZE]` prefix.
 // It returns the remaining statement text and which prefix was present.
-// The prefix is recognized case-insensitively ahead of any statement kind;
+// The prefix is matched by the keyword rule ahead of any statement kind;
 // whether the wrapped statement is explainable is the caller's concern.
 func StripExplain(sql string) (rest string, explain, analyze bool) {
-	s := strings.TrimLeft(sql, " \t\n\r")
-	word, tail := leadingWord(s)
-	if !strings.EqualFold(word, "EXPLAIN") {
+	sc := scanner{src: sql}
+	if kind, start, end := sc.next(); kind != tkIdent || !isWord(sql[start:end], "EXPLAIN") {
 		return sql, false, false
 	}
-	s = strings.TrimLeft(tail, " \t\n\r")
-	word, tail = leadingWord(s)
-	if strings.EqualFold(word, "ANALYZE") {
-		return strings.TrimLeft(tail, " \t\n\r"), true, true
+	kind, start, end := sc.next()
+	if kind == tkIdent && isWord(sql[start:end], "ANALYZE") {
+		_, start, _ = sc.next()
+		return sql[start:], true, true
 	}
-	return s, true, false
-}
-
-// leadingWord splits off the leading identifier-shaped word.
-func leadingWord(s string) (word, tail string) {
-	i := 0
-	for i < len(s) && isIdentPart(rune(s[i])) {
-		i++
-	}
-	return s[:i], s[i:]
+	return sql[start:], true, false
 }

@@ -206,6 +206,7 @@ var fingerprintSeeds = []string{
 	`SELECT a FROM t WHERE x IN (-1, 2) OR x = -(4)`,
 	`SELECT SUBSTRING(p, 1, 2), COUNT(*) FROM t WHERE p LIKE 'ab%' GROUP BY SUBSTRING(p, 1, 2) ORDER BY 1 LIMIT 0`,
 	`SELECT a FROM t JOIN u ON t.k = u.k AND u.v = 'x' WHERE t.w BETWEEN 3 AND 9.5`,
+	`SELECT a FROM t WHERE x ın (1, 2)`,
 }
 
 // FuzzFingerprintMatchesParse: for every statement Parse accepts,

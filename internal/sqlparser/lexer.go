@@ -17,7 +17,9 @@ const (
 	tkInt
 	tkFloat
 	tkString
-	tkSymbol // punctuation and operators
+	tkSymbol     // punctuation and operators
+	tkOther      // a rune no token starts with; only lex rejects it
+	tkOpenString // a string literal missing its closing quote
 )
 
 type token struct {
@@ -26,117 +28,176 @@ type token struct {
 	pos  int    // byte offset in input
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "OFFSET": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "BETWEEN": true, "LIKE": true, "AS": true,
-	"ASC": true, "DESC": true, "JOIN": true, "INNER": true, "ON": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"DISTINCT": true,
-	// DML
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true,
-	// transaction blocks
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+// keywords maps each keyword to itself: the spelling a keyword token
+// carries, whatever case it was written in.
+var keywords = map[string]string{}
+
+func init() {
+	for _, kw := range strings.Fields(`SELECT FROM WHERE GROUP BY ORDER LIMIT OFFSET AND OR NOT IN
+		BETWEEN LIKE AS ASC DESC JOIN INNER ON COUNT SUM AVG MIN MAX DISTINCT
+		INSERT INTO VALUES UPDATE SET DELETE BEGIN COMMIT ROLLBACK`) {
+		keywords[kw] = kw
+	}
+}
+
+// scanner reads SQL one token at a time as a kind and a byte span,
+// without allocating. It is the only code that reads SQL bytes: lex,
+// Fingerprint, StatementKind and StripExplain all read its tokens.
+type scanner struct {
+	src string
+	pos int
+}
+
+// next skips whitespace (' ', '\t', '\n', '\r') and returns the kind and
+// the span src[start:end] of the token that follows; at the end of the
+// input it returns tkEOF with start == end == len(src). Words are UTF-8
+// runes read through isIdentStart/isIdentPart and come back as tkIdent,
+// keyword or not; a quoted string keeps its quotes and doubled quotes.
+func (s *scanner) next() (kind tokenKind, start, end int) {
+	src, i := s.src, s.pos
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	start, end = i, i+1
+	switch {
+	case i == len(src):
+		kind, end = tkEOF, i
+	case src[i] == '\'':
+		kind, end = tkOpenString, len(src)
+		for j := i + 1; j < len(src); j++ {
+			if src[j] == '\'' {
+				if j+1 < len(src) && src[j+1] == '\'' {
+					j++
+					continue
+				}
+				kind, end = tkString, j+1
+				break
+			}
+		}
+	case isDigit(src[i]):
+		kind, end = tkInt, digits(src, i)
+		if end+1 < len(src) && src[end] == '.' && isDigit(src[end+1]) {
+			kind, end = tkFloat, digits(src, end+1)
+		}
+	case src[i] >= utf8.RuneSelf || isIdentStart(rune(src[i])):
+		r, size := utf8.DecodeRuneInString(src[i:])
+		kind, end = tkOther, i+size
+		if isIdentStart(r) {
+			kind = tkIdent
+			for end < len(src) {
+				if c := src[end]; c < utf8.RuneSelf { // ASCII, without decoding
+					if c != '_' && !isDigit(c) && (c|0x20 < 'a' || c|0x20 > 'z') {
+						break
+					}
+					end++
+					continue
+				}
+				r, size := utf8.DecodeRuneInString(src[end:])
+				if !isIdentPart(r) {
+					break
+				}
+				end += size
+			}
+		}
+	case i+1 < len(src) && (src[i:i+2] == "<=" || src[i:i+2] == ">=" || src[i:i+2] == "<>" || src[i:i+2] == "!="):
+		kind, end = tkSymbol, i+2
+	case strings.IndexByte(",()=<>+-*/.;", src[i]) >= 0:
+		kind = tkSymbol
+	default:
+		kind = tkOther
+	}
+	s.pos = end
+	return kind, start, end
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// digits returns the index of the first non-digit at or after i.
+func digits(s string, i int) int {
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	return i
+}
+
+// keyword returns the keyword a word spells. A keyword matches ASCII
+// case-insensitively, as PostgreSQL's keyword lookup folds, so a word
+// holding any other rune (ı, ſ) is an identifier to every reader.
+func keyword(word string) (string, bool) {
+	var up [8]byte // the longest keywords, DISTINCT and ROLLBACK
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		up[i] = upper(word[i])
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
+}
+
+// isWord reports whether word spells kw, an upper-case word, under the
+// keyword rule.
+func isWord(word, kw string) bool {
+	if len(word) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if upper(word[i]) != kw[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func upper(c byte) byte {
+	if c >= 'a' && c <= 'z' {
+		c -= 'a' - 'A'
+	}
+	return c
+}
+
+// unquote is a string literal's value: its quotes dropped and its doubled
+// quotes folded.
+func unquote(lit string) string {
+	s := lit[1 : len(lit)-1]
+	if strings.Contains(s, "''") {
+		s = strings.ReplaceAll(s, "''", "'")
+	}
+	return s
+}
+
+func errUnterminated(pos int) error {
+	return fmt.Errorf("sql: unterminated string literal at offset %d", pos)
 }
 
 // lex tokenizes the input. It returns a descriptive error with byte offset
 // on any unrecognized character or unterminated string.
 func lex(input string) ([]token, error) {
 	var toks []token
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= n {
-					return nil, fmt.Errorf("sql: unterminated string literal at offset %d", i)
-				}
-				if input[j] == '\'' {
-					// '' escapes a quote
-					if j+1 < n && input[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(input[j])
-				j++
-			}
-			toks = append(toks, token{kind: tkString, text: sb.String(), pos: i})
-			i = j + 1
-		case c >= '0' && c <= '9':
-			j := i
-			isFloat := false
-			for j < n && (input[j] >= '0' && input[j] <= '9') {
-				j++
-			}
-			if j < n && input[j] == '.' && j+1 < n && input[j+1] >= '0' && input[j+1] <= '9' {
-				isFloat = true
-				j++
-				for j < n && input[j] >= '0' && input[j] <= '9' {
-					j++
-				}
-			}
-			kind := tkInt
-			if isFloat {
-				kind = tkFloat
-			}
-			toks = append(toks, token{kind: kind, text: input[i:j], pos: i})
-			i = j
-		case c >= utf8.RuneSelf || isIdentStart(rune(c)):
-			// decode full runes: a byte-wise rune(c) misclassifies non-ASCII
-			// input (e.g. the lone byte 0xde) and breaks re-lexing of
-			// lower-cased multi-byte identifiers
-			r, _ := utf8.DecodeRuneInString(input[i:])
-			if !isIdentStart(r) {
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", r, i)
-			}
-			j := i
-			for j < n {
-				r, size := utf8.DecodeRuneInString(input[j:])
-				if !isIdentPart(r) {
-					break
-				}
-				j += size
-			}
-			word := input[i:j]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tkKeyword, text: up, pos: i})
+	sc := scanner{src: input}
+	for {
+		kind, start, end := sc.next()
+		text := input[start:end]
+		switch kind {
+		case tkOpenString:
+			return nil, errUnterminated(start)
+		case tkOther:
+			r, _ := utf8.DecodeRuneInString(text)
+			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", r, start)
+		case tkString:
+			text = unquote(text)
+		case tkIdent:
+			if kw, ok := keyword(text); ok {
+				kind, text = tkKeyword, kw
 			} else {
-				toks = append(toks, token{kind: tkIdent, text: strings.ToLower(word), pos: i})
-			}
-			i = j
-		default:
-			// multi-char operators first
-			if i+1 < n {
-				two := input[i : i+2]
-				switch two {
-				case "<=", ">=", "<>", "!=":
-					toks = append(toks, token{kind: tkSymbol, text: two, pos: i})
-					i += 2
-					continue
-				}
-			}
-			switch c {
-			case ',', '(', ')', '=', '<', '>', '+', '-', '*', '/', '.', ';':
-				toks = append(toks, token{kind: tkSymbol, text: string(c), pos: i})
-				i++
-			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+				text = strings.ToLower(text)
 			}
 		}
+		toks = append(toks, token{kind: kind, text: text, pos: start})
+		if kind == tkEOF {
+			return toks, nil
+		}
 	}
-	toks = append(toks, token{kind: tkEOF, pos: n})
-	return toks, nil
 }
 
 func isIdentStart(r rune) bool {

@@ -8,29 +8,40 @@ import (
 
 // Parse parses a single SELECT statement. A trailing semicolon is allowed.
 func Parse(sql string) (*Select, error) {
-	toks, err := lex(sql)
+	p, err := newParser(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: sql}
 	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
-	// optional trailing semicolon
-	if p.peek().kind == tkSymbol && p.peek().text == ";" {
-		p.next()
-	}
-	if p.peek().kind != tkEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	return sel, nil
+}
+
+func newParser(sql string) (*parser, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return nil, err
+	}
+	return &parser{toks: toks}, nil
+}
+
+// end accepts an optional trailing semicolon and then the end of input.
+func (p *parser) end() error {
+	p.acceptSymbol(";")
+	if p.peek().kind != tkEOF {
+		return p.errorf("unexpected trailing input %q", p.peek().text)
+	}
+	return nil
 }
 
 type parser struct {
 	toks  []token
 	pos   int
-	input string
 	slots []Slot
 }
 

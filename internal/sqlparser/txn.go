@@ -29,11 +29,10 @@ type Script struct {
 // or ROLLBACK gets a dedicated error); input starting with BEGIN must be
 // a well-formed block whose statements are ';'-separated DML.
 func ParseScript(sql string) (*Script, error) {
-	toks, err := lex(sql)
+	p, err := newParser(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: sql}
 	if !p.atKeyword("BEGIN") {
 		switch {
 		case p.atKeyword("COMMIT"):
@@ -41,7 +40,7 @@ func ParseScript(sql string) (*Script, error) {
 		case p.atKeyword("ROLLBACK"):
 			return nil, p.errorf("ROLLBACK without BEGIN: no transaction block is open")
 		}
-		stmt, err := ParseStatement(sql)
+		stmt, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}

@@ -122,7 +122,9 @@ var parseScriptSeeds = []string{
 
 // FuzzParseScript attacks the block grammar: whatever the input, the
 // parser must not panic, and an accepted script must be internally
-// consistent (only DML statement nodes, a terminator implied by Commit).
+// consistent (only DML statement nodes, a terminator implied by Commit)
+// and classified as StatementKind classifies it: a block as begin, a lone
+// statement as its kind.
 func FuzzParseScript(f *testing.F) {
 	for _, s := range parseScriptSeeds {
 		f.Add(s)
@@ -145,6 +147,13 @@ func FuzzParseScript(f *testing.F) {
 		}
 		if !sc.Explicit && !sc.Commit {
 			t.Fatal("single-statement script must autocommit")
+		}
+		want := "begin"
+		if !sc.Explicit {
+			want = kindOf(sc.Stmts[0])
+		}
+		if got := StatementKind(sql); got != want {
+			t.Fatalf("StatementKind(%q) = %q, ParseScript read %s", sql, got, want)
 		}
 	})
 }
