@@ -568,8 +568,9 @@ func (g *Gateway) serve(sql string, arrived time.Time) *Response {
 	// a panic on this goroutine is this request's error reply, like one on
 	// a worker it forked; the slot and in_flight come back through the
 	// callers' defers either way
-	if err := task.Do(func() error { resp = g.process(sql, tr); return nil }); err != nil {
-		resp = &Response{SQL: sql, Kind: sqlparser.StatementKind(sql), Err: err}
+	kind, body := classify(sql)
+	if err := task.Do(func() error { resp = g.process(sql, kind, body, tr); return nil }); err != nil {
+		resp = &Response{SQL: sql, Kind: kind, Err: err}
 	}
 	resp.ServeTime = time.Since(start)
 	resp.QueueWait = wait
@@ -598,16 +599,36 @@ func (g *Gateway) serve(sql string, arrived time.Time) *Response {
 	return resp
 }
 
-func (g *Gateway) process(sql string, tr *obs.QueryTrace) *Response {
-	if body, explain, analyze := sqlparser.StripExplain(sql); explain {
-		return g.processExplain(sql, body, analyze, tr)
+// classify reads a request's first tokens for the kind its reply starts
+// with: explain or explain_analyze with the statement after the prefix, a
+// write's own kind, txn for a block keyword, and select for anything else.
+// DML bypasses the read-only plan cache and goes straight to the write
+// path.
+func classify(sql string) (kind, body string) {
+	body, explain, analyze := sqlparser.StripExplain(sql)
+	switch {
+	case analyze:
+		return "explain_analyze", body
+	case explain:
+		return "explain", body
 	}
-	// classify on the leading keyword only (no tokenization): DML bypasses
-	// the read-only plan cache and goes straight to the write path
 	switch kind := sqlparser.StatementKind(sql); kind {
 	case "insert", "update", "delete":
-		return g.processDML(sql, kind, tr)
+		return kind, sql
 	case "begin", "commit", "rollback":
+		return "txn", sql
+	}
+	return "select", sql
+}
+
+// process serves a request classify has read.
+func (g *Gateway) process(sql, kind, body string, tr *obs.QueryTrace) *Response {
+	switch kind {
+	case "explain", "explain_analyze":
+		return g.processExplain(sql, body, kind == "explain_analyze", tr)
+	case "insert", "update", "delete":
+		return g.processDML(sql, kind, tr)
+	case "txn":
 		return g.processTxn(sql, tr)
 	}
 	resp := &Response{SQL: sql, Kind: "select"}

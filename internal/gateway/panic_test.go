@@ -116,8 +116,10 @@ func TestWorkerPanicCostsOneRequest(t *testing.T) {
 // one shard, one ledger slot, so the aggregate folds the torn chunk on the
 // connection's own goroutine — is that request's 500 with the error in the
 // body, not a dropped connection: Response.Err is the *task.PanicError,
-// the sampled trace carries its stack, panics_total counts it, and the
-// slot and in_flight come back for the next request.
+// the sampled trace carries its stack, panics_total counts it, reply and
+// trace name the kind a normal reply would (explain_analyze for an
+// EXPLAIN ANALYZE), and the slot and in_flight come back for the next
+// request.
 func TestServePanicIsAnErrorReply(t *testing.T) {
 	sys, err := htap.New(htap.DefaultConfig())
 	if err != nil {
@@ -168,6 +170,15 @@ func TestServePanicIsAnErrorReply(t *testing.T) {
 	}
 	if tr := tracer.Traces()[0]; !strings.Contains(tr.Error, "panic: ") || !strings.Contains(tr.Stack, "(*Gateway).execute") {
 		t.Errorf("newest trace: error %q, stack %q, want the panic and the stack it unwound", tr.Error, tr.Stack)
+	}
+	// the panic reply names the kind the request's normal reply would
+	if code, qr := post("EXPLAIN ANALYZE " + sql); code != http.StatusInternalServerError ||
+		!strings.Contains(qr.Error, "panic: ") || qr.Kind != "explain_analyze" {
+		t.Errorf("panicking EXPLAIN ANALYZE answered %d, kind %q, error %q, want 500 of kind explain_analyze naming the panic",
+			code, qr.Kind, qr.Error)
+	}
+	if tr := tracer.Traces()[0]; tr.Kind != "explain_analyze" {
+		t.Errorf("the panicking EXPLAIN ANALYZE's trace has kind %q, want explain_analyze", tr.Kind)
 	}
 	if code, qr := post("SELECT COUNT(*) FROM orders"); code != http.StatusOK || qr.Error != "" || qr.RowCount != 1 {
 		t.Errorf("request after the panics: status %d, %+v", code, qr)
