@@ -109,8 +109,7 @@ func (s *Delete) String() string {
 func StatementKind(sql string) string {
 	sc := scanner{src: sql}
 	if kind, start, end := sc.next(); kind == tkIdent {
-		kw, _ := keyword(sql[start:end])
-		return statementKinds[kw]
+		return statementKinds[keyword(sql[start:end])]
 	}
 	return ""
 }

@@ -120,19 +120,19 @@ func digits(s string, i int) int {
 	return i
 }
 
-// keyword returns the keyword a word spells. A keyword matches ASCII
-// case-insensitively, as PostgreSQL's keyword lookup folds, so a word
-// holding any other rune (ı, ſ) is an identifier to every reader.
-func keyword(word string) (string, bool) {
+// keyword returns the keyword a word spells, or "" if it spells none. A
+// keyword matches ASCII case-insensitively, as PostgreSQL's keyword lookup
+// folds, so a word holding any other rune (ı, ſ) is an identifier to every
+// reader.
+func keyword(word string) string {
 	var up [8]byte // the longest keywords, DISTINCT and ROLLBACK
 	if len(word) > len(up) {
-		return "", false
+		return ""
 	}
 	for i := 0; i < len(word); i++ {
 		up[i] = upper(word[i])
 	}
-	kw, ok := keywords[string(up[:len(word)])]
-	return kw, ok
+	return keywords[string(up[:len(word)])]
 }
 
 // isWord reports whether word spells kw, an upper-case word, under the
@@ -187,9 +187,11 @@ func lex(input string) ([]token, error) {
 			r, _ := utf8.DecodeRuneInString(text)
 			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", r, start)
 		case tkString:
-			text = unquote(text)
+			// a copy: a row stored from the literal must not keep the
+			// whole statement's text alive
+			text = strings.Clone(unquote(text))
 		case tkIdent:
-			if kw, ok := keyword(text); ok {
+			if kw := keyword(text); kw != "" {
 				kind, text = tkKeyword, kw
 			} else {
 				text = strings.ToLower(text)

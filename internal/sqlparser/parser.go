@@ -22,6 +22,7 @@ func Parse(sql string) (*Select, error) {
 	return sel, nil
 }
 
+// newParser lexes sql into a parser at its first token.
 func newParser(sql string) (*parser, error) {
 	toks, err := lex(sql)
 	if err != nil {
