@@ -30,6 +30,7 @@ func frontEndSQL() []string {
 func BenchmarkFingerprint(b *testing.B) {
 	sqls := frontEndSQL()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sql := sqls[i%len(sqls)]
 		if _, explain, _ := StripExplain(sql); explain {
@@ -48,6 +49,7 @@ func BenchmarkFingerprint(b *testing.B) {
 func BenchmarkParse(b *testing.B) {
 	sqls := frontEndSQL()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(sqls[i%len(sqls)]); err != nil {
 			b.Fatal(err)
